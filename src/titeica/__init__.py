@@ -3,7 +3,6 @@ geometries: solvers for the metric equation in all six sign cases, flat
 connections and their frames, affine sphere and minimal Lagrangian
 surface reconstruction, developing maps, holonomy and verification."""
 
-from ._kernels import BACKEND, HAS_NUMBA
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
                        MetricSolution, SignCase, cubic_norm_induced,
                        cubic_norm_sq, gauss_curvature, global_weight,

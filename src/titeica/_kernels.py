@@ -1,251 +1,87 @@
-"""Hot integration kernels.
+"""RK4 transport kernel.
 
 Transport of a small matrix frame F along a polyline through a grid of
-3x3 (or 4x4) connection coefficient matrices A, B, solving
+square connection coefficient matrices A, B, solving
 
     dF/dt = (A(z) zdot + B(z) conj(zdot)) F        (row convention)
     dF/dt = F (A(z) zdot + B(z) conj(zdot))        (column convention)
 
 by classical RK4 with bilinear interpolation of A and B in lattice
-coordinates.  This is the only sequential inner loop in the package, so
-it is compiled with numba when available.  Set TITEICA_DISABLE_NUMBA=1
-to force the pure-numpy fallback (same code, undecorated); both
-implementations are exported for benchmarking.
+coordinates.  The sample points do not depend on F and the system is
+linear, so every substep's coefficients and its one-step propagator
+M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) are built in batched numpy; the only
+sequential work left is the chain F <- M F.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("TITEICA_DISABLE_NUMBA", "0") == "1"
 
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by TITEICA_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _sample_coeff(A, B, x, y, zdot, periodic, out):
-    """Bilinear sample of A zdot + B conj(zdot) at lattice point (x, y)."""
-    n0 = A.shape[0]
-    n1 = A.shape[1]
+def _sample_coeff(A, B, x, y, zdot, periodic):
+    """Bilinear samples of A zdot + B conj(zdot) at lattice points (x, y);
+    x, y have shape (3, S) and zdot shape (S,)."""
+    n0, n1 = A.shape[:2]
     if periodic:
-        x = x % n0
-        y = y % n1
-        i0 = int(np.floor(x))
-        j0 = int(np.floor(y))
+        i0 = np.floor(x).astype(np.intp)
+        j0 = np.floor(y).astype(np.intp)
         fx = x - i0
         fy = y - j0
-        i0 = i0 % n0
-        j0 = j0 % n1
+        i0 %= n0
+        j0 %= n1
         i1 = (i0 + 1) % n0
         j1 = (j0 + 1) % n1
     else:
-        if x < 0.0:
-            x = 0.0
-        if x > n0 - 1.0:
-            x = n0 - 1.0
-        if y < 0.0:
-            y = 0.0
-        if y > n1 - 1.0:
-            y = n1 - 1.0
-        i0 = int(np.floor(x))
-        j0 = int(np.floor(y))
-        if i0 > n0 - 2:
-            i0 = n0 - 2
-        if j0 > n1 - 2:
-            j0 = n1 - 2
+        x = np.clip(x, 0.0, n0 - 1.0)
+        y = np.clip(y, 0.0, n1 - 1.0)
+        i0 = np.minimum(np.floor(x).astype(np.intp), n0 - 2)
+        j0 = np.minimum(np.floor(y).astype(np.intp), n1 - 2)
         fx = x - i0
         fy = y - j0
         i1 = i0 + 1
         j1 = j0 + 1
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w10 = fx * (1.0 - fy)
-    w01 = (1.0 - fx) * fy
-    w11 = fx * fy
-    zbar = np.conj(zdot)
-    m = A.shape[2]
-    for a in range(m):
-        for b in range(m):
-            av = (w00 * A[i0, j0, a, b] + w10 * A[i1, j0, a, b]
-                  + w01 * A[i0, j1, a, b] + w11 * A[i1, j1, a, b])
-            bv = (w00 * B[i0, j0, a, b] + w10 * B[i1, j0, a, b]
-                  + w01 * B[i0, j1, a, b] + w11 * B[i1, j1, a, b])
-            out[a, b] = av * zdot + bv * zbar
-
-
-def _matmul(C, F, row, out):
-    """out = C @ F (row convention) or F @ C (column convention)."""
-    m = F.shape[0]
-    n = F.shape[1]
-    if row:
-        for a in range(m):
-            for b in range(n):
-                s = 0.0 + 0.0j
-                for c in range(m):
-                    s += C[a, c] * F[c, b]
-                out[a, b] = s
-    else:
-        for a in range(m):
-            for b in range(n):
-                s = 0.0 + 0.0j
-                for c in range(n):
-                    s += F[a, c] * C[c, b]
-                out[a, b] = s
-
-
-def _transport(A, B, d1, d2, pts, F0, row, periodic, max_step, record):
-    """March F0 along the lattice polyline `pts`, recording the frame at
-    every polyline vertex into `record` (npts, m, n)."""
-    m = F0.shape[0]
-    n = F0.shape[1]
-    F = F0.copy()
-    for a in range(m):
-        for b in range(n):
-            record[0, a, b] = F[a, b]
-    C = np.empty((A.shape[2], A.shape[2]), np.complex128)
-    K = np.empty((m, n), np.complex128)
-    acc = np.empty((m, n), np.complex128)
-    Ftmp = np.empty((m, n), np.complex128)
-    for s in range(pts.shape[0] - 1):
-        x0 = pts[s, 0]
-        y0 = pts[s, 1]
-        dx = pts[s + 1, 0] - x0
-        dy = pts[s + 1, 1] - y0
-        zdot = dx * d1 + dy * d2
-        seg = abs(zdot)
-        nsub = int(seg / max_step) + 1
-        h = 1.0 / nsub
-        for q in range(nsub):
-            t0 = q * h
-            # k1
-            _sample_coeff(A, B, x0 + t0 * dx, y0 + t0 * dy, zdot, periodic, C)
-            _matmul(C, F, row, K)
-            for a in range(m):
-                for b in range(n):
-                    acc[a, b] = F[a, b] + K[a, b] * (h / 6.0)
-                    Ftmp[a, b] = F[a, b] + 0.5 * h * K[a, b]
-            # k2, k3 share the midpoint sample
-            tm = t0 + 0.5 * h
-            _sample_coeff(A, B, x0 + tm * dx, y0 + tm * dy, zdot, periodic, C)
-            _matmul(C, Ftmp, row, K)
-            for a in range(m):
-                for b in range(n):
-                    acc[a, b] += K[a, b] * (h / 3.0)
-                    Ftmp[a, b] = F[a, b] + 0.5 * h * K[a, b]
-            _matmul(C, Ftmp, row, K)
-            for a in range(m):
-                for b in range(n):
-                    acc[a, b] += K[a, b] * (h / 3.0)
-                    Ftmp[a, b] = F[a, b] + h * K[a, b]
-            # k4
-            t1 = t0 + h
-            _sample_coeff(A, B, x0 + t1 * dx, y0 + t1 * dy, zdot, periodic, C)
-            _matmul(C, Ftmp, row, K)
-            for a in range(m):
-                for b in range(n):
-                    F[a, b] = acc[a, b] + K[a, b] * (h / 6.0)
-        for a in range(m):
-            for b in range(n):
-                record[s + 1, a, b] = F[a, b]
-
-
-# pure-python/numpy fallback implementations (identical code paths)
-transport_numpy = _transport
-_sample_numpy = _sample_coeff
-
-if HAS_NUMBA:
-    _sample_coeff = njit(cache=True)(_sample_coeff)
-    _matmul = njit(cache=True)(_matmul)
-
-    @njit(cache=True)
-    def transport_numba(A, B, d1, d2, pts, F0, row, periodic, max_step, record):
-        m = F0.shape[0]
-        n = F0.shape[1]
-        F = F0.copy()
-        for a in range(m):
-            for b in range(n):
-                record[0, a, b] = F[a, b]
-        C = np.empty((A.shape[2], A.shape[2]), np.complex128)
-        K = np.empty((m, n), np.complex128)
-        acc = np.empty((m, n), np.complex128)
-        Ftmp = np.empty((m, n), np.complex128)
-        for s in range(pts.shape[0] - 1):
-            x0 = pts[s, 0]
-            y0 = pts[s, 1]
-            dx = pts[s + 1, 0] - x0
-            dy = pts[s + 1, 1] - y0
-            zdot = dx * d1 + dy * d2
-            seg = abs(zdot)
-            nsub = int(seg / max_step) + 1
-            h = 1.0 / nsub
-            for q in range(nsub):
-                t0 = q * h
-                _sample_coeff(A, B, x0 + t0 * dx, y0 + t0 * dy, zdot, periodic, C)
-                _matmul(C, F, row, K)
-                for a in range(m):
-                    for b in range(n):
-                        acc[a, b] = F[a, b] + K[a, b] * (h / 6.0)
-                        Ftmp[a, b] = F[a, b] + 0.5 * h * K[a, b]
-                tm = t0 + 0.5 * h
-                _sample_coeff(A, B, x0 + tm * dx, y0 + tm * dy, zdot, periodic, C)
-                _matmul(C, Ftmp, row, K)
-                for a in range(m):
-                    for b in range(n):
-                        acc[a, b] += K[a, b] * (h / 3.0)
-                        Ftmp[a, b] = F[a, b] + 0.5 * h * K[a, b]
-                _matmul(C, Ftmp, row, K)
-                for a in range(m):
-                    for b in range(n):
-                        acc[a, b] += K[a, b] * (h / 3.0)
-                        Ftmp[a, b] = F[a, b] + h * K[a, b]
-                t1 = t0 + h
-                _sample_coeff(A, B, x0 + t1 * dx, y0 + t1 * dy, zdot, periodic, C)
-                _matmul(C, Ftmp, row, K)
-                for a in range(m):
-                    for b in range(n):
-                        F[a, b] = acc[a, b] + K[a, b] * (h / 6.0)
-            for a in range(m):
-                for b in range(n):
-                    record[s + 1, a, b] = F[a, b]
-
-    transport = transport_numba
-else:
-    transport_numba = None
-    transport = transport_numpy
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+    w = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
+                  (1.0 - fx) * fy, fx * fy])[..., None, None]
+    I = np.stack([i0, i1, i0, i1])
+    J = np.stack([j0, j0, j1, j1])
+    a = A[I, J]                       # one gather per array: (4, 3, S, m, m)
+    b = B[I, J]
+    av = w[0] * a[0] + w[1] * a[1] + w[2] * a[2] + w[3] * a[3]
+    bv = w[0] * b[0] + w[1] * b[1] + w[2] * b[2] + w[3] * b[3]
+    zdot = zdot[:, None, None]
+    return av * zdot + bv * np.conj(zdot)
 
 
 def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
-                       max_step=0.5, backend=None):
-    """Convenience wrapper: returns the (npts, m, n) array of frames at the
-    polyline vertices.  `pts` is (npts, 2) float lattice coordinates."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    F0 = np.ascontiguousarray(F0, dtype=np.complex128)
-    A = np.ascontiguousarray(A, dtype=np.complex128)
-    B = np.ascontiguousarray(B, dtype=np.complex128)
-    record = np.empty((pts.shape[0], F0.shape[0], F0.shape[1]), np.complex128)
-    fn = transport
-    if backend == "numpy":
-        fn = transport_numpy
-    elif backend == "numba":
-        if transport_numba is None:
-            raise RuntimeError("numba backend unavailable")
-        fn = transport_numba
-    fn(A, B, complex(d1), complex(d2), pts, F0, bool(row), bool(periodic),
-       float(max_step), record)
-    return record
+                       max_step=0.5):
+    """Frames at the vertices of the lattice polyline `pts` ((npts, 2)
+    floats) transported from F0; returns an (npts, m, n) array.  Each
+    segment takes int(|zdot| / max_step) + 1 RK4 substeps."""
+    pts = np.asarray(pts, dtype=np.float64)
+    F = np.asarray(F0, dtype=np.complex128)
+    if not row:
+        F = F.T   # column convention: the row system on the transposes
+    d = np.diff(pts, axis=0)
+    zdot = d[:, 0] * complex(d1) + d[:, 1] * complex(d2)
+    nsub = (np.abs(zdot) / float(max_step)).astype(np.int64) + 1
+    ends = np.cumsum(nsub)
+    seg = np.repeat(np.arange(len(nsub)), nsub)
+    q = np.arange(seg.size) - (ends - nsub)[seg]
+    h = 1.0 / nsub[seg]
+    t0 = q * h
+    t = np.stack([t0, t0 + 0.5 * h, t0 + h])
+    C = _sample_coeff(A, B, pts[seg, 0] + t * d[seg, 0],
+                      pts[seg, 1] + t * d[seg, 1], zdot[seg], periodic)
+    if not row:
+        C = np.swapaxes(C, -1, -2)
+    C0, Cm, C1 = C
+    h = h[:, None, None]
+    K2 = Cm + (0.5 * h) * (Cm @ C0)
+    K3 = Cm + (0.5 * h) * (Cm @ K2)
+    K4 = C1 + h * (C1 @ K3)
+    M = (h / 6.0) * (C0 + 2.0 * K2 + 2.0 * K3 + K4)
+    M += np.eye(M.shape[-1])
+    chain = np.empty((seg.size + 1,) + F.shape, np.complex128)
+    chain[0] = F
+    for s in range(seg.size):
+        np.matmul(M[s], chain[s], out=chain[s + 1])
+    rec = chain[np.concatenate(([0], ends))]
+    return rec if row else np.swapaxes(rec, -1, -2)

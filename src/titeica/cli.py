@@ -2,9 +2,9 @@
 verify -> develop orchestration, and mesh/report serialization.
 
 Subcommands: solve, immerse, verify, develop, weierstrass, all.
-Exit codes: 0 all requested checks pass; 1 a check failed (report still
-written); 2 configuration error; 3 solver non-convergence when the
-configuration demands convergence.
+Exit codes: 0 all requested checks pass; 1 a check failed, or a verifying
+stage ran no check (report still written); 2 configuration error; 3 solver
+non-convergence when the configuration demands convergence.
 """
 
 import argparse
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import BACKEND
 from .errors import ConfigError, TiteicaError
 from .frames import build_connection, curvature_residual, reality_check, torus_generator
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
@@ -150,8 +149,7 @@ class Pipeline:
         self.timings = {}
         self.report = {"schema_version": SCHEMA_VERSION,
                        "case": self.case.geometry_tag,
-                       "grid": list(self.domain.shape),
-                       "backend": BACKEND}
+                       "grid": list(self.domain.shape)}
         self.solution = None
         self.mesh = None
 
@@ -379,7 +377,7 @@ STAGES = {
 }
 
 
-def run(cfg, stage="all", out_dir=".", strict=False, threads=1):
+def run(cfg, stage="all", out_dir=".", strict=False):
     """Run the pipeline; returns (exit_code, report_dict)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,7 +385,6 @@ def run(cfg, stage="all", out_dir=".", strict=False, threads=1):
         pipe = Pipeline(cfg)
     except ConfigError:
         raise
-    pipe.report["threads"] = threads
     pipe.report["stage"] = stage
     code = 0
     try:
@@ -413,6 +410,10 @@ def run(cfg, stage="all", out_dir=".", strict=False, threads=1):
         raise
     except TiteicaError as exc:
         pipe.warnings.append(f"{type(exc).__name__}: {exc}")
+        code = 1
+    if code == 0 and "verify" in STAGES[stage] and not pipe.residuals:
+        # e.g. a solve that did not converge ended the run before verify
+        pipe.warnings.append("no check ran")
         code = 1
     pipe.report["residuals"] = pipe.residuals
     pipe.report["warnings"] = pipe.warnings
@@ -454,15 +455,13 @@ def main(argv=None):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON configuration")
         sp.add_argument("--out-dir", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="recorded worker count (kernels are deterministic)")
         sp.add_argument("--strict", action="store_true",
                         help="treat warnings as failures")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         code, report = run(cfg, stage=args.command, out_dir=args.out_dir,
-                           strict=args.strict, threads=args.threads)
+                           strict=args.strict)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

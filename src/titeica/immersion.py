@@ -99,35 +99,23 @@ def _entry(name, field_vals, margin=2):
 
 
 def _tree_lines(domain, root, axis_first=0):
-    """Spanning comb rooted at `root`: a spine along axis_first, then teeth
-    along the other axis.  Yields (start_index, lattice polyline)."""
-    n, m = domain.shape
-    rj, rk = root
+    """Spanning comb rooted at `root`: the two halves of a spine along
+    axis_first, then for each spine node the two halves of a tooth along
+    the other axis.  Returns the lattice polylines in that order; each
+    starts at a node reached by an earlier line (or at the root)."""
     lines = []
-    if axis_first == 0:
-        for stop in (n - 1, 0):
-            js = np.arange(rj, stop + (1 if stop >= rj else -1),
-                           1 if stop >= rj else -1)
-            lines.append((("spine", rk), np.stack(
-                [js, np.full(js.shape, rk)], axis=-1)))
-        for j in range(n):
-            for stop in (m - 1, 0):
-                ks = np.arange(rk, stop + (1 if stop >= rk else -1),
-                               1 if stop >= rk else -1)
-                lines.append((("tooth", j), np.stack(
-                    [np.full(ks.shape, j), ks], axis=-1)))
-    else:
-        for stop in (m - 1, 0):
-            ks = np.arange(rk, stop + (1 if stop >= rk else -1),
-                           1 if stop >= rk else -1)
-            lines.append((("spine", rj), np.stack(
-                [np.full(ks.shape, rj), ks], axis=-1)))
-        for k in range(m):
-            for stop in (n - 1, 0):
-                js = np.arange(rj, stop + (1 if stop >= rj else -1),
-                               1 if stop >= rj else -1)
-                lines.append((("tooth", k), np.stack(
-                    [js, np.full(js.shape, k)], axis=-1)))
+
+    def halves(axis, fixed):
+        for stop in (domain.shape[axis] - 1, 0):
+            step = 1 if stop >= root[axis] else -1
+            pts = np.empty((abs(stop - root[axis]) + 1, 2), dtype=int)
+            pts[:, axis] = np.arange(root[axis], stop + step, step)
+            pts[:, 1 - axis] = fixed
+            lines.append(pts)
+
+    halves(axis_first, root[1 - axis_first])
+    for i in range(domain.shape[axis_first]):
+        halves(1 - axis_first, i)
     return lines
 
 
@@ -139,20 +127,11 @@ def integrate_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
         root = (n // 2, m // 2)
     frames = np.empty((n, m) + F0.shape, dtype=complex)
     frames[root] = F0
-    max_step = domain.hmin / 2.0
-    spine_done = False
-    for key, pts in _tree_lines(domain, root, axis_first):
-        kind, idx = key
-        if kind == "spine":
-            start = frames[root]
-        else:
-            start = frames[idx, root[1]] if axis_first == 0 else frames[root[0], idx]
-        rec = transport_polyline(A, B, domain.step1, domain.step2,
-                                 pts.astype(float), start, row=row,
-                                 periodic=False, max_step=max_step)
-        for p, f in zip(pts, rec):
-            frames[p[0], p[1]] = f
-        spine_done = spine_done or kind == "spine"
+    for pts in _tree_lines(domain, root, axis_first):
+        frames[pts[:, 0], pts[:, 1]] = transport_polyline(
+            A, B, domain.step1, domain.step2, pts.astype(float),
+            frames[pts[0, 0], pts[0, 1]], row=row, periodic=False,
+            max_step=domain.hmin / 2.0)
     return frames
 
 

@@ -71,6 +71,39 @@ def test_gauss_bonnet_obstruction_exits_3(tmp_path):
     assert not report["solver"]["converged"]
 
 
+def diverging_c2_config():
+    # Newton does not converge on this problem, so the run ends before verify
+    return {
+        "schema_version": 1, "case": "minlag_c2",
+        "domain": {"kind": "rectangle", "width": 1.0, "height": 1.0,
+                   "shape": [32, 32]},
+        "metric": {"kind": "flat"},
+        "cubic": {"kind": "polynomial", "coeffs": [[0.5, 0.0], [0.3, 0.0]]},
+        "boundary": 0.0,
+        "solver": {"method": "newton"},
+        "outputs": {"report": "report.json"},
+    }
+
+
+@pytest.mark.parametrize("stage", ["verify", "develop", "all"])
+def test_verifying_stage_without_checks_fails(tmp_path, stage):
+    code, report = cli.run(diverging_c2_config(), stage=stage, out_dir=tmp_path)
+    assert not report["solver"]["converged"]
+    assert report["residuals"] == []
+    assert code == 1
+    assert report["passed"] is False
+    assert "no check ran" in report["warnings"]
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["passed"] is False
+
+
+@pytest.mark.parametrize("stage", ["solve", "immerse"])
+def test_unconverged_solve_stage_keeps_exit_0(tmp_path, stage):
+    code, report = cli.run(diverging_c2_config(), stage=stage, out_dir=tmp_path)
+    assert not report["solver"]["converged"]
+    assert code == 0
+
+
 def test_weierstrass_stage(tmp_path):
     cfg = {
         "schema_version": 1,
