@@ -200,6 +200,7 @@ class Pipeline:
                               tol=max(tol, 1e-8), max_iter=max_iter)
         else:
             raise ConfigError(f"unknown solver method {method!r}")
+        reports = fam.reports if t_grid is not None else [rep]
         self.solve_report = rep
         self.solution = rep.solution
         u = rep.solution.u
@@ -210,6 +211,10 @@ class Pipeline:
             "residual_inf": rep.residual_inf,
             "u_min": float(u.min()), "u_max": float(u.max()),
             "u_mean": float(u.mean()),
+            # summed over every solve, all continuation steps included
+            "linear_iters": sum(r.info["linear_iters"] for r in reports),
+            "spsolve_fallbacks": sum(r.info["spsolve_fallbacks"]
+                                     for r in reports),
         }
         return rep
 
@@ -471,7 +476,9 @@ def main(argv=None):
     if report.get("solver"):
         s = report["solver"]
         print(f"solver: converged={s['converged']} iterations={s['iterations']} "
-              f"residual={s['residual_inf']:.3e}")
+              f"residual={s['residual_inf']:.3e} "
+              f"linear_iters={s['linear_iters']} "
+              f"spsolve_fallbacks={s['spsolve_fallbacks']}")
     print(f"exit code {code}")
     return code
 

@@ -10,16 +10,21 @@ Discretization: centered second differences on the index lattice
 (5-point stencil on orthogonal grids, plus a centered cross term on
 oblique tori), periodic on tori, Dirichlet on planar domains.  Newton
 iterations are damped by a halving line search on the sup norm of the
-residual; linear solves are symmetric (after multiplying the equation by
-sigma/4) with diagonal preconditioning.
+residual.  Linear solves are symmetric (after multiplying the equation by
+sigma/4) and preconditioned by the constant-coefficient operator
+P = -L + c I, inverted exactly by fast transforms (Concus and Golub,
+SIAM J. Numer. Anal. 10, 1973): a type-I DST on Dirichlet grids, a real
+FFT on tori.  Their iteration counts do not grow with the grid.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dstn, irfftn, rfftn
 from scipy.optimize import brentq
-from scipy.sparse.linalg import cg, minres, spsolve
+from scipy.sparse.linalg import LinearOperator, cg, minres, spsolve
 
 from .errors import InvalidSignCase, NoConstantSolution, SingularInputError
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
@@ -63,17 +68,25 @@ class PdeProblem:
         return cubic_norm_sq(self.Q, self.mu, self.domain.z)
 
 
+def _times(coeff, e):
+    """coeff * e with 0 wherever coeff is 0, so an overflowed exponential
+    under a vanishing coefficient gives 0 rather than 0 * inf = NaN."""
+    coeff = np.broadcast_to(coeff, e.shape)
+    return np.multiply(coeff, e, out=np.zeros_like(e), where=coeff != 0)
+
+
 def _nonlinear(p, u):
     # overflow on wildly diverging iterates yields inf residuals, which the
     # line search rejects; keep that path silent
     with np.errstate(over="ignore"):
-        return (16.0 * p.case.epsilon * p.qnorm2 * np.exp(-2.0 * u)
-                + 2.0 * p.case.lam * np.exp(u) - 2.0 * p.kappa)
+        return (_times(16.0 * p.case.epsilon * p.qnorm2, np.exp(-2.0 * u))
+                + _times(2.0 * p.case.lam, np.exp(u)) - 2.0 * p.kappa)
 
 
 def _nonlinear_deriv(p, u):
-    return (-32.0 * p.case.epsilon * p.qnorm2 * np.exp(-2.0 * u)
-            + 2.0 * p.case.lam * np.exp(u))
+    with np.errstate(over="ignore"):
+        return (_times(-32.0 * p.case.epsilon * p.qnorm2, np.exp(-2.0 * u))
+                + _times(2.0 * p.case.lam, np.exp(u)))
 
 
 def residual_global(u, p):
@@ -155,25 +168,27 @@ def residual_scaled(v, p, delta):
 # -- discrete operators ----------------------------------------------------
 
 def _second_diff_matrix(n, periodic):
-    D = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
     if periodic:
-        D[0, n - 1] = 1.0
-        D[n - 1, 0] = 1.0
-    return D.tocsr()
+        return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
+                        shape=(n, n), format="csr")
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr")
+
 
 def _centered_diff_matrix(n, periodic):
-    C = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="lil")
     if periodic:
-        C[0, n - 1] = -0.5
-        C[n - 1, 0] = 0.5
-    return C.tocsr()
+        return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
+                        shape=(n, n), format="csr")
+    return sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="csr")
 
 
 def dzzbar_matrix(domain):
-    """Sparse matrix of the d^2/dz dzbar stencil on the flattened grid.
-    Edge rows of planar grids are not meaningful (they are sliced away by
-    the Dirichlet restriction)."""
+    """Sparse matrix of the d^2/dz dzbar stencil on the unknowns, flattened:
+    every node of a torus, and on a planar grid the Dirichlet restriction
+    to the (n-2) x (m-2) interior nodes, built from interior-sized factors
+    (the interior of a lattice is a product of index ranges)."""
     n, m = domain.shape
+    if not domain.periodic:
+        n, m = n - 2, m - 2
     s1, s2 = domain.step1, domain.step2
     den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
     D1 = _second_diff_matrix(n, domain.periodic)
@@ -188,18 +203,26 @@ def dzzbar_matrix(domain):
     return (L / den).tocsr()
 
 
-def _sym_solve(J, rhs, spd=False):
-    d = J.diagonal()
-    M = sp.diags(1.0 / np.maximum(np.abs(d), 1e-300))
+def _sym_solve(A, rhs, spd, M):
+    """Solve the symmetric system A x = rhs by CG (spd) or MINRES,
+    preconditioned by the SPD operator M ~ A^{-1}, falling back to a sparse
+    direct solve if the Krylov method does not converge.  Returns
+    (x, Krylov iterations, whether the fallback ran)."""
+    iters = 0
+
+    def count(xk):
+        nonlocal iters
+        iters += 1
+
     if spd:
-        x, info = cg(J, rhs, M=M, rtol=LINEAR_RTOL, atol=0.0,
-                     maxiter=20 * rhs.size)
+        x, info = cg(A, rhs, M=M, rtol=LINEAR_RTOL, atol=0.0,
+                     maxiter=20 * rhs.size, callback=count)
     else:
-        x, info = minres(J, rhs, M=M, rtol=LINEAR_RTOL,
-                         maxiter=20 * rhs.size)
+        x, info = minres(A, rhs, M=M, rtol=LINEAR_RTOL,
+                         maxiter=20 * rhs.size, callback=count)
     if info != 0:
-        x = spsolve(J.tocsc(), rhs)
-    return x
+        x = spsolve(A.tocsc(), rhs)
+    return x, iters, info != 0
 
 
 @dataclass
@@ -212,15 +235,49 @@ class SolveReport:
 
 
 class _System:
-    """Shared sparse pieces for a problem: stencil matrix and interior index."""
+    """Shared pieces for a problem: the stencil restricted to the unknowns,
+    the interior index, and the symbol of -L_int in the basis of the fast
+    transform that diagonalizes it."""
 
     def __init__(self, p):
+        dom = p.domain
         self.p = p
-        self.L = dzzbar_matrix(p.domain)
-        n, m = p.domain.shape
-        self.interior = np.flatnonzero(p.domain.interior_mask.ravel())
-        self.L_int = self.L[np.ix_(self.interior, self.interior)].tocsr()
+        self.L_int = dzzbar_matrix(dom)
+        self.interior = np.flatnonzero(dom.interior_mask.ravel())
         self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
+        n, m = dom.shape
+        if dom.periodic:
+            # the stencil is circulant, cross term included: its symbol is
+            # the FFT of its kernel L e_0, which sums to 0 (constants)
+            self.grid = (n, m)
+            kernel = self.L_int[:, [0]].toarray().reshape(n, m)
+            self.symbol = -rfftn(kernel).real
+            self.symbol[0, 0] = 0.0
+            self._fwd, self._inv = rfftn, partial(irfftn, s=self.grid)
+        else:
+            # DST-I eigenvalues of the interior second differences; the
+            # cross term, zero on the rectangles and disk patches built by
+            # Domain, is left out of P
+            self.grid = (n - 2, m - 2)
+            s1, s2 = dom.step1, dom.step2
+            den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
+            sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2
+            sk = 4.0 * np.sin(np.pi * np.arange(1, m - 1) / (2 * (m - 1))) ** 2
+            self.symbol = (abs(s2) ** 2 * sj[:, None]
+                           + abs(s1) ** 2 * sk[None, :]) / den
+            self._fwd = self._inv = partial(dstn, type=1, norm="ortho")
+
+    def precond(self, c):
+        """P^{-1} for P = -L_int + c I (c >= 0) as a LinearOperator."""
+        denom = self.symbol + c
+        denom[denom == 0.0] = 1.0  # torus mean mode at c = 0, where P is singular
+
+        def apply(r):
+            x = self._inv(self._fwd(r.reshape(self.grid)) / denom)
+            return x.reshape(r.shape)
+
+        size = self.interior.size
+        return LinearOperator((size, size), matvec=apply, dtype=float)
 
     def rinf(self, F):
         return float(np.max(np.abs(F.ravel()[self.interior])))
@@ -244,18 +301,21 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     sys_ = _System(p)
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
-    it = 0
+    it = linear_iters = fallbacks = 0
     converged = rinf <= tol
     while not converged and it < max_iter:
         gp = _nonlinear_deriv(p, u).ravel()[sys_.interior]
         shift = sys_.w * gp
         J = (sys_.L_int + sp.diags(shift)).tocsr()
         rhs = -(sys_.w * F.ravel()[sys_.interior])
-        spd_neg = np.all(shift < 0)
-        if spd_neg:
-            delta = _sym_solve((-J).tocsr(), -rhs, spd=True)
+        # mean |shift| keeps P SPD for CG on -J and for MINRES on J alike
+        M = sys_.precond(float(np.mean(np.abs(shift))))
+        if np.all(shift < 0):
+            delta, k, fell_back = _sym_solve(-J, -rhs, True, M)
         else:
-            delta = _sym_solve(J, rhs, spd=False)
+            delta, k, fell_back = _sym_solve(J, rhs, False, M)
+        linear_iters += k
+        fallbacks += fell_back
         t = 1.0
         accepted = False
         for _ in range(40):
@@ -273,7 +333,9 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
             break
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
-    return SolveReport(bool(converged), it, rinf, sol, {"tol": tol})
+    info = {"tol": tol, "linear_iters": linear_iters,
+            "spsolve_fallbacks": fallbacks}
+    return SolveReport(bool(converged), it, rinf, sol, info)
 
 
 def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
@@ -300,7 +362,7 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     history = {"min_step": [], "max_u": [], "min_u": []}
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
-    it = 0
+    it = linear_iters = fallbacks = 0
     converged = rinf <= tol
     while not converged and it < max_iter:
         gmag = np.maximum(np.abs(_nonlinear_deriv(p, u)),
@@ -308,7 +370,10 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         shift = float(np.max(gmag)) + 1.0
         A = (sp.diags(sys_.w * shift) - sys_.L_int).tocsr()
         rhs = sys_.w * F.ravel()[sys_.interior]
-        delta = _sym_solve(A, rhs, spd=True)
+        M = sys_.precond(shift * float(np.mean(sys_.w)))
+        delta, k, fell_back = _sym_solve(A, rhs, True, M)
+        linear_iters += k
+        fallbacks += fell_back
         u.ravel()[sys_.interior] += delta
         history["min_step"].append(float(delta.min()))
         history["max_u"].append(float(u.max()))
@@ -319,7 +384,8 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
     info = {"tol": tol, "bracket": (float(sub), float(super_)),
-            "history": history}
+            "history": history, "linear_iters": linear_iters,
+            "spsolve_fallbacks": fallbacks}
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import titeica as tz
-from titeica import cli
+from titeica import cli, pde
 from titeica.errors import ConfigError, TiteicaError
 
 
@@ -102,6 +103,17 @@ def test_unconverged_solve_stage_keeps_exit_0(tmp_path, stage):
     code, report = cli.run(diverging_c2_config(), stage=stage, out_dir=tmp_path)
     assert not report["solver"]["converged"]
     assert code == 0
+
+
+def test_diverging_solve_warns_nothing(tmp_path):
+    # Newton's rejected trial steps overflow e^{-2u}; with lam = 0 the e^u
+    # term used to turn that into 0 * inf = NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, report = cli.run(diverging_c2_config(), stage="solve",
+                            out_dir=tmp_path)
+    assert not report["solver"]["converged"]
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_weierstrass_stage(tmp_path):
@@ -222,6 +234,36 @@ def test_cli_continuation_stage(tmp_path):
     assert report["continuation"]["converged"] == [True] * 4
     assert report["cubic_norm_induced_max"] <= 0.25
     assert report["failed_checks"] == []
+
+
+def test_cli_linear_iters_summed_over_continuation(tmp_path):
+    cfg = {
+        "schema_version": 1, "case": "minlag_ch2",
+        "domain": {"kind": "disk_patch", "radius": 0.7, "shape": [25, 25]},
+        "metric": {"kind": "poincare_disk"},
+        "cubic": {"kind": "constant", "c": [1.0, 0.0]},
+        "solver": {"method": "newton", "t_grid": [0.0, 0.15, 0.3]},
+        "outputs": {"report": "report.json"},
+    }
+    _, report = cli.run(cfg, stage="solve", out_dir=tmp_path)
+    pipe = cli.Pipeline(cfg)
+    fam = tz.continuation_family(pipe.problem, pipe.Q, [0.0, 0.15, 0.3])
+    steps = [r.info["linear_iters"] for r in fam.reports]
+    assert all(k > 0 for k in steps[1:])
+    assert report["solver"]["linear_iters"] == sum(steps)
+    assert report["solver"]["spsolve_fallbacks"] == 0
+
+
+def test_cli_reports_spsolve_fallbacks(tmp_path, monkeypatch):
+    def failing_cg(A, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(pde, "cg", failing_cg)
+    _, report = cli.run(torus_config(), stage="solve", out_dir=tmp_path)
+    s = report["solver"]
+    assert s["converged"] and s["iterations"] > 0
+    assert s["spsolve_fallbacks"] == s["iterations"]
+    assert s["linear_iters"] == 0
 
 
 def test_cli_parabolic_develop(tmp_path):

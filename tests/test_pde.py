@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import bisect
+from scipy.sparse.linalg import spsolve
 
 import titeica as tz
+from titeica import pde
 from titeica.errors import InvalidSignCase, NoConstantSolution, SingularInputError
 
 FLAT = tz.BackgroundMetric("flat")
@@ -36,6 +39,22 @@ def test_residual_global_parabolic_trivial():
     p = tz.PdeProblem(dom, FLAT, tz.CubicDifferential.constant(0.0),
                       tz.SignCase(1, 0))
     assert np.abs(tz.residual_global(np.full(dom.shape, 5.0), p)).max() < 1e-11
+
+
+@pytest.mark.parametrize("signs,Q", [
+    ((-1, 0), tz.CubicDifferential.polynomial([0.5, 0.3])),  # lam = 0
+    ((1, -1), tz.CubicDifferential.constant(0.0)),           # Q = 0
+])
+def test_residual_global_no_nan_on_overflow(signs, Q):
+    # a vanishing coefficient times an overflowed exponential is 0, not NaN
+    dom = tz.Domain.rectangle(1.0, 1.0, 32, 32)
+    p = tz.PdeProblem(dom, FLAT, Q, tz.SignCase(*signs))
+    u = np.zeros(dom.shape)
+    u[::2] = 1e3
+    u[1::2] = -1e3
+    r = tz.residual_global(u, p)
+    assert not np.isnan(r).any()
+    assert np.isinf(r).any()
 
 
 def test_residual_local_constant_solution(torus32):
@@ -328,3 +347,126 @@ def test_continuation_records_failure():
     assert res.failure_index == 1
     assert len(res.reports) == 2
     assert not res.reports[1].converged
+
+
+# -- stencil matrix and fast-Poisson preconditioner -----------------------------
+
+OBLIQUE = tz.Domain.torus(0.3 + 1.1j, 12, 10)
+
+
+def _sliced_reference(dom):
+    """The Dirichlet block assembled the earlier way: full-grid factors
+    with the periodic corners set by hand, sliced to the interior nodes."""
+    def factor(n, vals):
+        D = sp.diags(vals, [-1, 0, 1], shape=(n, n), format="lil")
+        if dom.periodic:
+            D[0, n - 1], D[n - 1, 0] = vals[0], vals[2]
+        return D.tocsr()
+
+    n, m = dom.shape
+    s1, s2 = dom.step1, dom.step2
+    den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
+    L = (abs(s2) ** 2 * sp.kron(factor(n, [1.0, -2.0, 1.0]), sp.identity(m))
+         + abs(s1) ** 2 * sp.kron(sp.identity(n), factor(m, [1.0, -2.0, 1.0])))
+    cross = (s1 * np.conj(s2)).real
+    if abs(cross) > 0:
+        L = L - 2.0 * cross * sp.kron(factor(n, [-0.5, 0.0, 0.5]),
+                                      factor(m, [-0.5, 0.0, 0.5]))
+    idx = np.flatnonzero(dom.interior_mask.ravel())
+    return (L / den).tocsr()[np.ix_(idx, idx)].tocsr()
+
+
+@pytest.mark.parametrize("dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
+                                 tz.Domain.disk_patch(0.7, 20, 20), OBLIQUE],
+                         ids=["rectangle", "disk_patch", "oblique_torus"])
+def test_interior_matrix_direct_assembly(dom):
+    L_int = pde.dzzbar_matrix(dom)
+    sliced = _sliced_reference(dom)
+    assert L_int.shape == sliced.shape and (L_int != sliced).nnz == 0
+    # independent oracle: the array stencil applied to interior unit vectors
+    idx = np.flatnonzero(dom.interior_mask.ravel())
+    dense = np.empty(L_int.shape)
+    for col, node in enumerate(idx):
+        e = np.zeros(dom.shape)
+        e.ravel()[node] = 1.0
+        dense[:, col] = dom.dzzbar(e).ravel()[idx]
+    assert np.abs(L_int.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("dom,c", [
+    (tz.Domain.rectangle(1.0, 0.6, 17, 23), 0.0),   # n != m, h1 != h2: axes
+    (tz.Domain.rectangle(1.0, 0.6, 17, 23), 3.7),
+    (OBLIQUE, 0.7),                                 # cross term in the symbol
+])
+def test_fast_poisson_inverse(dom, c):
+    p = tz.PdeProblem(dom, FLAT, tz.CubicDifferential.constant(1.0), HYP)
+    sys_ = pde._System(p)
+    r = np.random.default_rng(5).normal(size=sys_.interior.size)
+    P = (-sys_.L_int + c * sp.identity(r.size)).tocsc()
+    ref = spsolve(P, r)
+    got = sys_.precond(c) @ r
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fast_poisson_torus_mean_mode():
+    # at c = 0 P is singular on the constants; P^{-1} stays finite and
+    # inverts -L_int on mean-zero data
+    p = tz.PdeProblem(OBLIQUE, FLAT, tz.CubicDifferential.constant(1.0), HYP)
+    sys_ = pde._System(p)
+    r = np.random.default_rng(6).normal(size=sys_.interior.size)
+    r -= r.mean()
+    x = sys_.precond(0.0) @ r
+    assert np.abs(-sys_.L_int @ x - r).max() <= 1e-12 * np.abs(r).max()
+
+
+def _oblique_seed(dom):
+    n, m = dom.shape
+    j, k = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    return (np.log(8.0) / 3.0
+            + 0.3 * np.cos(2 * np.pi * j / n) * np.sin(2 * np.pi * k / m))
+
+
+# each runs one preconditioned path: CG on -J (disk), CG on the monotone
+# operator, MINRES on the indefinite CP^2 Jacobian, the 9-point torus stencil
+SOLVES = {
+    "disk_newton": lambda n: tz.solve_newton(tz.PdeProblem(
+        tz.Domain.disk_patch(0.7, n, n), POIN,
+        tz.CubicDifferential.polynomial([0.5, 0.3]), HYP)),
+    "disk_monotone": lambda n: tz.solve_monotone(tz.PdeProblem(
+        tz.Domain.disk_patch(0.7, n, n), POIN,
+        tz.CubicDifferential.polynomial([0.5, 0.3]), HYP)),
+    "cp2_minres": lambda n: tz.solve_newton(tz.PdeProblem(
+        tz.Domain.rectangle(1.0, 1.0, n, n), FLAT,
+        tz.CubicDifferential.polynomial([0.25, 0.15]), tz.SignCase(-1, 1))),
+    "oblique_torus": lambda n: tz.solve_newton(tz.PdeProblem(
+        tz.Domain.torus(0.3 + 1.1j, n, n), FLAT,
+        tz.CubicDifferential.constant(1.0), HYP),
+        _oblique_seed(tz.Domain.torus(0.3 + 1.1j, n, n))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_linear_iterations_flat_in_n(name):
+    small, large = SOLVES[name](32), SOLVES[name](128)
+    assert small.converged and large.converged
+    assert small.iterations == large.iterations
+    assert small.info["spsolve_fallbacks"] == large.info["spsolve_fallbacks"] == 0
+    # every linear solve takes at least one Krylov iteration ...
+    assert small.info["linear_iters"] >= small.iterations
+    # ... and diagonal preconditioning needed about 4x as many at 128^2
+    assert large.info["linear_iters"] <= small.info["linear_iters"]
+    assert large.info["linear_iters"] <= 10 * large.iterations
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_matches_direct_solve(name, monkeypatch):
+    fast = SOLVES[name](48)
+
+    def direct(A, rhs, spd, M):
+        return spsolve(A.tocsc(), rhs), 0, False
+
+    monkeypatch.setattr(pde, "_sym_solve", direct)
+    ref = SOLVES[name](48)
+    assert fast.converged and ref.converged
+    assert fast.iterations == ref.iterations
+    assert np.abs(fast.solution.u - ref.solution.u).max() <= 1e-10
