@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, TiteicaError
-from .frames import build_connection, curvature_residual, reality_check, torus_generator
+from .frames import (build_connection, curvature_residual, group_residuals,
+                     reality_check, torus_generator)
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
                        SignCase, cubic_norm_induced)
-from .frames import group_residuals
 from .immersion import (affine_sphere_immersion, angle_oscillation,
                         lagrangian_angle, minlag_c2_immersion,
                         minlag_cpn_immersion, sphere_frame, verify_affine,
@@ -274,13 +274,13 @@ class Pipeline:
             self.add_residual("curvature", float(curv[core].max()))
             zs = [np.exp(1j * np.pi / 5), 0.5, 2.0]
             self.add_residual("reality", reality_check(alpha, zs))
-        if self.domain.periodic and case.is_toda:
-            alpha = build_connection(sol.psi, Q, case, self.domain, zeta=1.0)
-            rep_h = holonomy_report(alpha, [torus_generator(self.domain, 0),
-                                            torus_generator(self.domain, 1)])
-            self.add_residual("holonomy_commutator",
-                              float(rep_h["commutators"].max()))
-            self.report["holonomy"] = _holonomy_json(rep_h)
+            if self.domain.periodic:
+                rep_h = holonomy_report(alpha,
+                                        [torus_generator(self.domain, 0),
+                                         torus_generator(self.domain, 1)])
+                self.add_residual("holonomy_commutator",
+                                  float(rep_h["commutators"].max()))
+                self.report["holonomy"] = _holonomy_json(rep_h)
         return rep
 
     def develop(self):
@@ -386,10 +386,7 @@ def run(cfg, stage="all", out_dir=".", strict=False):
     """Run the pipeline; returns (exit_code, report_dict)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        pipe = Pipeline(cfg)
-    except ConfigError:
-        raise
+    pipe = Pipeline(cfg)
     pipe.report["stage"] = stage
     code = 0
     try:

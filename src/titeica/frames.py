@@ -51,10 +51,10 @@ class ConnectionForm:
                                 zeta=zeta, convention="column_frame")
 
 
-def _zero_fields(domain, size=3):
+def _zero_fields(domain):
     n, m = domain.shape
-    A = np.zeros((n, m, size, size), dtype=complex)
-    B = np.zeros((n, m, size, size), dtype=complex)
+    A = np.zeros((n, m, 3, 3), dtype=complex)
+    B = np.zeros((n, m, 3, 3), dtype=complex)
     return A, B
 
 
@@ -125,29 +125,15 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
 
 def minlag_frame_connection(psi, Q, case, domain):
     """Maurer-Cartan form of the unitary column frame of a minimal
-    Lagrangian surface in CP^2 (lam = +1) or CH^2 (lam = -1)."""
+    Lagrangian surface in CP^2 (lam = +1) or CH^2 (lam = -1): the spectral
+    loop at zeta = -lam in the constant gauge diag(1, -lam, 1)."""
     if case.epsilon != -1 or case.lam == 0:
         raise InvalidSignCase("unitary frames exist for the CP^2/CH^2 cases")
-    psi = np.asarray(psi, dtype=float)
-    qv = Q(domain.z)
-    pz = domain.dz(psi)
-    pzb = domain.dzbar(psi)
-    ep = np.exp(psi)
-    em2p = np.exp(-2.0 * psi)
-    lam = case.lam
-    A, B = _zero_fields(domain)
-    A[..., 0, 0] = pz
-    A[..., 1, 1] = -pz
-    A[..., 0, 2] = ep
-    A[..., 1, 0] = qv * em2p
-    A[..., 2, 1] = -lam * ep
-    B[..., 0, 0] = -pzb
-    B[..., 1, 1] = pzb
-    B[..., 0, 1] = -np.conj(qv) * em2p
-    B[..., 1, 2] = ep
-    B[..., 2, 0] = -lam * ep
-    return ConnectionForm(A, B, "column_frame", domain, 1.0, case, psi, Q,
-                          variant="unitary")
+    loop = build_connection(psi, Q, case, domain, zeta=-case.lam)
+    d = np.array([1.0, -case.lam, 1.0])
+    gauge = np.outer(d, d)  # D^{-1} X D with D = diag(d), d = +/-1
+    return ConnectionForm(loop.A * gauge, loop.B * gauge, "column_frame",
+                          domain, 1.0, case, loop.psi, Q, variant="unitary")
 
 
 def curvature_residual(alpha):

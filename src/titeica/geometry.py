@@ -96,6 +96,33 @@ def _along(fn, f, axis, periodic):
     return np.moveaxis(fn(np.moveaxis(f, axis, 0), periodic), 0, axis)
 
 
+def lattice_hessian(f, periodic=False, h=(1.0, 1.0)):
+    """Symmetric second differences of f over its first d = len(h) axes,
+    scaled by the grid spacings h: second differences on the diagonal,
+    first differences of first differences off it, one-sided at
+    non-periodic edges.  Trailing component axes of f come before the
+    (d, d) matrix axes."""
+    f = np.asarray(f)
+    d = len(h)
+    # matrix axes first in memory, so each entry is a contiguous field
+    H = np.empty((d, d) + f.shape, dtype=np.result_type(f, float))
+    for i in range(d):
+        np.divide(_along(_d1d1, f, i, periodic), h[i] ** 2, out=H[i, i])
+        for j in range(i + 1, d):
+            dij = _along(_d1, _along(_d1, f, i, periodic), j, periodic)
+            np.divide(dij, h[i] * h[j], out=H[i, j])
+            H[j, i] = H[i, j]
+    return np.moveaxis(H, (0, 1), (-2, -1))
+
+
+def polyval(coeffs, z):
+    """Horner evaluation of sum_i coeffs[i] z^i (ascending coefficients)."""
+    out = np.zeros(np.shape(z), dtype=complex)
+    for a in reversed(coeffs):
+        out = out * z + a
+    return out
+
+
 @dataclass(frozen=True)
 class Domain:
     """Grid over a torus, a rectangle, or a square patch of the unit disk.
@@ -213,10 +240,8 @@ class Domain:
         return (-self.step2 * dj + self.step1 * dk) / self._jac_det
 
     def _second_diffs(self, f):
-        djj = _along(_d1d1, f, 0, self.periodic)
-        dkk = _along(_d1d1, f, 1, self.periodic)
-        djk = _along(_d1, _along(_d1, f, 0, self.periodic), 1, self.periodic)
-        return djj, dkk, djk
+        H = lattice_hessian(f, self.periodic)
+        return H[..., 0, 0], H[..., 1, 1], H[..., 0, 1]
 
     def dzzbar(self, f):
         djj, dkk, djk = self._second_diffs(f)
@@ -297,10 +322,7 @@ class CubicDifferential:
         z = np.asarray(z, dtype=complex)
         if self.kind == "constant":
             return np.full(z.shape, self.c, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for a in reversed(self.coeffs):
-            out = out * z + a
-        return out
+        return polyval(self.coeffs, z)
 
     def scaled(self, t):
         if self.kind == "constant":

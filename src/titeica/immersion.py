@@ -19,8 +19,8 @@ import numpy as np
 
 from ._kernels import transport_polyline
 from .errors import DegenerateVertexError, InitDataError, InvalidSignCase
-from .frames import minlag_frame_connection
-from .geometry import Domain
+from .frames import build_connection, minlag_frame_connection
+from .geometry import Domain, SignCase, lattice_hessian
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -161,23 +161,13 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     if abs(det0 - target) > 1e-12 * abs(target):
         raise InitDataError(
             f"det(a, conj a, xi0) = {det0}, expected {target}")
-    qv = Q(domain.z)
-    pz = domain.dz(psi)
-    pzb = domain.dzbar(psi)
-    e2p = np.exp(2.0 * psi)
-    em2p = np.exp(-2.0 * psi)
-    A = np.zeros((n, m, 4, 4), dtype=complex)
-    B = np.zeros((n, m, 4, 4), dtype=complex)
-    A[..., 0, 0] = 2.0 * pz
-    A[..., 0, 1] = qv * em2p
-    A[..., 1, 2] = e2p
-    A[..., 2, 0] = -lam
-    A[..., 3, 0] = 1.0
-    B[..., 0, 2] = e2p
-    B[..., 1, 0] = np.conj(qv) * em2p
-    B[..., 1, 1] = 2.0 * pzb
-    B[..., 2, 1] = -lam
-    B[..., 3, 1] = 1.0
+    alpha = build_connection(psi, Q, SignCase(1, lam), domain,
+                             convention="row_frame")
+    # rows (f_z, f_zbar, xi, f): the structure system plus the position
+    # row df = f_z dz + f_zbar dzbar
+    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
+    A, B = np.pad(alpha.A, pad), np.pad(alpha.B, pad)
+    A[..., 3, 0] = B[..., 3, 1] = 1.0
     F0 = np.stack([a, np.conj(a), xi0, f0])
     frames = integrate_tree(domain, A, B, F0, root=root, axis_first=axis_first)
     fvert = frames[..., 3, :]
@@ -331,20 +321,11 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
             or abs(_herm(p, p) - scale) > 1e-12 * scale
             or abs(_herm(q, q) - scale) > 1e-12 * scale):
         raise InitDataError("init must satisfy <p,q> = 0, <p,p> = <q,q> = e^{2 psi(z0)}")
-    qv = Q(domain.z)
-    pz = domain.dz(psi)
-    pzb = domain.dzbar(psi)
-    em2p = np.exp(-2.0 * psi)
-    A = np.zeros((n, m, 3, 3), dtype=complex)
-    B = np.zeros((n, m, 3, 3), dtype=complex)
-    A[..., 0, 0] = 2.0 * pz
-    A[..., 0, 1] = -qv * em2p
-    A[..., 2, 0] = 1.0
-    B[..., 1, 0] = np.conj(qv) * em2p
-    B[..., 1, 1] = 2.0 * pzb
-    B[..., 2, 1] = 1.0
+    alpha = build_connection(psi, Q, SignCase(-1, 0), domain,
+                             convention="row_frame")
     F0 = np.stack([p, q, f0])
-    frames = integrate_tree(domain, A, B, F0, root=root, axis_first=axis_first)
+    frames = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
+                            axis_first=axis_first)
     return ImmersionMesh(domain, frames[..., 2, :].copy(), frames[..., :2, :].copy(),
                          "minlag_c2", lam=0, psi=psi,
                          meta={"root": root, "init": (p, q, f0)})
@@ -405,13 +386,9 @@ def shape_operator_norm(mesh, Q, sol):
     predicted value 2 |Q| / sigma_ind^{3/2}, sigma_ind = 2 e^{2 psi}."""
     pd = planar_ops(mesh.domain)
     f = mesh.vertices
-    from .geometry import _along, _d1, _d1d1  # lattice stencils
-    h1, h2 = pd.h1, pd.h2
-    fx = _along(_d1, f, 0, False) / h1
-    fy = _along(_d1, f, 1, False) / h2
-    fxx = _along(_d1d1, f, 0, False) / h1 ** 2
-    fyy = _along(_d1d1, f, 1, False) / h2 ** 2
-    fxy = _along(_d1, _along(_d1, f, 0, False), 1, False) / (h1 * h2)
+    fx = pd.d_axis(f, 0) / pd.h1
+    H = lattice_hessian(f, h=(pd.h1, pd.h2))
+    fxx, fxy = H[..., 0, 0], H[..., 0, 1]
 
     def g(u, v):
         return np.real(_herm(u, v))

@@ -18,7 +18,7 @@ FFT on tori.  Their iteration counts do not grow with the grid.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,15 +55,17 @@ class PdeProblem:
         return np.broadcast_to(np.asarray(self.boundary, dtype=float),
                                self.domain.shape)
 
-    @property
+    # cached: every residual and Jacobian reads them, and a problem is
+    # never changed after it is built (continuation builds one per t)
+    @cached_property
     def sigma(self):
         return self.mu.sigma(self.domain.z)
 
-    @property
+    @cached_property
     def kappa(self):
         return self.mu.curvature(self.domain.z)
 
-    @property
+    @cached_property
     def qnorm2(self):
         return cubic_norm_sq(self.Q, self.mu, self.domain.z)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateVertexError, InvalidSignCase
 from .frames import holonomy
-from .geometry import _along, _d1, _d1d1
+from .geometry import _along, _d1, lattice_hessian
 
 
 def normalize_rp2(v):
@@ -136,36 +136,24 @@ class SemiFlatData:
     grad_valid: np.ndarray   # interior mask where derivatives are centered
 
 
-def _lattice_grad_hess(field):
-    gj = _along(_d1, field, 0, False)
-    gk = _along(_d1, field, 1, False)
-    hjj = _along(_d1d1, field, 0, False)
-    hkk = _along(_d1d1, field, 1, False)
-    hjk = _along(_d1, _along(_d1, field, 0, False), 1, False)
-    return (gj, gk), (hjj, hjk, hkk)
+def _lattice_grad(field):
+    return np.stack([_along(_d1, field, 0, False),
+                     _along(_d1, field, 1, False)], axis=-1)
 
 
 def _chain_rule_hessian(x1, x2, phi):
     """Gradient and Hessian of phi with respect to (x1, x2) on a curved
     grid, by the chain rule through the lattice Jacobian."""
-    (x1j, x1k), Hx1 = _lattice_grad_hess(x1)
-    (x2j, x2k), Hx2 = _lattice_grad_hess(x2)
-    (pj, pk), Hp = _lattice_grad_hess(phi)
-    J = np.stack([np.stack([x1j, x1k], axis=-1),
-                  np.stack([x2j, x2k], axis=-1)], axis=-2)  # rows d x^i
+    J = np.stack([_lattice_grad(x1), _lattice_grad(x2)], axis=-2)  # rows d x^i
     try:
         Jinv = np.linalg.inv(J)
     except np.linalg.LinAlgError as exc:
         raise DegenerateVertexError("degenerate affine development") from exc
-    grad = np.einsum("...ij,...i->...j", Jinv, np.stack([pj, pk], axis=-1))
+    grad = np.einsum("...ij,...i->...j", Jinv, _lattice_grad(phi))
     # second lattice differences of phi minus gradient-weighted curvature of x
-    def _hmat(H):
-        hjj, hjk, hkk = H
-        return np.stack([np.stack([hjj, hjk], axis=-1),
-                         np.stack([hjk, hkk], axis=-1)], axis=-2)
-    Hlat = (_hmat(Hp) - grad[..., 0, None, None] * _hmat(Hx1)
-            - grad[..., 1, None, None] * _hmat(Hx2))
-    JinvT = np.swapaxes(Jinv, -1, -2)
+    Hlat = (lattice_hessian(phi)
+            - grad[..., 0, None, None] * lattice_hessian(x1)
+            - grad[..., 1, None, None] * lattice_hessian(x2))
     # lattice Jacobian maps d(lattice) -> dx, so Hess_x = Jinv^T Hlat Jinv
     # with Jinv indexed as [lattice, x]; grad above is d phi / d x.
     H = np.einsum("...ia,...ij,...jb->...ab", Jinv, Hlat, Jinv)

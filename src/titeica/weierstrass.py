@@ -20,15 +20,8 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import NonConvexError
-from .geometry import _along, _d1, _d1d1
+from .geometry import _along, _d1, lattice_hessian, polyval
 from .immersion import E3, ImmersionMesh
-
-
-def _polyval(coeffs, z):
-    out = np.zeros(np.shape(z), dtype=complex)
-    for a in reversed(coeffs):
-        out = out * z + a
-    return out
 
 
 def _polyder(coeffs):
@@ -48,16 +41,16 @@ class HoloPair:
                    tuple(complex(a) for a in g_coeffs))
 
     def F(self, z):
-        return _polyval(self.f_coeffs, z)
+        return polyval(self.f_coeffs, z)
 
     def G(self, z):
-        return _polyval(self.g_coeffs, z)
+        return polyval(self.g_coeffs, z)
 
     def dF(self, z):
-        return _polyval(_polyder(self.f_coeffs), z)
+        return polyval(_polyder(self.f_coeffs), z)
 
     def dG(self, z):
-        return _polyval(_polyder(self.g_coeffs), z)
+        return polyval(_polyder(self.g_coeffs), z)
 
     def bound_margin(self, z):
         """min over samples of |G'| - |F'|; the pair is admissible iff > 0."""
@@ -148,11 +141,8 @@ class GraphFunction:
         return float(self.x2[1] - self.x2[0])
 
     def hessian(self):
-        v = self.values
-        hxx = _along(_d1d1, v, 0, False) / self.hx ** 2
-        hyy = _along(_d1d1, v, 1, False) / self.hy ** 2
-        hxy = _along(_d1, _along(_d1, v, 0, False), 1, False) / (self.hx * self.hy)
-        return hxx, hxy, hyy
+        H = lattice_hessian(self.values, h=(self.hx, self.hy))
+        return H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
 
     def convexity_ok(self, slack=0.0):
         hxx, hxy, hyy = self.hessian()
@@ -176,13 +166,9 @@ def monge_ampere_residual(values, spacings, lam=0, n=2):
     h = [float(s) for s in np.atleast_1d(spacings)]
     if len(h) == 1:
         h = h * n
-    H = np.empty(v.shape + (n, n))
-    for i in range(n):
-        H[..., i, i] = _along(_d1d1, v, i, False) / h[i] ** 2
-        for j in range(i + 1, n):
-            dij = _along(_d1, _along(_d1, v, i, False), j, False) / (h[i] * h[j])
-            H[..., i, j] = H[..., j, i] = dij
-    det = np.linalg.det(H)
+    if len(h) != n:
+        raise ValueError(f"need 1 or {n} grid spacings, got {len(h)}")
+    det = np.linalg.det(lattice_hessian(v, h=h))
     if lam == 0:
         rhs = 1.0
     else:

@@ -43,6 +43,29 @@ def test_row_frame_entries_flat():
     assert np.abs(al.B[2, 2] - expected_B).max() < 1e-14
 
 
+@pytest.mark.parametrize("lam", [1, -1])
+def test_unitary_form_entries(lam):
+    # column frame of a minimal Lagrangian surface in CP^2 / CH^2, with
+    # eps = -1: the gauges diag(1, lam, 1) or zeta = lam give other entries
+    dom = tz.Domain.disk_patch(0.6, 24, 24)
+    x, y = dom.z.real, dom.z.imag
+    psi = 0.2 + 0.3 * x - 0.4 * y ** 2 + 0.1 * x * y
+    Q = tz.CubicDifferential.polynomial([0.3 + 0.1j, -0.2 + 0.25j])
+    al = tz.minlag_frame_connection(psi, Q, tz.SignCase(-1, lam), dom)
+    node = (7, 15)
+    pz, pzb = dom.dz(psi)[node], dom.dzbar(psi)[node]
+    e, q = np.exp(psi[node]), Q(dom.z[node]) * np.exp(-2 * psi[node])
+    expected_A = np.array([[pz, 0, e],
+                           [q, -pz, 0],
+                           [0, -lam * e, 0]])
+    expected_B = np.array([[-pzb, -np.conj(q), 0],
+                           [0, pzb, e],
+                           [-lam * e, 0, 0]])
+    assert np.abs(al.A[node] - expected_A).max() <= 1e-14
+    assert np.abs(al.B[node] - expected_B).max() <= 1e-14
+    assert al.convention == "column_frame" and al.variant == "unitary"
+
+
 def test_constant_data_constant_matrices(torus32):
     p, sol = torus32
     al = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0)

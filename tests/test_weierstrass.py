@@ -148,3 +148,5 @@ def test_ma_residual_dimension_errors():
         tz.monge_ampere_residual(x, 0.1, n=4)
     with pytest.raises(ValueError):
         tz.monge_ampere_residual(x, 0.1, n=3)
+    with pytest.raises(ValueError):
+        tz.monge_ampere_residual(x, (0.1, 0.2, 0.3), n=2)
