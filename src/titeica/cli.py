@@ -2,9 +2,10 @@
 verify -> develop orchestration, and mesh/report serialization.
 
 Subcommands: solve, immerse, verify, develop, weierstrass, all.
-Exit codes: 0 all requested checks pass; 1 a check failed, or a verifying
-stage ran no check (report still written); 2 configuration error; 3 solver
-non-convergence when the configuration demands convergence.
+Exit codes: 0 all requested checks pass; 1 a check failed, a verifying
+stage ran no check, or the mesh could not be exported (report still
+written); 2 configuration error; 3 solver non-convergence when the
+configuration demands convergence.
 """
 
 import argparse
@@ -318,7 +319,7 @@ class Pipeline:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.mesh = mesh
-        sf = semiflat_develop(mesh)
+        sf = self._timed("develop", semiflat_develop, mesh)
         self.add_residual("monge_ampere",
                           float(np.abs(sf.ma_residual[2:-2, 2:-2]).max()))
         self.report["weierstrass"] = {"bound_margin": mesh.meta["margin"]}
@@ -339,16 +340,23 @@ def _holonomy_json(rep):
 
 def export_mesh(mesh, path):
     """OBJ for meshes embedded in R^3 (17 significant digits, LF endings,
-    quad faces); JSON dump with complex entries as [re, im] otherwise."""
+    quad faces); JSON dump with complex entries as [re, im] otherwise.
+
+    The OBJ is streamed one grid row at a time, each row formatted by a
+    single %-format, so memory stays bounded by one row of text."""
     path = Path(path)
     if path.suffix.lower() == ".obj":
         if not mesh.embeddable_r3:
             raise TiteicaError("target not embeddable in R^3")
-        v = mesh.vertices.reshape(-1, 3)
-        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in v]
-        lines += ["f " + " ".join(str(i + 1) for i in quad)
-                  for quad in mesh.faces]
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        n, m = mesh.vertices.shape[:2]
+        vrow = "v %.17g %.17g %.17g\n" * m
+        frow = "f %d %d %d %d\n" * (m - 1)
+        faces = mesh.faces.reshape(n - 1, m - 1, 4) + 1
+        with path.open("w", newline="\n") as fh:
+            for row in mesh.vertices:
+                fh.write(vrow % tuple(row.ravel().tolist()))
+            for row in faces:
+                fh.write(frow % tuple(row.ravel().tolist()))
         return
     v = np.asarray(mesh.vertices)
     if np.iscomplexobj(v):
@@ -403,9 +411,9 @@ def run(cfg, stage="all", out_dir=".", strict=False):
             elif step == "immerse":
                 pipe.immerse()
             elif step == "verify":
-                pipe.verify()
+                pipe._timed("verify", pipe.verify)
             elif step == "develop":
-                pipe.develop()
+                pipe._timed("develop", pipe.develop)
             elif step == "weierstrass":
                 pipe.weierstrass_stage()
     except ConfigError:
@@ -417,6 +425,15 @@ def run(cfg, stage="all", out_dir=".", strict=False):
         # e.g. a solve that did not converge ended the run before verify
         pipe.warnings.append("no check ran")
         code = 1
+    outputs = cfg.get("outputs", {})
+    mesh_path = outputs.get("mesh")
+    if mesh_path and pipe.mesh is not None:
+        # before the report, so that the export is timed in it
+        try:
+            pipe._timed("export", export_mesh, pipe.mesh, out / mesh_path)
+        except TiteicaError as exc:
+            pipe.warnings.append(f"{type(exc).__name__}: {exc}")
+            code = 1
     pipe.report["residuals"] = pipe.residuals
     pipe.report["warnings"] = pipe.warnings
     pipe.report["timings"] = pipe.timings
@@ -426,13 +443,9 @@ def run(cfg, stage="all", out_dir=".", strict=False):
     pipe.report["passed"] = bool(passed and code == 0)
     if code == 0 and not passed:
         code = 1
-    outputs = cfg.get("outputs", {})
     report_path = out / outputs.get("report", "report.json")
     report_path.write_text(json.dumps(pipe.report, indent=2, default=_json_default),
                            newline="\n")
-    mesh_path = outputs.get("mesh")
-    if mesh_path and pipe.mesh is not None:
-        export_mesh(pipe.mesh, out / mesh_path)
     return code, pipe.report
 
 

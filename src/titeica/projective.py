@@ -144,20 +144,22 @@ def _lattice_grad(field):
 def _chain_rule_hessian(x1, x2, phi):
     """Gradient and Hessian of phi with respect to (x1, x2) on a curved
     grid, by the chain rule through the lattice Jacobian."""
-    J = np.stack([_lattice_grad(x1), _lattice_grad(x2)], axis=-2)  # rows d x^i
-    try:
-        Jinv = np.linalg.inv(J)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateVertexError("degenerate affine development") from exc
-    grad = np.einsum("...ij,...i->...j", Jinv, _lattice_grad(phi))
+    g1, g2 = _lattice_grad(x1), _lattice_grad(x2)  # rows d x^i of J
+    det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
+    if np.any(det == 0):
+        raise DegenerateVertexError("degenerate affine development")
+    # closed-form 2x2 inverse: adjugate over det J, indexed [lattice, x]
+    Jinv = np.stack([np.stack([g2[..., 1], -g1[..., 1]], axis=-1),
+                     np.stack([-g2[..., 0], g1[..., 0]], axis=-1)], axis=-2)
+    Jinv /= det[..., None, None]
+    JinvT = np.swapaxes(Jinv, -1, -2)
+    grad = (JinvT @ _lattice_grad(phi)[..., None])[..., 0]  # d phi / d x
     # second lattice differences of phi minus gradient-weighted curvature of x
     Hlat = (lattice_hessian(phi)
             - grad[..., 0, None, None] * lattice_hessian(x1)
             - grad[..., 1, None, None] * lattice_hessian(x2))
     # lattice Jacobian maps d(lattice) -> dx, so Hess_x = Jinv^T Hlat Jinv
-    # with Jinv indexed as [lattice, x]; grad above is d phi / d x.
-    H = np.einsum("...ia,...ij,...jb->...ab", Jinv, Hlat, Jinv)
-    return grad, H
+    return grad, JinvT @ Hlat @ Jinv
 
 
 def semiflat_develop(mesh):

@@ -54,7 +54,11 @@ class HoloPair:
 
     def bound_margin(self, z):
         """min over samples of |G'| - |F'|; the pair is admissible iff > 0."""
-        return float(np.min(np.abs(self.dG(z)) - np.abs(self.dF(z))))
+        return _bound_margin(np.abs(self.dF(z)), np.abs(self.dG(z)))
+
+
+def _bound_margin(abs_dF, abs_dG):
+    return float(np.min(abs_dG - abs_dF))
 
 
 def path_integral(fn, points, samples_per_segment=2):
@@ -86,19 +90,12 @@ def _cumulative_simpson(y, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
-def parabolic_from_holomorphic(pair, domain):
-    """Parabolic affine sphere mesh from an admissible pair on a planar
-    domain.  int F dG is accumulated by path integration from the grid
-    origin (path independence is a property of the holomorphic integrand)."""
-    if domain.periodic:
-        raise ValueError("the holomorphic representation lives on planar domains")
+def _parabolic_vertices(pair, domain, dGv):
+    """(Re W, Im W, s) per node; int F dG is accumulated by path
+    integration from the grid origin (path independence is a property of
+    the holomorphic integrand)."""
     z = domain.z
-    margin = pair.bound_margin(z)
-    if margin <= 0:
-        raise ValueError(
-            f"derivative bound |F'| < |G'| violated (margin {margin:.3e})")
     Fv, Gv = pair.F(z), pair.G(z)
-    dGv = pair.dG(z)
     integrand = Fv * dGv
     spine = _cumulative_simpson(integrand[:, 0] * domain.step1, axis=0)
     teeth = _cumulative_simpson(integrand * domain.step2, axis=1)
@@ -106,13 +103,29 @@ def parabolic_from_holomorphic(pair, domain):
     W = 0.5 * (Gv + np.conj(Fv))
     s = ((np.abs(Gv) ** 2 - np.abs(Fv) ** 2) / 8.0
          + np.real(Fv * Gv) / 4.0 - 0.5 * np.real(I))
-    vertices = np.stack([W.real, W.imag, s], axis=-1)
-    e2psi = (np.abs(dGv) ** 2 - np.abs(pair.dF(z)) ** 2) / 8.0
-    psi = 0.5 * np.log(e2psi)
+    return np.stack([W.real, W.imag, s], axis=-1)
+
+
+def parabolic_from_holomorphic(pair, domain):
+    """Parabolic affine sphere mesh from an admissible pair on a planar
+    domain."""
+    if domain.periodic:
+        raise ValueError("the holomorphic representation lives on planar domains")
+    z = domain.z
+    dGv = pair.dG(z)
+    abs_dF, abs_dG = np.abs(pair.dF(z)), np.abs(dGv)
+    margin = _bound_margin(abs_dF, abs_dG)
+    if margin <= 0:
+        raise ValueError(
+            f"derivative bound |F'| < |G'| violated (margin {margin:.3e})")
+    # a helper, so that its grid-sized temporaries are freed before the
+    # (n, m, 3, 3) complex frame is built
+    vertices = _parabolic_vertices(pair, domain, dGv)
+    psi = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
     frame = np.stack([domain.dz(vertices), domain.dzbar(vertices),
                       np.broadcast_to(E3.astype(complex), vertices.shape)],
                      axis=-2)
-    return ImmersionMesh(domain, vertices, frame.copy(), "affine_sphere",
+    return ImmersionMesh(domain, vertices, frame, "affine_sphere",
                          lam=0, psi=psi, meta={"pair": pair, "margin": margin})
 
 

@@ -202,6 +202,62 @@ def test_obj_precision_roundtrip(tmp_path, torus_mesh):
     assert np.array_equal(back, torus_mesh.vertices)
 
 
+def reference_obj(mesh):
+    """The per-line formatter the streamed OBJ writer replaced."""
+    v = mesh.vertices.reshape(-1, 3)
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in v]
+    lines += ["f " + " ".join(str(i + 1) for i in quad)
+              for quad in mesh.faces]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_export_obj_matches_line_writer(tmp_path):
+    # 7 x 5 vertices, so a transposed face ordering cannot pass; the
+    # writer reads only the vertices, as in tiny_mesh
+    dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
+    rng = np.random.default_rng(3)
+    verts = rng.standard_normal((7, 5, 3)) * 10.0 ** rng.integers(-8, 8, (7, 5, 3))
+    verts[0, 0] = [-0.0, 1e-300, -1.5e+200]
+    verts[3, 4] = [2.0, -7.0, 0.0]
+    verts[6, 2] = [np.pi, 5e-324, 1.7976931348623157e308]
+    mesh = tz.ImmersionMesh(dom, verts, np.zeros((7, 5, 3, 3), complex),
+                            "affine_sphere", lam=0)
+    path = tmp_path / "mesh.obj"
+    cli.export_mesh(mesh, path)
+    assert path.read_bytes() == reference_obj(mesh)
+
+
+def test_report_times_every_stage(tmp_path):
+    code, report = cli.run(torus_config(domain={"kind": "torus",
+                                                "tau": [0.0, 1.0],
+                                                "shape": [16, 16]}),
+                           stage="all", out_dir=tmp_path)
+    assert code == 0
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    for timings in (report["timings"], on_disk["timings"]):
+        assert set(timings) == {"solve", "immerse", "verify", "develop",
+                                "export"}
+        assert all(t >= 0.0 for t in timings.values())
+
+
+def test_failing_export_keeps_report(tmp_path):
+    cfg = {
+        "schema_version": 1, "case": "minlag_c2",
+        "domain": {"kind": "rectangle", "shape": [16, 16]},
+        "metric": {"kind": "flat"},
+        "cubic": {"kind": "constant", "c": [0.0, 0.0]},
+        "solver": {"method": "newton"},
+        "outputs": {"mesh": "mesh.obj", "report": "report.json"},
+    }
+    code, report = cli.run(cfg, stage="immerse", out_dir=tmp_path)
+    assert code == 1
+    assert not (tmp_path / "mesh.obj").exists()
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["passed"] is False
+    assert on_disk["warnings"] == ["TiteicaError: target not embeddable in R^3"]
+    assert "export" not in on_disk["timings"]
+
+
 def test_report_is_self_describing(tmp_path):
     code, report = cli.run(torus_config(), stage="verify", out_dir=tmp_path)
     assert code == 0

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import titeica as tz
+from titeica import projective
 from titeica.errors import DegenerateVertexError
+from titeica.geometry import lattice_hessian
 from tests.conftest import hyperboloid_mesh
 
 HYP = tz.SignCase(1, -1)
@@ -176,6 +180,44 @@ def test_semiflat_from_weierstrass():
         assert vals[n] <= 40.0 * dom.hmax ** 2
         assert tz.semiflat_dual_roundtrip(sf) <= 200.0 * dom.hmax ** 2
     assert vals[24] / vals[48] > 2.5
+
+
+def reference_chain_rule(x1, x2, phi):
+    """The inv + einsum form of projective._chain_rule_hessian."""
+    grad_lat = projective._lattice_grad
+    J = np.stack([grad_lat(x1), grad_lat(x2)], axis=-2)
+    Jinv = np.linalg.inv(J)
+    grad = np.einsum("...ij,...i->...j", Jinv, grad_lat(phi))
+    Hlat = (lattice_hessian(phi)
+            - grad[..., 0, None, None] * lattice_hessian(x1)
+            - grad[..., 1, None, None] * lattice_hessian(x2))
+    return grad, np.einsum("...ia,...ij,...jb->...ab", Jinv, Hlat, Jinv)
+
+
+def test_chain_rule_matches_inverse_reference():
+    pair = tz.HoloPair.from_coeffs([0.0, 0.1, 0.05 + 0.02j],
+                                   [0.0, 1.0, 0.0, 0.1])
+    mesh = tz.parabolic_from_holomorphic(pair, tz.Domain.rectangle(1.0, 1.0,
+                                                                   33, 41))
+    v = mesh.vertices
+    grad, H = projective._chain_rule_hessian(v[..., 0], v[..., 1], v[..., 2])
+    ref_grad, ref_H = reference_chain_rule(v[..., 0], v[..., 1], v[..., 2])
+    for got, ref in ((grad, ref_grad), (H, ref_H)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_semiflat_singular_jacobian_raises_without_warning():
+    mesh = parabolic_mesh()
+    v = mesh.vertices.copy()
+    # equal neighbours along the second lattice axis: that column of the
+    # lattice Jacobian vanishes at (5, 7), and at no other node
+    v[5, 8, :2] = v[5, 6, :2]
+    mesh.vertices = v
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateVertexError):
+            tz.semiflat_develop(mesh)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_semiflat_rejects_proper(torus_mesh):
