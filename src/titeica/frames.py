@@ -26,7 +26,8 @@ from .geometry import Domain, SignCase
 C_SPHERE = np.array([[0.5, 0.5, 0.0],
                      [-0.5j, 0.5j, 0.0],
                      [0.0, 0.0, 1.0]], dtype=complex)
-ETA_21 = np.diag([1.0, 1.0, -1.0])
+_ETA = np.array([1.0, 1.0, -1.0])
+ETA_21 = np.diag(_ETA)
 
 
 @dataclass
@@ -76,7 +77,6 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
     pz = domain.dz(psi)
     pzb = domain.dzbar(psi)
     ep = np.exp(psi)
-    e2p = np.exp(2.0 * psi)
     em2p = np.exp(-2.0 * psi)
     lam, eps = case.lam, case.epsilon
 
@@ -101,6 +101,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
         raise ValueError(f"unknown convention {convention!r}")
     A, B = _zero_fields(domain)
     if case.is_affine:
+        e2p = np.exp(2.0 * psi)
         A[..., 0, 0] = 2.0 * pz
         A[..., 0, 1] = qv * em2p
         A[..., 1, 2] = e2p
@@ -151,7 +152,8 @@ def _dagger(X):
 
 
 def _star(X):
-    return ETA_21 @ _dagger(X) @ ETA_21
+    # eta X^dagger eta with eta = diag(1, 1, -1): a sign mask, no products
+    return _dagger(X) * np.outer(_ETA, _ETA)
 
 
 # (iota, rho) pairs: alpha takes values in {X : X(iota(zeta)) = rho(X(zeta))}
@@ -321,7 +323,7 @@ def group_residuals(F, group_tag, det_ref=None):
         dev = _dagger(F) @ F - np.eye(3)
         out["unitarity"] = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
     elif group_tag == "su21":
-        dev = _dagger(F) @ ETA_21 @ F - ETA_21
+        dev = (_dagger(F) * _ETA) @ F - ETA_21
         out["unitarity"] = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
     elif group_tag == "sl3r_conjugate":
         dev = np.imag(F @ np.linalg.inv(C_SPHERE))

@@ -17,8 +17,10 @@ patches of the Poincare disk, and oblique tori.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import OutOfDomainError
 
@@ -121,6 +123,42 @@ def polyval(coeffs, z):
     for a in reversed(coeffs):
         out = out * z + a
     return out
+
+
+def _second_diff_matrix(n, periodic):
+    if periodic:
+        return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
+                        shape=(n, n), format="csr")
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+def _centered_diff_matrix(n, periodic):
+    if periodic:
+        return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
+                        shape=(n, n), format="csr")
+    return sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="csr")
+
+
+def dzzbar_matrix(domain):
+    """Sparse matrix of the d^2/dz dzbar stencil on the unknowns, flattened:
+    every node of a torus, and on a planar grid the Dirichlet restriction
+    to the (n-2) x (m-2) interior nodes, built from interior-sized factors
+    (the interior of a lattice is a product of index ranges)."""
+    n, m = domain.shape
+    if not domain.periodic:
+        n, m = n - 2, m - 2
+    s1, s2 = domain.step1, domain.step2
+    den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
+    D1 = _second_diff_matrix(n, domain.periodic)
+    D2 = _second_diff_matrix(m, domain.periodic)
+    In, Im = sp.identity(n), sp.identity(m)
+    L = (abs(s2) ** 2 * sp.kron(D1, Im) + abs(s1) ** 2 * sp.kron(In, D2))
+    cross = (s1 * np.conj(s2)).real
+    if abs(cross) > 0:
+        C1 = _centered_diff_matrix(n, domain.periodic)
+        C2 = _centered_diff_matrix(m, domain.periodic)
+        L = L - 2.0 * cross * sp.kron(C1, C2)
+    return (L / den).tocsr()
 
 
 @dataclass(frozen=True)
@@ -242,6 +280,13 @@ class Domain:
     def _second_diffs(self, f):
         H = lattice_hessian(f, self.periodic)
         return H[..., 0, 0], H[..., 1, 1], H[..., 0, 1]
+
+    @cached_property
+    def dzzbar_operator(self):
+        """dzzbar_matrix(self), built once per domain: a Domain is frozen,
+        so the matrix cannot go stale (a continuation reuses it for every
+        t)."""
+        return dzzbar_matrix(self)
 
     def dzzbar(self, f):
         djj, dkk, djk = self._second_diffs(f)

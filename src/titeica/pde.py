@@ -29,6 +29,7 @@ from scipy.sparse.linalg import LinearOperator, cg, minres, spsolve
 from .errors import InvalidSignCase, NoConstantSolution, SingularInputError
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
                        MetricSolution, SignCase, cubic_norm_sq)
+from .geometry import dzzbar_matrix  # noqa: F401  (kept in the pde API)
 
 NEWTON_TOL = 1e-10
 MONOTONE_TOL = 1e-8
@@ -167,43 +168,7 @@ def residual_scaled(v, p, delta):
             + 2.0 * p.case.lam * delta * np.exp(v) - 2.0 * p.kappa)
 
 
-# -- discrete operators ----------------------------------------------------
-
-def _second_diff_matrix(n, periodic):
-    if periodic:
-        return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
-                        shape=(n, n), format="csr")
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr")
-
-
-def _centered_diff_matrix(n, periodic):
-    if periodic:
-        return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
-                        shape=(n, n), format="csr")
-    return sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="csr")
-
-
-def dzzbar_matrix(domain):
-    """Sparse matrix of the d^2/dz dzbar stencil on the unknowns, flattened:
-    every node of a torus, and on a planar grid the Dirichlet restriction
-    to the (n-2) x (m-2) interior nodes, built from interior-sized factors
-    (the interior of a lattice is a product of index ranges)."""
-    n, m = domain.shape
-    if not domain.periodic:
-        n, m = n - 2, m - 2
-    s1, s2 = domain.step1, domain.step2
-    den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
-    D1 = _second_diff_matrix(n, domain.periodic)
-    D2 = _second_diff_matrix(m, domain.periodic)
-    In, Im = sp.identity(n), sp.identity(m)
-    L = (abs(s2) ** 2 * sp.kron(D1, Im) + abs(s1) ** 2 * sp.kron(In, D2))
-    cross = (s1 * np.conj(s2)).real
-    if abs(cross) > 0:
-        C1 = _centered_diff_matrix(n, domain.periodic)
-        C2 = _centered_diff_matrix(m, domain.periodic)
-        L = L - 2.0 * cross * sp.kron(C1, C2)
-    return (L / den).tocsr()
-
+# -- linear solves ---------------------------------------------------------
 
 def _sym_solve(A, rhs, spd, M):
     """Solve the symmetric system A x = rhs by CG (spd) or MINRES,
@@ -244,7 +209,7 @@ class _System:
     def __init__(self, p):
         dom = p.domain
         self.p = p
-        self.L_int = dzzbar_matrix(dom)
+        self.L_int = dom.dzzbar_operator
         self.interior = np.flatnonzero(dom.interior_mask.ravel())
         self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
         n, m = dom.shape

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 import titeica as tz
 from titeica.errors import InvalidSignCase, PathError
-from titeica.frames import ETA_21, _dagger
+from titeica.frames import ETA_21, _dagger, _star
 
 HYP = tz.SignCase(1, -1)
 Q0 = tz.CubicDifferential.constant(0.0)
@@ -352,6 +352,17 @@ def test_group_residuals_su21_preserved():
     # the unitary connection is eta-skew pointwise
     for X in (al.A + al.B, 1j * (al.A - al.B)):
         assert np.abs(ETA_21 @ _dagger(X) @ ETA_21 + X).max() < 1e-12
+
+
+def test_sign_masks_equal_eta_products():
+    # eta = diag(1, 1, -1) enters as a sign mask; the result is the matrix
+    # product form to the bit
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(64, 64, 3, 3)) + 1j * rng.normal(size=(64, 64, 3, 3))
+    assert np.array_equal(_star(X), ETA_21 @ _dagger(X) @ ETA_21)
+    dev = _dagger(X) @ ETA_21 @ X - ETA_21
+    ref = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
+    assert tz.group_residuals(X, "su21")["unitarity"] == ref
 
 
 def test_group_residuals_sl3r_frame(torus_mesh, torus32):

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import titeica as tz
 from titeica import _kernels
+from titeica.immersion import _tree_lines, integrate_tree
 
 
 def setup_transport(n=24):
@@ -78,6 +81,15 @@ def edge_path(n):
     return np.concatenate([up, down])
 
 
+def ragged_path():
+    """Segments of 5, 1, 2, 4, 1 and 3 substeps on the 24^2 unit torus, in
+    no particular order: short segments follow long ones, so most
+    segments are padded with identity substeps."""
+    steps = [(2.0, 0.5), (0.1, 0.0), (0.7, 0.3), (0.0, 1.5), (0.2, 0.2),
+             (1.2, -0.4)]
+    return np.cumsum([(3.3, 4.6)] + steps, axis=0)
+
+
 def padded_4x3(dom, A, B):
     A4 = np.zeros(dom.shape + (4, 4), dtype=complex)
     A4[..., :3, :3] = A
@@ -90,7 +102,7 @@ def padded_4x3(dom, A, B):
     return A4, B4, F0
 
 
-@pytest.mark.parametrize("path", ["curved", "edge"])
+@pytest.mark.parametrize("path", ["curved", "edge", "ragged"])
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("state", ["row", "column", "row_4x3"])
 def test_matches_scalar_rk4(path, periodic, state):
@@ -98,7 +110,9 @@ def test_matches_scalar_rk4(path, periodic, state):
     dom, A, B, pts, F0 = setup_transport(n)
     if path == "edge":
         pts = edge_path(n)
-    # curved: substep counts differ between segments
+    elif path == "ragged":
+        pts = ragged_path()
+    # curved, ragged: substep counts differ between segments
     nsub = (np.abs(np.diff(pts, axis=0) @ [dom.step1, dom.step2])
             / (dom.hmin / 2)).astype(int) + 1
     assert path == "edge" or len(set(nsub)) > 1
@@ -150,3 +164,51 @@ def test_rectangular_state_supported():
                                       max_step=dom.hmin / 2)
     assert rec.shape == (pts.shape[0], 4, 3)
     assert np.isfinite(rec).all()
+
+
+@pytest.mark.parametrize("row", [True, False])
+def test_one_point_polyline_returns_F0(row):
+    dom, A, B, _, _ = setup_transport()
+    F0 = np.arange(12.0).reshape(4, 3) * (1 - 0.5j)
+    if not row:
+        F0 = F0.T
+    A4, B4, _ = padded_4x3(dom, A, B)
+    if not row:
+        A4, B4 = np.swapaxes(A4, -1, -2), np.swapaxes(B4, -1, -2)
+    rec = _kernels.transport_polyline(A4, B4, dom.step1, dom.step2,
+                                      np.array([[3.0, 5.0]]), F0, row=row,
+                                      max_step=dom.hmin / 2)
+    assert rec.shape == (1,) + F0.shape
+    assert np.array_equal(rec[0], F0)
+
+
+def test_tree_on_2x2_grid():
+    # on a 2x2 grid the comb rooted at (1, 1) has one-point halves
+    grid = SimpleNamespace(shape=(2, 2), step1=0.5, step2=0.5j, hmin=0.5)
+    lines = _tree_lines(grid, (1, 1))
+    assert min(len(pts) for pts in lines) == 1
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
+    B = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
+    F0 = np.eye(3, dtype=complex)
+    frames = integrate_tree(grid, A, B, F0)
+    assert np.array_equal(frames[1, 1], F0)
+    for pts in lines:
+        ref = transport_scalar(A, B, grid.step1, grid.step2, pts.astype(float),
+                               frames[tuple(pts[0])], True, False, 0.25)
+        got = frames[pts[:, 0], pts[:, 1]]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("row", [True, False])
+def test_zero_length_segment_keeps_frame(row):
+    dom, A, B, _, F0 = setup_transport()
+    F0 = F0 + 0.3j
+    pts = np.array([[3.2, 4.1], [3.2, 4.1], [4.0, 4.5], [4.0, 4.5],
+                    [5.9, 4.7]])
+    rec = _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
+                                      row=row, periodic=True,
+                                      max_step=dom.hmin / 2)
+    assert np.array_equal(rec[1], F0)
+    assert np.array_equal(rec[3], rec[2])
+    assert not np.allclose(rec[2], F0)

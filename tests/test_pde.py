@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from scipy.optimize import bisect
 from scipy.sparse.linalg import spsolve
 
 import titeica as tz
-from titeica import pde
+from titeica import geometry, pde
 from titeica.errors import InvalidSignCase, NoConstantSolution, SingularInputError
 
 FLAT = tz.BackgroundMetric("flat")
@@ -347,6 +349,35 @@ def test_continuation_records_failure():
     assert res.failure_index == 1
     assert len(res.reports) == 2
     assert not res.reports[1].converged
+
+
+def test_continuation_builds_one_stencil(monkeypatch):
+    # only Q changes with t: the stencil matrix cached on the Domain serves
+    # every Newton solve, and the solutions are those of a fresh matrix
+    # per step
+    builds = []
+    build = geometry.dzzbar_matrix
+
+    def counting(domain):
+        builds.append(domain)
+        return build(domain)
+
+    monkeypatch.setattr(geometry, "dzzbar_matrix", counting)
+    dom = tz.Domain.disk_patch(0.7, 20, 20)
+    Q0 = tz.CubicDifferential.constant(1.0)
+    case = tz.SignCase(-1, -1)
+    t_grid = [0.0, 0.1, 0.2, 0.3]
+    p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), case)
+    res = tz.continuation_family(p0, Q0, t_grid)
+    assert res.converged_all and len(builds) == 1
+    seed = None
+    for t, rep in zip(t_grid, res.reports):
+        fresh = dataclasses.replace(dom)   # equal grid, empty cache
+        ref = tz.solve_newton(tz.PdeProblem(fresh, POIN, Q0.scaled(t), case),
+                              seed)
+        assert np.array_equal(rep.solution.u, ref.solution.u)
+        seed = ref.solution.u
+    assert len(builds) == 1 + len(t_grid)
 
 
 # -- stencil matrix and fast-Poisson preconditioner -----------------------------
