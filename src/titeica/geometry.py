@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import OutOfDomainError
 
@@ -126,6 +125,8 @@ def polyval(coeffs, z):
 
 
 def _second_diff_matrix(n, periodic):
+    import scipy.sparse as sp
+
     if periodic:
         return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
                         shape=(n, n), format="csr")
@@ -133,6 +134,8 @@ def _second_diff_matrix(n, periodic):
 
 
 def _centered_diff_matrix(n, periodic):
+    import scipy.sparse as sp
+
     if periodic:
         return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
                         shape=(n, n), format="csr")
@@ -144,6 +147,8 @@ def dzzbar_matrix(domain):
     every node of a torus, and on a planar grid the Dirichlet restriction
     to the (n-2) x (m-2) interior nodes, built from interior-sized factors
     (the interior of a lattice is a product of index ranges)."""
+    import scipy.sparse as sp
+
     n, m = domain.shape
     if not domain.periodic:
         n, m = n - 2, m - 2

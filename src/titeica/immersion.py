@@ -37,11 +37,19 @@ def planar_ops(domain):
 class ImmersionMesh:
     domain: Domain
     vertices: np.ndarray          # (n, m, d) real or complex
-    frame: np.ndarray             # (n, m, rows, d) complex rows of the frame
+    # (n, m, rows, d) complex rows of the frame, or a zero-argument
+    # builder of them, called on the first read of `frame`
+    _frame: object
     target_tag: str               # affine_sphere | minlag_c2 | minlag_cp2 | minlag_ch2
     lam: int = 0
     psi: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def frame(self):
+        if callable(self._frame):
+            self._frame = self._frame()
+        return self._frame
 
     @property
     def faces(self):

@@ -15,16 +15,20 @@ sigma/4) and preconditioned by the constant-coefficient operator
 P = -L + c I, inverted exactly by fast transforms (Concus and Golub,
 SIAM J. Numer. Anal. 10, 1973): a type-I DST on Dirichlet grids, a real
 FFT on tori.  Their iteration counts do not grow with the grid.
+
+scipy is imported inside the functions that call it, never at module
+level: the sparse and Krylov routines and the fast transforms load on a
+run's first solve, ``brentq`` only for the supersolution bound, so
+importing the package, or building a closed-form surface, costs numpy
+alone.  ``cg``, ``minres`` and ``spsolve`` are module-level functions
+(with scipy's keywords, ``callback`` included) so that tests and tracers
+can replace or wrap them by name.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dstn, irfftn, rfftn
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, cg, minres, spsolve
 
 from .errors import InvalidSignCase, NoConstantSolution, SingularInputError
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
@@ -135,6 +139,8 @@ def cubic_supersolution_root(max8q2):
         raise ValueError("M must be nonnegative")
     if M == 0.0:
         return 1.0
+    from scipy.optimize import brentq
+
     hi = 1.0 + M ** (1.0 / 3.0) + 1e-9
     return brentq(lambda x: x ** 3 - x ** 2 - M, 1.0, hi, xtol=1e-15, rtol=1e-15)
 
@@ -169,6 +175,28 @@ def residual_scaled(v, p, delta):
 
 
 # -- linear solves ---------------------------------------------------------
+
+def cg(A, b, *, callback=None, **kwargs):
+    """scipy.sparse.linalg.cg; `callback` is named for wrappers that count
+    iterations through it."""
+    from scipy.sparse.linalg import cg
+
+    return cg(A, b, callback=callback, **kwargs)
+
+
+def minres(A, b, *, callback=None, **kwargs):
+    """scipy.sparse.linalg.minres, with `callback` named as for `cg`."""
+    from scipy.sparse.linalg import minres
+
+    return minres(A, b, callback=callback, **kwargs)
+
+
+def spsolve(A, b, **kwargs):
+    """scipy.sparse.linalg.spsolve."""
+    from scipy.sparse.linalg import spsolve
+
+    return spsolve(A, b, **kwargs)
+
 
 def _sym_solve(A, rhs, spd, M):
     """Solve the symmetric system A x = rhs by CG (spd) or MINRES,
@@ -207,6 +235,8 @@ class _System:
     transform that diagonalizes it."""
 
     def __init__(self, p):
+        from scipy.fft import dstn, irfftn, rfftn
+
         dom = p.domain
         self.p = p
         self.L_int = dom.dzzbar_operator
@@ -236,6 +266,8 @@ class _System:
 
     def precond(self, c):
         """P^{-1} for P = -L_int + c I (c >= 0) as a LinearOperator."""
+        from scipy.sparse.linalg import LinearOperator
+
         denom = self.symbol + c
         denom[denom == 0.0] = 1.0  # torus mean mode at c = 0, where P is singular
 
@@ -261,6 +293,8 @@ def _apply_boundary(p, u):
 def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     """Damped Newton for the global equation.  Returns the best iterate with
     converged=False after max_iter or a stalled line search."""
+    import scipy.sparse as sp
+
     n, m = p.domain.shape
     u = np.zeros((n, m)) if u0 is None else np.broadcast_to(
         np.asarray(u0, dtype=float), (n, m)).copy()
@@ -310,6 +344,8 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     sphere case.  Iterates increase from the subsolution and stay below the
     supersolution; the shift constant is sup |dG/du| + 1 on the current
     bracket."""
+    import scipy.sparse as sp
+
     if (p.case.epsilon, p.case.lam) != (1, -1):
         raise InvalidSignCase("monotone iteration requires (eps, lam) = (1, -1)")
     n, m = p.domain.shape

@@ -17,7 +17,6 @@ frozen as a regression test.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import NonConvexError
 from .geometry import _along, _d1, lattice_hessian, polyval
@@ -118,13 +117,16 @@ def parabolic_from_holomorphic(pair, domain):
     if margin <= 0:
         raise ValueError(
             f"derivative bound |F'| < |G'| violated (margin {margin:.3e})")
-    # a helper, so that its grid-sized temporaries are freed before the
-    # (n, m, 3, 3) complex frame is built
     vertices = _parabolic_vertices(pair, domain, dGv)
     psi = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
-    frame = np.stack([domain.dz(vertices), domain.dzbar(vertices),
-                      np.broadcast_to(E3.astype(complex), vertices.shape)],
-                     axis=-2)
+
+    # the (n, m, 3, 3) complex frame is built on its first read: the
+    # development and the export use the vertices only
+    def frame():
+        return np.stack([domain.dz(vertices), domain.dzbar(vertices),
+                         np.broadcast_to(E3.astype(complex), vertices.shape)],
+                        axis=-2)
+
     return ImmersionMesh(domain, vertices, frame, "affine_sphere",
                          lam=0, psi=psi, meta={"pair": pair, "margin": margin})
 
@@ -216,6 +218,8 @@ def legendre_transform(g, shrink=0.04, shape=None, newton_iters=40):
     values but its stencil Hessian does not converge, breaking the
     solution-to-solution property of the transform; spline inversion keeps
     the dual Monge-Ampere residual at O(h^2)."""
+    from scipy.interpolate import RectBivariateSpline
+
     if not g.convexity_ok(slack=0.0):
         raise NonConvexError("Legendre transform requires a convex input")
     v = g.values

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,66 @@ def test_weierstrass_stage(tmp_path):
     assert code == 0
     assert any(r["name"] == "monge_ampere" and r["pass"]
                for r in report["residuals"])
+
+
+# runs cli.main on the argv given as JSON in sys.argv[1] in a fresh
+# interpreter, then prints the exit code and every scipy module loaded
+_FRESH_RUN = """
+import json, sys
+from titeica import cli
+try:
+    code = cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:  # argparse exits after --help
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_run(tmp_path, cfg, stage):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--help"] if stage is None else [
+        stage, "--config", str(path), "--out-dir", str(tmp_path)]
+    src = str(Path(tz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argv)],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=300)
+    code, scipy_modules = json.loads(out.stdout.splitlines()[-1])
+    return code, set(scipy_modules)
+
+
+def weierstrass_config(n):
+    return {
+        "schema_version": 1, "case": "parabolic_affine_sphere",
+        "domain": {"kind": "rectangle", "width": 1.0, "height": 1.0,
+                   "shape": [n, n]},
+        "weierstrass": {"f_coeffs": [[0.0, 0.0], [0.1, 0.0]],
+                        "g_coeffs": [[0.0, 0.0], [1.0, 0.0]]},
+        "outputs": {"mesh": "mesh.obj", "report": "report.json"},
+    }
+
+
+@pytest.mark.parametrize("cfg, stage, expect", [
+    ({}, None, 0),
+    (torus_config(case="not_a_geometry"), "solve", 2),
+    (weierstrass_config(33), "weierstrass", 0),
+], ids=["help", "config_error", "weierstrass"])
+def test_fresh_run_without_solve_loads_no_scipy(tmp_path, cfg, stage, expect):
+    code, scipy_modules = _fresh_run(tmp_path, cfg, stage)
+    assert code == expect
+    assert scipy_modules == set()
+
+
+def test_fresh_solve_loads_no_optimize_or_interpolate(tmp_path):
+    cfg = torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
+                               "shape": [16, 16]})
+    code, scipy_modules = _fresh_run(tmp_path, cfg, "all")
+    assert code == 0
+    assert {"scipy.sparse.linalg", "scipy.fft"} <= scipy_modules
+    assert not {"scipy.optimize", "scipy.interpolate"} & scipy_modules
 
 
 def test_weierstrass_rejects_bad_pair(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -450,6 +451,19 @@ def test_fast_poisson_torus_mean_mode():
     assert np.abs(-sys_.L_int @ x - r).max() <= 1e-12 * np.abs(r).max()
 
 
+@pytest.mark.parametrize("dom", [
+    *(tz.Domain.rectangle(w, h, n, m)
+      for w, h, n, m in [(1.0, 1.0, 16, 16), (1.0, 0.6, 17, 23),
+                         (3.0, 0.2, 64, 33)]),
+    *(tz.Domain.disk_patch(r, n, n)
+      for r, n in [(0.1, 16), (0.5, 33), (0.7, 64), (0.95, 256)]),
+])
+def test_planar_domains_have_no_cross_term(dom):
+    # the DST symbol of _System leaves the lattice cross term out of P;
+    # P^{-1} is exact only on the orthogonal grids these constructors build
+    assert (dom.step1 * np.conj(dom.step2)).real == 0.0
+
+
 def _oblique_seed(dom):
     n, m = dom.shape
     j, k = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
@@ -501,3 +515,31 @@ def test_matches_direct_solve(name, monkeypatch):
     assert fast.converged and ref.converged
     assert fast.iterations == ref.iterations
     assert np.abs(fast.solution.u - ref.solution.u).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["cg", "minres"])
+def test_krylov_hooks_name_callback(name):
+    # wrappers such as a tracer count iterations through this keyword
+    assert "callback" in inspect.signature(getattr(pde, name)).parameters
+
+
+@pytest.mark.parametrize("name,hook", [("disk_newton", "cg"),
+                                       ("cp2_minres", "minres")])
+def test_callback_counts_linear_iters(name, hook, monkeypatch):
+    krylov = getattr(pde, hook)
+    counts = {"calls": 0, "iters": 0}
+
+    def counting(A, b, callback=None, **kwargs):
+        def count(xk):
+            counts["iters"] += 1
+            if callback is not None:
+                callback(xk)
+
+        counts["calls"] += 1
+        return krylov(A, b, callback=count, **kwargs)
+
+    monkeypatch.setattr(pde, hook, counting)
+    rep = SOLVES[name](32)
+    assert rep.converged and rep.info["spsolve_fallbacks"] == 0
+    assert counts["calls"] == rep.iterations
+    assert counts["iters"] == rep.info["linear_iters"] > 0

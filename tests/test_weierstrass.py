@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import titeica as tz
+from titeica import cli
 from titeica.errors import NonConvexError
 
 # the three frozen regression pairs (admissible: |F'| < |G'| on the grid)
@@ -38,6 +39,62 @@ def test_derivative_bound_rejected():
     assert pair.bound_margin(dom.z) == 0.0
     with pytest.raises(ValueError):
         tz.parabolic_from_holomorphic(pair, dom)
+
+
+def _eager_frame(mesh):
+    dom, v = mesh.domain, mesh.vertices
+    return np.stack([dom.dz(v), dom.dzbar(v),
+                     np.broadcast_to(np.array([0, 0, 1], complex), v.shape)],
+                    axis=-2)
+
+
+def test_weierstrass_stage_never_builds_frame(tmp_path, monkeypatch):
+    calls = []
+    for name in ("dz", "dzbar"):
+        stencil = getattr(tz.Domain, name)
+
+        def counted(self, f, stencil=stencil, name=name):
+            calls.append(name)
+            return stencil(self, f)
+
+        monkeypatch.setattr(tz.Domain, name, counted)
+    meshes = []
+
+    def represent(pair, domain):
+        meshes.append(tz.parabolic_from_holomorphic(pair, domain))
+        return meshes[-1]
+
+    monkeypatch.setattr(cli, "parabolic_from_holomorphic", represent)
+    cfg = {"schema_version": 1, "case": "parabolic_affine_sphere",
+           "domain": {"kind": "rectangle", "shape": [33, 33]},
+           "weierstrass": {"f_coeffs": [[0.0, 0.0], [0.1, 0.0]],
+                           "g_coeffs": [[0.0, 0.0], [1.0, 0.0]]},
+           "outputs": {"mesh": "mesh.obj", "report": "report.json"}}
+    code, _ = cli.run(cfg, stage="weierstrass", out_dir=tmp_path)
+    assert code == 0 and len(meshes) == 1 and calls == []
+    # the first read builds the frame, later reads reuse it
+    frame = meshes[0].frame
+    assert sorted(calls) == ["dz", "dzbar"]
+    assert meshes[0].frame is frame and len(calls) == 2
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_lazy_frame_matches_eager(pair):
+    dom = tz.Domain.rectangle(1.0, 1.0, 24, 20)
+    lazy = tz.parabolic_from_holomorphic(pair, dom)
+    eager = tz.ImmersionMesh(dom, lazy.vertices, _eager_frame(lazy),
+                             "affine_sphere", lam=0, psi=lazy.psi)
+    sol = tz.MetricSolution(2.0 * lazy.psi + np.log(2.0), dom,
+                            tz.BackgroundMetric("flat"))
+    Q = tz.CubicDifferential.constant(0.0)
+    # verify_affine reads the frame's xi row; read it through the lazy mesh
+    got = tz.verify_affine(lazy, sol, Q).entries
+    ref = tz.verify_affine(eager, sol, Q).entries
+    assert np.array_equal(lazy.frame, eager.frame)
+    assert lazy.frame.dtype == eager.frame.dtype == complex
+    assert got.keys() == ref.keys()
+    for name in ref:
+        assert (got[name].max, got[name].rms) == (ref[name].max, ref[name].rms)
 
 
 def test_path_integral_independence():
