@@ -10,7 +10,10 @@ configuration demands convergence.
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -338,25 +341,107 @@ def _holonomy_json(rep):
             "max_commutator": float(rep["commutators"].max())}
 
 
+# An OBJ of fewer vertices than this is written by one process.  The fork,
+# the temp file and the copy cost more than the second core saves below
+# about 5000 vertices (measured on a 2-core VM: break-even between 64^2
+# and 80^2 grids); the margin keeps a 64^2 mesh serial.
+_FORK_MIN_VERTICES = 10_000
+# Formatting a row of m vertices costs this many rows of m - 1 faces.
+_VERTEX_ROW_COST = 4.5
+
+
+def _obj_rows(vertices, faces, start, stop):
+    """Text of OBJ rows [start, stop): the n vertex rows of the grid, then
+    its n - 1 face rows, each row one %-format."""
+    n, m = vertices.shape[:2]
+    vrow = "v %.17g %.17g %.17g\n" * m
+    frow = "f %d %d %d %d\n" * (m - 1)
+    for row in vertices[start:stop]:
+        yield vrow % tuple(row.ravel().tolist())
+    for row in faces[max(start - n, 0):max(stop - n, 0)]:
+        yield frow % tuple(row.ravel().tolist())
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface, e.g. macOS
+        return os.cpu_count() or 1
+
+
+def _split_row(n, m):
+    """First OBJ row of the forked worker's share, chosen so that both
+    processes format about the same amount of text; 2n - 1 (no worker)
+    when one process is quicker, or no second process or CPU is at hand."""
+    if n * m < _FORK_MIN_VERTICES or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return 2 * n - 1
+    # the n vertex rows outweigh the n - 1 face rows, so half of all the
+    # work ends among the vertex rows
+    return round((n + (n - 1) * (m - 1) / (_VERTEX_ROW_COST * m)) / 2)
+
+
+def _write_tail(tail, vertices, faces, start, stop):
+    """Body of the forked worker: write OBJ rows [start, stop) into the
+    temp file `tail` and end the process, with status 0 on success and 1
+    on any exception, so that nothing inherited from the parent (atexit
+    handlers, stdio buffers, test teardown) runs a second time."""
+    status = 1
+    try:
+        with open(tail.fileno(), "w", newline="\n", closefd=False) as fh:
+            fh.writelines(_obj_rows(vertices, faces, start, stop))
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"titeica: OBJ export worker: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
+
+
+def _write_obj(path, vertices, faces):
+    rows = 2 * vertices.shape[0] - 1
+    k = _split_row(*vertices.shape[:2])
+    if k == rows:
+        with path.open("w", newline="\n") as fh:
+            fh.writelines(_obj_rows(vertices, faces, 0, rows))
+        return
+    with tempfile.TemporaryFile(dir=path.parent) as tail:
+        pid = os.fork()
+        if pid == 0:
+            _write_tail(tail, vertices, faces, k, rows)
+        try:
+            with path.open("w", newline="\n") as fh:
+                fh.writelines(_obj_rows(vertices, faces, 0, k))
+                _, status = os.waitpid(pid, 0)
+                pid = None
+                if status != 0:
+                    raise TiteicaError(
+                        "OBJ export worker failed (exit code "
+                        f"{os.waitstatus_to_exitcode(status)})")
+                fh.flush()
+                tail.seek(0)
+                shutil.copyfileobj(tail, fh.buffer)
+        except BaseException:
+            if pid is not None:
+                os.waitpid(pid, 0)
+            path.unlink(missing_ok=True)
+            raise
+
+
 def export_mesh(mesh, path):
     """OBJ for meshes embedded in R^3 (17 significant digits, LF endings,
     quad faces); JSON dump with complex entries as [re, im] otherwise.
 
     The OBJ is streamed one grid row at a time, each row formatted by a
-    single %-format, so memory stays bounded by one row of text."""
+    single %-format, so memory stays bounded by one row per process, plus
+    the tail in a temp file in the target directory: on a mesh of at least
+    `_FORK_MIN_VERTICES` vertices, with two CPUs usable, a forked worker
+    formats the last rows into that file while this process formats the
+    first ones, and the bytes are those of one process writing them all."""
     path = Path(path)
     if path.suffix.lower() == ".obj":
         if not mesh.embeddable_r3:
             raise TiteicaError("target not embeddable in R^3")
         n, m = mesh.vertices.shape[:2]
-        vrow = "v %.17g %.17g %.17g\n" * m
-        frow = "f %d %d %d %d\n" * (m - 1)
-        faces = mesh.faces.reshape(n - 1, m - 1, 4) + 1
-        with path.open("w", newline="\n") as fh:
-            for row in mesh.vertices:
-                fh.write(vrow % tuple(row.ravel().tolist()))
-            for row in faces:
-                fh.write(frow % tuple(row.ravel().tolist()))
+        _write_obj(path, mesh.vertices, mesh.faces.reshape(n - 1, m - 1, 4) + 1)
         return
     v = np.asarray(mesh.vertices)
     if np.iscomplexobj(v):

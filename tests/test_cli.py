@@ -150,17 +150,21 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
+def _fresh_env():
+    """Environment of a fresh interpreter that imports this titeica."""
+    src = str(Path(tz.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_run(tmp_path, cfg, stage):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     argv = ["--help"] if stage is None else [
         stage, "--config", str(path), "--out-dir", str(tmp_path)]
-    src = str(Path(tz.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argv)],
-                         capture_output=True, text=True, env=env, check=True,
-                         timeout=300)
+                         capture_output=True, text=True, env=_fresh_env(),
+                         check=True, timeout=300)
     code, scipy_modules = json.loads(out.stdout.splitlines()[-1])
     return code, set(scipy_modules)
 
@@ -275,20 +279,195 @@ def reference_obj(mesh):
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_export_obj_matches_line_writer(tmp_path):
-    # 7 x 5 vertices, so a transposed face ordering cannot pass; the
-    # writer reads only the vertices, as in tiny_mesh
-    dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
+def special_float_mesh():
+    # 7 x 5 vertices, so a transposed face ordering cannot pass
     rng = np.random.default_rng(3)
     verts = rng.standard_normal((7, 5, 3)) * 10.0 ** rng.integers(-8, 8, (7, 5, 3))
     verts[0, 0] = [-0.0, 1e-300, -1.5e+200]
     verts[3, 4] = [2.0, -7.0, 0.0]
     verts[6, 2] = [np.pi, 5e-324, 1.7976931348623157e308]
-    mesh = tz.ImmersionMesh(dom, verts, np.zeros((7, 5, 3, 3), complex),
-                            "affine_sphere", lam=0)
+    return vertex_mesh(verts)
+
+
+def vertex_mesh(verts):
+    """Mesh without a frame: the OBJ writer reads only the vertices."""
+    dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
+    return tz.ImmersionMesh(dom, verts, None, "affine_sphere", lam=0)
+
+
+def random_mesh(n, m, seed=0):
+    return vertex_mesh(np.random.default_rng(seed).standard_normal((n, m, 3)))
+
+
+def test_export_obj_matches_line_writer(tmp_path):
+    mesh = special_float_mesh()
     path = tmp_path / "mesh.obj"
     cli.export_mesh(mesh, path)
     assert path.read_bytes() == reference_obj(mesh)
+
+
+@pytest.fixture
+def fork_spy(monkeypatch):
+    """Counts os.fork calls in this process; os.fork itself still runs."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+@pytest.fixture
+def forking(monkeypatch, fork_spy):
+    """Every OBJ mesh goes through the forked writer, whatever the host."""
+    monkeypatch.setattr(cli, "_FORK_MIN_VERTICES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return fork_spy
+
+
+@pytest.mark.parametrize("mesh", [
+    special_float_mesh(), random_mesh(130, 7), random_mesh(3, 130),
+], ids=["7x5_special", "130x7", "3x130"])
+def test_forked_obj_matches_line_writer(tmp_path, forking, mesh):
+    n, m = mesh.vertices.shape[:2]
+    k = cli._split_row(n, m)
+    assert 0 < k < n  # a vertex row costs 4.5 face rows: the split is in them
+    path = tmp_path / "mesh.obj"
+    cli.export_mesh(mesh, path)
+    assert forking == [1]
+    assert path.read_bytes() == reference_obj(mesh)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_forked_obj_any_split(tmp_path, monkeypatch, forking, k):
+    # 3 x 130: rows 0-2 are vertex rows, 3-4 face rows, so k = 3 splits
+    # at their boundary and k = 4 inside the face rows
+    mesh = random_mesh(3, 130, seed=1)
+    monkeypatch.setattr(cli, "_split_row", lambda n, m: k)
+    path = tmp_path / "mesh.obj"
+    cli.export_mesh(mesh, path)
+    assert forking == [1]
+    assert path.read_bytes() == reference_obj(mesh)
+
+
+def test_split_balances_rows(forking):
+    # 512^2: vertex rows are 4.5 times the work of face rows, so the
+    # parent's k vertex rows weigh what the rest of the file weighs
+    k = cli._split_row(512, 512)
+    parent = cli._VERTEX_ROW_COST * 512 * k
+    worker = cli._VERTEX_ROW_COST * 512 * (512 - k) + 511 * 511
+    assert abs(parent - worker) <= cli._VERTEX_ROW_COST * 512
+
+
+@pytest.mark.parametrize("how", ["one_cpu", "no_fork", "below_break_even"])
+def test_serial_fallback(tmp_path, monkeypatch, fork_spy, how):
+    mesh = special_float_mesh() if how == "below_break_even" else random_mesh(130, 7)
+    if how == "one_cpu":
+        monkeypatch.setattr(cli, "_FORK_MIN_VERTICES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    elif how == "no_fork":
+        monkeypatch.setattr(cli, "_FORK_MIN_VERTICES", 0)
+        monkeypatch.delattr(os, "fork")
+    else:
+        assert mesh.vertices.size // 3 < cli._FORK_MIN_VERTICES
+    path = tmp_path / "mesh.obj"
+    cli.export_mesh(mesh, path)
+    assert fork_spy == []
+    assert path.read_bytes() == reference_obj(mesh)
+
+
+def failing_tail(monkeypatch, k):
+    """Make OBJ row formatting raise from row k on, that is in the worker."""
+    rows = cli._obj_rows
+
+    def failing(vertices, faces, start, stop):
+        for i, text in enumerate(rows(vertices, faces, start, stop), start):
+            if i >= k:
+                raise RuntimeError(f"row {i}")
+            yield text
+
+    monkeypatch.setattr(cli, "_obj_rows", failing)
+
+
+def test_worker_failure_removes_target(tmp_path, monkeypatch, forking, capfd):
+    mesh = random_mesh(130, 7)
+    k = cli._split_row(130, 7)
+    failing_tail(monkeypatch, k)
+    path = tmp_path / "mesh.obj"
+    with pytest.raises(TiteicaError,
+                       match=r"^OBJ export worker failed \(exit code 1\)$"):
+        cli.export_mesh(mesh, path)
+    assert forking == [1]
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # the temp file has no name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert f"RuntimeError('row {k}')" in capfd.readouterr().err
+
+
+def test_worker_failure_keeps_report(tmp_path, monkeypatch, forking):
+    failing_tail(monkeypatch, cli._split_row(33, 33))
+    code, report = cli.run(weierstrass_config(33), stage="weierstrass",
+                           out_dir=tmp_path)
+    assert code == 1
+    assert forking == [1]
+    assert not (tmp_path / "mesh.obj").exists()
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["passed"] is False
+    assert on_disk["warnings"] == [
+        "TiteicaError: OBJ export worker failed (exit code 1)"]
+    assert "export" not in on_disk["timings"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# exports a 200^2 mesh through the forked writer in a fresh interpreter
+# with an atexit handler, unflushed stdout text and a 30 ms SIGALRM timer
+# armed, as pipebench/probe.py arms it, then prints what it saw
+_FORK_HYGIENE = """
+import atexit, json, os, signal, sys
+import numpy as np
+import titeica as tz
+from titeica import cli
+
+atexit.register(print, "atexit-marker")
+assert not (sys.stdout.line_buffering or sys.stdout.write_through)
+print("pre-export-text")  # stdout is a pipe: this stays in the buffer
+signal.signal(signal.SIGALRM, lambda *_: None)
+signal.setitimer(signal.ITIMER_REAL, 0.03, 0.03)
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+verts = np.random.default_rng(5).standard_normal((200, 200, 3))
+mesh = tz.ImmersionMesh(tz.Domain.rectangle(1.0, 1.0, 8, 8), verts, None,
+                        "affine_sphere", lam=0)
+cli.export_mesh(mesh, sys.argv[1])
+signal.setitimer(signal.ITIMER_REAL, 0.0)
+print(json.dumps({"forks": len(forks)}))
+"""
+
+
+def test_forked_export_hygiene(tmp_path):
+    path = tmp_path / "mesh.obj"
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)  # keep the text in the stdout buffer
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _FORK_HYGIENE,
+                          str(path)], capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    lines = out.stdout.splitlines()
+    assert lines.count("pre-export-text") == 1
+    assert lines.count("atexit-marker") == 1
+    assert json.loads(lines[-2]) == {"forks": 1}
+    verts = np.random.default_rng(5).standard_normal((200, 200, 3))
+    assert path.read_bytes() == reference_obj(vertex_mesh(verts))
 
 
 def test_report_times_every_stage(tmp_path):
