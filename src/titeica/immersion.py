@@ -51,12 +51,17 @@ class ImmersionMesh:
             self._frame = self._frame()
         return self._frame
 
+    def quads(self, start=0, stop=None):
+        """Vertex indices (from 0, row-major) of the grid quads whose first
+        corner lies in grid rows [start, stop), in the order of `faces`."""
+        n, m = self.vertices.shape[:2]
+        stop = n - 1 if stop is None else min(stop, n - 1)
+        v00 = np.arange(start, stop)[:, None] * m + np.arange(m - 1)
+        return np.stack([v00, v00 + m, v00 + m + 1, v00 + 1], axis=-1).reshape(-1, 4)
+
     @property
     def faces(self):
-        n, m = self.vertices.shape[:2]
-        j, k = np.meshgrid(np.arange(n - 1), np.arange(m - 1), indexing="ij")
-        v00 = j * m + k
-        return np.stack([v00, v00 + m, v00 + m + 1, v00 + 1], axis=-1).reshape(-1, 4)
+        return self.quads()
 
     @property
     def embeddable_r3(self):

@@ -143,23 +143,36 @@ def _lattice_grad(field):
 
 def _chain_rule_hessian(x1, x2, phi):
     """Gradient and Hessian of phi with respect to (x1, x2) on a curved
-    grid, by the chain rule through the lattice Jacobian."""
+    grid, by the chain rule through the lattice Jacobian, written out
+    entry by entry for the 2x2 matrices."""
     g1, g2 = _lattice_grad(x1), _lattice_grad(x2)  # rows d x^i of J
     det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
     if np.any(det == 0):
         raise DegenerateVertexError("degenerate affine development")
-    # closed-form 2x2 inverse: adjugate over det J, indexed [lattice, x]
-    Jinv = np.stack([np.stack([g2[..., 1], -g1[..., 1]], axis=-1),
-                     np.stack([-g2[..., 0], g1[..., 0]], axis=-1)], axis=-2)
-    Jinv /= det[..., None, None]
-    JinvT = np.swapaxes(Jinv, -1, -2)
-    grad = (JinvT @ _lattice_grad(phi)[..., None])[..., 0]  # d phi / d x
-    # second lattice differences of phi minus gradient-weighted curvature of x
-    Hlat = (lattice_hessian(phi)
-            - grad[..., 0, None, None] * lattice_hessian(x1)
-            - grad[..., 1, None, None] * lattice_hessian(x2))
-    # lattice Jacobian maps d(lattice) -> dx, so Hess_x = Jinv^T Hlat Jinv
-    return grad, JinvT @ Hlat @ Jinv
+    # closed-form 2x2 inverse a = adj J / det J, indexed [lattice, x]
+    a00, a01 = g2[..., 1] / det, -g1[..., 1] / det
+    a10, a11 = -g2[..., 0] / det, g1[..., 0] / det
+    del g1, g2, det
+    p = _lattice_grad(phi)
+    grad = np.empty(phi.shape + (2,))  # d phi / d x = a^T d phi
+    grad[..., 0] = a00 * p[..., 0] + a10 * p[..., 1]
+    grad[..., 1] = a01 * p[..., 0] + a11 * p[..., 1]
+    del p
+    # second lattice differences of phi minus gradient-weighted curvature
+    # of x: a symmetric matrix l
+    l = lattice_hessian(phi)
+    for i, x in enumerate((x1, x2)):
+        h = lattice_hessian(x)
+        for ij in ((0, 0), (0, 1), (1, 1)):
+            l[(...,) + ij] -= grad[..., i] * h[(...,) + ij]
+    l00, l01, l11 = l[..., 0, 0], l[..., 0, 1], l[..., 1, 1]
+    # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = (a^T l) a
+    H = np.empty(phi.shape + (2, 2))
+    for i, (ai0, ai1) in enumerate(((a00, a10), (a01, a11))):
+        s0, s1 = ai0 * l00 + ai1 * l01, ai0 * l01 + ai1 * l11
+        H[..., i, 0] = s0 * a00 + s1 * a10
+        H[..., i, 1] = s0 * a01 + s1 * a11
+    return grad, H
 
 
 def semiflat_develop(mesh):

@@ -77,15 +77,20 @@ def path_integral(fn, points, samples_per_segment=2):
 
 
 def _cumulative_simpson(y, axis=0):
-    """Cumulative integral along `axis` on a unit-step grid, O(h^4)."""
+    """Cumulative integral along `axis` on a unit-step grid, O(h^4): from
+    node n - 2 to node n is one Simpson step, so the even and the odd
+    nodes each accumulate their steps, in order."""
     y = np.moveaxis(np.asarray(y, dtype=complex), axis, 0)
     out = np.zeros_like(y)
     if y.shape[0] >= 3:
         out[1] = (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
     elif y.shape[0] == 2:
         out[1] = 0.5 * (y[0] + y[1])
-    for n in range(2, y.shape[0]):
-        out[n] = out[n - 2] + (y[n - 2] + 4.0 * y[n - 1] + y[n]) / 3.0
+    steps = (y[:-2] + 4.0 * y[1:-1] + y[2:]) / 3.0
+    out[2::2] = steps[0::2]
+    out[3::2] = steps[1::2]
+    np.cumsum(out[0::2], axis=0, out=out[0::2])
+    np.cumsum(out[1::2], axis=0, out=out[1::2])
     return np.moveaxis(out, 0, axis)
 
 

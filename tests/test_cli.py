@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import titeica as tz
-from titeica import cli, pde
+from titeica import _objtext, cli, pde
 from titeica.errors import ConfigError, TiteicaError
 
 
@@ -306,168 +307,94 @@ def test_export_obj_matches_line_writer(tmp_path):
     assert path.read_bytes() == reference_obj(mesh)
 
 
-@pytest.fixture
-def fork_spy(monkeypatch):
-    """Counts os.fork calls in this process; os.fork itself still runs."""
-    calls = []
-    fork = os.fork
-
-    def spy():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", spy)
-    return calls
-
-
-@pytest.fixture
-def forking(monkeypatch, fork_spy):
-    """Every OBJ mesh goes through the forked writer, whatever the host."""
-    monkeypatch.setattr(cli, "_FORK_MIN_VERTICES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    return fork_spy
-
-
 @pytest.mark.parametrize("mesh", [
     special_float_mesh(), random_mesh(130, 7), random_mesh(3, 130),
 ], ids=["7x5_special", "130x7", "3x130"])
-def test_forked_obj_matches_line_writer(tmp_path, forking, mesh):
-    n, m = mesh.vertices.shape[:2]
-    k = cli._split_row(n, m)
-    assert 0 < k < n  # a vertex row costs 4.5 face rows: the split is in them
+@pytest.mark.parametrize("block", [1, 7, 64], ids=lambda b: f"block{b}")
+def test_obj_blocks_match_line_writer(tmp_path, monkeypatch, mesh, block):
+    # blocks of 1, 7 and 64 values end inside vertex and face rows, and
+    # the quads are formatted one grid row at a time or several
+    monkeypatch.setattr(_objtext, "BLOCK", block)
     path = tmp_path / "mesh.obj"
     cli.export_mesh(mesh, path)
-    assert forking == [1]
     assert path.read_bytes() == reference_obj(mesh)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_forked_obj_any_split(tmp_path, monkeypatch, forking, k):
-    # 3 x 130: rows 0-2 are vertex rows, 3-4 face rows, so k = 3 splits
-    # at their boundary and k = 4 inside the face rows
-    mesh = random_mesh(3, 130, seed=1)
-    monkeypatch.setattr(cli, "_split_row", lambda n, m: k)
+def failing_faces(monkeypatch, exc):
+    """Make the OBJ writer raise exc after its first block of faces."""
+    int_rows = _objtext.int_rows
+
+    def failing(values):
+        yield next(int_rows(values))
+        raise exc
+
+    monkeypatch.setattr(_objtext, "int_rows", failing)
+
+
+def test_failed_write_removes_target(tmp_path, monkeypatch):
+    failing_faces(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
     path = tmp_path / "mesh.obj"
-    cli.export_mesh(mesh, path)
-    assert forking == [1]
-    assert path.read_bytes() == reference_obj(mesh)
+    with pytest.raises(TiteicaError, match=r"^cannot write mesh\.obj: .*No space"):
+        cli.export_mesh(random_mesh(130, 7), path)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_split_balances_rows(forking):
-    # 512^2: vertex rows are 4.5 times the work of face rows, so the
-    # parent's k vertex rows weigh what the rest of the file weighs
-    k = cli._split_row(512, 512)
-    parent = cli._VERTEX_ROW_COST * 512 * k
-    worker = cli._VERTEX_ROW_COST * 512 * (512 - k) + 511 * 511
-    assert abs(parent - worker) <= cli._VERTEX_ROW_COST * 512
+def test_failed_write_reraises_other_errors(tmp_path, monkeypatch):
+    failing_faces(monkeypatch, RuntimeError("formatter bug"))
+    with pytest.raises(RuntimeError, match="formatter bug"):
+        cli.export_mesh(random_mesh(130, 7), tmp_path / "mesh.obj")
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("how", ["one_cpu", "no_fork", "below_break_even"])
-def test_serial_fallback(tmp_path, monkeypatch, fork_spy, how):
-    mesh = special_float_mesh() if how == "below_break_even" else random_mesh(130, 7)
-    if how == "one_cpu":
-        monkeypatch.setattr(cli, "_FORK_MIN_VERTICES", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-    elif how == "no_fork":
-        monkeypatch.setattr(cli, "_FORK_MIN_VERTICES", 0)
-        monkeypatch.delattr(os, "fork")
-    else:
-        assert mesh.vertices.size // 3 < cli._FORK_MIN_VERTICES
-    path = tmp_path / "mesh.obj"
-    cli.export_mesh(mesh, path)
-    assert fork_spy == []
-    assert path.read_bytes() == reference_obj(mesh)
-
-
-def failing_tail(monkeypatch, k):
-    """Make OBJ row formatting raise from row k on, that is in the worker."""
-    rows = cli._obj_rows
-
-    def failing(vertices, faces, start, stop):
-        for i, text in enumerate(rows(vertices, faces, start, stop), start):
-            if i >= k:
-                raise RuntimeError(f"row {i}")
-            yield text
-
-    monkeypatch.setattr(cli, "_obj_rows", failing)
-
-
-def test_worker_failure_removes_target(tmp_path, monkeypatch, forking, capfd):
-    mesh = random_mesh(130, 7)
-    k = cli._split_row(130, 7)
-    failing_tail(monkeypatch, k)
-    path = tmp_path / "mesh.obj"
-    with pytest.raises(TiteicaError,
-                       match=r"^OBJ export worker failed \(exit code 1\)$"):
-        cli.export_mesh(mesh, path)
-    assert forking == [1]
-    assert not path.exists()
-    assert list(tmp_path.iterdir()) == []  # the temp file has no name
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert f"RuntimeError('row {k}')" in capfd.readouterr().err
-
-
-def test_worker_failure_keeps_report(tmp_path, monkeypatch, forking):
-    failing_tail(monkeypatch, cli._split_row(33, 33))
+def test_failed_write_keeps_report(tmp_path, monkeypatch):
+    failing_faces(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
     code, report = cli.run(weierstrass_config(33), stage="weierstrass",
                            out_dir=tmp_path)
     assert code == 1
-    assert forking == [1]
     assert not (tmp_path / "mesh.obj").exists()
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["passed"] is False
     assert on_disk["warnings"] == [
-        "TiteicaError: OBJ export worker failed (exit code 1)"]
+        "TiteicaError: cannot write mesh.obj: [Errno 28] No space left on device"]
     assert "export" not in on_disk["timings"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
-# exports a 200^2 mesh through the forked writer in a fresh interpreter
-# with an atexit handler, unflushed stdout text and a 30 ms SIGALRM timer
-# armed, as pipebench/probe.py arms it, then prints what it saw
-_FORK_HYGIENE = """
-import atexit, json, os, signal, sys
+# exports a random 512^2 mesh in a fresh interpreter and prints VmHWM and
+# VmRSS (KiB) before the export and VmHWM after it
+_EXPORT_MEMORY = """
+import json, sys
 import numpy as np
 import titeica as tz
 from titeica import cli
 
-atexit.register(print, "atexit-marker")
-assert not (sys.stdout.line_buffering or sys.stdout.write_through)
-print("pre-export-text")  # stdout is a pipe: this stays in the buffer
-signal.signal(signal.SIGALRM, lambda *_: None)
-signal.setitimer(signal.ITIMER_REAL, 0.03, 0.03)
-forks = []
-fork = os.fork
-os.fork = lambda: forks.append(1) or fork()
-os.sched_getaffinity = lambda pid: {0, 1}
-verts = np.random.default_rng(5).standard_normal((200, 200, 3))
+def status():
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return {k: int(fields[k].split()[0]) for k in ("VmHWM", "VmRSS")}
+
+verts = np.random.default_rng(6).standard_normal((512, 512, 3))
 mesh = tz.ImmersionMesh(tz.Domain.rectangle(1.0, 1.0, 8, 8), verts, None,
                         "affine_sphere", lam=0)
+before = status()
 cli.export_mesh(mesh, sys.argv[1])
-signal.setitimer(signal.ITIMER_REAL, 0.0)
-print(json.dumps({"forks": len(forks)}))
+print(json.dumps([before, status()]))
 """
 
 
-def test_forked_export_hygiene(tmp_path):
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_export_memory_is_bounded(tmp_path):
     path = tmp_path / "mesh.obj"
-    env = _fresh_env()
-    env.pop("PYTHONUNBUFFERED", None)  # keep the text in the stdout buffer
-    out = subprocess.run([sys.executable, "-W", "error", "-c", _FORK_HYGIENE,
-                          str(path)], capture_output=True, text=True, env=env,
-                         timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stderr == ""
-    lines = out.stdout.splitlines()
-    assert lines.count("pre-export-text") == 1
-    assert lines.count("atexit-marker") == 1
-    assert json.loads(lines[-2]) == {"forks": 1}
-    verts = np.random.default_rng(5).standard_normal((200, 200, 3))
-    assert path.read_bytes() == reference_obj(vertex_mesh(verts))
+    out = subprocess.run([sys.executable, "-c", _EXPORT_MEMORY, str(path)],
+                         capture_output=True, text=True, env=_fresh_env(),
+                         check=True, timeout=300)
+    before, after = json.loads(out.stdout)
+    mib = 1024
+    # the peak so far is the present size, so any peak of the export shows
+    assert before["VmHWM"] - before["VmRSS"] < 2 * mib
+    # the whole text at once would not fit under the bound
+    assert path.stat().st_size > 16 * mib * 1024
+    assert after["VmHWM"] - before["VmHWM"] < 16 * mib
 
 
 def test_report_times_every_stage(tmp_path):

@@ -1,0 +1,138 @@
+"""The numpy OBJ text against CPython's own %-formatting, value by value."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from titeica import _objtext
+from tests.test_cli import special_float_mesh
+
+
+def float_reference(values):
+    return b"".join(b"v" + b"".join(b" %.17g" % x for x in row) + b"\n"
+                    for row in values.tolist())
+
+
+def int_reference(values):
+    return b"".join(b"f" + b"".join(b" %d" % i for i in row) + b"\n"
+                    for row in values.tolist())
+
+
+def float_text(values):
+    return b"".join(bytes(t) for t in _objtext.float_rows(values))
+
+
+def int_text(values):
+    return b"".join(bytes(t) for t in _objtext.int_rows(values))
+
+
+def assert_float_rows(values):
+    values = np.asarray(values, dtype=float).reshape(-1, 3)
+    got, want = float_text(values), float_reference(values)
+    if got != want:  # name the first value that differs
+        for row in values:
+            one = row[None]
+            assert float_text(one) == float_reference(one), row.tolist()
+    assert got == want
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, 3 * 350_000,
+                                              dtype=np.uint64)
+    assert_float_rows(bits.view(np.float64))
+
+
+def test_random_values_in_every_decade():
+    rng = np.random.default_rng(21)
+    x = rng.uniform(1.0, 10.0, 3 * 100_000) * 10.0 ** rng.integers(-13, 19, 3 * 100_000)
+    assert_float_rows(x * rng.choice([-1.0, 1.0], x.size))
+
+
+def powers_of_ten():
+    """Every power of ten from 1e-330 to 1e308 and its neighbours up to
+    8 ulps away, both signs."""
+    p = np.array([float(f"1e{j}") for j in range(-330, 309)])
+    bits = p.view(np.int64)[:, None] + np.arange(-8, 9)
+    x = bits[bits > 0].view(np.float64)
+    x = x[np.isfinite(x)]
+    return np.concatenate([x, -x])
+
+
+def test_powers_of_ten_and_neighbours():
+    x = powers_of_ten()
+    assert_float_rows(np.resize(x, -(-x.size // 3) * 3))
+
+
+def test_no_double_in_range_rounds_up_to_a_power_of_ten():
+    # N = 10^17 under the floor's k would take a double less than 5e-18
+    # (relative) below a power of ten; the closest below each is further
+    for j in range(_objtext._KMIN + 1, _objtext._KMAX + 2):
+        power = Fraction(10) ** j
+        below = float(power)
+        if Fraction(below) >= power:
+            below = np.nextafter(below, 0.0)
+        assert (power - Fraction(below)) * 2 * 10 ** 17 > power
+        assert_float_rows([below, -below, np.nextafter(below, 0.0)])
+
+
+def halfway_cases():
+    """Odd i / 2^j whose exact decimal expansion, the digits of i 5^j, has
+    18 significant digits: %.17g must round them half to even."""
+    rng = np.random.default_rng(22)
+    i, j = [], []
+    for e in range(1, 64):
+        lo, hi = -(-10 ** 17 // 5 ** e), min((10 ** 18 - 1) // 5 ** e, 2 ** 53)
+        if lo <= hi:
+            i.append(rng.integers(lo // 2, (hi - 1) // 2 + 1, 600) * 2 + 1)
+            j.append(np.full(600, e))
+    i, j = np.concatenate(i), np.concatenate(j)
+    return np.ldexp(i.astype(float), -j), [str(a * 5 ** b) for a, b in
+                                            zip(i.tolist(), j.tolist())]
+
+
+def test_halfway_cases_round_to_even():
+    x, digits = halfway_cases()
+    assert x.size >= 5000 and all(len(d) == 18 and d[-1] == "5" for d in digits)
+    # ties go down to an even 17th digit and up from an odd one
+    parity = {int(d[16]) % 2 for d in digits}
+    assert parity == {0, 1}
+    assert_float_rows(np.resize(np.concatenate([x, -x]), -(-2 * x.size // 3) * 3))
+
+
+def test_edge_values():
+    big = np.finfo(float).max
+    tiny = np.finfo(float).tiny
+    x = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, big, -big, np.inf, -np.inf,
+         np.nan, -np.nan, 1e-11, np.nextafter(1e-11, 1), 1e17,
+         np.nextafter(1e17, 0), 0.5, 1.0, 1e16, 9.999999999999999e16, 1e-7]
+    assert_float_rows(np.resize(np.array(x), 24))
+
+
+def test_special_float_mesh():
+    assert_float_rows(special_float_mesh().vertices)
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 5])
+def test_any_row_width(ncols):
+    # a row of one value, and rows wider than the OBJ's 3 and 4
+    x = powers_of_ten()[: 400 * ncols].reshape(-1, ncols)
+    assert float_text(x) == float_reference(x)
+    i = np.arange(-200, 200 * ncols - 200).reshape(-1, ncols) * 7919
+    assert int_text(i) == int_reference(i)
+
+
+def test_ints():
+    rng = np.random.default_rng(23)
+    edges = [0, 1, -1, 2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1]
+    edges += [s * (10 ** j + d) for j in range(19) for d in (-1, 0, 1)
+              for s in (1, -1)]
+    cases = [
+        rng.integers(-2 ** 63, 2 ** 63 - 1, (40_000, 4), dtype=np.int64),
+        rng.integers(1, 262_145, (40_000, 4)),
+        np.resize(np.array(edges, dtype=np.int64), (len(edges) // 4 + 1, 4)),
+        np.zeros((3, 4), dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+    ]
+    for i in cases:
+        assert int_text(i) == int_reference(i)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import titeica as tz
-from titeica import cli
+from titeica import cli, weierstrass
 from titeica.errors import NonConvexError
 
 # the three frozen regression pairs (admissible: |F'| < |G'| on the grid)
@@ -114,6 +114,34 @@ def test_path_integral_independence():
               - np.polynomial.polynomial.polyval(z0, anti))
     assert abs(via_a - via_b) < 1e-10
     assert abs(via_a - oracle) < 1e-9
+
+
+def loop_cumulative_simpson(y, axis=0):
+    """The node-by-node loop that weierstrass._cumulative_simpson replaced."""
+    y = np.moveaxis(np.asarray(y, dtype=complex), axis, 0)
+    out = np.zeros_like(y)
+    if y.shape[0] >= 3:
+        out[1] = (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
+    elif y.shape[0] == 2:
+        out[1] = 0.5 * (y[0] + y[1])
+    for n in range(2, y.shape[0]):
+        out[n] = out[n - 2] + (y[n - 2] + 4.0 * y[n - 1] + y[n]) / 3.0
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 64])
+def test_cumulative_simpson_matches_loop(length, axis):
+    # cumsum accumulates in order, as the loop did: equal to the last bit
+    rng = np.random.default_rng(length)
+    shape = [3, 3]
+    shape[axis] = length
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(weierstrass._cumulative_simpson(y, axis),
+                          loop_cumulative_simpson(y, axis))
+    line = np.moveaxis(y, axis, 0)[:, 0]  # one-dimensional, as the spine is
+    assert np.array_equal(weierstrass._cumulative_simpson(line),
+                          loop_cumulative_simpson(line))
 
 
 # -- Legendre transform ---------------------------------------------------------
