@@ -37,10 +37,9 @@ _POW10 = _U64(10) ** np.arange(17, dtype=_U64)
 # ASCII of 0000..9999 as one uint32 per entry (its bytes in text order),
 # and the place of the last nonzero digit of each as the jth of four
 # groups of digits 1..16 (4 j + 1 .. 4 j + 4; 0 for 0000)
-_DIGITS4 = (48 + np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])
-            % 10).astype(np.uint8)
-_ASCII4 = _DIGITS4.view(np.uint32).ravel()
-_LAST4 = np.max((_DIGITS4 != 48) * np.arange(1, 5, dtype=np.int8), axis=1)
+_DIGITS4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+_ASCII4 = np.ascontiguousarray((48 + _DIGITS4).T).view(np.uint32).ravel()
+_LAST4 = np.max((_DIGITS4 > 0) * np.arange(1, 5, dtype=np.int8)[:, None], axis=0)
 _LAST16 = np.where(_LAST4 > 0, _LAST4 + 4 * np.arange(4, dtype=np.int8)[:, None], 0)
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _objtext
 from .errors import ConfigError, TiteicaError
 from .frames import (build_connection, curvature_residual, group_residuals,
                      reality_check, torus_generator)
@@ -342,6 +341,8 @@ def _holonomy_json(rep):
 def _obj_text(mesh):
     """OBJ text of a mesh in R^3, a block of rows at a time: the vertex
     rows, then the quads, one-based, a block of grid rows per call."""
+    from . import _objtext  # on the first OBJ export: setup pays nothing
+
     n, m = mesh.vertices.shape[:2]
     yield from _objtext.float_rows(mesh.vertices.reshape(-1, 3))
     step = max(1, _objtext.BLOCK // (4 * max(m - 1, 1)))

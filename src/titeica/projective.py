@@ -152,19 +152,19 @@ def _chain_rule_hessian(x1, x2, phi):
     # closed-form 2x2 inverse a = adj J / det J, indexed [lattice, x]
     a00, a01 = g2[..., 1] / det, -g1[..., 1] / det
     a10, a11 = -g2[..., 0] / det, g1[..., 0] / det
-    del g1, g2, det
+    del g1, g2, det  # each field freed early keeps the peak RSS down
     p = _lattice_grad(phi)
     grad = np.empty(phi.shape + (2,))  # d phi / d x = a^T d phi
     grad[..., 0] = a00 * p[..., 0] + a10 * p[..., 1]
     grad[..., 1] = a01 * p[..., 0] + a11 * p[..., 1]
     del p
     # second lattice differences of phi minus gradient-weighted curvature
-    # of x: a symmetric matrix l
+    # of x: a symmetric matrix l, of which entry (1, 0) is left stale
     l = lattice_hessian(phi)
-    for i, x in enumerate((x1, x2)):
+    for g, x in ((grad[..., 0], x1), (grad[..., 1], x2)):
         h = lattice_hessian(x)
-        for ij in ((0, 0), (0, 1), (1, 1)):
-            l[(...,) + ij] -= grad[..., i] * h[(...,) + ij]
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            l[..., i, j] -= g * h[..., i, j]
     l00, l01, l11 = l[..., 0, 0], l[..., 0, 1], l[..., 1, 1]
     # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = (a^T l) a
     H = np.empty(phi.shape + (2, 2))
