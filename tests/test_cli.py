@@ -307,17 +307,20 @@ def test_export_obj_matches_line_writer(tmp_path):
     assert path.read_bytes() == reference_obj(mesh)
 
 
+# The "forked" and "worker" test names below are kept from the two-process
+# OBJ writer that the serial block writer replaced; what they check, the
+# bytes of the export and its failure contract, is unchanged.
 @pytest.mark.parametrize("mesh", [
     special_float_mesh(), random_mesh(130, 7), random_mesh(3, 130),
 ], ids=["7x5_special", "130x7", "3x130"])
-@pytest.mark.parametrize("block", [1, 7, 64], ids=lambda b: f"block{b}")
-def test_obj_blocks_match_line_writer(tmp_path, monkeypatch, mesh, block):
+def test_forked_obj_matches_line_writer(tmp_path, monkeypatch, mesh):
     # blocks of 1, 7 and 64 values end inside vertex and face rows, and
     # the quads are formatted one grid row at a time or several
-    monkeypatch.setattr(_objtext, "BLOCK", block)
     path = tmp_path / "mesh.obj"
-    cli.export_mesh(mesh, path)
-    assert path.read_bytes() == reference_obj(mesh)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(_objtext, "BLOCK", block)
+        cli.export_mesh(mesh, path)
+        assert path.read_bytes() == reference_obj(mesh), f"block {block}"
 
 
 def failing_faces(monkeypatch, exc):
@@ -331,7 +334,7 @@ def failing_faces(monkeypatch, exc):
     monkeypatch.setattr(_objtext, "int_rows", failing)
 
 
-def test_failed_write_removes_target(tmp_path, monkeypatch):
+def test_worker_failure_removes_target(tmp_path, monkeypatch):
     failing_faces(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
     path = tmp_path / "mesh.obj"
     with pytest.raises(TiteicaError, match=r"^cannot write mesh\.obj: .*No space"):
@@ -339,14 +342,14 @@ def test_failed_write_removes_target(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_write_reraises_other_errors(tmp_path, monkeypatch):
+def test_worker_failure_reraises_other_errors(tmp_path, monkeypatch):
     failing_faces(monkeypatch, RuntimeError("formatter bug"))
     with pytest.raises(RuntimeError, match="formatter bug"):
         cli.export_mesh(random_mesh(130, 7), tmp_path / "mesh.obj")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_write_keeps_report(tmp_path, monkeypatch):
+def test_worker_failure_keeps_report(tmp_path, monkeypatch):
     failing_faces(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
     code, report = cli.run(weierstrass_config(33), stage="weierstrass",
                            out_dir=tmp_path)
