@@ -13,11 +13,11 @@ from .pde import (ContinuationResult, PdeProblem, SolveReport,
                   residual_global, residual_local, residual_scaled,
                   scaling_shift, solve_monotone, solve_newton,
                   supersolution_bound, toda_residual_complex)
-from .frames import (ConnectionForm, FrameState, PathSpec, build_connection,
-                     cell_loop, curvature_residual, group_residuals, holonomy,
+from .frames import (ConnectionForm, PathSpec, build_connection, cell_loop,
+                     curvature_residual, group_residuals, holonomy,
                      integrate_frame, line_path, minlag_frame_connection,
                      polyline_path, reality_check, torus_generator)
-from .immersion import (ImmersionMesh, VerificationReport, affine_sphere_immersion,
+from .immersion import (ImmersionMesh, affine_sphere_immersion,
                         angle_oscillation, conormal_dual, cpn_point,
                         lagrangian_angle, minlag_c2_immersion,
                         minlag_cpn_immersion, recover_cubic,

@@ -25,7 +25,8 @@ from .immersion import (affine_sphere_immersion, angle_oscillation,
                         lagrangian_angle, minlag_c2_immersion,
                         minlag_cpn_immersion, sphere_frame, verify_affine,
                         verify_cpn, verify_minlag_c2)
-from .pde import PdeProblem, continuation_family, solve_monotone, solve_newton
+from .pde import (PdeProblem, continuation_family, continuation_grid,
+                  solve_monotone, solve_newton)
 from .projective import (develop_rp2, holonomy_report, quadric_fit,
                          semiflat_develop, semiflat_dual_roundtrip)
 from .weierstrass import HoloPair, parabolic_from_holomorphic
@@ -57,12 +58,27 @@ TOL_COEFF = {
 }
 
 
+def _number(convert, v, what):
+    """convert(v) for a scalar config value; ConfigError if it fails."""
+    try:
+        return convert(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {v!r}") from exc
+
+
 def _complex(v, what):
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
+        return complex(_number(float, v[0], what), _number(float, v[1], what))
     raise ConfigError(f"{what} must be a number or [re, im] pair")
+
+
+def _section(cfg, key, default):
+    d = cfg.get(key, default)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return d
 
 
 def parse_domain(d):
@@ -70,15 +86,17 @@ def parse_domain(d):
     shape = d.get("shape", [64, 64])
     if not (isinstance(shape, (list, tuple)) and len(shape) == 2):
         raise ConfigError("domain.shape must be [n, m]")
-    n, m = int(shape[0]), int(shape[1])
+    n, m = (_number(int, v, "domain.shape") for v in shape)
     try:
         if kind == "torus":
             return Domain.torus(_complex(d.get("tau", [0.0, 1.0]), "tau"), n, m)
         if kind == "rectangle":
-            return Domain.rectangle(float(d.get("width", 1.0)),
-                                    float(d.get("height", 1.0)), n, m)
+            return Domain.rectangle(_number(float, d.get("width", 1.0), "width"),
+                                    _number(float, d.get("height", 1.0), "height"),
+                                    n, m)
         if kind == "disk_patch":
-            return Domain.disk_patch(float(d.get("radius", 0.7)), n, m)
+            return Domain.disk_patch(
+                _number(float, d.get("radius", 0.7), "radius"), n, m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown domain kind {kind!r}")
@@ -88,7 +106,8 @@ def parse_metric(d):
     kind = d.get("kind", "flat")
     try:
         if kind == "flat":
-            return BackgroundMetric("flat", float(d.get("sigma", 1.0)))
+            return BackgroundMetric(
+                "flat", _number(float, d.get("sigma", 1.0), "sigma"))
         if kind == "poincare_disk":
             return BackgroundMetric("poincare_disk")
     except ValueError as exc:
@@ -121,7 +140,7 @@ def load_config(path):
 
 
 def _tol(name, h):
-    c = TOL_COEFF.get(name, 20.0)
+    c = TOL_COEFF[name]
     if name == "reality":
         return c
     return c * h * h
@@ -135,16 +154,26 @@ class Pipeline:
             self.case = SignCase.from_tag(case_name)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad case {case_name!r}: {exc}") from exc
-        self.domain = parse_domain(cfg.get("domain", {}))
-        self.mu = parse_metric(cfg.get("metric", {"kind": "flat"}))
-        self.Q = parse_cubic(cfg.get("cubic", {}))
-        self.boundary = float(cfg.get("boundary", 0.0))
+        self.domain = parse_domain(_section(cfg, "domain", {}))
+        self.mu = parse_metric(_section(cfg, "metric", {"kind": "flat"}))
+        self.Q = parse_cubic(_section(cfg, "cubic", {}))
+        self.boundary = _number(float, cfg.get("boundary", 0.0), "boundary")
         try:
             self.problem = PdeProblem(self.domain, self.mu, self.Q, self.case,
                                       self.boundary)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.solver_cfg = cfg.get("solver", {})
+        self.solver_cfg = _section(cfg, "solver", {})
+        self.tol = _number(float, self.solver_cfg.get("tol", 1e-10), "solver.tol")
+        self.max_iter = _number(int, self.solver_cfg.get("max_iter", 100),
+                                "solver.max_iter")
+        u0 = self.solver_cfg.get("u0")
+        self.u0 = None if u0 is None else _number(float, u0, "solver.u0")
+        t_grid = self.solver_cfg.get("t_grid")
+        try:
+            self.t_grid = None if t_grid is None else continuation_grid(t_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"solver.t_grid: {exc}") from exc
         self.residuals = []
         self.warnings = []
         self.timings = {}
@@ -174,13 +203,10 @@ class Pipeline:
     # -- stages ---------------------------------------------------------
     def solve(self):
         method = self.solver_cfg.get("method", "newton")
-        tol = float(self.solver_cfg.get("tol", 1e-10))
-        max_iter = int(self.solver_cfg.get("max_iter", 100))
-        t_grid = self.solver_cfg.get("t_grid")
+        tol, max_iter, t_grid = self.tol, self.max_iter, self.t_grid
         if t_grid is not None:
             fam = self._timed("solve", continuation_family, self.problem,
-                              self.Q, [float(t) for t in t_grid],
-                              tol=tol, max_iter=max_iter)
+                              self.Q, t_grid, tol=tol, max_iter=max_iter)
             rep = fam.reports[-1]
             self.report["continuation"] = {
                 "t_grid": fam.t_grid,
@@ -192,9 +218,7 @@ class Pipeline:
                                           self.Q.scaled(fam.t_grid[-1]),
                                           self.case, self.boundary)
         elif method == "newton":
-            u0 = self.solver_cfg.get("u0")
-            rep = self._timed("solve", solve_newton, self.problem,
-                              None if u0 is None else float(u0),
+            rep = self._timed("solve", solve_newton, self.problem, self.u0,
                               tol=tol, max_iter=max_iter)
         elif method == "monotone":
             rep = self._timed("solve", solve_monotone, self.problem,
@@ -249,7 +273,7 @@ class Pipeline:
         core = (slice(mgn, -mgn), slice(mgn, -mgn))
         # structure-equation residuals on the mesh
         if mesh.target_tag == "affine_sphere":
-            rep = verify_affine(mesh, sol, Q, case.lam, margin=mgn)
+            rep = verify_affine(mesh, sol, Q, margin=mgn)
         elif mesh.target_tag == "minlag_c2":
             rep = verify_minlag_c2(mesh, sol, Q, margin=mgn)
             theta = lagrangian_angle(mesh)
@@ -262,7 +286,7 @@ class Pipeline:
             self.add_residual("unitarity", gr["unitarity"])
             nq = cubic_norm_induced(Q, self.mu, sol.u, self.domain.z)
             self.report["cubic_norm_induced_max"] = float(nq.max())
-        for name, e in rep.entries.items():
+        for name, e in rep.items():
             self.add_residual(name, e.max)
         if mesh.target_tag == "affine_sphere" and case.lam != 0:
             gr = group_residuals(sphere_frame(mesh, sol)[core],
@@ -350,35 +374,8 @@ def _obj_text(mesh):
         yield from _objtext.int_rows(mesh.quads(start, start + step) + 1)
 
 
-def _write_obj(path, mesh):
-    try:
-        with path.open("wb") as fh:
-            for text in _obj_text(mesh):
-                fh.write(text)
-    except OSError as exc:
-        path.unlink(missing_ok=True)
-        raise TiteicaError(f"cannot write {path.name}: {exc}") from exc
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-
-
-def export_mesh(mesh, path):
-    """OBJ for meshes embedded in R^3 (17 significant digits, LF endings,
-    quad faces); JSON dump with complex entries as [re, im] otherwise.
-
-    One process writes the OBJ, a block of about 2^15 values at a time, so
-    memory stays bounded by one block whatever the size of the mesh.  Its
-    bytes are those of the rows "v %.17g %.17g %.17g\\n" and
-    "f %d %d %d %d\\n" formatted by Python, one row each, but numpy
-    formats them (see `_objtext`).  A write that fails removes the partial
-    file; an OSError is raised as a TiteicaError."""
-    path = Path(path)
-    if path.suffix.lower() == ".obj":
-        if not mesh.embeddable_r3:
-            raise TiteicaError("target not embeddable in R^3")
-        _write_obj(path, mesh)
-        return
+def _json_text(mesh):
+    """JSON dump of the vertices, in one block."""
     v = np.asarray(mesh.vertices)
     if np.iscomplexobj(v):
         verts = np.stack([v.real, v.imag], axis=-1).tolist()
@@ -389,7 +386,36 @@ def export_mesh(mesh, path):
     payload = {"schema_version": SCHEMA_VERSION, "target": mesh.target_tag,
                "lam": mesh.lam, "shape": list(v.shape[:2]),
                "encoding": encoding, "vertices": verts}
-    path.write_text(json.dumps(payload), newline="\n")
+    yield json.dumps(payload).encode("ascii")
+
+
+def export_mesh(mesh, path):
+    """OBJ for meshes embedded in R^3 (17 significant digits, LF endings,
+    quad faces); JSON dump with complex entries as [re, im] otherwise.
+
+    One process writes the OBJ, a block of about 2^15 values at a time, so
+    memory stays bounded by one block whatever the size of the mesh.  Its
+    bytes are those of the rows "v %.17g %.17g %.17g\\n" and
+    "f %d %d %d %d\\n" formatted by Python, one row each, but numpy
+    formats them (see `_objtext`).  A write that fails, in either format,
+    removes the partial file; an OSError is raised as a TiteicaError."""
+    path = Path(path)
+    if path.suffix.lower() == ".obj":
+        if not mesh.embeddable_r3:
+            raise TiteicaError("target not embeddable in R^3")
+        chunks = _obj_text(mesh)
+    else:
+        chunks = _json_text(mesh)
+    try:
+        with path.open("wb") as fh:
+            for text in chunks:
+                fh.write(text)
+    except OSError as exc:
+        path.unlink(missing_ok=True)
+        raise TiteicaError(f"cannot write {path.name}: {exc}") from exc
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def load_mesh_vertices(path):

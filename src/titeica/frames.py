@@ -38,7 +38,6 @@ class ConnectionForm:
     B: np.ndarray
     convention: str  # "row_frame" | "column_frame"
     domain: Domain
-    zeta: complex = 1.0
     case: SignCase | None = None
     psi: np.ndarray | None = None
     Q: object = None  # CubicDifferential used to build the form, if any
@@ -94,7 +93,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
         B[..., 0, 1] = (eps / zeta) * np.conj(qv) * em2p
         B[..., 1, 2] = ep / zeta
         B[..., 2, 0] = ep / zeta
-        return ConnectionForm(A, B, "column_frame", domain, zeta, case, psi, Q,
+        return ConnectionForm(A, B, "column_frame", domain, case, psi, Q,
                               variant="spectral")
 
     if convention != "row_frame":
@@ -120,7 +119,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
     else:
         raise InvalidSignCase(
             "row-frame structure systems exist for affine spheres and C^2 only")
-    return ConnectionForm(A, B, "row_frame", domain, 1.0, case, psi, Q,
+    return ConnectionForm(A, B, "row_frame", domain, case, psi, Q,
                           variant="structure")
 
 
@@ -134,7 +133,7 @@ def minlag_frame_connection(psi, Q, case, domain):
     d = np.array([1.0, -case.lam, 1.0])
     gauge = np.outer(d, d)  # D^{-1} X D with D = diag(d), d = +/-1
     return ConnectionForm(loop.A * gauge, loop.B * gauge, "column_frame",
-                          domain, 1.0, case, loop.psi, Q, variant="unitary")
+                          domain, case, loop.psi, Q, variant="unitary")
 
 
 def curvature_residual(alpha):
@@ -241,12 +240,6 @@ def cell_loop(domain, j=0, k=0):
     return PathSpec(np.asarray(pts), closed=True)
 
 
-@dataclass
-class FrameState:
-    F: np.ndarray
-    group_tag: str = "unconstrained"
-
-
 def _lattice_points(domain, path):
     j, k = domain.to_lattice(path.points)
     n, m = domain.shape
@@ -262,22 +255,19 @@ def _lattice_points(domain, path):
     return np.stack([j, k], axis=-1)
 
 
-def integrate_frame(alpha, path, F0, return_all=False):
-    """RK4 transport of F0 along the path in alpha's convention.  The step
-    is at most min(h1, h2)/2; A and B are interpolated bilinearly."""
-    F = F0.F if isinstance(F0, FrameState) else np.asarray(F0, dtype=complex)
+def integrate_frame(alpha, path, F0):
+    """RK4 transport of F0 along the path in alpha's convention; returns
+    the (npts, r, c) frames at the path points.  The step is at most
+    min(h1, h2)/2; A and B are interpolated bilinearly."""
+    F = np.asarray(F0, dtype=complex)
     if not np.all(np.isfinite(F)):
         raise ValueError("initial frame must be finite")
     pts = _lattice_points(alpha.domain, path)
-    rec = transport_polyline(alpha.A, alpha.B, alpha.domain.step1,
-                             alpha.domain.step2, pts, F,
-                             row=(alpha.convention == "row_frame"),
-                             periodic=alpha.domain.periodic,
-                             max_step=alpha.domain.hmin / 2.0)
-    tag = F0.group_tag if isinstance(F0, FrameState) else "unconstrained"
-    if return_all:
-        return [FrameState(f, tag) for f in rec]
-    return FrameState(rec[-1], tag)
+    return transport_polyline(alpha.A, alpha.B, alpha.domain.step1,
+                              alpha.domain.step2, pts, F,
+                              row=(alpha.convention == "row_frame"),
+                              periodic=alpha.domain.periodic,
+                              max_step=alpha.domain.hmin / 2.0)
 
 
 def _is_closed(domain, path):
@@ -292,21 +282,15 @@ def _is_closed(domain, path):
     return abs(dj) < 1e-6 and abs(dk) < 1e-6
 
 
-def holonomy(alpha, loop, F0=None):
-    """Inverse-of-parallel-transport matrix around a closed loop; with
-    F0 = I this is the solution of dJ = <alpha, beta'> J, J(0) = I."""
+def holonomy(alpha, loop):
+    """Inverse-of-parallel-transport matrix around a closed loop: the
+    solution of dJ = <alpha, beta'> J, J(0) = I, at the end of the loop."""
     if not _is_closed(alpha.domain, loop):
         raise PathError("holonomy requires a closed loop")
-    if F0 is None:
-        F0 = np.eye(alpha.A.shape[-1], dtype=complex)
-    F = integrate_frame(alpha, loop, F0).F
-    F0m = F0.F if isinstance(F0, FrameState) else np.asarray(F0, dtype=complex)
-    if alpha.convention == "row_frame":
-        return F @ np.linalg.inv(F0m)
-    return np.linalg.inv(F0m) @ F
+    return integrate_frame(alpha, loop, np.eye(alpha.A.shape[-1]))[-1]
 
 
-def group_residuals(F, group_tag, det_ref=None):
+def group_residuals(F, group_tag, det_ref=1.0):
     """Residuals of membership in the frame's symmetry group.
 
     su3: ||F^dagger F - I||;  su21: ||F^dagger eta F - eta|| with
@@ -316,8 +300,6 @@ def group_residuals(F, group_tag, det_ref=None):
     F = np.asarray(F, dtype=complex)
     out = {}
     det = np.linalg.det(F)
-    if det_ref is None:
-        det_ref = 1.0
     out["det_drift"] = float(np.max(np.abs(det - det_ref)))
     if group_tag == "su3":
         dev = _dagger(F) @ F - np.eye(3)
@@ -328,6 +310,6 @@ def group_residuals(F, group_tag, det_ref=None):
     elif group_tag == "sl3r_conjugate":
         dev = np.imag(F @ np.linalg.inv(C_SPHERE))
         out["reality"] = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
-    elif group_tag != "unconstrained":
+    else:
         raise ValueError(f"unknown group tag {group_tag!r}")
     return out

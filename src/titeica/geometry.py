@@ -16,7 +16,7 @@ steps, so derivative stencils work uniformly for rectangles, square
 patches of the Poincare disk, and oblique tori.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -175,13 +175,11 @@ class Domain:
     and Dirichlet data lives on the square's edge.
     """
 
-    kind: str
     shape: tuple
     step1: complex
     step2: complex
     origin: complex
     periodic: bool
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n, m = self.shape
@@ -198,25 +196,21 @@ class Domain:
         tau = complex(tau)
         if tau.imag <= 0:
             raise ValueError("torus modulus must have Im tau > 0")
-        return cls("torus", (int(n), int(m)), 1.0 / n, tau / m, 0.0, True,
-                   {"tau": tau})
+        return cls((int(n), int(m)), 1.0 / n, tau / m, 0.0, True)
 
     @classmethod
     def rectangle(cls, width, height, n, m):
         if width <= 0 or height <= 0:
             raise ValueError("rectangle sides must be positive")
-        return cls("rectangle", (int(n), int(m)), width / (n - 1),
-                   1j * height / (m - 1), -0.5 * width - 0.5j * height, False,
-                   {"width": float(width), "height": float(height)})
+        return cls((int(n), int(m)), width / (n - 1), 1j * height / (m - 1),
+                   -0.5 * width - 0.5j * height, False)
 
     @classmethod
     def disk_patch(cls, radius, n, m):
         if not 0 < radius < 1:
             raise ValueError("disk patch radius must lie in (0, 1)")
         side = radius * np.sqrt(2.0)
-        dom = cls.rectangle(side, side, n, m)
-        return cls("disk_patch", dom.shape, dom.step1, dom.step2, dom.origin,
-                   False, {"radius": float(radius)})
+        return cls.rectangle(side, side, n, m)
 
     # -- coordinates ---------------------------------------------------
     @property

@@ -70,36 +70,14 @@ class ImmersionMesh:
 
 @dataclass
 class ResidualEntry:
-    name: str
+    """Max and rms of one residual field; the verify_* functions return a
+    dict from each residual name to its entry."""
+
     max: float
     rms: float
-    tol: float | None = None
-
-    @property
-    def passed(self):
-        return None if self.tol is None else bool(self.max <= self.tol)
 
 
-@dataclass
-class VerificationReport:
-    entries: dict
-
-    def apply_tolerances(self, tols):
-        for name, tol in tols.items():
-            if name in self.entries:
-                self.entries[name].tol = float(tol)
-        return self
-
-    @property
-    def passed(self):
-        flags = [e.passed for e in self.entries.values() if e.tol is not None]
-        return bool(flags) and all(flags)
-
-    def __getitem__(self, name):
-        return self.entries[name]
-
-
-def _entry(name, field_vals, margin=2):
+def _entry(field_vals, margin=2):
     """Residual statistics over the core interior.  The margin excludes the
     rings next to the mesh edge, where one-sided stencils and (on planar
     Dirichlet problems) corner-limited regularity of the continuum
@@ -108,7 +86,7 @@ def _entry(name, field_vals, margin=2):
     if margin and v.ndim >= 2:
         v = v[margin:-margin, margin:-margin]
     v = np.abs(v)
-    return ResidualEntry(name, float(v.max()), float(np.sqrt(np.mean(v ** 2))))
+    return ResidualEntry(float(v.max()), float(np.sqrt(np.mean(v ** 2))))
 
 
 def _tree_lines(domain, root, axis_first=0):
@@ -201,32 +179,32 @@ def _frame_basis_coeffs(f_z, f_zb, xi, v):
     return coeff[..., 0], coeff[..., 1], coeff[..., 2]
 
 
-def _geometric_normal(mesh):
+def _affine_tangents(mesh):
+    """(planar stencils, f, f_z, f_zbar, xi) of an affine sphere mesh, with
+    the geometric affine normal xi = -lam f (proper) or e3 (parabolic)."""
+    pd = planar_ops(mesh.domain)
+    f = mesh.vertices.astype(float)
     if mesh.lam != 0:
-        return -mesh.lam * mesh.vertices.astype(complex)
-    n, m = mesh.vertices.shape[:2]
-    return np.broadcast_to(E3.astype(complex), (n, m, 3))
+        xi = -mesh.lam * mesh.vertices.astype(complex)
+    else:
+        xi = np.broadcast_to(E3.astype(complex), f.shape[:2] + (3,))
+    return pd, f, pd.dz(f), pd.dzbar(f), xi
 
 
-def verify_affine(mesh, sol, Q, lam=None, margin=2):
+def verify_affine(mesh, sol, Q, margin=2):
     """Residuals of the four structure identities on the reconstruction:
     det(f_z, f_zbar, xi) = i e^{2 psi},  f_{z zbar} = e^{2 psi} xi,
     f_{zz} = 2 psi_z f_z + Q e^{-2 psi} f_zbar,  xi_z = -lam f_z,
     plus the cubic differential recovered from the f_{zz} identity."""
-    if lam is None:
-        lam = mesh.lam
-    pd = planar_ops(mesh.domain)
+    lam = mesh.lam
+    pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
     psi = sol.psi
-    f = mesh.vertices.astype(float)
-    f_z = pd.dz(f)
-    f_zb = pd.dzbar(f)
     f_zz = pd.dzz(f)
     f_zzb = pd.dzzbar(f.astype(complex))
     psi_z = pd.dz(psi)
     e2p = np.exp(2.0 * psi)
     em2p = np.exp(-2.0 * psi)
     qv = Q(mesh.domain.z)
-    xi = _geometric_normal(mesh)
 
     det = np.linalg.det(np.stack([f_z, f_zb, xi], axis=-1))
     r_det = det - 1j * e2p
@@ -239,38 +217,28 @@ def verify_affine(mesh, sol, Q, lam=None, margin=2):
     q_hat = b * e2p
     r_q = q_hat - qv
 
-    entries = {
-        "det_identity": _entry("det_identity", r_det, margin),
-        "f_zzbar": _entry("f_zzbar", r_zzb, margin),
-        "f_zz": _entry("f_zz", r_zz, margin),
-        "xi_z": _entry("xi_z", r_xi, margin),
-        "cubic_recovery": _entry("cubic_recovery", r_q, margin),
+    return {
+        "det_identity": _entry(r_det, margin),
+        "f_zzbar": _entry(r_zzb, margin),
+        "f_zz": _entry(r_zz, margin),
+        "xi_z": _entry(r_xi, margin),
+        "cubic_recovery": _entry(r_q, margin),
         "center_normalization": _entry(
-            "center_normalization",
             np.linalg.norm(xi.real + lam * f, axis=-1) if lam != 0
             else np.zeros(f.shape[:2])),
     }
-    return VerificationReport(entries)
 
 
 def recover_metric_weight(mesh):
     """e^{2 psi} recovered from the determinant identity on the mesh."""
-    pd = planar_ops(mesh.domain)
-    f = mesh.vertices.astype(float)
-    f_z = pd.dz(f)
-    f_zb = pd.dzbar(f)
-    xi = _geometric_normal(mesh)
+    _, _, f_z, f_zb, xi = _affine_tangents(mesh)
     det = np.linalg.det(np.stack([f_z, f_zb, xi], axis=-1))
     return det.imag
 
 
 def recover_cubic(mesh, psi=None):
     """Cubic differential recovered from the f_{zz} structure identity."""
-    pd = planar_ops(mesh.domain)
-    f = mesh.vertices.astype(float)
-    f_z = pd.dz(f)
-    f_zb = pd.dzbar(f)
-    xi = _geometric_normal(mesh)
+    pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
     if psi is None:
         e2p = recover_metric_weight(mesh)
         psi = 0.5 * np.log(np.maximum(e2p, 1e-300))
@@ -287,10 +255,7 @@ def conormal_dual(mesh):
     <N, f_z> = <N, f_zbar> = 0 at each vertex."""
     if mesh.lam == 0:
         raise InvalidSignCase("the conormal dual needs a proper affine sphere")
-    pd = planar_ops(mesh.domain)
-    f = mesh.vertices.astype(float)
-    f_z = pd.dz(f)
-    f_zb = pd.dzbar(f)
+    pd, f, f_z, f_zb, _ = _affine_tangents(mesh)
     rows = np.stack([f_z, f_zb, f.astype(complex)], axis=-2)
     rhs = np.zeros(f.shape[:2] + (3,), dtype=complex)
     rhs[..., 2] = 1.0
@@ -300,12 +265,11 @@ def conormal_dual(mesh):
         raise DegenerateVertexError("position not transverse to tangent plane") from exc
     imag_leak = float(np.max(np.abs(Nv.imag)))
     dual_vertices = Nv.real.copy()
-    dpd = planar_ops(mesh.domain)
-    dual_frame = np.stack([dpd.dz(dual_vertices), dpd.dzbar(dual_vertices),
+    dual_frame = np.stack([pd.dz(dual_vertices), pd.dzbar(dual_vertices),
                            (-mesh.lam * dual_vertices).astype(complex)], axis=-2)
     return ImmersionMesh(mesh.domain, dual_vertices, dual_frame,
                          "affine_sphere", lam=mesh.lam, psi=mesh.psi,
-                         meta={"imag_leak": imag_leak, "dual_of": id(mesh)})
+                         meta={"imag_leak": imag_leak})
 
 
 def _herm(u, v):
@@ -356,18 +320,15 @@ def verify_minlag_c2(mesh, sol, Q, margin=2):
     fx = f_z + f_zb
     fy = 1j * (f_z - f_zb)
     qv = Q(mesh.domain.z)
-    entries = {
-        "f_zzbar": _entry("f_zzbar", np.linalg.norm(f_zzb, axis=-1), margin),
-        "conformal": _entry("conformal", _herm(f_z, f_zb), margin),
-        "lagrangian": _entry("lagrangian", _herm(f_z, f_z) - _herm(f_zb, f_zb),
-                             margin),
-        "symplectic": _entry("symplectic", np.imag(_herm(fx, fy)), margin),
-        "cubic_recovery": _entry("cubic_recovery", -_herm(f_zz, f_zb) - qv,
-                                 margin),
-        "metric": _entry("metric", _herm(f_z, f_z).real - np.exp(2.0 * sol.psi),
+    return {
+        "f_zzbar": _entry(np.linalg.norm(f_zzb, axis=-1), margin),
+        "conformal": _entry(_herm(f_z, f_zb), margin),
+        "lagrangian": _entry(_herm(f_z, f_z) - _herm(f_zb, f_zb), margin),
+        "symplectic": _entry(np.imag(_herm(fx, fy)), margin),
+        "cubic_recovery": _entry(-_herm(f_zz, f_zb) - qv, margin),
+        "metric": _entry(_herm(f_z, f_z).real - np.exp(2.0 * sol.psi),
                          margin),
     }
-    return VerificationReport(entries)
 
 
 def lagrangian_angle(mesh):
@@ -456,24 +417,17 @@ def verify_cpn(mesh, sol, margin=2):
     phi = mesh.vertices
     phi_z = pd.dz(phi)
     e2p = np.exp(2.0 * sol.psi)
-    entries = {
-        "unit_norm": _entry("unit_norm", _herm_pm(phi, phi, sign) - sign, margin),
-        "horizontality": _entry("horizontality", _herm_pm(phi, phi_z, sign),
-                                margin),
-        "metric": _entry("metric", _herm_pm(phi_z, phi_z, sign).real - e2p,
-                         margin),
+    return {
+        "unit_norm": _entry(_herm_pm(phi, phi, sign) - sign, margin),
+        "horizontality": _entry(_herm_pm(phi, phi_z, sign), margin),
+        "metric": _entry(_herm_pm(phi_z, phi_z, sign).real - e2p, margin),
     }
-    return VerificationReport(entries)
 
 
 def sphere_frame(mesh, sol):
     """Normalized affine frame with columns
     (f_z / (sqrt(2) e^psi), f_zbar / (sqrt(2) e^psi), xi); it is a constant
     gauge C away from a real frame and has determinant i/2."""
-    pd = planar_ops(mesh.domain)
-    f = mesh.vertices.astype(float)
-    f_z = pd.dz(f)
-    f_zb = pd.dzbar(f)
-    xi = _geometric_normal(mesh)
+    _, _, f_z, f_zb, xi = _affine_tangents(mesh)
     s = np.sqrt(2.0) * np.exp(sol.psi)[..., None]
     return np.stack([f_z / s, f_zb / s, xi], axis=-1)

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import InvalidSignCase, NoConstantSolution, SingularInputError
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
                        MetricSolution, SignCase, cubic_norm_sq)
-from .geometry import dzzbar_matrix  # noqa: F401  (kept in the pde API)
 
 NEWTON_TOL = 1e-10
 MONOTONE_TOL = 1e-8
@@ -334,8 +333,7 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
             break
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
-    info = {"tol": tol, "linear_iters": linear_iters,
-            "spsolve_fallbacks": fallbacks}
+    info = {"linear_iters": linear_iters, "spsolve_fallbacks": fallbacks}
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 
@@ -362,7 +360,7 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     u = _apply_boundary(p, u)
     sys_ = _System(p)
     super_field = np.full((n, m), super_)
-    history = {"min_step": [], "max_u": [], "min_u": []}
+    history = {"min_step": [], "max_u": []}
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
     it = linear_iters = fallbacks = 0
@@ -380,13 +378,12 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         u.ravel()[sys_.interior] += delta
         history["min_step"].append(float(delta.min()))
         history["max_u"].append(float(u.max()))
-        history["min_u"].append(float(u.min()))
         F = residual_global(u, p)
         rinf = sys_.rinf(F)
         it += 1
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
-    info = {"tol": tol, "bracket": (float(sub), float(super_)),
+    info = {"bracket": (float(sub), float(super_)),
             "history": history, "linear_iters": linear_iters,
             "spsolve_fallbacks": fallbacks}
     return SolveReport(bool(converged), it, rinf, sol, info)
@@ -412,13 +409,21 @@ class ContinuationResult:
         return self.failure_index is None
 
 
+def continuation_grid(t_grid):
+    """t_grid as a list of floats; ValueError unless it is nonempty,
+    increasing and starts at t >= 0."""
+    t_grid = [float(t) for t in t_grid]
+    if (not t_grid or t_grid[0] < 0
+            or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
+        raise ValueError("t_grid must be increasing and start at t >= 0")
+    return t_grid
+
+
 def continuation_family(p0, Q0, t_grid, tol=NEWTON_TOL, max_iter=100):
     """Solve along Q = t Q0 for increasing t, seeding each Newton solve with
     the previous solution.  Stops at the first failure (failure is data,
     not an exception)."""
-    t_grid = [float(t) for t in t_grid]
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])) or t_grid[0] < 0:
-        raise ValueError("t_grid must be increasing and start at t >= 0")
+    t_grid = continuation_grid(t_grid)
     reports = []
     seed = None
     failure = None

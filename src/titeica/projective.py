@@ -43,24 +43,18 @@ class QuadricFit:
     residual: float
     signature: tuple
 
-    @property
-    def quadratic_block(self):
-        return self.S[:3, :3]
 
-
-def quadric_fit(points, homogeneous=False):
+def quadric_fit(points):
     """Least-squares quadric through a point cloud.
 
     Affine R^3 points are homogenized to (x, 1) and a symmetric 4x4 S with
     p^T S p = 0 is fitted (10 parameters, needs >= 9 points in general
-    position); with homogeneous=True the 3-vectors are used as written and
-    a 3x3 conic/cone is fitted.  Rows of the design matrix are normalized,
+    position).  Rows of the design matrix are normalized,
     so the reported residual (smallest singular value / sqrt(#points)) is
     scale-free.  The signature is that of the quadratic 3x3 block.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if not homogeneous:
-        pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
     d = pts.shape[1]
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
     if pts.shape[0] < len(pairs) - 1:
@@ -133,7 +127,6 @@ class SemiFlatData:
     y: np.ndarray          # (n, m, 2) dual coordinates grad_x phi
     phi_star: np.ndarray   # Legendre transform x.y - phi
     ma_residual: np.ndarray  # det Hess_x phi - 1
-    grad_valid: np.ndarray   # interior mask where derivatives are centered
 
 
 def _lattice_grad(field):
@@ -187,9 +180,7 @@ def semiflat_develop(mesh):
     ma = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0] - 1.0
     y = grad
     phi_star = x1 * y[..., 0] + x2 * y[..., 1] - phi
-    valid = np.zeros(phi.shape, dtype=bool)
-    valid[1:-1, 1:-1] = True
-    return SemiFlatData(np.stack([x1, x2], axis=-1), phi, y, phi_star, ma, valid)
+    return SemiFlatData(np.stack([x1, x2], axis=-1), phi, y, phi_star, ma)
 
 
 def semiflat_dual_roundtrip(sf):

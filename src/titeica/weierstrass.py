@@ -133,7 +133,7 @@ def parabolic_from_holomorphic(pair, domain):
                         axis=-2)
 
     return ImmersionMesh(domain, vertices, frame, "affine_sphere",
-                         lam=0, psi=psi, meta={"pair": pair, "margin": margin})
+                         lam=0, psi=psi, meta={"margin": margin})
 
 
 @dataclass
@@ -213,9 +213,10 @@ def graph_ma_residual(g, lam=0, n=2):
     return res
 
 
-def legendre_transform(g, shrink=0.04, shape=None, newton_iters=40):
+def legendre_transform(g):
     """Discrete Legendre transform by gradient-map inversion: for each node
-    y of a regular grid inscribed in the gradient image, solve
+    y of a regular grid of g's shape inscribed in the gradient image (4%
+    in from each side), solve
     grad s(x) = y by Newton on a C^2 spline of s and set
     s*(y) = x . y - s(x).
 
@@ -234,15 +235,13 @@ def legendre_transform(g, shrink=0.04, shape=None, newton_iters=40):
     inner = (slice(1, -1), slice(1, -1))
     lo1, hi1 = y1[inner].min(), y1[inner].max()
     lo2, hi2 = y2[inner].min(), y2[inner].max()
-    pad1, pad2 = shrink * (hi1 - lo1), shrink * (hi2 - lo2)
-    if shape is None:
-        shape = v.shape
-    t1 = np.linspace(lo1 + pad1, hi1 - pad1, shape[0])
-    t2 = np.linspace(lo2 + pad2, hi2 - pad2, shape[1])
+    pad1, pad2 = 0.04 * (hi1 - lo1), 0.04 * (hi2 - lo2)
+    t1 = np.linspace(lo1 + pad1, hi1 - pad1, v.shape[0])
+    t2 = np.linspace(lo2 + pad2, hi2 - pad2, v.shape[1])
     T1, T2 = np.meshgrid(t1, t2, indexing="ij")
     x1 = np.full(T1.shape, 0.5 * (g.x1[0] + g.x1[-1]))
     x2 = np.full(T2.shape, 0.5 * (g.x2[0] + g.x2[-1]))
-    for _ in range(newton_iters):
+    for _ in range(40):
         gx = sp(x1, x2, dx=1, grid=False) - T1
         gy = sp(x1, x2, dy=1, grid=False) - T2
         hxx = sp(x1, x2, dx=2, grid=False)

@@ -170,9 +170,8 @@ def test_criterion_07_structure_equations(torus32, torus_mesh):
     p, sol = torus32
     rep = tz.verify_affine(torus_mesh, sol, p.Q)
     tol = 20.0 * p.domain.hmax ** 2
-    rep.apply_tolerances({k: tol for k in rep.entries})
-    ok = rep.passed
-    detail = ", ".join(f"{k}={e.max:.1e}" for k, e in rep.entries.items())
+    ok = all(e.max <= tol for e in rep.values())
+    detail = ", ".join(f"{k}={e.max:.1e}" for k, e in rep.items())
     _report(7, ok, f"all identities <= {tol:.2e}: {detail}")
 
 
@@ -251,9 +250,7 @@ def test_criterion_11_ch2_continuation():
     al = tz.minlag_frame_connection(sol.psi, Qt, case, dom)
     path = tz.polyline_path(dom, [0.0, 0.35 + 0.2j, -0.3 + 0.35j, 0.0],
                             closed=True)
-    states = tz.integrate_frame(al, path, np.eye(3, dtype=complex),
-                                return_all=True)
-    F = np.stack([s.F for s in states])
+    F = tz.integrate_frame(al, path, np.eye(3, dtype=complex))
     su21 = tz.group_residuals(F, "su21")["unitarity"]
     tol = 20.0 * dom.hmax ** 2
     ok = (fam.failure_index is None and nq <= 0.25 and su21 <= tol)

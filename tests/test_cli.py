@@ -65,6 +65,21 @@ def test_unreadable_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("domain", {"kind": "torus", "tau": [0.0, 1.0], "shape": ["x", 8]}),
+    ("boundary", "zero"),
+    ("solver", {"method": "newton", "tol": "tight"}),
+    ("solver", {"method": "newton", "max_iter": "many"}),
+    ("domain", [16, 16]),
+    ("solver", {"method": "newton", "t_grid": [0.5, 0.2]}),
+], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid"])
+def test_malformed_config_value_exits_2(tmp_path, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(torus_config(**{key: value})))
+    rc = cli.main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+
+
 def test_gauss_bonnet_obstruction_exits_3(tmp_path):
     cfg = torus_config(case="minlag_ch2")
     cfg["solver"] = {"method": "newton", "tol": 1e-10, "max_iter": 25,
@@ -429,6 +444,52 @@ def test_failing_export_keeps_report(tmp_path):
     assert on_disk["passed"] is False
     assert on_disk["warnings"] == ["TiteicaError: target not embeddable in R^3"]
     assert "export" not in on_disk["timings"]
+
+
+def _c2_config(n):
+    return {
+        "schema_version": 1, "case": "minlag_c2",
+        "domain": {"kind": "rectangle", "shape": [n, n]},
+        "metric": {"kind": "flat"},
+        "cubic": {"kind": "constant", "c": [0.0, 0.0]},
+        "solver": {"method": "newton"},
+    }
+
+
+def test_failing_json_export_keeps_report(tmp_path):
+    cfg = dict(_c2_config(16),
+               outputs={"mesh": "sub/mesh.json", "report": "report.json"})
+    code, report = cli.run(cfg, stage="immerse", out_dir=tmp_path)
+    assert code == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["passed"] is False
+    [warning] = on_disk["warnings"]
+    assert warning.startswith("TiteicaError: cannot write mesh.json: ")
+    assert "export" not in on_disk["timings"]
+
+
+def _ch2_config(n):
+    return {
+        "schema_version": 1, "case": "minlag_ch2",
+        "domain": {"kind": "disk_patch", "radius": 0.7, "shape": [n, n]},
+        "metric": {"kind": "poincare_disk"},
+        "cubic": {"kind": "constant", "c": [0.3, 0.0]},
+        "solver": {"method": "newton"},
+    }
+
+
+@pytest.mark.parametrize("cfg, stage", [
+    (torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
+                          "shape": [16, 16]}), "all"),
+    (_c2_config(16), "all"),
+    (_ch2_config(16), "all"),
+    (weierstrass_config(16), "weierstrass"),
+], ids=["affine_torus", "c2_rectangle", "ch2_disk_patch", "weierstrass"])
+def test_every_residual_has_a_tolerance(tmp_path, cfg, stage):
+    _, report = cli.run(cfg, stage=stage, out_dir=tmp_path)
+    names = {r["name"] for r in report["residuals"]}
+    assert names and names <= set(cli.TOL_COEFF)
 
 
 def test_report_is_self_describing(tmp_path):

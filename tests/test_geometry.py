@@ -104,6 +104,14 @@ def test_domain_validation():
     assert not tz.Domain.torus(1j, 16, 16).boundary_mask.any()
 
 
+def test_domain_is_hashable():
+    for make in (lambda: tz.Domain.torus(1j, 8, 8),
+                 lambda: tz.Domain.rectangle(1.0, 0.5, 8, 9),
+                 lambda: tz.Domain.disk_patch(0.7, 8, 8)):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+
+
 def test_torus_lattice_coordinates():
     tau = 0.3 + 1.1j
     dom = tz.Domain.torus(tau, 16, 24)

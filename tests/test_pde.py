@@ -412,7 +412,7 @@ def _sliced_reference(dom):
                                  tz.Domain.disk_patch(0.7, 20, 20), OBLIQUE],
                          ids=["rectangle", "disk_patch", "oblique_torus"])
 def test_interior_matrix_direct_assembly(dom):
-    L_int = pde.dzzbar_matrix(dom)
+    L_int = geometry.dzzbar_matrix(dom)
     sliced = _sliced_reference(dom)
     assert L_int.shape == sliced.shape and (L_int != sliced).nnz == 0
     # independent oracle: the array stencil applied to interior unit vectors
