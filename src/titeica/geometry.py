@@ -13,7 +13,11 @@ and the Gauss curvature of mu is kappa = -(2/sigma) d^2/dz dzbar log sigma
 
 Grids are index lattices z = origin + j*step1 + k*step2 with complex
 steps, so derivative stencils work uniformly for rectangles, square
-patches of the Poincare disk, and oblique tori.
+patches of the Poincare disk, and oblique tori.  Every difference
+quotient of the package is written in this module: `lattice_diff` and
+`lattice_diff2` along one axis, `second_diffs` for (f_jj, f_kk, f_jk),
+and from these the `Domain` stencils d/dz, d/dzbar, d^2/dz^2 and
+d^2/dz dzbar, `lattice_hessian` and the sparse `dzzbar_matrix`.
 """
 
 from dataclasses import dataclass
@@ -65,36 +69,39 @@ class SignCase:
         return self.lam != 0
 
 
-def _d1(f, periodic):
-    """Centered first difference along axis 0 (per unit index step),
+def lattice_diff(f, axis, periodic=False):
+    """Centered first difference of f along `axis` (per unit index step),
     second-order one-sided at non-periodic edges."""
-    f = np.asarray(f)
+    f = np.moveaxis(np.asarray(f), axis, 0)
     if periodic:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / 2.0
-    g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / 2.0
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / 2.0
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / 2.0
-    return g
+        g = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / 2.0
+    else:
+        g = np.empty_like(f)
+        g[1:-1] = (f[2:] - f[:-2]) / 2.0
+        g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / 2.0
+        g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / 2.0
+    return np.moveaxis(g, 0, axis)
 
 
-def _d1d1(f, periodic):
-    """Second difference along axis 0, one-sided (4-point) at edges."""
-    f = np.asarray(f)
+def lattice_diff2(f, axis, periodic=False):
+    """Second difference of f along `axis`, one-sided (4-point) at
+    non-periodic edges."""
+    f = np.moveaxis(np.asarray(f), axis, 0)
     if periodic:
-        return np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)
-    g = np.empty_like(f)
-    g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    g[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
-    g[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
-    return g
+        g = np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)
+    else:
+        g = np.empty_like(f)
+        g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        g[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
+        g[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
+    return np.moveaxis(g, 0, axis)
 
 
-def _along(fn, f, axis, periodic):
-    f = np.asarray(f)
-    if axis == 0:
-        return fn(f, periodic)
-    return np.moveaxis(fn(np.moveaxis(f, axis, 0), periodic), 0, axis)
+def second_diffs(f, periodic=False):
+    """(f_jj, f_kk, f_jk) over the two lattice axes, per unit index step:
+    the three distinct entries of the lattice Hessian."""
+    return (lattice_diff2(f, 0, periodic), lattice_diff2(f, 1, periodic),
+            lattice_diff(lattice_diff(f, 0, periodic), 1, periodic))
 
 
 def lattice_hessian(f, periodic=False, h=(1.0, 1.0)):
@@ -108,9 +115,9 @@ def lattice_hessian(f, periodic=False, h=(1.0, 1.0)):
     # matrix axes first in memory, so each entry is a contiguous field
     H = np.empty((d, d) + f.shape, dtype=np.result_type(f, float))
     for i in range(d):
-        np.divide(_along(_d1d1, f, i, periodic), h[i] ** 2, out=H[i, i])
+        np.divide(lattice_diff2(f, i, periodic), h[i] ** 2, out=H[i, i])
         for j in range(i + 1, d):
-            dij = _along(_d1, _along(_d1, f, i, periodic), j, periodic)
+            dij = lattice_diff(lattice_diff(f, i, periodic), j, periodic)
             np.divide(dij, h[i] * h[j], out=H[i, j])
             H[j, i] = H[i, j]
     return np.moveaxis(H, (0, 1), (-2, -1))
@@ -133,13 +140,11 @@ def _second_diff_matrix(n, periodic):
     return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr")
 
 
-def _centered_diff_matrix(n, periodic):
+def _centered_diff_matrix(n):
     import scipy.sparse as sp
 
-    if periodic:
-        return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
-                        shape=(n, n), format="csr")
-    return sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="csr")
+    return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
+                    shape=(n, n), format="csr")
 
 
 def dzzbar_matrix(domain):
@@ -152,17 +157,13 @@ def dzzbar_matrix(domain):
     n, m = domain.shape
     if not domain.periodic:
         n, m = n - 2, m - 2
-    s1, s2 = domain.step1, domain.step2
-    den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
+    a, b, c, den = domain.dzzbar_coeffs
     D1 = _second_diff_matrix(n, domain.periodic)
     D2 = _second_diff_matrix(m, domain.periodic)
     In, Im = sp.identity(n), sp.identity(m)
-    L = (abs(s2) ** 2 * sp.kron(D1, Im) + abs(s1) ** 2 * sp.kron(In, D2))
-    cross = (s1 * np.conj(s2)).real
-    if abs(cross) > 0:
-        C1 = _centered_diff_matrix(n, domain.periodic)
-        C2 = _centered_diff_matrix(m, domain.periodic)
-        L = L - 2.0 * cross * sp.kron(C1, C2)
+    L = a * sp.kron(D1, Im) + b * sp.kron(In, D2)
+    if c != 0:  # an oblique torus: planar lattices are orthogonal
+        L = L + c * sp.kron(_centered_diff_matrix(n), _centered_diff_matrix(m))
     return (L / den).tocsr()
 
 
@@ -187,8 +188,11 @@ class Domain:
             raise ValueError("grid must be at least 8x8")
         if self.step1 == 0 or self.step2 == 0:
             raise ValueError("grid spacings must be nonzero")
-        if abs((self.step1 * np.conj(self.step2)).imag) == 0:
+        w = self.step1 * np.conj(self.step2)
+        if abs(w.imag) == 0:
             raise ValueError("lattice directions are collinear")
+        if w.real != 0 and not self.periodic:
+            raise ValueError("a planar lattice must be orthogonal")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -263,22 +267,24 @@ class Domain:
         # J = step1 conj(step2) - conj(step1) step2 = 2i Im(step1 conj(step2))
         return self.step1 * np.conj(self.step2) - np.conj(self.step1) * self.step2
 
-    def d_axis(self, f, axis):
-        return _along(_d1, f, axis, self.periodic)
-
     def dz(self, f):
-        dj = _along(_d1, f, 0, self.periodic)
-        dk = _along(_d1, f, 1, self.periodic)
+        dj = lattice_diff(f, 0, self.periodic)
+        dk = lattice_diff(f, 1, self.periodic)
         return (np.conj(self.step2) * dj - np.conj(self.step1) * dk) / self._jac_det
 
     def dzbar(self, f):
-        dj = _along(_d1, f, 0, self.periodic)
-        dk = _along(_d1, f, 1, self.periodic)
+        dj = lattice_diff(f, 0, self.periodic)
+        dk = lattice_diff(f, 1, self.periodic)
         return (-self.step2 * dj + self.step1 * dk) / self._jac_det
 
-    def _second_diffs(self, f):
-        H = lattice_hessian(f, self.periodic)
-        return H[..., 0, 0], H[..., 1, 1], H[..., 0, 1]
+    @cached_property
+    def dzzbar_coeffs(self):
+        """(a, b, c, den) with d^2/dz dzbar f = (a f_jj + c f_jk + b f_kk)
+        / den: a = |step2|^2, b = |step1|^2, c = -2 Re(step1 conj(step2))
+        and den = 4 Im(step1 conj(step2))^2."""
+        s1, s2 = self.step1, self.step2
+        den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
+        return abs(s2) ** 2, abs(s1) ** 2, -2.0 * (s1 * np.conj(s2)).real, den
 
     @cached_property
     def dzzbar_operator(self):
@@ -288,17 +294,12 @@ class Domain:
         return dzzbar_matrix(self)
 
     def dzzbar(self, f):
-        djj, dkk, djk = self._second_diffs(f)
-        s1, s2 = self.step1, self.step2
-        den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
-        out = (abs(s2) ** 2 * djj - 2.0 * (s1 * np.conj(s2)).real * djk
-               + abs(s1) ** 2 * dkk) / den
-        if np.isrealobj(np.asarray(f)):
-            return out.real if np.iscomplexobj(out) else out
-        return out
+        djj, dkk, djk = second_diffs(f, self.periodic)
+        a, b, c, den = self.dzzbar_coeffs
+        return (a * djj + c * djk + b * dkk) / den
 
     def dzz(self, f):
-        djj, dkk, djk = self._second_diffs(f)
+        djj, dkk, djk = second_diffs(f, self.periodic)
         J = self._jac_det
         return (np.conj(self.step2) ** 2 * djj
                 - 2.0 * np.conj(self.step1) * np.conj(self.step2) * djk

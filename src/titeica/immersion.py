@@ -20,7 +20,7 @@ import numpy as np
 from ._kernels import transport_polyline
 from .errors import DegenerateVertexError, InitDataError, InvalidSignCase
 from .frames import build_connection, minlag_frame_connection
-from .geometry import Domain, SignCase, lattice_hessian
+from .geometry import Domain, SignCase, lattice_diff, lattice_diff2
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -195,7 +195,9 @@ def verify_affine(mesh, sol, Q, margin=2):
     """Residuals of the four structure identities on the reconstruction:
     det(f_z, f_zbar, xi) = i e^{2 psi},  f_{z zbar} = e^{2 psi} xi,
     f_{zz} = 2 psi_z f_z + Q e^{-2 psi} f_zbar,  xi_z = -lam f_z,
-    plus the cubic differential recovered from the f_{zz} identity."""
+    plus the cubic differential recovered from the f_{zz} identity and the
+    center normalization: the transported xi row of the frame against the
+    affine normal -lam f (e3 when lam = 0)."""
     lam = mesh.lam
     pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
     psi = sol.psi
@@ -224,8 +226,7 @@ def verify_affine(mesh, sol, Q, margin=2):
         "xi_z": _entry(r_xi, margin),
         "cubic_recovery": _entry(r_q, margin),
         "center_normalization": _entry(
-            np.linalg.norm(xi.real + lam * f, axis=-1) if lam != 0
-            else np.zeros(f.shape[:2])),
+            np.linalg.norm(xi_stored - xi, axis=-1), margin),
     }
 
 
@@ -358,11 +359,12 @@ def shape_operator_norm(mesh, Q, sol):
     """Norm of the shape operator of a C^2 minimal Lagrangian mesh,
     contracted against the unit normal J f_x / |f_x|, compared with its
     predicted value 2 |Q| / sigma_ind^{3/2}, sigma_ind = 2 e^{2 psi}."""
-    pd = planar_ops(mesh.domain)
+    h1, h2 = mesh.domain.h1, mesh.domain.h2
     f = mesh.vertices
-    fx = pd.d_axis(f, 0) / pd.h1
-    H = lattice_hessian(f, h=(pd.h1, pd.h2))
-    fxx, fxy = H[..., 0, 0], H[..., 0, 1]
+    fj = lattice_diff(f, 0)
+    fx = fj / h1
+    fxx = lattice_diff2(f, 0) / h1 ** 2
+    fxy = lattice_diff(fj, 1) / (h1 * h2)
 
     def g(u, v):
         return np.real(_herm(u, v))

@@ -251,16 +251,13 @@ class _System:
             self.symbol[0, 0] = 0.0
             self._fwd, self._inv = rfftn, partial(irfftn, s=self.grid)
         else:
-            # DST-I eigenvalues of the interior second differences; the
-            # cross term, zero on the rectangles and disk patches built by
-            # Domain, is left out of P
+            # DST-I eigenvalues of the interior second differences: a
+            # planar Domain is an orthogonal lattice, with no cross term
             self.grid = (n - 2, m - 2)
-            s1, s2 = dom.step1, dom.step2
-            den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
+            a, b, _, den = dom.dzzbar_coeffs
             sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2
             sk = 4.0 * np.sin(np.pi * np.arange(1, m - 1) / (2 * (m - 1))) ** 2
-            self.symbol = (abs(s2) ** 2 * sj[:, None]
-                           + abs(s1) ** 2 * sk[None, :]) / den
+            self.symbol = (a * sj[:, None] + b * sk[None, :]) / den
             self._fwd = self._inv = partial(dstn, type=1, norm="ortho")
 
     def precond(self, c):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateVertexError, InvalidSignCase
 from .frames import holonomy
-from .geometry import _along, _d1, lattice_hessian
+from .geometry import lattice_diff, second_diffs
 
 
 def normalize_rp2(v):
@@ -129,36 +129,35 @@ class SemiFlatData:
     ma_residual: np.ndarray  # det Hess_x phi - 1
 
 
-def _lattice_grad(field):
-    return np.stack([_along(_d1, field, 0, False),
-                     _along(_d1, field, 1, False)], axis=-1)
-
-
 def _chain_rule_hessian(x1, x2, phi):
     """Gradient and Hessian of phi with respect to (x1, x2) on a curved
     grid, by the chain rule through the lattice Jacobian, written out
     entry by entry for the 2x2 matrices."""
-    g1, g2 = _lattice_grad(x1), _lattice_grad(x2)  # rows d x^i of J
-    det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
+    # rows d x^i of J
+    x1j, x1k = lattice_diff(x1, 0), lattice_diff(x1, 1)
+    x2j, x2k = lattice_diff(x2, 0), lattice_diff(x2, 1)
+    det = x1j * x2k - x1k * x2j
     if np.any(det == 0):
         raise DegenerateVertexError("degenerate affine development")
     # closed-form 2x2 inverse a = adj J / det J, indexed [lattice, x]
-    a00, a01 = g2[..., 1] / det, -g1[..., 1] / det
-    a10, a11 = -g2[..., 0] / det, g1[..., 0] / det
-    del g1, g2, det  # each field freed early keeps the peak RSS down
-    p = _lattice_grad(phi)
+    a00, a01 = x2k / det, -x1k / det
+    a10, a11 = -x2j / det, x1j / det
+    # each field freed early keeps the peak RSS down
+    del x1j, x1k, x2j, x2k, det
+    pj, pk = lattice_diff(phi, 0), lattice_diff(phi, 1)
     grad = np.empty(phi.shape + (2,))  # d phi / d x = a^T d phi
-    grad[..., 0] = a00 * p[..., 0] + a10 * p[..., 1]
-    grad[..., 1] = a01 * p[..., 0] + a11 * p[..., 1]
-    del p
+    grad[..., 0] = a00 * pj + a10 * pk
+    grad[..., 1] = a01 * pj + a11 * pk
+    del pj, pk
     # second lattice differences of phi minus gradient-weighted curvature
-    # of x: a symmetric matrix l, of which entry (1, 0) is left stale
-    l = lattice_hessian(phi)
+    # of x: the symmetric matrix l
+    l00, l11, l01 = second_diffs(phi)
     for g, x in ((grad[..., 0], x1), (grad[..., 1], x2)):
-        h = lattice_hessian(x)
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            l[..., i, j] -= g * h[..., i, j]
-    l00, l01, l11 = l[..., 0, 0], l[..., 0, 1], l[..., 1, 1]
+        xjj, xkk, xjk = second_diffs(x)
+        l00 -= g * xjj
+        l01 -= g * xjk
+        l11 -= g * xkk
+    del xjj, xkk, xjk
     # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = (a^T l) a
     H = np.empty(phi.shape + (2, 2))
     for i, (ai0, ai1) in enumerate(((a00, a10), (a01, a11))):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvexError
-from .geometry import _along, _d1, lattice_hessian, polyval
+from .geometry import lattice_diff, lattice_hessian, polyval, second_diffs
 from .immersion import E3, ImmersionMesh
 
 
@@ -161,8 +161,9 @@ class GraphFunction:
         return float(self.x2[1] - self.x2[0])
 
     def hessian(self):
-        H = lattice_hessian(self.values, h=(self.hx, self.hy))
-        return H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+        vjj, vkk, vjk = second_diffs(self.values)
+        return (vjj / self.hx ** 2, vjk / (self.hx * self.hy),
+                vkk / self.hy ** 2)
 
     def convexity_ok(self, slack=0.0):
         hxx, hxy, hyy = self.hessian()
@@ -230,8 +231,8 @@ def legendre_transform(g):
         raise NonConvexError("Legendre transform requires a convex input")
     v = g.values
     sp = RectBivariateSpline(g.x1, g.x2, v, kx=3, ky=3, s=0)
-    y1 = _along(_d1, v, 0, False) / g.hx
-    y2 = _along(_d1, v, 1, False) / g.hy
+    y1 = lattice_diff(v, 0) / g.hx
+    y2 = lattice_diff(v, 1) / g.hy
     inner = (slice(1, -1), slice(1, -1))
     lo1, hi1 = y1[inner].min(), y1[inner].max()
     lo2, hi2 = y2[inner].min(), y2[inner].max()

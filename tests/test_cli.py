@@ -556,6 +556,23 @@ def test_cli_reports_spsolve_fallbacks(tmp_path, monkeypatch):
     assert s["linear_iters"] == 0
 
 
+def test_cli_monotone_meets_tol(tmp_path):
+    # the monotone iteration runs to the configured tolerance, not to a
+    # looser floor of its own
+    cfg = {
+        "schema_version": 1, "case": "hyperbolic_affine_sphere",
+        "domain": {"kind": "disk_patch", "radius": 0.7, "shape": [48, 48]},
+        "metric": {"kind": "poincare_disk"},
+        "cubic": {"kind": "polynomial", "coeffs": [[0.5, 0.0], [0.3, 0.0]]},
+        "solver": {"method": "monotone", "tol": 1e-10},
+        "outputs": {"report": "report.json"},
+    }
+    code, report = cli.run(cfg, stage="solve", out_dir=tmp_path)
+    s = report["solver"]
+    assert code == 0 and s["method"] == "monotone" and s["converged"]
+    assert s["residual_inf"] <= 1e-10
+
+
 def test_cli_parabolic_develop(tmp_path):
     cfg = {
         "schema_version": 1, "case": "parabolic_affine_sphere",

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,8 @@ def test_domain_validation():
         tz.Domain.torus(-1j, 16, 16)
     with pytest.raises(ValueError):
         tz.Domain.disk_patch(1.2, 16, 16)
+    with pytest.raises(ValueError):  # planar stencils have no cross term
+        tz.Domain((16, 16), 0.1, 0.05 + 0.1j, 0.0, False)
     dom = tz.Domain.disk_patch(0.8, 16, 16)
     assert np.abs(dom.z).max() <= 0.8 + 1e-12
     assert dom.boundary_mask.sum() == 4 * 16 - 4
@@ -188,3 +193,17 @@ def test_metric_solution_psi():
     mu = tz.BackgroundMetric("flat")
     sol = tz.MetricSolution(np.full(dom.shape, np.log(2.0)), dom, mu)
     assert np.abs(sol.psi).max() < 1e-14
+
+
+def test_no_module_imports_private_geometry_names():
+    # the lattice stencils are geometry's public functions; a private name
+    # imported elsewhere is a second copy of a stencil in the making
+    found = []
+    for path in sorted(Path(tz.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level, node.module) in ((1, "geometry"),
+                                                      (0, "titeica.geometry"))):
+                found += [f"{path.name}: {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import titeica as tz
+from titeica import cli
 from titeica.errors import InitDataError, InvalidSignCase
 from tests.conftest import hyperboloid_mesh
 
@@ -73,6 +74,21 @@ def test_verify_affine_torus(torus_mesh, torus32):
                  "center_normalization"):
         assert rep[name].max <= tol, name
     assert rep["cubic_recovery"].max <= tol
+
+
+def test_center_normalization_detects_scaled_xi():
+    # the transported xi row must be the affine normal -lam f: scaled by
+    # 1.01 it fails the CLI gate, which the true mesh passes
+    dom = tz.Domain.torus(1j, 64, 64)
+    sol = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q1, HYP)).solution
+    mesh = tz.affine_sphere_immersion(sol, Q1, lam=-1)
+    tol = cli._tol("center_normalization", dom.hmax)
+    assert tz.verify_affine(mesh, sol, Q1)["center_normalization"].max <= tol
+    frame = mesh.frame.copy()
+    frame[..., 2, :] *= 1.01
+    bad = tz.ImmersionMesh(dom, mesh.vertices, frame, "affine_sphere", lam=-1,
+                           psi=mesh.psi)
+    assert tz.verify_affine(bad, sol, Q1)["center_normalization"].max > tol
 
 
 def test_verify_affine_detects_noise(torus_mesh, torus32):

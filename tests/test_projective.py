@@ -6,7 +6,7 @@ import pytest
 import titeica as tz
 from titeica import projective
 from titeica.errors import DegenerateVertexError
-from titeica.geometry import lattice_hessian
+from titeica.geometry import lattice_diff, lattice_hessian
 from tests.conftest import hyperboloid_mesh
 
 HYP = tz.SignCase(1, -1)
@@ -184,7 +184,9 @@ def test_semiflat_from_weierstrass():
 
 def reference_chain_rule(x1, x2, phi):
     """The inv + einsum form of projective._chain_rule_hessian."""
-    grad_lat = projective._lattice_grad
+    def grad_lat(f):
+        return np.stack([lattice_diff(f, 0), lattice_diff(f, 1)], axis=-1)
+
     J = np.stack([grad_lat(x1), grad_lat(x2)], axis=-2)
     Jinv = np.linalg.inv(J)
     grad = np.einsum("...ij,...i->...j", Jinv, grad_lat(phi))
