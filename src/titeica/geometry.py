@@ -162,7 +162,11 @@ def dzzbar_matrix(domain):
     D2 = _second_diff_matrix(m, domain.periodic)
     In, Im = sp.identity(n), sp.identity(m)
     L = a * sp.kron(D1, Im) + b * sp.kron(In, D2)
-    if c != 0:  # an oblique torus: planar lattices are orthogonal
+    if c != 0:
+        if not domain.periodic:
+            # Dirichlet problems are posed on the orthogonal grids of
+            # Domain.rectangle and Domain.disk_patch
+            raise ValueError("the planar stencil matrix has no cross term")
         L = L + c * sp.kron(_centered_diff_matrix(n), _centered_diff_matrix(m))
     return (L / den).tocsr()
 
@@ -191,8 +195,6 @@ class Domain:
         w = self.step1 * np.conj(self.step2)
         if abs(w.imag) == 0:
             raise ValueError("lattice directions are collinear")
-        if w.real != 0 and not self.periodic:
-            raise ValueError("a planar lattice must be orthogonal")
 
     # -- constructors -------------------------------------------------
     @classmethod

@@ -251,8 +251,8 @@ class _System:
             self.symbol[0, 0] = 0.0
             self._fwd, self._inv = rfftn, partial(irfftn, s=self.grid)
         else:
-            # DST-I eigenvalues of the interior second differences: a
-            # planar Domain is an orthogonal lattice, with no cross term
+            # DST-I eigenvalues of the interior second differences:
+            # dzzbar_matrix builds no cross term on a planar domain
             self.grid = (n - 2, m - 2)
             a, b, _, den = dom.dzzbar_coeffs
             sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2

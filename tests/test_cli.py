@@ -558,8 +558,8 @@ def test_cli_reports_spsolve_fallbacks(tmp_path, monkeypatch):
 
 def test_cli_monotone_meets_tol(tmp_path):
     # the monotone iteration runs to the configured tolerance, not to a
-    # looser floor of its own
-    cfg = {
+    # looser floor of its own, on a disk patch and on a torus
+    disk = {
         "schema_version": 1, "case": "hyperbolic_affine_sphere",
         "domain": {"kind": "disk_patch", "radius": 0.7, "shape": [48, 48]},
         "metric": {"kind": "poincare_disk"},
@@ -567,10 +567,24 @@ def test_cli_monotone_meets_tol(tmp_path):
         "solver": {"method": "monotone", "tol": 1e-10},
         "outputs": {"report": "report.json"},
     }
-    code, report = cli.run(cfg, stage="solve", out_dir=tmp_path)
-    s = report["solver"]
-    assert code == 0 and s["method"] == "monotone" and s["converged"]
-    assert s["residual_inf"] <= 1e-10
+    torus = torus_config(solver={"method": "monotone", "tol": 1e-10},
+                         outputs={"report": "report.json"})
+    for cfg in (disk, torus):
+        code, report = cli.run(cfg, stage="solve", out_dir=tmp_path)
+        s = report["solver"]
+        assert code == 0 and s["method"] == "monotone" and s["converged"]
+        assert s["residual_inf"] <= 1e-10
+
+
+def test_cli_oblique_torus(tmp_path):
+    # the mesh checks take their stencils on a non-periodic copy of the
+    # torus domain, which keeps the lattice cross term
+    cfg = torus_config(domain={"kind": "torus", "tau": [0.3, 1.1],
+                               "shape": [16, 16]})
+    code, report = cli.run(cfg, stage="all", out_dir=tmp_path)
+    assert code == 0 and report["passed"]
+    assert (tmp_path / "report.json").exists()
+    assert "center_normalization" in {r["name"] for r in report["residuals"]}
 
 
 def test_cli_parabolic_develop(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import titeica as tz
 from titeica.errors import OutOfDomainError
-from titeica.geometry import lattice_hessian
+from titeica.geometry import dzzbar_matrix, lattice_hessian
 
 TAGS = {
     (1, -1): "hyperbolic_affine_sphere",
@@ -101,8 +101,9 @@ def test_domain_validation():
         tz.Domain.torus(-1j, 16, 16)
     with pytest.raises(ValueError):
         tz.Domain.disk_patch(1.2, 16, 16)
-    with pytest.raises(ValueError):  # planar stencils have no cross term
-        tz.Domain((16, 16), 0.1, 0.05 + 0.1j, 0.0, False)
+    oblique = tz.Domain((16, 16), 0.1, 0.05 + 0.1j, 0.0, False)
+    with pytest.raises(ValueError):  # the Dirichlet matrix has no cross term
+        dzzbar_matrix(oblique)
     dom = tz.Domain.disk_patch(0.8, 16, 16)
     assert np.abs(dom.z).max() <= 0.8 + 1e-12
     assert dom.boundary_mask.sum() == 4 * 16 - 4

@@ -76,19 +76,39 @@ def test_verify_affine_torus(torus_mesh, torus32):
     assert rep["cubic_recovery"].max <= tol
 
 
-def test_center_normalization_detects_scaled_xi():
-    # the transported xi row must be the affine normal -lam f: scaled by
-    # 1.01 it fails the CLI gate, which the true mesh passes
+@pytest.mark.parametrize("lam", [-1, 0])
+def test_center_normalization_detects_scaled_xi(lam):
+    # the transported xi row must be the affine normal -lam f (e3 on the
+    # Q = 0 parabolic torus): scaled by 1.01 it fails the CLI gate, which
+    # the true mesh passes
     dom = tz.Domain.torus(1j, 64, 64)
-    sol = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q1, HYP)).solution
-    mesh = tz.affine_sphere_immersion(sol, Q1, lam=-1)
+    if lam:
+        Q = Q1
+        sol = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q, HYP)).solution
+    else:
+        Q = tz.CubicDifferential.constant(0.0)
+        sol = tz.MetricSolution(np.full(dom.shape, np.log(2.0)), dom, FLAT)
+    mesh = tz.affine_sphere_immersion(sol, Q, lam=lam)
     tol = cli._tol("center_normalization", dom.hmax)
-    assert tz.verify_affine(mesh, sol, Q1)["center_normalization"].max <= tol
+    assert tz.verify_affine(mesh, sol, Q)["center_normalization"].max <= tol
     frame = mesh.frame.copy()
     frame[..., 2, :] *= 1.01
-    bad = tz.ImmersionMesh(dom, mesh.vertices, frame, "affine_sphere", lam=-1,
+    bad = tz.ImmersionMesh(dom, mesh.vertices, frame, "affine_sphere", lam=lam,
                            psi=mesh.psi)
-    assert tz.verify_affine(bad, sol, Q1)["center_normalization"].max > tol
+    assert tz.verify_affine(bad, sol, Q)["center_normalization"].max > tol
+
+
+def test_oblique_torus_mesh_checks():
+    # verify_affine and conormal_dual difference the vertices on a
+    # non-periodic copy of the torus domain, cross term included
+    dom = tz.Domain.torus(0.3 + 1.1j, 32, 32)
+    sol = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q1, HYP)).solution
+    mesh = tz.affine_sphere_immersion(sol, Q1, lam=-1)
+    tol = 20.0 * dom.hmax ** 2
+    for name, entry in tz.verify_affine(mesh, sol, Q1).items():
+        assert entry.max <= tol, name
+    dd = tz.conormal_dual(tz.conormal_dual(mesh))
+    assert np.abs(dd.vertices - mesh.vertices)[2:-2, 2:-2].max() <= tol
 
 
 def test_verify_affine_detects_noise(torus_mesh, torus32):
