@@ -1,11 +1,12 @@
 """Command-line pipeline: configuration ingestion, solve -> immerse ->
 verify -> develop orchestration, and mesh/report serialization.
 
-Subcommands: solve, immerse, verify, develop, weierstrass, all.
-Exit codes: 0 all requested checks pass; 1 a check failed, a verifying
-stage ran no check, or the mesh could not be exported (report still
-written); 2 configuration error; 3 solver non-convergence when the
-configuration demands convergence.
+Subcommands: solve, immerse, verify, develop, weierstrass, all.  Each
+runs its stages in order and times each one; a converged solve records
+its own check, `solve`.  Exit codes: 0 every check passed; 1 a check
+failed, no check ran, a stage raised, or the mesh could not be exported
+(report still written); 2 configuration error; 3 the solver did not
+converge.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, TiteicaError
+from .errors import ConfigError, SolveError, TiteicaError
 from .frames import (build_connection, curvature_residual, group_residuals,
                      reality_check, torus_generator)
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
@@ -36,6 +37,7 @@ SCHEMA_VERSION = 1
 # residual tolerances scale as coeff * h^2 with h the larger grid spacing;
 # coefficients calibrated on the analytic regression surfaces and frozen
 TOL_COEFF = {
+    "solve": 1.0,            # times solver.tol: the solver's own stop rule
     "curvature": 60.0,
     "reality": 1e-10,        # absolute: analytic identity, not a stencil
     "det_identity": 20.0,
@@ -184,58 +186,44 @@ class Pipeline:
         self.mesh = None
 
     # -- helpers ------------------------------------------------------
-    def add_residual(self, name, value, tol=None):
-        h = self.domain.hmax
-        tol = _tol(name, h) if tol is None else tol
-        entry = {"name": name, "value": float(value), "tolerance": float(tol),
-                 "grid": list(self.domain.shape),
-                 "case": self.case.geometry_tag,
-                 "pass": bool(value <= tol)}
-        self.residuals.append(entry)
-        return entry["pass"]
+    def add_residual(self, name, value):
+        tol = (TOL_COEFF[name] * self.tol if name == "solve"
+               else _tol(name, self.domain.hmax))
+        self.residuals.append({
+            "name": name, "value": float(value), "tolerance": float(tol),
+            "grid": list(self.domain.shape), "case": self.case.geometry_tag,
+            "pass": bool(value <= tol)})
 
     def _gate_monge_ampere(self, sf):
         # det Hess phi = 1, off the two outer rings of one-sided stencils
         self.add_residual("monge_ampere",
                           float(np.abs(sf.ma_residual[2:-2, 2:-2]).max()))
 
-    def _timed(self, key, fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        self.timings[key] = time.perf_counter() - t0
-        return out
-
     # -- stages ---------------------------------------------------------
     def solve(self):
         method = self.solver_cfg.get("method", "newton")
         tol, max_iter, t_grid = self.tol, self.max_iter, self.t_grid
         if t_grid is not None:
-            fam = self._timed("solve", continuation_family, self.problem,
-                              self.Q, t_grid, tol=tol, max_iter=max_iter)
-            rep = fam.reports[-1]
+            fam = continuation_family(self.problem, self.Q, t_grid, tol=tol,
+                                      max_iter=max_iter)
+            reports, method = fam.reports, "continuation"
             self.report["continuation"] = {
                 "t_grid": fam.t_grid,
                 "converged": [r.converged for r in fam.reports],
                 "failure_index": fam.failure_index,
             }
-            if fam.failure_index is None:
-                self.problem = PdeProblem(self.domain, self.mu,
-                                          self.Q.scaled(fam.t_grid[-1]),
-                                          self.case, self.boundary)
         elif method == "newton":
-            rep = self._timed("solve", solve_newton, self.problem, self.u0,
-                              tol=tol, max_iter=max_iter)
+            reports = [solve_newton(self.problem, self.u0, tol=tol,
+                                    max_iter=max_iter)]
         elif method == "monotone":
-            rep = self._timed("solve", solve_monotone, self.problem,
-                              tol=tol, max_iter=max_iter)
+            reports = [solve_monotone(self.problem, tol=tol,
+                                      max_iter=max_iter)]
         else:
             raise ConfigError(f"unknown solver method {method!r}")
-        reports = fam.reports if t_grid is not None else [rep]
-        self.solve_report = rep
-        self.solution = rep.solution
+        rep = reports[-1]
         u = rep.solution.u
         self.report["solver"] = {
-            "method": "continuation" if t_grid is not None else method,
+            "method": method,
             "converged": rep.converged,
             "iterations": rep.iterations,
             "residual_inf": rep.residual_inf,
@@ -246,21 +234,26 @@ class Pipeline:
             "spsolve_fallbacks": sum(r.info["spsolve_fallbacks"]
                                      for r in reports),
         }
-        return rep
+        if not rep.converged:
+            raise SolveError(f"solver did not converge: residual "
+                             f"{rep.residual_inf:.3e} > tol {tol:.3e} after "
+                             f"{rep.iterations} iterations")
+        if t_grid is not None:
+            self.problem = PdeProblem(self.domain, self.mu,
+                                      self.Q.scaled(fam.t_grid[-1]),
+                                      self.case, self.boundary)
+        self.solution = rep.solution
+        self.add_residual("solve", rep.residual_inf)
 
     def immerse(self):
         eps, lam = self.case.epsilon, self.case.lam
         Q = self.problem.Q
         if eps == 1:
-            mesh = self._timed("immerse", affine_sphere_immersion,
-                               self.solution, Q, lam)
+            self.mesh = affine_sphere_immersion(self.solution, Q, lam)
         elif lam == 0:
-            mesh = self._timed("immerse", minlag_c2_immersion, self.solution, Q)
+            self.mesh = minlag_c2_immersion(self.solution, Q)
         else:
-            mesh = self._timed("immerse", minlag_cpn_immersion, self.solution,
-                               Q, self.case)
-        self.mesh = mesh
-        return mesh
+            self.mesh = minlag_cpn_immersion(self.solution, Q, self.case)
 
     @property
     def _margin(self):
@@ -311,12 +304,11 @@ class Pipeline:
                 self.add_residual("holonomy_commutator",
                                   float(rep_h["commutators"].max()))
                 self.report["holonomy"] = _holonomy_json(rep_h)
-        return rep
 
     def develop(self):
         if self.mesh is None or self.mesh.target_tag != "affine_sphere":
             self.warnings.append("develop: only affine meshes are developed")
-            return None
+            return
         if self.case.lam == 0:
             sf = semiflat_develop(self.mesh)
             self._gate_monge_ampere(sf)
@@ -324,7 +316,7 @@ class Pipeline:
                 "legendre_roundtrip": semiflat_dual_roundtrip(sf),
                 "phi_range": [float(sf.phi.min()), float(sf.phi.max())],
             }
-            return sf
+            return
         pts = develop_rp2(self.mesh)
         fit = quadric_fit(self.mesh.vertices.reshape(-1, 3))
         self.report["develop"] = {
@@ -332,7 +324,6 @@ class Pipeline:
             "quadric_residual": fit.residual,
             "quadric_signature": list(fit.signature),
         }
-        return pts
 
     def weierstrass_stage(self):
         wcfg = self.cfg.get("weierstrass")
@@ -342,15 +333,12 @@ class Pipeline:
             [_complex(a, "f_coeffs") for a in wcfg.get("f_coeffs", [0.0])],
             [_complex(a, "g_coeffs") for a in wcfg.get("g_coeffs", [0.0, 1.0])])
         try:
-            mesh = self._timed("weierstrass", parabolic_from_holomorphic,
-                               pair, self.domain)
+            mesh = parabolic_from_holomorphic(pair, self.domain)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.mesh = mesh
-        sf = self._timed("develop", semiflat_develop, mesh)
-        self._gate_monge_ampere(sf)
+        self._gate_monge_ampere(semiflat_develop(mesh))
         self.report["weierstrass"] = {"bound_margin": mesh.meta["margin"]}
-        return mesh
 
 
 def _holonomy_json(rep):
@@ -430,12 +418,14 @@ def load_mesh_vertices(path):
     return v
 
 
+# subcommand -> the Pipeline methods it runs, in order; each is timed
+# under its name without the "_stage" suffix
 STAGES = {
     "solve": ("solve",),
     "immerse": ("solve", "immerse"),
     "verify": ("solve", "immerse", "verify"),
     "develop": ("solve", "immerse", "verify", "develop"),
-    "weierstrass": ("weierstrass",),
+    "weierstrass": ("weierstrass_stage",),
     "all": ("solve", "immerse", "verify", "develop"),
 }
 
@@ -449,50 +439,40 @@ def run(cfg, stage="all", out_dir=".", strict=False):
     code = 0
     try:
         for step in STAGES[stage]:
-            if step == "solve":
-                rep = pipe.solve()
-                if not rep.converged:
-                    pipe.warnings.append("solver did not converge")
-                    if pipe.solver_cfg.get("require_convergence", False):
-                        code = 3
-                        break
-                    if stage != "solve":
-                        break
-            elif step == "immerse":
-                pipe.immerse()
-            elif step == "verify":
-                pipe._timed("verify", pipe.verify)
-            elif step == "develop":
-                pipe._timed("develop", pipe.develop)
-            elif step == "weierstrass":
-                pipe.weierstrass_stage()
+            t0 = time.perf_counter()
+            try:
+                # looked up per run: a tracer may wrap the method on the class
+                getattr(pipe, step)()
+            finally:
+                pipe.timings[step.removesuffix("_stage")] = (
+                    time.perf_counter() - t0)
     except ConfigError:
         raise
     except TiteicaError as exc:
         pipe.warnings.append(f"{type(exc).__name__}: {exc}")
-        code = 1
-    if code == 0 and "verify" in STAGES[stage] and not pipe.residuals:
-        # e.g. a solve that did not converge ended the run before verify
+        code = 3 if isinstance(exc, SolveError) else 1
+    if not pipe.residuals:
         pipe.warnings.append("no check ran")
-        code = 1
+        code = code or 1
     outputs = cfg.get("outputs", {})
     mesh_path = outputs.get("mesh")
     if mesh_path and pipe.mesh is not None:
         # before the report, so that the export is timed in it
+        t0 = time.perf_counter()
         try:
-            pipe._timed("export", export_mesh, pipe.mesh, out / mesh_path)
+            export_mesh(pipe.mesh, out / mesh_path)
+            pipe.timings["export"] = time.perf_counter() - t0
         except TiteicaError as exc:
             pipe.warnings.append(f"{type(exc).__name__}: {exc}")
-            code = 1
+            code = code or 1
     pipe.report["residuals"] = pipe.residuals
     pipe.report["warnings"] = pipe.warnings
     pipe.report["timings"] = pipe.timings
     failed = [r["name"] for r in pipe.residuals if not r["pass"]]
     pipe.report["failed_checks"] = failed
-    passed = not failed and (not strict or not pipe.warnings)
-    pipe.report["passed"] = bool(passed and code == 0)
-    if code == 0 and not passed:
-        code = 1
+    if failed or (strict and pipe.warnings):
+        code = code or 1
+    pipe.report["passed"] = code == 0
     report_path = out / outputs.get("report", "report.json")
     report_path.write_text(json.dumps(pipe.report, indent=2), newline="\n")
     return code, pipe.report

@@ -37,5 +37,9 @@ class NonConvexError(TiteicaError):
     """Legendre transform requires a strictly convex input."""
 
 
+class SolveError(TiteicaError):
+    """The solver for the metric equation did not converge."""
+
+
 class ConfigError(TiteicaError):
     """CLI configuration is malformed or inconsistent."""

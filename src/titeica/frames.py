@@ -131,9 +131,12 @@ def minlag_frame_connection(psi, Q, case, domain):
         raise InvalidSignCase("unitary frames exist for the CP^2/CH^2 cases")
     loop = build_connection(psi, Q, case, domain, zeta=-case.lam)
     d = np.array([1.0, -case.lam, 1.0])
-    gauge = np.outer(d, d)  # D^{-1} X D with D = diag(d), d = +/-1
-    return ConnectionForm(loop.A * gauge, loop.B * gauge, "column_frame",
-                          domain, case, loop.psi, Q, variant="unitary")
+    # D^{-1} X D with D = diag(d), d = +/-1: negate X_ij where d_i d_j = -1
+    i, j = np.nonzero(np.outer(d, d) < 0)
+    for X in (loop.A, loop.B):
+        X[..., i, j] *= -1.0
+    return ConnectionForm(loop.A, loop.B, "column_frame", domain, case,
+                          loop.psi, Q, variant="unitary")
 
 
 def curvature_residual(alpha):

@@ -296,8 +296,13 @@ class Domain:
         return dzzbar_matrix(self)
 
     def dzzbar(self, f):
-        djj, dkk, djk = second_diffs(f, self.periodic)
         a, b, c, den = self.dzzbar_coeffs
+        djj = lattice_diff2(f, 0, self.periodic)
+        dkk = lattice_diff2(f, 1, self.periodic)
+        if c == 0:  # orthogonal lattice (c is -0.0): no cross term
+            return (a * djj + b * dkk) / den
+        djk = lattice_diff(lattice_diff(f, 0, self.periodic), 1,
+                           self.periodic)
         return (a * djj + c * djk + b * dkk) / den
 
     def dzz(self, f):

@@ -202,7 +202,7 @@ def verify_affine(mesh, sol, Q, margin=2):
     pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
     psi = sol.psi
     f_zz = pd.dzz(f)
-    f_zzb = pd.dzzbar(f.astype(complex))
+    f_zzb = pd.dzzbar(f)
     psi_z = pd.dz(psi)
     e2p = np.exp(2.0 * psi)
     em2p = np.exp(-2.0 * psi)

@@ -48,7 +48,10 @@ def test_run_full_pipeline(tmp_path):
 def test_run_solve_only(tmp_path):
     code, report = cli.run(torus_config(), stage="solve", out_dir=tmp_path)
     assert code == 0
-    assert report["residuals"] == []
+    [entry] = report["residuals"]
+    assert entry["name"] == "solve" and entry["pass"]
+    assert entry["value"] == report["solver"]["residual_inf"]
+    assert entry["tolerance"] == 1e-10
     assert report["solver"]["converged"]
 
 
@@ -82,8 +85,7 @@ def test_malformed_config_value_exits_2(tmp_path, key, value):
 
 def test_gauss_bonnet_obstruction_exits_3(tmp_path):
     cfg = torus_config(case="minlag_ch2")
-    cfg["solver"] = {"method": "newton", "tol": 1e-10, "max_iter": 25,
-                     "require_convergence": True}
+    cfg["solver"] = {"method": "newton", "tol": 1e-10, "max_iter": 25}
     path = tmp_path / "ch2.json"
     path.write_text(json.dumps(cfg))
     rc = cli.main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
@@ -111,7 +113,7 @@ def test_verifying_stage_without_checks_fails(tmp_path, stage):
     code, report = cli.run(diverging_c2_config(), stage=stage, out_dir=tmp_path)
     assert not report["solver"]["converged"]
     assert report["residuals"] == []
-    assert code == 1
+    assert code == 3
     assert report["passed"] is False
     assert "no check ran" in report["warnings"]
     on_disk = json.loads((tmp_path / "report.json").read_text())
@@ -119,10 +121,49 @@ def test_verifying_stage_without_checks_fails(tmp_path, stage):
 
 
 @pytest.mark.parametrize("stage", ["solve", "immerse"])
-def test_unconverged_solve_stage_keeps_exit_0(tmp_path, stage):
+def test_unconverged_solve_stage_exits_3(tmp_path, stage):
     code, report = cli.run(diverging_c2_config(), stage=stage, out_dir=tmp_path)
     assert not report["solver"]["converged"]
-    assert code == 0
+    assert code == 3
+
+
+def _unconverged_configs():
+    # Newton cut off before it converges: the CP^2 rectangle is still at a
+    # residual of 1.25 after 8 steps, and the torus needs 5 steps, not 2
+    cp2 = dict(diverging_c2_config(), case="minlag_cp2",
+               solver={"method": "newton", "max_iter": 8})
+    torus = torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
+                                 "shape": [16, 16]},
+                         solver={"method": "newton", "tol": 1e-10,
+                                 "max_iter": 2})
+    return {"cp2_rectangle": cp2, "torus_max_iter_2": torus}
+
+
+@pytest.mark.parametrize("stage", ["solve", "immerse", "verify", "all"])
+@pytest.mark.parametrize("name", sorted(_unconverged_configs()))
+def test_unconverged_solve_exits_3(tmp_path, name, stage):
+    code, report = cli.run(_unconverged_configs()[name], stage=stage,
+                           out_dir=tmp_path)
+    assert code == 3
+    assert report["passed"] is False
+    assert not report["solver"]["converged"]
+    assert report["residuals"] == []
+    # the stage that raised is still timed, and nothing ran after it
+    assert set(report["timings"]) == {"solve"}
+    assert report["warnings"][0].startswith(
+        "SolveError: solver did not converge")
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["passed"] is False
+
+
+def test_stage_without_checks_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.Pipeline, "add_residual",
+                        lambda self, name, value: None)
+    code, report = cli.run(torus_config(), stage="solve", out_dir=tmp_path)
+    assert report["solver"]["converged"]
+    assert code == 1
+    assert report["passed"] is False
+    assert report["warnings"] == ["no check ran"]
 
 
 def test_diverging_solve_warns_nothing(tmp_path):
@@ -485,7 +526,9 @@ def _ch2_config(n):
     (_c2_config(16), "all"),
     (_ch2_config(16), "all"),
     (weierstrass_config(16), "weierstrass"),
-], ids=["affine_torus", "c2_rectangle", "ch2_disk_patch", "weierstrass"])
+    (_ch2_config(16), "solve"),
+], ids=["affine_torus", "c2_rectangle", "ch2_disk_patch", "weierstrass",
+        "ch2_solve"])
 def test_every_residual_has_a_tolerance(tmp_path, cfg, stage):
     _, report = cli.run(cfg, stage=stage, out_dir=tmp_path)
     names = {r["name"] for r in report["residuals"]}

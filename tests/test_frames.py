@@ -111,17 +111,20 @@ def test_outer_involution_equivariance(torus32):
 
 # -- curvature ------------------------------------------------------------------
 
-@pytest.mark.parametrize("signs", [(1, -1), (1, 1), (-1, -1), (-1, 1)])
+TODA_SIGNS = [(1, -1), (1, 1), (-1, -1), (-1, 1)]
+
+
+# the cases with eps lam = -1; the ids index TODA_SIGNS
+@pytest.mark.parametrize("signs", [
+    pytest.param(s, id=f"signs{i}") for i, s in enumerate(TODA_SIGNS)
+    if s[0] * s[1] == -1])
 @pytest.mark.parametrize("zeta", [1.0, np.exp(1j * np.pi / 3), 0.5, 2.0])
 def test_curvature_constant_solution(signs, zeta, torus32):
-    # the constant metric solution for |c| = 1 works in all four Toda cases:
-    # flatness only sees eps |Q|^2, and eps lam = -1 holds after flipping both
+    # the constant metric solution for |c| = 1 works in both Toda cases with
+    # eps lam = -1 (flatness only sees eps |Q|^2); eps lam = +1 has none
     p, sol = torus32
     case = tz.SignCase(*signs)
-    psi = sol.psi if signs[0] * signs[1] == -1 else None
-    if psi is None:
-        pytest.skip("no constant solution for eps lam = +1")
-    al = tz.build_connection(psi, p.Q, case, p.domain, zeta=zeta)
+    al = tz.build_connection(sol.psi, p.Q, case, p.domain, zeta=zeta)
     assert tz.curvature_residual(al).max() <= 20.0 * p.domain.hmax ** 2
 
 
@@ -161,11 +164,10 @@ def test_reality_matched(case, torus32):
     assert tz.reality_check(al, ZETAS) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ALL_TODA, ids=lambda c: c.geometry_tag)
-@pytest.mark.parametrize("other", ALL_TODA, ids=lambda c: c.geometry_tag)
+@pytest.mark.parametrize("other, case", [
+    (o, c) for o in ALL_TODA for c in ALL_TODA if o != c],
+    ids=lambda c: c.geometry_tag)
 def test_reality_mismatched(case, other, torus32):
-    if (case.epsilon, case.lam) == (other.epsilon, other.lam):
-        pytest.skip("matched pairing")
     p, sol = torus32
     al = tz.build_connection(sol.psi, p.Q, case, p.domain, zeta=1.0)
     assert tz.reality_check(al, ZETAS, involution_case=other) > 1e-3
