@@ -254,6 +254,8 @@ class Pipeline:
             self.mesh = minlag_c2_immersion(self.solution, Q)
         else:
             self.mesh = minlag_cpn_immersion(self.solution, Q, self.case)
+        self.report["transport"] = {k: self.mesh.meta[k]
+                                    for k in ("tree_edges", "tree_substeps")}
 
     @property
     def _margin(self):

@@ -13,6 +13,7 @@ Zero curvature reads  dzbar(A) - dz(B) + [A, B] = 0  in the row
 convention and  dzbar(A) - dz(B) - [A, B] = 0  in the column convention.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +40,21 @@ class ConnectionForm:
     convention: str  # "row_frame" | "column_frame"
     domain: Domain
     case: SignCase | None = None
-    psi: np.ndarray | None = None
-    Q: object = None  # CubicDifferential used to build the form, if any
     variant: str = "custom"
+    # (e^psi, Q(z), e^{-2 psi}) of a spectral form, which its zeta entries
+    # are made of
+    loop_fields: tuple | None = None
 
     def at_zeta(self, zeta):
-        """Rebuild the same connection at another spectral parameter."""
-        if self.variant != "spectral" or self.psi is None:
+        """The same spectral loop at another zeta.  Only the three zeta
+        entries of A and the three 1/zeta entries of B depend on it; they
+        are written again from `loop_fields` exactly as build_connection
+        writes them, and no stencil, exponential or Q(z) is recomputed."""
+        if self.variant != "spectral":
             raise InvalidSignCase("only spectral-loop forms carry a zeta family")
-        return build_connection(self.psi, self.Q, self.case, self.domain,
-                                zeta=zeta, convention="column_frame")
+        A, B = self.A.copy(), self.B.copy()
+        _zeta_entries(A, B, complex(zeta), self.case, *self.loop_fields)
+        return dataclasses.replace(self, A=A, B=B)
 
 
 def _zero_fields(domain):
@@ -56,6 +62,17 @@ def _zero_fields(domain):
     A = np.zeros((n, m, 3, 3), dtype=complex)
     B = np.zeros((n, m, 3, 3), dtype=complex)
     return A, B
+
+
+def _zeta_entries(A, B, zeta, case, ep, qv, em2p):
+    """Write the zeta-dependent entries of the spectral loop into A, B."""
+    lam, eps = case.lam, case.epsilon
+    A[..., 0, 2] = -zeta * lam * ep
+    A[..., 1, 0] = zeta * qv * em2p
+    A[..., 2, 1] = -zeta * lam * ep
+    B[..., 0, 1] = (eps / zeta) * np.conj(qv) * em2p
+    B[..., 1, 2] = ep / zeta
+    B[..., 2, 0] = ep / zeta
 
 
 def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
@@ -77,7 +94,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
     pzb = domain.dzbar(psi)
     ep = np.exp(psi)
     em2p = np.exp(-2.0 * psi)
-    lam, eps = case.lam, case.epsilon
+    lam = case.lam
 
     if convention == "column_frame":
         if case.lam == 0:
@@ -85,16 +102,11 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
         A, B = _zero_fields(domain)
         A[..., 0, 0] = pz
         A[..., 1, 1] = -pz
-        A[..., 0, 2] = -zeta * lam * ep
-        A[..., 1, 0] = zeta * qv * em2p
-        A[..., 2, 1] = -zeta * lam * ep
         B[..., 0, 0] = -pzb
         B[..., 1, 1] = pzb
-        B[..., 0, 1] = (eps / zeta) * np.conj(qv) * em2p
-        B[..., 1, 2] = ep / zeta
-        B[..., 2, 0] = ep / zeta
-        return ConnectionForm(A, B, "column_frame", domain, case, psi, Q,
-                              variant="spectral")
+        _zeta_entries(A, B, zeta, case, ep, qv, em2p)
+        return ConnectionForm(A, B, "column_frame", domain, case,
+                              variant="spectral", loop_fields=(ep, qv, em2p))
 
     if convention != "row_frame":
         raise ValueError(f"unknown convention {convention!r}")
@@ -119,7 +131,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
     else:
         raise InvalidSignCase(
             "row-frame structure systems exist for affine spheres and C^2 only")
-    return ConnectionForm(A, B, "row_frame", domain, case, psi, Q,
+    return ConnectionForm(A, B, "row_frame", domain, case,
                           variant="structure")
 
 
@@ -136,7 +148,7 @@ def minlag_frame_connection(psi, Q, case, domain):
     for X in (loop.A, loop.B):
         X[..., i, j] *= -1.0
     return ConnectionForm(loop.A, loop.B, "column_frame", domain, case,
-                          loop.psi, Q, variant="unitary")
+                          variant="unitary")
 
 
 def curvature_residual(alpha):

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import titeica as tz
+from titeica import frames
 from titeica.errors import InvalidSignCase, PathError
 from titeica.frames import ETA_21, _dagger, _star
 
@@ -182,6 +183,33 @@ def test_cp2_unit_circle_su3(torus32):
                              zeta=np.exp(0.3j))
     for X in (al.A + al.B, 1j * (al.A - al.B)):
         assert np.abs(X + _dagger(X)).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ALL_TODA, ids=lambda c: c.geometry_tag)
+def test_at_zeta_equals_rebuild(case):
+    # a disk patch with non-constant psi and Q; the loop is built at one
+    # zeta and moved to others, itself included
+    dom = tz.Domain.disk_patch(0.7, 24, 20)
+    psi = poincare_weight(dom) + 0.1 * np.sin(3.0 * dom.z.real)
+    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3, -0.1j])
+    al = tz.build_connection(psi, Q, case, dom, zeta=0.8 - 0.3j)
+    for z in (0.8 - 0.3j, np.exp(1j * np.pi / 5), 2.0, -1.0 / np.conj(0.37 + 0.9j)):
+        moved = al.at_zeta(z)
+        built = tz.build_connection(psi, Q, case, dom, zeta=z)
+        assert np.array_equal(moved.A, built.A)
+        assert np.array_equal(moved.B, built.B)
+
+
+def test_reality_check_builds_no_connection(torus32, monkeypatch):
+    p, sol = torus32
+    al = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0)
+    expected = tz.reality_check(al, ZETAS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reality_check rebuilt the connection")
+
+    monkeypatch.setattr(frames, "build_connection", refuse)
+    assert tz.reality_check(al, ZETAS) == expected
 
 
 def test_reality_rejects_lambda_zero(torus32):

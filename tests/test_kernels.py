@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import titeica as tz
-from titeica import _kernels
+from titeica import _kernels, cli, immersion
 from titeica.immersion import _tree_lines, integrate_tree
 
 
@@ -212,3 +212,70 @@ def test_zero_length_segment_keeps_frame(row):
     assert np.array_equal(rec[1], F0)
     assert np.array_equal(rec[3], rec[2])
     assert not np.allclose(rec[2], F0)
+
+
+def tree_by_lines(domain, A, B, F0, root, row, axis_first):
+    """The tree as one transport_polyline call per line of the comb: the
+    algorithm integrate_tree ran before it batched the teeth."""
+    frames = np.empty(domain.shape + F0.shape, dtype=complex)
+    frames[root] = F0
+    for pts in _tree_lines(domain, root, axis_first):
+        frames[pts[:, 0], pts[:, 1]] = _kernels.transport_polyline(
+            A, B, domain.step1, domain.step2, pts.astype(float),
+            frames[tuple(pts[0])], row=row, periodic=False,
+            max_step=domain.hmin / 2.0)
+    return frames
+
+
+TREE_DOMAINS = {
+    # the two axes take 3 and 5 substeps per edge
+    "rectangle": (lambda: tz.Domain.rectangle(1.0, 2.0, 20, 17), {3, 5}),
+    "oblique_torus": (lambda: tz.Domain.torus(0.3 + 1.1j, 24, 17), {3, 4}),
+    "disk_patch": (lambda: tz.Domain.disk_patch(0.7, 16, 16), {3}),
+}
+
+
+@pytest.mark.parametrize("axis_first", [0, 1])
+@pytest.mark.parametrize("where", ["centre", "corner_0m", "corner_n0"])
+@pytest.mark.parametrize("state", ["row_4x3", "column"])
+@pytest.mark.parametrize("name", sorted(TREE_DOMAINS))
+def test_tree_matches_per_line_oracle(name, state, where, axis_first):
+    make, nsubs = TREE_DOMAINS[name]
+    dom = make()
+    n, m = dom.shape
+    assert {int(_kernels.substeps(s, dom.hmin / 2.0))
+            for s in (dom.step1, dom.step2)} == nsubs
+    root = {"centre": (n // 2, m // 2), "corner_0m": (0, m - 1),
+            "corner_n0": (n - 1, 0)}[where]
+    rng = np.random.default_rng(7)
+    r = 4 if state == "row_4x3" else 3
+    A = rng.normal(size=(n, m, r, r)) + 1j * rng.normal(size=(n, m, r, r))
+    B = rng.normal(size=(n, m, r, r)) + 1j * rng.normal(size=(n, m, r, r))
+    F0 = rng.normal(size=(r, 3)) + 1j * rng.normal(size=(r, 3))
+    row = state != "column"
+    got = integrate_tree(dom, A, B, F0, root=root, row=row,
+                         axis_first=axis_first)
+    ref = tree_by_lines(dom, A, B, F0, root, row, axis_first)
+    assert np.array_equal(got[root], F0)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_tree_runs_spine_on_polylines_and_counts_substeps(tmp_path,
+                                                          monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return _kernels.transport_polyline(*args, **kwargs)
+
+    monkeypatch.setattr(immersion, "transport_polyline", counted)
+    cfg = {"schema_version": 1, "case": "hyperbolic_affine_sphere",
+           "domain": {"kind": "torus", "tau": [0.0, 1.0], "shape": [16, 16]},
+           "cubic": {"kind": "constant", "c": [1.0, 0.0]},
+           "outputs": {"report": "report.json"}}
+    code, report = cli.run(cfg, "immerse", tmp_path)
+    assert code == 0
+    # the two halves of the spine through the root (8, 8)
+    assert sorted(calls) == [8, 9]
+    # 255 edges of 3 substeps each (|step| = 1/16, max_step = 1/32)
+    assert report["transport"] == {"tree_edges": 255, "tree_substeps": 765}
