@@ -10,15 +10,17 @@ by classical RK4 with int(|zdot| / max_step) + 1 substeps per segment and
 A, B interpolated bilinearly in lattice coordinates.  Two entry points
 share one propagator builder, `_propagators`:
 
-  transport_polyline  any polyline in lattice coordinates: paths,
-                      holonomy loops and the spine of the reconstruction
-                      tree;
-  transport_lines     every lattice line of a grid from one node of each
-                      line outward: the teeth of the reconstruction tree.
-                      On a grid line the bilinear rule is the linear
-                      interpolation of an edge's two end nodes, so the
-                      coefficient is formed once per node, and the edges
-                      of a block of lines are built in one batch.
+  transport_polyline  any polyline in lattice coordinates: paths and
+                      holonomy loops;
+  transport_lines     a block of lattice lines of a grid, each from one
+                      node outward: the whole reconstruction tree, whose
+                      spine is a block of one line and whose teeth are
+                      every line along the other axis.  On a grid line the
+                      bilinear rule is the linear interpolation of an
+                      edge's two end nodes, so the coefficient is formed
+                      once per node, and the edges of a block of lines are
+                      built in one batch.  It returns the edges and
+                      substeps it ran, the tree's only count of them.
 
 The sample points do not depend on F and the system is linear, so every
 substep's one-step propagator M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) is
@@ -182,7 +184,8 @@ def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
     zdot.  Each edge is sampled by linear interpolation of its two end
     nodes, the bilinear rule on a grid line, and takes
     int(|zdot| / max_step) + 1 RK4 substeps.  Lines go a block at a time,
-    so that a block's edge samples stay within LINES_BLOCK_BYTES."""
+    so that a block's edge samples stay within LINES_BLOCK_BYTES.  Returns
+    the (edges, substeps) it ran."""
     lines, m = frames.shape[:2]
     r = A.shape[-1]
     nsub = int(substeps(zdot, max_step))
@@ -212,3 +215,5 @@ def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
         for k in range(start - 1, -1, -1):
             np.matmul(P[:, k], X[:, k + 1], out=X[:, k])
         frames[rows] = _unstacked(X, row)
+    edges = lines * (m - 1)
+    return edges, edges * nsub

@@ -83,6 +83,14 @@ def _section(cfg, key, default):
     return d
 
 
+def _coeffs(d, key, default):
+    """The complex coefficients listed under d[key]."""
+    v = d.get(key, default)
+    if not isinstance(v, list):
+        raise ConfigError(f"{key} must be a list of coefficients")
+    return [_complex(a, key) for a in v]
+
+
 def parse_domain(d):
     kind = d.get("kind")
     shape = d.get("shape", [64, 64])
@@ -122,10 +130,13 @@ def parse_cubic(d):
     if kind == "constant":
         return CubicDifferential.constant(_complex(d.get("c", [1.0, 0.0]), "c"))
     if kind == "polynomial":
-        coeffs = d.get("coeffs", [])
-        return CubicDifferential.polynomial(
-            [_complex(a, "coeff") for a in coeffs])
+        return CubicDifferential.polynomial(_coeffs(d, "coeffs", []))
     raise ConfigError(f"unknown cubic differential kind {kind!r}")
+
+
+def parse_pair(d):
+    return HoloPair.from_coeffs(_coeffs(d, "f_coeffs", [0.0]),
+                                _coeffs(d, "g_coeffs", [0.0, 1.0]))
 
 
 def load_config(path):
@@ -150,7 +161,6 @@ def _tol(name, h):
 
 class Pipeline:
     def __init__(self, cfg):
-        self.cfg = cfg
         case_name = cfg.get("case")
         try:
             self.case = SignCase.from_tag(case_name)
@@ -176,6 +186,15 @@ class Pipeline:
             self.t_grid = None if t_grid is None else continuation_grid(t_grid)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver.t_grid: {exc}") from exc
+        wcfg = _section(cfg, "weierstrass", {})
+        self.pair = parse_pair(wcfg) if wcfg else None
+        outputs = _section(cfg, "outputs", {})
+        self.mesh_name = outputs.get("mesh")
+        self.report_name = outputs.get("report", "report.json")
+        if not (self.mesh_name is None or isinstance(self.mesh_name, str)):
+            raise ConfigError("outputs.mesh must be a file name")
+        if not (isinstance(self.report_name, str) and self.report_name):
+            raise ConfigError("outputs.report must be a file name")
         self.residuals = []
         self.warnings = []
         self.timings = {}
@@ -328,14 +347,10 @@ class Pipeline:
         }
 
     def weierstrass_stage(self):
-        wcfg = self.cfg.get("weierstrass")
-        if not wcfg:
+        if self.pair is None:
             raise ConfigError("weierstrass stage needs a 'weierstrass' section")
-        pair = HoloPair.from_coeffs(
-            [_complex(a, "f_coeffs") for a in wcfg.get("f_coeffs", [0.0])],
-            [_complex(a, "g_coeffs") for a in wcfg.get("g_coeffs", [0.0, 1.0])])
         try:
-            mesh = parabolic_from_holomorphic(pair, self.domain)
+            mesh = parabolic_from_holomorphic(self.pair, self.domain)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.mesh = mesh
@@ -456,13 +471,11 @@ def run(cfg, stage="all", out_dir=".", strict=False):
     if not pipe.residuals:
         pipe.warnings.append("no check ran")
         code = code or 1
-    outputs = cfg.get("outputs", {})
-    mesh_path = outputs.get("mesh")
-    if mesh_path and pipe.mesh is not None:
+    if pipe.mesh_name and pipe.mesh is not None:
         # before the report, so that the export is timed in it
         t0 = time.perf_counter()
         try:
-            export_mesh(pipe.mesh, out / mesh_path)
+            export_mesh(pipe.mesh, out / pipe.mesh_name)
             pipe.timings["export"] = time.perf_counter() - t0
         except TiteicaError as exc:
             pipe.warnings.append(f"{type(exc).__name__}: {exc}")
@@ -475,8 +488,8 @@ def run(cfg, stage="all", out_dir=".", strict=False):
     if failed or (strict and pipe.warnings):
         code = code or 1
     pipe.report["passed"] = code == 0
-    report_path = out / outputs.get("report", "report.json")
-    report_path.write_text(json.dumps(pipe.report, indent=2), newline="\n")
+    (out / pipe.report_name).write_text(json.dumps(pipe.report, indent=2),
+                                        newline="\n")
     return code, pipe.report
 
 

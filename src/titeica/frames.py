@@ -40,9 +40,8 @@ class ConnectionForm:
     convention: str  # "row_frame" | "column_frame"
     domain: Domain
     case: SignCase | None = None
-    variant: str = "custom"
-    # (e^psi, Q(z), e^{-2 psi}) of a spectral form, which its zeta entries
-    # are made of
+    # (e^psi, Q(z), e^{-2 psi}) of a spectral-loop form, which its zeta
+    # entries are made of; None on every other form
     loop_fields: tuple | None = None
 
     def at_zeta(self, zeta):
@@ -50,7 +49,7 @@ class ConnectionForm:
         entries of A and the three 1/zeta entries of B depend on it; they
         are written again from `loop_fields` exactly as build_connection
         writes them, and no stencil, exponential or Q(z) is recomputed."""
-        if self.variant != "spectral":
+        if self.loop_fields is None:
             raise InvalidSignCase("only spectral-loop forms carry a zeta family")
         A, B = self.A.copy(), self.B.copy()
         _zeta_entries(A, B, complex(zeta), self.case, *self.loop_fields)
@@ -106,7 +105,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
         B[..., 1, 1] = pzb
         _zeta_entries(A, B, zeta, case, ep, qv, em2p)
         return ConnectionForm(A, B, "column_frame", domain, case,
-                              variant="spectral", loop_fields=(ep, qv, em2p))
+                              loop_fields=(ep, qv, em2p))
 
     if convention != "row_frame":
         raise ValueError(f"unknown convention {convention!r}")
@@ -131,8 +130,7 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
     else:
         raise InvalidSignCase(
             "row-frame structure systems exist for affine spheres and C^2 only")
-    return ConnectionForm(A, B, "row_frame", domain, case,
-                          variant="structure")
+    return ConnectionForm(A, B, "row_frame", domain, case)
 
 
 def minlag_frame_connection(psi, Q, case, domain):
@@ -147,8 +145,7 @@ def minlag_frame_connection(psi, Q, case, domain):
     i, j = np.nonzero(np.outer(d, d) < 0)
     for X in (loop.A, loop.B):
         X[..., i, j] *= -1.0
-    return ConnectionForm(loop.A, loop.B, "column_frame", domain, case,
-                          variant="unitary")
+    return ConnectionForm(loop.A, loop.B, "column_frame", domain, case)
 
 
 def curvature_residual(alpha):
@@ -189,7 +186,7 @@ def reality_check(alpha, zeta_samples, involution_case=None):
     case = alpha.case
     if case is None or case.lam == 0:
         raise InvalidSignCase("reality conditions apply to the four Toda cases")
-    if alpha.variant != "spectral":
+    if alpha.loop_fields is None:
         raise InvalidSignCase("reality check expects a spectral-loop form")
     inv_case = involution_case or case
     if inv_case.lam == 0:

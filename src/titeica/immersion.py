@@ -5,10 +5,10 @@ Affine spheres integrate the first-order system on the rows
 (f_z, f_zbar, xi, f) over a spanning tree of the grid (a comb rooted at
 the central node); minimal Lagrangian surfaces in C^2 integrate
 (f_z, f_zbar, f) with C^2-valued rows; CP^2/CH^2 surfaces integrate the
-unitary column frame and read the point off as phi = F e3.  The comb's
-spine is transported as two polylines, and its teeth, every lattice line
-along the other axis, in batches of lattice-edge propagators; each mesh
-records the tree's edge and RK4 substep counts in `meta`.
+unitary column frame and read the point off as phi = F e3.  The whole
+comb, its spine and its teeth, is lattice lines and goes through the one
+tree kernel, `transport_lines`; each mesh records in `meta` the edges and
+RK4 substeps that the kernel reports it ran.
 
 Mesh derivatives are always taken with non-periodic stencils: even over
 a torus domain the reconstructed immersion is not doubly periodic, only
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import substeps, transport_lines, transport_polyline
+from ._kernels import transport_lines
 from .errors import DegenerateVertexError, InitDataError, InvalidSignCase
 from .frames import build_connection, minlag_frame_connection
 from .geometry import Domain, SignCase, lattice_diff, lattice_diff2
@@ -92,68 +92,39 @@ def _entry(field_vals, margin=2):
     return ResidualEntry(float(v.max()), float(np.sqrt(np.mean(v ** 2))))
 
 
-def _halves(shape, root, axis, fixed):
-    """The two halves of the lattice line along `axis` whose other
-    coordinate is `fixed`, each from coordinate root[axis] outward."""
-    lines = []
-    for stop in (shape[axis] - 1, 0):
-        step = 1 if stop >= root[axis] else -1
-        pts = np.empty((abs(stop - root[axis]) + 1, 2), dtype=int)
-        pts[:, axis] = np.arange(root[axis], stop + step, step)
-        pts[:, 1 - axis] = fixed
-        lines.append(pts)
-    return lines
-
-
-def _tree_lines(domain, root, axis_first=0):
-    """The spanning comb of integrate_tree as lattice polylines: the two
-    halves of a spine along axis_first through `root`, then for each spine
-    node the two halves of a tooth along the other axis.  Each line starts
-    at a node reached by an earlier line (or at the root)."""
-    lines = _halves(domain.shape, root, axis_first, root[1 - axis_first])
-    for i in range(domain.shape[axis_first]):
-        lines += _halves(domain.shape, root, 1 - axis_first, i)
-    return lines
-
-
-def _tree_counts(domain, axis_first=0):
-    """Lattice edges and RK4 substeps of integrate_tree on the domain:
-    shape[a] - 1 spine edges along axis a = axis_first and
-    shape[a] (shape[b] - 1) tooth edges along the other axis b, each with
-    the kernel's substep count for its lattice step."""
-    a, b = axis_first, 1 - axis_first
-    steps = (domain.step1, domain.step2)
-    spine = domain.shape[a] - 1
-    teeth = domain.shape[a] * (domain.shape[b] - 1)
-    nsub = [int(substeps(s, domain.hmin / 2.0)) for s in steps]
-    return {"tree_edges": spine + teeth,
-            "tree_substeps": spine * nsub[a] + teeth * nsub[b]}
+def _tree_root(domain, root=None):
+    """`root`, or by default the central node (n // 2, m // 2) of the grid:
+    the root of the spanning comb of integrate_tree."""
+    if root is None:
+        root = (domain.shape[0] // 2, domain.shape[1] // 2)
+    return root
 
 
 def integrate_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
     """Integrate the frame system over the spanning comb rooted at `root`
-    (`_tree_lines`); returns the (n, m, rows, d) array of frames at every
-    node.  The spine goes through `transport_polyline`, one call per half;
-    the teeth are all the lattice lines along the other axis and go
-    through `transport_lines`, a block of lines at a time."""
-    n, m = domain.shape
-    if root is None:
-        root = (n // 2, m // 2)
-    frames = np.empty((n, m) + F0.shape, dtype=complex)
+    (`_tree_root`): the spine, the lattice line along axis_first through
+    the root, then the teeth, every lattice line along the other axis, each
+    transported by `transport_lines` outward from its node on the spine.
+    Returns the (n, m, rows, d) array of frames at every node and
+    {"tree_edges", "tree_substeps"}, the comb's lattice edges and RK4
+    substeps as the kernel counts them."""
+    root = _tree_root(domain, root)
+    frames = np.empty(domain.shape + F0.shape, dtype=complex)
     frames[root] = F0
-    max_step = domain.hmin / 2.0
-    for pts in _halves(domain.shape, root, axis_first, root[1 - axis_first]):
-        frames[pts[:, 0], pts[:, 1]] = transport_polyline(
-            A, B, domain.step1, domain.step2, pts.astype(float),
-            frames[pts[0, 0], pts[0, 1]], row=row, periodic=False,
-            max_step=max_step)
-    # the teeth run along axis b: the rows of the grid once axis b is
-    # made its second axis
+    steps = (domain.step1, domain.step2)
+    edges = nsub = 0
     b = 1 - axis_first
-    A, B, teeth = (np.swapaxes(X, 1, b) for X in (A, B, frames))
-    transport_lines(A, B, complex((domain.step1, domain.step2)[b]), teeth,
-                    root[b], row=row, max_step=max_step)
-    return frames
+    for axis, lines in ((axis_first, slice(root[b], root[b] + 1)),
+                        (b, slice(None))):
+        # the lines along `axis` are the rows of the grid once `axis` is
+        # made its second axis; the kernel fills frames through the view
+        A_, B_, F_ = (np.swapaxes(X, 0, 1 - axis)[lines]
+                      for X in (A, B, frames))
+        e, s = transport_lines(A_, B_, complex(steps[axis]), F_, root[axis],
+                               row=row, max_step=domain.hmin / 2.0)
+        edges += e
+        nsub += s
+    return frames, {"tree_edges": edges, "tree_substeps": nsub}
 
 
 def _default_affine_init(psi0, lam):
@@ -169,9 +140,7 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     init satisfies this identically."""
     domain = sol.domain
     psi = sol.psi
-    n, m = domain.shape
-    if root is None:
-        root = (n // 2, m // 2)
+    root = _tree_root(domain, root)
     psi0 = psi[root]
     if init is None:
         f0, xi0, a = _default_affine_init(psi0, lam)
@@ -190,14 +159,15 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     A, B = np.pad(alpha.A, pad), np.pad(alpha.B, pad)
     A[..., 3, 0] = B[..., 3, 1] = 1.0
     F0 = np.stack([a, np.conj(a), xi0, f0])
-    frames = integrate_tree(domain, A, B, F0, root=root, axis_first=axis_first)
+    frames, counts = integrate_tree(domain, A, B, F0, root=root,
+                                    axis_first=axis_first)
     fvert = frames[..., 3, :]
     imag_leak = float(np.max(np.abs(fvert.imag)))
     return ImmersionMesh(domain, fvert.real.copy(), frames[..., :3, :].copy(),
                          "affine_sphere", lam=lam, psi=psi,
                          meta={"imag_leak": imag_leak, "root": root,
                                "init": (f0, xi0, a),
-                               **_tree_counts(domain, axis_first)})
+                               **counts})
 
 
 def _frame_basis_coeffs(f_z, f_zb, xi, v):
@@ -315,9 +285,7 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
     f_{z zbar} = 0."""
     domain = sol.domain
     psi = sol.psi
-    n, m = domain.shape
-    if root is None:
-        root = (n // 2, m // 2)
+    root = _tree_root(domain, root)
     psi0 = psi[root]
     if init is None:
         p = np.exp(psi0) * np.array([1.0, 0.0], dtype=complex)
@@ -333,12 +301,12 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
     alpha = build_connection(psi, Q, SignCase(-1, 0), domain,
                              convention="row_frame")
     F0 = np.stack([p, q, f0])
-    frames = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
-                            axis_first=axis_first)
+    frames, counts = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
+                                    axis_first=axis_first)
     return ImmersionMesh(domain, frames[..., 2, :].copy(), frames[..., :2, :].copy(),
                          "minlag_c2", lam=0, psi=psi,
                          meta={"root": root, "init": (p, q, f0),
-                               **_tree_counts(domain, axis_first)})
+                               **counts})
 
 
 def verify_minlag_c2(mesh, sol, Q, margin=2):
@@ -418,17 +386,15 @@ def minlag_cpn_immersion(sol, Q, case, root=None, axis_first=0):
     Lagrangian surfaces in CP^2 (lam = +1) or CH^2 (lam = -1)."""
     domain = sol.domain
     alpha = minlag_frame_connection(sol.psi, Q, case, domain)
-    n, m = domain.shape
-    if root is None:
-        root = (n // 2, m // 2)
+    root = _tree_root(domain, root)
     F0 = np.eye(3, dtype=complex)
-    frames = integrate_tree(domain, alpha.A, alpha.B, F0, root=root, row=False,
-                            axis_first=axis_first)
+    frames, counts = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
+                                    row=False, axis_first=axis_first)
     tag = "minlag_cp2" if case.lam == 1 else "minlag_ch2"
     phi = frames[..., :, 2]
     return ImmersionMesh(domain, phi.copy(), frames, tag, lam=case.lam,
                          psi=sol.psi,
-                         meta={"root": root, **_tree_counts(domain, axis_first)})
+                         meta={"root": root, **counts})
 
 
 def _herm_pm(u, v, sign):

@@ -75,10 +75,24 @@ def test_unreadable_config_exits_2(tmp_path):
     ("solver", {"method": "newton", "max_iter": "many"}),
     ("domain", [16, 16]),
     ("solver", {"method": "newton", "t_grid": [0.5, 0.2]}),
-], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid"])
+    ("outputs", []),
+    ("outputs", {"report": 5}),
+    ("outputs", {"report": ""}),
+    ("outputs", {"mesh": ["mesh.obj"], "report": "report.json"}),
+    ("cubic", {"kind": "polynomial", "coeffs": 0.5}),
+    ("weierstrass", "pair"),
+    ("weierstrass", {"f_coeffs": 0.1}),
+    ("weierstrass", {"g_coeffs": 1.0}),
+], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid",
+        "outputs", "report", "empty_report", "mesh", "coeffs", "weierstrass",
+        "f_coeffs", "g_coeffs"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
+    cfg = torus_config(**{key: value})
+    # caught while the pipeline is built, before any stage runs
+    with pytest.raises(ConfigError):
+        cli.Pipeline(cfg)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(torus_config(**{key: value})))
+    path.write_text(json.dumps(cfg))
     rc = cli.main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
     assert rc == 2
 

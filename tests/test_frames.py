@@ -64,7 +64,9 @@ def test_unitary_form_entries(lam):
                            [-lam * e, 0, 0]])
     assert np.abs(al.A[node] - expected_A).max() <= 1e-14
     assert np.abs(al.B[node] - expected_B).max() <= 1e-14
-    assert al.convention == "column_frame" and al.variant == "unitary"
+    assert al.convention == "column_frame"
+    with pytest.raises(InvalidSignCase):
+        al.at_zeta(1.0)
 
 
 def test_constant_data_constant_matrices(torus32):

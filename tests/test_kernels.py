@@ -5,7 +5,7 @@ import pytest
 
 import titeica as tz
 from titeica import _kernels, cli, immersion
-from titeica.immersion import _tree_lines, integrate_tree
+from titeica.immersion import integrate_tree
 
 
 def setup_transport(n=24):
@@ -182,6 +182,30 @@ def test_one_point_polyline_returns_F0(row):
     assert np.array_equal(rec[0], F0)
 
 
+def _halves(shape, root, axis, fixed):
+    """The two halves of the lattice line along `axis` whose other
+    coordinate is `fixed`, each from coordinate root[axis] outward."""
+    lines = []
+    for stop in (shape[axis] - 1, 0):
+        step = 1 if stop >= root[axis] else -1
+        pts = np.empty((abs(stop - root[axis]) + 1, 2), dtype=int)
+        pts[:, axis] = np.arange(root[axis], stop + step, step)
+        pts[:, 1 - axis] = fixed
+        lines.append(pts)
+    return lines
+
+
+def _tree_lines(domain, root, axis_first=0):
+    """The spanning comb of integrate_tree as lattice polylines: the two
+    halves of a spine along axis_first through `root`, then for each spine
+    node the two halves of a tooth along the other axis.  Each line starts
+    at a node reached by an earlier line (or at the root)."""
+    lines = _halves(domain.shape, root, axis_first, root[1 - axis_first])
+    for i in range(domain.shape[axis_first]):
+        lines += _halves(domain.shape, root, 1 - axis_first, i)
+    return lines
+
+
 def test_tree_on_2x2_grid():
     # on a 2x2 grid the comb rooted at (1, 1) has one-point halves
     grid = SimpleNamespace(shape=(2, 2), step1=0.5, step2=0.5j, hmin=0.5)
@@ -191,7 +215,8 @@ def test_tree_on_2x2_grid():
     A = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
     B = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
     F0 = np.eye(3, dtype=complex)
-    frames = integrate_tree(grid, A, B, F0)
+    frames, counts = integrate_tree(grid, A, B, F0)
+    assert counts == {"tree_edges": 3, "tree_substeps": 9}
     assert np.array_equal(frames[1, 1], F0)
     for pts in lines:
         ref = transport_scalar(A, B, grid.step1, grid.step2, pts.astype(float),
@@ -215,8 +240,9 @@ def test_zero_length_segment_keeps_frame(row):
 
 
 def tree_by_lines(domain, A, B, F0, root, row, axis_first):
-    """The tree as one transport_polyline call per line of the comb: the
-    algorithm integrate_tree ran before it batched the teeth."""
+    """The tree as one transport_polyline call per half line of the comb
+    (`_tree_lines`): an oracle on the other kernel and its bilinear
+    gathers."""
     frames = np.empty(domain.shape + F0.shape, dtype=complex)
     frames[root] = F0
     for pts in _tree_lines(domain, root, axis_first):
@@ -253,29 +279,59 @@ def test_tree_matches_per_line_oracle(name, state, where, axis_first):
     B = rng.normal(size=(n, m, r, r)) + 1j * rng.normal(size=(n, m, r, r))
     F0 = rng.normal(size=(r, 3)) + 1j * rng.normal(size=(r, 3))
     row = state != "column"
-    got = integrate_tree(dom, A, B, F0, root=root, row=row,
-                         axis_first=axis_first)
+    got, _ = integrate_tree(dom, A, B, F0, root=root, row=row,
+                            axis_first=axis_first)
     ref = tree_by_lines(dom, A, B, F0, root, row, axis_first)
     assert np.array_equal(got[root], F0)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_tree_runs_spine_on_polylines_and_counts_substeps(tmp_path,
-                                                          monkeypatch):
-    calls = []
+# (domain, axis_first) -> the comb's edges and substeps; the spine's edges
+# take the substeps of axis_first, the teeth's those of the other axis
+TREE_COUNTS = [
+    ("rectangle", 0, 339, 1657),
+    ("rectangle", 1, 339, 1049),
+    ("oblique_torus", 0, 407, 1605),
+    ("oblique_torus", 1, 407, 1237),
+]
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[4]))
-        return _kernels.transport_polyline(*args, **kwargs)
 
-    monkeypatch.setattr(immersion, "transport_polyline", counted)
+@pytest.mark.parametrize("name, axis_first, edges, nsub", TREE_COUNTS)
+def test_tree_reports_the_kernels_counts(name, axis_first, edges, nsub):
+    dom = TREE_DOMAINS[name][0]()
+    n, m = dom.shape
+    A = np.zeros((n, m, 3, 3), dtype=complex)
+    F0 = np.eye(3, dtype=complex)
+    frames, counts = integrate_tree(dom, A, A, F0, axis_first=axis_first)
+    assert counts == {"tree_edges": edges, "tree_substeps": nsub}
+    assert np.array_equal(frames, np.broadcast_to(F0, frames.shape))
+
+
+def test_immerse_runs_the_tree_on_two_lattice_line_calls(tmp_path,
+                                                         monkeypatch):
+    calls = {"transport_lines": [], "transport_polyline": []}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    # the kernels wherever the tree could reach them
+    for name in calls:
+        kernel = getattr(_kernels, name)
+        for module in (_kernels, immersion):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counted(name, kernel))
     cfg = {"schema_version": 1, "case": "hyperbolic_affine_sphere",
            "domain": {"kind": "torus", "tau": [0.0, 1.0], "shape": [16, 16]},
            "cubic": {"kind": "constant", "c": [1.0, 0.0]},
            "outputs": {"report": "report.json"}}
     code, report = cli.run(cfg, "immerse", tmp_path)
     assert code == 0
-    # the two halves of the spine through the root (8, 8)
-    assert sorted(calls) == [8, 9]
+    assert calls["transport_polyline"] == []
+    # the spine, one line of 16 nodes, then the 16 teeth
+    assert [args[3].shape[:2] for args in calls["transport_lines"]] == [
+        (1, 16), (16, 16)]
     # 255 edges of 3 substeps each (|step| = 1/16, max_step = 1/32)
     assert report["transport"] == {"tree_edges": 255, "tree_substeps": 765}
