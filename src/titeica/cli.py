@@ -175,17 +175,7 @@ class Pipeline:
                                       self.boundary)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.solver_cfg = _section(cfg, "solver", {})
-        self.tol = _number(float, self.solver_cfg.get("tol", 1e-10), "solver.tol")
-        self.max_iter = _number(int, self.solver_cfg.get("max_iter", 100),
-                                "solver.max_iter")
-        u0 = self.solver_cfg.get("u0")
-        self.u0 = None if u0 is None else _number(float, u0, "solver.u0")
-        t_grid = self.solver_cfg.get("t_grid")
-        try:
-            self.t_grid = None if t_grid is None else continuation_grid(t_grid)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"solver.t_grid: {exc}") from exc
+        self._parse_solver(_section(cfg, "solver", {}))
         wcfg = _section(cfg, "weierstrass", {})
         self.pair = parse_pair(wcfg) if wcfg else None
         outputs = _section(cfg, "outputs", {})
@@ -204,6 +194,34 @@ class Pipeline:
         self.solution = None
         self.mesh = None
 
+    def _parse_solver(self, d):
+        """The solver keys, each checked against the others: every value
+        the chosen solve would ignore or could not use is a ConfigError."""
+        self.tol = _number(float, d.get("tol", 1e-10), "solver.tol")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"solver.tol must be positive, got {self.tol!r}")
+        self.max_iter = _number(int, d.get("max_iter", 100), "solver.max_iter")
+        if self.max_iter < 0:
+            raise ConfigError(
+                f"solver.max_iter must be >= 0, got {self.max_iter!r}")
+        self.method = d.get("method", "newton")
+        if self.method not in ("newton", "monotone"):
+            raise ConfigError(f"unknown solver method {self.method!r}")
+        t_grid = d.get("t_grid")
+        try:
+            self.t_grid = None if t_grid is None else continuation_grid(t_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"solver.t_grid: {exc}") from exc
+        if self.t_grid is not None and self.method != "newton":
+            raise ConfigError("solver.t_grid runs Newton continuation; "
+                              f"method {self.method!r} cannot run it")
+        u0 = d.get("u0")
+        self.u0 = None if u0 is None else _number(float, u0, "solver.u0")
+        if self.u0 is not None and (self.method != "newton"
+                                    or self.t_grid is not None):
+            raise ConfigError("solver.u0 seeds only a Newton solve "
+                              "without t_grid")
+
     # -- helpers ------------------------------------------------------
     def add_residual(self, name, value):
         tol = (TOL_COEFF[name] * self.tol if name == "solve"
@@ -220,7 +238,7 @@ class Pipeline:
 
     # -- stages ---------------------------------------------------------
     def solve(self):
-        method = self.solver_cfg.get("method", "newton")
+        method = self.method
         tol, max_iter, t_grid = self.tol, self.max_iter, self.t_grid
         if t_grid is not None:
             fam = continuation_family(self.problem, self.Q, t_grid, tol=tol,
@@ -234,11 +252,9 @@ class Pipeline:
         elif method == "newton":
             reports = [solve_newton(self.problem, self.u0, tol=tol,
                                     max_iter=max_iter)]
-        elif method == "monotone":
+        else:
             reports = [solve_monotone(self.problem, tol=tol,
                                       max_iter=max_iter)]
-        else:
-            raise ConfigError(f"unknown solver method {method!r}")
         rep = reports[-1]
         u = rep.solution.u
         self.report["solver"] = {

@@ -17,7 +17,11 @@ patches of the Poincare disk, and oblique tori.  Every difference
 quotient of the package is written in this module: `lattice_diff` and
 `lattice_diff2` along one axis, `second_diffs` for (f_jj, f_kk, f_jk),
 and from these the `Domain` stencils d/dz, d/dzbar, d^2/dz^2 and
-d^2/dz dzbar, `lattice_hessian` and the sparse `dzzbar_matrix`.
+d^2/dz dzbar, the interior form `Domain.dzzbar_interior` that the
+solvers apply matrix-free, `lattice_hessian` and the sparse
+`dzzbar_matrix`.  The solvers never build that matrix on a converging
+path: it is the matrix of their direct fallback, after a Krylov solve
+has failed, and the oracle that tests check the stencils against.
 """
 
 from dataclasses import dataclass
@@ -294,6 +298,27 @@ class Domain:
         so the matrix cannot go stale (a continuation reuses it for every
         t)."""
         return dzzbar_matrix(self)
+
+    def dzzbar_interior(self, f, shift):
+        """d^2/dz dzbar f + shift * f at the (n-2) x (m-2) interior nodes
+        of a planar grid: the centered five-point stencil alone, read from
+        slices of f, with no one-sided edge rows.  Its terms are summed in
+        the order of a CSR product (node j-1, k-1, the node, k+1, j+1), so
+        for f zero on the boundary the result equals, to the bit, the
+        product of dzzbar_matrix(self) + diag(shift) with the interior
+        values of f."""
+        a, b, c, den = self.dzzbar_coeffs
+        if c != 0:
+            raise ValueError("the interior stencil has no cross term")
+        # scaled by 1/den as scipy divides a sparse matrix by a scalar
+        inv = 1.0 / den
+        ca, cb = a * inv, b * inv
+        g = ca * f[:-2, 1:-1]
+        g += cb * f[1:-1, :-2]
+        g += ((-2.0 * a + -2.0 * b) * inv + shift) * f[1:-1, 1:-1]
+        g += cb * f[1:-1, 2:]
+        g += ca * f[2:, 1:-1]
+        return g
 
     def dzzbar(self, f):
         a, b, c, den = self.dzzbar_coeffs

@@ -16,13 +16,20 @@ P = -L + c I, inverted exactly by fast transforms (Concus and Golub,
 SIAM J. Numer. Anal. 10, 1973): a type-I DST on Dirichlet grids, a real
 FFT on tori.  Their iteration counts do not grow with the grid.
 
+The Krylov operators are matrix-free (Knoll and Keyes, J. Comput. Phys.
+193, 2004): the Newton Jacobian J v = L_int v + shift * v and the
+monotone operator A v = w shift * v - L_int v apply the lattice stencil
+L_int of `geometry` to v.  The sparse matrix of L_int is built, once per
+domain, only when a Krylov solve has failed and the direct fallback runs.
+
 scipy is imported inside the functions that call it, never at module
-level: the sparse and Krylov routines and the fast transforms load on a
-run's first solve, ``brentq`` only for the supersolution bound, so
-importing the package, or building a closed-form surface, costs numpy
-alone.  ``cg``, ``minres`` and ``spsolve`` are module-level functions
-(with scipy's keywords, ``callback`` included) so that tests and tracers
-can replace or wrap them by name.
+level: the Krylov routines and the fast transforms load on a run's first
+solve, the sparse matrices only for a direct fallback, ``brentq`` only
+for the supersolution bound, so importing the package, or building a
+closed-form surface, costs numpy alone.  ``cg``, ``minres`` and
+``spsolve`` are module-level functions (with scipy's keywords,
+``callback`` included) so that tests and tracers can replace or wrap
+them by name.
 """
 
 from dataclasses import dataclass, field
@@ -200,8 +207,8 @@ def spsolve(A, b, **kwargs):
 def _sym_solve(A, rhs, spd, M):
     """Solve the symmetric system A x = rhs by CG (spd) or MINRES,
     preconditioned by the SPD operator M ~ A^{-1}, falling back to a sparse
-    direct solve if the Krylov method does not converge.  Returns
-    (x, Krylov iterations, whether the fallback ran)."""
+    direct solve of A.tocsc() if the Krylov method does not converge.
+    Returns (x, Krylov iterations, whether the fallback ran)."""
     iters = 0
 
     def count(xk):
@@ -230,15 +237,19 @@ class SolveReport:
 
 class _System:
     """Shared pieces for a problem: the stencil restricted to the unknowns,
-    the interior index, and the symbol of -L_int in the basis of the fast
-    transform that diagonalizes it."""
+    applied matrix-free, the interior index, and the symbol of -L_int in
+    the basis of the fast transform that diagonalizes it.
+
+    L_int v is `Domain.dzzbar` of v on a torus.  On a planar grid it is
+    `Domain.dzzbar_interior` of one zero-bordered buffer, allocated here,
+    whose inner block is v: slices only, so a product gathers, scatters
+    and differences no edge node."""
 
     def __init__(self, p):
         from scipy.fft import dstn, irfftn, rfftn
 
         dom = p.domain
         self.p = p
-        self.L_int = dom.dzzbar_operator
         self.interior = np.flatnonzero(dom.interior_mask.ravel())
         self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
         n, m = dom.shape
@@ -246,19 +257,32 @@ class _System:
             # the stencil is circulant, cross term included: its symbol is
             # the FFT of its kernel L e_0, which sums to 0 (constants)
             self.grid = (n, m)
-            kernel = self.L_int[:, [0]].toarray().reshape(n, m)
-            self.symbol = -rfftn(kernel).real
+            impulse = np.zeros(self.grid)
+            impulse[0, 0] = 1.0
+            self.symbol = -rfftn(dom.dzzbar(impulse)).real
             self.symbol[0, 0] = 0.0
             self._fwd, self._inv = rfftn, partial(irfftn, s=self.grid)
         else:
-            # DST-I eigenvalues of the interior second differences:
-            # dzzbar_matrix builds no cross term on a planar domain
+            # DST-I eigenvalues of the interior second differences, which
+            # have no cross term on a planar domain
             self.grid = (n - 2, m - 2)
+            self._bordered = np.zeros((n, m))
             a, b, _, den = dom.dzzbar_coeffs
             sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2
             sk = 4.0 * np.sin(np.pi * np.arange(1, m - 1) / (2 * (m - 1))) ** 2
             self.symbol = (a * sj[:, None] + b * sk[None, :]) / den
             self._fwd = self._inv = partial(dstn, type=1, norm="ortho")
+
+    def shifted(self, v, shift):
+        """(L_int + diag(shift)) v for the unknowns v, flattened."""
+        dom = self.p.domain
+        if dom.periodic:
+            out = dom.dzzbar(v.reshape(self.grid)).ravel()
+            out += shift * v
+            return out
+        self._bordered[1:-1, 1:-1] = v.reshape(self.grid)
+        return dom.dzzbar_interior(self._bordered,
+                                   shift.reshape(self.grid)).ravel()
 
     def precond(self, c):
         """P^{-1} for P = -L_int + c I (c >= 0) as a LinearOperator."""
@@ -278,6 +302,35 @@ class _System:
         return float(np.max(np.abs(F.ravel()[self.interior])))
 
 
+class _StencilOperator:
+    """sign * (L_int + diag(shift)) on the unknowns, sign = +1 or -1,
+    matrix-free: cg and minres take any object with `shape`, `dtype` and
+    `matvec`.  `tocsc` assembles the same operator from the domain's
+    cached stencil matrix, for the direct fallback after a Krylov solve
+    has failed."""
+
+    dtype = np.dtype(float)
+
+    def __init__(self, sys_, sign, shift):
+        self.sys_, self.sign, self.shift = sys_, sign, shift
+        self.shape = (shift.size, shift.size)
+
+    def matvec(self, v):
+        out = self.sys_.shifted(np.ravel(v), self.shift)
+        if self.sign < 0:
+            np.negative(out, out=out)
+        return out
+
+    def __neg__(self):
+        return _StencilOperator(self.sys_, -self.sign, self.shift)
+
+    def tocsc(self):
+        import scipy.sparse as sp
+
+        L = self.sys_.p.domain.dzzbar_operator
+        return (self.sign * (L + sp.diags(self.shift))).tocsc()
+
+
 def _apply_boundary(p, u):
     if not p.domain.periodic:
         u = u.copy()
@@ -289,8 +342,6 @@ def _apply_boundary(p, u):
 def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     """Damped Newton for the global equation.  Returns the best iterate with
     converged=False after max_iter or a stalled line search."""
-    import scipy.sparse as sp
-
     n, m = p.domain.shape
     u = np.zeros((n, m)) if u0 is None else np.broadcast_to(
         np.asarray(u0, dtype=float), (n, m)).copy()
@@ -303,7 +354,7 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     while not converged and it < max_iter:
         gp = _nonlinear_deriv(p, u).ravel()[sys_.interior]
         shift = sys_.w * gp
-        J = (sys_.L_int + sp.diags(shift)).tocsr()
+        J = _StencilOperator(sys_, 1, shift)
         rhs = -(sys_.w * F.ravel()[sys_.interior])
         # mean |shift| keeps P SPD for CG on -J and for MINRES on J alike
         M = sys_.precond(float(np.mean(np.abs(shift))))
@@ -339,8 +390,6 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     sphere case.  Iterates increase from the subsolution and stay below the
     supersolution; the shift constant is sup |dG/du| + 1 on the current
     bracket."""
-    import scipy.sparse as sp
-
     if (p.case.epsilon, p.case.lam) != (1, -1):
         raise InvalidSignCase("monotone iteration requires (eps, lam) = (1, -1)")
     n, m = p.domain.shape
@@ -366,7 +415,7 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         gmag = np.maximum(np.abs(_nonlinear_deriv(p, u)),
                           np.abs(_nonlinear_deriv(p, super_field)))
         shift = float(np.max(gmag)) + 1.0
-        A = (sp.diags(sys_.w * shift) - sys_.L_int).tocsr()
+        A = _StencilOperator(sys_, -1, -sys_.w * shift)
         rhs = sys_.w * F.ravel()[sys_.interior]
         M = sys_.precond(shift * float(np.mean(sys_.w)))
         delta, k, fell_back = _sym_solve(A, rhs, True, M)

@@ -83,9 +83,21 @@ def test_unreadable_config_exits_2(tmp_path):
     ("weierstrass", "pair"),
     ("weierstrass", {"f_coeffs": 0.1}),
     ("weierstrass", {"g_coeffs": 1.0}),
+    ("solver", {"method": "newton", "tol": -1.0}),
+    ("solver", {"method": "newton", "tol": 0.0}),
+    ("solver", {"method": "newton", "tol": float("nan")}),
+    ("solver", {"method": "newton", "tol": float("inf")}),
+    ("solver", {"method": "newton", "max_iter": -3}),
+    ("solver", {"method": "bogus"}),
+    ("solver", {"method": "monotone", "t_grid": [0.0, 0.5]}),
+    ("solver", {"method": "bogus", "t_grid": [0.0, 0.5]}),
+    ("solver", {"method": "newton", "u0": 0.5, "t_grid": [0.0, 0.5]}),
+    ("solver", {"method": "monotone", "u0": 0.5}),
 ], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid",
         "outputs", "report", "empty_report", "mesh", "coeffs", "weierstrass",
-        "f_coeffs", "g_coeffs"])
+        "f_coeffs", "g_coeffs", "tol_negative", "tol_zero", "tol_nan",
+        "tol_inf", "max_iter_negative", "method", "t_grid_monotone",
+        "t_grid_bogus", "u0_t_grid", "u0_monotone"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
     cfg = torus_config(**{key: value})
     # caught while the pipeline is built, before any stage runs

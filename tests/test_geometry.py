@@ -104,6 +104,8 @@ def test_domain_validation():
     oblique = tz.Domain((16, 16), 0.1, 0.05 + 0.1j, 0.0, False)
     with pytest.raises(ValueError):  # the Dirichlet matrix has no cross term
         dzzbar_matrix(oblique)
+    with pytest.raises(ValueError):  # nor has its matrix-free form
+        oblique.dzzbar_interior(np.zeros(oblique.shape), 0.0)
     dom = tz.Domain.disk_patch(0.8, 16, 16)
     assert np.abs(dom.z).max() <= 0.8 + 1e-12
     assert dom.boundary_mask.sum() == 4 * 16 - 4

@@ -352,10 +352,15 @@ def test_continuation_records_failure():
     assert not res.reports[1].converged
 
 
+def _failing_cg(A, b, **kwargs):
+    return np.zeros_like(b), 1
+
+
 def test_continuation_builds_one_stencil(monkeypatch):
-    # only Q changes with t: the stencil matrix cached on the Domain serves
-    # every Newton solve, and the solutions are those of a fresh matrix
-    # per step
+    # the Krylov solves apply the stencil matrix-free, so a converging
+    # continuation builds no matrix; when every CG fails, the direct
+    # fallback builds one, cached on the Domain for every t, and its
+    # solutions are those of a fresh matrix per step
     builds = []
     build = geometry.dzzbar_matrix
 
@@ -369,21 +374,33 @@ def test_continuation_builds_one_stencil(monkeypatch):
     case = tz.SignCase(-1, -1)
     t_grid = [0.0, 0.1, 0.2, 0.3]
     p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), case)
+    krylov = tz.continuation_family(p0, Q0, t_grid)
+    assert krylov.converged_all and builds == []
+    monkeypatch.setattr(pde, "cg", _failing_cg)
     res = tz.continuation_family(p0, Q0, t_grid)
-    assert res.converged_all and len(builds) == 1
+    assert res.converged_all and builds == [dom]
+    steps = [rep.iterations for rep in res.reports]
+    assert [rep.info["spsolve_fallbacks"] for rep in res.reports] == steps
     seed = None
-    for t, rep in zip(t_grid, res.reports):
+    for t, rep, ref in zip(t_grid, res.reports, krylov.reports):
+        assert np.abs(rep.solution.u - ref.solution.u).max() <= 1e-10
         fresh = dataclasses.replace(dom)   # equal grid, empty cache
         ref = tz.solve_newton(tz.PdeProblem(fresh, POIN, Q0.scaled(t), case),
                               seed)
         assert np.array_equal(rep.solution.u, ref.solution.u)
         seed = ref.solution.u
-    assert len(builds) == 1 + len(t_grid)
+    # one build per fresh domain whose solve took a Newton step
+    assert len(builds) == 1 + sum(k > 0 for k in steps)
 
 
 # -- stencil matrix and fast-Poisson preconditioner -----------------------------
 
 OBLIQUE = tz.Domain.torus(0.3 + 1.1j, 12, 10)
+
+STENCIL_DOMAINS = pytest.mark.parametrize(
+    "dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
+            tz.Domain.disk_patch(0.7, 20, 20), OBLIQUE],
+    ids=["rectangle", "disk_patch", "oblique_torus"])
 
 
 def _sliced_reference(dom):
@@ -408,9 +425,7 @@ def _sliced_reference(dom):
     return (L / den).tocsr()[np.ix_(idx, idx)].tocsr()
 
 
-@pytest.mark.parametrize("dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
-                                 tz.Domain.disk_patch(0.7, 20, 20), OBLIQUE],
-                         ids=["rectangle", "disk_patch", "oblique_torus"])
+@STENCIL_DOMAINS
 def test_interior_matrix_direct_assembly(dom):
     L_int = geometry.dzzbar_matrix(dom)
     sliced = _sliced_reference(dom)
@@ -425,16 +440,74 @@ def test_interior_matrix_direct_assembly(dom):
     assert np.abs(L_int.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def _stencil_problem(dom):
+    return tz.PdeProblem(dom, FLAT, tz.CubicDifferential.constant(1.0), HYP)
+
+
+@STENCIL_DOMAINS
+def test_stencil_operators_match_matrix(dom):
+    # the matrix-free products against the sparse matrix, the oracle:
+    # L_int column by column, then the Newton operator J = L + diag(s),
+    # its negative, and the monotone operator diag(w s) - L
+    sys_ = pde._System(_stencil_problem(dom))
+    L = geometry.dzzbar_matrix(dom)
+    size = sys_.interior.size
+    cols = np.empty((size, size))
+    for col in range(size):
+        e = np.zeros(size)
+        e[col] = 1.0
+        cols[:, col] = sys_.shifted(e, np.zeros(size))
+    scale = np.abs(L).max()
+    assert np.abs(cols - L.toarray()).max() <= 1e-12 * scale
+    rng = np.random.default_rng(8)
+    v, s = rng.normal(size=size), rng.normal(size=size)
+    J = pde._StencilOperator(sys_, 1, s)
+    A = pde._StencilOperator(sys_, -1, -sys_.w * s)
+    for op, ref in [(J, L + sp.diags(s)), (-J, -(L + sp.diags(s))),
+                    (A, sp.diags(sys_.w * s) - L)]:
+        assert np.abs(op.matvec(v) - ref @ v).max() <= 1e-12 * scale
+        assert np.abs((op.tocsc() - ref).toarray()).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
+                                 tz.Domain.disk_patch(0.7, 256, 256)],
+                         ids=["rectangle", "disk_patch_256"])
+def test_interior_stencil_sums_like_csr(dom):
+    # dzzbar_interior sums its terms in the order of the CSR product, so
+    # the matrix-free solves reproduce the sparse-matrix solves bit by bit
+    n, m = dom.shape
+    rng = np.random.default_rng(9)
+    f = np.zeros(dom.shape)
+    f[1:-1, 1:-1] = rng.normal(size=(n - 2, m - 2))
+    s = rng.normal(size=(n - 2, m - 2))
+    J = geometry.dzzbar_matrix(dom) + sp.diags(s.ravel())
+    ref = J @ f[1:-1, 1:-1].ravel()
+    assert np.array_equal(dom.dzzbar_interior(f, s).ravel(), ref)
+
+
+@pytest.mark.parametrize("dom", [OBLIQUE, tz.Domain.torus(1j, 16, 12)],
+                         ids=["oblique", "square"])
+def test_torus_symbol_from_impulse(dom):
+    # the FFT of the stencil applied to a unit impulse at node 0 is the
+    # symbol of the matrix's first column
+    from scipy.fft import rfftn
+
+    sys_ = pde._System(_stencil_problem(dom))
+    kernel = geometry.dzzbar_matrix(dom)[:, [0]].toarray().reshape(dom.shape)
+    ref = -rfftn(kernel).real
+    ref[0, 0] = 0.0
+    assert np.abs(sys_.symbol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("dom,c", [
     (tz.Domain.rectangle(1.0, 0.6, 17, 23), 0.0),   # n != m, h1 != h2: axes
     (tz.Domain.rectangle(1.0, 0.6, 17, 23), 3.7),
     (OBLIQUE, 0.7),                                 # cross term in the symbol
 ])
 def test_fast_poisson_inverse(dom, c):
-    p = tz.PdeProblem(dom, FLAT, tz.CubicDifferential.constant(1.0), HYP)
-    sys_ = pde._System(p)
+    sys_ = pde._System(_stencil_problem(dom))
     r = np.random.default_rng(5).normal(size=sys_.interior.size)
-    P = (-sys_.L_int + c * sp.identity(r.size)).tocsc()
+    P = (-geometry.dzzbar_matrix(dom) + c * sp.identity(r.size)).tocsc()
     ref = spsolve(P, r)
     got = sys_.precond(c) @ r
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -442,13 +515,13 @@ def test_fast_poisson_inverse(dom, c):
 
 def test_fast_poisson_torus_mean_mode():
     # at c = 0 P is singular on the constants; P^{-1} stays finite and
-    # inverts -L_int on mean-zero data
-    p = tz.PdeProblem(OBLIQUE, FLAT, tz.CubicDifferential.constant(1.0), HYP)
-    sys_ = pde._System(p)
+    # inverts -L on mean-zero data
+    sys_ = pde._System(_stencil_problem(OBLIQUE))
     r = np.random.default_rng(6).normal(size=sys_.interior.size)
     r -= r.mean()
     x = sys_.precond(0.0) @ r
-    assert np.abs(-sys_.L_int @ x - r).max() <= 1e-12 * np.abs(r).max()
+    L = geometry.dzzbar_matrix(OBLIQUE)
+    assert np.abs(-L @ x - r).max() <= 1e-12 * np.abs(r).max()
 
 
 @pytest.mark.parametrize("dom", [
@@ -515,6 +588,16 @@ def test_matches_direct_solve(name, monkeypatch):
     assert fast.converged and ref.converged
     assert fast.iterations == ref.iterations
     assert np.abs(fast.solution.u - ref.solution.u).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_converging_solves_build_no_matrix(name, monkeypatch):
+    def no_matrix(domain):
+        raise AssertionError("stencil matrix built on a converging solve")
+
+    monkeypatch.setattr(geometry, "dzzbar_matrix", no_matrix)
+    rep = SOLVES[name](32)
+    assert rep.converged and rep.info["spsolve_fallbacks"] == 0
 
 
 @pytest.mark.parametrize("name", ["cg", "minres"])
