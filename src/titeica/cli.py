@@ -61,11 +61,15 @@ TOL_COEFF = {
 
 
 def _number(convert, v, what):
-    """convert(v) for a scalar config value; ConfigError if it fails."""
+    """convert(v) for a scalar config value; ConfigError if it fails, or
+    if a count (convert is int) is given a non-integral number."""
     try:
-        return convert(v)
-    except (TypeError, ValueError) as exc:
+        x = convert(v)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {v!r}") from exc
+    if convert is int and isinstance(v, float) and x != v:
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return x
 
 
 def _complex(v, what):
@@ -332,8 +336,7 @@ class Pipeline:
             alpha = build_connection(sol.psi, Q, case, self.domain, zeta=1.0)
             curv = curvature_residual(alpha)
             self.add_residual("curvature", float(curv[core].max()))
-            zs = [np.exp(1j * np.pi / 5), 0.5, 2.0]
-            self.add_residual("reality", reality_check(alpha, zs))
+            self.add_residual("reality", reality_check(alpha))
             if self.domain.periodic:
                 rep_h = holonomy_report(alpha,
                                         [torus_generator(self.domain, 0),

@@ -11,9 +11,12 @@ Two frame conventions are kept explicit:
 
 Zero curvature reads  dzbar(A) - dz(B) + [A, B] = 0  in the row
 convention and  dzbar(A) - dz(B) - [A, B] = 0  in the column convention.
+
+The spectral loop A = A0 + zeta A1, B = B0 + B1 / zeta is real for every
+zeta iff two identities between its coefficients hold; `reality_check`
+tests them on the loop as built and samples no zeta.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +43,8 @@ class ConnectionForm:
     convention: str  # "row_frame" | "column_frame"
     domain: Domain
     case: SignCase | None = None
-    # (e^psi, Q(z), e^{-2 psi}) of a spectral-loop form, which its zeta
-    # entries are made of; None on every other form
-    loop_fields: tuple | None = None
-
-    def at_zeta(self, zeta):
-        """The same spectral loop at another zeta.  Only the three zeta
-        entries of A and the three 1/zeta entries of B depend on it; they
-        are written again from `loop_fields` exactly as build_connection
-        writes them, and no stencil, exponential or Q(z) is recomputed."""
-        if self.loop_fields is None:
-            raise InvalidSignCase("only spectral-loop forms carry a zeta family")
-        A, B = self.A.copy(), self.B.copy()
-        _zeta_entries(A, B, complex(zeta), self.case, *self.loop_fields)
-        return dataclasses.replace(self, A=A, B=B)
+    # the zeta a spectral-loop form was built at; None on every other form
+    zeta: complex | None = None
 
 
 def _zero_fields(domain):
@@ -63,15 +54,10 @@ def _zero_fields(domain):
     return A, B
 
 
-def _zeta_entries(A, B, zeta, case, ep, qv, em2p):
-    """Write the zeta-dependent entries of the spectral loop into A, B."""
-    lam, eps = case.lam, case.epsilon
-    A[..., 0, 2] = -zeta * lam * ep
-    A[..., 1, 0] = zeta * qv * em2p
-    A[..., 2, 1] = -zeta * lam * ep
-    B[..., 0, 1] = (eps / zeta) * np.conj(qv) * em2p
-    B[..., 1, 2] = ep / zeta
-    B[..., 2, 0] = ep / zeta
+# entries (1,3), (2,1), (3,2) of A and (1,2), (2,3), (3,1) of B carry the
+# loop's zeta: A = A0 + zeta A1 and B = B0 + B1 / zeta, A1 and B1 there
+_ZETA_A = (..., [0, 1, 2], [2, 0, 1])
+_ZETA_B = (..., [0, 1, 2], [1, 2, 0])
 
 
 def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
@@ -103,9 +89,11 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
         A[..., 1, 1] = -pz
         B[..., 0, 0] = -pzb
         B[..., 1, 1] = pzb
-        _zeta_entries(A, B, zeta, case, ep, qv, em2p)
-        return ConnectionForm(A, B, "column_frame", domain, case,
-                              loop_fields=(ep, qv, em2p))
+        A[_ZETA_A] = np.stack([-zeta * lam * ep, zeta * qv * em2p,
+                               -zeta * lam * ep], axis=-1)
+        B[_ZETA_B] = np.stack([(case.epsilon / zeta) * np.conj(qv) * em2p,
+                               ep / zeta, ep / zeta], axis=-1)
+        return ConnectionForm(A, B, "column_frame", domain, case, zeta=zeta)
 
     if convention != "row_frame":
         raise ValueError(f"unknown convention {convention!r}")
@@ -167,40 +155,42 @@ def _star(X):
     return _dagger(X) * np.outer(_ETA, _ETA)
 
 
-# (iota, rho) pairs: alpha takes values in {X : X(iota(zeta)) = rho(X(zeta))}
+# (s, rho) per case: alpha takes values in {X : X(iota(zeta)) = -rho(X(zeta))}
+# with iota(zeta) = s / conj(zeta)
 _REALITY = {
-    (1, -1): (lambda z: -1.0 / np.conj(z), _dagger),   # hyperbolic affine
-    (1, 1): (lambda z: -1.0 / np.conj(z), _star),      # elliptic affine
-    (-1, -1): (lambda z: 1.0 / np.conj(z), _star),     # minimal Lagrangian CH^2
-    (-1, 1): (lambda z: 1.0 / np.conj(z), _dagger),    # minimal Lagrangian CP^2
+    (1, -1): (-1.0, _dagger),   # hyperbolic affine
+    (1, 1): (-1.0, _star),      # elliptic affine
+    (-1, -1): (1.0, _star),     # minimal Lagrangian CH^2
+    (-1, 1): (1.0, _dagger),    # minimal Lagrangian CP^2
 }
 
 
-def reality_check(alpha, zeta_samples, involution_case=None):
-    """Max deviation of the loop connection from its case's real form:
-    sup over samples and real tangent directions of
-    || X(iota(zeta)) + rho(X(zeta)) ||_F  with rho(X) = X^dagger or X^star.
+def reality_check(alpha, involution_case=None):
+    """Deviation of the loop from its case's real form, for every zeta at once.
 
-    Pass involution_case to test alpha against another case's involution
-    (a mismatch oracle)."""
-    case = alpha.case
-    if case is None or case.lam == 0:
-        raise InvalidSignCase("reality conditions apply to the four Toda cases")
-    if alpha.loop_fields is None:
-        raise InvalidSignCase("reality check expects a spectral-loop form")
-    inv_case = involution_case or case
+    With A = A0 + zeta A1, B = B0 + B1 / zeta and iota(zeta) = s/conj(zeta),
+    X(iota(zeta)) + rho(X(zeta)) = 0 holds for X = A + B, i(A - B) and every
+    zeta iff R0 = B0 + rho(A0) and R1 = B1 + s rho(A1) vanish; at one zeta
+    its Frobenius norm is at most 2||R0|| + (|zeta| + 1/|zeta|) ||R1||.
+    Returns the sup over nodes of 2||R0|| + 4||R1||, a bound of it for every
+    1/2 <= |zeta| <= 2.  involution_case tests alpha against another case's
+    involution (a mismatch oracle)."""
+    if alpha.zeta is None:
+        raise InvalidSignCase("reality conditions apply to the spectral loop "
+                              "of the four Toda cases")
+    inv_case = involution_case or alpha.case
     if inv_case.lam == 0:
         raise InvalidSignCase("no involution for lam = 0")
-    iota, rho = _REALITY[(inv_case.epsilon, inv_case.lam)]
-    worst = 0.0
-    for z in np.atleast_1d(zeta_samples):
-        a1 = alpha.at_zeta(z)
-        a2 = alpha.at_zeta(iota(complex(z)))
-        for (X1, X2) in (((a1.A + a1.B), (a2.A + a2.B)),
-                         (1j * (a1.A - a1.B), 1j * (a2.A - a2.B))):
-            dev = np.linalg.norm(X2 + rho(X1), axis=(-2, -1))
-            worst = max(worst, float(dev.max()))
-    return worst
+    s, rho = _REALITY[(inv_case.epsilon, inv_case.lam)]
+    A, B = alpha.A.copy(), alpha.B.copy()
+    A[_ZETA_A] *= s / alpha.zeta    # A0 + s A1
+    B[_ZETA_B] *= alpha.zeta        # B0 + B1
+    # rho moves the entries of A1 onto those of B1: R1 there, R0 elsewhere
+    R = B + rho(A)
+    r1 = np.linalg.norm(R[_ZETA_B], axis=-1)
+    R[_ZETA_B] = 0.0
+    r0 = np.linalg.norm(R, axis=(-2, -1))
+    return float(np.max(2.0 * r0 + 4.0 * r1))
 
 
 @dataclass

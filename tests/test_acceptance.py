@@ -115,17 +115,16 @@ def test_criterion_03_zero_curvature(torus32):
 
 def test_criterion_04_reality_conditions(torus32):
     p, sol = torus32
-    zs = [np.exp(1j * np.pi / 5), 0.37 + 0.9j, 0.5, 2.0]
     worst_matched = 0.0
     worst_mismatch = np.inf
     for case in ALL_TODA:
         al = tz.build_connection(sol.psi, p.Q, case, p.domain, zeta=1.0)
-        worst_matched = max(worst_matched, tz.reality_check(al, zs))
+        worst_matched = max(worst_matched, tz.reality_check(al))
         for other in ALL_TODA:
             if (other.epsilon, other.lam) == (case.epsilon, case.lam):
                 continue
             worst_mismatch = min(worst_mismatch,
-                                 tz.reality_check(al, zs, involution_case=other))
+                                 tz.reality_check(al, involution_case=other))
     ok = worst_matched <= 1e-12 and worst_mismatch > 1e-3
     _report(4, ok, f"matched involutions {worst_matched:.2e} (<=1e-12), "
                    f"weakest mismatch {worst_mismatch:.2e} (>1e-3)")

@@ -93,11 +93,15 @@ def test_unreadable_config_exits_2(tmp_path):
     ("solver", {"method": "bogus", "t_grid": [0.0, 0.5]}),
     ("solver", {"method": "newton", "u0": 0.5, "t_grid": [0.0, 0.5]}),
     ("solver", {"method": "monotone", "u0": 0.5}),
+    ("solver", {"method": "newton", "max_iter": 2.5}),
+    ("domain", {"kind": "torus", "tau": [0.0, 1.0], "shape": [16.9, 16]}),
+    ("solver", {"method": "newton", "max_iter": float("inf")}),
 ], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid",
         "outputs", "report", "empty_report", "mesh", "coeffs", "weierstrass",
         "f_coeffs", "g_coeffs", "tol_negative", "tol_zero", "tol_nan",
         "tol_inf", "max_iter_negative", "method", "t_grid_monotone",
-        "t_grid_bogus", "u0_t_grid", "u0_monotone"])
+        "t_grid_bogus", "u0_t_grid", "u0_monotone", "max_iter_fraction",
+        "shape_fraction", "max_iter_inf"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
     cfg = torus_config(**{key: value})
     # caught while the pipeline is built, before any stage runs

@@ -65,8 +65,10 @@ def test_unitary_form_entries(lam):
     assert np.abs(al.A[node] - expected_A).max() <= 1e-14
     assert np.abs(al.B[node] - expected_B).max() <= 1e-14
     assert al.convention == "column_frame"
+    # a gauge of the loop, not the loop itself: no zeta, no reality check
+    assert al.zeta is None
     with pytest.raises(InvalidSignCase):
-        al.at_zeta(1.0)
+        tz.reality_check(al)
 
 
 def test_constant_data_constant_matrices(torus32):
@@ -158,22 +160,103 @@ def test_curvature_detects_perturbation(torus32):
 ALL_TODA = [tz.SignCase(1, -1), tz.SignCase(1, 1),
             tz.SignCase(-1, -1), tz.SignCase(-1, 1)]
 ZETAS = [np.exp(1j * np.pi / 5), 0.37 + 0.9j, 0.5, 2.0]
+# (iota, rho) per case: the loop takes values in {X(iota(z)) = -rho(X(z))}
+SAMPLED_REALITY = {
+    (1, -1): (lambda z: -1.0 / np.conj(z), _dagger),
+    (1, 1): (lambda z: -1.0 / np.conj(z), _star),
+    (-1, -1): (lambda z: 1.0 / np.conj(z), _star),
+    (-1, 1): (lambda z: 1.0 / np.conj(z), _dagger),
+}
+# rounding of the oracle, which rebuilds the loop at each sample
+ORACLE_ROUNDING = 1e-14
+
+
+def sampled_reality(psi, Q, case, dom, zetas, involution_case=None):
+    """Oracle: sup over samples and real directions X in {A + B, i(A - B)}
+    of ||X(iota(zeta)) + rho(X(zeta))||_F, the loop rebuilt at each zeta."""
+    inv = involution_case or case
+    iota, rho = SAMPLED_REALITY[(inv.epsilon, inv.lam)]
+    worst = 0.0
+    for z in zetas:
+        a1 = tz.build_connection(psi, Q, case, dom, zeta=z)
+        a2 = tz.build_connection(psi, Q, case, dom, zeta=iota(complex(z)))
+        for X1, X2 in ((a1.A + a1.B, a2.A + a2.B),
+                       (1j * (a1.A - a1.B), 1j * (a2.A - a2.B))):
+            dev = np.linalg.norm(X2 + rho(X1), axis=(-2, -1))
+            worst = max(worst, float(dev.max()))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def loops(torus32):
+    """(psi, Q, domain, zeta) of two loops with psi_z and Q not real: a
+    perturbed 32^2 torus solution with Q rotated to c = 0.6 + 0.8i, built at
+    zeta = 1, and a 24 x 20 disk patch with polynomial Q, built at
+    zeta = 0.8 - 0.3i.  The reality conditions are algebraic, so (psi, Q)
+    need not solve the metric equation."""
+    p, sol = torus32
+    x, y = p.domain.z.real, p.domain.z.imag
+    torus = (sol.psi + 0.05 * np.sin(2 * np.pi * (x + 2 * y)),
+             tz.CubicDifferential.constant(0.6 + 0.8j), p.domain, 1.0)
+    dom = tz.Domain.disk_patch(0.7, 24, 20)
+    disk = (poincare_weight(dom) + 0.1 * np.sin(3.0 * dom.z.real + dom.z.imag),
+            tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3, -0.1j]), dom,
+            0.8 - 0.3j)
+    return [torus, disk]
 
 
 @pytest.mark.parametrize("case", ALL_TODA, ids=lambda c: c.geometry_tag)
-def test_reality_matched(case, torus32):
-    p, sol = torus32
-    al = tz.build_connection(sol.psi, p.Q, case, p.domain, zeta=1.0)
-    assert tz.reality_check(al, ZETAS) <= 1e-12
+def test_reality_matched(case, loops):
+    for psi, Q, dom, zeta in loops:
+        al = tz.build_connection(psi, Q, case, dom, zeta=zeta)
+        assert al.zeta == zeta
+        value = tz.reality_check(al)
+        assert value <= 1e-12
+        oracle = sampled_reality(psi, Q, case, dom, ZETAS)
+        assert value >= oracle - ORACLE_ROUNDING
 
 
 @pytest.mark.parametrize("other, case", [
     (o, c) for o in ALL_TODA for c in ALL_TODA if o != c],
     ids=lambda c: c.geometry_tag)
-def test_reality_mismatched(case, other, torus32):
-    p, sol = torus32
-    al = tz.build_connection(sol.psi, p.Q, case, p.domain, zeta=1.0)
-    assert tz.reality_check(al, ZETAS, involution_case=other) > 1e-3
+def test_reality_mismatched(case, other, loops):
+    for psi, Q, dom, zeta in loops:
+        al = tz.build_connection(psi, Q, case, dom, zeta=zeta)
+        value = tz.reality_check(al, involution_case=other)
+        assert value > 1e-3
+        oracle = sampled_reality(psi, Q, case, dom, ZETAS, involution_case=other)
+        assert value >= oracle - ORACLE_ROUNDING
+
+
+def _flip_eps(al, psi, Q):
+    al.B[..., 0, 1] *= -1.0
+
+
+def _q_for_conj_q(al, psi, Q):
+    qv = Q(al.domain.z) * np.exp(-2.0 * psi)
+    al.B[..., 0, 1] = al.case.epsilon * qv / al.zeta
+
+
+def _negate_lam(al, psi, Q):
+    al.A[..., 2, 1] *= -1.0
+
+
+def _swap_psi_z(al, psi, Q):
+    pz = al.domain.dz(psi)
+    al.B[..., 0, 0] = -pz
+    al.B[..., 1, 1] = pz
+
+
+@pytest.mark.parametrize("mutate", [_flip_eps, _q_for_conj_q, _negate_lam,
+                                    _swap_psi_z],
+                         ids=["eps_flipped", "q_for_conj_q", "lam_negated",
+                              "psi_z_for_psi_zbar"])
+@pytest.mark.parametrize("case", ALL_TODA, ids=lambda c: c.geometry_tag)
+def test_reality_mutations_fail(case, mutate, loops):
+    for psi, Q, dom, zeta in loops:
+        al = tz.build_connection(psi, Q, case, dom, zeta=zeta)
+        mutate(al, psi, Q)
+        assert tz.reality_check(al) > 1e-10
 
 
 def test_cp2_unit_circle_su3(torus32):
@@ -187,31 +270,16 @@ def test_cp2_unit_circle_su3(torus32):
         assert np.abs(X + _dagger(X)).max() < 1e-12
 
 
-@pytest.mark.parametrize("case", ALL_TODA, ids=lambda c: c.geometry_tag)
-def test_at_zeta_equals_rebuild(case):
-    # a disk patch with non-constant psi and Q; the loop is built at one
-    # zeta and moved to others, itself included
-    dom = tz.Domain.disk_patch(0.7, 24, 20)
-    psi = poincare_weight(dom) + 0.1 * np.sin(3.0 * dom.z.real)
-    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3, -0.1j])
-    al = tz.build_connection(psi, Q, case, dom, zeta=0.8 - 0.3j)
-    for z in (0.8 - 0.3j, np.exp(1j * np.pi / 5), 2.0, -1.0 / np.conj(0.37 + 0.9j)):
-        moved = al.at_zeta(z)
-        built = tz.build_connection(psi, Q, case, dom, zeta=z)
-        assert np.array_equal(moved.A, built.A)
-        assert np.array_equal(moved.B, built.B)
-
-
 def test_reality_check_builds_no_connection(torus32, monkeypatch):
     p, sol = torus32
     al = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0)
-    expected = tz.reality_check(al, ZETAS)
+    expected = tz.reality_check(al)
 
     def refuse(*args, **kwargs):
         raise AssertionError("reality_check rebuilt the connection")
 
     monkeypatch.setattr(frames, "build_connection", refuse)
-    assert tz.reality_check(al, ZETAS) == expected
+    assert tz.reality_check(al) == expected
 
 
 def test_reality_rejects_lambda_zero(torus32):
@@ -219,7 +287,7 @@ def test_reality_rejects_lambda_zero(torus32):
     al = tz.build_connection(sol.psi, p.Q, tz.SignCase(1, 0), p.domain,
                              convention="row_frame")
     with pytest.raises(InvalidSignCase):
-        tz.reality_check(al, [1.0])
+        tz.reality_check(al)
 
 
 # -- frame integration -------------------------------------------------------------

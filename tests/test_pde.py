@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import bisect
+from scipy.optimize import bisect, brentq
 from scipy.sparse.linalg import spsolve
 
 import titeica as tz
@@ -141,10 +141,22 @@ def test_constant_solution_errors():
 def test_supersolution_root():
     assert tz.cubic_supersolution_root(0.0) == 1.0
     # substitution check: 8 - 4 - 4 = 0, so M = 4 gives m = 2
-    assert tz.cubic_supersolution_root(4.0) == pytest.approx(2.0, abs=1e-12)
+    assert tz.cubic_supersolution_root(4.0) == 2.0
     # scalar bisection oracle for M = 2
     oracle = bisect(lambda x: x ** 3 - x ** 2 - 2.0, 1.0, 3.0, xtol=1e-13)
     assert tz.cubic_supersolution_root(2.0) == pytest.approx(oracle, abs=1e-10)
+    with pytest.raises(ValueError):
+        tz.cubic_supersolution_root(-1.0)
+
+
+def test_supersolution_root_matches_brentq():
+    # brentq at its tightest tolerance is the root finder the closed form
+    # replaced; both are within a few ulp of the root
+    for M in np.logspace(-14.0, 14.0, 57):
+        hi = 1.0 + M ** (1.0 / 3.0) + 1e-9
+        oracle = brentq(lambda x: x ** 3 - x ** 2 - M, 1.0, hi,
+                        xtol=1e-15, rtol=1e-15)
+        assert tz.cubic_supersolution_root(M) == pytest.approx(oracle, rel=1e-15)
 
 
 def test_supersolution_bound_cases():
