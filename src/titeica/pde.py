@@ -10,17 +10,22 @@ Discretization: centered second differences on the index lattice
 (5-point stencil on orthogonal grids, plus a centered cross term on
 oblique tori), periodic on tori, Dirichlet on planar domains.  Newton
 iterations are damped by a halving line search on the sup norm of the
-residual.  Linear solves are symmetric (after multiplying the equation by
-sigma/4) and preconditioned by the constant-coefficient operator
-P = -L + c I, inverted exactly by fast transforms (Concus and Golub,
-SIAM J. Numer. Anal. 10, 1973): a type-I DST on Dirichlet grids, a real
-FFT on tori.  Their iteration counts do not grow with the grid.
+residual.
 
-The Krylov operators are matrix-free (Knoll and Keyes, J. Comput. Phys.
-193, 2004): the Newton Jacobian J v = L_int v + shift * v and the
-monotone operator A v = w shift * v - L_int v apply the lattice stencil
-L_int of `geometry` to v.  The sparse matrix of L_int is built, once per
-domain, only when a Krylov solve has failed and the direct fallback runs.
+Every linear system of the equation, multiplied by sigma/4 to make it
+symmetric, reads (L_int + diag(shift)) x = rhs, and `_System.solve` is
+the one place that solves it.  The shift fixes the method: CG on the
+negated, positive definite system when every shift is negative (the
+hyperbolic affine sphere, and every monotone step), MINRES otherwise
+(Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  Both are
+preconditioned by P = -L + c I at c = mean |shift|, inverted exactly by
+fast transforms (Concus and Golub, SIAM J. Numer. Anal. 10, 1973): a
+type-I DST on Dirichlet grids, a real FFT on tori.  Their iteration
+counts do not grow with the grid.  The operator is matrix-free (Knoll and
+Keyes, J. Comput. Phys. 193, 2004): `_System.shifted` applies the lattice
+stencil L_int of `geometry`.  A Krylov solve that does not converge is
+replaced by a sparse direct solve; the matrix of L_int is built, once per
+domain, only then.  `_System` counts Krylov iterations and direct solves.
 
 scipy is imported inside the functions that call it, never at module
 level: the Krylov routines and the fast transforms load on a run's first
@@ -28,8 +33,8 @@ solve and the sparse matrices only for a direct fallback, so importing
 the package, or building a closed-form surface, costs numpy alone.  The
 supersolution bound is Cardano's formula, with no root finder.  ``cg``,
 ``minres`` and ``spsolve`` are module-level functions (with scipy's
-keywords, ``callback`` included) so that tests and tracers can replace
-or wrap them by name.
+keywords, ``callback`` included), which `_System.solve` calls by these
+names, so that tests and tracers can replace or wrap them.
 """
 
 import math
@@ -208,28 +213,6 @@ def spsolve(A, b, **kwargs):
     return spsolve(A, b, **kwargs)
 
 
-def _sym_solve(A, rhs, spd, M):
-    """Solve the symmetric system A x = rhs by CG (spd) or MINRES,
-    preconditioned by the SPD operator M ~ A^{-1}, falling back to a sparse
-    direct solve of A.tocsc() if the Krylov method does not converge.
-    Returns (x, Krylov iterations, whether the fallback ran)."""
-    iters = 0
-
-    def count(xk):
-        nonlocal iters
-        iters += 1
-
-    if spd:
-        x, info = cg(A, rhs, M=M, rtol=LINEAR_RTOL, atol=0.0,
-                     maxiter=20 * rhs.size, callback=count)
-    else:
-        x, info = minres(A, rhs, M=M, rtol=LINEAR_RTOL,
-                         maxiter=20 * rhs.size, callback=count)
-    if info != 0:
-        x = spsolve(A.tocsc(), rhs)
-    return x, iters, info != 0
-
-
 @dataclass
 class SolveReport:
     converged: bool
@@ -241,8 +224,9 @@ class SolveReport:
 
 class _System:
     """Shared pieces for a problem: the stencil restricted to the unknowns,
-    applied matrix-free, the interior index, and the symbol of -L_int in
-    the basis of the fast transform that diagonalizes it.
+    applied matrix-free, the interior index, the symbol of -L_int in the
+    basis of the fast transform that diagonalizes it, and the linear solve
+    with its counts of Krylov iterations and direct solves.
 
     L_int v is `Domain.dzzbar` of v on a torus.  On a planar grid it is
     `Domain.dzzbar_interior` of one zero-bordered buffer, allocated here,
@@ -256,6 +240,7 @@ class _System:
         self.p = p
         self.interior = np.flatnonzero(dom.interior_mask.ravel())
         self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
+        self.linear_iters = self.spsolve_fallbacks = 0
         n, m = dom.shape
         if dom.periodic:
             # the stencil is circulant, cross term included: its symbol is
@@ -302,37 +287,45 @@ class _System:
         size = self.interior.size
         return LinearOperator((size, size), matvec=apply, dtype=float)
 
+    def solve(self, shift, rhs):
+        """x with (L_int + diag(shift)) x = rhs on the unknowns: CG on the
+        negated system when every shift is negative, which makes it SPD,
+        MINRES otherwise, preconditioned by P^{-1} at c = mean |shift|,
+        which is SPD for either.  A Krylov solve that does not converge is
+        replaced by a direct solve of the assembled matrix.  Adds to the
+        counts `linear_iters` and `spsolve_fallbacks`."""
+        from scipy.sparse.linalg import LinearOperator
+
+        sign = -1.0 if np.all(shift < 0) else 1.0
+
+        def apply(v):
+            out = self.shifted(np.ravel(v), shift)
+            out *= sign
+            return out
+
+        def count(xk):
+            self.linear_iters += 1
+
+        size = shift.size
+        A = LinearOperator((size, size), matvec=apply, dtype=float)
+        M = self.precond(float(np.mean(np.abs(shift))))
+        b = sign * rhs
+        if sign < 0:
+            x, info = cg(A, b, M=M, rtol=LINEAR_RTOL, atol=0.0,
+                         maxiter=20 * size, callback=count)
+        else:
+            x, info = minres(A, b, M=M, rtol=LINEAR_RTOL,
+                             maxiter=20 * size, callback=count)
+        if info != 0:
+            import scipy.sparse as sp
+
+            L = self.p.domain.dzzbar_operator
+            x = spsolve((sign * (L + sp.diags(shift))).tocsc(), b)
+            self.spsolve_fallbacks += 1
+        return x
+
     def rinf(self, F):
         return float(np.max(np.abs(F.ravel()[self.interior])))
-
-
-class _StencilOperator:
-    """sign * (L_int + diag(shift)) on the unknowns, sign = +1 or -1,
-    matrix-free: cg and minres take any object with `shape`, `dtype` and
-    `matvec`.  `tocsc` assembles the same operator from the domain's
-    cached stencil matrix, for the direct fallback after a Krylov solve
-    has failed."""
-
-    dtype = np.dtype(float)
-
-    def __init__(self, sys_, sign, shift):
-        self.sys_, self.sign, self.shift = sys_, sign, shift
-        self.shape = (shift.size, shift.size)
-
-    def matvec(self, v):
-        out = self.sys_.shifted(np.ravel(v), self.shift)
-        if self.sign < 0:
-            np.negative(out, out=out)
-        return out
-
-    def __neg__(self):
-        return _StencilOperator(self.sys_, -self.sign, self.shift)
-
-    def tocsc(self):
-        import scipy.sparse as sp
-
-        L = self.sys_.p.domain.dzzbar_operator
-        return (self.sign * (L + sp.diags(self.shift))).tocsc()
 
 
 def _apply_boundary(p, u):
@@ -353,21 +346,11 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     sys_ = _System(p)
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
-    it = linear_iters = fallbacks = 0
+    it = 0
     converged = rinf <= tol
     while not converged and it < max_iter:
         gp = _nonlinear_deriv(p, u).ravel()[sys_.interior]
-        shift = sys_.w * gp
-        J = _StencilOperator(sys_, 1, shift)
-        rhs = -(sys_.w * F.ravel()[sys_.interior])
-        # mean |shift| keeps P SPD for CG on -J and for MINRES on J alike
-        M = sys_.precond(float(np.mean(np.abs(shift))))
-        if np.all(shift < 0):
-            delta, k, fell_back = _sym_solve(-J, -rhs, True, M)
-        else:
-            delta, k, fell_back = _sym_solve(J, rhs, False, M)
-        linear_iters += k
-        fallbacks += fell_back
+        delta = sys_.solve(sys_.w * gp, -(sys_.w * F.ravel()[sys_.interior]))
         t = 1.0
         accepted = False
         for _ in range(40):
@@ -385,7 +368,8 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
             break
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
-    info = {"linear_iters": linear_iters, "spsolve_fallbacks": fallbacks}
+    info = {"linear_iters": sys_.linear_iters,
+            "spsolve_fallbacks": sys_.spsolve_fallbacks}
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 
@@ -413,18 +397,15 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     history = {"min_step": [], "max_u": []}
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
-    it = linear_iters = fallbacks = 0
+    it = 0
     converged = rinf <= tol
     while not converged and it < max_iter:
         gmag = np.maximum(np.abs(_nonlinear_deriv(p, u)),
                           np.abs(_nonlinear_deriv(p, super_field)))
         shift = float(np.max(gmag)) + 1.0
-        A = _StencilOperator(sys_, -1, -sys_.w * shift)
-        rhs = sys_.w * F.ravel()[sys_.interior]
-        M = sys_.precond(shift * float(np.mean(sys_.w)))
-        delta, k, fell_back = _sym_solve(A, rhs, True, M)
-        linear_iters += k
-        fallbacks += fell_back
+        # (w shift - L_int) delta = w F
+        delta = sys_.solve(-sys_.w * shift,
+                           -(sys_.w * F.ravel()[sys_.interior]))
         u.ravel()[sys_.interior] += delta
         history["min_step"].append(float(delta.min()))
         history["max_u"].append(float(u.max()))
@@ -434,8 +415,8 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
     info = {"bracket": (float(sub), float(super_)),
-            "history": history, "linear_iters": linear_iters,
-            "spsolve_fallbacks": fallbacks}
+            "history": history, "linear_iters": sys_.linear_iters,
+            "spsolve_fallbacks": sys_.spsolve_fallbacks}
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 

@@ -96,12 +96,37 @@ def test_unreadable_config_exits_2(tmp_path):
     ("solver", {"method": "newton", "max_iter": 2.5}),
     ("domain", {"kind": "torus", "tau": [0.0, 1.0], "shape": [16.9, 16]}),
     ("solver", {"method": "newton", "max_iter": float("inf")}),
+    # strings and booleans are not numbers, though int() and float() take them
+    ("solver", {"method": "newton", "max_iter": "7"}),
+    ("solver", {"method": "newton", "max_iter": True}),
+    ("solver", {"method": "newton", "tol": "1e-9"}),
+    ("solver", {"method": "newton", "tol": True}),
+    ("domain", {"kind": "torus", "tau": [0.0, 1.0], "shape": ["16", "16"]}),
+    ("cubic", {"kind": "constant", "c": ["1", "0"]}),
+    ("boundary", "0.5"),
+    ("schema_version", True),
+    # json reads NaN and Infinity; no config value may be either
+    ("boundary", float("nan")),
+    ("cubic", {"kind": "constant", "c": [float("nan"), 0.0]}),
+    ("metric", {"kind": "flat", "sigma": float("inf")}),
+    ("domain", {"kind": "rectangle", "width": float("inf"),
+                "shape": [16, 16]}),
+    ("domain", {"kind": "rectangle", "height": float("nan"),
+                "shape": [16, 16]}),
+    ("solver", {"method": "newton", "t_grid": ["0", "0.1"]}),
+    ("solver", {"method": "newton", "t_grid": [False, True]}),
+    ("solver", {"method": "newton", "t_grid": [0.0, float("nan")]}),
+    ("solver", {"method": "newton", "t_grid": 0.5}),
 ], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid",
         "outputs", "report", "empty_report", "mesh", "coeffs", "weierstrass",
         "f_coeffs", "g_coeffs", "tol_negative", "tol_zero", "tol_nan",
         "tol_inf", "max_iter_negative", "method", "t_grid_monotone",
         "t_grid_bogus", "u0_t_grid", "u0_monotone", "max_iter_fraction",
-        "shape_fraction", "max_iter_inf"])
+        "shape_fraction", "max_iter_inf", "max_iter_string", "max_iter_bool",
+        "tol_string", "tol_bool", "shape_strings", "c_strings",
+        "boundary_string", "schema_version_bool", "boundary_nan", "c_nan",
+        "sigma_inf", "width_inf", "height_nan", "t_grid_strings",
+        "t_grid_bool", "t_grid_nan", "t_grid_scalar"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
     cfg = torus_config(**{key: value})
     # caught while the pipeline is built, before any stage runs

@@ -457,10 +457,11 @@ def _stencil_problem(dom):
 
 
 @STENCIL_DOMAINS
-def test_stencil_operators_match_matrix(dom):
-    # the matrix-free products against the sparse matrix, the oracle:
-    # L_int column by column, then the Newton operator J = L + diag(s),
-    # its negative, and the monotone operator diag(w s) - L
+def test_stencil_operators_match_matrix(dom, monkeypatch):
+    # the matrix-free product against the sparse matrix, the oracle: L_int
+    # column by column; then the solve of (L + diag(s)) x = v for an
+    # all-negative shift (CG) and a mixed one (MINRES), and, with both
+    # Krylov methods made to fail, by the direct fallback's matrix
     sys_ = pde._System(_stencil_problem(dom))
     L = geometry.dzzbar_matrix(dom)
     size = sys_.interior.size
@@ -473,12 +474,16 @@ def test_stencil_operators_match_matrix(dom):
     assert np.abs(cols - L.toarray()).max() <= 1e-12 * scale
     rng = np.random.default_rng(8)
     v, s = rng.normal(size=size), rng.normal(size=size)
-    J = pde._StencilOperator(sys_, 1, s)
-    A = pde._StencilOperator(sys_, -1, -sys_.w * s)
-    for op, ref in [(J, L + sp.diags(s)), (-J, -(L + sp.diags(s))),
-                    (A, sp.diags(sys_.w * s) - L)]:
-        assert np.abs(op.matvec(v) - ref @ v).max() <= 1e-12 * scale
-        assert np.abs((op.tocsc() - ref).toarray()).max() <= 1e-12 * scale
+    for failing in (False, True):
+        if failing:
+            monkeypatch.setattr(pde, "cg", _failing_cg)
+            monkeypatch.setattr(pde, "minres", _failing_cg)
+        for shift in (-np.abs(s), s):
+            ref = spsolve((L + sp.diags(shift)).tocsc(), v)
+            x = sys_.solve(shift, v)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert sys_.spsolve_fallbacks == 2 * failing
+    assert sys_.linear_iters > 0
 
 
 @pytest.mark.parametrize("dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
@@ -592,10 +597,11 @@ def test_linear_iterations_flat_in_n(name):
 def test_matches_direct_solve(name, monkeypatch):
     fast = SOLVES[name](48)
 
-    def direct(A, rhs, spd, M):
-        return spsolve(A.tocsc(), rhs), 0, False
+    def direct(self, shift, rhs):
+        L = geometry.dzzbar_matrix(self.p.domain)
+        return spsolve((L + sp.diags(shift)).tocsc(), rhs)
 
-    monkeypatch.setattr(pde, "_sym_solve", direct)
+    monkeypatch.setattr(pde._System, "solve", direct)
     ref = SOLVES[name](48)
     assert fast.converged and ref.converged
     assert fast.iterations == ref.iterations
@@ -619,8 +625,12 @@ def test_krylov_hooks_name_callback(name):
 
 
 @pytest.mark.parametrize("name,hook", [("disk_newton", "cg"),
+                                       ("disk_monotone", "cg"),
+                                       ("oblique_torus", "cg"),
                                        ("cp2_minres", "minres")])
 def test_callback_counts_linear_iters(name, hook, monkeypatch):
+    # the shift's sign picks the method: every step of a solve calls that
+    # hook once, by its module name, and never the other one
     krylov = getattr(pde, hook)
     counts = {"calls": 0, "iters": 0}
 
@@ -633,7 +643,12 @@ def test_callback_counts_linear_iters(name, hook, monkeypatch):
         counts["calls"] += 1
         return krylov(A, b, callback=count, **kwargs)
 
+    def never(A, b, **kwargs):
+        raise AssertionError(f"{other} called on a {hook} solve")
+
+    other = {"cg": "minres", "minres": "cg"}[hook]
     monkeypatch.setattr(pde, hook, counting)
+    monkeypatch.setattr(pde, other, never)
     rep = SOLVES[name](32)
     assert rep.converged and rep.info["spsolve_fallbacks"] == 0
     assert counts["calls"] == rep.iterations

@@ -4,8 +4,10 @@
 their arguments by parameter name.  A function that is renamed, moved or
 given other parameters makes the metrics derived from it absent, and the
 benchmark's per-layer report then carries a placeholder where a number
-was.  Each workload runs here at 16^2, seed 0, inside one ``Tracer``; the
-benchmark's files are read, never changed.
+was.  A Krylov hook that the package stops calling by its module name
+reads 0 instead, so the linear-solve counts are checked against the
+Newton steps.  Each workload runs here at 16^2, seed 0, inside one
+``Tracer``; the benchmark's files are read, never changed.
 """
 
 import json
@@ -36,3 +38,8 @@ def test_traced_run_reports_every_metric(name, tmp_path):
     assert absent == {}
     assert all(math.isfinite(v) for v in metrics.values())
     json.dumps(metrics, allow_nan=False)
+    # every Newton step makes one Krylov solve, through the hook the tracer
+    # wraps: a hook shadowed inside the package reads 0 here, not absent
+    assert (metrics["pde.cg_calls"] + metrics["pde.minres_calls"]
+            == metrics["pde.newton_iters"])
+    assert metrics["pde.spsolve_fallbacks"] == 0
