@@ -18,23 +18,24 @@ the one place that solves it.  The shift fixes the method: CG on the
 negated, positive definite system when every shift is negative (the
 hyperbolic affine sphere, and every monotone step), MINRES otherwise
 (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  Both are
-preconditioned by P = -L + c I at c = mean |shift|, inverted exactly by
-fast transforms (Concus and Golub, SIAM J. Numer. Anal. 10, 1973): a
-type-I DST on Dirichlet grids, a real FFT on tori.  Their iteration
-counts do not grow with the grid.  The operator is matrix-free (Knoll and
-Keyes, J. Comput. Phys. 193, 2004): `_System.shifted` applies the lattice
-stencil L_int of `geometry`.  A Krylov solve that does not converge is
-replaced by a sparse direct solve; the matrix of L_int is built, once per
-domain, only then.  `_System` counts Krylov iterations and direct solves.
+preconditioned by P = -L + c I at c = mean |shift|, inverted exactly in
+the eigenbasis of L (Concus and Golub, SIAM J. Numer. Anal. 10, 1973):
+X -> S_n X S_m with the orthonormal sine matrices on Dirichlet grids, a
+real FFT on tori.  Their iteration counts do not grow with the grid.  The
+operator is matrix-free (Knoll and Keyes, J. Comput. Phys. 193, 2004):
+`_System.shifted` applies the lattice stencil L_int of `geometry`.  A
+Krylov solve that does not converge is replaced by a sparse direct solve;
+the matrix of L_int is built, once per domain, only then.  `_System`
+counts Krylov iterations and direct solves.
 
-scipy is imported inside the functions that call it, never at module
-level: the Krylov routines and the fast transforms load on a run's first
-solve and the sparse matrices only for a direct fallback, so importing
-the package, or building a closed-form surface, costs numpy alone.  The
-supersolution bound is Cardano's formula, with no root finder.  ``cg``,
-``minres`` and ``spsolve`` are module-level functions (with scipy's
-keywords, ``callback`` included), which `_System.solve` calls by these
-names, so that tests and tracers can replace or wrap them.
+A solve runs on numpy alone: ``cg`` and ``minres`` are written here, and
+the transforms are numpy's FFT and matrix products.  scipy is imported
+only for the direct fallback, inside ``spsolve`` and the branch of
+`_System.solve` that calls it.  The supersolution bound is Cardano's
+formula, with no root finder.  ``cg`` and ``minres`` take a
+``callback`` and ``spsolve`` takes scipy's keywords; all three are
+module-level functions that `_System.solve` calls by these names, so that
+tests and tracers can replace or wrap them.
 """
 
 import math
@@ -191,26 +192,119 @@ def residual_scaled(v, p, delta):
 
 # -- linear solves ---------------------------------------------------------
 
-def cg(A, b, *, callback=None, **kwargs):
-    """scipy.sparse.linalg.cg; `callback` is named for wrappers that count
-    iterations through it."""
-    from scipy.sparse.linalg import cg
+def cg(A, b, *, M, rtol, maxiter, callback=None):
+    """Preconditioned conjugate gradients (Hestenes and Stiefel, J. Res.
+    NBS 49, 1952) for A x = b, with A and M = P^{-1} functions of a vector
+    and A, P symmetric positive definite.  Step for step the iteration of
+    scipy.sparse.linalg.cg: x_0 = 0, stop when ||r|| < rtol ||b||, one
+    callback(x) per iteration.  Returns (x, info), info 0 on convergence
+    and maxiter otherwise."""
+    x = np.zeros_like(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return x, 0
+    atol = rtol * bnorm
+    r, p = b.copy(), None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
-    return cg(A, b, callback=callback, **kwargs)
 
-
-def minres(A, b, *, callback=None, **kwargs):
-    """scipy.sparse.linalg.minres, with `callback` named as for `cg`."""
-    from scipy.sparse.linalg import minres
-
-    return minres(A, b, callback=callback, **kwargs)
+def minres(A, b, *, M, rtol, maxiter, callback=None):
+    """Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
+    1975) for A x = b, with A symmetric, possibly indefinite, and M = P^{-1}
+    symmetric positive definite, both functions of a vector.  The Lanczos
+    recurrence and Givens rotations of scipy.sparse.linalg.minres, which
+    stops when ||r|| <= rtol ||A|| ||x|| or ||A r|| <= rtol ||A|| ||r||
+    (norms estimated by the recurrence).  scipy also returns success when
+    its condition or precision estimates end the iteration; here those
+    iterate on until maxiter.  One callback(x) per iteration.  Returns
+    (x, info), info 0 on convergence and maxiter otherwise."""
+    x = np.zeros_like(b)
+    y = M(b)
+    beta1 = np.dot(b, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    eps = np.finfo(float).eps
+    r1 = r2 = b
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    beta, oldb, dbar, epsln, phibar, tnorm2 = beta1, 0.0, 0.0, 0.0, beta1, 0.0
+    cs, sn = -1.0, 0.0
+    for it in range(1, maxiter + 1):
+        # Lanczos step: v_k, alfa_k, beta_{k+1} in the P-inner product
+        v = (1.0 / beta) * y
+        y = A(v)
+        if it >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.dot(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = M(r2)
+        oldb, beta = beta, np.dot(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
+        # previous rotation on the new column, then the next rotation
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x += phi * w
+        if callback is not None:
+            callback(x)
+        # phibar = ||r||, root = ||A r|| / ||r||, tnorm2 = ||A||_F^2 so far
+        anorm, xnorm = math.sqrt(tnorm2), np.linalg.norm(x)
+        test1 = phibar / (anorm * xnorm) if xnorm > 0 else math.inf
+        if test1 <= rtol or root / anorm <= rtol:
+            return x, 0
+    return x, maxiter
 
 
 def spsolve(A, b, **kwargs):
-    """scipy.sparse.linalg.spsolve."""
+    """scipy.sparse.linalg.spsolve, the direct solve of a Krylov failure."""
     from scipy.sparse.linalg import spsolve
 
     return spsolve(A, b, **kwargs)
+
+
+def sine_matrix(n):
+    """The orthonormal type-I sine matrix, j, k = 1..n,
+
+        S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)):
+
+    symmetric, its own inverse, and the eigenbasis of the Dirichlet
+    second difference.  j k is reduced mod 2(n+1) in integers, so
+    every sine is taken at an argument in [0, 2 pi)."""
+    j = np.arange(1, n + 1)
+    arg = np.outer(j, j) % (2 * (n + 1))
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * arg)
 
 
 @dataclass
@@ -225,17 +319,17 @@ class SolveReport:
 class _System:
     """Shared pieces for a problem: the stencil restricted to the unknowns,
     applied matrix-free, the interior index, the symbol of -L_int in the
-    basis of the fast transform that diagonalizes it, and the linear solve
-    with its counts of Krylov iterations and direct solves.
+    basis of the transform that diagonalizes it, and the linear solve with
+    its counts of Krylov iterations and direct solves.
 
     L_int v is `Domain.dzzbar` of v on a torus.  On a planar grid it is
     `Domain.dzzbar_interior` of one zero-bordered buffer, allocated here,
     whose inner block is v: slices only, so a product gathers, scatters
-    and differences no edge node."""
+    and differences no edge node.  The transform is numpy's real FFT on a
+    torus and X -> S_n X S_m on a planar grid, with the sine matrices
+    built here once."""
 
     def __init__(self, p):
-        from scipy.fft import dstn, irfftn, rfftn
-
         dom = p.domain
         self.p = p
         self.interior = np.flatnonzero(dom.interior_mask.ravel())
@@ -248,19 +342,22 @@ class _System:
             self.grid = (n, m)
             impulse = np.zeros(self.grid)
             impulse[0, 0] = 1.0
-            self.symbol = -rfftn(dom.dzzbar(impulse)).real
+            self.symbol = -np.fft.rfftn(dom.dzzbar(impulse)).real
             self.symbol[0, 0] = 0.0
-            self._fwd, self._inv = rfftn, partial(irfftn, s=self.grid)
+            self._fwd = np.fft.rfftn
+            self._inv = partial(np.fft.irfftn, s=self.grid, axes=(0, 1))
         else:
-            # DST-I eigenvalues of the interior second differences, which
-            # have no cross term on a planar domain
+            # the interior second differences, which have no cross term on
+            # a planar domain, are diagonal in the sine basis
             self.grid = (n - 2, m - 2)
             self._bordered = np.zeros((n, m))
             a, b, _, den = dom.dzzbar_coeffs
             sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2
             sk = 4.0 * np.sin(np.pi * np.arange(1, m - 1) / (2 * (m - 1))) ** 2
             self.symbol = (a * sj[:, None] + b * sk[None, :]) / den
-            self._fwd = self._inv = partial(dstn, type=1, norm="ortho")
+            Sn = sine_matrix(n - 2)
+            Sm = Sn if m == n else sine_matrix(m - 2)
+            self._fwd = self._inv = lambda X: Sn @ X @ Sm
 
     def shifted(self, v, shift):
         """(L_int + diag(shift)) v for the unknowns v, flattened."""
@@ -274,48 +371,39 @@ class _System:
                                    shift.reshape(self.grid)).ravel()
 
     def precond(self, c):
-        """P^{-1} for P = -L_int + c I (c >= 0) as a LinearOperator."""
-        from scipy.sparse.linalg import LinearOperator
-
+        """The function r -> P^{-1} r for P = -L_int + c I (c >= 0), on
+        flattened unknowns."""
         denom = self.symbol + c
         denom[denom == 0.0] = 1.0  # torus mean mode at c = 0, where P is singular
 
         def apply(r):
-            x = self._inv(self._fwd(r.reshape(self.grid)) / denom)
-            return x.reshape(r.shape)
+            return self._inv(self._fwd(r.reshape(self.grid)) / denom).ravel()
 
-        size = self.interior.size
-        return LinearOperator((size, size), matvec=apply, dtype=float)
+        return apply
 
     def solve(self, shift, rhs):
         """x with (L_int + diag(shift)) x = rhs on the unknowns: CG on the
         negated system when every shift is negative, which makes it SPD,
         MINRES otherwise, preconditioned by P^{-1} at c = mean |shift|,
         which is SPD for either.  A Krylov solve that does not converge is
-        replaced by a direct solve of the assembled matrix.  Adds to the
-        counts `linear_iters` and `spsolve_fallbacks`."""
-        from scipy.sparse.linalg import LinearOperator
-
+        replaced by a direct solve of the assembled matrix, the only step
+        that imports scipy.  Adds to the counts `linear_iters` and
+        `spsolve_fallbacks`."""
         sign = -1.0 if np.all(shift < 0) else 1.0
 
         def apply(v):
-            out = self.shifted(np.ravel(v), shift)
+            out = self.shifted(v, shift)
             out *= sign
             return out
 
         def count(xk):
             self.linear_iters += 1
 
-        size = shift.size
-        A = LinearOperator((size, size), matvec=apply, dtype=float)
         M = self.precond(float(np.mean(np.abs(shift))))
         b = sign * rhs
-        if sign < 0:
-            x, info = cg(A, b, M=M, rtol=LINEAR_RTOL, atol=0.0,
-                         maxiter=20 * size, callback=count)
-        else:
-            x, info = minres(A, b, M=M, rtol=LINEAR_RTOL,
-                             maxiter=20 * size, callback=count)
+        krylov = cg if sign < 0 else minres
+        x, info = krylov(apply, b, M=M, rtol=LINEAR_RTOL,
+                         maxiter=20 * shift.size, callback=count)
         if info != 0:
             import scipy.sparse as sp
 
@@ -442,8 +530,10 @@ class ContinuationResult:
 
 def continuation_grid(t_grid):
     """t_grid as a list of floats; ValueError unless it is nonempty,
-    increasing and starts at t >= 0."""
+    finite, increasing and starts at t >= 0."""
     t_grid = [float(t) for t in t_grid]
+    if not all(map(math.isfinite, t_grid)):
+        raise ValueError("t_grid must be finite")
     if (not t_grid or t_grid[0] < 0
             or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
         raise ValueError("t_grid must be increasing and start at t >= 0")

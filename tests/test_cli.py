@@ -304,12 +304,49 @@ def test_fresh_run_without_solve_loads_no_scipy(tmp_path, cfg, stage, expect):
 
 
 def test_fresh_solve_loads_no_optimize_or_interpolate(tmp_path):
+    # the Krylov solves and their transforms are numpy's; scipy is left
+    # to the direct fallback, which a converging solve never reaches
     cfg = torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
                                "shape": [16, 16]})
     code, scipy_modules = _fresh_run(tmp_path, cfg, "all")
     assert code == 0
-    assert {"scipy.sparse.linalg", "scipy.fft"} <= scipy_modules
-    assert not {"scipy.optimize", "scipy.interpolate"} & scipy_modules
+    assert scipy_modules == set()
+
+
+def _fresh_krylov_runs():
+    # stage and config of a fresh solve on each Krylov path
+    disk = {"kind": "disk_patch", "radius": 0.7, "shape": [16, 16]}
+    return {
+        # CG preconditioned through the sine matrices; the solve stage
+        # alone, as ROADMAP item 8's disk-patch gates fail exact data
+        "disk_patch": ("solve", torus_config(
+            domain=disk, metric={"kind": "poincare_disk"},
+            cubic={"kind": "polynomial", "coeffs": [[0.5, 0.0], [0.3, 0.0]]},
+            outputs={"report": "report.json"})),
+        # MINRES on the indefinite CP^2 Jacobian
+        "cp2_rectangle": ("all", torus_config(
+            case="minlag_cp2",
+            domain={"kind": "rectangle", "width": 1.0, "height": 1.0,
+                    "shape": [16, 16]},
+            metric={"kind": "flat"},
+            cubic={"kind": "polynomial", "coeffs": [[0.25, 0.0], [0.15, 0.0]]},
+            outputs={"report": "report.json"})),
+        # warm-started Newton solves along t
+        "ch2_continuation": ("all", dict(
+            _ch2_config(16), outputs={"report": "report.json"},
+            solver={"method": "newton", "t_grid": [0.0, 0.2, 0.4]})),
+    }
+
+
+@pytest.mark.parametrize("name", ["ch2_continuation", "cp2_rectangle",
+                                  "disk_patch"])
+def test_fresh_krylov_solve_loads_no_scipy(tmp_path, name):
+    stage, cfg = _fresh_krylov_runs()[name]
+    code, scipy_modules = _fresh_run(tmp_path, cfg, stage)
+    assert code == 0
+    assert scipy_modules == set()
+    solver = json.loads((tmp_path / "report.json").read_text())["solver"]
+    assert solver["linear_iters"] > 0 and solver["spsolve_fallbacks"] == 0
 
 
 def test_weierstrass_rejects_bad_pair(tmp_path):

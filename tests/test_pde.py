@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import bisect, brentq
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, spsolve
 
 import titeica as tz
 from titeica import geometry, pde
@@ -364,6 +364,19 @@ def test_continuation_records_failure():
     assert not res.reports[1].converged
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+def test_continuation_rejects_nonfinite_t(t):
+    # NaN fails every comparison and inf is larger than every t, so only
+    # a finiteness check stops them before a solve on non-finite data
+    with pytest.raises(ValueError, match="finite"):
+        pde.continuation_grid([0.0, t])
+    dom = tz.Domain.disk_patch(0.7, 16, 16)
+    Q0 = tz.CubicDifferential.constant(1.0)
+    p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), tz.SignCase(-1, -1))
+    with pytest.raises(ValueError, match="finite"):
+        tz.continuation_family(p0, Q0, [0.0, t])
+
+
 def _failing_cg(A, b, **kwargs):
     return np.zeros_like(b), 1
 
@@ -526,7 +539,7 @@ def test_fast_poisson_inverse(dom, c):
     r = np.random.default_rng(5).normal(size=sys_.interior.size)
     P = (-geometry.dzzbar_matrix(dom) + c * sp.identity(r.size)).tocsc()
     ref = spsolve(P, r)
-    got = sys_.precond(c) @ r
+    got = sys_.precond(c)(r)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -536,9 +549,101 @@ def test_fast_poisson_torus_mean_mode():
     sys_ = pde._System(_stencil_problem(OBLIQUE))
     r = np.random.default_rng(6).normal(size=sys_.interior.size)
     r -= r.mean()
-    x = sys_.precond(0.0) @ r
+    x = sys_.precond(0.0)(r)
     L = geometry.dzzbar_matrix(OBLIQUE)
     assert np.abs(-L @ x - r).max() <= 1e-12 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (15, 21), (62, 62), (126, 126),
+                                 (254, 254)])
+def test_sine_matrices_are_the_dst(n, m):
+    # S_n X S_m is the orthonormal type-I DST of X; S is its own inverse
+    from scipy.fft import dstn
+
+    X = np.random.default_rng(n).normal(size=(n, m))
+    ref = dstn(X, type=1, norm="ortho")
+    Sn, Sm = pde.sine_matrix(n), pde.sine_matrix(m)
+    assert np.abs(Sn @ X @ Sm - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(Sn, Sn.T)
+    assert np.abs(Sn @ Sn - np.eye(n)).max() <= 1e-13
+
+
+# -- the in-package Krylov methods against scipy's ------------------------------
+
+def _krylov_system(dom, shift):
+    """(A, M, b, matrix of A) for sign (L_int + diag(shift)), the sign
+    making A positive definite for an all-negative shift, as _System.solve
+    forms them."""
+    sys_ = pde._System(_stencil_problem(dom))
+    sign = -1.0 if np.all(shift < 0) else 1.0
+    b = np.random.default_rng(12).normal(size=shift.size)
+    M = sys_.precond(float(np.mean(np.abs(shift))))
+    L = sign * (geometry.dzzbar_matrix(dom) + sp.diags(shift))
+    return (lambda v: sign * sys_.shifted(v, shift)), M, b, L.tocsc()
+
+
+def _counted(krylov, *args, **kwargs):
+    iters = []
+    x, info = krylov(*args, callback=lambda xk: iters.append(1), **kwargs)
+    return x, info, len(iters)
+
+
+def _operator(f, size):
+    """The function f as the LinearOperator scipy's solvers take."""
+    return LinearOperator((size, size), matvec=f, dtype=float)
+
+
+@pytest.mark.parametrize("dom", [tz.Domain.disk_patch(0.7, 20, 20), OBLIQUE],
+                         ids=["disk_patch", "oblique_torus"])
+def test_cg_matches_scipy(dom):
+    from scipy.sparse.linalg import cg
+
+    size = np.flatnonzero(dom.interior_mask).size
+    shift = -np.random.default_rng(13).uniform(0.5, 3.0, size)
+    A, M, b, _ = _krylov_system(dom, shift)
+    kw = dict(rtol=pde.LINEAR_RTOL, maxiter=20 * size)
+    x, info, k = _counted(pde.cg, A, b, M=M, **kw)
+    ref, ref_info, ref_k = _counted(cg, _operator(A, size), b,
+                                    M=_operator(M, size), atol=0.0, **kw)
+    assert info == ref_info == 0 and k == ref_k > 0
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
+                                 OBLIQUE], ids=["rectangle", "oblique_torus"])
+def test_minres_matches_direct_solve(dom):
+    # a shift of both signs on the scale of the stencil's diagonal makes
+    # the system indefinite
+    from scipy.sparse.linalg import minres
+
+    scale = np.abs(geometry.dzzbar_matrix(dom).diagonal()).mean()
+    size = np.flatnonzero(dom.interior_mask).size
+    shift = np.random.default_rng(14).normal(scale=scale, size=size)
+    A, M, b, L = _krylov_system(dom, shift)
+    eig = np.linalg.eigvalsh(L.toarray())
+    assert eig[0] < 0 < eig[-1]
+    kw = dict(rtol=pde.LINEAR_RTOL, maxiter=20 * size)
+    x, info, k = _counted(pde.minres, A, b, M=M, **kw)
+    ref = spsolve(L, b)
+    assert info == 0
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    _, _, scipy_k = _counted(minres, _operator(A, size), b,
+                             M=_operator(M, size), **kw)
+    assert 0 < k <= scipy_k
+
+
+@pytest.mark.parametrize("name,shift_sign", [("cg", -1.0), ("minres", 1.0)])
+def test_krylov_maxiter_reports_failure(name, shift_sign):
+    # a solve cut off before it converges returns a nonzero info, which
+    # sends _System.solve to its direct fallback
+    dom = tz.Domain.disk_patch(0.7, 20, 20)
+    size = np.flatnonzero(dom.interior_mask).size
+    shift = shift_sign * np.random.default_rng(15).uniform(0.5, 3.0, size)
+    A, M, b, _ = _krylov_system(dom, shift)
+    x, info, k = _counted(getattr(pde, name), A, b, M=M,
+                          rtol=pde.LINEAR_RTOL, maxiter=2)
+    assert info != 0 and k == 2
+    assert np.all(np.isfinite(x))
 
 
 @pytest.mark.parametrize("dom", [
