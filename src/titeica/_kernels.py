@@ -1,33 +1,26 @@
 """RK4 transport kernel.
 
-Transport of a small matrix frame F through a grid of square connection
-coefficient matrices A, B, solving
+Transport of a small matrix frame F along lattice lines of a grid of
+square connection coefficient matrices A, B, solving
 
     dF/dt = (A(z) zdot + B(z) conj(zdot)) F        (row convention)
     dF/dt = F (A(z) zdot + B(z) conj(zdot))        (column convention)
 
-by classical RK4 with int(|zdot| / max_step) + 1 substeps per segment and
-A, B interpolated bilinearly in lattice coordinates.  Two entry points
-share one propagator builder, `_propagators`:
+by classical RK4 with int(|zdot| / max_step) + 1 substeps per lattice
+edge, each edge sampled by linear interpolation of its two end nodes.
+`transport_lines` runs a block of lattice lines, each from one node
+outward: the whole reconstruction tree is two calls, the spine and then
+every tooth along the other axis.  `transport_polyline` adapts it to a
+path of grid nodes, each step one lattice edge or none (paths and
+holonomy loops): each straight run of equal steps is one line, and the
+runs are chained.  For a flat connection transport depends only on the
+homotopy class of the path, so a path through grid nodes loses nothing.
 
-  transport_polyline  any polyline in lattice coordinates: paths and
-                      holonomy loops;
-  transport_lines     a block of lattice lines of a grid, each from one
-                      node outward: the whole reconstruction tree, whose
-                      spine is a block of one line and whose teeth are
-                      every line along the other axis.  On a grid line the
-                      bilinear rule is the linear interpolation of an
-                      edge's two end nodes, so the coefficient is formed
-                      once per node, and the edges of a block of lines are
-                      built in one batch.  It returns the edges and
-                      substeps it ran, the tree's only count of them.
-
-The sample points do not depend on F and the system is linear, so every
+The samples do not depend on F and the system is linear, so every
 substep's one-step propagator M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) is
-built in batched numpy, and the propagators of each segment are
-multiplied together in batch.  The only sequential work left is the
-chain F <- P F: once per segment of a polyline, and once per step away
-from the start node for a whole block of lines.
+built in batched numpy, and the propagators of each edge are multiplied
+together in batch.  The only sequential work left is the chain F <- P F,
+once per step away from a line's start node.
 
 All small-matrix products run in real arithmetic: a complex r x r
 coefficient C = X + iY acts as the real 2r x 2r block [[X, -Y], [Y, X]]
@@ -44,7 +37,7 @@ LINES_BLOCK_BYTES = 1 << 20
 
 
 def substeps(zdot, max_step):
-    """RK4 substeps of segments with velocity zdot: int(|zdot| / max_step) + 1."""
+    """RK4 substeps of edges with velocity zdot: int(|zdot| / max_step) + 1."""
     return (np.abs(zdot) / float(max_step)).astype(np.int64) + 1
 
 
@@ -58,41 +51,6 @@ def _realify(C):
     return R
 
 
-def _realified_samples(A, B, xy, zdot, periodic, row):
-    """Real blocks of the bilinear samples A zdot + B conj(zdot) at the
-    lattice points xy ((S, 2)), transposed in the column convention; zdot
-    has shape (S,)."""
-    n = np.array(A.shape[:2])
-    r = A.shape[-1]
-    if periodic:
-        i0 = np.floor(xy)
-        f = xy - i0
-        i0 = i0.astype(np.intp)
-    else:
-        xy = np.clip(xy, 0.0, n - 1.0)
-        i0 = np.minimum(np.floor(xy).astype(np.intp), n - 2)
-        f = xy - i0
-    corner = i0[:, :, None] + np.arange(2)       # (S, axis, corner)
-    if periodic:
-        corner %= n[:, None]
-    # flat node index and weight of the corners (i_a, j_b), a, b in {0, 1}
-    node = corner[:, 0, :, None] * n[1] + corner[:, 1, None, :]
-    node = node.reshape(-1, 4)
-    wf = np.stack([1.0 - f, f], axis=-1)
-    w = (wf[:, 0, :, None] * wf[:, 1, None, :]).reshape(-1, 1, 4)
-
-    def interp(G):
-        # one gather of the four corners, weighted by one real matmul on
-        # the interleaved (Re, Im) parts: (S, 1, 4) @ (S, 4, 2 r^2)
-        G = np.asarray(G, dtype=np.complex128).reshape(-1, r * r)
-        g = w @ np.take(G, node, axis=0).view(np.float64)
-        return g.view(np.complex128).reshape(-1, r, r)
-
-    zdot = zdot[:, None, None]
-    C = interp(A) * zdot + interp(B) * np.conj(zdot)
-    return _realify(C if row else np.swapaxes(C, -1, -2))
-
-
 def _plus_product(X, Y, s):
     """X + s X Y, accumulated in the product's buffer."""
     out = X @ Y
@@ -102,10 +60,10 @@ def _plus_product(X, Y, s):
 
 
 def _propagators(R, h):
-    """Propagator P = M_(L-1) ... M_1 M_0 of each segment from its real
+    """Propagator P = M_(L-1) ... M_1 M_0 of each edge from its real
     coefficient samples R (..., 2L+1, 2r, 2r): substep q reads the samples
-    2q, 2q+1, 2q+2 (start, middle, end) and has length h[..., q, :, :],
-    and M_q = I + h/6 (K1 + 2 K2 + 2 K3 + K4).  h may be a scalar."""
+    2q, 2q+1, 2q+2 (start, middle, end), every substep has length h, and
+    M_q = I + h/6 (K1 + 2 K2 + 2 K3 + K4)."""
     C0, Cm, C1 = R[..., :-1:2, :, :], R[..., 1::2, :, :], R[..., 2::2, :, :]
     K2 = _plus_product(Cm, C0, 0.5 * h)
     K3 = _plus_product(Cm, K2, 0.5 * h)
@@ -124,55 +82,34 @@ def _propagators(R, h):
     return P
 
 
-def _stacked(F, row):
-    """[Re F; Im F] of complex frames (..., r, c), transposed first in the
-    column convention (which runs the row system on the transposes)."""
-    if not row:
-        F = np.swapaxes(F, -1, -2)
-    r = F.shape[-2]
-    X = np.empty(F.shape[:-2] + (2 * r, F.shape[-1]))
-    X[..., :r, :] = F.real
-    X[..., r:, :] = F.imag
-    return X
-
-
-def _unstacked(X, row):
-    """The complex frames of stacked real ones, inverse of `_stacked`."""
-    r = X.shape[-2] // 2
-    F = X[..., :r, :] + 1j * X[..., r:, :]
-    return F if row else np.swapaxes(F, -1, -2)
-
-
 def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
                        max_step=0.5):
-    """Frames at the vertices of the lattice polyline `pts` ((npts, 2)
-    floats) transported from F0; returns an (npts, m, n) array.  Each
-    segment takes int(|zdot| / max_step) + 1 RK4 substeps."""
+    """Frames at the nodes of the lattice path `pts` ((npts, 2) node
+    indices, unwrapped on a torus) transported from F0, (npts,) + F0.shape.
+    Each straight run of equal steps is one line of `transport_lines`.
+    ValueError unless each point is a node of the grid and each step one
+    lattice edge or none."""
     pts = np.asarray(pts, dtype=np.float64)
-    r = A.shape[-1]
-    d = np.diff(pts, axis=0)
-    zdot = d[:, 0] * complex(d1) + d[:, 1] * complex(d2)
-    nsub = substeps(zdot, max_step)
-    # every segment is padded to the longest one's L substeps (the
-    # segments of a grid path are at most a cell long, so L varies
-    # little): substep q reads the samples 2q, 2q+1, 2q+2 taken at
-    # t = min(k / (2 nsub), 1), and a padding substep (q >= nsub) gets
-    # h = 0, i.e. the identity
-    L = int(nsub.max(initial=1))
-    t = np.minimum(np.arange(2 * L + 1) / (2.0 * nsub[:, None]), 1.0)
-    xy = pts[:-1, None, :] + t[..., None] * d[:, None, :]
-    R = _realified_samples(A, B, xy.reshape(-1, 2),
-                           np.repeat(zdot, 2 * L + 1), periodic, row)
-    h = np.where(np.arange(L) < nsub[:, None], 1.0 / nsub[:, None], 0.0)
-    P = _propagators(R.reshape(nsub.size, 2 * L + 1, 2 * r, 2 * r),
-                     h[..., None, None])
-    F = _stacked(np.asarray(F0, dtype=np.complex128), row)
-    chain = np.empty((nsub.size + 1,) + F.shape)
-    chain[0] = F
-    links = list(chain)       # 2-d views: np.dot is the cheapest small product
-    for p, f, out in zip(P, links, links[1:]):
-        np.dot(p, f, out=out)
-    return _unstacked(chain, row)
+    nodes, shape = np.rint(pts).astype(np.intp), np.array(A.shape[:2])
+    inside = periodic or (nodes == nodes % shape).all()
+    if (nodes != pts).any() or not inside:
+        raise ValueError("path points must be nodes of the grid")
+    d = np.diff(nodes, axis=0)
+    if (np.abs(d).sum(axis=1) > 1).any():
+        raise ValueError("a path step must be one lattice edge or none")
+    j, k = (nodes % shape).T
+    out = np.empty((len(pts),) + np.shape(F0), dtype=np.complex128)
+    out[0] = F0
+    # a run starts at the first step and wherever the step changes
+    steps = d.tolist()
+    starts = [a for a, step in enumerate(steps)
+              if a == 0 or step != steps[a - 1]]
+    for a, b in zip(starts, starts[1:] + [len(steps)]):
+        run = slice(a, b + 1)
+        transport_lines(A[j[run], k[run]][None], B[j[run], k[run]][None],
+                        d[a, 0] * complex(d1) + d[a, 1] * complex(d2),
+                        out[None, run], 0, row, max_step)
+    return out
 
 
 def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
@@ -182,10 +119,9 @@ def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
     nodes on return.  A and B ((lines, m, r, r)) are the coefficients at
     the same nodes, and the step from node j to node j + 1 of a line is
     zdot.  Each edge is sampled by linear interpolation of its two end
-    nodes, the bilinear rule on a grid line, and takes
-    int(|zdot| / max_step) + 1 RK4 substeps.  Lines go a block at a time,
-    so that a block's edge samples stay within LINES_BLOCK_BYTES.  Returns
-    the (edges, substeps) it ran."""
+    nodes and takes int(|zdot| / max_step) + 1 RK4 substeps.  Lines go a
+    block at a time, so that a block's edge samples stay within
+    LINES_BLOCK_BYTES.  Returns the (edges, substeps) it ran."""
     lines, m = frames.shape[:2]
     r = A.shape[-1]
     nsub = int(substeps(zdot, max_step))
@@ -207,13 +143,17 @@ def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
         # C0 + t (C1 - C0) is exactly C0 where the coefficient is constant
         P = _propagators(R0[:, :, None] + t * (R1 - R0)[:, :, None],
                          1.0 / nsub)
-        F = _stacked(frames[rows, start], row)
-        X = np.empty((F.shape[0], m) + F.shape[1:])
-        X[:, start] = F
+        # the stacked frames [Re F; Im F], transposed in the column
+        # convention, which runs the row system on the transposes
+        F = frames[rows, start]
+        F = F if row else np.swapaxes(F, -1, -2)
+        X = np.empty(F.shape[:1] + (m, 2 * r) + F.shape[2:])
+        X[:, start, :r], X[:, start, r:] = F.real, F.imag
         for k in range(start, m - 1):
             np.matmul(P[:, k], X[:, k], out=X[:, k + 1])
         for k in range(start - 1, -1, -1):
             np.matmul(P[:, k], X[:, k + 1], out=X[:, k])
-        frames[rows] = _unstacked(X, row)
+        F = X[..., :r, :] + 1j * X[..., r:, :]
+        frames[rows] = F if row else np.swapaxes(F, -1, -2)
     edges = lines * (m - 1)
     return edges, edges * nsub

@@ -95,6 +95,14 @@ def _complex(v, what):
     raise ConfigError(f"{what} must be a number or [re, im] pair")
 
 
+def _known_keys(d, where, *keys):
+    """ConfigError on a key of the section d that no parser reads."""
+    unknown = set(d) - set(keys)
+    if unknown:
+        raise ConfigError(
+            f"unknown keys in {where}: {sorted(unknown, key=str)}")
+
+
 def _section(cfg, key, default):
     d = cfg.get(key, default)
     if not isinstance(d, dict):
@@ -118,12 +126,15 @@ def parse_domain(d):
     n, m = (_number(int, v, "domain.shape") for v in shape)
     try:
         if kind == "torus":
+            _known_keys(d, "domain", "kind", "shape", "tau")
             return Domain.torus(_complex(d.get("tau", [0.0, 1.0]), "tau"), n, m)
         if kind == "rectangle":
+            _known_keys(d, "domain", "kind", "shape", "width", "height")
             return Domain.rectangle(_number(float, d.get("width", 1.0), "width"),
                                     _number(float, d.get("height", 1.0), "height"),
                                     n, m)
         if kind == "disk_patch":
+            _known_keys(d, "domain", "kind", "shape", "radius")
             return Domain.disk_patch(
                 _number(float, d.get("radius", 0.7), "radius"), n, m)
     except ValueError as exc:
@@ -135,9 +146,11 @@ def parse_metric(d):
     kind = d.get("kind", "flat")
     try:
         if kind == "flat":
+            _known_keys(d, "metric", "kind", "sigma")
             return BackgroundMetric(
                 "flat", _number(float, d.get("sigma", 1.0), "sigma"))
         if kind == "poincare_disk":
+            _known_keys(d, "metric", "kind")
             return BackgroundMetric("poincare_disk")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -147,13 +160,16 @@ def parse_metric(d):
 def parse_cubic(d):
     kind = d.get("kind", "constant")
     if kind == "constant":
+        _known_keys(d, "cubic", "kind", "c")
         return CubicDifferential.constant(_complex(d.get("c", [1.0, 0.0]), "c"))
     if kind == "polynomial":
+        _known_keys(d, "cubic", "kind", "coeffs")
         return CubicDifferential.polynomial(_coeffs(d, "coeffs", []))
     raise ConfigError(f"unknown cubic differential kind {kind!r}")
 
 
 def parse_pair(d):
+    _known_keys(d, "weierstrass", "f_coeffs", "g_coeffs")
     return HoloPair.from_coeffs(_coeffs(d, "f_coeffs", [0.0]),
                                 _coeffs(d, "g_coeffs", [0.0, 1.0]))
 
@@ -177,6 +193,8 @@ def _tol(name, h):
 
 class Pipeline:
     def __init__(self, cfg):
+        _known_keys(cfg, "config", "schema_version", "case", "domain", "metric",
+                    "cubic", "boundary", "solver", "weierstrass", "outputs")
         version = cfg.get("schema_version", SCHEMA_VERSION)
         if not _is_number(version) or version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version!r}")
@@ -198,12 +216,18 @@ class Pipeline:
         wcfg = _section(cfg, "weierstrass", {})
         self.pair = parse_pair(wcfg) if wcfg else None
         outputs = _section(cfg, "outputs", {})
+        _known_keys(outputs, "outputs", "mesh", "report")
         self.mesh_name = outputs.get("mesh")
         self.report_name = outputs.get("report", "report.json")
-        if not (self.mesh_name is None or isinstance(self.mesh_name, str)):
-            raise ConfigError("outputs.mesh must be a file name")
-        if not (isinstance(self.report_name, str) and self.report_name):
-            raise ConfigError("outputs.report must be a file name")
+        # bare file names, inside the out directory; no mesh is written
+        # without a name
+        for key, name in (("mesh", self.mesh_name),
+                          ("report", self.report_name)):
+            bare = (isinstance(name, str) and name not in ("", "..")
+                    and Path(name).name == name)
+            if not (bare or key == "mesh" and name is None):
+                raise ConfigError(f"outputs.{key} must be a bare file name, "
+                                  f"got {name!r}")
         self.residuals = []
         self.warnings = []
         self.timings = {}
@@ -216,6 +240,7 @@ class Pipeline:
     def _parse_solver(self, d):
         """The solver keys, each checked against the others: every value
         the chosen solve would ignore or could not use is a ConfigError."""
+        _known_keys(d, "solver", "tol", "max_iter", "method", "t_grid", "u0")
         self.tol = _number(float, d.get("tol", 1e-10), "solver.tol")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"solver.tol must be positive, got {self.tol!r}")

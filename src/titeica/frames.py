@@ -195,8 +195,8 @@ def reality_check(alpha, involution_case=None):
 
 @dataclass
 class PathSpec:
-    """Polyline through the domain; consecutive points must lie within one
-    grid cell of each other."""
+    """Lattice path: grid nodes, each step one lattice edge or none, not
+    wrapped on a torus (a generator loop ends at a translate of its start)."""
 
     points: np.ndarray
     closed: bool = False
@@ -207,31 +207,36 @@ class PathSpec:
             raise PathError("a path needs at least two points")
 
 
-def line_path(domain, z0, z1, closed=False):
-    """Straight path from z0 to z1 sampled at grid-cell resolution."""
-    z0, z1 = complex(z0), complex(z1)
-    n = max(2, int(np.ceil(abs(z1 - z0) / domain.hmin)) + 1)
-    return PathSpec(np.linspace(z0, z1, n), closed=closed)
-
-
 def polyline_path(domain, zs, closed=False):
-    pts = [complex(zs[0])]
-    for z0, z1 in zip(zs, zs[1:]):
-        pts.extend(line_path(domain, z0, z1).points[1:])
-    return PathSpec(np.asarray(pts), closed=closed)
+    """The lattice path through the grid nodes nearest the points zs: each
+    leg runs along the first lattice axis, then along the second."""
+    j, k = (np.rint(c).astype(int)
+            for c in domain.to_lattice(np.asarray(zs, dtype=complex)))
+    # corners (j0, k0), (j1, k0), (j1, k1), (j2, k1), ... joined by unit steps
+    corners = np.stack([np.repeat(j, 2)[1:], np.repeat(k, 2)[:-1]], axis=-1)
+    d = np.diff(corners, axis=0)
+    steps = np.repeat(np.sign(d), np.abs(d).sum(axis=1), axis=0)
+    j, k = (corners[0] + np.cumsum(np.r_[[[0, 0]], steps], axis=0)).T
+    return PathSpec(domain.origin + j * domain.step1 + k * domain.step2,
+                    closed=closed)
 
 
-def torus_generator(domain, which, base=0.0):
-    """Loop around lattice direction `which` (0 -> period 1, 1 -> period tau)."""
+def line_path(domain, z0, z1, closed=False):
+    """The lattice path from the grid node nearest z0 to the one nearest
+    z1, along the first lattice axis, then along the second."""
+    return polyline_path(domain, [z0, z1], closed=closed)
+
+
+def torus_generator(domain, which):
+    """Loop along lattice direction `which` (0 -> period 1, 1 -> period
+    tau) from the origin node to its translate by the period."""
     if not domain.periodic:
         raise PathError("generator loops require a torus domain")
-    n, m = domain.shape
-    if which == 0:
-        period, count = domain.step1 * n, n
-    else:
-        period, count = domain.step2 * m, m
-    t = np.linspace(0.0, 1.0, count + 1)
-    return PathSpec(complex(base) + t * period, closed=True)
+    if which not in (0, 1):
+        raise PathError(f"a torus has generators 0 and 1, not {which!r}")
+    step = (domain.step1, domain.step2)[which]
+    return PathSpec(domain.origin + np.arange(domain.shape[which] + 1) * step,
+                    closed=True)
 
 
 def cell_loop(domain, j=0, k=0):
@@ -243,24 +248,25 @@ def cell_loop(domain, j=0, k=0):
 
 
 def _lattice_points(domain, path):
-    j, k = domain.to_lattice(path.points)
-    n, m = domain.shape
-    if not domain.periodic:
-        tol = 1e-9
-        if (j.min() < -tol or j.max() > n - 1 + tol
-                or k.min() < -tol or k.max() > m - 1 + tol):
-            raise PathError("path exits the domain")
-    dj = np.abs(np.diff(j))
-    dk = np.abs(np.diff(k))
-    if dj.size and (dj.max() > 1 + 1e-9 or dk.max() > 1 + 1e-9):
-        raise PathError("consecutive path points must lie within one grid cell")
-    return np.stack([j, k], axis=-1)
+    """Node indices (npts, 2) of the path, unwrapped on a torus; PathError
+    unless each point is a node of the grid and each step an edge or none."""
+    jk = np.stack(domain.to_lattice(path.points), axis=-1)
+    nodes = np.rint(jk)
+    if np.abs(jk - nodes).max() > 1e-6:
+        raise PathError("path points must be grid nodes")
+    nodes = nodes.astype(np.intp)
+    if not domain.periodic and ((nodes < 0) | (nodes >= domain.shape)).any():
+        raise PathError("path exits the domain")
+    if (np.abs(np.diff(nodes, axis=0)).sum(axis=1) > 1).any():
+        raise PathError("a path step must be one lattice edge or none")
+    return nodes
 
 
 def integrate_frame(alpha, path, F0):
-    """RK4 transport of F0 along the path in alpha's convention; returns
-    the (npts, r, c) frames at the path points.  The step is at most
-    min(h1, h2)/2; A and B are interpolated bilinearly."""
+    """RK4 transport of F0 along the lattice path in alpha's convention;
+    returns the (npts, r, c) frames at the path's nodes.  A lattice edge
+    takes int(|edge| / max_step) + 1 substeps, max_step = min(h1, h2)/2,
+    with A and B interpolated linearly between its end nodes."""
     F = np.asarray(F0, dtype=complex)
     if not np.all(np.isfinite(F)):
         raise ValueError("initial frame must be finite")
@@ -273,15 +279,12 @@ def integrate_frame(alpha, path, F0):
 
 
 def _is_closed(domain, path):
+    """Whether a closed path ends at its first node, modulo the grid on a
+    torus."""
     if not path.closed:
         return False
-    j, k = domain.to_lattice(np.asarray([path.points[0], path.points[-1]]))
-    dj, dk = j[1] - j[0], k[1] - k[0]
-    if domain.periodic:
-        n, m = domain.shape
-        return (abs(dj - round(dj / n) * n) < 1e-6
-                and abs(dk - round(dk / m) * m) < 1e-6)
-    return abs(dj) < 1e-6 and abs(dk) < 1e-6
+    gap = np.subtract(*_lattice_points(domain, path)[[-1, 0]])
+    return not (gap % domain.shape if domain.periodic else gap).any()
 
 
 def holonomy(alpha, loop):

@@ -289,8 +289,7 @@ def test_criterion_13_gauss_bonnet_obstruction(tmp_path):
         "domain": {"kind": "torus", "tau": [0.0, 1.0], "shape": [32, 32]},
         "metric": {"kind": "flat"},
         "cubic": {"kind": "constant", "c": [1.0, 0.0]},
-        "solver": {"method": "newton", "max_iter": 30,
-                   "require_convergence": True},
+        "solver": {"method": "newton", "max_iter": 30},
     }
     code, report = cli.run(cfg, stage="solve", out_dir=tmp_path)
     direct = tz.solve_newton(

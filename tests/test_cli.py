@@ -63,6 +63,14 @@ def test_malformed_case_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_key_of_another_kind_exits_2():
+    # sigma belongs to the flat metric; the disk config is valid without it
+    cli.Pipeline(_ch2_config(16))
+    cfg = dict(_ch2_config(16), metric={"kind": "poincare_disk", "sigma": 1.0})
+    with pytest.raises(ConfigError, match="sigma"):
+        cli.Pipeline(cfg)
+
+
 def test_unreadable_config_exits_2(tmp_path):
     rc = cli.main(["solve", "--config", str(tmp_path / "missing.json")])
     assert rc == 2
@@ -117,6 +125,18 @@ def test_unreadable_config_exits_2(tmp_path):
     ("solver", {"method": "newton", "t_grid": [False, True]}),
     ("solver", {"method": "newton", "t_grid": [0.0, float("nan")]}),
     ("solver", {"method": "newton", "t_grid": 0.5}),
+    # a key that no parser reads, or that the chosen kind does not read
+    ("solver", {"method": "newton", "maxiter": 50}),
+    ("solvr", {"method": "newton"}),
+    ("domain", {"kind": "torus", "tau": [0.0, 1.0], "shape": [16, 16],
+                "radius": 0.5}),
+    ("cubic", {"kind": "constant", "c": [1.0, 0.0], "coeffs": []}),
+    # output names are bare file names inside --out-dir
+    ("outputs", {"report": "../escape.json"}),
+    ("outputs", {"report": "/nonexistent-dir/abs.json"}),
+    ("outputs", {"report": "sub/r.json"}),
+    ("outputs", {"report": ".."}),
+    ("outputs", {"mesh": "sub/mesh.json", "report": "report.json"}),
 ], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid",
         "outputs", "report", "empty_report", "mesh", "coeffs", "weierstrass",
         "f_coeffs", "g_coeffs", "tol_negative", "tol_zero", "tol_nan",
@@ -126,7 +146,10 @@ def test_unreadable_config_exits_2(tmp_path):
         "tol_string", "tol_bool", "shape_strings", "c_strings",
         "boundary_string", "schema_version_bool", "boundary_nan", "c_nan",
         "sigma_inf", "width_inf", "height_nan", "t_grid_strings",
-        "t_grid_bool", "t_grid_nan", "t_grid_scalar"])
+        "t_grid_bool", "t_grid_nan", "t_grid_scalar", "solver_key",
+        "top_level_key", "radius_on_torus", "coeffs_on_constant",
+        "report_parent", "report_absolute", "report_subdir", "report_dotdot",
+        "mesh_subdir"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
     cfg = torus_config(**{key: value})
     # caught while the pipeline is built, before any stage runs
@@ -589,9 +612,16 @@ def _c2_config(n):
     }
 
 
-def test_failing_json_export_keeps_report(tmp_path):
+def test_failing_json_export_keeps_report(tmp_path, monkeypatch):
+    json_text = cli._json_text
+
+    def failing(mesh):
+        yield next(json_text(mesh))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_json_text", failing)
     cfg = dict(_c2_config(16),
-               outputs={"mesh": "sub/mesh.json", "report": "report.json"})
+               outputs={"mesh": "mesh.json", "report": "report.json"})
     code, report = cli.run(cfg, stage="immerse", out_dir=tmp_path)
     assert code == 1
     assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]

@@ -366,6 +366,36 @@ def test_path_validation():
         tz.holonomy(al, tz.line_path(dom, -0.3, 0.3, closed=True))
 
 
+def test_paths_run_on_nodes_and_lattice_edges():
+    dom = small_torus()
+    A = np.zeros(dom.shape + (3, 3), dtype=complex)
+    al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
+    h1, h2 = dom.step1, dom.step2
+    bad = {"off_node": [0.0, 0.5 * h1],
+           "diagonal": [0.0, h1 + h2],
+           "two_edges": [0.0, h1, h1 + 2 * h2]}
+    for pts in bad.values():
+        with pytest.raises(PathError):
+            tz.integrate_frame(al, tz.PathSpec(np.array(pts)),
+                               np.eye(3, dtype=complex))
+    # the helpers snap to the nearest nodes and join them by lattice edges
+    path = tz.polyline_path(dom, [0.01, 0.3 + 0.2j, 0.1 + 0.4j])
+    j, k = dom.to_lattice(path.points)
+    assert np.abs(j - np.rint(j)).max() < 1e-9
+    steps = np.abs(np.diff(np.rint(j))) + np.abs(np.diff(np.rint(k)))
+    assert (steps == 1).all()
+    assert tz.integrate_frame(al, path, np.eye(3)).shape == (len(j), 3, 3)
+
+
+def test_torus_generator_index():
+    dom = small_torus()
+    for which in (0, 1):
+        loop = tz.torus_generator(dom, which)
+        assert loop.points.size == dom.shape[which] + 1
+    with pytest.raises(PathError):
+        tz.torus_generator(dom, 7)
+
+
 # -- holonomy -----------------------------------------------------------------------
 
 def test_holonomy_zero_connection_identity():

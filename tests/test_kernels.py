@@ -8,17 +8,41 @@ from titeica import _kernels, cli, immersion
 from titeica.immersion import integrate_tree
 
 
-def setup_transport(n=24):
-    dom = tz.Domain.torus(1j, n, n)
+def setup_transport():
+    # the two axes take 3 and 5 RK4 substeps per edge (max_step = hmin / 2)
+    dom = tz.Domain.rectangle(1.0, 2.0, 20, 17)
     rng = np.random.default_rng(4)
     x, y = dom.z.real, dom.z.imag
     A = (rng.normal(size=(3, 3)) * np.sin(2 * np.pi * x)[..., None, None]
          + 0.2j * rng.normal(size=(3, 3)))
-    B = (rng.normal(size=(3, 3)) * np.cos(2 * np.pi * y)[..., None, None]).astype(complex)
-    t = np.linspace(0.0, 1.0, 4 * n + 1)
-    pts = np.stack([n * t, n * t ** 2], axis=-1)   # a curved lattice path
+    B = (rng.normal(size=(3, 3)) * np.cos(np.pi * y)[..., None, None]).astype(complex)
     F0 = np.eye(3, dtype=complex)
-    return dom, A.astype(complex), B, pts, F0
+    return dom, A.astype(complex), B, curved_path(), F0
+
+
+def _toward(a, b):
+    """The integers from a toward b, a excluded and b included."""
+    step = 1 if b >= a else -1
+    return range(a + step, b + step, step)
+
+
+def staircase(corners):
+    """The lattice path through the integer corners, each leg along the
+    first axis, then along the second."""
+    path = [tuple(corners[0])]
+    for (j0, k0), (j1, k1) in zip(corners, corners[1:]):
+        path += [(j, k0) for j in _toward(j0, j1)]
+        path += [(j1, k) for k in _toward(k0, k1)]
+    return np.array(path, dtype=float)
+
+
+def curved_path():
+    """A lattice staircase along one and a half turns of an ellipse inside
+    the 20 x 17 grid: both axes, both directions."""
+    theta = np.linspace(0.0, 3.0 * np.pi, 40)
+    corners = np.rint(np.stack([9.5 + 8.0 * np.cos(theta),
+                                8.0 + 6.5 * np.sin(theta)], axis=-1))
+    return staircase(corners.astype(int))
 
 
 def _sample_scalar(A, B, x, y, zdot, periodic):
@@ -72,22 +96,23 @@ def transport_scalar(A, B, d1, d2, pts, F0, row, periodic, max_step):
     return np.array(record)
 
 
-def edge_path(n):
+def edge_path(n, m):
     """Along the last grid row, then down the last grid column: every
-    sample sits on the upper clamp of the non-periodic interpolation."""
-    last = np.full(n, n - 1.0)
-    up = np.stack([np.arange(n, dtype=float), last], axis=-1)
-    down = np.stack([last[1:], np.arange(n - 2, -1, -1, dtype=float)], axis=-1)
+    edge ends at the last node of an axis."""
+    up = np.stack([np.arange(n, dtype=float), np.full(n, m - 1.0)], axis=-1)
+    down = np.stack([np.full(m - 1, n - 1.0),
+                     np.arange(m - 2, -1, -1, dtype=float)], axis=-1)
     return np.concatenate([up, down])
 
 
 def ragged_path():
-    """Segments of 5, 1, 2, 4, 1 and 3 substeps on the 24^2 unit torus, in
-    no particular order: short segments follow long ones, so most
-    segments are padded with identity substeps."""
-    steps = [(2.0, 0.5), (0.1, 0.0), (0.7, 0.3), (0.0, 1.5), (0.2, 0.2),
-             (1.2, -0.4)]
-    return np.cumsum([(3.3, 4.6)] + steps, axis=0)
+    """Runs of 3, 1, 1, 2, 4, 1, 2 and 2 steps, zero steps among them:
+    edges of 3 or 5 substeps and zero steps of 1 follow each other in no
+    particular order."""
+    runs = [((1, 0), 3), ((0, 1), 1), ((0, 0), 1), ((-1, 0), 2),
+            ((0, 1), 4), ((0, -1), 1), ((0, 0), 2), ((1, 0), 2)]
+    steps = np.repeat([s for s, _ in runs], [c for _, c in runs], axis=0)
+    return np.cumsum(np.concatenate([[(5, 6)], steps]), axis=0).astype(float)
 
 
 def padded_4x3(dom, A, B):
@@ -106,16 +131,20 @@ def padded_4x3(dom, A, B):
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("state", ["row", "column", "row_4x3"])
 def test_matches_scalar_rk4(path, periodic, state):
-    n = 24
-    dom, A, B, pts, F0 = setup_transport(n)
+    dom, A, B, pts, F0 = setup_transport()
     if path == "edge":
-        pts = edge_path(n)
+        pts = edge_path(*dom.shape)
     elif path == "ragged":
         pts = ragged_path()
-    # curved, ragged: substep counts differ between segments
-    nsub = (np.abs(np.diff(pts, axis=0) @ [dom.step1, dom.step2])
+    if periodic and path != "edge":
+        pts = pts + (10, 8)     # across the grid's last nodes, unwrapped
+    # curved, ragged: both axes in both directions, and substep counts
+    # that differ between steps
+    d = np.diff(pts, axis=0)
+    nsub = (np.abs(d @ [dom.step1, dom.step2])
             / (dom.hmin / 2)).astype(int) + 1
-    assert path == "edge" or len(set(nsub)) > 1
+    assert path == "edge" or (len(set(nsub)) > 1 and {
+        (1, 0), (-1, 0), (0, 1), (0, -1)} <= set(map(tuple, d)))
     if state == "row_4x3":
         A, B, F0 = padded_4x3(dom, A, B)
     row = state != "column"
@@ -164,6 +193,27 @@ def test_rectangular_state_supported():
                                       max_step=dom.hmin / 2)
     assert rec.shape == (pts.shape[0], 4, 3)
     assert np.isfinite(rec).all()
+
+
+BAD_PATHS = {
+    "off_node": [[3.0, 4.0], [3.5, 4.0]],
+    "diagonal": [[3.0, 4.0], [4.0, 5.0]],
+    "two_edges": [[3.0, 4.0], [3.0, 6.0]],
+    "outside": [[19.0, 4.0], [20.0, 4.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PATHS))
+def test_kernel_rejects_off_lattice_paths(name):
+    dom, A, B, _, F0 = setup_transport()
+    pts = np.array(BAD_PATHS[name])
+    with pytest.raises(ValueError):
+        _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
+                                    periodic=False, max_step=dom.hmin / 2)
+    # on a torus a node past the last one is the first one, unwrapped
+    if name == "outside":
+        _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
+                                    periodic=True, max_step=dom.hmin / 2)
 
 
 @pytest.mark.parametrize("row", [True, False])
@@ -229,8 +279,8 @@ def test_tree_on_2x2_grid():
 def test_zero_length_segment_keeps_frame(row):
     dom, A, B, _, F0 = setup_transport()
     F0 = F0 + 0.3j
-    pts = np.array([[3.2, 4.1], [3.2, 4.1], [4.0, 4.5], [4.0, 4.5],
-                    [5.9, 4.7]])
+    pts = np.array([[3.0, 4.0], [3.0, 4.0], [4.0, 4.0], [4.0, 4.0],
+                    [4.0, 5.0]])
     rec = _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
                                       row=row, periodic=True,
                                       max_step=dom.hmin / 2)
@@ -240,16 +290,14 @@ def test_zero_length_segment_keeps_frame(row):
 
 
 def tree_by_lines(domain, A, B, F0, root, row, axis_first):
-    """The tree as one transport_polyline call per half line of the comb
-    (`_tree_lines`): an oracle on the other kernel and its bilinear
-    gathers."""
+    """The tree as one scalar RK4 transport per half line of the comb
+    (`_tree_lines`): an oracle that shares no code with the kernel."""
     frames = np.empty(domain.shape + F0.shape, dtype=complex)
     frames[root] = F0
     for pts in _tree_lines(domain, root, axis_first):
-        frames[pts[:, 0], pts[:, 1]] = _kernels.transport_polyline(
+        frames[pts[:, 0], pts[:, 1]] = transport_scalar(
             A, B, domain.step1, domain.step2, pts.astype(float),
-            frames[tuple(pts[0])], row=row, periodic=False,
-            max_step=domain.hmin / 2.0)
+            frames[tuple(pts[0])], row, False, domain.hmin / 2.0)
     return frames
 
 
