@@ -1,4 +1,4 @@
-"""RK4 transport kernel.
+"""Magnus transport kernel.
 
 Transport of a small matrix frame F along lattice lines of a grid of
 square connection coefficient matrices A, B, solving
@@ -6,21 +6,29 @@ square connection coefficient matrices A, B, solving
     dF/dt = (A(z) zdot + B(z) conj(zdot)) F        (row convention)
     dF/dt = F (A(z) zdot + B(z) conj(zdot))        (column convention)
 
-by classical RK4 with int(|zdot| / max_step) + 1 substeps per lattice
-edge, each edge sampled by linear interpolation of its two end nodes.
-`transport_lines` runs a block of lattice lines, each from one node
-outward: the whole reconstruction tree is two calls, the spine and then
-every tooth along the other axis.  `transport_polyline` adapts it to a
-path of grid nodes, each step one lattice edge or none (paths and
-holonomy loops): each straight run of equal steps is one line, and the
-runs are chained.  For a flat connection transport depends only on the
-homotopy class of the path, so a path through grid nodes loses nothing.
+with the coefficient interpolated linearly along each lattice edge.  On
+an edge the coefficient is C(t) = a + (t - 1/2) b, with a the mean and b
+the difference of its values at the two end nodes, and the edge's
+propagator is exp(Omega) for the sixth-order Magnus expansion
 
-The samples do not depend on F and the system is linear, so every
-substep's one-step propagator M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) is
-built in batched numpy, and the propagators of each edge are multiplied
-together in batch.  The only sequential work left is the chain F <- P F,
-once per step away from a line's start node.
+    Omega = a + K/12 + [b, K]/240 - [a, [a, K]]/720,   K = [b, a]
+
+(Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000; Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 2009): one step per edge, exact where
+the coefficient is constant, as on every torus.  Omega is built from a, b
+and their brackets, so it lies in the Lie algebra of the connection and
+exp(Omega) in its group to rounding.  `transport_lines` runs a block of
+lattice lines, each from one node outward: the whole reconstruction
+tree is two calls, the spine and then every tooth along the other axis.
+`transport_polyline` adapts it to a path of grid nodes, each step one
+lattice edge or none (paths and holonomy loops): each straight run of
+equal steps is one line, and the runs are chained.  For a flat
+connection transport depends only on the homotopy class of the path, so
+a path through grid nodes loses nothing.
+
+The propagators do not depend on F, so those of a block of lines are
+built in batched numpy; the only sequential work left is the chain
+F <- P F, once per edge away from a line's start node.
 
 All small-matrix products run in real arithmetic: a complex r x r
 coefficient C = X + iY acts as the real 2r x 2r block [[X, -Y], [Y, X]]
@@ -29,16 +37,18 @@ the real chain is the complex one written out, and batched real
 products are several times cheaper than complex ones.
 """
 
+import math
+
 import numpy as np
 
-# bytes of the edge samples of one block of lines in transport_lines; the
-# RK4 stages of the block take about as much again
-LINES_BLOCK_BYTES = 1 << 20
+# bytes of one per-edge array of a block of lines in transport_lines,
+# float64 of shape (lines, m - 1, 2r, 2r); the Magnus terms and the
+# exponential hold up to six such arrays at a time
+LINES_BLOCK_BYTES = 1 << 18
 
-
-def substeps(zdot, max_step):
-    """RK4 substeps of edges with velocity zdot: int(|zdot| / max_step) + 1."""
-    return (np.abs(zdot) / float(max_step)).astype(np.int64) + 1
+# Taylor degrees of _expm, cheapest first; each is a multiple of
+# s = ceil(sqrt(q)), and costs s - 1 + q / s - 1 products
+_DEGREES = (4, 6, 9, 12, 16)
 
 
 def _realify(C):
@@ -51,34 +61,75 @@ def _realify(C):
     return R
 
 
-def _plus_product(X, Y, s):
-    """X + s X Y, accumulated in the product's buffer."""
-    out = X @ Y
-    out *= s
-    out += X
-    return out
+def _magnus(R):
+    """Sixth-order Magnus Omega of each edge between the consecutive nodes
+    of R (..., m, n, n), walked from node j to node j + 1: (..., m - 1, n, n).
+    Reversing an edge negates its Omega."""
+    a = R[..., :-1, :, :] + R[..., 1:, :, :]
+    a *= 0.5
+    b = R[..., 1:, :, :] - R[..., :-1, :, :]
+    tmp = np.empty_like(a)
+
+    def bracket(X, Y, out):
+        """[X, Y], in `out`."""
+        np.matmul(X, Y, out=out)
+        out -= np.matmul(Y, X, out=tmp)
+        return out
+
+    K = bracket(b, a, np.empty_like(a))
+    # Omega = [b, K]/240 + K/12 - [a, [a, K]]/720 + a, in the buffers of
+    # the terms that are done with
+    W = bracket(b, K, np.empty_like(a))
+    W *= 1.0 / 240.0
+    W += np.multiply(K, 1.0 / 12.0, out=tmp)
+    L = bracket(a, K, b)
+    L = bracket(a, L, K)
+    L *= 1.0 / 720.0
+    W -= L
+    W += a
+    return W
 
 
-def _propagators(R, h):
-    """Propagator P = M_(L-1) ... M_1 M_0 of each edge from its real
-    coefficient samples R (..., 2L+1, 2r, 2r): substep q reads the samples
-    2q, 2q+1, 2q+2 (start, middle, end), every substep has length h, and
-    M_q = I + h/6 (K1 + 2 K2 + 2 K3 + K4)."""
-    C0, Cm, C1 = R[..., :-1:2, :, :], R[..., 1::2, :, :], R[..., 2::2, :, :]
-    K2 = _plus_product(Cm, C0, 0.5 * h)
-    K3 = _plus_product(Cm, K2, 0.5 * h)
-    K4 = _plus_product(C1, K3, h)
-    # M = h/6 (C0 + 2 (K2 + K3) + K4) + I, accumulated in K2's buffer
-    M = K2
-    M += K3
-    M *= 2.0
-    M += C0
-    M += K4
-    M *= h / 6.0
-    M += np.eye(R.shape[-1])
-    P = M[..., 0, :, :]
-    for q in range(1, M.shape[-3]):
-        P = M[..., q, :, :] @ P
+def _expm(W):
+    """exp of each real square matrix of W (..., n, n); may overwrite W.
+
+    Scaling and squaring of the Taylor polynomial of degree q: the least q
+    in _DEGREES, then the fewest squarings k, with
+    ||2^-k W||^(q+1) / (q+1)! < 2^-53 in the largest 1-norm of the batch.
+    The polynomial is evaluated by Paterson-Stockmeyer: the powers
+    W, ..., W^s, s = ceil(sqrt(q)), and Horner's rule in W^s over blocks
+    of s coefficients."""
+    norm = float(np.abs(W).sum(axis=-2).max(initial=0.0))
+    for q in _DEGREES:
+        theta = (2.0 ** -53 * math.factorial(q + 1)) ** (1.0 / (q + 1))
+        if norm < theta:
+            break
+    # 2^-k norm < theta; k = 0 unless past the largest degree's theta
+    k = max(0, math.frexp(norm / theta)[1])
+    if k:
+        W *= 2.0 ** -k
+    s = math.isqrt(q - 1) + 1
+    powers = [None, W]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ W)
+    c = [1.0 / math.factorial(i) for i in range(q + 1)]
+    diag = (np.arange(W.shape[-1]),) * 2
+
+    def add_block(P, i, tmp):
+        """P += sum over l < s of c[i s + l] W^l, with tmp as scratch."""
+        for j in range(1, s):
+            P += np.multiply(powers[j], c[i * s + j], out=tmp)
+        P[(...,) + diag] += c[i * s]
+
+    # the top block is c[q] I, so Horner's rule starts one product in
+    P = powers[s] * c[q]
+    tmp = np.empty_like(P)
+    add_block(P, q // s - 1, tmp)
+    for i in range(q // s - 2, -1, -1):
+        P, tmp = np.matmul(P, powers[s], out=tmp), P
+        add_block(P, i, tmp)
+    for _ in range(k):
+        P, tmp = np.matmul(P, P, out=tmp), P
     return P
 
 
@@ -88,7 +139,8 @@ def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
     indices, unwrapped on a torus) transported from F0, (npts,) + F0.shape.
     Each straight run of equal steps is one line of `transport_lines`.
     ValueError unless each point is a node of the grid and each step one
-    lattice edge or none."""
+    lattice edge or none.  `max_step` is ignored: every edge is one
+    Magnus step."""
     pts = np.asarray(pts, dtype=np.float64)
     nodes, shape = np.rint(pts).astype(np.intp), np.array(A.shape[:2])
     inside = periodic or (nodes == nodes % shape).all()
@@ -108,41 +160,32 @@ def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
         run = slice(a, b + 1)
         transport_lines(A[j[run], k[run]][None], B[j[run], k[run]][None],
                         d[a, 0] * complex(d1) + d[a, 1] * complex(d2),
-                        out[None, run], 0, row, max_step)
+                        out[None, run], 0, row)
     return out
 
 
-def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
+def transport_lines(A, B, zdot, frames, start, row=True):
     """Transport along every lattice line frames[i, :] from its node
     `start` outward, in place: frames ((lines, m) + frame shape) holds the
     frame at each line's node `start` on entry and the frames at all its
     nodes on return.  A and B ((lines, m, r, r)) are the coefficients at
     the same nodes, and the step from node j to node j + 1 of a line is
-    zdot.  Each edge is sampled by linear interpolation of its two end
-    nodes and takes int(|zdot| / max_step) + 1 RK4 substeps.  Lines go a
-    block at a time, so that a block's edge samples stay within
-    LINES_BLOCK_BYTES.  Returns the (edges, substeps) it ran."""
+    zdot.  Each edge is one Magnus step of the coefficient interpolated
+    linearly between its end nodes.  Lines go a block at a time, so that
+    each per-edge array of a block stays within LINES_BLOCK_BYTES.
+    Returns the number of edges it ran."""
     lines, m = frames.shape[:2]
     r = A.shape[-1]
-    nsub = int(substeps(zdot, max_step))
-    t = (np.arange(2 * nsub + 1) / (2.0 * nsub))[:, None, None]
     # edge j joins nodes j and j + 1 and runs away from `start`: from j to
-    # j + 1 at and above it, from j + 1 to j below it, where the velocity
-    # -zdot negates the coefficient
-    j = np.arange(m - 1)
-    up = j >= start
-    src, dst = np.where(up, j, j + 1), np.where(up, j + 1, j)
-    sign = np.where(up, 1.0, -1.0)[:, None, None]
-    line_bytes = max(m - 1, 1) * t.size * 8 * (2 * r) ** 2
-    block = max(1, LINES_BLOCK_BYTES // line_bytes)
+    # j + 1 at and above it, from j + 1 to j below it, which negates Omega
+    sign = np.where(np.arange(m - 1) >= start, 1.0, -1.0)[:, None, None]
+    block = max(1, LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * (2 * r) ** 2))
     for i in range(0, lines, block):
         rows = slice(i, i + block)
         C = A[rows] * zdot + B[rows] * np.conj(zdot)
-        R = _realify(C if row else np.swapaxes(C, -1, -2))
-        R0, R1 = sign * R[:, src], sign * R[:, dst]
-        # C0 + t (C1 - C0) is exactly C0 where the coefficient is constant
-        P = _propagators(R0[:, :, None] + t * (R1 - R0)[:, :, None],
-                         1.0 / nsub)
+        W = _magnus(_realify(C if row else np.swapaxes(C, -1, -2)))
+        W *= sign
+        P = _expm(W)
         # the stacked frames [Re F; Im F], transposed in the column
         # convention, which runs the row system on the transposes
         F = frames[rows, start]
@@ -155,5 +198,4 @@ def transport_lines(A, B, zdot, frames, start, row=True, max_step=0.5):
             np.matmul(P[:, k], X[:, k + 1], out=X[:, k])
         F = X[..., :r, :] + 1j * X[..., r:, :]
         frames[rows] = F if row else np.swapaxes(F, -1, -2)
-    edges = lines * (m - 1)
-    return edges, edges * nsub
+    return lines * (m - 1)

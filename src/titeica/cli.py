@@ -336,8 +336,7 @@ class Pipeline:
             self.mesh = minlag_c2_immersion(self.solution, Q)
         else:
             self.mesh = minlag_cpn_immersion(self.solution, Q, self.case)
-        self.report["transport"] = {k: self.mesh.meta[k]
-                                    for k in ("tree_edges", "tree_substeps")}
+        self.report["transport"] = {"tree_edges": self.mesh.meta["tree_edges"]}
 
     @property
     def _margin(self):
@@ -511,9 +510,9 @@ STAGES = {
 
 def run(cfg, stage="all", out_dir="."):
     """Run the pipeline; returns (exit_code, report_dict)."""
+    pipe = Pipeline(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pipe = Pipeline(cfg)
     pipe.report["stage"] = stage
     code = 0
     try:

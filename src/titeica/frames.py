@@ -263,10 +263,12 @@ def _lattice_points(domain, path):
 
 
 def integrate_frame(alpha, path, F0):
-    """RK4 transport of F0 along the lattice path in alpha's convention;
+    """Transport of F0 along the lattice path in alpha's convention;
     returns the (npts, r, c) frames at the path's nodes.  A lattice edge
-    takes int(|edge| / max_step) + 1 substeps, max_step = min(h1, h2)/2,
-    with A and B interpolated linearly between its end nodes."""
+    is one sixth-order Magnus step, with A and B interpolated linearly
+    between its end nodes.  The kernel ignores `max_step`; pipebench's
+    tracer reads it to count int(|edge| / max_step) + 1 substeps per
+    edge, as the former RK4 kernel took."""
     F = np.asarray(F0, dtype=complex)
     if not np.all(np.isfinite(F)):
         raise ValueError("initial frame must be finite")

@@ -7,8 +7,8 @@ the central node); minimal Lagrangian surfaces in C^2 integrate
 (f_z, f_zbar, f) with C^2-valued rows; CP^2/CH^2 surfaces integrate the
 unitary column frame and read the point off as phi = F e3.  The whole
 comb, its spine and its teeth, is lattice lines and goes through the one
-tree kernel, `transport_lines`; each mesh records in `meta` the edges and
-RK4 substeps that the kernel reports it ran.
+tree kernel, `transport_lines`, one Magnus step per lattice edge; each
+mesh records in `meta` the edges that the kernel reports it ran.
 
 Mesh derivatives are always taken with non-periodic stencils: even over
 a torus domain the reconstructed immersion is not doubly periodic, only
@@ -106,13 +106,12 @@ def integrate_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
     the root, then the teeth, every lattice line along the other axis, each
     transported by `transport_lines` outward from its node on the spine.
     Returns the (n, m, rows, d) array of frames at every node and
-    {"tree_edges", "tree_substeps"}, the comb's lattice edges and RK4
-    substeps as the kernel counts them."""
+    {"tree_edges"}, the comb's lattice edges as the kernel counts them."""
     root = _tree_root(domain, root)
     frames = np.empty(domain.shape + F0.shape, dtype=complex)
     frames[root] = F0
     steps = (domain.step1, domain.step2)
-    edges = nsub = 0
+    edges = 0
     b = 1 - axis_first
     for axis, lines in ((axis_first, slice(root[b], root[b] + 1)),
                         (b, slice(None))):
@@ -120,11 +119,9 @@ def integrate_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
         # made its second axis; the kernel fills frames through the view
         A_, B_, F_ = (np.swapaxes(X, 0, 1 - axis)[lines]
                       for X in (A, B, frames))
-        e, s = transport_lines(A_, B_, complex(steps[axis]), F_, root[axis],
-                               row=row, max_step=domain.hmin / 2.0)
-        edges += e
-        nsub += s
-    return frames, {"tree_edges": edges, "tree_substeps": nsub}
+        edges += transport_lines(A_, B_, complex(steps[axis]), F_,
+                                 root[axis], row=row)
+    return frames, {"tree_edges": edges}
 
 
 def _default_affine_init(psi0, lam):

@@ -71,6 +71,13 @@ def test_key_of_another_kind_exits_2():
         cli.Pipeline(cfg)
 
 
+def test_config_error_leaves_no_out_dir(tmp_path):
+    out = tmp_path / "x" / "a" / "b"
+    with pytest.raises(ConfigError, match="solvr"):
+        cli.run({"solvr": {}}, "solve", out)
+    assert not (tmp_path / "x").exists()
+
+
 def test_unreadable_config_exits_2(tmp_path):
     rc = cli.main(["solve", "--config", str(tmp_path / "missing.json")])
     assert rc == 2

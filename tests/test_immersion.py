@@ -131,7 +131,8 @@ def test_spanning_tree_independence(torus32):
 def test_parabolic_patch_is_paraboloid():
     """psi = 0, Q = 0, lam = 0: the analytic reconstruction from the default
     init is f = (sqrt2 x, sqrt2 y, |z|^2), the graph of a paraboloid with
-    det Hess = 1; the coefficients are quadratic so RK4 is exact."""
+    det Hess = 1; the coefficient is constant, so each edge's exponential
+    is exact."""
     dom = tz.Domain.rectangle(0.5, 0.5, 16, 16)
     sol = tz.MetricSolution(np.full(dom.shape, np.log(2.0)), dom, FLAT)
     mesh = tz.affine_sphere_immersion(sol, tz.CubicDifferential.constant(0.0),
