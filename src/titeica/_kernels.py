@@ -17,7 +17,11 @@ propagator is exp(Omega) for the sixth-order Magnus expansion
 Casas, Oteo & Ros, Phys. Rep. 470, 2009): one step per edge, exact where
 the coefficient is constant, as on every torus.  Omega is built from a, b
 and their brackets, so it lies in the Lie algebra of the connection and
-exp(Omega) in its group to rounding.  `transport_lines` runs a block of
+exp(Omega) in its group to rounding.  The series converges only for small
+Omega, so where `_expm` would need k > 0 squarings for a block of lines,
+each edge of the block is split into 2^k sub-edges instead, each one
+Magnus step of the linear coefficient between its ends, and their
+propagators are multiplied together.  `transport_lines` runs a block of
 lattice lines, each from one node outward: the whole reconstruction
 tree is two calls, the spine and then every tooth along the other axis.
 `transport_polyline` adapts it to a path of grid nodes, each step one
@@ -90,22 +94,27 @@ def _magnus(R):
     return W
 
 
-def _expm(W):
-    """exp of each real square matrix of W (..., n, n); may overwrite W.
-
-    Scaling and squaring of the Taylor polynomial of degree q: the least q
-    in _DEGREES, then the fewest squarings k, with
-    ||2^-k W||^(q+1) / (q+1)! < 2^-53 in the largest 1-norm of the batch.
-    The polynomial is evaluated by Paterson-Stockmeyer: the powers
-    W, ..., W^s, s = ceil(sqrt(q)), and Horner's rule in W^s over blocks
-    of s coefficients."""
+def _scaling(W):
+    """(q, k) for the exponentials of W (..., n, n): the least Taylor degree
+    q in _DEGREES, then the fewest squarings k, with
+    ||2^-k W||^(q+1) / (q+1)! < 2^-53 in the largest 1-norm of the batch."""
     norm = float(np.abs(W).sum(axis=-2).max(initial=0.0))
     for q in _DEGREES:
         theta = (2.0 ** -53 * math.factorial(q + 1)) ** (1.0 / (q + 1))
         if norm < theta:
             break
     # 2^-k norm < theta; k = 0 unless past the largest degree's theta
-    k = max(0, math.frexp(norm / theta)[1])
+    return q, max(0, math.frexp(norm / theta)[1])
+
+
+def _expm(W, scaling=None):
+    """exp of each real square matrix of W (..., n, n); may overwrite W.
+
+    Scaling and squaring of the Taylor polynomial of degree q, with (q, k)
+    = `scaling`, by default `_scaling(W)`.  The polynomial is evaluated by
+    Paterson-Stockmeyer: the powers W, ..., W^s, s = ceil(sqrt(q)), and
+    Horner's rule in W^s over blocks of s coefficients."""
+    q, k = _scaling(W) if scaling is None else scaling
     if k:
         W *= 2.0 ** -k
     s = math.isqrt(q - 1) + 1
@@ -130,6 +139,44 @@ def _expm(W):
         add_block(P, i, tmp)
     for _ in range(k):
         P, tmp = np.matmul(P, P, out=tmp), P
+    return P
+
+
+def _chain(S, forward):
+    """Product of S (..., N, n, n) over its axis -3, N a power of 2:
+    S[N-1] ... S[0] if forward, else S[0] ... S[N-1]."""
+    while S.shape[-3] > 1:
+        first, second = S[..., 0::2, :, :], S[..., 1::2, :, :]
+        S = second @ first if forward else first @ second
+    return S[..., 0, :, :]
+
+
+def _split_propagators(R, start, k):
+    """Propagators of the edges between consecutive nodes of R
+    (lines, m, n, n), directed as in `transport_lines`, each the product
+    of 2^k Magnus steps over equal sub-edges.  The coefficient is
+    interpolated linearly at the sub-edge ends; a sub-edge of length
+    h = 2^-k of its edge carries h times it.  Edges go a chunk at a time,
+    so that the sub-edge arrays stay about the size of the edge arrays."""
+    lines, m = R.shape[:2]
+    N = 1 << k
+    t = (np.arange(N) / N)[:, None, None]
+    P = np.empty((lines, m - 1) + R.shape[2:])
+    chunk = max(1, (m - 1) >> k)
+    for e0 in range(0, m - 1, chunk):
+        e1 = min(e0 + chunk, m - 1)
+        R0, R1 = R[:, e0:e1, None], R[:, e0 + 1:e1 + 1, None]
+        nodes = np.empty((lines, (e1 - e0) * N + 1) + R.shape[2:])
+        nodes[:, :-1] = (R0 + t * (R1 - R0)).reshape(nodes[:, :-1].shape)
+        nodes[:, -1] = R[:, e1]
+        nodes *= 1.0 / N
+        W = _magnus(nodes).reshape(R0.shape[:2] + (N,) + R.shape[2:])
+        # the edges below `start` run backward, from their last sub-edge
+        back = min(max(start - e0, 0), e1 - e0)
+        W[:, :back] *= -1.0
+        S = _expm(W)
+        P[:, e0:e0 + back] = _chain(S[:, :back], False)
+        P[:, e0 + back:e1] = _chain(S[:, back:], True)
     return P
 
 
@@ -183,9 +230,16 @@ def transport_lines(A, B, zdot, frames, start, row=True):
     for i in range(0, lines, block):
         rows = slice(i, i + block)
         C = A[rows] * zdot + B[rows] * np.conj(zdot)
-        W = _magnus(_realify(C if row else np.swapaxes(C, -1, -2)))
-        W *= sign
-        P = _expm(W)
+        R = _realify(C if row else np.swapaxes(C, -1, -2))
+        W = _magnus(R)
+        q, k = _scaling(W)
+        if k:
+            # too large for one step: 2^k sub-edges, each about 2^-k
+            # times the size of its edge
+            P = _split_propagators(R, start, k)
+        else:
+            W *= sign
+            P = _expm(W, (q, 0))
         # the stacked frames [Re F; Im F], transposed in the column
         # convention, which runs the row system on the transposes
         F = frames[rows, start]

@@ -315,6 +315,8 @@ class Pipeline:
             "linear_iters": sum(r.info["linear_iters"] for r in reports),
             "spsolve_fallbacks": sum(r.info["spsolve_fallbacks"]
                                      for r in reports),
+            # per step of the last solve (of the last t on continuation)
+            "history": rep.info["history"],
         }
         if not rep.converged:
             raise SolveError(f"solver did not converge: residual "

@@ -714,6 +714,11 @@ def test_cli_linear_iters_summed_over_continuation(tmp_path):
     assert all(k > 0 for k in steps[1:])
     assert report["solver"]["linear_iters"] == sum(steps)
     assert report["solver"]["spsolve_fallbacks"] == 0
+    # the per-step record is the last solve's
+    hist = report["solver"]["history"]
+    assert hist == fam.reports[-1].info["history"]
+    assert sum(hist["linear_iters"]) == steps[-1]
+    assert len(hist["eta"]) == report["solver"]["iterations"]
 
 
 def test_cli_reports_spsolve_fallbacks(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import math
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -118,18 +120,40 @@ def magnus_omega(C0, C1):
     return a + K / 12.0 + bracket(b, K) / 240.0 - bracket(a, bracket(a, K)) / 720.0
 
 
-def magnus_scalar(A, B, d1, d2, pts, F0, row):
-    """Reference: one step of the lattice paths pts at a time, each scipy's
-    expm of the complex Omega of the step's coefficient, as in
+def magnus_scalar(A, B, d1, d2, pts, F0, row, splits=1):
+    """Reference: one step of the lattice paths pts at a time, each the
+    product over `splits` equal sub-steps of scipy's expm of the complex
+    Omega of the sub-step's coefficient, interpolated linearly as in
     `transport_scalar`."""
     F = np.array(F0, dtype=complex)
     F = F if row else np.swapaxes(F, -1, -2)
     record = [F]
     for _, C0, C1 in _edge_coefficients(A, B, d1, d2, pts, row):
-        F = expm(magnus_omega(C0, C1)) @ F
+        D = (C1 - C0) / splits
+        for i in range(splits):
+            F = expm(magnus_omega((C0 + i * D) / splits,
+                                  (C0 + (i + 1) * D) / splits)) @ F
         record.append(F)
     out = np.array(record)
     return out if row else np.swapaxes(out, -1, -2)
+
+
+# the largest 1-norm at which _expm's degree-16 Taylor polynomial needs no
+# squaring: theta^17 / 17! = 2^-53
+THETA_16 = (2.0 ** -53 * math.factorial(17)) ** (1.0 / 17.0)
+
+
+def kernel_splits(A, B, d1, d2, paths, row):
+    """Sub-steps per edge of the lattice paths, run by the kernel as one
+    block of lines: 2^k, with k the squarings that _expm would need for
+    the largest 1-norm of an edge's Omega, [[X, -Y], [Y, X]] for
+    Omega = X + iY."""
+    norms = [np.abs(W.real) + np.abs(W.imag)
+             for pts in paths
+             for _, C0, C1 in _edge_coefficients(A, B, d1, d2, pts, row)
+             for W in [magnus_omega(C0, C1)]]
+    norm = max((W.sum(axis=-2).max() for W in norms), default=0.0)
+    return 2 ** max(0, math.frexp(norm / THETA_16)[1])
 
 
 def rel_err(got, ref):
@@ -302,22 +326,29 @@ def _tree_lines(domain, root, axis_first=0):
 
 
 def test_tree_on_2x2_grid():
-    # on a 2x2 grid the comb rooted at (1, 1) has one-point halves
+    # on a 2x2 grid the comb has one-point halves.  The coefficients reach
+    # a 1-norm of about 4 on an edge, past the reach of one Magnus step:
+    # the kernel splits each edge into 2^k sub-edges, and stays within the
+    # former RK4 kernel's 9.7e-4 of the ODE.  Rooted at (1, 1) every edge
+    # runs backward, rooted at (0, 0) forward
     grid = SimpleNamespace(shape=(2, 2), step1=0.5, step2=0.5j, hmin=0.5)
-    lines = _tree_lines(grid, (1, 1))
-    assert min(len(pts) for pts in lines) == 1
     rng = np.random.default_rng(2)
     A = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
     B = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
     F0 = np.eye(3, dtype=complex)
-    frames, counts = integrate_tree(grid, A, B, F0)
-    assert counts == {"tree_edges": 3}
-    assert np.array_equal(frames[1, 1], F0)
-    for pts in lines:
-        got = frames[pts[:, 0], pts[:, 1]]
-        ref = magnus_scalar(A, B, grid.step1, grid.step2, pts.astype(float),
-                            got[0], True)
-        assert rel_err(got, ref) <= 1e-13
+    for root in [(1, 1), (0, 0)]:
+        lines = _tree_lines(grid, root)
+        assert min(len(pts) for pts in lines) == 1
+        assert kernel_splits(A, B, grid.step1, grid.step2, lines[2:],
+                             True) >= 4
+        frames, counts = integrate_tree(grid, A, B, F0, root=root)
+        assert counts == {"tree_edges": 3}
+        assert np.array_equal(frames[root], F0)
+        ode = tree_by_lines(grid, A, B, F0, root, True, 0,
+                            lambda *a: transport_scalar(*a, fine))
+        assert rel_err(frames, ode) <= 9.7e-4
+        ref = tree_by_lines(grid, A, B, F0, root, True, 0)
+        assert rel_err(frames, ref) <= 1e-13
 
 
 @pytest.mark.parametrize("row", [True, False])
@@ -334,20 +365,25 @@ def test_zero_length_segment_keeps_frame(row):
     assert not np.allclose(rec[2], F0)
 
 
-def tree_by_lines(domain, A, B, F0, root, row, axis_first,
-                  transport=magnus_scalar):
+def tree_by_lines(domain, A, B, F0, root, row, axis_first, transport=None):
     """The tree as scalar transports along the half lines of the comb
-    (`_tree_lines`), by default Magnus: an oracle that shares no code with
-    the kernel.  The teeth's halves on each side of the spine take the
-    same steps and run together."""
+    (`_tree_lines`), by default Magnus with the kernel's sub-steps per
+    edge (`kernel_splits`) of the spine and of the teeth, which the
+    kernel runs in one block of lines each on these grids: an oracle
+    that shares no code with the kernel.  The teeth's halves on each side
+    of the spine take the same steps and run together."""
     frames = np.empty(domain.shape + F0.shape, dtype=complex)
     frames[root] = F0
     lines = _tree_lines(domain, root, axis_first)
-    for pts in lines[:2] + [np.stack(lines[2::2], axis=1),
-                            np.stack(lines[3::2], axis=1)]:
-        frames[pts[..., 0], pts[..., 1]] = transport(
-            A, B, domain.step1, domain.step2, pts.astype(float),
-            frames[tuple(pts[0].T)], row)
+    d1, d2 = domain.step1, domain.step2
+    for group in (lines[:2], [np.stack(lines[2::2], axis=1),
+                              np.stack(lines[3::2], axis=1)]):
+        run = transport or partial(
+            magnus_scalar, splits=kernel_splits(A, B, d1, d2, group, row))
+        for pts in group:
+            frames[pts[..., 0], pts[..., 1]] = run(
+                A, B, d1, d2, pts.astype(float), frames[tuple(pts[0].T)],
+                row)
     return frames
 
 

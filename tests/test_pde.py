@@ -693,16 +693,76 @@ def test_linear_iterations_flat_in_n(name):
     assert small.info["spsolve_fallbacks"] == large.info["spsolve_fallbacks"] == 0
     # every linear solve takes at least one Krylov iteration ...
     assert small.info["linear_iters"] >= small.iterations
-    # ... and diagonal preconditioning needed about 4x as many at 128^2
+    # ... and the exact fast-Poisson preconditioner keeps the count from
+    # growing with the grid
     assert large.info["linear_iters"] <= small.info["linear_iters"]
     assert large.info["linear_iters"] <= 10 * large.iterations
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SOLVES
+                                        if n != "oblique_torus"))
+def test_planar_solve_cost_even_and_odd_n(name):
+    # 128 and 129 nodes per side take different transform sizes; the
+    # solves cost the same Newton steps and, to within one, Krylov
+    # iterations
+    even, odd = SOLVES[name](128), SOLVES[name](129)
+    assert even.converged and odd.converged
+    assert even.iterations == odd.iterations
+    assert abs(even.info["linear_iters"] - odd.info["linear_iters"]) <= 1
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_monotone_keeps_exact_linear_solves(n):
+    # the bracket argument needs exact steps: no forcing term here
+    rep = SOLVES["disk_monotone"](n)
+    assert rep.converged
+    assert (rep.iterations, rep.info["linear_iters"]) == (9, 72)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SOLVES
+                                        if n != "disk_monotone"))
+def test_newton_history(name):
+    rep = SOLVES[name](32)
+    hist = rep.info["history"]
+    assert rep.converged
+    assert sorted(hist) == ["eta", "linear_iters", "rinf", "step"]
+    assert all(len(v) == rep.iterations for v in hist.values())
+    assert sum(hist["linear_iters"]) == rep.info["linear_iters"]
+    assert all(pde.LINEAR_RTOL <= eta <= 1e-2 for eta in hist["eta"])
+    # each step starts below the residual of the one before, and the
+    # last one ends below that
+    rinf = hist["rinf"] + [rep.residual_inf]
+    assert all(b < a for a, b in zip(rinf, rinf[1:]))
+    assert all(0.0 < t <= 1.0 for t in hist["step"])
+
+
+def test_stall_guard_resolves_exactly(monkeypatch):
+    # a loose solve that returns no step at all stalls the line search;
+    # the step is solved again at LINEAR_RTOL, and Newton takes the steps
+    # of exact solves
+    ref = SOLVES["disk_newton"](48)
+    cg = pde.cg
+    loose = []
+
+    def zero_when_loose(A, b, *, rtol, **kwargs):
+        if rtol > pde.LINEAR_RTOL:
+            loose.append(rtol)
+            return np.zeros_like(b), 0
+        return cg(A, b, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(pde, "cg", zero_when_loose)
+    rep = SOLVES["disk_newton"](48)
+    assert len(loose) == ref.iterations
+    assert rep.converged and rep.iterations == ref.iterations
+    assert rep.info["history"]["eta"] == [pde.LINEAR_RTOL] * rep.iterations
+    assert rep.residual_inf <= pde.NEWTON_TOL
 
 
 @pytest.mark.parametrize("name", sorted(SOLVES))
 def test_matches_direct_solve(name, monkeypatch):
     fast = SOLVES[name](48)
 
-    def direct(self, shift, rhs):
+    def direct(self, shift, rhs, rtol=pde.LINEAR_RTOL):
         L = geometry.dzzbar_matrix(self.p.domain)
         return spsolve((L + sp.diags(shift)).tocsc(), rhs)
 
