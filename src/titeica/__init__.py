@@ -15,20 +15,16 @@ from .pde import (ContinuationResult, PdeProblem, SolveReport,
                   supersolution_bound, toda_residual_complex)
 from .frames import (ConnectionForm, PathSpec, build_connection, cell_loop,
                      curvature_residual, group_residuals, holonomy,
-                     integrate_frame, line_path, minlag_frame_connection,
-                     polyline_path, reality_check, torus_generator)
+                     integrate_frame, minlag_frame_connection, polyline_path,
+                     reality_check, torus_generator)
 from .immersion import (ImmersionMesh, affine_sphere_immersion,
-                        angle_oscillation, conormal_dual, cpn_point,
-                        lagrangian_angle, minlag_c2_immersion,
-                        minlag_cpn_immersion, recover_cubic,
-                        recover_metric_weight, shape_operator_norm,
-                        sphere_frame, verify_affine, verify_cpn,
-                        verify_minlag_c2)
+                        angle_oscillation, conormal_dual, lagrangian_angle,
+                        minlag_c2_immersion, minlag_cpn_immersion,
+                        shape_operator_norm, sphere_frame, verify_affine,
+                        verify_cpn, verify_minlag_c2)
 from .projective import (QuadricFit, SemiFlatData, develop_rp2, holonomy_report,
                          normalize_rp2, quadric_fit, semiflat_develop,
                          semiflat_dual_roundtrip)
-from .weierstrass import (GraphFunction, HoloPair, graph_ma_residual,
-                          legendre_transform, monge_ampere_residual,
-                          parabolic_from_holomorphic, path_integral)
+from .weierstrass import HoloPair, parabolic_from_holomorphic
 
 __version__ = "0.1.0"

@@ -60,6 +60,9 @@ TOL_COEFF = {
     "unitarity": 20.0,
     "det_drift": 20.0,
     "monge_ampere": 40.0,
+    # grad_y phi* - x after the semi-flat development: 0.12-0.17 h^2 for
+    # Q = 0.3 + 0.2z on a unit square at 24^2 to 96^2
+    "legendre_roundtrip": 20.0,
     "angle_oscillation": 20.0,
 }
 
@@ -396,8 +399,10 @@ class Pipeline:
         if self.case.lam == 0:
             sf = semiflat_develop(self.mesh)
             self._gate_monge_ampere(sf)
+            roundtrip = semiflat_dual_roundtrip(sf)
+            self.add_residual("legendre_roundtrip", roundtrip)
             self.report["semiflat"] = {
-                "legendre_roundtrip": semiflat_dual_roundtrip(sf),
+                "legendre_roundtrip": roundtrip,
                 "phi_range": [float(sf.phi.min()), float(sf.phi.max())],
             }
             return

@@ -33,10 +33,6 @@ class InitDataError(TiteicaError):
     """Immersion initial data violates its compatibility condition."""
 
 
-class NonConvexError(TiteicaError):
-    """Legendre transform requires a strictly convex input."""
-
-
 class SolveError(TiteicaError):
     """The solver for the metric equation did not converge."""
 

@@ -221,12 +221,6 @@ def polyline_path(domain, zs, closed=False):
                     closed=closed)
 
 
-def line_path(domain, z0, z1, closed=False):
-    """The lattice path from the grid node nearest z0 to the one nearest
-    z1, along the first lattice axis, then along the second."""
-    return polyline_path(domain, [z0, z1], closed=closed)
-
-
 def torus_generator(domain, which):
     """Loop along lattice direction `which` (0 -> period 1, 1 -> period
     tau) from the origin node to its translate by the period."""

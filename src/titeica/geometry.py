@@ -18,10 +18,10 @@ quotient of the package is written in this module: `lattice_diff` and
 `lattice_diff2` along one axis, `second_diffs` for (f_jj, f_kk, f_jk),
 and from these the `Domain` stencils d/dz, d/dzbar, d^2/dz^2 and
 d^2/dz dzbar, the interior form `Domain.dzzbar_interior` that the
-solvers apply matrix-free, `lattice_hessian` and the sparse
-`dzzbar_matrix`.  The solvers never build that matrix on a converging
-path: it is the matrix of their direct fallback, after a Krylov solve
-has failed, and the oracle that tests check the stencils against.
+solvers apply matrix-free, and the sparse `dzzbar_matrix`.  The solvers
+never build that matrix on a converging path: it is the matrix of their
+direct fallback, after a Krylov solve has failed, and the oracle that
+tests check the stencils against.
 """
 
 from dataclasses import dataclass
@@ -106,25 +106,6 @@ def second_diffs(f, periodic=False):
     the three distinct entries of the lattice Hessian."""
     return (lattice_diff2(f, 0, periodic), lattice_diff2(f, 1, periodic),
             lattice_diff(lattice_diff(f, 0, periodic), 1, periodic))
-
-
-def lattice_hessian(f, periodic=False, h=(1.0, 1.0)):
-    """Symmetric second differences of f over its first d = len(h) axes,
-    scaled by the grid spacings h: second differences on the diagonal,
-    first differences of first differences off it, one-sided at
-    non-periodic edges.  Trailing component axes of f come before the
-    (d, d) matrix axes."""
-    f = np.asarray(f)
-    d = len(h)
-    # matrix axes first in memory, so each entry is a contiguous field
-    H = np.empty((d, d) + f.shape, dtype=np.result_type(f, float))
-    for i in range(d):
-        np.divide(lattice_diff2(f, i, periodic), h[i] ** 2, out=H[i, i])
-        for j in range(i + 1, d):
-            dij = lattice_diff(lattice_diff(f, i, periodic), j, periodic)
-            np.divide(dij, h[i] * h[j], out=H[i, j])
-            H[j, i] = H[i, j]
-    return np.moveaxis(H, (0, 1), (-2, -1))
 
 
 def polyval(coeffs, z):

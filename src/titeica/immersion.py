@@ -228,27 +228,6 @@ def verify_affine(mesh, sol, Q, margin=2):
     }
 
 
-def recover_metric_weight(mesh):
-    """e^{2 psi} recovered from the determinant identity on the mesh."""
-    _, _, f_z, f_zb, xi = _affine_tangents(mesh)
-    det = np.linalg.det(np.stack([f_z, f_zb, xi], axis=-1))
-    return det.imag
-
-
-def recover_cubic(mesh, psi=None):
-    """Cubic differential recovered from the f_{zz} structure identity."""
-    pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
-    if psi is None:
-        e2p = recover_metric_weight(mesh)
-        psi = 0.5 * np.log(np.maximum(e2p, 1e-300))
-    else:
-        e2p = np.exp(2.0 * np.asarray(psi))
-    psi_z = pd.dz(psi)
-    f_zz = pd.dzz(f)
-    _, b, _ = _frame_basis_coeffs(f_z, f_zb, xi, f_zz - 2.0 * psi_z[..., None] * f_z)
-    return b * e2p
-
-
 def conormal_dual(mesh):
     """Conormal dual of a proper affine sphere mesh: N solves <N, f> = 1,
     <N, f_z> = <N, f_zbar> = 0 at each vertex."""
@@ -397,14 +376,6 @@ def minlag_cpn_immersion(sol, Q, case, root=None, axis_first=0):
 def _herm_pm(u, v, sign):
     s = u * np.conj(v)
     return s[..., 0] + s[..., 1] + sign * s[..., 2]
-
-
-def cpn_point(F, sign):
-    """phi = F e3 and its pseudo-norm residual | <phi,phi>_pm - sign |."""
-    F = np.asarray(F, dtype=complex)
-    phi = F[..., :, 2]
-    nrm = _herm_pm(phi, phi, sign)
-    return phi, {"unit_norm": float(np.max(np.abs(nrm - sign)))}
 
 
 def verify_cpn(mesh, sol, margin=2):

@@ -50,3 +50,18 @@ def hyperboloid_mesh(n=24, radius=0.5):
     sol = tz.MetricSolution(np.zeros(dom.shape), dom, mu)
     mesh.psi = sol.psi
     return mesh, sol
+
+
+def graph_development(dom, x1, x2, phi):
+    """Semi-flat development of the parabolic graph (x1, x2, phi) given
+    node by node on the lattice of dom."""
+    mesh = tz.ImmersionMesh(dom, np.stack([x1, x2, phi], axis=-1), None,
+                            "affine_sphere", lam=0)
+    return tz.semiflat_develop(mesh)
+
+
+def mirror(sf, dom):
+    """Development of the Legendre dual (y, phi*) of a semi-flat
+    development, itself a parabolic graph: its ma_residual is the dual
+    Monge-Ampere residual, and its y and phi_star give back x and phi**."""
+    return graph_development(dom, sf.y[..., 0], sf.y[..., 1], sf.phi_star)

@@ -13,6 +13,7 @@ import pytest
 
 import titeica as tz
 from titeica import cli
+from tests.conftest import mirror
 
 FLAT = tz.BackgroundMetric("flat")
 POIN = tz.BackgroundMetric("poincare_disk")
@@ -178,10 +179,10 @@ def test_criterion_08_conormal_duality(torus32, torus_mesh):
     p, sol = torus32
     tol = 20.0 * p.domain.hmax ** 2
     dual = tz.conormal_dual(torus_mesh)
-    q_dual = tz.recover_cubic(dual)[2:-2, 2:-2]
-    cubic_dev = np.abs(q_dual + p.Q(p.domain.z)[2:-2, 2:-2]).max()
-    w = tz.recover_metric_weight(dual)[2:-2, 2:-2]
-    metric_dev = np.abs(w - np.exp(2 * sol.psi)[2:-2, 2:-2]).max()
+    # the dual has the same metric and cubic form -Q
+    rep = tz.verify_affine(dual, sol, p.Q.scaled(-1))
+    cubic_dev = rep["cubic_recovery"].max
+    metric_dev = rep["det_identity"].max
     dd = tz.conormal_dual(dual)
     dd_dev = np.abs(dd.vertices - torus_mesh.vertices)[2:-2, 2:-2].max()
     ok = cubic_dev <= tol and metric_dev <= tol and dd_dev <= tol
@@ -195,26 +196,22 @@ def test_criterion_09_weierstrass_monge_ampere():
              tz.HoloPair.from_coeffs([0.0, 0.0, 0.2], [0.0, 1.0, 0.05])]
     dom = tz.Domain.rectangle(1.0, 1.0, 41, 41)
     tol = 40.0 * dom.hmax ** 2
-    worst = 0.0
+    core = (slice(2, -2), slice(2, -2))
+    worst = r_dual = roundtrip = 0.0
     for pair in pairs:
         mesh = tz.parabolic_from_holomorphic(pair, dom)
         sf = tz.semiflat_develop(mesh)
-        worst = max(worst, float(np.abs(sf.ma_residual[2:-2, 2:-2]).max()))
-    # Legendre leg on the regular-grid pair
-    mesh = tz.parabolic_from_holomorphic(pairs[1], dom)
-    sf = tz.semiflat_develop(mesh)
-    g = tz.GraphFunction(sf.x[:, 0, 0], sf.x[0, :, 1], sf.phi)
-    gs = tz.legendre_transform(g)
-    r_dual = float(np.nanmax(np.abs(tz.graph_ma_residual(gs))))
-    gss = tz.legendre_transform(gs)
-    # s** compared against s (known in closed form) on the round-trip grid
-    XX1, XX2 = np.meshgrid(gss.x1, gss.x2, indexing="ij")
-    exact = 0.99 / 8 * ((XX1 / 0.55) ** 2 + (XX2 / 0.45) ** 2)
-    roundtrip = float(np.nanmax(np.abs(
-        np.where(gss.mask, gss.values, np.nan) - exact)))
+        # Legendre leg: the dual (y, phi*) is a parabolic graph in turn,
+        # and developing it gives back x and phi** = phi
+        dual = mirror(sf, dom)
+        worst = max(worst, float(np.abs(sf.ma_residual[core]).max()))
+        r_dual = max(r_dual, float(np.abs(dual.ma_residual[core]).max()))
+        roundtrip = max(roundtrip,
+                        float(np.abs(dual.phi_star - sf.phi)[core].max()),
+                        float(np.abs(dual.y - sf.x)[core].max()))
     ok = worst <= tol and r_dual <= tol and roundtrip <= tol
     _report(9, ok, f"det Hess residual {worst:.2e}, dual residual {r_dual:.2e}, "
-                   f"s** dev {roundtrip:.2e} (all <= {tol:.2e})")
+                   f"phi** and x** dev {roundtrip:.2e} (all <= {tol:.2e})")
 
 
 def test_criterion_10_monotone_bracket():

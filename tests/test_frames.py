@@ -296,7 +296,7 @@ def test_integrate_zero_connection():
     dom = small_torus()
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
     al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
-    path = tz.line_path(dom, 0.0, 0.5 + 0.5j)
+    path = tz.polyline_path(dom, [0.0, 0.5 + 0.5j])
     F0 = np.diag([1.0, 2.0, 3.0]).astype(complex)
     out = tz.integrate_frame(al, path, F0)
     assert np.abs(out[-1] - F0).max() == 0.0
@@ -310,7 +310,7 @@ def test_integrate_constant_matrix_exponential_oracle():
     B = np.zeros_like(A)
     al = tz.ConnectionForm(A, B, "row_frame", dom)
     L = 0.75
-    path = tz.line_path(dom, 0.1j, 0.1j + L)   # real direction: dz = L
+    path = tz.polyline_path(dom, [0.1j, 0.1j + L])   # real direction: dz = L
     out = tz.integrate_frame(al, path, np.eye(3, dtype=complex))
     oracle = expm(M * L)
     assert np.abs(out[-1] - oracle).max() < 1e-8
@@ -363,7 +363,7 @@ def test_path_validation():
         tz.integrate_frame(al, tz.PathSpec(np.array([-0.4 - 0.4j, 0.4 + 0.4j])),
                            np.eye(3, dtype=complex))
     with pytest.raises(PathError):  # holonomy needs a closed loop
-        tz.holonomy(al, tz.line_path(dom, -0.3, 0.3, closed=True))
+        tz.holonomy(al, tz.polyline_path(dom, [-0.3, 0.3], closed=True))
 
 
 def test_paths_run_on_nodes_and_lattice_edges():

@@ -6,7 +6,7 @@ import pytest
 
 import titeica as tz
 from titeica.errors import OutOfDomainError
-from titeica.geometry import dzzbar_matrix, lattice_hessian
+from titeica.geometry import dzzbar_matrix, second_diffs
 
 TAGS = {
     (1, -1): "hyperbolic_affine_sphere",
@@ -157,38 +157,24 @@ def test_lattice_hessian_exact_on_quadratics():
     c = np.array([-0.3, 0.9, 1.5])
     f = (a * x ** 2 + b * x * y + c * y ** 2 + 0.2 * x - y + 1.0
          + 0.3 * x ** 3 - 0.2 * y ** 3)
-    H = lattice_hessian(f, h=h)
-    assert H.shape == (9, 11, 3, 2, 2)
-    assert np.abs(H[..., 0, 0] - (2 * a + 1.8 * x)).max() <= 1e-12
-    assert np.abs(H[..., 1, 1] - (2 * c - 1.2 * y)).max() <= 1e-12
-    assert np.abs(H[..., 0, 1] - b).max() <= 1e-12
-    assert np.abs(H[..., 1, 0] - b).max() <= 1e-12
-
-
-def test_lattice_hessian_exact_on_quadratics_3d():
-    h = (0.2, 0.3, 0.25)
-    M = np.array([[2.0, 0.3, -0.5], [0.3, 1.0, 0.4], [-0.5, 0.4, 3.0]])
-    axes = [hi * np.arange(s) for hi, s in zip(h, (8, 9, 10))]
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    f = 0.5 * np.einsum("...i,ij,...j->...", X, M, X) + X @ [1.0, -2.0, 0.5]
-    H = lattice_hessian(f, h=h)
-    assert H.shape == (8, 9, 10, 3, 3)
-    assert np.abs(H - M).max() <= 1e-12
+    f_jj, f_kk, f_jk = second_diffs(f)
+    assert f_jj.shape == f_kk.shape == f_jk.shape == (9, 11, 3)
+    assert np.abs(f_jj / h[0] ** 2 - (2 * a + 1.8 * x)).max() <= 1e-12
+    assert np.abs(f_kk / h[1] ** 2 - (2 * c - 1.2 * y)).max() <= 1e-12
+    assert np.abs(f_jk / (h[0] * h[1]) - b).max() <= 1e-12
 
 
 def test_lattice_hessian_periodic_symbol():
     # exp(i (t1 j + t2 k)) is an eigenfunction: the second difference has
     # symbol -4 sin^2(t/2) and each centered first difference i sin(t)
-    n, m, h = 12, 16, (0.5, 0.25)
+    n, m = 12, 16
     t1, t2 = 2 * np.pi * 3 / n, 2 * np.pi * 5 / m
     j, k = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
     f = np.exp(1j * (t1 * j + t2 * k))
-    H = lattice_hessian(f, periodic=True, h=h)
-    sym = np.array([[-4 * np.sin(t1 / 2) ** 2 / h[0] ** 2,
-                     -np.sin(t1) * np.sin(t2) / (h[0] * h[1])],
-                    [-np.sin(t1) * np.sin(t2) / (h[0] * h[1]),
-                     -4 * np.sin(t2 / 2) ** 2 / h[1] ** 2]])
-    assert np.abs(H - sym * f[..., None, None]).max() <= 1e-12
+    f_jj, f_kk, f_jk = second_diffs(f, periodic=True)
+    assert np.abs(f_jj + 4 * np.sin(t1 / 2) ** 2 * f).max() <= 1e-12
+    assert np.abs(f_kk + 4 * np.sin(t2 / 2) ** 2 * f).max() <= 1e-12
+    assert np.abs(f_jk + np.sin(t1) * np.sin(t2) * f).max() <= 1e-12
 
 
 def test_metric_solution_psi():

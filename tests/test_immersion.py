@@ -167,11 +167,10 @@ def test_conormal_dual_cubic_flips(torus_mesh, torus32):
     p, sol = torus32
     tol = 20.0 * p.domain.hmax ** 2
     dual = tz.conormal_dual(torus_mesh)
-    q_dual = tz.recover_cubic(dual)
-    assert np.abs(q_dual[2:-2, 2:-2] + p.Q(p.domain.z)[2:-2, 2:-2]).max() <= tol
-    w = tz.recover_metric_weight(dual)
-    e2psi = np.exp(2 * sol.psi)
-    assert np.abs(w - e2psi)[2:-2, 2:-2].max() <= tol
+    # the dual has the same metric and cubic form -Q
+    rep = tz.verify_affine(dual, sol, p.Q.scaled(-1))
+    assert rep["cubic_recovery"].max <= tol
+    assert rep["det_identity"].max <= tol
 
 
 def test_conormal_double_dual(torus_mesh, torus32):
@@ -325,11 +324,14 @@ def test_shape_operator_doubles_with_cubic():
 # -- CP^2 / CH^2 frames ---------------------------------------------------------------
 
 def test_cpn_point_identity():
-    phi, res = tz.cpn_point(np.eye(3, dtype=complex), +1.0)
-    assert np.all(phi == np.array([0, 0, 1.0]))
-    assert res["unit_norm"] == 0.0
-    phi, res = tz.cpn_point(np.eye(3, dtype=complex), -1.0)
-    assert res["unit_norm"] == 0.0
+    # the identity frame's point phi = F e3 = e3 has unit pseudo-norm
+    dom = tz.Domain.torus(1j, 8, 8)
+    sol = tz.MetricSolution(np.zeros(dom.shape), dom, FLAT)
+    frame = np.broadcast_to(np.eye(3, dtype=complex), dom.shape + (3, 3))
+    for tag, lam in (("minlag_cp2", 1), ("minlag_ch2", -1)):
+        mesh = tz.ImmersionMesh(dom, frame[..., :, 2], frame, tag, lam=lam)
+        assert np.all(mesh.vertices == np.array([0, 0, 1.0]))
+        assert tz.verify_cpn(mesh, sol)["unit_norm"].max == 0.0
 
 
 def test_cp2_torus_checks():

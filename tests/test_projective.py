@@ -6,7 +6,7 @@ import pytest
 import titeica as tz
 from titeica import projective
 from titeica.errors import DegenerateVertexError
-from titeica.geometry import lattice_diff, lattice_hessian
+from titeica.geometry import lattice_diff, second_diffs
 from tests.conftest import hyperboloid_mesh
 
 HYP = tz.SignCase(1, -1)
@@ -187,12 +187,17 @@ def reference_chain_rule(x1, x2, phi):
     def grad_lat(f):
         return np.stack([lattice_diff(f, 0), lattice_diff(f, 1)], axis=-1)
 
+    def hess_lat(f):
+        f_jj, f_kk, f_jk = second_diffs(f)
+        return np.stack([np.stack([f_jj, f_jk], axis=-1),
+                         np.stack([f_jk, f_kk], axis=-1)], axis=-2)
+
     J = np.stack([grad_lat(x1), grad_lat(x2)], axis=-2)
     Jinv = np.linalg.inv(J)
     grad = np.einsum("...ij,...i->...j", Jinv, grad_lat(phi))
-    Hlat = (lattice_hessian(phi)
-            - grad[..., 0, None, None] * lattice_hessian(x1)
-            - grad[..., 1, None, None] * lattice_hessian(x2))
+    Hlat = (hess_lat(phi)
+            - grad[..., 0, None, None] * hess_lat(x1)
+            - grad[..., 1, None, None] * hess_lat(x2))
     return grad, np.einsum("...ia,...ij,...jb->...ab", Jinv, Hlat, Jinv)
 
 

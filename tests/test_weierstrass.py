@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import titeica as tz
 from titeica import cli, weierstrass
-from titeica.errors import NonConvexError
+from tests.conftest import graph_development, mirror
 
 # the three frozen regression pairs (admissible: |F'| < |G'| on the grid)
 PAIRS = [
@@ -36,8 +38,7 @@ def test_monge_ampere_regression(pair):
 def test_derivative_bound_rejected():
     dom = tz.Domain.rectangle(1.0, 1.0, 16, 16)
     pair = tz.HoloPair.from_coeffs([0.0, 1.0], [0.0, 1.0])  # F = G = z
-    assert pair.bound_margin(dom.z) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("margin 0.000e+00")):
         tz.parabolic_from_holomorphic(pair, dom)
 
 
@@ -98,22 +99,23 @@ def test_lazy_frame_matches_eager(pair):
 
 
 def test_path_integral_independence():
-    # int F dG is path independent; oracle: exact polynomial antiderivative
+    # int F dG is path independent, which _parabolic_vertices relies on:
+    # spine then teeth and teeth then spine agree at every node with the
+    # exact polynomial antiderivative
     pair = PAIRS[2]
-    f_times_dg = lambda z: pair.F(z) * pair.dG(z)
-    z0, z1 = -0.3 - 0.2j, 0.4 + 0.35j
-    via_a = tz.path_integral(f_times_dg, [z0, complex(z1.real, z0.imag), z1],
-                             samples_per_segment=24)
-    via_b = tz.path_integral(f_times_dg, [z0, complex(z0.real, z1.imag), z1],
-                             samples_per_segment=24)
-    # antiderivative of F G' = (0.2 z^2)(1 + 0.08 z + ...) expanded exactly
-    coeffs = np.polynomial.polynomial.polymul(
-        np.array(pair.f_coeffs), np.array([1.0, 0.1]))
-    anti = np.polynomial.polynomial.polyint(coeffs)
-    oracle = (np.polynomial.polynomial.polyval(z1, anti)
-              - np.polynomial.polynomial.polyval(z0, anti))
-    assert abs(via_a - via_b) < 1e-10
-    assert abs(via_a - oracle) < 1e-9
+    dom = tz.Domain.rectangle(0.7, 0.55, 49, 49)
+    integrand = pair.F(dom.z) * pair.dG(dom.z)
+    cs = weierstrass._cumulative_simpson
+    spine_teeth = (cs(integrand[:, 0] * dom.step1)[:, None]
+                   + cs(integrand * dom.step2, axis=1))
+    teeth_spine = (cs(integrand[0] * dom.step2)[None, :]
+                   + cs(integrand * dom.step1, axis=0))
+    anti = np.polynomial.polynomial.polyint(np.polynomial.polynomial.polymul(
+        pair.f_coeffs, weierstrass._polyder(pair.g_coeffs)))
+    P = np.polynomial.polynomial.polyval
+    oracle = P(dom.z, anti) - P(dom.z[0, 0], anti)
+    assert np.abs(spine_teeth - teeth_spine).max() < 1e-10
+    assert np.abs(spine_teeth - oracle).max() < 1e-9
 
 
 def loop_cumulative_simpson(y, axis=0):
@@ -145,93 +147,54 @@ def test_cumulative_simpson_matches_loop(length, axis):
 
 
 # -- Legendre transform ---------------------------------------------------------
+# The Legendre dual of a semi-flat development is developed in turn, by
+# `mirror`; its phi_star is phi** and its y is x**.
 
-def grid(lo, hi, n):
-    x = np.linspace(lo, hi, n)
-    return x, np.meshgrid(x, x, indexing="ij")
+def graph(n):
+    """An n x n grid over the square [-1, 1]^2 and its coordinates."""
+    dom = tz.Domain.rectangle(2.0, 2.0, n, n)
+    return dom, dom.z.real, dom.z.imag
 
 
 def test_legendre_self_dual():
-    x, (X1, X2) = grid(-1, 1, 41)
-    g = tz.GraphFunction(x, x, 0.5 * (X1 ** 2 + X2 ** 2))
-    gs = tz.legendre_transform(g)
-    Y1, Y2 = np.meshgrid(gs.x1, gs.x2, indexing="ij")
-    dev = np.abs(gs.values - 0.5 * (Y1 ** 2 + Y2 ** 2))[gs.mask].max()
-    assert dev <= 20.0 * g.hx ** 2
+    dom, X1, X2 = graph(41)
+    sf = graph_development(dom, X1, X2, 0.5 * (X1 ** 2 + X2 ** 2))
+    Y1, Y2 = sf.y[..., 0], sf.y[..., 1]
+    dev = np.abs(sf.phi_star - 0.5 * (Y1 ** 2 + Y2 ** 2)).max()
+    assert dev <= 20.0 * dom.hmax ** 2
 
 
 def test_legendre_quadratic_closed_form():
-    x, (X1, X2) = grid(-1, 1, 41)
-    g = tz.GraphFunction(x, x, X1 ** 2 + 0.25 * X2 ** 2)      # A = diag(2, 1/2)
-    gs = tz.legendre_transform(g)
-    Y1, Y2 = np.meshgrid(gs.x1, gs.x2, indexing="ij")
-    dev = np.abs(gs.values - (Y1 ** 2 / 4 + Y2 ** 2))[gs.mask].max()
-    assert dev <= 20.0 * g.hx ** 2
+    dom, X1, X2 = graph(41)
+    sf = graph_development(dom, X1, X2, X1 ** 2 + 0.25 * X2 ** 2)  # A = diag(2, 1/2)
+    Y1, Y2 = sf.y[..., 0], sf.y[..., 1]
+    dev = np.abs(sf.phi_star - (Y1 ** 2 / 4 + Y2 ** 2)).max()
+    assert dev <= 20.0 * dom.hmax ** 2
 
 
 def test_legendre_involution():
-    x, (X1, X2) = grid(-1, 1, 41)
-    g = tz.GraphFunction(x, x, X1 ** 2 + 0.25 * X2 ** 2 + 0.05 * X1 ** 4)
-    gs = tz.legendre_transform(g)
-    gss = tz.legendre_transform(gs)
-    XX1, XX2 = np.meshgrid(gss.x1, gss.x2, indexing="ij")
-    exact = XX1 ** 2 + 0.25 * XX2 ** 2 + 0.05 * XX1 ** 4
-    dev = np.abs(gss.values - exact)[gss.mask].max()
-    assert dev <= 40.0 * g.hx ** 2
-
-
-def test_legendre_rejects_nonconvex():
-    x, (X1, X2) = grid(-1, 1, 21)
-    g = tz.GraphFunction(x, x, X1 ** 2 - X2 ** 2)
-    with pytest.raises(NonConvexError):
-        tz.legendre_transform(g)
+    dom, X1, X2 = graph(41)
+    phi = X1 ** 2 + 0.25 * X2 ** 2 + 0.05 * X1 ** 4
+    sf = graph_development(dom, X1, X2, phi)
+    dual = mirror(sf, dom)
+    tol = 40.0 * dom.hmax ** 2
+    assert np.abs(dual.y - sf.x).max() <= tol
+    assert np.abs(dual.phi_star - phi).max() <= tol
 
 
 def test_legendre_preserves_monge_ampere():
     # det Hess s = 1 iff det Hess s* = 1; check on a generated solution
-    pair = PAIRS[1]
     dom = tz.Domain.rectangle(1.0, 1.0, 41, 41)
-    mesh = tz.parabolic_from_holomorphic(pair, dom)
-    sf = tz.semiflat_develop(mesh)
-    # for this pair the x-projection is a linear image of z, so the
-    # potential lives on a regular grid and the graph can be built directly
-    g = tz.GraphFunction(sf.x[:, 0, 0], sf.x[0, :, 1], sf.phi)
-    r0 = tz.graph_ma_residual(g)
-    gs = tz.legendre_transform(g)
-    r1 = tz.graph_ma_residual(gs)
-    assert np.nanmax(np.abs(r0)) <= 40.0 * g.hx ** 2
-    assert np.nanmax(np.abs(r1)) <= 40.0 * max(g.hx, gs.hx) ** 2
+    sf = tz.semiflat_develop(tz.parabolic_from_holomorphic(PAIRS[1], dom))
+    dual = mirror(sf, dom)
+    tol = 40.0 * dom.hmax ** 2
+    assert np.abs(sf.ma_residual[2:-2, 2:-2]).max() <= tol
+    assert np.abs(dual.ma_residual[2:-2, 2:-2]).max() <= tol
 
 
 # -- Monge-Ampere residuals --------------------------------------------------------
 
 def test_ma_residual_quadratics_exact():
-    x, (X1, X2) = grid(-1, 1, 21)
-    r = tz.monge_ampere_residual(0.5 * (X1 ** 2 + X2 ** 2), x[1] - x[0])
-    assert np.abs(r).max() < 1e-12
-    x3 = np.linspace(-1, 1, 9)
-    A, B, C = np.meshgrid(x3, x3, x3, indexing="ij")
-    r3 = tz.monge_ampere_residual(0.5 * (A ** 2 + B ** 2 + C ** 2),
-                                  x3[1] - x3[0], lam=0, n=3)
-    assert np.abs(r3).max() < 1e-12
-
-
-def test_ma_residual_radial_hyperboloid():
-    # u = sqrt(1 - |t|^2): the radial graph of lam/u = -1/u parametrizes the
-    # lower hyperboloid sheet; det u_ij = (lam/u)^4 analytically
-    for n, tol_c in ((41, 20.0), (81, 20.0)):
-        t = np.linspace(-0.5, 0.5, n)
-        T1, T2 = np.meshgrid(t, t, indexing="ij")
-        u = np.sqrt(1.0 - T1 ** 2 - T2 ** 2)
-        r = tz.monge_ampere_residual(u, t[1] - t[0], lam=-1, n=2)
-        assert np.abs(r).max() <= tol_c * (t[1] - t[0]) ** 2
-
-
-def test_ma_residual_dimension_errors():
-    x = np.zeros((5, 5))
-    with pytest.raises(ValueError):
-        tz.monge_ampere_residual(x, 0.1, n=4)
-    with pytest.raises(ValueError):
-        tz.monge_ampere_residual(x, 0.1, n=3)
-    with pytest.raises(ValueError):
-        tz.monge_ampere_residual(x, (0.1, 0.2, 0.3), n=2)
+    dom, X1, X2 = graph(21)
+    sf = graph_development(dom, X1, X2, 0.5 * (X1 ** 2 + X2 ** 2))
+    assert np.abs(sf.ma_residual).max() < 1e-12
