@@ -1,12 +1,18 @@
-"""OBJ text in numpy: exactly the bytes of CPython's
-``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d %d\\n"`` rows, a block of
-rows at a time.
+"""OBJ and JSON text in numpy: exactly the bytes of CPython's
+``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d %d\\n"`` rows, and the
+nested lists of ``json.dumps`` with its floats written as ``'%.17g'``, a
+block of values at a time.
 
-Each value gets a fixed-width slot of ASCII bytes that holds, in order,
-every character any of its layouts can use.  A boolean mask per slot,
-looked up in a table by a small code (layout, sign, column), keeps the
-characters of the value's text, and one boolean compress per block turns
-the slots into the text of its rows.
+Both formats are rows of values under a row template: a lead written
+before each column's value and a tail after it.  The OBJ row is "v" and
+" " separators, then "\\n"; a JSON row is one vertex, "[[re, im], ...],
+", and the last value of each grid row takes one more table column, whose
+tail closes the grid row and opens the next.  Each value gets a
+fixed-width slot of ASCII bytes that holds, in order, its column's lead,
+every character any of its layouts can use, and its column's tail.  A
+boolean mask per slot, looked up in a table by a small code (column,
+layout, sign), keeps the characters of the value's text, and one boolean
+compress per block turns the slots into the text of its rows.
 
 %.17g of a finite normal x with 10^-11 < |x| < 10^17 is integer work.
 With x = m 2^e (m < 2^53) and k = floor(log10 |x|) in [-11, 16], the 17
@@ -17,16 +23,26 @@ that scaled product, never from N: the double 1e-7 lies just below
 10^-7, and under k = -7 its floor is 10^16 - 1 while N is 10^16.  N
 never rounds up to 10^17 in this range (see `_decimal`).  Every other
 value (zeros, subnormals, |x| <= 10^-11, |x| >= 10^17, inf and nan) is
-formatted by Python's ``'%.17g'``; so is every integer of 17 digits or
-more by ``'%d'``.
+formatted by Python: by ``'%.17g'`` in OBJ, and in JSON so too, except
+that zeros and non-finite values take the tokens of ``json.dumps``
+(``json.loads`` reads ``-0``, the %.17g of -0.0, as the integer 0).  So
+is every integer of 17 digits or more, by ``'%d'``.
 """
 
+import json
 from functools import cache
+from math import isfinite
 
 import numpy as np
 
 # values per block: the temporaries of a block stay within about 12 MB
 BLOCK = 1 << 15
+# values per block of JSON: a fresh CH^2 run peaks lower with blocks of
+# 2^13 values than of 2^15
+JSON_BLOCK = 1 << 13
+
+# bytes before each value's head: its column's separator or brackets
+_LEAD = 2
 
 _U64 = np.uint64
 _E16, _E17 = _U64(10 ** 16), _U64(10 ** 17)
@@ -64,47 +80,90 @@ def _put_groups(chars, starts, groups):
             out[:, j] = text
 
 
-def _tables(head, body, keep, ncols):
-    """Slot templates, prefixes and masks of rows of ncols values.
+def _tables(columns, head, body, keep):
+    """Slot templates, prefixes and masks of rows under the row template
+    columns, one (lead, tail) pair per column, and the end of the slots'
+    bodies.
 
-    A slot is head + body + one byte.  keep[code] is the mask of a code in
-    any column; the first column also keeps byte 0 (the row's letter) and
-    the last column its last byte, the row's newline, where the others hold
-    a space.  The head (separator, sign, ...) is stored right-aligned, as
-    one prefix word per column and code, so that it runs on into the body:
-    each run of kept bytes costs the compress about as much as 40 bytes.
-    Slots of the ith column use rows i, ncols + i, ... of the returned
-    prefixes and masks."""
-    width = len(head) + len(body) + 1
-    templates = np.tile(np.frombuffer(head + body + b" ", np.uint8), (ncols, 1))
-    templates[1:, 0] = ord(" ")
-    templates[-1, -1] = ord("\n")
-    masks = np.repeat(np.reshape(keep, (1, -1, width)), ncols, axis=0)
-    masks[0, :, 0] = True
-    masks[-1, :, -1] = True
+    A slot is _LEAD bytes, head + body and the longest tail, padded to a
+    multiple of 16 bytes: numpy's take copies rows of 16 bytes 3x faster
+    than 17.  keep[code] is the mask of head + body under a code in any
+    column; each column also keeps its lead, right-aligned before the
+    head, and its tail, just after the body.  The lead and head are stored
+    right-aligned, as one prefix word per column and code, so that they
+    run on into the body: each run of kept bytes costs the compress about
+    as much as 40 bytes.  Slots of the ith column use rows i * len(keep)
+    .. (i + 1) * len(keep) - 1 of the returned prefixes and masks."""
+    ncodes = len(keep)
+    stop = _LEAD + len(head) + len(body)
+    width = -(-(stop + max(len(tail) for _, tail in columns)) // 16) * 16
+    templates = np.full((len(columns), width), ord("_"), np.uint8)
+    masks = np.zeros((len(columns), ncodes, width), bool)
+    for i, (lead, tail) in enumerate(columns):
+        start = _LEAD - len(lead)
+        templates[i, start:stop + len(tail)] = np.frombuffer(lead + head + body + tail,
+                                                             np.uint8)
+        masks[i, :, start:_LEAD] = True
+        masks[i, :, _LEAD:stop] = keep
+        masks[i, :, stop:stop + len(tail)] = True
     masks = masks.reshape(-1, width)
-    h = len(head)
+    h = _LEAD + len(head)
     order = np.argsort(masks[:, :h], axis=1, kind="stable")
-    heads = np.repeat(templates[:, :h], len(masks) // ncols, axis=0)
+    heads = np.repeat(templates[:, :h], ncodes, axis=0)
     prefix = np.take_along_axis(heads, order, axis=1).view(f"u{h}").ravel()
     masks[:, :h] = np.sort(masks[:, :h], axis=1)
     for a in (templates, prefix, masks):
         a.flags.writeable = False
-    return templates, prefix, masks
+    return templates, prefix, masks, stop
+
+
+def _obj_row(letter, ncols):
+    """The row template of an OBJ row "<letter> a b ...\\n"."""
+    leads = [letter + b" "] + [b" "] * (ncols - 1)
+    tails = [b""] * (ncols - 1) + [b"\n"]
+    return tuple(zip(leads, tails))
+
+
+def _json_row(cell):
+    """The row template of a JSON vertex of the given shape, as json.dumps
+    writes nested lists, and one more column: the vertex's last value at
+    the end of a grid row, which closes it and opens the next."""
+    parts = json.dumps(np.zeros(cell).tolist()).encode().split(b"0.0")
+    between = [p.split(b", ") for p in parts[1:-1]]
+    leads = [parts[0]] + [after for _, after in between]
+    tails = [before + b", " for before, _ in between] + [parts[-1] + b", "]
+    return tuple(zip(leads, tails)) + ((leads[-1], parts[-1] + b"], ["),)
 
 
 class _Slots:
     """Byte slots and masks of a block of rows of ncols values: chars
-    holds the slots of a block, value by value, and mask their masks."""
+    holds the slots of a block, value by value, and mask their masks.
+    Under tables of ncols + 1 columns, the last value of every group-th
+    row takes the last table column."""
 
-    def __init__(self, tables, rows):
-        self.templates, self.prefix, self.masks = tables
-        self.ncols = len(self.templates)
+    def __init__(self, tables, ncols, rows, group=0):
+        self.templates, self.prefix, self.masks, stop = tables
+        self.ncols, self.group = ncols, group
+        self.ncodes = len(self.masks) // len(self.templates)
         self.head = self.prefix.dtype.itemsize
-        self.chars = np.tile(self.templates, (rows, 1))
+        self.body = stop - self.head
+        self.chars = np.tile(self.templates[:ncols], (rows, 1))
         self.mask = np.empty_like(self.chars, bool)
-        self.col_code = np.tile(np.arange(self.ncols) * (len(self.masks) // self.ncols),
-                                rows)
+        self.col_code = np.tile(np.arange(ncols) * self.ncodes, rows)
+        self.ends = np.arange(0)
+
+    def begin(self, row, size):
+        """Start a block of size values whose first row is row: the last
+        slots of the rows that end a group take the last table column."""
+        if not self.group:
+            return
+        last = self.ncols - 1
+        self.chars[self.ends] = self.templates[last]
+        self.col_code[self.ends] = last * self.ncodes
+        self.ends = np.arange(-(row + 1) % self.group, size // self.ncols,
+                              self.group) * self.ncols + last
+        self.chars[self.ends] = self.templates[self.ncols]
+        self.col_code[self.ends] = self.ncols * self.ncodes
 
     def select(self, code, index, texts):
         """Set prefixes and masks of the first code.size slots by code, and
@@ -115,30 +174,30 @@ class _Slots:
         self.chars[:size, :h].view(self.prefix.dtype)[:, 0] = np.take(self.prefix, code)
         np.take(self.masks, code, axis=0, out=self.mask[:size], mode="clip")
         if index.size:
-            body = np.array(texts, dtype=f"S{self.chars.shape[1] - h - 1}")
+            body = np.array(texts, dtype=f"S{self.body}")
             body = body.view(np.uint8).reshape(index.size, -1)
-            self.chars[index, h:-1] = body
-            self.mask[index, h:-1] = body != 0
+            self.chars[index, h:h + self.body] = body
+            self.mask[index, h:h + self.body] = body != 0
 
     def text(self, size, index):
         """The kept bytes of the first size slots; then the slots at flat
         indices get their template bytes back."""
         out = self.chars[:size][self.mask[:size]]
-        self.chars[index] = self.templates[index % self.ncols]
+        self.chars[index] = self.templates[self.col_code[index] // self.ncodes]
         return out
 
 
-def _blocks(values):
-    """Rows per block (about 2^15 values, at least one row), and the
-    blocks of values, each flattened."""
-    per = max(1, BLOCK // values.shape[1])
-    return min(per, len(values)), (values[r:r + per].ravel()
+def _blocks(values, block):
+    """Rows per block (about block values, at least one row), and the
+    blocks of values, each flattened, with the index of its first row."""
+    per = max(1, block // values.shape[1])
+    return min(per, len(values)), ((r, values[r:r + per].ravel())
                                    for r in range(0, len(values), per))
 
 
 # -- floats ----------------------------------------------------------------
 #
-# slot: 'v' ' ' '-' '0' '.' 000 | D0 D1..D16 '.' D1..D16 'e' '-' E E _ nl
+# slot: lead lead '-' '0' '.' 000 | D0 D1..D16 '.' D1..D16 'e' '-' E E | tail
 # The first copy of the digits holds the integer part (k >= 0), or the
 # digits after 0.000 (-4 <= k < 0), or the leading digit of d.ddde-XX
 # (k < -4); the second copy holds the digits after the point.
@@ -146,28 +205,27 @@ _F_A, _F_POINT, _F_B, _F_EXP = 8, 25, 26, 42
 
 
 @cache
-def _float_tables(ncols):
+def _float_tables(columns):
     """Tables with one mask per code ((k - KMIN) * 17 + last) * 2 + negative,
     where last is the place of the last nonzero digit of N."""
     k = np.arange(_KMIN, _KMAX + 1)[:, None, None, None]
     last = np.arange(17)[:, None, None]
     neg = np.arange(2)[:, None]
-    pos = np.arange(48)
+    pos = np.arange(_LEAD, _F_EXP + 4)
     fixed, small, sci = k >= 0, (k < 0) & (k >= -4), k < -4
     a = pos - _F_A          # place of the digit in the first copy
     b = pos - _F_B + 1      # place of the digit in the second copy
-    keep = ((pos == 1)
-            | ((pos == 2) & (neg == 1))
+    keep = (((pos == 2) & (neg == 1))
             | (((pos == 3) | (pos == 4)) & small)
             | ((pos >= 5) & (pos < 4 - k) & small)
             | ((a >= 0) & (a <= 16)
                & ((fixed & (a <= k)) | (small & (a <= last)) | (sci & (a == 0))))
             | ((pos == _F_POINT) & np.where(fixed, last > k, sci & (last >= 1)))
             | ((b >= 1) & (b <= 16) & (b <= last) & ((fixed & (b > k)) | sci))
-            | ((pos >= _F_EXP) & (pos < _F_EXP + 4) & sci))
-    keep = np.broadcast_to(keep, (k.size, 17, 2, pos.size))
-    body = b"0" * 17 + b"." + b"0" * 16 + b"e-00_"
-    return _tables(b"v -0.000", body, keep, ncols)
+            | ((pos >= _F_EXP) & sci))
+    keep = np.broadcast_to(keep, (k.size, 17, 2, pos.size)).reshape(-1, pos.size)
+    body = b"0" * 17 + b"." + b"0" * 16 + b"e-00"
+    return _tables(columns, b"-0.000", body, keep)
 
 
 def _scaled(m, e, k):
@@ -213,13 +271,14 @@ def _decimal(x):
     return floor + up, k
 
 
-def float_rows(values):
-    """Yield the bytes of ``"v %.17g %.17g ...\\n" % tuple(row)`` for the
-    rows of a 2-D float array, a block of about 2^15 values at a time."""
-    values = np.asarray(values, dtype=np.float64)
-    rows, blocks = _blocks(values)
-    slots = _Slots(_float_tables(values.shape[1]), rows)
-    for x in blocks:
+def _float_text(values, columns, block, python, group=0):
+    """Yield the text of the rows of a 2-D float array under the row
+    template columns, a block of about block values at a time; values
+    outside 10^-11 < |x| < 10^17 take python(x)."""
+    rows, blocks = _blocks(values, block)
+    slots = _Slots(_float_tables(columns), values.shape[1], rows, group)
+    for row, x in blocks:
+        slots.begin(row, x.size)
         ax = np.abs(x)
         fast = (ax > 1e-11) & (ax < 1e17)
         n, k = _decimal(np.where(fast, ax, 1.0))
@@ -238,28 +297,62 @@ def float_rows(values):
         chars[sci, _F_EXP + 3] = 48 + -k[sci] % 10
         other = np.flatnonzero(~fast)
         slots.select(((k - _KMIN) * 17 + last) * 2 + (np.signbit(x) & fast),
-                     other, [b"%.17g" % v for v in x[other].tolist()])
+                     other, [python(v) for v in x[other].tolist()])
         yield slots.text(x.size, other)
+
+
+def float_rows(values):
+    """Yield the bytes of ``"v %.17g %.17g ...\\n" % tuple(row)`` for the
+    rows of a 2-D float array, a block of about 2^15 values at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    return _float_text(values, _obj_row(b"v", values.shape[1]), BLOCK,
+                       b"%.17g".__mod__)
+
+
+def _json_float(x):
+    """JSON of a float that `_float_text` leaves to Python."""
+    return b"%.17g" % x if x and isfinite(x) else json.dumps(x).encode()
+
+
+def json_array(values):
+    """Yield the bytes of ``json.dumps(values.tolist())`` for a float
+    array of 2 to 4 dimensions, each float as ``'%.17g'`` but zeros and
+    non-finite values as json.dumps writes them, a block of about 2^13
+    values at a time.  json.loads reads every float back bit-exactly."""
+    values = np.asarray(values, dtype=np.float64)
+    if not 2 <= values.ndim <= 4:
+        raise ValueError(f"cannot write a {values.ndim}-D array as JSON rows")
+    if not values.size:
+        yield json.dumps(values.tolist()).encode()
+        return
+    n, m, *cell = values.shape
+    text = b"[["
+    for block in _float_text(values.reshape(n * m, -1), _json_row(cell),
+                             JSON_BLOCK, _json_float, group=m):
+        yield text
+        text = block
+    yield text[:-len(b", [")]      # the last grid row opens no next one
+    yield b"]"
 
 
 # -- integers --------------------------------------------------------------
 #
-# slot: 'f' ' ' '-' _ | D..D __ nl, the digits of |i| < 10^w left-aligned
-# in the first w <= 16 places of the body; wider values are formatted by
-# Python into the whole body
+# slot: lead lead '-' _ | D..D __ | tail, the digits of |i| < 10^w
+# left-aligned in the first w <= 16 places of the body; wider values are
+# formatted by Python into the whole body
 
 
 @cache
-def _int_tables(ncols, w, width):
+def _int_tables(columns, w, width):
     """Tables with one mask per code (digits - 1) * 2 + negative, for
-    bodies of width bytes; the slot takes 16 bytes at w = 8."""
-    pos = np.arange(4 + width + 1)
+    bodies of width bytes."""
+    pos = np.arange(_LEAD, _LEAD + 2 + width)
     digits = np.arange(1, w + 1)[:, None, None]
     neg = np.arange(2)[:, None]
-    keep = ((pos == 1) | ((pos == 2) & (neg == 1))
-            | ((pos >= 4) & (pos < 4 + digits)))
-    keep = np.broadcast_to(keep, (w, 2, pos.size))
-    return _tables(b"f -_", b"0" * w + b"_" * (width - w), keep, ncols)
+    keep = (((pos == _LEAD) & (neg == 1))
+            | ((pos >= _LEAD + 2) & (pos < _LEAD + 2 + digits)))
+    keep = np.broadcast_to(keep, (w, 2, pos.size)).reshape(-1, pos.size)
+    return _tables(columns, b"-_", b"0" * w + b"_" * (width - w), keep)
 
 
 def int_rows(values):
@@ -268,13 +361,12 @@ def int_rows(values):
     values = np.asarray(values, dtype=np.int64)
     widest = max(int(values.max(initial=0)), -int(values.min(initial=0)))
     w = min(16, 4 * -(-len(str(widest)) // 4))
-    # room for Python's text of any value, in a slot of 4 + width + 1 =
-    # 16 j bytes: numpy's take copies rows of 16 bytes 3x faster than 17
+    # room for Python's text of any value
     width = max(w, len(str(-widest)))
-    width += (11 - width) % 16
-    rows, blocks = _blocks(values)
-    slots = _Slots(_int_tables(values.shape[1], w, width), rows)
-    for i in blocks:
+    rows, blocks = _blocks(values, BLOCK)
+    slots = _Slots(_int_tables(_obj_row(b"f", values.shape[1]), w, width),
+                   values.shape[1], rows)
+    for _, i in blocks:
         n = np.abs(i).astype(_U64)   # |-2^63| wraps to 2^63, as wanted
         fast = n < _POW10[w]
         n[~fast] = 0

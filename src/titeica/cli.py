@@ -451,30 +451,35 @@ def _obj_text(mesh):
 
 
 def _json_text(mesh):
-    """JSON dump of the vertices, in one block."""
+    """JSON dump of the vertices, complex entries as [re, im]: the header
+    by json.dumps, then the vertex lists a block of values at a time."""
+    from . import _objtext  # on the first JSON export: setup pays nothing
+
     v = np.asarray(mesh.vertices)
-    if np.iscomplexobj(v):
-        verts = np.stack([v.real, v.imag], axis=-1).tolist()
-        encoding = "complex"
-    else:
-        verts = v.tolist()
-        encoding = "real"
-    payload = {"schema_version": SCHEMA_VERSION, "target": mesh.target_tag,
-               "lam": mesh.lam, "shape": list(v.shape[:2]),
-               "encoding": encoding, "vertices": verts}
-    yield json.dumps(payload).encode("ascii")
+    encoding = "complex" if np.iscomplexobj(v) else "real"
+    if encoding == "complex":  # [re, im] pairs, in the array's own memory
+        v = np.ascontiguousarray(v).view(np.float64).reshape(*v.shape, 2)
+    head = {"schema_version": SCHEMA_VERSION, "target": mesh.target_tag,
+            "lam": mesh.lam, "shape": list(v.shape[:2]), "encoding": encoding}
+    yield json.dumps(head)[:-1].encode("ascii") + b', "vertices": '
+    yield from _objtext.json_array(v)
+    yield b"}"
 
 
 def export_mesh(mesh, path):
     """OBJ for meshes embedded in R^3 (17 significant digits, LF endings,
     quad faces); JSON dump with complex entries as [re, im] otherwise.
 
-    One process writes the OBJ, a block of about 2^15 values at a time, so
-    memory stays bounded by one block whatever the size of the mesh.  Its
-    bytes are those of the rows "v %.17g %.17g %.17g\\n" and
-    "f %d %d %d %d\\n" formatted by Python, one row each, but numpy
-    formats them (see `_objtext`).  A write that fails, in either format,
-    removes the partial file; an OSError is raised as a TiteicaError."""
+    One process writes either format a block of values at a time (about
+    2^15 for OBJ, 2^13 for JSON), so memory stays bounded by one block
+    whatever the size of the mesh; numpy formats the text (see
+    `_objtext`).  The OBJ bytes are those of the rows
+    "v %.17g %.17g %.17g\\n" and "f %d %d %d %d\\n" formatted by Python,
+    one row each.  The JSON is that of json.dumps with each float as
+    %.17g, but zeros and non-finite values as json.dumps writes them, so
+    `load_mesh_vertices` reads it back bit-exactly.  A write that fails,
+    in either format, removes the partial file; an OSError is raised as a
+    TiteicaError."""
     path = Path(path)
     if path.suffix.lower() == ".obj":
         if not mesh.embeddable_r3:
@@ -499,7 +504,9 @@ def load_mesh_vertices(path):
     payload = json.loads(Path(path).read_text())
     v = np.asarray(payload["vertices"], dtype=float)
     if payload.get("encoding") == "complex":
-        return v[..., 0] + 1j * v[..., 1]
+        # not v[..., 0] + 1j * v[..., 1]: the product turns an infinite
+        # imaginary part into a nan real part, and the sum loses -0.0
+        return v.view(complex)[..., 0]
     return v
 
 

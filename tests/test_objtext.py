@@ -1,5 +1,8 @@
-"""The numpy OBJ text against CPython's own %-formatting, value by value."""
+"""The numpy OBJ and JSON text against CPython's own %-formatting, value
+by value."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +28,20 @@ def float_text(values):
 
 def int_text(values):
     return b"".join(bytes(t) for t in _objtext.int_rows(values))
+
+
+def json_reference(values):
+    """json.dumps's nesting, each float as %.17g but zeros and non-finite
+    values as json.dumps writes them."""
+    def text(x):
+        if isinstance(x, list):
+            return "[" + ", ".join(text(y) for y in x) + "]"
+        return "%.17g" % x if x and math.isfinite(x) else json.dumps(x)
+    return text(values.tolist()).encode()
+
+
+def json_text(values):
+    return b"".join(bytes(t) for t in _objtext.json_array(values))
 
 
 def assert_float_rows(values):
@@ -100,13 +117,17 @@ def test_halfway_cases_round_to_even():
     assert_float_rows(np.resize(np.concatenate([x, -x]), -(-2 * x.size // 3) * 3))
 
 
-def test_edge_values():
+def edge_values():
     big = np.finfo(float).max
     tiny = np.finfo(float).tiny
-    x = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, big, -big, np.inf, -np.inf,
-         np.nan, -np.nan, 1e-11, np.nextafter(1e-11, 1), 1e17,
-         np.nextafter(1e17, 0), 0.5, 1.0, 1e16, 9.999999999999999e16, 1e-7]
-    assert_float_rows(np.resize(np.array(x), 24))
+    return np.array([
+        0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, big, -big, np.inf, -np.inf,
+        np.nan, -np.nan, 1e-11, np.nextafter(1e-11, 1), 1e17,
+        np.nextafter(1e17, 0), 0.5, 1.0, 1e16, 9.999999999999999e16, 1e-7])
+
+
+def test_edge_values():
+    assert_float_rows(np.resize(edge_values(), 24))
 
 
 def test_special_float_mesh():
@@ -136,3 +157,52 @@ def test_ints():
     ]
     for i in cases:
         assert int_text(i) == int_reference(i)
+
+
+def assert_json_array(values):
+    got = json_text(values)
+    assert got == json_reference(values)
+    # every value but nan reads back bit-exactly, as from json.dumps
+    back = np.asarray(json.loads(got), dtype=float)
+    nan = np.isnan(values)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back[~nan].view(np.uint64), values[~nan].view(np.uint64))
+
+
+def test_json_random_bit_patterns():
+    bits = np.random.default_rng(24).integers(0, 2 ** 64, 40 * 50 * 3 * 2,
+                                              dtype=np.uint64)
+    assert_json_array(bits.view(np.float64).reshape(40, 50, 3, 2))
+
+
+def test_json_powers_of_ten_and_neighbours():
+    x = powers_of_ten()
+    assert_json_array(x[: x.size // 30 * 30].reshape(-1, 10, 3))
+
+
+def test_json_edge_values():
+    # -0.0 is written -0.0: json.loads reads -0 as the integer 0
+    assert json_text(np.array([[-0.0, 0.0]])) == b"[[-0.0, 0.0]]"
+    assert (json_text(np.array([[np.nan, np.inf, -np.inf]]))
+            == b"[[NaN, Infinity, -Infinity]]")
+    assert json_text(np.zeros((0, 3, 3))) == b"[]"
+    assert json_text(np.zeros((2, 0, 3))) == b"[[], []]"
+    with pytest.raises(ValueError):
+        json_text(np.zeros((1, 1, 1, 1, 1)))
+    x = np.resize(edge_values(), 24)
+    for shape in [(4, 6), (2, 4, 3), (2, 2, 3, 2), (24, 1, 1), (1, 1, 24)]:
+        values = x.reshape(shape)
+        assert json_text(values) == json_reference(values)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 3), (1, 1, 3, 2), (1, 9, 3, 2),
+                                   (9, 1, 3, 2), (5, 4, 3), (5, 4, 3, 2),
+                                   (5, 4, 1)])
+def test_json_block_boundaries(monkeypatch, shape):
+    # blocks of one vertex, of part of a grid row, of exactly one grid row
+    # (4 vertices of (5, 4, ...)), of more and of the whole array
+    values = np.random.default_rng(25).standard_normal(shape)
+    width = math.prod(shape[2:])
+    for vertices in (1, 3, 4, 5, 8, 100):
+        monkeypatch.setattr(_objtext, "JSON_BLOCK", vertices * width)
+        assert_json_array(values)
