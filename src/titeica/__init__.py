@@ -18,10 +18,9 @@ from .frames import (ConnectionForm, PathSpec, build_connection, cell_loop,
                      integrate_frame, minlag_frame_connection, polyline_path,
                      reality_check, torus_generator)
 from .immersion import (ImmersionMesh, affine_sphere_immersion,
-                        angle_oscillation, conormal_dual, lagrangian_angle,
-                        minlag_c2_immersion, minlag_cpn_immersion,
-                        shape_operator_norm, sphere_frame, verify_affine,
-                        verify_cpn, verify_minlag_c2)
+                        angle_oscillation, conormal_dual, minlag_c2_immersion,
+                        minlag_cpn_immersion, shape_operator_norm,
+                        verify_affine, verify_cpn, verify_minlag_c2)
 from .projective import (QuadricFit, SemiFlatData, develop_rp2, holonomy_report,
                          normalize_rp2, quadric_fit, semiflat_develop,
                          semiflat_dual_roundtrip)

@@ -25,11 +25,6 @@ from ._kernels import transport_polyline
 from .errors import InvalidSignCase, PathError
 from .geometry import Domain, SignCase
 
-# constant gauge relating the unitary-style affine frame to a real frame:
-# columns (f_z, f_zbar, xi)/normalization = (real frame) @ C_SPHERE
-C_SPHERE = np.array([[0.5, 0.5, 0.0],
-                     [-0.5j, 0.5j, 0.0],
-                     [0.0, 0.0, 1.0]], dtype=complex)
 _ETA = np.array([1.0, 1.0, -1.0])
 ETA_21 = np.diag(_ETA)
 
@@ -291,26 +286,17 @@ def holonomy(alpha, loop):
     return integrate_frame(alpha, loop, np.eye(alpha.A.shape[-1]))[-1]
 
 
-def group_residuals(F, group_tag, det_ref=1.0):
-    """Residuals of membership in the frame's symmetry group.
-
-    su3: ||F^dagger F - I||;  su21: ||F^dagger eta F - eta|| with
-    eta = diag(1, 1, -1);  sl3r_conjugate: ||Im(F C^{-1})|| for the
-    constant gauge C relating the frame to a real one.  Always reports
-    the determinant drift |det F - det_ref| (det_ref defaults to 1)."""
+def group_residuals(F, group_tag):
+    """Residuals of membership in the frame's symmetry group: the
+    determinant drift |det F - 1| and the unitarity defect, su3:
+    ||F^dagger F - I||, su21: ||F^dagger eta F - eta|| with
+    eta = diag(1, 1, -1); each the max over the frames of F."""
     F = np.asarray(F, dtype=complex)
-    out = {}
-    det = np.linalg.det(F)
-    out["det_drift"] = float(np.max(np.abs(det - det_ref)))
     if group_tag == "su3":
         dev = _dagger(F) @ F - np.eye(3)
-        out["unitarity"] = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
     elif group_tag == "su21":
         dev = (_dagger(F) * _ETA) @ F - ETA_21
-        out["unitarity"] = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
-    elif group_tag == "sl3r_conjugate":
-        dev = np.imag(F @ np.linalg.inv(C_SPHERE))
-        out["reality"] = float(np.max(np.linalg.norm(dev, axis=(-2, -1))))
     else:
         raise ValueError(f"unknown group tag {group_tag!r}")
-    return out
+    return {"det_drift": float(np.max(np.abs(np.linalg.det(F) - 1.0))),
+            "unitarity": float(np.max(np.linalg.norm(dev, axis=(-2, -1))))}

@@ -156,6 +156,15 @@ def dzzbar_matrix(domain):
     return (L / den).tocsr()
 
 
+def _grid_shape(n, m):
+    """(n, m) as ints; ValueError unless the grid is at least 8x8.  Every
+    constructor checks this before it divides by n or m."""
+    n, m = int(n), int(m)
+    if n < 8 or m < 8:
+        raise ValueError("grid must be at least 8x8")
+    return n, m
+
+
 @dataclass(frozen=True)
 class Domain:
     """Grid over a torus, a rectangle, or a square patch of the unit disk.
@@ -172,9 +181,7 @@ class Domain:
     periodic: bool
 
     def __post_init__(self):
-        n, m = self.shape
-        if n < 8 or m < 8:
-            raise ValueError("grid must be at least 8x8")
+        _grid_shape(*self.shape)
         if self.step1 == 0 or self.step2 == 0:
             raise ValueError("grid spacings must be nonzero")
         w = self.step1 * np.conj(self.step2)
@@ -187,13 +194,15 @@ class Domain:
         tau = complex(tau)
         if tau.imag <= 0:
             raise ValueError("torus modulus must have Im tau > 0")
-        return cls((int(n), int(m)), 1.0 / n, tau / m, 0.0, True)
+        n, m = _grid_shape(n, m)
+        return cls((n, m), 1.0 / n, tau / m, 0.0, True)
 
     @classmethod
     def rectangle(cls, width, height, n, m):
         if width <= 0 or height <= 0:
             raise ValueError("rectangle sides must be positive")
-        return cls((int(n), int(m)), width / (n - 1), 1j * height / (m - 1),
+        n, m = _grid_shape(n, m)
+        return cls((n, m), width / (n - 1), 1j * height / (m - 1),
                    -0.5 * width - 0.5j * height, False)
 
     @classmethod

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._kernels import transport_lines
 from .errors import DegenerateVertexError, InitDataError, InvalidSignCase
-from .frames import build_connection, minlag_frame_connection
+from .frames import (build_connection, group_residuals,
+                     minlag_frame_connection)
 from .geometry import Domain, SignCase, lattice_diff, lattice_diff2
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -71,25 +72,20 @@ class ImmersionMesh:
         return self.target_tag == "affine_sphere"
 
 
-@dataclass
-class ResidualEntry:
-    """Max and rms of one residual field; the verify_* functions return a
-    dict from each residual name to its entry."""
-
-    max: float
-    rms: float
+def _core(v, margin):
+    """The core interior of a grid field: the margin excludes the rings
+    next to the mesh edge, where one-sided stencils and (on planar
+    Dirichlet problems) corner-limited regularity of the continuum
+    solution spoil pointwise second-order convergence."""
+    v = np.asarray(v)
+    if margin and v.ndim >= 2:
+        v = v[margin:-margin, margin:-margin]
+    return v
 
 
 def _entry(field_vals, margin=2):
-    """Residual statistics over the core interior.  The margin excludes the
-    rings next to the mesh edge, where one-sided stencils and (on planar
-    Dirichlet problems) corner-limited regularity of the continuum
-    solution spoil pointwise second-order convergence."""
-    v = np.asarray(field_vals)
-    if margin and v.ndim >= 2:
-        v = v[margin:-margin, margin:-margin]
-    v = np.abs(v)
-    return ResidualEntry(float(v.max()), float(np.sqrt(np.mean(v ** 2))))
+    """Max of |field_vals| over the core interior: one gated residual."""
+    return float(np.abs(_core(field_vals, margin)).max())
 
 
 def _tree_root(domain, root=None):
@@ -167,16 +163,6 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
                                **counts})
 
 
-def _frame_basis_coeffs(f_z, f_zb, xi, v):
-    """Solve v = a f_z + b f_zbar + c xi per vertex; returns (a, b, c)."""
-    Mmat = np.stack([f_z, f_zb, xi], axis=-1)
-    try:
-        coeff = np.linalg.solve(Mmat, v[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateVertexError("tangent frame is singular") from exc
-    return coeff[..., 0], coeff[..., 1], coeff[..., 2]
-
-
 def _affine_tangents(mesh):
     """(planar stencils, f, f_z, f_zbar, xi) of an affine sphere mesh, with
     the geometric affine normal xi = -lam f (proper) or e3 (parabolic)."""
@@ -189,13 +175,23 @@ def _affine_tangents(mesh):
     return pd, f, pd.dz(f), pd.dzbar(f), xi
 
 
+def _dot(u, v):
+    return np.sum(u * v, axis=-1)
+
+
 def verify_affine(mesh, sol, Q, margin=2):
     """Residuals of the four structure identities on the reconstruction:
     det(f_z, f_zbar, xi) = i e^{2 psi},  f_{z zbar} = e^{2 psi} xi,
     f_{zz} = 2 psi_z f_z + Q e^{-2 psi} f_zbar,  xi_z = -lam f_z,
-    plus the cubic differential recovered from the f_{zz} identity and the
-    center normalization: the transported xi row of the frame against the
-    affine normal -lam f (e3 when lam = 0)."""
+    plus the cubic differential recovered from the f_{zz} identity, the
+    center normalization (the transported xi row of the frame against the
+    affine normal -lam f, e3 when lam = 0) and, for lam != 0, the drift
+    |det / (2 e^{2 psi}) - i/2| of the Blaschke volume.
+
+    One cross product w = xi x f_z gives the determinant det = f_zbar . w
+    and, by Cramer's rule, the f_zbar coefficient (f_zz - 2 psi_z f_z) . w
+    / det = Q e^{-2 psi} of f_zz - 2 psi_z f_z in the frame
+    (f_z, f_zbar, xi)."""
     lam = mesh.lam
     pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
     psi = sol.psi
@@ -206,26 +202,29 @@ def verify_affine(mesh, sol, Q, margin=2):
     em2p = np.exp(-2.0 * psi)
     qv = Q(mesh.domain.z)
 
-    det = np.linalg.det(np.stack([f_z, f_zb, xi], axis=-1))
-    r_det = det - 1j * e2p
+    w = np.cross(xi, f_z)
+    det = _dot(f_zb, w)
+    if np.any(det == 0):
+        raise DegenerateVertexError("tangent frame is singular")
     r_zzb = np.linalg.norm(f_zzb - e2p[..., None] * xi, axis=-1)
     rhs = 2.0 * psi_z[..., None] * f_z + (qv * em2p)[..., None] * f_zb
     r_zz = np.linalg.norm(f_zz - rhs, axis=-1)
     xi_stored = mesh.frame[..., 2, :]
     r_xi = np.linalg.norm(pd.dz(xi_stored) + lam * f_z, axis=-1)
-    _, b, _ = _frame_basis_coeffs(f_z, f_zb, xi, f_zz - 2.0 * psi_z[..., None] * f_z)
-    q_hat = b * e2p
-    r_q = q_hat - qv
+    b = _dot(f_zz - 2.0 * psi_z[..., None] * f_z, w) / det
 
-    return {
-        "det_identity": _entry(r_det, margin),
+    out = {
+        "det_identity": _entry(det - 1j * e2p, margin),
         "f_zzbar": _entry(r_zzb, margin),
         "f_zz": _entry(r_zz, margin),
         "xi_z": _entry(r_xi, margin),
-        "cubic_recovery": _entry(r_q, margin),
+        "cubic_recovery": _entry(b * e2p - qv, margin),
         "center_normalization": _entry(
             np.linalg.norm(xi_stored - xi, axis=-1), margin),
     }
+    if lam != 0:
+        out["det_drift"] = _entry(det / (2.0 * e2p) - 0.5j, margin)
+    return out
 
 
 def conormal_dual(mesh):
@@ -286,8 +285,11 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
 
 
 def verify_minlag_c2(mesh, sol, Q, margin=2):
-    """Harmonicity, conformality, the Lagrangian condition and cubic
-    recovery Q = -<f_zz, f_zbar> on a C^2 mesh."""
+    """Oscillation of the Lagrangian angle (the angle of the holomorphic
+    2-form dz^1 ^ dz^2 on the tangent frame, constant on a minimal
+    Lagrangian surface), harmonicity, conformality, the Lagrangian
+    condition, cubic recovery Q = -<f_zz, f_zbar> and the induced metric
+    on a C^2 mesh."""
     pd = planar_ops(mesh.domain)
     f = mesh.vertices
     f_z = pd.dz(f)
@@ -296,8 +298,13 @@ def verify_minlag_c2(mesh, sol, Q, margin=2):
     f_zzb = pd.dzzbar(f)
     fx = f_z + f_zb
     fy = 1j * (f_z - f_zb)
+    omega2 = fx[..., 0] * fy[..., 1] - fx[..., 1] * fy[..., 0]
+    if np.any(np.abs(omega2) < 1e-300):
+        raise DegenerateVertexError("degenerate tangent frame")
     qv = Q(mesh.domain.z)
     return {
+        "angle_oscillation": angle_oscillation(
+            _core(np.angle(omega2), margin)),
         "f_zzbar": _entry(np.linalg.norm(f_zzb, axis=-1), margin),
         "conformal": _entry(_herm(f_z, f_zb), margin),
         "lagrangian": _entry(_herm(f_z, f_z) - _herm(f_zb, f_zb), margin),
@@ -306,21 +313,6 @@ def verify_minlag_c2(mesh, sol, Q, margin=2):
         "metric": _entry(_herm(f_z, f_z).real - np.exp(2.0 * sol.psi),
                          margin),
     }
-
-
-def lagrangian_angle(mesh):
-    """Angle of the holomorphic 2-form dz^1 ^ dz^2 on the tangent frame;
-    constant for minimal Lagrangian surfaces in C^2."""
-    pd = planar_ops(mesh.domain)
-    f = mesh.vertices
-    f_z = pd.dz(f)
-    f_zb = pd.dzbar(f)
-    fx = f_z + f_zb
-    fy = 1j * (f_z - f_zb)
-    omega2 = fx[..., 0] * fy[..., 1] - fx[..., 1] * fy[..., 0]
-    if np.any(np.abs(omega2) < 1e-300):
-        raise DegenerateVertexError("degenerate tangent frame")
-    return np.angle(omega2)
 
 
 def angle_oscillation(theta):
@@ -379,24 +371,19 @@ def _herm_pm(u, v, sign):
 
 
 def verify_cpn(mesh, sol, margin=2):
-    """Pseudo-norm, horizontality and induced-metric residuals of the
+    """Unitarity of the column frame (SU(3) on CP^2, SU(2,1) on CH^2) and
+    the pseudo-norm, horizontality and induced-metric residuals of the
     tautological point field of a CP^2/CH^2 mesh."""
     sign = 1.0 if mesh.target_tag == "minlag_cp2" else -1.0
     pd = planar_ops(mesh.domain)
     phi = mesh.vertices
     phi_z = pd.dz(phi)
     e2p = np.exp(2.0 * sol.psi)
+    group = group_residuals(_core(mesh.frame, margin),
+                            "su3" if sign > 0 else "su21")
     return {
+        "unitarity": group["unitarity"],
         "unit_norm": _entry(_herm_pm(phi, phi, sign) - sign, margin),
         "horizontality": _entry(_herm_pm(phi, phi_z, sign), margin),
         "metric": _entry(_herm_pm(phi_z, phi_z, sign).real - e2p, margin),
     }
-
-
-def sphere_frame(mesh, sol):
-    """Normalized affine frame with columns
-    (f_z / (sqrt(2) e^psi), f_zbar / (sqrt(2) e^psi), xi); it is a constant
-    gauge C away from a real frame and has determinant i/2."""
-    _, _, f_z, f_zb, xi = _affine_tangents(mesh)
-    s = np.sqrt(2.0) * np.exp(sol.psi)[..., None]
-    return np.stack([f_z / s, f_zb / s, xi], axis=-1)

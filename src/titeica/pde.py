@@ -155,10 +155,21 @@ def toda_residual_complex(a, Qf, Rf, lam, domain):
     return la + lam * a ** 2 + np.asarray(Qf) * np.asarray(Rf) * a ** (-4.0)
 
 
+def flat_torus_solvable(c, case):
+    """Whether the equation has any solution on a flat torus with constant
+    Q = c.  Integrated over the torus, the Laplacian and kappa drop out:
+    int (16 eps ||Q||^2 e^{-2u} + 2 lam e^u) dA = 0, so the two terms must
+    have opposite signs (eps lam = -1 and c != 0) or both vanish (lam = 0
+    and c = 0)."""
+    if case.lam == 0:
+        return complex(c) == 0
+    return case.epsilon * case.lam == -1 and complex(c) != 0
+
+
 def constant_solution(c, case):
     """u = (1/3) log(8 |c|^2) on the flat torus; only solvable for eps*lam = -1."""
     c = complex(c)
-    if case.epsilon * case.lam != -1 or c == 0:
+    if case.lam == 0 or not flat_torus_solvable(c, case):
         raise NoConstantSolution(
             f"no constant solution for case {case.geometry_tag} with c={c}")
     return np.log(8.0 * abs(c) ** 2) / 3.0
@@ -462,7 +473,10 @@ def _line_search(p, sys_, u, delta, rinf):
 
 def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     """Damped Newton for the global equation.  Returns the best iterate with
-    converged=False after max_iter or a stalled line search.
+    converged=False after max_iter or a stalled line search, and at once,
+    after no step, with info["reason"] on a flat torus whose data admit no
+    solution (`flat_torus_solvable`): there Newton would drive u towards
+    +/-inf until the exponential terms fell below tol.
 
     Inexact: each step solves its linear system to the forcing term eta
     of its starting residual, and a step whose line search finds no
@@ -486,9 +500,17 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
     history = {"rinf": [], "eta": [], "linear_iters": [], "step": []}
+    info = {"history": history}
+    unsolvable = p.domain.periodic and not flat_torus_solvable(p.Q.c, p.case)
+    if unsolvable:
+        info["reason"] = (
+            f"no solution on a flat torus for {p.case.geometry_tag} with "
+            f"Q = {p.Q.c:g}: the integral of 16 eps ||Q||^2 e^(-2u) + "
+            "2 lam e^u must vanish, which needs eps lam = -1 and Q != 0, "
+            "or lam = 0 and Q = 0")
     it = 0
-    converged = rinf <= tol
-    while not converged and it < max_iter:
+    converged = not unsolvable and rinf <= tol
+    while not (converged or unsolvable) and it < max_iter:
         gp = _nonlinear_deriv(p, u).ravel()[sys_.interior]
         shift = sys_.w * gp
         rhs = -(sys_.w * F.ravel()[sys_.interior])
@@ -509,8 +531,8 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
         u, F, rinf, _ = found
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
-    info = {"history": history, "linear_iters": sys_.linear_iters,
-            "spsolve_fallbacks": sys_.spsolve_fallbacks}
+    info.update(linear_iters=sys_.linear_iters,
+                spsolve_fallbacks=sys_.spsolve_fallbacks)
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -144,6 +145,10 @@ def test_unreadable_config_exits_2(tmp_path):
     ("outputs", {"report": "sub/r.json"}),
     ("outputs", {"report": ".."}),
     ("outputs", {"mesh": "sub/mesh.json", "report": "report.json"}),
+    # grids below 8x8, caught before a constructor divides by n - 1 or n
+    ("domain", {"kind": "rectangle", "shape": [1, 16]}),
+    ("domain", {"kind": "torus", "tau": [0.0, 1.0], "shape": [0, 16]}),
+    ("domain", {"kind": "disk_patch", "radius": 0.7, "shape": [16, 1]}),
 ], ids=["shape", "boundary", "tol", "max_iter", "domain", "t_grid",
         "outputs", "report", "empty_report", "mesh", "coeffs", "weierstrass",
         "f_coeffs", "g_coeffs", "tol_negative", "tol_zero", "tol_nan",
@@ -156,7 +161,7 @@ def test_unreadable_config_exits_2(tmp_path):
         "t_grid_bool", "t_grid_nan", "t_grid_scalar", "solver_key",
         "top_level_key", "radius_on_torus", "coeffs_on_constant",
         "report_parent", "report_absolute", "report_subdir", "report_dotdot",
-        "mesh_subdir"])
+        "mesh_subdir", "rectangle_1xm", "torus_0xm", "disk_patch_nx1"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
     cfg = torus_config(**{key: value})
     # caught while the pipeline is built, before any stage runs
@@ -177,6 +182,34 @@ def test_gauss_bonnet_obstruction_exits_3(tmp_path):
     assert rc == 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert not report["solver"]["converged"]
+
+
+@pytest.mark.parametrize("case, c, code", [
+    ("parabolic_affine_sphere", 1.0, 3),
+    ("minlag_c2", 1.0, 3),
+    ("minlag_cp2", 0.0, 3),
+    ("hyperbolic_affine_sphere", 0.0, 3),
+    ("hyperbolic_affine_sphere", 1.0, 0),
+    ("minlag_cp2", 1.0, 0),
+])
+def test_flat_torus_without_solution_exits_3(tmp_path, case, c, code):
+    # constant Q on a flat torus: a solution exists only for eps lam = -1
+    # and Q != 0, or lam = 0 and Q = 0; Newton must not report a u driven
+    # towards +/-inf as converged
+    cfg = torus_config(case=case, cubic={"kind": "constant", "c": [c, 0.0]},
+                       domain={"kind": "torus", "tau": [0.0, 1.0],
+                               "shape": [16, 16]},
+                       outputs={"report": "report.json"})
+    got, report = cli.run(cfg, stage="all", out_dir=tmp_path)
+    assert got == code
+    if code == 3:
+        assert report["solver"]["iterations"] == 0
+        reason = report["solver"]["reason"]
+        assert "no solution on a flat torus" in reason
+        assert any(reason in w for w in report["warnings"])
+    else:
+        assert "reason" not in report["solver"]
+        assert report["passed"]
 
 
 def diverging_c2_config():
@@ -412,6 +445,18 @@ def test_weierstrass_rejects_bad_pair(tmp_path):
     }
     with pytest.raises(ConfigError):
         cli.run(cfg, stage="weierstrass", out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("case", ["minlag_ch2", "elliptic_affine_sphere"])
+def test_weierstrass_rejects_other_case(tmp_path, case):
+    # the stage builds parabolic affine spheres only; it must not report
+    # one under another case
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(dict(weierstrass_config(16), case=case)))
+    out = tmp_path / "out"
+    rc = cli.main(["weierstrass", "--config", str(path), "--out-dir", str(out)])
+    assert rc == 2
+    assert not (out / "report.json").exists()
 
 
 # -- mesh serialization ---------------------------------------------------------
@@ -711,19 +756,85 @@ def _ch2_config(n):
     }
 
 
-@pytest.mark.parametrize("cfg, stage", [
-    (torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
-                          "shape": [16, 16]}), "all"),
-    (_c2_config(16), "all"),
-    (_ch2_config(16), "all"),
-    (weierstrass_config(16), "weierstrass"),
-    (_ch2_config(16), "solve"),
+AFFINE_TORUS_GATES = ["solve", "det_identity", "f_zzbar", "f_zz", "xi_z",
+                      "cubic_recovery", "center_normalization", "det_drift",
+                      "curvature", "reality", "holonomy_commutator"]
+C2_GATES = ["solve", "angle_oscillation", "f_zzbar", "conformal",
+            "lagrangian", "symplectic", "cubic_recovery", "metric"]
+CH2_GATES = ["solve", "unitarity", "unit_norm", "horizontality", "metric",
+             "curvature", "reality"]
+
+
+def _torus_config(n):
+    return torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
+                                "shape": [n, n]})
+
+
+@pytest.mark.parametrize("cfg, stage, names", [
+    (_torus_config(16), "all", AFFINE_TORUS_GATES),
+    (_c2_config(16), "all", C2_GATES),
+    (_ch2_config(16), "all", CH2_GATES),
+    (weierstrass_config(16), "weierstrass", ["monge_ampere"]),
+    (_ch2_config(16), "solve", ["solve"]),
 ], ids=["affine_torus", "c2_rectangle", "ch2_disk_patch", "weierstrass",
         "ch2_solve"])
-def test_every_residual_has_a_tolerance(tmp_path, cfg, stage):
+def test_every_residual_has_a_tolerance(tmp_path, cfg, stage, names):
+    # each surface reports the same gates, in the same order, each with
+    # its tolerance
     _, report = cli.run(cfg, stage=stage, out_dir=tmp_path)
-    names = {r["name"] for r in report["residuals"]}
-    assert names and names <= set(cli.TOL_COEFF)
+    assert [r["name"] for r in report["residuals"]] == names
+    assert set(names) <= set(cli.TOL_COEFF)
+
+
+def _mutated_failures(cfg, mutation):
+    """Names of the gates that `Pipeline.verify` fails on the solved and
+    reconstructed surface of cfg after one mutation of its data."""
+    pipe = cli.Pipeline(cfg)
+    pipe.solve()
+    pipe.immerse()
+    if mutation == "vertices":
+        bump = 0.1 * pipe.domain.hmax * np.sin(2.0 * np.pi * pipe.domain.z.real)
+        pipe.mesh.vertices = pipe.mesh.vertices + bump[..., None]
+    elif mutation == "psi":
+        # psi = (u + log(sigma / 2)) / 2
+        sol = pipe.solution
+        pipe.solution = tz.MetricSolution(sol.u + 0.02, sol.domain, sol.mu)
+    elif mutation == "Q":
+        pipe.problem = dataclasses.replace(pipe.problem,
+                                           Q=pipe.problem.Q.scaled(1j))
+    else:  # swap the first and last frame columns
+        pipe.mesh._frame = pipe.mesh.frame[..., [2, 1, 0]]
+    checked = len(pipe.residuals)
+    pipe.verify()
+    return [r["name"] for r in pipe.residuals[checked:] if not r["pass"]]
+
+
+def _c2_mutation_config(n):
+    return dict(_c2_config(n), cubic={"kind": "constant", "c": [0.3, 0.0]})
+
+
+# the gates each mutation fails at 32^2.  An empty list is a mutation that
+# no gate sees: on C^2 the metric gate (200 h^2) passes a 2% metric error,
+# and on CH^2 no gate reads Q or a second derivative of the vertices
+@pytest.mark.parametrize("make_cfg, mutation, failed", [
+    (_torus_config, "vertices", ["det_identity", "f_zzbar", "f_zz",
+                                 "cubic_recovery", "det_drift"]),
+    (_torus_config, "psi", ["f_zzbar", "f_zz", "cubic_recovery", "curvature",
+                            "holonomy_commutator"]),
+    (_torus_config, "Q", ["f_zz", "cubic_recovery"]),
+    (_c2_mutation_config, "vertices", ["f_zzbar", "cubic_recovery"]),
+    (_c2_mutation_config, "psi", []),
+    (_c2_mutation_config, "Q", ["cubic_recovery"]),
+    (_ch2_config, "vertices", []),
+    (_ch2_config, "psi", ["curvature"]),
+    (_ch2_config, "Q", []),
+    (_ch2_config, "swap", ["unitarity"]),
+], ids=["affine_torus-vertices", "affine_torus-psi", "affine_torus-Q",
+        "c2_rectangle-vertices", "c2_rectangle-psi", "c2_rectangle-Q",
+        "ch2_disk_patch-vertices", "ch2_disk_patch-psi", "ch2_disk_patch-Q",
+        "ch2_disk_patch-swap"])
+def test_verify_mutations_fail_the_same_gates(make_cfg, mutation, failed):
+    assert _mutated_failures(make_cfg(32), mutation) == failed
 
 
 def test_report_is_self_describing(tmp_path):

@@ -6,6 +6,7 @@ import titeica as tz
 from titeica import frames
 from titeica.errors import InvalidSignCase, PathError
 from titeica.frames import ETA_21, _dagger, _star
+from titeica.immersion import planar_ops
 
 HYP = tz.SignCase(1, -1)
 Q0 = tz.CubicDifferential.constant(0.0)
@@ -494,8 +495,20 @@ def test_sign_masks_equal_eta_products():
 
 
 def test_group_residuals_sl3r_frame(torus_mesh, torus32):
+    # oracle: the normalized affine frame, columns (f_z, f_zbar) / (sqrt(2)
+    # e^psi) and xi, is F = R C with R real and C the constant gauge below,
+    # and has determinant i/2
     p, sol = torus32
-    F = tz.sphere_frame(torus_mesh, sol)
-    res = tz.group_residuals(F[2:-2, 2:-2], "sl3r_conjugate", det_ref=0.5j)
-    assert res["reality"] <= 1e-10
-    assert res["det_drift"] <= 20.0 * p.domain.hmax ** 2
+    pd = planar_ops(p.domain)
+    f = torus_mesh.vertices
+    s = np.sqrt(2.0) * np.exp(sol.psi)[..., None]
+    F = np.stack([pd.dz(f) / s, pd.dzbar(f) / s, -torus_mesh.lam * (f + 0j)],
+                 axis=-1)[2:-2, 2:-2]
+    C = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
+    reality = np.linalg.norm(np.imag(F @ np.linalg.inv(C)), axis=(-2, -1))
+    assert reality.max() <= 1e-10
+    det_drift = np.abs(np.linalg.det(F) - 0.5j).max()
+    assert det_drift <= 20.0 * p.domain.hmax ** 2
+    # verify_affine reads the same drift off its cross-product determinant
+    rep = tz.verify_affine(torus_mesh, sol, p.Q)
+    assert rep["det_drift"] == pytest.approx(det_drift, rel=1e-12)

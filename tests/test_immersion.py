@@ -72,8 +72,8 @@ def test_verify_affine_torus(torus_mesh, torus32):
     tol = 20.0 * p.domain.hmax ** 2
     for name in ("det_identity", "f_zzbar", "f_zz", "xi_z",
                  "center_normalization"):
-        assert rep[name].max <= tol, name
-    assert rep["cubic_recovery"].max <= tol
+        assert rep[name] <= tol, name
+    assert rep["cubic_recovery"] <= tol
 
 
 @pytest.mark.parametrize("lam", [-1, 0])
@@ -90,12 +90,12 @@ def test_center_normalization_detects_scaled_xi(lam):
         sol = tz.MetricSolution(np.full(dom.shape, np.log(2.0)), dom, FLAT)
     mesh = tz.affine_sphere_immersion(sol, Q, lam=lam)
     tol = cli._tol("center_normalization", dom.hmax)
-    assert tz.verify_affine(mesh, sol, Q)["center_normalization"].max <= tol
+    assert tz.verify_affine(mesh, sol, Q)["center_normalization"] <= tol
     frame = mesh.frame.copy()
     frame[..., 2, :] *= 1.01
     bad = tz.ImmersionMesh(dom, mesh.vertices, frame, "affine_sphere", lam=lam,
                            psi=mesh.psi)
-    assert tz.verify_affine(bad, sol, Q)["center_normalization"].max > tol
+    assert tz.verify_affine(bad, sol, Q)["center_normalization"] > tol
 
 
 def test_oblique_torus_mesh_checks():
@@ -105,18 +105,18 @@ def test_oblique_torus_mesh_checks():
     sol = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q1, HYP)).solution
     mesh = tz.affine_sphere_immersion(sol, Q1, lam=-1)
     tol = 20.0 * dom.hmax ** 2
-    for name, entry in tz.verify_affine(mesh, sol, Q1).items():
-        assert entry.max <= tol, name
+    for name, value in tz.verify_affine(mesh, sol, Q1).items():
+        assert value <= tol, name
     dd = tz.conormal_dual(tz.conormal_dual(mesh))
     assert np.abs(dd.vertices - mesh.vertices)[2:-2, 2:-2].max() <= tol
 
 
 def test_verify_affine_detects_noise(torus_mesh, torus32):
     p, sol = torus32
-    base = tz.verify_affine(torus_mesh, sol, p.Q)["det_identity"].max
+    base = tz.verify_affine(torus_mesh, sol, p.Q)["det_identity"]
     noisy = copy.deepcopy(torus_mesh)
     noisy.vertices[16, 16] += 1e-3
-    bumped = tz.verify_affine(noisy, sol, p.Q)["det_identity"].max
+    bumped = tz.verify_affine(noisy, sol, p.Q)["det_identity"]
     assert bumped >= 10.0 * base
 
 
@@ -169,8 +169,8 @@ def test_conormal_dual_cubic_flips(torus_mesh, torus32):
     dual = tz.conormal_dual(torus_mesh)
     # the dual has the same metric and cubic form -Q
     rep = tz.verify_affine(dual, sol, p.Q.scaled(-1))
-    assert rep["cubic_recovery"].max <= tol
-    assert rep["det_identity"].max <= tol
+    assert rep["cubic_recovery"] <= tol
+    assert rep["det_identity"] <= tol
 
 
 def test_conormal_double_dual(torus_mesh, torus32):
@@ -215,11 +215,12 @@ def test_c2_flat_plane_from_unit_init():
     # f = (z, zbar), a flat Lagrangian plane (R^2 up to a unitary)
     dom = tz.Domain.rectangle(0.5, 0.5, 16, 16)
     sol = tz.MetricSolution(np.full(dom.shape, np.log(2.0)), dom, FLAT)
-    mesh = tz.minlag_c2_immersion(sol, tz.CubicDifferential.constant(0.0))
+    Q0 = tz.CubicDifferential.constant(0.0)
+    mesh = tz.minlag_c2_immersion(sol, Q0)
     z = dom.z - dom.z[8, 8]
     assert np.abs(mesh.vertices - np.stack([z, np.conj(z)], axis=-1)).max() < 1e-12
-    theta = tz.lagrangian_angle(mesh)
-    assert tz.angle_oscillation(theta) < 1e-12
+    rep = tz.verify_minlag_c2(mesh, sol, Q0, margin=0)
+    assert rep["angle_oscillation"] < 1e-12
 
 
 def test_c2_flat_plane_literal():
@@ -229,13 +230,14 @@ def test_c2_flat_plane_literal():
     sol = tz.MetricSolution(np.zeros(dom.shape), dom, FLAT)
     init = (np.array([0.5, -0.5j]), np.array([0.5, 0.5j]),
             np.zeros(2, dtype=complex))
-    mesh = tz.minlag_c2_immersion(sol, tz.CubicDifferential.constant(0.0),
-                                  init=init)
+    Q0 = tz.CubicDifferential.constant(0.0)
+    mesh = tz.minlag_c2_immersion(sol, Q0, init=init)
     z = dom.z - dom.z[8, 8]
     expect = np.stack([z.real + 0j, z.imag + 0j], axis=-1)
     assert np.abs(mesh.vertices - expect).max() < 1e-12
-    theta = tz.lagrangian_angle(mesh)
-    assert np.abs(theta).max() < 1e-12
+    # every identity holds to rounding on the whole grid, edges included
+    for name, value in tz.verify_minlag_c2(mesh, sol, Q0, margin=0).items():
+        assert value < 1e-12, name
 
 
 def test_c2_init_validation():
@@ -255,10 +257,10 @@ def test_c2_manufactured_residuals():
         tol = 20.0 * p.domain.hmax ** 2
         for name in ("f_zzbar", "conformal", "lagrangian", "symplectic",
                      "cubic_recovery", "metric"):
-            assert rep[name].max <= tol, (n, name)
+            assert rep[name] <= tol, (n, name)
         if prev is not None:
-            assert rep["f_zzbar"].max <= prev / 3.0
-        prev = rep["f_zzbar"].max
+            assert rep["f_zzbar"] <= prev / 3.0
+        prev = rep["f_zzbar"]
 
 
 def test_c2_polynomial_q_core_interior():
@@ -267,8 +269,8 @@ def test_c2_polynomial_q_core_interior():
     p, sol = c2_problem(32, tz.CubicDifferential.polynomial([0.0, 1.0]))
     mesh = tz.minlag_c2_immersion(sol, p.Q)
     rep = tz.verify_minlag_c2(mesh, sol, p.Q, margin=8)
-    assert rep["f_zzbar"].max <= 60.0 * p.domain.hmax ** 2
-    assert rep["conformal"].max <= 60.0 * p.domain.hmax ** 2
+    assert rep["f_zzbar"] <= 60.0 * p.domain.hmax ** 2
+    assert rep["conformal"] <= 60.0 * p.domain.hmax ** 2
 
 
 def test_lagrangian_angle_rotated_plane():
@@ -278,16 +280,18 @@ def test_lagrangian_angle_rotated_plane():
     verts = np.stack([np.exp(1j * theta0) * z.real, z.imag + 0j], axis=-1)
     mesh = tz.ImmersionMesh(dom, verts, np.zeros(dom.shape + (2, 2), complex),
                             "minlag_c2")
-    theta = tz.lagrangian_angle(mesh)
-    assert np.abs(theta - theta0).max() < 1e-12
-    assert tz.angle_oscillation(theta) < 1e-12
+    # the plane is conformal with e^{2 psi} = 1/2 (u = 0) and Q = 0
+    sol = tz.MetricSolution(np.zeros(dom.shape), dom, FLAT)
+    Q0 = tz.CubicDifferential.constant(0.0)
+    for name, value in tz.verify_minlag_c2(mesh, sol, Q0, margin=0).items():
+        assert value < 1e-12, name
 
 
 def test_c2_angle_constancy_minimal():
     p, sol = manufactured_c2(32)
     mesh = tz.minlag_c2_immersion(sol, Q1)
-    theta = tz.lagrangian_angle(mesh)
-    assert tz.angle_oscillation(theta[2:-2, 2:-2]) <= 20.0 * p.domain.hmax ** 2
+    rep = tz.verify_minlag_c2(mesh, sol, Q1, margin=2)
+    assert rep["angle_oscillation"] <= 20.0 * p.domain.hmax ** 2
 
 
 def test_shape_operator_flat_plane():
@@ -331,7 +335,7 @@ def test_cpn_point_identity():
     for tag, lam in (("minlag_cp2", 1), ("minlag_ch2", -1)):
         mesh = tz.ImmersionMesh(dom, frame[..., :, 2], frame, tag, lam=lam)
         assert np.all(mesh.vertices == np.array([0, 0, 1.0]))
-        assert tz.verify_cpn(mesh, sol)["unit_norm"].max == 0.0
+        assert tz.verify_cpn(mesh, sol)["unit_norm"] == 0.0
 
 
 def test_cp2_torus_checks():
@@ -342,9 +346,9 @@ def test_cp2_torus_checks():
     mesh = tz.minlag_cpn_immersion(sol, Q1, case)
     rep = tz.verify_cpn(mesh, sol)
     tol = 20.0 * dom.hmax ** 2
-    assert rep["unit_norm"].max <= tol
-    assert rep["horizontality"].max <= tol
-    assert rep["metric"].max <= tol
+    assert rep["unit_norm"] <= tol
+    assert rep["horizontality"] <= tol
+    assert rep["metric"] <= tol
     res = tz.group_residuals(mesh.frame[2:-2, 2:-2], "su3")
     assert res["unitarity"] <= 1e-7
 
@@ -361,9 +365,9 @@ def test_ch2_patch_checks():
     Qt = Q0.scaled(0.5 * bound)
     mesh = tz.minlag_cpn_immersion(sol, Qt, case)
     rep = tz.verify_cpn(mesh, sol, margin=4)
-    assert rep["unit_norm"].max <= 1e-7
-    assert rep["horizontality"].max <= 60.0 * dom.hmax ** 2
-    assert rep["metric"].max <= 200.0 * dom.hmax ** 2
+    assert rep["unit_norm"] <= 1e-7
+    assert rep["horizontality"] <= 60.0 * dom.hmax ** 2
+    assert rep["metric"] <= 200.0 * dom.hmax ** 2
     res = tz.group_residuals(mesh.frame, "su21")
     assert res["unitarity"] <= 1e-7
     # almost-R-Fuchsian gate below the continuation bound
@@ -385,7 +389,7 @@ def test_elliptic_sphere_is_ellipsoid():
     tol = 20.0 * dom.hmax ** 2
     for name in ("det_identity", "f_zzbar", "f_zz", "cubic_recovery",
                  "center_normalization"):
-        assert rep[name].max <= tol, name
+        assert rep[name] <= tol, name
     fit = tz.quadric_fit(mesh.vertices.reshape(-1, 3))
     assert fit.signature == (3, 0)
     assert fit.residual <= tol

@@ -354,14 +354,17 @@ def test_continuation_ch2_below_bound():
 
 
 def test_continuation_records_failure():
-    # the torus CH^2 case is obstructed at every t > 0
+    # the torus CH^2 case is obstructed at every t, t = 0 (Q = 0) included:
+    # eps lam = +1, so no u makes the integral of the equation vanish
     dom = tz.Domain.torus(1j, 16, 16)
     Q0 = tz.CubicDifferential.constant(1.0)
     p0 = tz.PdeProblem(dom, FLAT, Q0.scaled(0.0), tz.SignCase(-1, -1))
     res = tz.continuation_family(p0, Q0, [0.0, 0.5], max_iter=25)
-    assert res.failure_index == 1
-    assert len(res.reports) == 2
-    assert not res.reports[1].converged
+    assert res.failure_index == 0
+    assert len(res.reports) == 1
+    [rep] = res.reports
+    assert not rep.converged and rep.iterations == 0
+    assert "flat torus" in rep.info["reason"]
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
