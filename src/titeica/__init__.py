@@ -13,7 +13,7 @@ from .pde import (ContinuationResult, PdeProblem, SolveReport,
                   residual_global, residual_local, residual_scaled,
                   scaling_shift, solve_monotone, solve_newton,
                   supersolution_bound, toda_residual_complex)
-from .frames import (ConnectionForm, PathSpec, build_connection, cell_loop,
+from .frames import (ConnectionForm, build_connection, cell_loop,
                      curvature_residual, group_residuals, holonomy,
                      integrate_frame, minlag_frame_connection, polyline_path,
                      reality_check, torus_generator)

@@ -19,20 +19,20 @@ the coefficient is constant, as on every torus.  Omega is built from a, b
 and their brackets, so it lies in the Lie algebra of the connection and
 exp(Omega) in its group to rounding.  The series converges only for small
 Omega, so where `_expm` would need k > 0 squarings for a block of lines,
-each edge of the block is split into 2^k sub-edges instead, each one
-Magnus step of the linear coefficient between its ends, and their
-propagators are multiplied together.  `transport_lines` runs a block of
-lattice lines, each from one node outward: the whole reconstruction
-tree is two calls, the spine and then every tooth along the other axis.
-`transport_polyline` adapts it to a path of grid nodes, each step one
-lattice edge or none (paths and holonomy loops): each straight run of
-equal steps is one line, and the runs are chained.  For a flat
-connection transport depends only on the homotopy class of the path, so
-a path through grid nodes loses nothing.
+the block's lines are refined instead to 2^k sub-edges per edge, each one
+Magnus step of the linear coefficient between its ends, and stepped by
+the same loop.  `transport_lines` runs a block of lattice lines, each
+from one node outward: the whole reconstruction tree is two calls, the
+spine and then every tooth along the other axis.  `transport_polyline`
+adapts it to a path of grid nodes, each step one lattice edge or none
+(paths and holonomy loops), and is the one check of such a path: each
+straight run of equal steps is one line, and the runs are chained.  For
+a flat connection transport depends only on the homotopy class of the
+path, so a path through grid nodes loses nothing.
 
 The propagators do not depend on F, so those of a block of lines are
 built in batched numpy; the only sequential work left is the chain
-F <- P F, once per edge away from a line's start node.
+F <- P F, once per edge (or sub-edge) away from a line's start node.
 
 All small-matrix products run in real arithmetic: a complex r x r
 coefficient C = X + iY acts as the real 2r x 2r block [[X, -Y], [Y, X]]
@@ -142,53 +142,17 @@ def _expm(W, scaling=None):
     return P
 
 
-def _chain(S, forward):
-    """Product of S (..., N, n, n) over its axis -3, N a power of 2:
-    S[N-1] ... S[0] if forward, else S[0] ... S[N-1]."""
-    while S.shape[-3] > 1:
-        first, second = S[..., 0::2, :, :], S[..., 1::2, :, :]
-        S = second @ first if forward else first @ second
-    return S[..., 0, :, :]
-
-
-def _split_propagators(R, start, k):
-    """Propagators of the edges between consecutive nodes of R
-    (lines, m, n, n), directed as in `transport_lines`, each the product
-    of 2^k Magnus steps over equal sub-edges.  The coefficient is
-    interpolated linearly at the sub-edge ends; a sub-edge of length
-    h = 2^-k of its edge carries h times it.  Edges go a chunk at a time,
-    so that the sub-edge arrays stay about the size of the edge arrays."""
-    lines, m = R.shape[:2]
-    N = 1 << k
-    t = (np.arange(N) / N)[:, None, None]
-    P = np.empty((lines, m - 1) + R.shape[2:])
-    chunk = max(1, (m - 1) >> k)
-    for e0 in range(0, m - 1, chunk):
-        e1 = min(e0 + chunk, m - 1)
-        R0, R1 = R[:, e0:e1, None], R[:, e0 + 1:e1 + 1, None]
-        nodes = np.empty((lines, (e1 - e0) * N + 1) + R.shape[2:])
-        nodes[:, :-1] = (R0 + t * (R1 - R0)).reshape(nodes[:, :-1].shape)
-        nodes[:, -1] = R[:, e1]
-        nodes *= 1.0 / N
-        W = _magnus(nodes).reshape(R0.shape[:2] + (N,) + R.shape[2:])
-        # the edges below `start` run backward, from their last sub-edge
-        back = min(max(start - e0, 0), e1 - e0)
-        W[:, :back] *= -1.0
-        S = _expm(W)
-        P[:, e0:e0 + back] = _chain(S[:, :back], False)
-        P[:, e0 + back:e1] = _chain(S[:, back:], True)
-    return P
-
-
 def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
                        max_step=0.5):
     """Frames at the nodes of the lattice path `pts` ((npts, 2) node
     indices, unwrapped on a torus) transported from F0, (npts,) + F0.shape.
     Each straight run of equal steps is one line of `transport_lines`.
-    ValueError unless each point is a node of the grid and each step one
-    lattice edge or none.  `max_step` is ignored: every edge is one
-    Magnus step."""
+    ValueError unless `pts` is a non-empty (npts, 2) array, each point a
+    node of the grid and each step one lattice edge or none.  `max_step`
+    is ignored: every edge is one Magnus step."""
     pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValueError("a path is a non-empty (npts, 2) array of nodes")
     nodes, shape = np.rint(pts).astype(np.intp), np.array(A.shape[:2])
     inside = periodic or (nodes == nodes % shape).all()
     if (nodes != pts).any() or not inside:
@@ -218,14 +182,13 @@ def transport_lines(A, B, zdot, frames, start, row=True):
     nodes on return.  A and B ((lines, m, r, r)) are the coefficients at
     the same nodes, and the step from node j to node j + 1 of a line is
     zdot.  Each edge is one Magnus step of the coefficient interpolated
-    linearly between its end nodes.  Lines go a block at a time, so that
-    each per-edge array of a block stays within LINES_BLOCK_BYTES.
+    linearly between its end nodes, or 2^k where one step would not
+    converge.  Lines go a block at a time, so that each per-edge array of
+    a block stays within LINES_BLOCK_BYTES; a block refined to 2^k
+    sub-edges per edge holds 2^k times that in each per-sub-edge array.
     Returns the number of edges it ran."""
     lines, m = frames.shape[:2]
     r = A.shape[-1]
-    # edge j joins nodes j and j + 1 and runs away from `start`: from j to
-    # j + 1 at and above it, from j + 1 to j below it, which negates Omega
-    sign = np.where(np.arange(m - 1) >= start, 1.0, -1.0)[:, None, None]
     block = max(1, LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * (2 * r) ** 2))
     for i in range(0, lines, block):
         rows = slice(i, i + block)
@@ -234,22 +197,34 @@ def transport_lines(A, B, zdot, frames, start, row=True):
         W = _magnus(R)
         q, k = _scaling(W)
         if k:
-            # too large for one step: 2^k sub-edges, each about 2^-k
-            # times the size of its edge
-            P = _split_propagators(R, start, k)
-        else:
-            W *= sign
-            P = _expm(W, (q, 0))
+            # too large for one step: the line refined to 2^k sub-edges
+            # per edge, the coefficient interpolated linearly at the
+            # sub-nodes and scaled by the sub-edge's length 2^-k
+            N = 1 << k
+            t = (np.arange(N) / N)[:, None, None]
+            R0, R1 = R[:, :-1, None], R[:, 1:, None]
+            fine = np.empty((R.shape[0], (m - 1) * N + 1) + R.shape[2:])
+            fine[:, :-1] = (R0 + t * (R1 - R0)).reshape(fine[:, :-1].shape)
+            fine[:, -1] = R[:, -1]
+            fine *= 1.0 / N
+            W = _magnus(fine)
+        # edge j joins nodes j and j + 1 and runs away from `start`: from j
+        # to j + 1 at and above it, from j + 1 to j below it, which negates
+        # Omega; on the refined line `start` is node start 2^k
+        s = start << k
+        W[:, :s] *= -1.0
+        P = _expm(W, None if k else (q, 0))
         # the stacked frames [Re F; Im F], transposed in the column
         # convention, which runs the row system on the transposes
         F = frames[rows, start]
         F = F if row else np.swapaxes(F, -1, -2)
-        X = np.empty(F.shape[:1] + (m, 2 * r) + F.shape[2:])
-        X[:, start, :r], X[:, start, r:] = F.real, F.imag
-        for k in range(start, m - 1):
-            np.matmul(P[:, k], X[:, k], out=X[:, k + 1])
-        for k in range(start - 1, -1, -1):
-            np.matmul(P[:, k], X[:, k + 1], out=X[:, k])
+        X = np.empty(F.shape[:1] + (W.shape[1] + 1, 2 * r) + F.shape[2:])
+        X[:, s, :r], X[:, s, r:] = F.real, F.imag
+        for j in range(s, W.shape[1]):
+            np.matmul(P[:, j], X[:, j], out=X[:, j + 1])
+        for j in range(s - 1, -1, -1):
+            np.matmul(P[:, j], X[:, j + 1], out=X[:, j])
+        X = X[:, ::1 << k]
         F = X[..., :r, :] + 1j * X[..., r:, :]
         frames[rows] = F if row else np.swapaxes(F, -1, -2)
     return lines * (m - 1)

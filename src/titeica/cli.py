@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SolveError, TiteicaError
+from .errors import ConfigError, InvalidSignCase, SolveError, TiteicaError
 from .frames import (build_connection, curvature_residual, reality_check,
                      torus_generator)
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
@@ -29,8 +29,8 @@ from .geometry import (BackgroundMetric, CubicDifferential, Domain,
 from .immersion import (affine_sphere_immersion, minlag_c2_immersion,
                         minlag_cpn_immersion, verify_affine, verify_cpn,
                         verify_minlag_c2)
-from .pde import (PdeProblem, continuation_family, continuation_grid,
-                  solve_monotone, solve_newton)
+from .pde import (PdeProblem, check_monotone, continuation_family,
+                  continuation_grid, solve_monotone, solve_newton)
 from .projective import (develop_rp2, holonomy_report, quadric_fit,
                          semiflat_develop, semiflat_dual_roundtrip)
 from .weierstrass import HoloPair, parabolic_from_holomorphic
@@ -208,6 +208,8 @@ class Pipeline:
         self.domain = parse_domain(_section(cfg, "domain", {}))
         self.mu = parse_metric(_section(cfg, "metric", {"kind": "flat"}))
         self.Q = parse_cubic(_section(cfg, "cubic", {}))
+        if self.domain.periodic and "boundary" in cfg:
+            raise ConfigError("boundary: a torus has no boundary to hold it")
         self.boundary = _number(float, cfg.get("boundary", 0.0), "boundary")
         try:
             self.problem = PdeProblem(self.domain, self.mu, self.Q, self.case,
@@ -270,6 +272,11 @@ class Pipeline:
                                     or self.t_grid is not None):
             raise ConfigError("solver.u0 seeds only a Newton solve "
                               "without t_grid")
+        if self.method == "monotone":
+            try:
+                check_monotone(self.problem)
+            except InvalidSignCase as exc:
+                raise ConfigError(f"solver.method monotone: {exc}") from exc
 
     # -- helpers ------------------------------------------------------
     def add_residual(self, name, value):

@@ -160,7 +160,7 @@ _REALITY = {
 }
 
 
-def reality_check(alpha, involution_case=None):
+def reality_check(alpha):
     """Deviation of the loop from its case's real form, for every zeta at once.
 
     With A = A0 + zeta A1, B = B0 + B1 / zeta and iota(zeta) = s/conj(zeta),
@@ -168,15 +168,13 @@ def reality_check(alpha, involution_case=None):
     zeta iff R0 = B0 + rho(A0) and R1 = B1 + s rho(A1) vanish; at one zeta
     its Frobenius norm is at most 2||R0|| + (|zeta| + 1/|zeta|) ||R1||.
     Returns the sup over nodes of 2||R0|| + 4||R1||, a bound of it for every
-    1/2 <= |zeta| <= 2.  involution_case tests alpha against another case's
-    involution (a mismatch oracle)."""
+    1/2 <= |zeta| <= 2."""
     if alpha.zeta is None:
         raise InvalidSignCase("reality conditions apply to the spectral loop "
                               "of the four Toda cases")
-    inv_case = involution_case or alpha.case
-    if inv_case.lam == 0:
+    if alpha.case.lam == 0:
         raise InvalidSignCase("no involution for lam = 0")
-    s, rho = _REALITY[(inv_case.epsilon, inv_case.lam)]
+    s, rho = _REALITY[(alpha.case.epsilon, alpha.case.lam)]
     A, B = alpha.A.copy(), alpha.B.copy()
     A[_ZETA_A] *= s / alpha.zeta    # A0 + s A1
     B[_ZETA_B] *= alpha.zeta        # B0 + B1
@@ -188,102 +186,69 @@ def reality_check(alpha, involution_case=None):
     return float(np.max(2.0 * r0 + 4.0 * r1))
 
 
-@dataclass
-class PathSpec:
-    """Lattice path: grid nodes, each step one lattice edge or none, not
-    wrapped on a torus (a generator loop ends at a translate of its start)."""
-
-    points: np.ndarray
-    closed: bool = False
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=complex)
-        if self.points.ndim != 1 or self.points.size < 2:
-            raise PathError("a path needs at least two points")
-
-
-def polyline_path(domain, zs, closed=False):
-    """The lattice path through the grid nodes nearest the points zs: each
-    leg runs along the first lattice axis, then along the second."""
-    j, k = (np.rint(c).astype(int)
+def polyline_path(domain, zs):
+    """The lattice path through the grid nodes nearest the points zs, an
+    (npts, 2) array of node indices: each leg runs along the first lattice
+    axis, then along the second."""
+    j, k = (np.rint(c).astype(np.intp)
             for c in domain.to_lattice(np.asarray(zs, dtype=complex)))
     # corners (j0, k0), (j1, k0), (j1, k1), (j2, k1), ... joined by unit steps
     corners = np.stack([np.repeat(j, 2)[1:], np.repeat(k, 2)[:-1]], axis=-1)
     d = np.diff(corners, axis=0)
     steps = np.repeat(np.sign(d), np.abs(d).sum(axis=1), axis=0)
-    j, k = (corners[0] + np.cumsum(np.r_[[[0, 0]], steps], axis=0)).T
-    return PathSpec(domain.origin + j * domain.step1 + k * domain.step2,
-                    closed=closed)
+    return corners[0] + np.cumsum(np.r_[[[0, 0]], steps], axis=0)
 
 
 def torus_generator(domain, which):
     """Loop along lattice direction `which` (0 -> period 1, 1 -> period
-    tau) from the origin node to its translate by the period."""
+    tau) from the origin node to its translate by the period, node n of
+    the axis unwrapped."""
     if not domain.periodic:
         raise PathError("generator loops require a torus domain")
     if which not in (0, 1):
         raise PathError(f"a torus has generators 0 and 1, not {which!r}")
-    step = (domain.step1, domain.step2)[which]
-    return PathSpec(domain.origin + np.arange(domain.shape[which] + 1) * step,
-                    closed=True)
-
-
-def cell_loop(domain, j=0, k=0):
-    """Contractible loop around a single grid cell."""
-    z = domain.origin + j * domain.step1 + k * domain.step2
-    pts = [z, z + domain.step1, z + domain.step1 + domain.step2,
-           z + domain.step2, z]
-    return PathSpec(np.asarray(pts), closed=True)
-
-
-def _lattice_points(domain, path):
-    """Node indices (npts, 2) of the path, unwrapped on a torus; PathError
-    unless each point is a node of the grid and each step an edge or none."""
-    jk = np.stack(domain.to_lattice(path.points), axis=-1)
-    nodes = np.rint(jk)
-    if np.abs(jk - nodes).max() > 1e-6:
-        raise PathError("path points must be grid nodes")
-    nodes = nodes.astype(np.intp)
-    if not domain.periodic and ((nodes < 0) | (nodes >= domain.shape)).any():
-        raise PathError("path exits the domain")
-    if (np.abs(np.diff(nodes, axis=0)).sum(axis=1) > 1).any():
-        raise PathError("a path step must be one lattice edge or none")
+    nodes = np.zeros((domain.shape[which] + 1, 2), dtype=np.intp)
+    nodes[:, which] = np.arange(domain.shape[which] + 1)
     return nodes
 
 
+def cell_loop(domain, j=0, k=0):
+    """Contractible loop around the grid cell with corner node (j, k)."""
+    return np.array([[j, k], [j + 1, k], [j + 1, k + 1], [j, k + 1], [j, k]])
+
+
 def integrate_frame(alpha, path, F0):
-    """Transport of F0 along the lattice path in alpha's convention;
-    returns the (npts, r, c) frames at the path's nodes.  A lattice edge
-    is one sixth-order Magnus step, with A and B interpolated linearly
-    between its end nodes.  The kernel ignores `max_step`; pipebench's
-    tracer reads it to count int(|edge| / max_step) + 1 substeps per
-    edge, as the former RK4 kernel took."""
+    """Transport of F0 along the lattice path (an (npts, 2) array of grid
+    nodes, unwrapped on a torus, each step one lattice edge or none) in
+    alpha's convention; returns the (npts, r, c) frames at its nodes, and
+    PathError for any other path.  A lattice edge is one sixth-order
+    Magnus step, with A and B interpolated linearly between its end
+    nodes.  The kernel ignores `max_step`; pipebench's tracer reads it to
+    count int(|edge| / max_step) + 1 substeps per edge, as the former RK4
+    kernel took."""
     F = np.asarray(F0, dtype=complex)
     if not np.all(np.isfinite(F)):
         raise ValueError("initial frame must be finite")
-    pts = _lattice_points(alpha.domain, path)
-    return transport_polyline(alpha.A, alpha.B, alpha.domain.step1,
-                              alpha.domain.step2, pts, F,
-                              row=(alpha.convention == "row_frame"),
-                              periodic=alpha.domain.periodic,
-                              max_step=alpha.domain.hmin / 2.0)
-
-
-def _is_closed(domain, path):
-    """Whether a closed path ends at its first node, modulo the grid on a
-    torus."""
-    if not path.closed:
-        return False
-    gap = np.subtract(*_lattice_points(domain, path)[[-1, 0]])
-    return not (gap % domain.shape if domain.periodic else gap).any()
+    try:
+        return transport_polyline(alpha.A, alpha.B, alpha.domain.step1,
+                                  alpha.domain.step2, path, F,
+                                  row=(alpha.convention == "row_frame"),
+                                  periodic=alpha.domain.periodic,
+                                  max_step=alpha.domain.hmin / 2.0)
+    except ValueError as exc:
+        raise PathError(str(exc)) from exc
 
 
 def holonomy(alpha, loop):
-    """Inverse-of-parallel-transport matrix around a closed loop: the
-    solution of dJ = <alpha, beta'> J, J(0) = I, at the end of the loop."""
-    if not _is_closed(alpha.domain, loop):
+    """Inverse-of-parallel-transport matrix around a closed loop, a lattice
+    path that ends at its first node (on a torus, at a translate of it by
+    periods): the solution of dJ = <alpha, beta'> J, J(0) = I, at the end
+    of the loop."""
+    F = integrate_frame(alpha, loop, np.eye(alpha.A.shape[-1]))
+    gap = np.subtract(loop[-1], loop[0])
+    if (gap % alpha.domain.shape if alpha.domain.periodic else gap).any():
         raise PathError("holonomy requires a closed loop")
-    return integrate_frame(alpha, loop, np.eye(alpha.A.shape[-1]))[-1]
+    return F[-1]
 
 
 def group_residuals(F, group_tag):

@@ -166,6 +166,17 @@ def flat_torus_solvable(c, case):
     return case.epsilon * case.lam == -1 and complex(c) != 0
 
 
+def _no_solution_reason(p):
+    """Why the equation of p has no solution, on a flat torus whose data
+    admit none (`flat_torus_solvable`); None everywhere else."""
+    if not p.domain.periodic or flat_torus_solvable(p.Q.c, p.case):
+        return None
+    return (f"no solution on a flat torus for {p.case.geometry_tag} with "
+            f"Q = {p.Q.c:g}: the integral of 16 eps ||Q||^2 e^(-2u) + "
+            "2 lam e^u must vanish, which needs eps lam = -1 and Q != 0, "
+            "or lam = 0 and Q = 0")
+
+
 def constant_solution(c, case):
     """u = (1/3) log(8 |c|^2) on the flat torus; only solvable for eps*lam = -1."""
     c = complex(c)
@@ -185,8 +196,9 @@ def cubic_supersolution_root(max8q2):
     M = float(max8q2)
     if M < 0:
         raise ValueError("M must be nonnegative")
-    w = math.cbrt((2.0 / 27.0 + M) / 2.0
-                  + math.sqrt(M) * math.sqrt(1.0 / 27.0 + M / 4.0))
+    # the base is positive, so its real cube root is a power
+    w = ((2.0 / 27.0 + M) / 2.0
+         + math.sqrt(M) * math.sqrt(1.0 / 27.0 + M / 4.0)) ** (1.0 / 3.0)
     x = w + 1.0 / (9.0 * w) + 1.0 / 3.0
     return x - ((x - 1.0) * x * x - M) / ((3.0 * x - 2.0) * x)
 
@@ -501,16 +513,12 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     rinf = sys_.rinf(F)
     history = {"rinf": [], "eta": [], "linear_iters": [], "step": []}
     info = {"history": history}
-    unsolvable = p.domain.periodic and not flat_torus_solvable(p.Q.c, p.case)
-    if unsolvable:
-        info["reason"] = (
-            f"no solution on a flat torus for {p.case.geometry_tag} with "
-            f"Q = {p.Q.c:g}: the integral of 16 eps ||Q||^2 e^(-2u) + "
-            "2 lam e^u must vanish, which needs eps lam = -1 and Q != 0, "
-            "or lam = 0 and Q = 0")
+    reason = _no_solution_reason(p)
+    if reason:
+        info["reason"] = reason
     it = 0
-    converged = not unsolvable and rinf <= tol
-    while not (converged or unsolvable) and it < max_iter:
+    converged = not reason and rinf <= tol
+    while not (converged or reason) and it < max_iter:
         gp = _nonlinear_deriv(p, u).ravel()[sys_.interior]
         shift = sys_.w * gp
         rhs = -(sys_.w * F.ravel()[sys_.interior])
@@ -536,22 +544,36 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 
-def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
-    """Monotone (sub/supersolution) iteration for the hyperbolic affine
-    sphere case.  Iterates increase from the subsolution and stay below the
-    supersolution; the shift constant is sup |dG/du| + 1 on the current
-    bracket."""
+def check_monotone(p):
+    """InvalidSignCase unless the monotone iteration applies to p: the
+    hyperbolic affine sphere, on a flat torus or on a kappa = -1 planar
+    background with zero boundary values, where [0, log m] brackets u."""
     if (p.case.epsilon, p.case.lam) != (1, -1):
         raise InvalidSignCase("monotone iteration requires (eps, lam) = (1, -1)")
-    n, m = p.domain.shape
     if p.domain.periodic:
+        return
+    if p.mu.curvature_kind != "poincare_disk":
+        raise InvalidSignCase("planar monotone iteration assumes kappa = -1")
+    if np.any(p.boundary_field != 0.0):
+        raise InvalidSignCase("monotone bracket [0, log m] needs boundary 0")
+
+
+def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
+    """Monotone (sub/supersolution) iteration for the hyperbolic affine
+    sphere case (`check_monotone`).  Iterates increase from the
+    subsolution and stay below the supersolution; the shift constant is
+    sup |dG/du| + 1 on the current bracket.  On a flat torus without a
+    solution it returns at once, converged=False after no step, with
+    info["reason"], as `solve_newton` does."""
+    check_monotone(p)
+    n, m = p.domain.shape
+    reason = _no_solution_reason(p)
+    if reason:
+        sub = super_ = 0.0      # nothing to bracket; no step is taken
+    elif p.domain.periodic:
         uc = constant_solution(p.Q.c, p.case)
         sub, super_ = uc - 1.0, uc + 1.0
     else:
-        if p.mu.curvature_kind != "poincare_disk":
-            raise InvalidSignCase("planar monotone iteration assumes kappa = -1")
-        if np.any(p.boundary_field != 0.0):
-            raise InvalidSignCase("monotone bracket [0, log m] needs boundary 0")
         sub, super_ = 0.0, supersolution_bound(p)
     u = np.full((n, m), sub)
     u = _apply_boundary(p, u)
@@ -561,8 +583,8 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
     it = 0
-    converged = rinf <= tol
-    while not converged and it < max_iter:
+    converged = not reason and rinf <= tol
+    while not (converged or reason) and it < max_iter:
         gmag = np.maximum(np.abs(_nonlinear_deriv(p, u)),
                           np.abs(_nonlinear_deriv(p, super_field)))
         shift = float(np.max(gmag)) + 1.0
@@ -577,9 +599,12 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         it += 1
         converged = rinf <= tol
     sol = MetricSolution(u, p.domain, p.mu)
-    info = {"bracket": (float(sub), float(super_)),
-            "history": history, "linear_iters": sys_.linear_iters,
+    info = {"history": history, "linear_iters": sys_.linear_iters,
             "spsolve_fallbacks": sys_.spsolve_fallbacks}
+    if reason:
+        info["reason"] = reason
+    else:
+        info["bracket"] = (float(sub), float(super_))
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 

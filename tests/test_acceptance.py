@@ -7,6 +7,7 @@ see one line per criterion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_criterion_04_reality_conditions(torus32):
             if (other.epsilon, other.lam) == (case.epsilon, case.lam):
                 continue
             worst_mismatch = min(worst_mismatch,
-                                 tz.reality_check(al, involution_case=other))
+                                 tz.reality_check(replace(al, case=other)))
     ok = worst_matched <= 1e-12 and worst_mismatch > 1e-3
     _report(4, ok, f"matched involutions {worst_matched:.2e} (<=1e-12), "
                    f"weakest mismatch {worst_mismatch:.2e} (>1e-3)")
@@ -244,8 +245,7 @@ def test_criterion_11_ch2_continuation():
     Qt = Q1.scaled(t_star)
     nq = float(tz.cubic_norm_induced(Qt, POIN, sol.u, dom.z).max())
     al = tz.minlag_frame_connection(sol.psi, Qt, case, dom)
-    path = tz.polyline_path(dom, [0.0, 0.35 + 0.2j, -0.3 + 0.35j, 0.0],
-                            closed=True)
+    path = tz.polyline_path(dom, [0.0, 0.35 + 0.2j, -0.3 + 0.35j, 0.0])
     F = tz.integrate_frame(al, path, np.eye(3, dtype=complex))
     su21 = tz.group_residuals(F, "su21")["unitarity"]
     tol = 20.0 * dom.hmax ** 2

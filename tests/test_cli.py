@@ -29,6 +29,11 @@ def torus_config(**overrides):
     return cfg
 
 
+def rectangle_config(**overrides):
+    return torus_config(**dict({"domain": {"kind": "rectangle",
+                                           "shape": [32, 32]}}, **overrides))
+
+
 def test_run_full_pipeline(tmp_path):
     code, report = cli.run(torus_config(), stage="all", out_dir=tmp_path)
     assert code == 0
@@ -163,14 +168,80 @@ def test_unreadable_config_exits_2(tmp_path):
         "report_parent", "report_absolute", "report_subdir", "report_dotdot",
         "mesh_subdir", "rectangle_1xm", "torus_0xm", "disk_patch_nx1"])
 def test_malformed_config_value_exits_2(tmp_path, key, value):
-    cfg = torus_config(**{key: value})
+    # boundary values are read on planar grids only (a torus rejects the
+    # key, test_boundary_on_torus_exits_2), so a bad one is tried on a
+    # rectangle and must fail for its own reason
+    cfg = (rectangle_config if key == "boundary" else torus_config)(
+        **{key: value})
     # caught while the pipeline is built, before any stage runs
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         cli.Pipeline(cfg)
+    if key == "boundary":
+        assert str(exc.value).startswith("boundary must be a")
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     rc = cli.main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", [5.0, 0.0])
+def test_boundary_on_torus_exits_2(value):
+    # no parser reads boundary values on a torus, whatever they are
+    cli.Pipeline(rectangle_config(boundary=value))
+    with pytest.raises(ConfigError, match="torus has no boundary"):
+        cli.Pipeline(torus_config(boundary=value))
+
+
+def _monotone_config(**overrides):
+    return torus_config(**dict({
+        "domain": {"kind": "disk_patch", "radius": 0.7, "shape": [16, 16]},
+        "metric": {"kind": "poincare_disk"}, "solver": {"method": "monotone"},
+        "outputs": {"report": "report.json"}}, **overrides))
+
+
+# configs the monotone iteration cannot solve, and the reason given
+MONOTONE_BAD_INPUT = {
+    "minlag_ch2_disk": (_monotone_config(case="minlag_ch2"),
+                        "requires \\(eps, lam\\) = \\(1, -1\\)"),
+    "boundary_0.1": (_monotone_config(boundary=0.1), "needs boundary 0"),
+    "flat_rectangle": (_monotone_config(
+        domain={"kind": "rectangle", "shape": [16, 16]},
+        metric={"kind": "flat"}), "assumes kappa = -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE_BAD_INPUT))
+def test_monotone_bad_input_exits_2(tmp_path, name):
+    # bad input, caught while the pipeline is built: exit 2 and no out
+    # directory, not a stage that starts and fails with no check run
+    cfg, reason = MONOTONE_BAD_INPUT[name]
+    with pytest.raises(ConfigError, match="monotone: .*" + reason):
+        cli.Pipeline(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = cli.main(["all", "--config", str(path), "--out-dir", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    # the same config solved by Newton is no configuration error
+    cli.Pipeline(dict(cfg, solver={"method": "newton"}))
+
+
+def test_monotone_flat_torus_without_solution_exits_3(tmp_path):
+    # c = 0 on the hyperbolic torus has no solution: a failed solve with
+    # its reason, as under Newton
+    cfg = torus_config(cubic={"kind": "constant", "c": [0.0, 0.0]},
+                       domain={"kind": "torus", "tau": [0.0, 1.0],
+                               "shape": [16, 16]},
+                       solver={"method": "monotone"},
+                       outputs={"report": "report.json"})
+    code, report = cli.run(cfg, stage="all", out_dir=tmp_path)
+    assert code == 3
+    s = report["solver"]
+    assert s["method"] == "monotone" and not s["converged"]
+    assert s["iterations"] == 0
+    assert "no solution on a flat torus" in s["reason"]
+    assert any(s["reason"] in w for w in report["warnings"])
 
 
 def test_gauss_bonnet_obstruction_exits_3(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -223,7 +225,7 @@ def test_reality_matched(case, loops):
 def test_reality_mismatched(case, other, loops):
     for psi, Q, dom, zeta in loops:
         al = tz.build_connection(psi, Q, case, dom, zeta=zeta)
-        value = tz.reality_check(al, involution_case=other)
+        value = tz.reality_check(dataclasses.replace(al, case=other))
         assert value > 1e-3
         oracle = sampled_reality(psi, Q, case, dom, ZETAS, involution_case=other)
         assert value >= oracle - ORACLE_ROUNDING
@@ -324,12 +326,11 @@ def test_integrate_constant_matrix_exponential_oracle():
 def test_integrate_retraced_path(torus32):
     p, sol = torus32
     al = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0)
-    fwd = tz.polyline_path(p.domain, [0.0, 0.4 + 0.3j, 0.4 + 0.3j + 0.2, 0.0],
-                           closed=True)
+    fwd = tz.polyline_path(p.domain, [0.0, 0.4 + 0.3j, 0.4 + 0.3j + 0.2, 0.0])
     F0 = np.eye(3, dtype=complex)
     out = tz.integrate_frame(al, fwd, F0)
     # go and return along a degenerate loop: (A dz + B dzbar) cancels exactly
-    there_back = tz.polyline_path(p.domain, [0.0, 0.4 + 0.4j, 0.0], closed=True)
+    there_back = tz.polyline_path(p.domain, [0.0, 0.4 + 0.4j, 0.0])
     out2 = tz.integrate_frame(al, there_back, F0)
     assert np.abs(out2[-1] - F0).max() <= 1e-8
     assert np.isfinite(out[-1]).all()
@@ -357,14 +358,23 @@ def test_path_validation():
     dom = tz.Domain.rectangle(1.0, 1.0, 16, 16)
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
     al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
+    bad = {
+        # the points 0 and 2 (lattice coordinates (7.5, 7.5), (37.5, 7.5))
+        # and -0.4 - 0.4i, 0.4 + 0.4i (1.5 and 13.5 on both axes): off node
+        "points_0_2": [[7.5, 7.5], [37.5, 7.5]],
+        "points_pm_0.4": [[1.5, 1.5], [13.5, 13.5]],
+        "exits": [[15, 7], [16, 7]],
+        "too_coarse": [[1, 1], [13, 13]],     # jumps several cells
+        "not_an_array_of_nodes": [1, 1],
+        "empty": np.zeros((0, 2)),
+    }
+    for pts in bad.values():
+        with pytest.raises(PathError):
+            tz.integrate_frame(al, pts, np.eye(3, dtype=complex))
+    # holonomy needs a closed loop: -0.3 and 0.3 are nodes (3, 8), (12, 8)
     with pytest.raises(PathError):
-        tz.integrate_frame(al, tz.PathSpec(np.array([0.0, 2.0 + 0.0j])),
-                           np.eye(3, dtype=complex))
-    with pytest.raises(PathError):  # too coarse: jumps several cells
-        tz.integrate_frame(al, tz.PathSpec(np.array([-0.4 - 0.4j, 0.4 + 0.4j])),
-                           np.eye(3, dtype=complex))
-    with pytest.raises(PathError):  # holonomy needs a closed loop
-        tz.holonomy(al, tz.polyline_path(dom, [-0.3, 0.3], closed=True))
+        tz.holonomy(al, tz.polyline_path(dom, [-0.3, 0.3]))
+    assert np.array_equal(tz.holonomy(al, tz.cell_loop(dom, 3, 8)), np.eye(3))
 
 
 def test_paths_run_on_nodes_and_lattice_edges():
@@ -372,27 +382,33 @@ def test_paths_run_on_nodes_and_lattice_edges():
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
     al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
     h1, h2 = dom.step1, dom.step2
-    bad = {"off_node": [0.0, 0.5 * h1],
-           "diagonal": [0.0, h1 + h2],
-           "two_edges": [0.0, h1, h1 + 2 * h2]}
+    bad = {"off_node": [[0, 0], [0.5, 0]],
+           "diagonal": [[0, 0], [1, 1]],
+           "two_edges": [[0, 0], [1, 0], [1, 2]]}
     for pts in bad.values():
         with pytest.raises(PathError):
-            tz.integrate_frame(al, tz.PathSpec(np.array(pts)),
-                               np.eye(3, dtype=complex))
+            tz.integrate_frame(al, pts, np.eye(3, dtype=complex))
+        with pytest.raises(PathError):
+            tz.holonomy(al, pts + pts[:1])
     # the helpers snap to the nearest nodes and join them by lattice edges
-    path = tz.polyline_path(dom, [0.01, 0.3 + 0.2j, 0.1 + 0.4j])
-    j, k = dom.to_lattice(path.points)
-    assert np.abs(j - np.rint(j)).max() < 1e-9
-    steps = np.abs(np.diff(np.rint(j))) + np.abs(np.diff(np.rint(k)))
-    assert (steps == 1).all()
-    assert tz.integrate_frame(al, path, np.eye(3)).shape == (len(j), 3, 3)
+    zs = [0.01, 0.3 + 0.2j, 0.1 + 0.4j]
+    path = tz.polyline_path(dom, zs)
+    assert path.dtype.kind == "i" and path.shape[1] == 2
+    j, k = dom.to_lattice(np.array(zs)[[0, -1]])
+    assert np.array_equal(path[[0, -1]], np.rint([j, k]).T)
+    assert (np.abs(np.diff(path, axis=0)).sum(axis=1) == 1).all()
+    assert tz.integrate_frame(al, path, np.eye(3)).shape == (len(path), 3, 3)
 
 
 def test_torus_generator_index():
     dom = small_torus()
     for which in (0, 1):
         loop = tz.torus_generator(dom, which)
-        assert loop.points.size == dom.shape[which] + 1
+        assert loop.shape == (dom.shape[which] + 1, 2)
+        # from the origin node to its translate by the period
+        assert np.array_equal(loop[-1] - loop[0], np.eye(2)[which] *
+                              dom.shape[which])
+        assert np.array_equal(dom.to_lattice(dom.origin), loop[0])
     with pytest.raises(PathError):
         tz.torus_generator(dom, 7)
 
@@ -473,8 +489,7 @@ def test_group_residuals_su21_preserved():
     p = tz.PdeProblem(dom, mu, Q1.scaled(0.3), case)
     sol = tz.solve_newton(p).solution
     al = tz.minlag_frame_connection(sol.psi, Q1.scaled(0.3), case, dom)
-    path = tz.polyline_path(dom, [0.0, 0.3 + 0.2j, -0.2 + 0.3j, 0.0],
-                            closed=True)
+    path = tz.polyline_path(dom, [0.0, 0.3 + 0.2j, -0.2 + 0.3j, 0.0])
     F = tz.integrate_frame(al, path, np.eye(3, dtype=complex))
     res = tz.group_residuals(F, "su21")
     assert res["unitarity"] <= 1e-8

@@ -533,7 +533,7 @@ def test_torus_holonomy_closed_form(n):
     loops = [torus_generator(dom, 0), torus_generator(dom, 1)]
     rep = holonomy_report(alpha, loops)
     for loop, entry in zip(loops, rep["loops"]):
-        w = loop.points[-1] - loop.points[0]
+        w = (loop[-1] - loop[0]) @ [dom.step1, dom.step2]
         closed = expm(w * alpha.A[0, 0] + np.conj(w) * alpha.B[0, 0])
         assert rel_err(entry["matrix"], closed) <= 1e-12
         assert entry["det_drift"] <= 1e-13
