@@ -6,9 +6,9 @@ runs its stages in order and times each one; a converged solve records
 its own check, `solve`.  Exit codes: 0 every check passed; 1 a check
 failed, no check ran, a stage raised, or the mesh could not be exported
 (report still written); 2 configuration error; 3 the solver did not
-converge.  Flags: --config <path>, --out-dir <path>.  Every warning in
-the report comes with a nonzero exit code, except `develop`'s note that
-only affine meshes are developed.
+converge (`solver.reason` says why).  Flags: --config <path>, --out-dir
+<path>.  Every warning in the report comes with a nonzero exit code,
+except `develop`'s note that only affine meshes are developed.
 """
 
 import argparse
@@ -322,18 +322,12 @@ class Pipeline:
             "u_mean": float(u.mean()),
             # summed over every solve, all continuation steps included
             "linear_iters": sum(r.info["linear_iters"] for r in reports),
-            "spsolve_fallbacks": sum(r.info["spsolve_fallbacks"]
-                                     for r in reports),
             # per step of the last solve (of the last t on continuation)
             "history": rep.info["history"],
         }
-        reason = rep.info.get("reason")
-        if reason:
-            self.report["solver"]["reason"] = reason
         if not rep.converged:
-            raise SolveError("solver did not converge: " + (
-                reason or f"residual {rep.residual_inf:.3e} > tol {tol:.3e} "
-                          f"after {rep.iterations} iterations"))
+            reason = self.report["solver"]["reason"] = rep.info["reason"]
+            raise SolveError(f"solver did not converge: {reason}")
         if t_grid is not None:
             self.problem = PdeProblem(self.domain, self.mu,
                                       self.Q.scaled(fam.t_grid[-1]),
@@ -596,8 +590,7 @@ def main(argv=None):
         s = report["solver"]
         print(f"solver: converged={s['converged']} iterations={s['iterations']} "
               f"residual={s['residual_inf']:.3e} "
-              f"linear_iters={s['linear_iters']} "
-              f"spsolve_fallbacks={s['spsolve_fallbacks']}")
+              f"linear_iters={s['linear_iters']}")
     print(f"exit code {code}")
     return code
 

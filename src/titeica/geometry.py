@@ -17,11 +17,8 @@ patches of the Poincare disk, and oblique tori.  Every difference
 quotient of the package is written in this module: `lattice_diff` and
 `lattice_diff2` along one axis, `second_diffs` for (f_jj, f_kk, f_jk),
 and from these the `Domain` stencils d/dz, d/dzbar, d^2/dz^2 and
-d^2/dz dzbar, the interior form `Domain.dzzbar_interior` that the
-solvers apply matrix-free, and the sparse `dzzbar_matrix`.  The solvers
-never build that matrix on a converging path: it is the matrix of their
-direct fallback, after a Krylov solve has failed, and the oracle that
-tests check the stencils against.
+d^2/dz dzbar, and the interior form `Domain.dzzbar_interior` that the
+solvers apply matrix-free.  No stencil is assembled as a matrix.
 """
 
 from dataclasses import dataclass
@@ -114,46 +111,6 @@ def polyval(coeffs, z):
     for a in reversed(coeffs):
         out = out * z + a
     return out
-
-
-def _second_diff_matrix(n, periodic):
-    import scipy.sparse as sp
-
-    if periodic:
-        return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
-                        shape=(n, n), format="csr")
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr")
-
-
-def _centered_diff_matrix(n):
-    import scipy.sparse as sp
-
-    return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
-                    shape=(n, n), format="csr")
-
-
-def dzzbar_matrix(domain):
-    """Sparse matrix of the d^2/dz dzbar stencil on the unknowns, flattened:
-    every node of a torus, and on a planar grid the Dirichlet restriction
-    to the (n-2) x (m-2) interior nodes, built from interior-sized factors
-    (the interior of a lattice is a product of index ranges)."""
-    import scipy.sparse as sp
-
-    n, m = domain.shape
-    if not domain.periodic:
-        n, m = n - 2, m - 2
-    a, b, c, den = domain.dzzbar_coeffs
-    D1 = _second_diff_matrix(n, domain.periodic)
-    D2 = _second_diff_matrix(m, domain.periodic)
-    In, Im = sp.identity(n), sp.identity(m)
-    L = a * sp.kron(D1, Im) + b * sp.kron(In, D2)
-    if c != 0:
-        if not domain.periodic:
-            # Dirichlet problems are posed on the orthogonal grids of
-            # Domain.rectangle and Domain.disk_patch
-            raise ValueError("the planar stencil matrix has no cross term")
-        L = L + c * sp.kron(_centered_diff_matrix(n), _centered_diff_matrix(m))
-    return (L / den).tocsr()
 
 
 def _grid_shape(n, m):
@@ -282,21 +239,14 @@ class Domain:
         den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
         return abs(s2) ** 2, abs(s1) ** 2, -2.0 * (s1 * np.conj(s2)).real, den
 
-    @cached_property
-    def dzzbar_operator(self):
-        """dzzbar_matrix(self), built once per domain: a Domain is frozen,
-        so the matrix cannot go stale (a continuation reuses it for every
-        t)."""
-        return dzzbar_matrix(self)
-
     def dzzbar_interior(self, f, shift):
         """d^2/dz dzbar f + shift * f at the (n-2) x (m-2) interior nodes
         of a planar grid: the centered five-point stencil alone, read from
         slices of f, with no one-sided edge rows.  Its terms are summed in
         the order of a CSR product (node j-1, k-1, the node, k+1, j+1), so
         for f zero on the boundary the result equals, to the bit, the
-        product of dzzbar_matrix(self) + diag(shift) with the interior
-        values of f."""
+        product of the stencil's CSR matrix plus diag(shift) with the
+        interior values of f."""
         a, b, c, den = self.dzzbar_coeffs
         if c != 0:
             raise ValueError("the interior stencil has no cross term")

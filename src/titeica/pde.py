@@ -39,18 +39,17 @@ before Newton gives up.  The monotone iteration keeps LINEAR_RTOL on
 every step: its iterates rise from the subsolution and stay below the
 supersolution only when each step is exact.
 
-A Krylov solve that does not converge is replaced by a sparse direct
-solve; the matrix of L_int is built, once per domain, only then.
-`_System` counts Krylov iterations and direct solves.
+A solve that does not converge says why in info["reason"]:
+``linear_stall`` (a Krylov solve did not converge, and `_System.solve`
+returned no step), ``line_search_stall``, ``max_iter``, or a flat torus
+whose data admit no solution.
 
 A solve runs on numpy alone: ``cg`` and ``minres`` are written here, and
-the transforms are numpy's FFT and matrix products.  scipy is imported
-only for the direct fallback, inside ``spsolve`` and the branch of
-`_System.solve` that calls it.  The supersolution bound is Cardano's
-formula, with no root finder.  ``cg`` and ``minres`` take a
-``callback`` and ``spsolve`` takes scipy's keywords; all three are
-module-level functions that `_System.solve` calls by these names, so that
-tests and tracers can replace or wrap them.
+the transforms are numpy's FFT and matrix products.  The supersolution
+bound is Cardano's formula, with no root finder.  ``cg`` and ``minres``
+take a ``callback``; both are module-level functions that
+`_System.solve` calls by these names, so that tests and tracers can
+replace or wrap them.
 """
 
 import math
@@ -330,7 +329,8 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
 
 
 def spsolve(A, b, **kwargs):
-    """scipy.sparse.linalg.spsolve, the direct solve of a Krylov failure."""
+    """scipy.sparse.linalg.spsolve, called by no solve: pipebench/tracer.py
+    wraps it by name, for `pde.spsolve_fallbacks`, which reads 0."""
     from scipy.sparse.linalg import spsolve
 
     return spsolve(A, b, **kwargs)
@@ -362,7 +362,7 @@ class _System:
     """Shared pieces for a problem: the stencil restricted to the unknowns,
     applied matrix-free, the interior index, the symbol of -L_int in the
     basis of the transform that diagonalizes it, and the linear solve with
-    its counts of Krylov iterations and direct solves.
+    its count of Krylov iterations.
 
     L_int v is `Domain.dzzbar` of v on a torus.  On a planar grid it is
     `Domain.dzzbar_interior` of one zero-bordered buffer, allocated here,
@@ -376,7 +376,8 @@ class _System:
         self.p = p
         self.interior = np.flatnonzero(dom.interior_mask.ravel())
         self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
-        self.linear_iters = self.spsolve_fallbacks = 0
+        self.linear_iters = 0
+        self.maxiter = 20 * self.interior.size
         n, m = dom.shape
         if dom.periodic:
             # the stencil is circulant, cross term included: its symbol is
@@ -429,10 +430,8 @@ class _System:
         the negated system when every shift is negative, which makes it
         SPD, MINRES otherwise, preconditioned by P^{-1} at c = mean |shift|,
         which is SPD for either.  Newton passes its forcing term as rtol;
-        the monotone iteration keeps the default LINEAR_RTOL.  A Krylov
-        solve that does not converge is replaced by a direct solve of the
-        assembled matrix, the only step that imports scipy.  Adds to the
-        counts `linear_iters` and `spsolve_fallbacks`."""
+        the monotone iteration keeps LINEAR_RTOL.  None, no step, if the
+        Krylov solve does not converge; adds to the count `linear_iters`."""
         sign = -1.0 if np.all(shift < 0) else 1.0
 
         def apply(v):
@@ -446,15 +445,9 @@ class _System:
         M = self.precond(float(np.mean(np.abs(shift))))
         b = sign * rhs
         krylov = cg if sign < 0 else minres
-        x, info = krylov(apply, b, M=M, rtol=rtol,
-                         maxiter=20 * shift.size, callback=count)
-        if info != 0:
-            import scipy.sparse as sp
-
-            L = self.p.domain.dzzbar_operator
-            x = spsolve((sign * (L + sp.diags(shift))).tocsc(), b)
-            self.spsolve_fallbacks += 1
-        return x
+        x, info = krylov(apply, b, M=M, rtol=rtol, maxiter=self.maxiter,
+                         callback=count)
+        return x if info == 0 else None
 
     def rinf(self, F):
         return float(np.max(np.abs(F.ravel()[self.interior])))
@@ -470,7 +463,10 @@ def _apply_boundary(p, u):
 
 def _line_search(p, sys_, u, delta, rinf):
     """(u, F, rinf, t) at the first of 40 halvings t = 1, 1/2, ... of the
-    step delta whose residual is below rinf; None if there is none."""
+    step delta whose residual is below rinf; None if there is none, and
+    False if there is no step (delta None: its Krylov solve stalled)."""
+    if delta is None:
+        return False
     t = 1.0
     for _ in range(40):
         u_try = u.copy()
@@ -485,10 +481,10 @@ def _line_search(p, sys_, u, delta, rinf):
 
 def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     """Damped Newton for the global equation.  Returns the best iterate with
-    converged=False after max_iter or a stalled line search, and at once,
-    after no step, with info["reason"] on a flat torus whose data admit no
-    solution (`flat_torus_solvable`): there Newton would drive u towards
-    +/-inf until the exponential terms fell below tol.
+    converged=False and info["reason"] after max_iter steps or a stall, and
+    at once, after no step, on a flat torus whose data admit no solution
+    (`flat_torus_solvable`): there Newton would drive u towards +/-inf
+    until the exponential terms fell below tol.
 
     Inexact: each step solves its linear system to the forcing term eta
     of its starting residual, and a step whose line search finds no
@@ -512,10 +508,7 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
     history = {"rinf": [], "eta": [], "linear_iters": [], "step": []}
-    info = {"history": history}
     reason = _no_solution_reason(p)
-    if reason:
-        info["reason"] = reason
     it = 0
     converged = not reason and rinf <= tol
     while not (converged or reason) and it < max_iter:
@@ -532,15 +525,24 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
         history["rinf"].append(rinf)
         history["eta"].append(eta)
         history["linear_iters"].append(sys_.linear_iters - iters)
-        history["step"].append(0.0 if found is None else found[3])
+        history["step"].append(found[3] if found else 0.0)
         it += 1
-        if found is None:
-            break
-        u, F, rinf, _ = found
-        converged = rinf <= tol
+        if found is False:
+            reason = (f"linear_stall: the Krylov solve of Newton step {it} "
+                      f"did not converge in {sys_.maxiter} iterations")
+        elif found is None:
+            reason = (f"line_search_stall: 40 halvings of Newton step {it} "
+                      f"found no residual below {rinf:.3e}")
+        else:
+            u, F, rinf, _ = found
+            converged = rinf <= tol
+    if not (converged or reason):
+        reason = (f"max_iter: residual {rinf:.3e} > tol {tol:.3e} after "
+                  f"{it} Newton steps")
     sol = MetricSolution(u, p.domain, p.mu)
-    info.update(linear_iters=sys_.linear_iters,
-                spsolve_fallbacks=sys_.spsolve_fallbacks)
+    info = {"history": history, "linear_iters": sys_.linear_iters}
+    if reason:
+        info["reason"] = reason
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 
@@ -562,13 +564,13 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     """Monotone (sub/supersolution) iteration for the hyperbolic affine
     sphere case (`check_monotone`).  Iterates increase from the
     subsolution and stay below the supersolution; the shift constant is
-    sup |dG/du| + 1 on the current bracket.  On a flat torus without a
-    solution it returns at once, converged=False after no step, with
-    info["reason"], as `solve_newton` does."""
+    sup |dG/du| + 1 on the current bracket.  An unconverged solve gives
+    info["reason"] as `solve_newton` does: ``max_iter``, ``linear_stall``,
+    or, at once after no step, a flat torus without a solution."""
     check_monotone(p)
     n, m = p.domain.shape
-    reason = _no_solution_reason(p)
-    if reason:
+    no_solution = reason = _no_solution_reason(p)
+    if no_solution:
         sub = super_ = 0.0      # nothing to bracket; no step is taken
     elif p.domain.periodic:
         uc = constant_solution(p.Q.c, p.case)
@@ -591,6 +593,10 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         # (w shift - L_int) delta = w F
         delta = sys_.solve(-sys_.w * shift,
                            -(sys_.w * F.ravel()[sys_.interior]))
+        if delta is None:
+            reason = (f"linear_stall: the Krylov solve of step {it + 1} "
+                      f"did not converge in {sys_.maxiter} iterations")
+            break
         u.ravel()[sys_.interior] += delta
         history["min_step"].append(float(delta.min()))
         history["max_u"].append(float(u.max()))
@@ -598,13 +604,15 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
         rinf = sys_.rinf(F)
         it += 1
         converged = rinf <= tol
+    if not (converged or reason):
+        reason = (f"max_iter: residual {rinf:.3e} > tol {tol:.3e} after "
+                  f"{it} monotone steps")
     sol = MetricSolution(u, p.domain, p.mu)
-    info = {"history": history, "linear_iters": sys_.linear_iters,
-            "spsolve_fallbacks": sys_.spsolve_fallbacks}
+    info = {"history": history, "linear_iters": sys_.linear_iters}
+    if not no_solution:
+        info["bracket"] = (float(sub), float(super_))
     if reason:
         info["reason"] = reason
-    else:
-        info["bracket"] = (float(sub), float(super_))
     return SolveReport(bool(converged), it, rinf, sol, info)
 
 

@@ -65,3 +65,45 @@ def mirror(sf, dom):
     development, itself a parabolic graph: its ma_residual is the dual
     Monge-Ampere residual, and its y and phi_star give back x and phi**."""
     return graph_development(dom, sf.y[..., 0], sf.y[..., 1], sf.phi_star)
+
+
+# the sparse matrix of the d^2/dz dzbar stencil, the oracle that the
+# matrix-free stencils and solves of the package are checked against
+def _second_diff_matrix(n, periodic):
+    import scipy.sparse as sp
+
+    if periodic:
+        return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
+                        shape=(n, n), format="csr")
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+def _centered_diff_matrix(n):
+    import scipy.sparse as sp
+
+    return sp.diags([0.5, -0.5, 0.5, -0.5], [1 - n, -1, 1, n - 1],
+                    shape=(n, n), format="csr")
+
+
+def dzzbar_matrix(domain):
+    """Sparse matrix of the d^2/dz dzbar stencil on the unknowns, flattened:
+    every node of a torus, and on a planar grid the Dirichlet restriction
+    to the (n-2) x (m-2) interior nodes, built from interior-sized factors
+    (the interior of a lattice is a product of index ranges)."""
+    import scipy.sparse as sp
+
+    n, m = domain.shape
+    if not domain.periodic:
+        n, m = n - 2, m - 2
+    a, b, c, den = domain.dzzbar_coeffs
+    D1 = _second_diff_matrix(n, domain.periodic)
+    D2 = _second_diff_matrix(m, domain.periodic)
+    In, Im = sp.identity(n), sp.identity(m)
+    L = a * sp.kron(D1, Im) + b * sp.kron(In, D2)
+    if c != 0:
+        if not domain.periodic:
+            # Dirichlet problems are posed on the orthogonal grids of
+            # Domain.rectangle and Domain.disk_patch
+            raise ValueError("the planar stencil matrix has no cross term")
+        L = L + c * sp.kron(_centered_diff_matrix(n), _centered_diff_matrix(m))
+    return (L / den).tocsr()

@@ -339,8 +339,10 @@ def test_unconverged_solve_exits_3(tmp_path, name, stage):
     assert report["residuals"] == []
     # the stage that raised is still timed, and nothing ran after it
     assert set(report["timings"]) == {"solve"}
-    assert report["warnings"][0].startswith(
-        "SolveError: solver did not converge")
+    reason = report["solver"]["reason"]
+    assert reason.startswith("max_iter: ")
+    assert report["warnings"][0] == (
+        f"SolveError: solver did not converge: {reason}")
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["passed"] is False
 
@@ -384,10 +386,13 @@ def test_weierstrass_stage(tmp_path):
 
 
 # runs cli.main on the argv given as JSON in sys.argv[1] in a fresh
-# interpreter, then prints the exit code and every scipy module loaded
+# interpreter, every Krylov solve made to fail if sys.argv[2] is given,
+# then prints the exit code and every scipy module loaded
 _FRESH_RUN = """
 import json, sys
-from titeica import cli
+from titeica import cli, pde
+if len(sys.argv) > 2:
+    pde.cg = pde.minres = lambda A, b, **kwargs: (0.0 * b, 1)
 try:
     code = cli.main(json.loads(sys.argv[1]))
 except SystemExit as exc:  # argparse exits after --help
@@ -404,12 +409,14 @@ def _fresh_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _fresh_run(tmp_path, cfg, stage):
+def _fresh_run(tmp_path, cfg, stage, failing_krylov=False):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     argv = ["--help"] if stage is None else [
         stage, "--config", str(path), "--out-dir", str(tmp_path)]
-    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argv)],
+    flag = ["failing_krylov"] if failing_krylov else []
+    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argv),
+                          *flag],
                          capture_output=True, text=True, env=_fresh_env(),
                          check=True, timeout=300)
     code, scipy_modules = json.loads(out.stdout.splitlines()[-1])
@@ -439,8 +446,7 @@ def test_fresh_run_without_solve_loads_no_scipy(tmp_path, cfg, stage, expect):
 
 
 def test_fresh_solve_loads_no_optimize_or_interpolate(tmp_path):
-    # the Krylov solves and their transforms are numpy's; scipy is left
-    # to the direct fallback, which a converging solve never reaches
+    # the Krylov solves and their transforms are numpy's
     cfg = torus_config(domain={"kind": "torus", "tau": [0.0, 1.0],
                                "shape": [16, 16]})
     code, scipy_modules = _fresh_run(tmp_path, cfg, "all")
@@ -481,7 +487,21 @@ def test_fresh_krylov_solve_loads_no_scipy(tmp_path, name):
     assert code == 0
     assert scipy_modules == set()
     solver = json.loads((tmp_path / "report.json").read_text())["solver"]
-    assert solver["linear_iters"] > 0 and solver["spsolve_fallbacks"] == 0
+    assert solver["linear_iters"] > 0
+
+
+@pytest.mark.parametrize("name", ["ch2_continuation", "cp2_rectangle",
+                                  "disk_patch"])
+def test_fresh_linear_stall_loads_no_scipy(tmp_path, name):
+    # a Krylov solve that fails ends the solve, with no other solve to
+    # fall back on
+    stage, cfg = _fresh_krylov_runs()[name]
+    code, scipy_modules = _fresh_run(tmp_path, cfg, stage,
+                                     failing_krylov=True)
+    assert code == 3
+    assert scipy_modules == set()
+    solver = json.loads((tmp_path / "report.json").read_text())["solver"]
+    assert solver["reason"].startswith("linear_stall: ")
 
 
 # builds the ch2_continuation benchmark's Pipeline in a fresh interpreter,
@@ -957,7 +977,6 @@ def test_cli_linear_iters_summed_over_continuation(tmp_path):
     steps = [r.info["linear_iters"] for r in fam.reports]
     assert all(k > 0 for k in steps[1:])
     assert report["solver"]["linear_iters"] == sum(steps)
-    assert report["solver"]["spsolve_fallbacks"] == 0
     # the per-step record is the last solve's
     hist = report["solver"]["history"]
     assert hist == fam.reports[-1].info["history"]
@@ -965,16 +984,19 @@ def test_cli_linear_iters_summed_over_continuation(tmp_path):
     assert len(hist["eta"]) == report["solver"]["iterations"]
 
 
-def test_cli_reports_spsolve_fallbacks(tmp_path, monkeypatch):
+def test_cli_reports_linear_stall(tmp_path, monkeypatch):
     def failing_cg(A, b, **kwargs):
         return np.zeros_like(b), 1
 
     monkeypatch.setattr(pde, "cg", failing_cg)
-    _, report = cli.run(torus_config(), stage="solve", out_dir=tmp_path)
+    code, report = cli.run(torus_config(), stage="all", out_dir=tmp_path)
+    assert code == 3 and report["passed"] is False
     s = report["solver"]
-    assert s["converged"] and s["iterations"] > 0
-    assert s["spsolve_fallbacks"] == s["iterations"]
+    assert not s["converged"] and s["iterations"] == 1
     assert s["linear_iters"] == 0
+    assert s["reason"].startswith("linear_stall: ")
+    assert report["warnings"][0] == (
+        f"SolveError: solver did not converge: {s['reason']}")
 
 
 def test_cli_monotone_meets_tol(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 import titeica as tz
 from titeica.errors import OutOfDomainError
-from titeica.geometry import dzzbar_matrix, second_diffs
+from titeica.geometry import second_diffs
+from tests.conftest import dzzbar_matrix
 
 TAGS = {
     (1, -1): "hyperbolic_affine_sphere",

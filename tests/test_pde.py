@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 
 import numpy as np
@@ -8,8 +7,9 @@ from scipy.optimize import bisect, brentq
 from scipy.sparse.linalg import LinearOperator, spsolve
 
 import titeica as tz
-from titeica import geometry, pde
+from titeica import pde
 from titeica.errors import InvalidSignCase, NoConstantSolution, SingularInputError
+from tests.conftest import dzzbar_matrix
 
 FLAT = tz.BackgroundMetric("flat")
 POIN = tz.BackgroundMetric("poincare_disk")
@@ -384,41 +384,20 @@ def _failing_cg(A, b, **kwargs):
     return np.zeros_like(b), 1
 
 
-def test_continuation_builds_one_stencil(monkeypatch):
-    # the Krylov solves apply the stencil matrix-free, so a converging
-    # continuation builds no matrix; when every CG fails, the direct
-    # fallback builds one, cached on the Domain for every t, and its
-    # solutions are those of a fresh matrix per step
-    builds = []
-    build = geometry.dzzbar_matrix
-
-    def counting(domain):
-        builds.append(domain)
-        return build(domain)
-
-    monkeypatch.setattr(geometry, "dzzbar_matrix", counting)
+def test_continuation_stops_at_linear_stall(monkeypatch):
+    # t = 0 (Q = 0) is solved by u = 0 without a step; the first step, at
+    # t = 0.1, makes a Krylov solve, which fails: the family stops there
+    monkeypatch.setattr(pde, "cg", _failing_cg)
+    monkeypatch.setattr(pde, "minres", _failing_cg)
     dom = tz.Domain.disk_patch(0.7, 20, 20)
     Q0 = tz.CubicDifferential.constant(1.0)
-    case = tz.SignCase(-1, -1)
-    t_grid = [0.0, 0.1, 0.2, 0.3]
-    p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), case)
-    krylov = tz.continuation_family(p0, Q0, t_grid)
-    assert krylov.converged_all and builds == []
-    monkeypatch.setattr(pde, "cg", _failing_cg)
-    res = tz.continuation_family(p0, Q0, t_grid)
-    assert res.converged_all and builds == [dom]
-    steps = [rep.iterations for rep in res.reports]
-    assert [rep.info["spsolve_fallbacks"] for rep in res.reports] == steps
-    seed = None
-    for t, rep, ref in zip(t_grid, res.reports, krylov.reports):
-        assert np.abs(rep.solution.u - ref.solution.u).max() <= 1e-10
-        fresh = dataclasses.replace(dom)   # equal grid, empty cache
-        ref = tz.solve_newton(tz.PdeProblem(fresh, POIN, Q0.scaled(t), case),
-                              seed)
-        assert np.array_equal(rep.solution.u, ref.solution.u)
-        seed = ref.solution.u
-    # one build per fresh domain whose solve took a Newton step
-    assert len(builds) == 1 + sum(k > 0 for k in steps)
+    p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), tz.SignCase(-1, -1))
+    res = tz.continuation_family(p0, Q0, [0.0, 0.1, 0.2, 0.3])
+    assert res.failure_index == 1 and res.t_grid == [0.0, 0.1]
+    first, stalled = res.reports
+    assert first.converged and first.iterations == 0
+    assert not stalled.converged and stalled.iterations == 1
+    assert stalled.info["reason"].startswith("linear_stall: ")
 
 
 # -- stencil matrix and fast-Poisson preconditioner -----------------------------
@@ -455,7 +434,7 @@ def _sliced_reference(dom):
 
 @STENCIL_DOMAINS
 def test_interior_matrix_direct_assembly(dom):
-    L_int = geometry.dzzbar_matrix(dom)
+    L_int = dzzbar_matrix(dom)
     sliced = _sliced_reference(dom)
     assert L_int.shape == sliced.shape and (L_int != sliced).nnz == 0
     # independent oracle: the array stencil applied to interior unit vectors
@@ -477,9 +456,9 @@ def test_stencil_operators_match_matrix(dom, monkeypatch):
     # the matrix-free product against the sparse matrix, the oracle: L_int
     # column by column; then the solve of (L + diag(s)) x = v for an
     # all-negative shift (CG) and a mixed one (MINRES), and, with both
-    # Krylov methods made to fail, by the direct fallback's matrix
+    # Krylov methods made to fail, no solution at all
     sys_ = pde._System(_stencil_problem(dom))
-    L = geometry.dzzbar_matrix(dom)
+    L = dzzbar_matrix(dom)
     size = sys_.interior.size
     cols = np.empty((size, size))
     for col in range(size):
@@ -490,16 +469,15 @@ def test_stencil_operators_match_matrix(dom, monkeypatch):
     assert np.abs(cols - L.toarray()).max() <= 1e-12 * scale
     rng = np.random.default_rng(8)
     v, s = rng.normal(size=size), rng.normal(size=size)
-    for failing in (False, True):
-        if failing:
-            monkeypatch.setattr(pde, "cg", _failing_cg)
-            monkeypatch.setattr(pde, "minres", _failing_cg)
-        for shift in (-np.abs(s), s):
-            ref = spsolve((L + sp.diags(shift)).tocsc(), v)
-            x = sys_.solve(shift, v)
-            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert sys_.spsolve_fallbacks == 2 * failing
+    for shift in (-np.abs(s), s):
+        ref = spsolve((L + sp.diags(shift)).tocsc(), v)
+        x = sys_.solve(shift, v)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     assert sys_.linear_iters > 0
+    monkeypatch.setattr(pde, "cg", _failing_cg)
+    monkeypatch.setattr(pde, "minres", _failing_cg)
+    for shift in (-np.abs(s), s):
+        assert sys_.solve(shift, v) is None
 
 
 @pytest.mark.parametrize("dom", [tz.Domain.rectangle(1.0, 0.6, 17, 23),
@@ -513,7 +491,7 @@ def test_interior_stencil_sums_like_csr(dom):
     f = np.zeros(dom.shape)
     f[1:-1, 1:-1] = rng.normal(size=(n - 2, m - 2))
     s = rng.normal(size=(n - 2, m - 2))
-    J = geometry.dzzbar_matrix(dom) + sp.diags(s.ravel())
+    J = dzzbar_matrix(dom) + sp.diags(s.ravel())
     ref = J @ f[1:-1, 1:-1].ravel()
     assert np.array_equal(dom.dzzbar_interior(f, s).ravel(), ref)
 
@@ -526,7 +504,7 @@ def test_torus_symbol_from_impulse(dom):
     from scipy.fft import rfftn
 
     sys_ = pde._System(_stencil_problem(dom))
-    kernel = geometry.dzzbar_matrix(dom)[:, [0]].toarray().reshape(dom.shape)
+    kernel = dzzbar_matrix(dom)[:, [0]].toarray().reshape(dom.shape)
     ref = -rfftn(kernel).real
     ref[0, 0] = 0.0
     assert np.abs(sys_.symbol - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -540,7 +518,7 @@ def test_torus_symbol_from_impulse(dom):
 def test_fast_poisson_inverse(dom, c):
     sys_ = pde._System(_stencil_problem(dom))
     r = np.random.default_rng(5).normal(size=sys_.interior.size)
-    P = (-geometry.dzzbar_matrix(dom) + c * sp.identity(r.size)).tocsc()
+    P = (-dzzbar_matrix(dom) + c * sp.identity(r.size)).tocsc()
     ref = spsolve(P, r)
     got = sys_.precond(c)(r)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -553,7 +531,7 @@ def test_fast_poisson_torus_mean_mode():
     r = np.random.default_rng(6).normal(size=sys_.interior.size)
     r -= r.mean()
     x = sys_.precond(0.0)(r)
-    L = geometry.dzzbar_matrix(OBLIQUE)
+    L = dzzbar_matrix(OBLIQUE)
     assert np.abs(-L @ x - r).max() <= 1e-12 * np.abs(r).max()
 
 
@@ -581,7 +559,7 @@ def _krylov_system(dom, shift):
     sign = -1.0 if np.all(shift < 0) else 1.0
     b = np.random.default_rng(12).normal(size=shift.size)
     M = sys_.precond(float(np.mean(np.abs(shift))))
-    L = sign * (geometry.dzzbar_matrix(dom) + sp.diags(shift))
+    L = sign * (dzzbar_matrix(dom) + sp.diags(shift))
     return (lambda v: sign * sys_.shifted(v, shift)), M, b, L.tocsc()
 
 
@@ -619,7 +597,7 @@ def test_minres_matches_direct_solve(dom):
     # the system indefinite
     from scipy.sparse.linalg import minres
 
-    scale = np.abs(geometry.dzzbar_matrix(dom).diagonal()).mean()
+    scale = np.abs(dzzbar_matrix(dom).diagonal()).mean()
     size = np.flatnonzero(dom.interior_mask).size
     shift = np.random.default_rng(14).normal(scale=scale, size=size)
     A, M, b, L = _krylov_system(dom, shift)
@@ -637,8 +615,8 @@ def test_minres_matches_direct_solve(dom):
 
 @pytest.mark.parametrize("name,shift_sign", [("cg", -1.0), ("minres", 1.0)])
 def test_krylov_maxiter_reports_failure(name, shift_sign):
-    # a solve cut off before it converges returns a nonzero info, which
-    # sends _System.solve to its direct fallback
+    # a solve cut off before it converges returns a nonzero info, on which
+    # _System.solve returns no step and the solve stops as linear_stall
     dom = tz.Domain.disk_patch(0.7, 20, 20)
     size = np.flatnonzero(dom.interior_mask).size
     shift = shift_sign * np.random.default_rng(15).uniform(0.5, 3.0, size)
@@ -693,7 +671,6 @@ def test_linear_iterations_flat_in_n(name):
     small, large = SOLVES[name](32), SOLVES[name](128)
     assert small.converged and large.converged
     assert small.iterations == large.iterations
-    assert small.info["spsolve_fallbacks"] == large.info["spsolve_fallbacks"] == 0
     # every linear solve takes at least one Krylov iteration ...
     assert small.info["linear_iters"] >= small.iterations
     # ... and the exact fast-Poisson preconditioner keeps the count from
@@ -761,12 +738,77 @@ def test_stall_guard_resolves_exactly(monkeypatch):
     assert rep.residual_inf <= pde.NEWTON_TOL
 
 
+# Newton on a torus starts with an all-negative shift (CG); CH^2 with
+# Q = 1 on a flat rectangle starts with a mixed one (MINRES)
+STALLS = {
+    "torus_cg": ("cg", lambda: tz.PdeProblem(
+        tz.Domain.torus(1j, 16, 16), FLAT, tz.CubicDifferential.constant(1.0),
+        HYP)),
+    "ch2_minres": ("minres", lambda: tz.PdeProblem(
+        tz.Domain.rectangle(1.0, 1.0, 16, 16), FLAT,
+        tz.CubicDifferential.constant(1.0), tz.SignCase(-1, -1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLS))
+def test_newton_stops_at_linear_stall(name, monkeypatch):
+    hook, problem = STALLS[name]
+    other = {"cg": "minres", "minres": "cg"}[hook]
+    calls = []
+
+    def failing(A, b, **kwargs):
+        calls.append(kwargs["rtol"])
+        return _failing_cg(A, b)
+
+    def never(A, b, **kwargs):
+        raise AssertionError(f"{other} called")
+
+    monkeypatch.setattr(pde, hook, failing)
+    monkeypatch.setattr(pde, other, never)
+    rep = tz.solve_newton(problem())
+    assert not rep.converged and rep.iterations == 1
+    assert rep.info["reason"].startswith("linear_stall: ")
+    assert rep.info["history"]["step"] == [0.0]
+    # a failed loose solve is not solved again: the stall ends the solve
+    assert calls == rep.info["history"]["eta"] == [pde.FORCING_MAX]
+
+
+def test_monotone_stops_at_linear_stall(monkeypatch):
+    monkeypatch.setattr(pde, "cg", _failing_cg)
+    rep = SOLVES["disk_monotone"](16)
+    assert not rep.converged and rep.iterations == 0
+    assert rep.info["reason"].startswith("linear_stall: ")
+    assert rep.info["history"] == {"min_step": [], "max_u": []}
+    assert rep.info["bracket"][0] == 0.0
+
+
+def test_newton_stops_at_line_search_stall(monkeypatch):
+    # a linear solve that converges to a zero step: no halving of it
+    # lowers the residual, at the forcing term or at LINEAR_RTOL
+    monkeypatch.setattr(pde, "cg",
+                        lambda A, b, **kwargs: (np.zeros_like(b), 0))
+    rep = SOLVES["disk_newton"](16)
+    assert not rep.converged and rep.iterations == 1
+    assert rep.info["reason"].startswith("line_search_stall: ")
+    assert rep.info["history"]["eta"] == [pde.LINEAR_RTOL]
+    assert rep.info["history"]["step"] == [0.0]
+
+
+@pytest.mark.parametrize("solve", [tz.solve_newton, tz.solve_monotone])
+def test_stops_at_max_iter(solve):
+    p = tz.PdeProblem(tz.Domain.disk_patch(0.7, 16, 16), POIN,
+                      tz.CubicDifferential.polynomial([0.5, 0.3]), HYP)
+    rep = solve(p, max_iter=1)
+    assert not rep.converged and rep.iterations == 1
+    assert rep.info["reason"].startswith("max_iter: ")
+
+
 @pytest.mark.parametrize("name", sorted(SOLVES))
 def test_matches_direct_solve(name, monkeypatch):
     fast = SOLVES[name](48)
 
     def direct(self, shift, rhs, rtol=pde.LINEAR_RTOL):
-        L = geometry.dzzbar_matrix(self.p.domain)
+        L = dzzbar_matrix(self.p.domain)
         return spsolve((L + sp.diags(shift)).tocsc(), rhs)
 
     monkeypatch.setattr(pde._System, "solve", direct)
@@ -774,16 +816,6 @@ def test_matches_direct_solve(name, monkeypatch):
     assert fast.converged and ref.converged
     assert fast.iterations == ref.iterations
     assert np.abs(fast.solution.u - ref.solution.u).max() <= 1e-10
-
-
-@pytest.mark.parametrize("name", sorted(SOLVES))
-def test_converging_solves_build_no_matrix(name, monkeypatch):
-    def no_matrix(domain):
-        raise AssertionError("stencil matrix built on a converging solve")
-
-    monkeypatch.setattr(geometry, "dzzbar_matrix", no_matrix)
-    rep = SOLVES[name](32)
-    assert rep.converged and rep.info["spsolve_fallbacks"] == 0
 
 
 @pytest.mark.parametrize("name", ["cg", "minres"])
@@ -818,6 +850,6 @@ def test_callback_counts_linear_iters(name, hook, monkeypatch):
     monkeypatch.setattr(pde, hook, counting)
     monkeypatch.setattr(pde, other, never)
     rep = SOLVES[name](32)
-    assert rep.converged and rep.info["spsolve_fallbacks"] == 0
+    assert rep.converged and "reason" not in rep.info
     assert counts["calls"] == rep.iterations
     assert counts["iters"] == rep.info["linear_iters"] > 0
