@@ -31,8 +31,9 @@ from .immersion import (affine_sphere_immersion, minlag_c2_immersion,
                         verify_minlag_c2)
 from .pde import (PdeProblem, check_monotone, continuation_family,
                   continuation_grid, solve_monotone, solve_newton)
-from .projective import (develop_rp2, holonomy_report, quadric_fit,
-                         semiflat_develop, semiflat_dual_roundtrip)
+from .projective import (develop_rp2, holonomy_report, monge_ampere_gate,
+                         quadric_fit, semiflat_develop,
+                         semiflat_dual_roundtrip)
 from .weierstrass import HoloPair, parabolic_from_holomorphic
 
 SCHEMA_VERSION = 1
@@ -287,11 +288,6 @@ class Pipeline:
             "grid": list(self.domain.shape), "case": self.case.geometry_tag,
             "pass": bool(value <= tol)})
 
-    def _gate_monge_ampere(self, sf):
-        # det Hess phi = 1, off the two outer rings of one-sided stencils
-        self.add_residual("monge_ampere",
-                          float(np.abs(sf.ma_residual[2:-2, 2:-2]).max()))
-
     # -- stages ---------------------------------------------------------
     def solve(self):
         method = self.method
@@ -391,7 +387,9 @@ class Pipeline:
             return
         if self.case.lam == 0:
             sf = semiflat_develop(self.mesh)
-            self._gate_monge_ampere(sf)
+            # monge_ampere_gate's nodes and values, read off the development
+            self.add_residual("monge_ampere",
+                              float(np.abs(sf.ma_residual[2:-2, 2:-2]).max()))
             roundtrip = semiflat_dual_roundtrip(sf)
             self.add_residual("legendre_roundtrip", roundtrip)
             self.report["semiflat"] = {
@@ -419,7 +417,7 @@ class Pipeline:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.mesh = mesh
-        self._gate_monge_ampere(semiflat_develop(mesh))
+        self.add_residual("monge_ampere", monge_ampere_gate(mesh.vertices))
         self.report["weierstrass"] = {"bound_margin": mesh.meta["margin"]}
 
 

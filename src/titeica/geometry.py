@@ -38,6 +38,11 @@ GEOMETRY_TAGS = {
 }
 SIGNS_BY_TAG = {tag: signs for signs, tag in GEOMETRY_TAGS.items()}
 
+# bytes of one complex field over a block of grid rows, in the stages that
+# stream a grid a block of rows at a time (`row_blocks`): 32 rows at 512
+# columns
+ROWS_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class SignCase:
@@ -109,8 +114,21 @@ def polyval(coeffs, z):
     """Horner evaluation of sum_i coeffs[i] z^i (ascending coefficients)."""
     out = np.zeros(np.shape(z), dtype=complex)
     for a in reversed(coeffs):
-        out = out * z + a
+        out *= z
+        out += a
     return out
+
+
+def row_blocks(start, stop, m, min_rows=1):
+    """Half-open ranges (r0, r1) that cover the rows start..stop - 1 of a
+    grid of m columns, in order, each of as many rows as one complex field
+    of ROWS_BLOCK_BYTES holds (at least `min_rows`); a last range shorter
+    than `min_rows` joins the one before it."""
+    rows = max(min_rows, ROWS_BLOCK_BYTES // (16 * m))
+    bounds = list(range(start, stop, rows)) + [stop]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < min_rows:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _grid_shape(n, m):
@@ -172,9 +190,15 @@ class Domain:
     # -- coordinates ---------------------------------------------------
     @property
     def z(self):
+        return self.z_block()
+
+    def z_block(self, rows=slice(None), cols=slice(None)):
+        """z at the nodes of a block of grid rows and columns (two
+        slices), by the one expression of `z`: every value keeps its
+        bits."""
         n, m = self.shape
-        j = np.arange(n)[:, None]
-        k = np.arange(m)[None, :]
+        j = np.arange(n)[rows, None]
+        k = np.arange(m)[None, cols]
         return self.origin + j * self.step1 + k * self.step2
 
     @property

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateVertexError, InvalidSignCase
 from .frames import holonomy
-from .geometry import lattice_diff, second_diffs
+from .geometry import lattice_diff, row_blocks, second_diffs
 
 
 def normalize_rp2(v):
@@ -130,25 +130,24 @@ class SemiFlatData:
 
 
 def _chain_rule_hessian(x1, x2, phi):
-    """Gradient and Hessian of phi with respect to (x1, x2) on a curved
-    grid, by the chain rule through the lattice Jacobian, written out
-    entry by entry for the 2x2 matrices."""
+    """Gradient of phi and det Hess_x phi with respect to (x1, x2) on a
+    curved grid, by the chain rule through the lattice Jacobian J, written
+    out entry by entry for the 2x2 matrices.  Each stencil reaches one
+    row each way, but the one-sided ones of the first and last rows."""
     # rows d x^i of J
     x1j, x1k = lattice_diff(x1, 0), lattice_diff(x1, 1)
     x2j, x2k = lattice_diff(x2, 0), lattice_diff(x2, 1)
     det = x1j * x2k - x1k * x2j
     if np.any(det == 0):
         raise DegenerateVertexError("degenerate affine development")
-    # closed-form 2x2 inverse a = adj J / det J, indexed [lattice, x]
-    a00, a01 = x2k / det, -x1k / det
-    a10, a11 = -x2j / det, x1j / det
-    # each field freed early keeps the peak RSS down
-    del x1j, x1k, x2j, x2k, det
     pj, pk = lattice_diff(phi, 0), lattice_diff(phi, 1)
-    grad = np.empty(phi.shape + (2,))  # d phi / d x = a^T d phi
-    grad[..., 0] = a00 * pj + a10 * pk
-    grad[..., 1] = a01 * pj + a11 * pk
-    del pj, pk
+    # d phi / d x = a^T d phi, with the closed-form 2x2 inverse
+    # a = adj J / det J, indexed [lattice, x]
+    grad = np.empty(phi.shape + (2,))
+    grad[..., 0] = x2k / det * pj + -x2j / det * pk
+    grad[..., 1] = -x1k / det * pj + x1j / det * pk
+    # each field freed early keeps the peak RSS down
+    del x1j, x1k, x2j, x2k, pj, pk
     # second lattice differences of phi minus gradient-weighted curvature
     # of x: the symmetric matrix l
     l00, l11, l01 = second_diffs(phi)
@@ -158,13 +157,9 @@ def _chain_rule_hessian(x1, x2, phi):
         l01 -= g * xjk
         l11 -= g * xkk
     del xjj, xkk, xjk
-    # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = (a^T l) a
-    H = np.empty(phi.shape + (2, 2))
-    for i, (ai0, ai1) in enumerate(((a00, a10), (a01, a11))):
-        s0, s1 = ai0 * l00 + ai1 * l01, ai0 * l01 + ai1 * l11
-        H[..., i, 0] = s0 * a00 + s1 * a10
-        H[..., i, 1] = s0 * a01 + s1 * a11
-    return grad, H
+    # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = a^T l a and
+    # det Hess_x = det l det(a)^2 = det l / det J^2
+    return grad, (l00 * l11 - l01 * l01) / (det * det)
 
 
 def semiflat_develop(mesh):
@@ -175,11 +170,28 @@ def semiflat_develop(mesh):
         raise InvalidSignCase("semi-flat development needs a parabolic mesh")
     v = np.asarray(mesh.vertices, dtype=float)
     x1, x2, phi = v[..., 0], v[..., 1], v[..., 2]
-    grad, H = _chain_rule_hessian(x1, x2, phi)
-    ma = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0] - 1.0
-    y = grad
+    y, det_hess = _chain_rule_hessian(x1, x2, phi)
     phi_star = x1 * y[..., 0] + x2 * y[..., 1] - phi
-    return SemiFlatData(np.stack([x1, x2], axis=-1), phi, y, phi_star, ma)
+    return SemiFlatData(np.stack([x1, x2], axis=-1), phi, y, phi_star,
+                        det_hess - 1.0)
+
+
+def monge_ampere_gate(vertices):
+    """max |det Hess_x phi - 1| over the nodes off the two outer rings of
+    a parabolic mesh's (x1, x2, phi) vertices, the `monge_ampere` gate,
+    computed a block of grid rows at a time (`row_blocks`) with one halo
+    row on each side: the rows of a block get the whole grid's values,
+    bit for bit.  The discarded halo rows run `lattice_diff2`'s one-sided
+    formula, which reads four rows, so a block has at least two rows."""
+    v = np.asarray(vertices, dtype=float)
+    n, m = v.shape[:2]
+    worst = 0.0
+    for r0, r1 in row_blocks(2, n - 2, m, min_rows=2):
+        b = v[r0 - 1:r1 + 1]
+        _, det_hess = _chain_rule_hessian(b[..., 0], b[..., 1], b[..., 2])
+        # np.maximum, unlike max, keeps a nan
+        worst = np.maximum(worst, np.abs(det_hess[1:-1, 2:-2] - 1.0).max())
+    return float(worst)
 
 
 def semiflat_dual_roundtrip(sf):

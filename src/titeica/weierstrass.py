@@ -10,17 +10,23 @@ is a parabolic affine sphere with affine normal (0, 0, 1) and metric
 weight e^{2 psi} = (|G'|^2 - |F'|^2)/8.  The harmonic part of the height
 is fixed by the structure equations; the printed sources disagree on the
 constant in the |G|^2 - |F|^2 term, so the arbiter is the Monge-Ampere
-residual det Hess phi - 1 of the semi-flat development
-(`projective.semiflat_develop`, the graph phi over (x^1, x^2)): the
-`weierstrass` stage gates it, and it is frozen as a regression test.  The
-Legendre-dual mirror data are that development's too.
+residual det Hess phi - 1 of the semi-flat development (the graph phi
+over (x^1, x^2)), with det Hess phi = det l / det J^2 for J the lattice
+Jacobian of x and l the lattice Hessian of phi less its curvature terms
+(`projective._chain_rule_hessian`): the `weierstrass` stage gates it
+(`projective.monge_ampere_gate`), and it is frozen as a regression test.
+The Legendre-dual mirror data are `projective.semiflat_develop`'s.
+
+The mesh and its gate are computed a block of grid rows at a time
+(`geometry.row_blocks`): only the vertices and psi are full-size, and
+every value has the bits of the whole-grid computation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import polyval
+from .geometry import polyval, row_blocks
 from .immersion import E3, ImmersionMesh
 
 
@@ -71,36 +77,48 @@ def _cumulative_simpson(y, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
-def _parabolic_vertices(pair, domain, dGv):
-    """(Re W, Im W, s) per node; int F dG is accumulated by path
-    integration from the grid origin (path independence is a property of
-    the holomorphic integrand)."""
-    z = domain.z
-    Fv, Gv = pair.F(z), pair.G(z)
-    integrand = Fv * dGv
-    spine = _cumulative_simpson(integrand[:, 0] * domain.step1, axis=0)
-    teeth = _cumulative_simpson(integrand * domain.step2, axis=1)
-    I = spine[:, None] + teeth
-    W = 0.5 * (Gv + np.conj(Fv))
-    s = ((np.abs(Gv) ** 2 - np.abs(Fv) ** 2) / 8.0
-         + np.real(Fv * Gv) / 4.0 - 0.5 * np.real(I))
-    return np.stack([W.real, W.imag, s], axis=-1)
-
-
 def parabolic_from_holomorphic(pair, domain):
     """Parabolic affine sphere mesh from an admissible pair on a planar
-    domain."""
+    domain, a block of grid rows at a time (`row_blocks`): only the
+    vertices and psi are full-size.  int F dG is accumulated by path
+    integration from the grid origin, down column 0 (the spine) and then
+    along each row (the teeth); path independence is a property of the
+    holomorphic integrand.  A ValueError if |F'| < |G'| fails at a node,
+    or if the pair overflows float64."""
     if domain.periodic:
         raise ValueError("the holomorphic representation lives on planar domains")
-    z = domain.z
-    dGv = pair.dG(z)
-    abs_dF, abs_dG = np.abs(pair.dF(z)), np.abs(dGv)
-    margin = float(np.min(abs_dG - abs_dF))
-    if margin <= 0:
+    n, m = domain.shape
+    vertices = np.empty((n, m, 3))
+    psi = np.empty((n, m))
+    margin = np.inf
+    finite = True
+    # non-finite values are rejected below, as bad input
+    with np.errstate(all="ignore"):
+        zc = domain.z_block(cols=slice(0, 1))[:, 0]
+        spine = _cumulative_simpson(pair.F(zc) * pair.dG(zc) * domain.step1)
+        for r0, r1 in row_blocks(0, n, m):
+            z = domain.z_block(slice(r0, r1))
+            Fv, Gv, dGv = pair.F(z), pair.G(z), pair.dG(z)
+            abs_dF, abs_dG = np.abs(pair.dF(z)), np.abs(dGv)
+            # np.minimum, unlike min, keeps a nan margin
+            margin = np.minimum(margin, np.min(abs_dG - abs_dF))
+            psi[r0:r1] = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
+            teeth = _cumulative_simpson(Fv * dGv * domain.step2, axis=1)
+            W = 0.5 * (Gv + np.conj(Fv))
+            v = vertices[r0:r1]
+            v[..., 0], v[..., 1] = W.real, W.imag
+            v[..., 2] = ((np.abs(Gv) ** 2 - np.abs(Fv) ** 2) / 8.0
+                         + np.real(Fv * Gv) / 4.0
+                         - 0.5 * np.real(spine[r0:r1, None] + teeth))
+            finite &= bool(np.isfinite(v).all()
+                           and np.isfinite(psi[r0:r1]).all())
+    margin = float(margin)
+    if not margin > 0:
         raise ValueError(
             f"derivative bound |F'| < |G'| violated (margin {margin:.3e})")
-    vertices = _parabolic_vertices(pair, domain, dGv)
-    psi = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
+    if not finite:
+        raise ValueError("the pair overflows float64: a vertex or psi is "
+                         "not finite")
 
     # the (n, m, 3, 3) complex frame is built on its first read: the
     # development and the export use the vertices only

@@ -107,3 +107,56 @@ def dzzbar_matrix(domain):
             raise ValueError("the planar stencil matrix has no cross term")
         L = L + c * sp.kron(_centered_diff_matrix(n), _centered_diff_matrix(m))
     return (L / den).tocsr()
+
+
+# the whole-grid Weierstrass representation and H-based chain rule that
+# the row-block streaming of weierstrass.parabolic_from_holomorphic and
+# projective.monge_ampere_gate replaced: their oracles
+def whole_grid_parabolic(pair, domain):
+    """(vertices, psi, margin) of the pair on a planar domain, every field
+    over the whole grid at once."""
+    from titeica.weierstrass import _cumulative_simpson
+
+    z = domain.z
+    dGv = pair.dG(z)
+    abs_dF, abs_dG = np.abs(pair.dF(z)), np.abs(dGv)
+    margin = float(np.min(abs_dG - abs_dF))
+    Fv, Gv = pair.F(z), pair.G(z)
+    integrand = Fv * dGv
+    spine = _cumulative_simpson(integrand[:, 0] * domain.step1, axis=0)
+    teeth = _cumulative_simpson(integrand * domain.step2, axis=1)
+    I = spine[:, None] + teeth
+    W = 0.5 * (Gv + np.conj(Fv))
+    s = ((np.abs(Gv) ** 2 - np.abs(Fv) ** 2) / 8.0
+         + np.real(Fv * Gv) / 4.0 - 0.5 * np.real(I))
+    vertices = np.stack([W.real, W.imag, s], axis=-1)
+    psi = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
+    return vertices, psi, margin
+
+
+def chain_rule_hessian_H(x1, x2, phi):
+    """Gradient and the full 2x2 Hessian H of phi with respect to
+    (x1, x2), H = a^T l a with a the inverse lattice Jacobian."""
+    from titeica.geometry import lattice_diff, second_diffs
+
+    x1j, x1k = lattice_diff(x1, 0), lattice_diff(x1, 1)
+    x2j, x2k = lattice_diff(x2, 0), lattice_diff(x2, 1)
+    det = x1j * x2k - x1k * x2j
+    a00, a01 = x2k / det, -x1k / det
+    a10, a11 = -x2j / det, x1j / det
+    pj, pk = lattice_diff(phi, 0), lattice_diff(phi, 1)
+    grad = np.empty(phi.shape + (2,))
+    grad[..., 0] = a00 * pj + a10 * pk
+    grad[..., 1] = a01 * pj + a11 * pk
+    l00, l11, l01 = second_diffs(phi)
+    for g, x in ((grad[..., 0], x1), (grad[..., 1], x2)):
+        xjj, xkk, xjk = second_diffs(x)
+        l00 -= g * xjj
+        l01 -= g * xjk
+        l11 -= g * xkk
+    H = np.empty(phi.shape + (2, 2))
+    for i, (ai0, ai1) in enumerate(((a00, a10), (a01, a11))):
+        s0, s1 = ai0 * l00 + ai1 * l01, ai0 * l01 + ai1 * l11
+        H[..., i, 0] = s0 * a00 + s1 * a10
+        H[..., i, 1] = s0 * a01 + s1 * a11
+    return grad, H

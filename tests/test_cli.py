@@ -13,6 +13,7 @@ import pytest
 import titeica as tz
 from titeica import _objtext, cli, pde
 from titeica.errors import ConfigError, TiteicaError
+from titeica.projective import monge_ampere_gate
 
 
 def torus_config(**overrides):
@@ -536,6 +537,27 @@ def test_weierstrass_rejects_bad_pair(tmp_path):
     }
     with pytest.raises(ConfigError):
         cli.run(cfg, stage="weierstrass", out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("f_coeffs, g_coeffs, message", [
+    # F' and G' overflow to inf: the margin is nan
+    ([[0.0, 0.0], [0.0, 0.0], [1e308, 0.0]],
+     [[0.0, 0.0], [0.0, 0.0], [1.5e308, 0.0]], "margin nan"),
+    # a finite margin, but |G|^2 overflows in the height
+    ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1.5e300, 0.0]],
+     "overflows float64"),
+], ids=["nan_margin", "vertex_overflow"])
+def test_weierstrass_rejects_overflowing_pair(tmp_path, f_coeffs, g_coeffs,
+                                              message, capsys):
+    cfg = dict(weierstrass_config(16),
+               weierstrass={"f_coeffs": f_coeffs, "g_coeffs": g_coeffs})
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = cli.main(["weierstrass", "--config", str(path), "--out-dir", str(out)])
+    assert rc == 2 and message in capsys.readouterr().err
+    assert not (out / "mesh.obj").exists()
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("case", ["minlag_ch2", "elliptic_affine_sphere"])
@@ -1074,6 +1096,16 @@ def test_legendre_roundtrip_is_second_order(tmp_path, n):
     h = 1.0 / (n - 1)
     # measured 0.12 h^2 at 24^2 and 0.15 h^2 at 48^2
     assert entry["pass"] and entry["value"] <= 0.2 * h * h
+
+
+def test_develop_gates_monge_ampere_as_the_weierstrass_stage():
+    # develop reads the gate off its whole-grid development; the
+    # weierstrass stage streams it over blocks of rows
+    pipe = cli.Pipeline(parabolic_develop_config(24))
+    for step in cli.STAGES["all"]:
+        getattr(pipe, step)()
+    entry, = (r for r in pipe.residuals if r["name"] == "monge_ampere")
+    assert entry["value"] == monge_ampere_gate(pipe.mesh.vertices)
 
 
 def test_legendre_sign_error_fails_develop(tmp_path, monkeypatch):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import titeica as tz
+from titeica import geometry
 from titeica.errors import OutOfDomainError
-from titeica.geometry import second_diffs
+from titeica.geometry import polyval, row_blocks, second_diffs
 from tests.conftest import dzzbar_matrix
 
 TAGS = {
@@ -176,6 +177,37 @@ def test_lattice_hessian_periodic_symbol():
     assert np.abs(f_jj + 4 * np.sin(t1 / 2) ** 2 * f).max() <= 1e-12
     assert np.abs(f_kk + 4 * np.sin(t2 / 2) ** 2 * f).max() <= 1e-12
     assert np.abs(f_jk + np.sin(t1) * np.sin(t2) * f).max() <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 6])
+def test_polyval_in_place_horner_is_bit_equal(degree):
+    # the in-place step out *= z; out += a against out = out * z + a
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    z = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    ref = np.zeros(z.shape, dtype=complex)
+    for a in reversed(coeffs):
+        ref = ref * z + a
+    # as HoloPair holds them: Python complex numbers
+    assert np.array_equal(polyval(tuple(map(complex, coeffs)), z), ref)
+
+
+def test_z_block_keeps_the_bits_of_z():
+    dom = tz.Domain.rectangle(0.7, 0.55, 37, 20)
+    z = dom.z
+    assert np.array_equal(dom.z_block(slice(5, 9)), z[5:9])
+    assert np.array_equal(dom.z_block(cols=slice(0, 1)), z[:, :1])
+
+
+def test_row_blocks_fold_a_short_last_block():
+    # the rows of 8 columns that one complex field of the budget holds
+    rows = geometry.ROWS_BLOCK_BYTES // (16 * 8)
+    assert row_blocks(0, 2 * rows + 1, 8) == [(0, rows), (rows, 2 * rows),
+                                             (2 * rows, 2 * rows + 1)]
+    assert row_blocks(0, 2 * rows + 1, 8, min_rows=2) == [
+        (0, rows), (rows, 2 * rows + 1)]
+    m = geometry.ROWS_BLOCK_BYTES  # wider than the budget: min_rows rows
+    assert row_blocks(2, 9, m, min_rows=2) == [(2, 4), (4, 6), (6, 9)]
 
 
 def test_metric_solution_psi():

@@ -1,11 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import titeica as tz
-from titeica import cli, weierstrass
-from tests.conftest import graph_development, mirror
+from titeica import cli, geometry, projective, weierstrass
+from tests.conftest import (chain_rule_hessian_H, graph_development, mirror,
+                            whole_grid_parabolic)
 
 # the three frozen regression pairs (admissible: |F'| < |G'| on the grid)
 PAIRS = [
@@ -97,9 +99,9 @@ def test_lazy_frame_matches_eager(pair):
 
 
 def test_path_integral_independence():
-    # int F dG is path independent, which _parabolic_vertices relies on:
-    # spine then teeth and teeth then spine agree at every node with the
-    # exact polynomial antiderivative
+    # int F dG is path independent, which parabolic_from_holomorphic
+    # relies on: spine then teeth and teeth then spine agree at every node
+    # with the exact polynomial antiderivative
     pair = PAIRS[2]
     dom = tz.Domain.rectangle(0.7, 0.55, 49, 49)
     integrand = pair.F(dom.z) * pair.dG(dom.z)
@@ -114,6 +116,101 @@ def test_path_integral_independence():
     oracle = P(dom.z, anti) - P(dom.z[0, 0], anti)
     assert np.abs(spine_teeth - teeth_spine).max() < 1e-10
     assert np.abs(spine_teeth - oracle).max() < 1e-9
+
+
+# -- row-block streaming ----------------------------------------------------------
+# The pair of the benchmark's weierstrass_mesh workload at seed 0.
+WORKLOAD = {"f_coeffs": [[0.0, 0.0], [0.1, 0.0], [0.05, 0.02]],
+            "g_coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.1, 0.0]]}
+WORKLOAD_PAIR = cli.parse_pair(WORKLOAD)
+
+# 16^2 and 37x20 are one block each; at 512 columns a block is 32 rows,
+# so 65 rows end in a block of one row, and of the 69 rows the 65 gated
+# ones end in one row that joins the block before
+STREAM_SHAPES = [(16, 16), (37, 20), (512, 512), (65, 512), (69, 512)]
+
+
+def whole_grid_gates(v):
+    """The monge_ampere gate over the whole grid, from det l / det J^2 and
+    from the determinant of the full Hessian H."""
+    _, det_hess = projective._chain_rule_hessian(v[..., 0], v[..., 1],
+                                                 v[..., 2])
+    _, H = chain_rule_hessian_H(v[..., 0], v[..., 1], v[..., 2])
+    ma_H = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0] - 1.0
+    return (np.abs(det_hess - 1.0)[2:-2, 2:-2].max(),
+            np.abs(ma_H[2:-2, 2:-2]).max())
+
+
+def assert_streams_exactly(dom):
+    mesh = tz.parabolic_from_holomorphic(WORKLOAD_PAIR, dom)
+    vertices, psi, margin = whole_grid_parabolic(WORKLOAD_PAIR, dom)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.psi, psi)
+    assert mesh.meta["margin"] == margin
+    gate = projective.monge_ampere_gate(mesh.vertices)
+    whole, by_H = whole_grid_gates(vertices)
+    assert gate == whole
+    # det Hess is about 1; measured up to 3 ulp of 1.0 apart
+    assert abs(gate - by_H) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("shape", STREAM_SHAPES)
+def test_streamed_mesh_and_gate_match_whole_grid(shape):
+    assert_streams_exactly(tz.Domain.rectangle(1.0, 1.0, *shape))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", [(16, 16), (37, 20)])
+def test_streaming_is_exact_for_any_block(monkeypatch, shape, rows):
+    # a budget of `rows` rows (the gate's blocks keep at least two)
+    monkeypatch.setattr(geometry, "ROWS_BLOCK_BYTES", 16 * shape[1] * rows)
+    assert_streams_exactly(tz.Domain.rectangle(0.7, 0.55, *shape))
+
+
+def workload_config(n):
+    return {"schema_version": 1, "case": "parabolic_affine_sphere",
+            "domain": {"kind": "rectangle", "width": 1.0, "height": 1.0,
+                       "shape": [n, n]},
+            "weierstrass": WORKLOAD}
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_weierstrass_stage_memory(n):
+    # all but the vertices and psi the mesh keeps is one block of rows;
+    # measured 2.9 MiB at both grids (whole-grid fields: 40 MiB at 512^2)
+    pipe = cli.Pipeline(workload_config(n))
+    tracemalloc.start()
+    try:
+        pipe.weierstrass_stage()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = pipe.mesh.vertices.nbytes + pipe.mesh.psi.nbytes
+    assert peak - kept <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [33, 129])
+@pytest.mark.parametrize("mutation", ["height", "sin"])
+def test_monge_ampere_gate_fails_mutated_height(tmp_path, monkeypatch,
+                                                mutation, n):
+    # measured at the whole-grid gate: 77x and 1230x the tolerance for
+    # "height", 14x and 57x for "sin", at 33^2 and 129^2
+    def mutated(pair, domain):
+        mesh = tz.parabolic_from_holomorphic(pair, domain)
+        z = domain.z
+        if mutation == "height":  # the |G|^2 - |F|^2 term counted twice
+            bump = (np.abs(pair.G(z)) ** 2 - np.abs(pair.F(z)) ** 2) / 8.0
+        else:
+            bump = 0.1 * domain.hmax * np.sin(2.0 * np.pi * z.real)
+        v = mesh.vertices.copy()
+        v[..., 2] += bump
+        mesh.vertices = v
+        return mesh
+
+    monkeypatch.setattr(cli, "parabolic_from_holomorphic", mutated)
+    code, report = cli.run(workload_config(n), stage="weierstrass",
+                           out_dir=tmp_path)
+    assert code == 1 and report["failed_checks"] == ["monge_ampere"]
 
 
 def loop_cumulative_simpson(y, axis=0):
