@@ -1,7 +1,9 @@
 """OBJ and JSON text in numpy: exactly the bytes of CPython's
 ``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d %d\\n"`` rows, and the
 nested lists of ``json.dumps`` with its floats written as ``'%.17g'``, a
-block of values at a time.
+block of values at a time.  The "f" rows are the quads of a grid: each
+block writes the text of a vertex index once and copies it to the four
+slots of its quads.
 
 Both formats are rows of values under a row template: a lead written
 before each column's value and a tail after it.  The OBJ row is "v" and
@@ -25,8 +27,7 @@ never rounds up to 10^17 in this range (see `_decimal`).  Every other
 value (zeros, subnormals, |x| <= 10^-11, |x| >= 10^17, inf and nan) is
 formatted by Python: by ``'%.17g'`` in OBJ, and in JSON so too, except
 that zeros and non-finite values take the tokens of ``json.dumps``
-(``json.loads`` reads ``-0``, the %.17g of -0.0, as the integer 0).  So
-is every integer of 17 digits or more, by ``'%d'``.
+(``json.loads`` reads ``-0``, the %.17g of -0.0, as the integer 0).
 """
 
 import json
@@ -35,14 +36,16 @@ from math import isfinite
 
 import numpy as np
 
-# values per block: the temporaries of a block stay within about 12 MB
-BLOCK = 1 << 15
-# values per block of JSON: a fresh CH^2 run peaks lower with blocks of
-# 2^13 values than of 2^15
-JSON_BLOCK = 1 << 13
+# values per block, OBJ and JSON: a block's slots, masks and temporaries
+# (about 3 MB) stay near a 2 MB L2 cache, and each temporary of one value
+# per slot (64 KB) stays under glibc's 128 KB mmap threshold, so that a
+# run reuses its heap instead of mapping fresh pages for every block
+BLOCK = 1 << 13
 
 # bytes before each value's head: its column's separator or brackets
 _LEAD = 2
+# no slot formatted by Python
+_NONE = np.arange(0)
 
 _U64 = np.uint64
 _E16, _E17 = _U64(10 ** 16), _U64(10 ** 17)
@@ -165,7 +168,7 @@ class _Slots:
         self.chars[self.ends] = self.templates[self.ncols]
         self.col_code[self.ends] = self.ncols * self.ncodes
 
-    def select(self, code, index, texts):
+    def select(self, code, index=_NONE, texts=()):
         """Set prefixes and masks of the first code.size slots by code, and
         the bodies of those at flat indices to Python's texts."""
         size = code.size
@@ -179,7 +182,7 @@ class _Slots:
             self.chars[index, h:h + self.body] = body
             self.mask[index, h:h + self.body] = body != 0
 
-    def text(self, size, index):
+    def text(self, size, index=_NONE):
         """The kept bytes of the first size slots; then the slots at flat
         indices get their template bytes back."""
         out = self.chars[:size][self.mask[:size]]
@@ -303,7 +306,7 @@ def _float_text(values, columns, block, python, group=0):
 
 def float_rows(values):
     """Yield the bytes of ``"v %.17g %.17g ...\\n" % tuple(row)`` for the
-    rows of a 2-D float array, a block of about 2^15 values at a time."""
+    rows of a 2-D float array, a block of about BLOCK values at a time."""
     values = np.asarray(values, dtype=np.float64)
     return _float_text(values, _obj_row(b"v", values.shape[1]), BLOCK,
                        b"%.17g".__mod__)
@@ -317,7 +320,7 @@ def _json_float(x):
 def json_array(values):
     """Yield the bytes of ``json.dumps(values.tolist())`` for a float
     array of 2 to 4 dimensions, each float as ``'%.17g'`` but zeros and
-    non-finite values as json.dumps writes them, a block of about 2^13
+    non-finite values as json.dumps writes them, a block of about BLOCK
     values at a time.  json.loads reads every float back bit-exactly."""
     values = np.asarray(values, dtype=np.float64)
     if not 2 <= values.ndim <= 4:
@@ -328,54 +331,59 @@ def json_array(values):
     n, m, *cell = values.shape
     text = b"[["
     for block in _float_text(values.reshape(n * m, -1), _json_row(cell),
-                             JSON_BLOCK, _json_float, group=m):
+                             BLOCK, _json_float, group=m):
         yield text
         text = block
     yield text[:-len(b", [")]      # the last grid row opens no next one
     yield b"]"
 
 
-# -- integers --------------------------------------------------------------
+# -- face indices ----------------------------------------------------------
 #
-# slot: lead lead '-' _ | D..D __ | tail, the digits of |i| < 10^w
-# left-aligned in the first w <= 16 places of the body; wider values are
-# formatted by Python into the whole body
+# slot: lead lead | D..D | tail, the digits of a one-based vertex index
+# 0 < i < 10^w left-aligned in a body of w <= 16 places
 
 
 @cache
-def _int_tables(columns, w, width):
-    """Tables with one mask per code (digits - 1) * 2 + negative, for
-    bodies of width bytes."""
-    pos = np.arange(_LEAD, _LEAD + 2 + width)
-    digits = np.arange(1, w + 1)[:, None, None]
-    neg = np.arange(2)[:, None]
-    keep = (((pos == _LEAD) & (neg == 1))
-            | ((pos >= _LEAD + 2) & (pos < _LEAD + 2 + digits)))
-    keep = np.broadcast_to(keep, (w, 2, pos.size)).reshape(-1, pos.size)
-    return _tables(columns, b"-_", b"0" * w + b"_" * (width - w), keep)
+def _index_tables(w):
+    """Tables of the OBJ row "f a b c d" with one mask per code digits - 1,
+    for bodies of w digits."""
+    pos = np.arange(_LEAD, _LEAD + w)
+    keep = pos < _LEAD + np.arange(1, w + 1)[:, None]
+    return _tables(_obj_row(b"f", 4), b"", b"0" * w, keep)
 
 
-def int_rows(values):
-    """Yield the bytes of ``"f %d %d ...\\n" % tuple(row)`` for the rows of
-    a 2-D int64 array, a block of about 2^15 values at a time."""
-    values = np.asarray(values, dtype=np.int64)
-    widest = max(int(values.max(initial=0)), -int(values.min(initial=0)))
-    w = min(16, 4 * -(-len(str(widest)) // 4))
-    # room for Python's text of any value
-    width = max(w, len(str(-widest)))
-    rows, blocks = _blocks(values, BLOCK)
-    slots = _Slots(_int_tables(_obj_row(b"f", values.shape[1]), w, width),
-                   values.shape[1], rows)
-    for _, i in blocks:
-        n = np.abs(i).astype(_U64)   # |-2^63| wraps to 2^63, as wanted
-        fast = n < _POW10[w]
-        n[~fast] = 0
-        digits = np.ones(i.size, np.int64)
-        for p in _POW10[1:w]:
-            digits += n >= p
-        n *= np.take(_POW10, w - digits)
-        _put_groups(slots.chars[:i.size], (4,), _groups(n, w // 4))
-        other = np.flatnonzero(~fast)
-        slots.select((digits - 1) * 2 + ((i < 0) & fast),
-                     other, [b"%d" % v for v in i[other].tolist()])
-        yield slots.text(i.size, other)
+def _index_text(chars, first, w):
+    """Write the indices first, first + 1, ... (below 10^w) left-aligned
+    in the bodies of the rows of chars, one index a row; return their
+    codes, the number of digits less one."""
+    i = np.arange(first, first + len(chars), dtype=_U64)
+    digits = np.searchsorted(_POW10, i, side="right")
+    i *= np.take(_POW10, w - digits)
+    _put_groups(chars, (_LEAD,), _groups(i, w // 4))
+    return digits - 1
+
+
+def face_rows(n, m):
+    """Yield the bytes of ``"f %d %d %d %d\\n"`` rows of the one-based
+    vertex indices of the quads of an n x m grid (n m < 10^16), in the
+    order of `ImmersionMesh.quads`, a block of grid rows of about BLOCK
+    values at a time.  Each block writes the text of the indices of its
+    vertex rows once and gathers four slots per quad."""
+    if n < 2 or m < 2:
+        return
+    w = 4 * -(-len(str(n * m)) // 4)
+    per = min(max(1, BLOCK // (4 * (m - 1))), n - 1)
+    first = np.arange(per)[:, None] * m + np.arange(m - 1)
+    corners = np.stack([first, first + m, first + m + 1, first + 1], axis=-1).ravel()
+    slots = _Slots(_index_tables(w), 4, per * (m - 1))
+    # a slot per vertex of a block's rows; its tail, the newline, is kept
+    # only where the vertex is the last corner of a quad
+    vertex = np.tile(slots.templates[3], ((per + 1) * m, 1))
+    for start in range(0, n - 1, per):
+        rows = min(per, n - 1 - start)
+        size = 4 * (m - 1) * rows
+        code = _index_text(vertex[:(rows + 1) * m], start * m + 1, w)
+        np.take(vertex, corners[:size], axis=0, out=slots.chars[:size], mode="clip")
+        slots.select(np.take(code, corners[:size]))
+        yield slots.text(size)

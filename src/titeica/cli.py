@@ -12,6 +12,7 @@ except `develop`'s note that only affine meshes are developed.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -435,14 +436,11 @@ def _holonomy_json(rep):
 
 def _obj_text(mesh):
     """OBJ text of a mesh in R^3, a block of rows at a time: the vertex
-    rows, then the quads, one-based, a block of grid rows per call."""
+    rows, then the quads, one-based."""
     from . import _objtext  # on the first OBJ export: setup pays nothing
 
-    n, m = mesh.vertices.shape[:2]
     yield from _objtext.float_rows(mesh.vertices.reshape(-1, 3))
-    step = max(1, _objtext.BLOCK // (4 * max(m - 1, 1)))
-    for start in range(0, n - 1, step):
-        yield from _objtext.int_rows(mesh.quads(start, start + step) + 1)
+    yield from _objtext.face_rows(*mesh.vertices.shape[:2])
 
 
 def _json_text(mesh):
@@ -465,10 +463,10 @@ def export_mesh(mesh, path):
     """OBJ for meshes embedded in R^3 (17 significant digits, LF endings,
     quad faces); JSON dump with complex entries as [re, im] otherwise.
 
-    One process writes either format a block of values at a time (about
-    2^15 for OBJ, 2^13 for JSON), so memory stays bounded by one block
-    whatever the size of the mesh; numpy formats the text (see
-    `_objtext`).  The OBJ bytes are those of the rows
+    One process writes either format a block of 2^13 values at a time
+    (`_objtext.BLOCK`), so memory stays bounded by one block whatever the
+    size of the mesh; numpy formats the text, and each vertex index of
+    the quads once (see `_objtext`).  The OBJ bytes are those of the rows
     "v %.17g %.17g %.17g\\n" and "f %d %d %d %d\\n" formatted by Python,
     one row each.  The JSON is that of json.dumps with each float as
     %.17g, but zeros and non-finite values as json.dumps writes them, so
@@ -518,9 +516,12 @@ STAGES = {
 
 
 def run(cfg, stage="all", out_dir="."):
-    """Run the pipeline; returns (exit_code, report_dict)."""
+    """Run the pipeline; returns (exit_code, report_dict).  A stage that
+    raises ConfigError writes nothing and removes the directories that
+    the run made for out_dir."""
     pipe = Pipeline(cfg)
     out = Path(out_dir)
+    created = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
     pipe.report["stage"] = stage
     code = 0
@@ -534,6 +535,9 @@ def run(cfg, stage="all", out_dir="."):
                 pipe.timings[step.removesuffix("_stage")] = (
                     time.perf_counter() - t0)
     except ConfigError:
+        for path in created:  # innermost first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
         raise
     except TiteicaError as exc:
         pipe.warnings.append(f"{type(exc).__name__}: {exc}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from titeica import _objtext
-from tests.test_cli import special_float_mesh
+from tests.test_cli import special_float_mesh, vertex_mesh
 
 
 def float_reference(values):
@@ -17,17 +17,18 @@ def float_reference(values):
                     for row in values.tolist())
 
 
-def int_reference(values):
-    return b"".join(b"f" + b"".join(b" %d" % i for i in row) + b"\n"
-                    for row in values.tolist())
+def face_reference(n, m):
+    """The "f" rows of the one-based quads of an n x m grid, by %d."""
+    faces = vertex_mesh(np.zeros((n, m, 3))).faces + 1
+    return b"".join(b"f %d %d %d %d\n" % tuple(q) for q in faces.tolist())
 
 
 def float_text(values):
     return b"".join(bytes(t) for t in _objtext.float_rows(values))
 
 
-def int_text(values):
-    return b"".join(bytes(t) for t in _objtext.int_rows(values))
+def face_text(n, m):
+    return b"".join(bytes(t) for t in _objtext.face_rows(n, m))
 
 
 def json_reference(values):
@@ -136,27 +137,37 @@ def test_special_float_mesh():
 
 @pytest.mark.parametrize("ncols", [1, 2, 5])
 def test_any_row_width(ncols):
-    # a row of one value, and rows wider than the OBJ's 3 and 4
+    # a row of one value, and rows wider than the OBJ's 3
     x = powers_of_ten()[: 400 * ncols].reshape(-1, ncols)
     assert float_text(x) == float_reference(x)
-    i = np.arange(-200, 200 * ncols - 200).reshape(-1, ncols) * 7919
-    assert int_text(i) == int_reference(i)
 
 
 def test_ints():
-    rng = np.random.default_rng(23)
-    edges = [0, 1, -1, 2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1]
-    edges += [s * (10 ** j + d) for j in range(19) for d in (-1, 0, 1)
-              for s in (1, -1)]
-    cases = [
-        rng.integers(-2 ** 63, 2 ** 63 - 1, (40_000, 4), dtype=np.int64),
-        rng.integers(1, 262_145, (40_000, 4)),
-        np.resize(np.array(edges, dtype=np.int64), (len(edges) // 4 + 1, 4)),
-        np.zeros((3, 4), dtype=np.int64),
-        np.zeros((0, 4), dtype=np.int64),
-    ]
-    for i in cases:
-        assert int_text(i) == int_reference(i)
+    # the index text of the face writer: runs of indices across 10^j, in
+    # the narrowest slot that holds them and in the widest, 16 digits
+    for j in range(1, 16):
+        for first in (10 ** j - 3, 10 ** j - 1, 10 ** j, 10 ** j + 1):
+            last = first + 3
+            narrow = 4 * -(-len(str(last)) // 4)
+            for w in sorted({narrow, 16}):
+                chars = np.zeros((4, 2 + w), np.uint8)
+                code = _objtext._index_text(chars, first, w)
+                for row, c, i in zip(chars, code.tolist(), range(first, last + 1)):
+                    assert bytes(row[2:3 + c]) == b"%d" % i, (i, w)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 4), (11, 10), (40, 30),
+                                  (101, 100), (7, 5), (1, 5), (5, 1)])
+def test_face_rows(monkeypatch, n, m):
+    # vertex indices that cross 10, 100 and 1000 inside one block of
+    # faces, and 10^4 inside the last of (101, 100), whose blocks of 20
+    # grid rows hold vertex indices 8001..10100; then blocks of one grid
+    # row (the 1, 7 and 64 values end inside one) and of several; grids
+    # of one row or one column have no faces
+    assert face_text(n, m) == face_reference(n, m)
+    for block in (1, 7, 64, 1000):
+        monkeypatch.setattr(_objtext, "BLOCK", block)
+        assert face_text(n, m) == face_reference(n, m), block
 
 
 def assert_json_array(values):
@@ -204,5 +215,5 @@ def test_json_block_boundaries(monkeypatch, shape):
     values = np.random.default_rng(25).standard_normal(shape)
     width = math.prod(shape[2:])
     for vertices in (1, 3, 4, 5, 8, 100):
-        monkeypatch.setattr(_objtext, "JSON_BLOCK", vertices * width)
+        monkeypatch.setattr(_objtext, "BLOCK", vertices * width)
         assert_json_array(values)
