@@ -17,11 +17,20 @@ symmetric, reads (L_int + diag(shift)) x = rhs, and `_System.solve` is
 the one place that solves it.  The shift fixes the method: CG on the
 negated, positive definite system when every shift is negative (the
 hyperbolic affine sphere, and every monotone step), MINRES otherwise
-(Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  Both are
-preconditioned by P = -L + c I at c = mean |shift|, inverted exactly in
-the eigenbasis of L (Concus and Golub, SIAM J. Numer. Anal. 10, 1973):
-X -> S_n X S_m with the orthonormal sine matrices on Dirichlet grids, a
-real FFT on tori.  Their iteration counts do not grow with the grid.  The
+(Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  Both stop on the
+preconditioned relative residual, and both are preconditioned by
+P = -L + c I at c = mean |shift|, inverted in the eigenbasis of L
+(Concus and Golub, SIAM J. Numer. Anal. 10, 1973): by a real FFT on
+tori, exactly, and on Dirichlet grids by X -> S_n X S_m with the
+orthonormal sine matrices, in single precision.  A preconditioner need
+not be exact: the float32 transforms are within a few 1e-6 of P^{-1},
+relative, and take half the time of float64 ones.  The Newton and Krylov
+counts of the solves in the tests and the benchmark stay those of the
+exact inverse; MINRES on a strongly indefinite system can take twice the
+iterations (1210 against 556 on the 17 x 23 rectangle of
+tests/test_pde.py).  All that the solve decides on stays float64: the
+operator, the Krylov recurrences and their stopping tests, and the
+Newton residual.  The iteration counts do not grow with the grid.  The
 operator is matrix-free (Knoll and Keyes, J. Comput. Phys. 193, 2004):
 `_System.shifted` applies the lattice stencil L_int of `geometry`.
 
@@ -31,13 +40,15 @@ at residual ||F||_inf solves its linear system only to the relative
 tolerance eta = min(FORCING_MAX, max(LINEAR_RTOL, FORCING_SCALE
 ||F||_inf)), so the first steps, far from the root, take a few Krylov
 iterations and the last ones solve to LINEAR_RTOL.  FORCING_SCALE is
-1e-3 rather than 1e-2 because MINRES stops on ||r|| <= rtol ||A|| ||x||,
-looser than CG's ||r|| < rtol ||b||: at 1e-2 the CP^2 solve at 256^2
-takes a fourth Newton step.  If the line search finds no decrease along
-a loosely solved step, that step is solved again once at LINEAR_RTOL
-before Newton gives up.  The monotone iteration keeps LINEAR_RTOL on
-every step: its iterates rise from the subsolution and stay below the
-supersolution only when each step is exact.
+1e-3 rather than 1e-2 for the first step: on the CP^2 rectangle of
+tests/test_pde.py (Q = 0.25 + 0.15z, ||F||_inf = 1.5 at the start), a
+first step solved to 1e-2 leaves a residual of 7e-2 rather than 9e-3,
+and the solve takes a fourth Newton step at 128^2 and 256^2.  If the
+line search finds no decrease along a loosely solved step, that step is
+solved again once at LINEAR_RTOL before Newton gives up.  The monotone
+iteration keeps LINEAR_RTOL on every step: its iterates rise from the
+subsolution and stay below the supersolution only when each step is
+exact.
 
 A solve that does not converge says why in info["reason"]:
 ``linear_stall`` (a Krylov solve did not converge, and `_System.solve`
@@ -270,12 +281,13 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
     """Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
     1975) for A x = b, with A symmetric, possibly indefinite, and M = P^{-1}
     symmetric positive definite, both functions of a vector.  The Lanczos
-    recurrence and Givens rotations of scipy.sparse.linalg.minres, which
-    stops when ||r|| <= rtol ||A|| ||x|| or ||A r|| <= rtol ||A|| ||r||
-    (norms estimated by the recurrence).  scipy also returns success when
-    its condition or precision estimates end the iteration; here those
-    iterate on until maxiter.  One callback(x) per iteration.  Returns
-    (x, info), info 0 on convergence and maxiter otherwise."""
+    recurrence and Givens rotations of scipy.sparse.linalg.minres, but
+    the stop of `cg`, in the norm the recurrence minimizes: ||r||_M <=
+    rtol ||b||_M, that is phibar <= rtol beta1.  scipy's tests on
+    ||r|| <= rtol ||A|| ||x|| and ||A r|| <= rtol ||A|| ||r|| loosen as the
+    grid is refined, since ||A|| grows like h^-2.  One callback(x) per
+    iteration.  Returns (x, info), info 0 on convergence and maxiter
+    otherwise."""
     x = np.zeros_like(b)
     y = M(b)
     beta1 = np.dot(b, y)
@@ -285,10 +297,11 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
         return x, 0
     beta1 = math.sqrt(beta1)
     eps = np.finfo(float).eps
+    atol = rtol * beta1
     r1 = r2 = b
     w = np.zeros_like(b)
     w2 = np.zeros_like(b)
-    beta, oldb, dbar, epsln, phibar, tnorm2 = beta1, 0.0, 0.0, 0.0, beta1, 0.0
+    beta, oldb, dbar, epsln, phibar = beta1, 0.0, 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
     for it in range(1, maxiter + 1):
         # Lanczos step: v_k, alfa_k, beta_{k+1} in the P-inner product
@@ -304,14 +317,12 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
         if beta < 0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
-        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
         # previous rotation on the new column, then the next rotation
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        root = math.hypot(gbar, dbar)
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
@@ -320,10 +331,7 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
         x += phi * w
         if callback is not None:
             callback(x)
-        # phibar = ||r||, root = ||A r|| / ||r||, tnorm2 = ||A||_F^2 so far
-        anorm, xnorm = math.sqrt(tnorm2), np.linalg.norm(x)
-        test1 = phibar / (anorm * xnorm) if xnorm > 0 else math.inf
-        if test1 <= rtol or root / anorm <= rtol:
+        if phibar <= atol:  # phibar = ||r||_M
             return x, 0
     return x, maxiter
 
@@ -369,7 +377,16 @@ class _System:
     whose inner block is v: slices only, so a product gathers, scatters
     and differences no edge node.  The transform is numpy's real FFT on a
     torus and X -> S_n X S_m on a planar grid, with the sine matrices
-    built here once."""
+    built here once, in float32 like the symbol they diagonalize: a
+    planar `precond` casts its residual to float32 once and its result
+    back to float64 once, and makes four single-precision products.
+
+    `maxiter` is N, the number of unknowns, within which CG and MINRES end
+    in exact arithmetic.  A Krylov solve of the tests or the benchmark
+    takes at most 64 iterations and at most 0.1 N.  A system whose shift
+    is of both signs and as large as the stencil's diagonal can need more
+    in floating point, and is reported as a stall: MINRES takes 3.8 N on
+    the 17 x 23 rectangle of tests/test_pde.py."""
 
     def __init__(self, p):
         dom = p.domain
@@ -377,7 +394,7 @@ class _System:
         self.interior = np.flatnonzero(dom.interior_mask.ravel())
         self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
         self.linear_iters = 0
-        self.maxiter = 20 * self.interior.size
+        self.maxiter = self.interior.size
         n, m = dom.shape
         if dom.periodic:
             # the stencil is circulant, cross term included: its symbol is
@@ -397,10 +414,25 @@ class _System:
             a, b, _, den = dom.dzzbar_coeffs
             sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2
             sk = 4.0 * np.sin(np.pi * np.arange(1, m - 1) / (2 * (m - 1))) ** 2
-            self.symbol = (a * sj[:, None] + b * sk[None, :]) / den
-            Sn = sine_matrix(n - 2)
-            Sm = Sn if m == n else sine_matrix(m - 2)
-            self._fwd = self._inv = lambda X: Sn @ X @ Sm
+            self.symbol = ((a * sj[:, None] + b * sk[None, :]) / den
+                           ).astype(np.float32)
+            Sn = sine_matrix(n - 2).astype(np.float32)
+            Sm = Sn if m == n else sine_matrix(m - 2).astype(np.float32)
+            # the products run in two float32 buffers of this system, so
+            # an application allocates only its float64 result; with a
+            # new float32 array per product, the heap that glibc kept
+            # after a 512^2 CH^2 solve raised the run's peak by 36 MiB
+            X, Y = np.empty((2,) + self.grid, np.float32)
+
+            def sines(Z):
+                return np.matmul(np.matmul(Sn, Z, out=Y), Sm, out=X)
+
+            def fwd(R):
+                X[...] = R
+                return sines(X)
+
+            self._fwd = fwd
+            self._inv = lambda Z: sines(Z).astype(float)
 
     def shifted(self, v, shift):
         """(L_int + diag(shift)) v for the unknowns v, flattened."""
@@ -416,11 +448,14 @@ class _System:
     def precond(self, c):
         """The function r -> P^{-1} r for P = -L_int + c I (c >= 0), on
         flattened unknowns."""
-        denom = self.symbol + c
+        # in the symbol's precision, whatever the type of c
+        denom = (self.symbol + c).astype(self.symbol.dtype, copy=False)
         denom[denom == 0.0] = 1.0  # torus mean mode at c = 0, where P is singular
 
         def apply(r):
-            return self._inv(self._fwd(r.reshape(self.grid)) / denom).ravel()
+            coeffs = self._fwd(r.reshape(self.grid))
+            coeffs /= denom
+            return self._inv(coeffs).ravel()
 
         return apply
 

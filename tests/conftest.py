@@ -109,6 +109,27 @@ def dzzbar_matrix(domain):
     return (L / den).tocsr()
 
 
+def exact_precond(system, c):
+    """r -> P^{-1} r for P = -L_int + c I on the unknowns of a planar
+    `pde._System`, in float64, with the symbol of the Dirichlet second
+    differences between the dense sine transforms X -> S_n X S_m.  It is
+    the exact inverse that the package's single-precision transforms
+    approximate."""
+    from titeica.pde import sine_matrix
+
+    n, m = system.grid
+    a, b, _, den = system.p.domain.dzzbar_coeffs
+    sj = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+    sk = 4.0 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) ** 2
+    denom = (a * sj[:, None] + b * sk[None, :]) / den + c
+    Sn, Sm = sine_matrix(n), sine_matrix(m)
+
+    def apply(r):
+        return (Sn @ ((Sn @ r.reshape(n, m) @ Sm) / denom) @ Sm).ravel()
+
+    return apply
+
+
 # the whole-grid Weierstrass representation and H-based chain rule that
 # the row-block streaming of weierstrass.parabolic_from_holomorphic and
 # projective.monge_ampere_gate replaced: their oracles
