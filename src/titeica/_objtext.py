@@ -1,14 +1,12 @@
 """OBJ and JSON text in numpy: exactly the bytes of CPython's
 ``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d %d\\n"`` rows, and the
 nested lists of ``json.dumps`` with its floats written as ``'%.17g'``, a
-block of values at a time.  The "f" rows are the quads of a grid: each
-block writes the text of a vertex index once and copies it to the four
-slots of its quads.
+block of values at a time.
 
-Both formats are rows of values under a row template: a lead written
-before each column's value and a tail after it.  The OBJ row is "v" and
-" " separators, then "\\n"; a JSON row is one vertex, "[[re, im], ...],
-", and the last value of each grid row takes one more table column, whose
+Floats are rows of values under a row template: a lead written before
+each column's value and a tail after it.  The OBJ row is "v" and " "
+separators, then "\\n"; a JSON row is one vertex, "[[re, im], ...], ",
+and the last value of each grid row takes one more table column, whose
 tail closes the grid row and opens the next.  Each value gets a
 fixed-width slot of ASCII bytes that holds, in order, its column's lead,
 every character any of its layouts can use, and its column's tail.  A
@@ -16,18 +14,27 @@ boolean mask per slot, looked up in a table by a small code (column,
 layout, sign), keeps the characters of the value's text, and one boolean
 compress per block turns the slots into the text of its rows.
 
-%.17g of a finite normal x with 10^-11 < |x| < 10^17 is integer work.
-With x = m 2^e (m < 2^53) and k = floor(log10 |x|) in [-11, 16], the 17
-significant digits are N = round(|x| 10^(16 - k)), ties to even, and
-m 5^(16 - k) < 2^116 is a 128-bit product of 32-bit limbs, which a shift
-of at most 63 bits scales by 2^(e + 16 - k).  k comes from the floor of
-that scaled product, never from N: the double 1e-7 lies just below
-10^-7, and under k = -7 its floor is 10^16 - 1 while N is 10^16.  N
-never rounds up to 10^17 in this range (see `_decimal`).  Every other
-value (zeros, subnormals, |x| <= 10^-11, |x| >= 10^17, inf and nan) is
-formatted by Python: by ``'%.17g'`` in OBJ, and in JSON so too, except
-that zeros and non-finite values take the tokens of ``json.dumps``
-(``json.loads`` reads ``-0``, the %.17g of -0.0, as the integer 0).
+numpy formats the doubles 10^-6 <= |x| < 10^17.  With k = floor(log10
+|x|) in [-6, 16], the 17 significant digits are N = round(|x| 10^p),
+p = 16 - k, ties to even.  10^p = 5^p 2^p is an exact double for
+p <= 22 (5^22 < 2^53), so Dekker's two-product (Numer. Math. 18, 1971)
+gives |x| 10^p = hi + lo exactly, and from hi >= 2^53, an integer, N is
+hi + rint(lo).  k comes from the floor of that product, never from N:
+under a k one too large, a double less than 5e-17 (relative) below a
+power of ten would round up to N = 10^16, as the double 1e-6 does under
+k = -6.  N never rounds up to 10^17 in this range (see `_decimal`).  Every other value (|x| < 10^-6,
+which takes in the double 1e-6, subnormals and zeros, |x| >= 10^17, inf
+and nan) is formatted by Python, one value at a time: by ``'%.17g'`` in
+OBJ, and in JSON so too, except that zeros and non-finite values take
+the tokens of ``json.dumps`` (``json.loads`` reads ``-0``, the %.17g of
+-0.0, as the integer 0).  Values below 10^-6 are rare in a mesh: the
+workloads' meshes hold at most a few dozen.
+
+The "f" rows are the quads of a grid.  Between two quads at which some
+corner's one-based index reaches a power of ten, every row has the same
+width, and such a run is written as a table of fixed-width rows: the
+digits of each vertex index are written once per block of grid rows,
+and each corner copies a slice of them.
 """
 
 import json
@@ -44,14 +51,13 @@ BLOCK = 1 << 13
 
 # bytes before each value's head: its column's separator or brackets
 _LEAD = 2
-# no slot formatted by Python
-_NONE = np.arange(0)
 
 _U64 = np.uint64
-_E16, _E17 = _U64(10 ** 16), _U64(10 ** 17)
-_KMIN, _KMAX = -11, 16
-_POW5 = _U64(5) ** np.arange(_KMAX - _KMIN + 1, dtype=_U64)
-_POW10 = _U64(10) ** np.arange(17, dtype=_U64)
+_E16 = _U64(10 ** 16)
+# the decimal exponents k of the values numpy formats, 10^-6 <= |x| < 10^17,
+# and the least of those values: the double 1e-6 lies below 10^-6
+_KMIN, _KMAX = -6, 16
+_XMIN = np.nextafter(1e-6, 1.0)
 
 # ASCII of 0000..9999 as one uint32 per entry (its bytes in text order),
 # and the place of the last nonzero digit of each as the jth of four
@@ -168,7 +174,7 @@ class _Slots:
         self.chars[self.ends] = self.templates[self.ncols]
         self.col_code[self.ends] = self.ncols * self.ncodes
 
-    def select(self, code, index=_NONE, texts=()):
+    def select(self, code, index, texts):
         """Set prefixes and masks of the first code.size slots by code, and
         the bodies of those at flat indices to Python's texts."""
         size = code.size
@@ -182,7 +188,7 @@ class _Slots:
             self.chars[index, h:h + self.body] = body
             self.mask[index, h:h + self.body] = body != 0
 
-    def text(self, size, index=_NONE):
+    def text(self, size, index):
         """The kept bytes of the first size slots; then the slots at flat
         indices get their template bytes back."""
         out = self.chars[:size][self.mask[:size]]
@@ -231,59 +237,66 @@ def _float_tables(columns):
     return _tables(columns, b"-0.000", body, keep)
 
 
-def _scaled(m, e, k):
-    """floor(m 2^e 10^(16 - k)) and whether it rounds up, ties to even."""
+def _split(a):
+    """Veltkamp's split of doubles a = hi + lo, each half of at most 26
+    significant bits, so that products of halves are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10^p for p = 16 - k, each an exact double (5^22 < 2^53), and its halves
+_POW10 = np.array([float(10 ** p) for p in range(_KMAX - _KMIN + 1)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(x, xh, xl, k):
+    """floor(x 10^(16 - k)) and its value rounded half to even, as int64,
+    from the exact product x 10^(16 - k) = hi + lo (Dekker's two-product
+    of x = xh + xl and 10^(16 - k))."""
     p = 16 - k
-    f = np.take(_POW5, p)
-    ml, mh = m & _U64(0xFFFFFFFF), m >> _U64(32)
-    fl, fh = f & _U64(0xFFFFFFFF), f >> _U64(32)
-    ll = ml * fl
-    mid = ml * fh + mh * fl          # < 2^63 + 2^53: mh < 2^21, fh < 2^31
-    lo = ll + (mid << _U64(32))
-    hi = mh * fh + (mid >> _U64(32)) + (lo < ll)
-    t = e + p
-    s = np.maximum(-t, 0).astype(_U64)
-    # a 128-bit shift right by s <= 63: hi << 64 is 0 when s is 0
-    floor = ((hi << (_U64(63) - s)) << _U64(1)) | (lo >> s)
-    if t.max() > 0:  # only from about 4.5e15 on
-        floor <<= np.maximum(t, 0).astype(_U64)
-    # the s bits shifted out are rem / 2^s, which rounds up past one half
-    # and, at one half, to an even floor: 2 rem + odd > 2^s
-    one = _U64(1) << s
-    rem = lo & (one - _U64(1))
-    return floor, (rem << _U64(1)) + (floor & _U64(1)) > one
+    fh, fl = np.take(_POW10_HI, p), np.take(_POW10_LO, p)
+    hi = x * np.take(_POW10, p)
+    lo = xh * fh - hi + xh * fl + xl * fh + xl * fl
+    # hi is an integer at and above 2^53 < 10^16, so the floor and the
+    # rounding of hi + lo are those of lo added to hi; below 2^53, where
+    # k is too large, int64(hi) + floor(lo) is at most hi + lo < 10^16
+    whole = hi.astype(np.int64)
+    return (whole + np.floor(lo).astype(np.int64),
+            whole + np.rint(lo).astype(np.int64))
 
 
 def _decimal(x):
-    """N and k of finite normal x with 10^-11 < x < 10^17: %.17g prints
-    the 17 digits of N with decimal exponent k."""
-    bits = x.view(_U64)
-    e = (bits >> _U64(52)).astype(np.int64) - 1075
-    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    """N and k of doubles 10^-6 <= x < 10^17: %.17g prints the 17 digits
+    of N with decimal exponent k.  Smaller values are Python's to format:
+    for them 10^p, p > 22, is no exact double, and one two-product is not
+    enough."""
     k = np.floor(np.log10(x)).astype(np.int64)
     np.clip(k, _KMIN, _KMAX, out=k)
-    floor, up = _scaled(m, e, k)
-    # log10 can be one off next to a power of ten
-    bad = np.flatnonzero((floor < _E16) | (floor >= _E17))
+    xh, xl = _split(x)
+    floor, n = _scaled(x, xh, xl, k)
+    # log10 can be one off next to a power of ten; k stays in [KMIN, KMAX]
+    # as it moves toward the exponent of x, which lies there
+    bad = np.flatnonzero((floor < 10 ** 16) | (floor >= 10 ** 17))
     while bad.size:
-        k[bad] += np.where(floor[bad] < _E16, -1, 1)
-        floor[bad], up[bad] = _scaled(m[bad], e[bad], k[bad])
-        bad = bad[(floor[bad] < _E16) | (floor[bad] >= _E17)]
-    # N = floor + up < 10^17: only x within 5e-18 (relative) below a power
-    # of ten would round up to the next one, and no double in range is
-    return floor + up, k
+        k[bad] += np.where(floor[bad] < 10 ** 16, -1, 1)
+        floor[bad], n[bad] = _scaled(x[bad], xh[bad], xl[bad], k[bad])
+        bad = bad[(floor[bad] < 10 ** 16) | (floor[bad] >= 10 ** 17)]
+    # N < 10^17: only x within 5e-18 (relative) below a power of ten would
+    # round up to the next one, and no double in range is
+    return n.astype(_U64), k
 
 
 def _float_text(values, columns, block, python, group=0):
     """Yield the text of the rows of a 2-D float array under the row
     template columns, a block of about block values at a time; values
-    outside 10^-11 < |x| < 10^17 take python(x)."""
+    outside 10^-6 <= |x| < 10^17 take python(x)."""
     rows, blocks = _blocks(values, block)
     slots = _Slots(_float_tables(columns), values.shape[1], rows, group)
     for row, x in blocks:
         slots.begin(row, x.size)
         ax = np.abs(x)
-        fast = (ax > 1e-11) & (ax < 1e17)
+        fast = (ax >= _XMIN) & (ax < 1e17)
         n, k = _decimal(np.where(fast, ax, 1.0))
         lead = n // _E16
         groups = _groups(n - lead * _E16, 4)
@@ -340,50 +353,88 @@ def json_array(values):
 
 # -- face indices ----------------------------------------------------------
 #
-# slot: lead lead | D..D | tail, the digits of a one-based vertex index
-# 0 < i < 10^w left-aligned in a body of w <= 16 places
+# The "f a b c d" rows of the quads of a grid, whose one-based corner
+# indices a, a + m, a + m + 1 and a + 1 all grow with the quad: between two
+# quads at which a corner's index reaches a power of ten, every row has the
+# same width, and the digits of each corner are a slice of the digits of
+# the vertex indices of the grid rows next to it.
+
+# the (row, column) offsets of the corners of the quad at a vertex, in
+# the order of `ImmersionMesh.quads`
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-@cache
-def _index_tables(w):
-    """Tables of the OBJ row "f a b c d" with one mask per code digits - 1,
-    for bodies of w digits."""
-    pos = np.arange(_LEAD, _LEAD + w)
-    keep = pos < _LEAD + np.arange(1, w + 1)[:, None]
-    return _tables(_obj_row(b"f", 4), b"", b"0" * w, keep)
+def _digits(i, count):
+    """The low 4 * count decimal digits of each uint64 in i, as a row of
+    4 * count ASCII bytes: right-aligned, with leading zeros."""
+    text = np.empty((len(i), 4 * count), np.uint8)
+    _put_groups(text, (0,), _groups(i, count))
+    return text
 
 
-def _index_text(chars, first, w):
-    """Write the indices first, first + 1, ... (below 10^w) left-aligned
-    in the bodies of the rows of chars, one index a row; return their
-    codes, the number of digits less one."""
-    i = np.arange(first, first + len(chars), dtype=_U64)
-    digits = np.searchsorted(_POW10, i, side="right")
-    i *= np.take(_POW10, w - digits)
-    _put_groups(chars, (_LEAD,), _groups(i, w // 4))
-    return digits - 1
+def _face_cuts(n, m):
+    """The quads of an n x m grid, in order, at which some corner's
+    one-based index first reaches a power of ten, between 0 and the
+    number of quads."""
+    quads = (n - 1) * (m - 1)
+    cuts = {0, quads}
+    for j in range(1, len(str(n * m))):
+        for di, dk in _CORNERS:
+            # the corner of the quad at vertex v is 10^j when v is this
+            v = 10 ** j - 1 - di * m - dk
+            # the first quad at a vertex >= v: v - v // m skips the vertex
+            # of column m - 1 in each row before it
+            cuts.add(min(max(v - v // m, 0), quads))
+    return sorted(cuts)
+
+
+def _rectangles(q0, q1, width):
+    """The quads q0..q1 - 1 of a grid of width quads a row as rectangles
+    (rows i0..i1 - 1, columns k0..k1 - 1): whole rows, and the parts of
+    rows before and after them."""
+    while q0 < q1:
+        i, k = divmod(q0, width)
+        rows = 0 if k else (q1 - q0) // width
+        if rows:
+            yield i, i + rows, 0, width
+            q0 += rows * width
+        else:
+            k1 = min(width, k + q1 - q0)
+            yield i, i + 1, k, k1
+            q0 += k1 - k
 
 
 def face_rows(n, m):
     """Yield the bytes of ``"f %d %d %d %d\\n"`` rows of the one-based
     vertex indices of the quads of an n x m grid (n m < 10^16), in the
     order of `ImmersionMesh.quads`, a block of grid rows of about BLOCK
-    values at a time.  Each block writes the text of the indices of its
-    vertex rows once and gathers four slots per quad."""
+    values at a time.  Each block writes the digits of the indices of its
+    vertex rows once (`_digits`), and each run of its quads between two
+    `_face_cuts` as a table of fixed-width rows, whose corners copy
+    slices of those digits."""
     if n < 2 or m < 2:
         return
-    w = 4 * -(-len(str(n * m)) // 4)
+    count = -(-len(str(n * m)) // 4)
     per = min(max(1, BLOCK // (4 * (m - 1))), n - 1)
-    first = np.arange(per)[:, None] * m + np.arange(m - 1)
-    corners = np.stack([first, first + m, first + m + 1, first + 1], axis=-1).ravel()
-    slots = _Slots(_index_tables(w), 4, per * (m - 1))
-    # a slot per vertex of a block's rows; its tail, the newline, is kept
-    # only where the vertex is the last corner of a quad
-    vertex = np.tile(slots.templates[3], ((per + 1) * m, 1))
+    cuts = _face_cuts(n, m)
     for start in range(0, n - 1, per):
-        rows = min(per, n - 1 - start)
-        size = 4 * (m - 1) * rows
-        code = _index_text(vertex[:(rows + 1) * m], start * m + 1, w)
-        np.take(vertex, corners[:size], axis=0, out=slots.chars[:size], mode="clip")
-        slots.select(np.take(code, corners[:size]))
-        yield slots.text(size)
+        stop = min(start + per, n - 1)
+        i = np.arange(start * m + 1, (stop + 1) * m + 1, dtype=_U64)
+        digits = _digits(i, count).reshape(stop + 1 - start, m, -1)
+        lo, hi = start * (m - 1), stop * (m - 1)
+        bounds = [lo] + [q for q in cuts if lo < q < hi] + [hi]
+        for q0, q1 in zip(bounds[:-1], bounds[1:]):
+            # the widths of the corners of quad q0 hold for the run
+            a = q0 + q0 // (m - 1) + 1
+            widths = [len(str(a + di * m + dk)) for di, dk in _CORNERS]
+            row = b"f " + b" ".join(b"0" * w for w in widths) + b"\n"
+            for i0, i1, k0, k1 in _rectangles(q0 - lo, q1 - lo, m - 1):
+                text = np.empty((i1 - i0, k1 - k0, len(row)), np.uint8)
+                text[...] = np.frombuffer(row, np.uint8)
+                at = 2
+                for (di, dk), w in zip(_CORNERS, widths):
+                    # one void item of w bytes a corner copies fastest
+                    text[..., at:at + w].view(f"V{w}")[...] = (
+                        digits[i0 + di:i1 + di, k0 + dk:k1 + dk, -w:].view(f"V{w}"))
+                    at += w + 1
+                yield text.reshape(-1)

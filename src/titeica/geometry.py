@@ -119,15 +119,12 @@ def polyval(coeffs, z):
     return out
 
 
-def row_blocks(start, stop, m, min_rows=1):
+def row_blocks(start, stop, m):
     """Half-open ranges (r0, r1) that cover the rows start..stop - 1 of a
     grid of m columns, in order, each of as many rows as one complex field
-    of ROWS_BLOCK_BYTES holds (at least `min_rows`); a last range shorter
-    than `min_rows` joins the one before it."""
-    rows = max(min_rows, ROWS_BLOCK_BYTES // (16 * m))
+    of ROWS_BLOCK_BYTES holds (at least one), but the last."""
+    rows = max(1, ROWS_BLOCK_BYTES // (16 * m))
     bounds = list(range(start, stop, rows)) + [stop]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] < min_rows:
-        del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
 
 

@@ -350,11 +350,13 @@ def sine_matrix(n):
         S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)):
 
     symmetric, its own inverse, and the eigenbasis of the Dirichlet
-    second difference.  j k is reduced mod 2(n+1) in integers, so
-    every sine is taken at an argument in [0, 2 pi)."""
+    second difference.  j k is reduced mod 2(n+1) in integers, so the
+    matrix gathers its entries from the 2(n+1) values at the arguments
+    pi a/(n+1), a = 0..2n+1, each computed once."""
     j = np.arange(1, n + 1)
-    arg = np.outer(j, j) % (2 * (n + 1))
-    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * arg)
+    period = 2 * (n + 1)
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(period))
+    return table[np.outer(j, j) % period]
 
 
 @dataclass

@@ -129,37 +129,120 @@ class SemiFlatData:
     ma_residual: np.ndarray  # det Hess_x phi - 1
 
 
-def _chain_rule_hessian(x1, x2, phi):
-    """Gradient of phi and det Hess_x phi with respect to (x1, x2) on a
-    curved grid, by the chain rule through the lattice Jacobian J, written
-    out entry by entry for the 2x2 matrices.  Each stencil reaches one
-    row each way, but the one-sided ones of the first and last rows."""
+def _chain_rule(x1, x2, phi, first, second):
+    """det J, the gradient of phi with respect to (x1, x2) as two fields,
+    and det Hess_x phi on a curved grid, by the chain rule through the
+    lattice Jacobian J, written out entry by entry for the 2x2 matrices,
+    from the lattice derivatives first(f) = (f_j, f_k) and second(f) =
+    (f_jj, f_kk, f_jk).  A node with det J = 0 gets inf or nan, without a
+    warning: each caller checks det J on the nodes it keeps."""
     # rows d x^i of J
-    x1j, x1k = lattice_diff(x1, 0), lattice_diff(x1, 1)
-    x2j, x2k = lattice_diff(x2, 0), lattice_diff(x2, 1)
+    x1j, x1k = first(x1)
+    x2j, x2k = first(x2)
     det = x1j * x2k - x1k * x2j
-    if np.any(det == 0):
+    pj, pk = first(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # d phi / d x = a^T d phi, with the closed-form 2x2 inverse
+        # a = adj J / det J, indexed [lattice, x]
+        g0 = x2k / det * pj + -x2j / det * pk
+        g1 = -x1k / det * pj + x1j / det * pk
+        # each field freed early keeps the peak RSS down
+        del x1j, x1k, x2j, x2k, pj, pk
+        # second lattice differences of phi minus gradient-weighted
+        # curvature of x: the symmetric matrix l
+        l00, l11, l01 = second(phi)
+        for g, x in ((g0, x1), (g1, x2)):
+            xjj, xkk, xjk = second(x)
+            l00 -= g * xjj
+            l01 -= g * xjk
+            l11 -= g * xkk
+        del xjj, xkk, xjk
+        # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = a^T l a
+        # and det Hess_x = det l det(a)^2 = det l / det J^2
+        return det, g0, g1, (l00 * l11 - l01 * l01) / (det * det)
+
+
+def _centered(x1, x2, phi):
+    """`_chain_rule` at the nodes of rows 1..n-2 of (n, m) fields, by the
+    centered stencils of `lattice_diff` and `second_diffs`, as (n - 2, m)
+    arrays whose columns 0 and m - 1 hold junk.  The fields are copied
+    into one flat row each, padded by a zero at both ends, so that every
+    stencil reads contiguous slices: the neighbours of a node are its
+    flat index -+1 and -+m, and at columns 0 and m - 1 -+1 wraps around
+    to the next row or the pad."""
+    n, m = phi.shape
+    size = n * m
+    pad = np.zeros((3, size + 2))
+    for row, f in zip(pad, (x1, x2, phi)):
+        row[1:-1].reshape(n, m)[...] = f
+
+    def first(f):
+        return ((f[2 * m + 1:size + 1] - f[1:size - 2 * m + 1]) / 2.0,
+                (f[m + 2:size - m + 2] - f[m:size - m]) / 2.0)
+
+    def second(f):
+        twice = 2.0 * f[m + 1:size - m + 1]
+        # f_j from one node before the first to one after the last
+        fj = (f[2 * m:] - f[:size - 2 * m + 2]) / 2.0
+        return (f[2 * m + 1:size + 1] - twice + f[1:size - 2 * m + 1],
+                f[m + 2:size - m + 2] - twice + f[m:size - m],
+                (fj[2:] - fj[:-2]) / 2.0)
+
+    return [a.reshape(n - 2, m) for a in _chain_rule(*pad, first, second)]
+
+
+# each side of the boundary ring of a grid, and the four rows or columns
+# next to it, which hold every node its one-sided stencils read
+_SIDES = ((np.s_[0], np.s_[:4]), (np.s_[-1], np.s_[-4:]),
+          (np.s_[:, 0], np.s_[:, :4]), (np.s_[:, -1], np.s_[:, -4:]))
+
+
+def _edge(x1, x2, phi, side, strip):
+    """`_chain_rule` on one side of the boundary ring: the stencils of
+    `lattice_diff` and `second_diffs` on the strip next to it, whose
+    values on the side are the whole grid's, bit for bit."""
+    def first(f):
+        return lattice_diff(f, 0), lattice_diff(f, 1)
+
+    out = _chain_rule(x1[strip], x2[strip], phi[strip], first, second_diffs)
+    return [a[side] for a in out]
+
+
+def _check(det):
+    if not np.all(det):
         raise DegenerateVertexError("degenerate affine development")
-    pj, pk = lattice_diff(phi, 0), lattice_diff(phi, 1)
-    # d phi / d x = a^T d phi, with the closed-form 2x2 inverse
-    # a = adj J / det J, indexed [lattice, x]
+
+
+def _centered_rows(x1, x2, phi):
+    """Yield (r0, r1, grad_x1, grad_x2, det_hess) of `_centered` for the
+    rows r0..r1 - 1 of blocks (`row_blocks`) that cover rows 1..n-2 of
+    (n, m) fields, each read with one halo row on each side: the whole
+    grid's values, bit for bit.  Raises DegenerateVertexError where
+    det J = 0 on their columns 1..m-2."""
+    n, m = phi.shape
+    for r0, r1 in row_blocks(1, n - 1, m):
+        b = np.s_[r0 - 1:r1 + 1]
+        det, *out = _centered(x1[b], x2[b], phi[b])
+        _check(det[:, 1:-1])
+        yield r0, r1, *out
+
+
+def _chain_rule_hessian(x1, x2, phi):
+    """Gradient of phi and det Hess_x phi with respect to (x1, x2) over a
+    whole grid: the centered rows 1..n-2 (`_centered_rows`), then the
+    one-sided boundary ring (`_edge`) over their junk columns, by the one
+    formula of `_chain_rule`."""
     grad = np.empty(phi.shape + (2,))
-    grad[..., 0] = x2k / det * pj + -x2j / det * pk
-    grad[..., 1] = -x1k / det * pj + x1j / det * pk
-    # each field freed early keeps the peak RSS down
-    del x1j, x1k, x2j, x2k, pj, pk
-    # second lattice differences of phi minus gradient-weighted curvature
-    # of x: the symmetric matrix l
-    l00, l11, l01 = second_diffs(phi)
-    for g, x in ((grad[..., 0], x1), (grad[..., 1], x2)):
-        xjj, xkk, xjk = second_diffs(x)
-        l00 -= g * xjj
-        l01 -= g * xjk
-        l11 -= g * xkk
-    del xjj, xkk, xjk
-    # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = a^T l a and
-    # det Hess_x = det l det(a)^2 = det l / det J^2
-    return grad, (l00 * l11 - l01 * l01) / (det * det)
+    det_hess = np.empty(phi.shape)
+    parts = [(np.s_[r0:r1], out) for r0, r1, *out in _centered_rows(x1, x2, phi)]
+    for side, strip in _SIDES:
+        det, *out = _edge(x1, x2, phi, side, strip)
+        _check(det)
+        parts.append((side, out))
+    for nodes, (g0, g1, dh) in parts:
+        g = grad[nodes]
+        g[..., 0], g[..., 1], det_hess[nodes] = g0, g1, dh
+    return grad, det_hess
 
 
 def semiflat_develop(mesh):
@@ -178,19 +261,25 @@ def semiflat_develop(mesh):
 
 def monge_ampere_gate(vertices):
     """max |det Hess_x phi - 1| over the nodes off the two outer rings of
-    a parabolic mesh's (x1, x2, phi) vertices, the `monge_ampere` gate,
-    computed a block of grid rows at a time (`row_blocks`) with one halo
-    row on each side: the rows of a block get the whole grid's values,
-    bit for bit.  The discarded halo rows run `lattice_diff2`'s one-sided
-    formula, which reads four rows, so a block has at least two rows."""
+    a parabolic mesh's (x1, x2, phi) vertices, the `monge_ampere` gate.
+    It runs a block of grid rows at a time, each read with one halo row
+    on each side, and computes only the centered stencils of its nodes
+    (`_centered_rows`), whose values are the whole grid's, bit for bit.
+    It raises DegenerateVertexError where det J = 0 on rows 1..n-2: on
+    columns 1..m-2 from the blocks, and on columns 0 and m-1 from the
+    one-sided stencils across them (`_edge`)."""
     v = np.asarray(vertices, dtype=float)
-    n, m = v.shape[:2]
+    x1, x2, phi = v[..., 0], v[..., 1], v[..., 2]
+    n = phi.shape[0]
+    for side, strip in _SIDES[2:]:  # columns 0 and m - 1
+        _check(_edge(x1, x2, phi, side, strip)[0][1:-1])
     worst = 0.0
-    for r0, r1 in row_blocks(2, n - 2, m, min_rows=2):
-        b = v[r0 - 1:r1 + 1]
-        _, det_hess = _chain_rule_hessian(b[..., 0], b[..., 1], b[..., 2])
-        # np.maximum, unlike max, keeps a nan
-        worst = np.maximum(worst, np.abs(det_hess[1:-1, 2:-2] - 1.0).max())
+    for r0, _, _, _, det_hess in _centered_rows(x1, x2, phi):
+        # the gated rows 2..n-3 of the block's rows (none in a block of
+        # row 1 or n-2 alone), and columns 2..m-3; np.maximum, unlike max,
+        # keeps a nan
+        gated = det_hess[max(2 - r0, 0):n - 2 - r0, 2:-2]
+        worst = np.maximum(worst, np.abs(gated - 1.0).max(initial=0.0))
     return float(worst)
 
 

@@ -13,13 +13,15 @@ constant in the |G|^2 - |F|^2 term, so the arbiter is the Monge-Ampere
 residual det Hess phi - 1 of the semi-flat development (the graph phi
 over (x^1, x^2)), with det Hess phi = det l / det J^2 for J the lattice
 Jacobian of x and l the lattice Hessian of phi less its curvature terms
-(`projective._chain_rule_hessian`): the `weierstrass` stage gates it
+(`projective._chain_rule`): the `weierstrass` stage gates it
 (`projective.monge_ampere_gate`), and it is frozen as a regression test.
 The Legendre-dual mirror data are `projective.semiflat_develop`'s.
 
 The mesh and its gate are computed a block of grid rows at a time
-(`geometry.row_blocks`): only the vertices and psi are full-size, and
-every value has the bits of the whole-grid computation.
+(`geometry.row_blocks`): only the vertices and psi are full-size.  The
+gate reads each block with one halo row on each side and takes only the
+centered stencils of the nodes it gates, and every value has the bits
+of the whole-grid computation.
 """
 
 from dataclasses import dataclass

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import titeica as tz
+from titeica.errors import DegenerateVertexError
 
 
 @pytest.fixture(scope="session")
@@ -181,3 +184,84 @@ def chain_rule_hessian_H(x1, x2, phi):
         H[..., i, 0] = s0 * a00 + s1 * a10
         H[..., i, 1] = s0 * a01 + s1 * a11
     return grad, H
+
+
+def whole_grid_chain_rule_hessian(x1, x2, phi):
+    """Gradient of phi and det Hess_x phi over the whole grid, every
+    lattice derivative by `lattice_diff` and `second_diffs` (centered,
+    and one-sided at the edges): the form that the centered core and the
+    one-sided edge fill of projective._chain_rule replaced."""
+    from titeica.geometry import lattice_diff, second_diffs
+
+    x1j, x1k = lattice_diff(x1, 0), lattice_diff(x1, 1)
+    x2j, x2k = lattice_diff(x2, 0), lattice_diff(x2, 1)
+    det = x1j * x2k - x1k * x2j
+    if np.any(det == 0):
+        raise DegenerateVertexError("degenerate affine development")
+    pj, pk = lattice_diff(phi, 0), lattice_diff(phi, 1)
+    grad = np.empty(phi.shape + (2,))
+    grad[..., 0] = x2k / det * pj + -x2j / det * pk
+    grad[..., 1] = -x1k / det * pj + x1j / det * pk
+    l00, l11, l01 = second_diffs(phi)
+    for g, x in ((grad[..., 0], x1), (grad[..., 1], x2)):
+        xjj, xkk, xjk = second_diffs(x)
+        l00 -= g * xjj
+        l01 -= g * xjk
+        l11 -= g * xkk
+    return grad, (l00 * l11 - l01 * l01) / (det * det)
+
+
+def face_rows_reference(n, m):
+    """The "f" rows of the one-based quads of an n x m grid, by Python's
+    %d, one row each: the form that _objtext.face_rows replaced."""
+    mesh = tz.ImmersionMesh(tz.Domain.rectangle(1.0, 1.0, 8, 8),
+                            np.zeros((n, m, 3)), None, "affine_sphere", lam=0)
+    return b"".join(b"f %d %d %d %d\n" % tuple(q) for q in (mesh.faces + 1).tolist())
+
+
+# the 128-bit integer product in 32-bit limbs that _objtext._decimal's
+# two-product replaced, over its range 10^-11 < x < 10^17: its oracle
+def _limb_scaled(m, e, k):
+    """floor(m 2^e 10^(16 - k)) and whether it rounds up, ties to even."""
+    u64 = np.uint64
+    p = 16 - k
+    f = u64(5) ** p.astype(u64)
+    ml, mh = m & u64(0xFFFFFFFF), m >> u64(32)
+    fl, fh = f & u64(0xFFFFFFFF), f >> u64(32)
+    ll = ml * fl
+    mid = ml * fh + mh * fl          # < 2^63 + 2^53: mh < 2^21, fh < 2^31
+    lo = ll + (mid << u64(32))
+    hi = mh * fh + (mid >> u64(32)) + (lo < ll)
+    t = e + p
+    s = np.maximum(-t, 0).astype(u64)
+    # a 128-bit shift right by s <= 63: hi << 64 is 0 when s is 0
+    floor = ((hi << (u64(63) - s)) << u64(1)) | (lo >> s)
+    floor <<= np.maximum(t, 0).astype(u64)
+    one = u64(1) << s
+    rem = lo & (one - u64(1))
+    return floor, (rem << u64(1)) + (floor & u64(1)) > one
+
+
+def limb_decimal(x):
+    """N and k of doubles 10^-11 < x < 10^17 such that %.17g prints the
+    17 digits of N with decimal exponent k, by the limb product."""
+    bits = np.asarray(x, dtype=float).view(np.uint64)
+    e = (bits >> np.uint64(52)).astype(np.int64) - 1075
+    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
+    k = np.clip(np.floor(np.log10(x)).astype(np.int64), -11, 16)
+    lo, hi = np.uint64(10 ** 16), np.uint64(10 ** 17)
+    floor, up = _limb_scaled(m, e, k)
+    bad = np.flatnonzero((floor < lo) | (floor >= hi))
+    while bad.size:
+        k[bad] += np.where(floor[bad] < lo, -1, 1)
+        floor[bad], up[bad] = _limb_scaled(m[bad], e[bad], k[bad])
+        bad = bad[(floor[bad] < lo) | (floor[bad] >= hi)]
+    return floor + up, k
+
+
+def sine_matrix_reference(n):
+    """The orthonormal type-I sine matrix by n^2 sines: the form that
+    pde.sine_matrix's table of 2(n + 1) sines replaced."""
+    j = np.arange(1, n + 1)
+    arg = np.outer(j, j) % (2 * (n + 1))
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * arg)

@@ -199,15 +199,14 @@ def test_z_block_keeps_the_bits_of_z():
     assert np.array_equal(dom.z_block(cols=slice(0, 1)), z[:, :1])
 
 
-def test_row_blocks_fold_a_short_last_block():
+def test_row_blocks_end_in_a_short_last_block():
     # the rows of 8 columns that one complex field of the budget holds
     rows = geometry.ROWS_BLOCK_BYTES // (16 * 8)
     assert row_blocks(0, 2 * rows + 1, 8) == [(0, rows), (rows, 2 * rows),
                                              (2 * rows, 2 * rows + 1)]
-    assert row_blocks(0, 2 * rows + 1, 8, min_rows=2) == [
-        (0, rows), (rows, 2 * rows + 1)]
-    m = geometry.ROWS_BLOCK_BYTES  # wider than the budget: min_rows rows
-    assert row_blocks(2, 9, m, min_rows=2) == [(2, 4), (4, 6), (6, 9)]
+    assert row_blocks(3, 3 + rows, 8) == [(3, 3 + rows)]
+    m = geometry.ROWS_BLOCK_BYTES  # wider than the budget: one row a block
+    assert row_blocks(2, 5, m) == [(2, 3), (3, 4), (4, 5)]
 
 
 def test_metric_solution_psi():

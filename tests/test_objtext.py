@@ -9,18 +9,13 @@ import numpy as np
 import pytest
 
 from titeica import _objtext
-from tests.test_cli import special_float_mesh, vertex_mesh
+from tests.conftest import face_rows_reference, limb_decimal
+from tests.test_cli import special_float_mesh
 
 
 def float_reference(values):
     return b"".join(b"v" + b"".join(b" %.17g" % x for x in row) + b"\n"
                     for row in values.tolist())
-
-
-def face_reference(n, m):
-    """The "f" rows of the one-based quads of an n x m grid, by %d."""
-    faces = vertex_mesh(np.zeros((n, m, 3))).faces + 1
-    return b"".join(b"f %d %d %d %d\n" % tuple(q) for q in faces.tolist())
 
 
 def float_text(values):
@@ -131,6 +126,49 @@ def test_edge_values():
     assert_float_rows(np.resize(edge_values(), 24))
 
 
+def neighbours(x, ulps=4):
+    """x and the doubles up to ulps apart, both ways."""
+    return (np.float64(x).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
+def test_decimal_matches_the_limb_product():
+    # the two-product's N and k against the 128-bit limb product, next
+    # to the ends of its range and in every decade between them
+    rng = np.random.default_rng(26)
+    x = np.concatenate([neighbours(_objtext._XMIN), neighbours(1e-6),
+                        np.nextafter(1e17, 0.0) - np.arange(8) * 16.0,
+                        rng.uniform(1.0, 10.0, 20_000)
+                        * 10.0 ** rng.integers(-6, 17, 20_000)])
+    x = x[(x >= _objtext._XMIN) & (x < 1e17)]
+    got, want = _objtext._decimal(x), limb_decimal(x)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # the least double at or above 10^-6
+    below = np.nextafter(_objtext._XMIN, 0.0)
+    assert Fraction(below) < Fraction(1, 10 ** 6) <= Fraction(_objtext._XMIN)
+
+
+def test_ends_of_the_numpy_range():
+    # 10^-11 (the old lower end, now formatted by Python), 10^-6 (the
+    # double 1e-6 is below it, and by Python) and 10^17 (by Python from
+    # the double 1e17 on), each with its neighbours and both signs
+    x = np.concatenate([neighbours(1e-11), neighbours(1e-6), neighbours(1e17)])
+    assert_float_rows(np.resize(np.concatenate([x, -x]), 2 * 27 + 3 * 2))
+    x = np.concatenate([x, -x])
+    assert json_text(x.reshape(-1, 6)) == json_reference(x.reshape(-1, 6))
+
+
+def test_a_block_of_python_values_alone(monkeypatch):
+    # blocks in which no value is numpy's: below 10^-6, subnormal, zero,
+    # at or past 10^17 and non-finite
+    x = np.array([9.999999999999999e-7, 1e-6, 3e-9, 1.5e-300, 5e-324, 0.0,
+                  -0.0, 1e17, 2.5e200, np.inf, -np.inf, np.nan])
+    for block in (3, 12, 8192):
+        monkeypatch.setattr(_objtext, "BLOCK", block)
+        assert_float_rows(x)
+        assert json_text(x.reshape(4, 3)) == json_reference(x.reshape(4, 3))
+
+
 def test_special_float_mesh():
     assert_float_rows(special_float_mesh().vertices)
 
@@ -143,31 +181,35 @@ def test_any_row_width(ncols):
 
 
 def test_ints():
-    # the index text of the face writer: runs of indices across 10^j, in
-    # the narrowest slot that holds them and in the widest, 16 digits
+    # the digit text of the face writer: runs of indices across 10^j, in
+    # the fewest groups of four digits that hold them and in four groups;
+    # an index of d digits is the last d bytes, after zeros
     for j in range(1, 16):
         for first in (10 ** j - 3, 10 ** j - 1, 10 ** j, 10 ** j + 1):
-            last = first + 3
-            narrow = 4 * -(-len(str(last)) // 4)
-            for w in sorted({narrow, 16}):
-                chars = np.zeros((4, 2 + w), np.uint8)
-                code = _objtext._index_text(chars, first, w)
-                for row, c, i in zip(chars, code.tolist(), range(first, last + 1)):
-                    assert bytes(row[2:3 + c]) == b"%d" % i, (i, w)
+            i = np.arange(first, first + 4, dtype=np.uint64)
+            narrow = -(-len(str(first + 3)) // 4)
+            for count in sorted({narrow, 4}):
+                text = _objtext._digits(i, count)
+                assert text.shape == (4, 4 * count)
+                for row, value in zip(text, i.tolist()):
+                    digits = b"%d" % value
+                    assert bytes(row) == digits.rjust(4 * count, b"0"), (value, count)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (4, 4), (11, 10), (40, 30),
-                                  (101, 100), (7, 5), (1, 5), (5, 1)])
+                                  (101, 100), (7, 5), (1, 5), (5, 1), (12, 1000)])
 def test_face_rows(monkeypatch, n, m):
     # vertex indices that cross 10, 100 and 1000 inside one block of
     # faces, and 10^4 inside the last of (101, 100), whose blocks of 20
-    # grid rows hold vertex indices 8001..10100; then blocks of one grid
-    # row (the 1, 7 and 64 values end inside one) and of several; grids
-    # of one row or one column have no faces
-    assert face_text(n, m) == face_reference(n, m)
+    # grid rows hold vertex indices 8001..10100; (12, 1000) has blocks of
+    # 2 grid rows, and the last quad of its grid row 8 has the corners
+    # 8999, 9999, 10000 and 9000, one at 10^4 and three below; then blocks
+    # of one grid row (the 1, 7 and 64 values end inside one) and of
+    # several; grids of one row or one column have no faces
+    assert face_text(n, m) == face_rows_reference(n, m)
     for block in (1, 7, 64, 1000):
         monkeypatch.setattr(_objtext, "BLOCK", block)
-        assert face_text(n, m) == face_reference(n, m), block
+        assert face_text(n, m) == face_rows_reference(n, m), block
 
 
 def assert_json_array(values):

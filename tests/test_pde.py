@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator, spsolve
 import titeica as tz
 from titeica import pde
 from titeica.errors import InvalidSignCase, NoConstantSolution, SingularInputError
-from tests.conftest import dzzbar_matrix, exact_precond
+from tests.conftest import dzzbar_matrix, exact_precond, sine_matrix_reference
 
 FLAT = tz.BackgroundMetric("flat")
 POIN = tz.BackgroundMetric("poincare_disk")
@@ -570,6 +570,13 @@ def test_sine_matrices_are_the_dst(n, m):
     assert np.abs(Sn @ X @ Sm - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(Sn, Sn.T)
     assert np.abs(Sn @ Sn - np.eye(n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 6, 15, 62, 254, 510, 1022])
+def test_sine_matrix_has_the_bits_of_n2_sines(n):
+    # gathered from its 2(n + 1) distinct values, every entry is the one
+    # sine of its reduced argument
+    assert np.array_equal(pde.sine_matrix(n), sine_matrix_reference(n))
 
 
 # -- the in-package Krylov methods against scipy's ------------------------------

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import titeica as tz
-from titeica import projective
+from titeica import geometry, projective
 from titeica.errors import DegenerateVertexError
 from titeica.geometry import lattice_diff, second_diffs
-from tests.conftest import hyperboloid_mesh
+from tests.conftest import hyperboloid_mesh, whole_grid_chain_rule_hessian
 
 HYP = tz.SignCase(1, -1)
 
@@ -227,6 +227,50 @@ def test_semiflat_singular_jacobian_raises_without_warning():
         with pytest.raises(DegenerateVertexError):
             tz.semiflat_develop(mesh)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def singular_at(j, k, axis):
+    """Vertices of `parabolic_mesh` whose lattice Jacobian vanishes at node
+    (j, k): equal neighbours across it along the lattice axis zero that
+    row of J there."""
+    v = parabolic_mesh().vertices.copy()
+    if axis:
+        v[j, k + 1, :2] = v[j, k - 1, :2]
+    else:
+        v[j + 1, k, :2] = v[j - 1, k, :2]
+    return v
+
+
+# a gated node, the first and last checked rows (1 and n - 2, not gated)
+# by their centered stencils down the column, and the one-sided columns
+# 0 and m - 1 of a 24^2 grid
+@pytest.mark.parametrize("node", [(5, 7, 1), (1, 7, 0), (22, 7, 0), (5, 0, 0),
+                                  (5, 23, 0)])
+@pytest.mark.parametrize("rows", [None, 1])
+def test_monge_ampere_gate_raises_on_a_singular_jacobian(monkeypatch, node, rows):
+    # det J = 0 there by the whole grid's stencils; the gate reads blocks
+    # of 32 rows (one block) or of one row
+    if rows:
+        monkeypatch.setattr(geometry, "ROWS_BLOCK_BYTES", 16 * 24 * rows)
+    v = singular_at(*node)
+    with pytest.raises(DegenerateVertexError):
+        whole_grid_chain_rule_hessian(v[..., 0], v[..., 1], v[..., 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateVertexError):
+            projective.monge_ampere_gate(v)
+    assert caught == []
+
+
+def test_monge_ampere_gate_checks_no_outer_row():
+    # rows 0 and n - 1 are outside the nodes the gate checks
+    for node in [(0, 7, 1), (23, 7, 1)]:
+        v = singular_at(*node)
+        assert np.isfinite(projective.monge_ampere_gate(v))
+        mesh = parabolic_mesh()
+        mesh.vertices = v
+        with pytest.raises(DegenerateVertexError):
+            tz.semiflat_develop(mesh)
 
 
 def test_semiflat_rejects_proper(torus_mesh):

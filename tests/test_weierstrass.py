@@ -7,7 +7,7 @@ import pytest
 import titeica as tz
 from titeica import cli, geometry, projective, weierstrass
 from tests.conftest import (chain_rule_hessian_H, graph_development, mirror,
-                            whole_grid_parabolic)
+                            whole_grid_chain_rule_hessian, whole_grid_parabolic)
 
 # the three frozen regression pairs (admissible: |F'| < |G'| on the grid)
 PAIRS = [
@@ -125,16 +125,18 @@ WORKLOAD = {"f_coeffs": [[0.0, 0.0], [0.1, 0.0], [0.05, 0.02]],
 WORKLOAD_PAIR = cli.parse_pair(WORKLOAD)
 
 # 16^2 and 37x20 are one block each; at 512 columns a block is 32 rows,
-# so 65 rows end in a block of one row, and of the 69 rows the 65 gated
-# ones end in one row that joins the block before
-STREAM_SHAPES = [(16, 16), (37, 20), (512, 512), (65, 512), (69, 512)]
+# and the gate's blocks cover rows 1..n-2: 65 rows end in a block of 30,
+# 69 rows in a block of two, and 67 rows in a block of row 65 = n - 2
+# alone, which holds no gated node; 8^2 is the smallest grid, and the
+# odd grids have a centre row and column
+STREAM_SHAPES = [(16, 16), (37, 20), (512, 512), (65, 512), (69, 512),
+                 (8, 8), (9, 11), (33, 17), (67, 512)]
 
 
 def whole_grid_gates(v):
     """The monge_ampere gate over the whole grid, from det l / det J^2 and
     from the determinant of the full Hessian H."""
-    _, det_hess = projective._chain_rule_hessian(v[..., 0], v[..., 1],
-                                                 v[..., 2])
+    _, det_hess = whole_grid_chain_rule_hessian(v[..., 0], v[..., 1], v[..., 2])
     _, H = chain_rule_hessian_H(v[..., 0], v[..., 1], v[..., 2])
     ma_H = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0] - 1.0
     return (np.abs(det_hess - 1.0)[2:-2, 2:-2].max(),
@@ -152,6 +154,12 @@ def assert_streams_exactly(dom):
     assert gate == whole
     # det Hess is about 1; measured up to 3 ulp of 1.0 apart
     assert abs(gate - by_H) <= 4 * np.spacing(1.0)
+    # the centered core and the one-sided edges of the semi-flat
+    # development have every bit of the whole-grid stencils
+    x1, x2, phi = vertices[..., 0], vertices[..., 1], vertices[..., 2]
+    for got, want in zip(projective._chain_rule_hessian(x1, x2, phi),
+                         whole_grid_chain_rule_hessian(x1, x2, phi)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", STREAM_SHAPES)
@@ -160,9 +168,10 @@ def test_streamed_mesh_and_gate_match_whole_grid(shape):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
-@pytest.mark.parametrize("shape", [(16, 16), (37, 20)])
+@pytest.mark.parametrize("shape", [(16, 16), (37, 20), (8, 8), (9, 11)])
 def test_streaming_is_exact_for_any_block(monkeypatch, shape, rows):
-    # a budget of `rows` rows (the gate's blocks keep at least two)
+    # a budget of `rows` rows: blocks of one row, and last blocks shorter
+    # than the others
     monkeypatch.setattr(geometry, "ROWS_BLOCK_BYTES", 16 * shape[1] * rows)
     assert_streams_exactly(tz.Domain.rectangle(0.7, 0.55, *shape))
 
