@@ -22,13 +22,14 @@ gives |x| 10^p = hi + lo exactly, and from hi >= 2^53, an integer, N is
 hi + rint(lo).  k comes from the floor of that product, never from N:
 under a k one too large, a double less than 5e-17 (relative) below a
 power of ten would round up to N = 10^16, as the double 1e-6 does under
-k = -6.  N never rounds up to 10^17 in this range (see `_decimal`).  Every other value (|x| < 10^-6,
-which takes in the double 1e-6, subnormals and zeros, |x| >= 10^17, inf
-and nan) is formatted by Python, one value at a time: by ``'%.17g'`` in
-OBJ, and in JSON so too, except that zeros and non-finite values take
-the tokens of ``json.dumps`` (``json.loads`` reads ``-0``, the %.17g of
--0.0, as the integer 0).  Values below 10^-6 are rare in a mesh: the
-workloads' meshes hold at most a few dozen.
+k = -6.  N never rounds up to 10^17 in this range (see `_decimal`).
+Every other value (|x| < 10^-6, which takes in the double 1e-6,
+subnormals and zeros, |x| >= 10^17, inf and nan) is formatted by Python,
+one value at a time: by ``'%.17g'`` in OBJ, and in JSON so too, except
+that zeros and non-finite values take the tokens of ``json.dumps``
+(``json.loads`` reads ``-0``, the %.17g of -0.0, as the integer 0).
+Values below 10^-6 are rare in a mesh: the workloads' meshes hold at
+most a few dozen.
 
 The "f" rows are the quads of a grid.  Between two quads at which some
 corner's one-based index reaches a power of ten, every row has the same
