@@ -91,13 +91,21 @@ def lattice_diff(f, axis, periodic=False):
 
 def lattice_diff2(f, axis, periodic=False):
     """Second difference of f along `axis`, one-sided (4-point) at
-    non-periodic edges."""
+    non-periodic edges.  The centered difference is f_{i+1} - 2 f_i +
+    f_{i-1}, its terms in this order, written into the one array that
+    it returns."""
     f = np.moveaxis(np.asarray(f), axis, 0)
     if periodic:
-        g = np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)
+        g = np.multiply(f, 2.0)
+        np.subtract(f[1:], g[:-1], out=g[:-1])
+        np.subtract(f[:1], g[-1:], out=g[-1:])
+        g[1:] += f[:-1]
+        g[:1] += f[-1:]
     else:
         g = np.empty_like(f)
-        g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        np.multiply(f[1:-1], 2.0, out=g[1:-1])
+        np.subtract(f[2:], g[1:-1], out=g[1:-1])
+        g[1:-1] += f[:-2]
         g[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
         g[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
     return np.moveaxis(g, 0, axis)
@@ -260,36 +268,58 @@ class Domain:
         den = 4.0 * ((s1 * np.conj(s2)).imag) ** 2
         return abs(s2) ** 2, abs(s1) ** 2, -2.0 * (s1 * np.conj(s2)).real, den
 
-    def dzzbar_interior(self, f, shift):
+    def dzzbar_interior(self, v, shift):
         """d^2/dz dzbar f + shift * f at the (n-2) x (m-2) interior nodes
-        of a planar grid: the centered five-point stencil alone, read from
-        slices of f, with no one-sided edge rows.  Its terms are summed in
-        the order of a CSR product (node j-1, k-1, the node, k+1, j+1), so
-        for f zero on the boundary the result equals, to the bit, the
-        product of the stencil's CSR matrix plus diag(shift) with the
-        interior values of f."""
+        of a planar grid, for f zero on the boundary and v = f[1:-1, 1:-1]
+        its interior values: the centered five-point stencil alone, read
+        from slices of v.  Its terms are summed in the order of a CSR
+        product (node j-1, k-1, the node, k+1, j+1), a neighbour on the
+        boundary giving the term +0.0, so the result equals, to the bit,
+        the product of the stencil's CSR matrix plus diag(shift) with v.
+        Each term is formed in one scratch array and added to the result,
+        the only two arrays it allocates."""
         a, b, c, den = self.dzzbar_coeffs
         if c != 0:
             raise ValueError("the interior stencil has no cross term")
         # scaled by 1/den as scipy divides a sparse matrix by a scalar
         inv = 1.0 / den
         ca, cb = a * inv, b * inv
-        g = ca * f[:-2, 1:-1]
-        g += cb * f[1:-1, :-2]
-        g += ((-2.0 * a + -2.0 * b) * inv + shift) * f[1:-1, 1:-1]
-        g += cb * f[1:-1, 2:]
-        g += ca * f[2:, 1:-1]
+        g = np.empty_like(v)
+        g[0] = 0.0
+        np.multiply(v[:-1], ca, out=g[1:])
+        term = np.empty_like(v)
+        term[:, 0] = 0.0
+        np.multiply(v[:, :-1], cb, out=term[:, 1:])
+        g += term
+        np.add(shift, (-2.0 * a + -2.0 * b) * inv, out=term)
+        term *= v
+        g += term
+        term[:, -1] = 0.0
+        np.multiply(v[:, 1:], cb, out=term[:, :-1])
+        g += term
+        term[-1] = 0.0
+        np.multiply(v[1:], ca, out=term[:-1])
+        g += term
         return g
 
     def dzzbar(self, f):
+        """d^2/dz dzbar f = (a f_jj + c f_jk + b f_kk) / den, its terms
+        summed in this order in the array of f_jj (c f_jk only on an
+        oblique lattice)."""
         a, b, c, den = self.dzzbar_coeffs
-        djj = lattice_diff2(f, 0, self.periodic)
+        out = lattice_diff2(f, 0, self.periodic)
+        out *= a
+        if c != 0:  # an orthogonal lattice has c = -0.0: no cross term
+            djk = lattice_diff(lattice_diff(f, 0, self.periodic), 1,
+                               self.periodic)
+            djk *= c
+            out += djk
+            del djk
         dkk = lattice_diff2(f, 1, self.periodic)
-        if c == 0:  # orthogonal lattice (c is -0.0): no cross term
-            return (a * djj + b * dkk) / den
-        djk = lattice_diff(lattice_diff(f, 0, self.periodic), 1,
-                           self.periodic)
-        return (a * djj + c * djk + b * dkk) / den
+        dkk *= b
+        out += dkk
+        out /= den
+        return out
 
     def dzz(self, f):
         djj, dkk, djk = second_diffs(f, self.periodic)
@@ -321,13 +351,17 @@ class BackgroundMetric:
             raise OutOfDomainError("point outside the unit disk")
         return 4.0 / (1.0 - r2) ** 2
 
+    @property
+    def kappa(self):
+        """The Gauss curvature, the same at every point: 0 for the flat
+        metric, -1 on the Poincare disk."""
+        return 0.0 if self.curvature_kind == "flat" else -1.0
+
     def curvature(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.curvature_kind == "flat":
-            return np.zeros(z.shape)
-        if np.any(np.abs(z) >= 1.0):
+        if self.curvature_kind != "flat" and np.any(np.abs(z) >= 1.0):
             raise OutOfDomainError("point outside the unit disk")
-        return np.full(z.shape, -1.0)
+        return np.full(z.shape, self.kappa)
 
 
 def gauss_curvature(mu, z):

@@ -15,24 +15,28 @@ residual.
 Every linear system of the equation, multiplied by sigma/4 to make it
 symmetric, reads (L_int + diag(shift)) x = rhs, and `_System.solve` is
 the one place that solves it.  The shift fixes the method: CG on the
-negated, positive definite system when every shift is negative (the
-hyperbolic affine sphere, and every monotone step), MINRES otherwise
-(Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  Both stop on the
+negative definite system when every shift is negative (the hyperbolic
+affine sphere, and every monotone step), MINRES otherwise (Paige and
+Saunders, SIAM J. Numer. Anal. 12, 1975).  Both stop on the
 preconditioned relative residual, and both are preconditioned by
-P = -L + c I at c = mean |shift|, inverted in the eigenbasis of L
-(Concus and Golub, SIAM J. Numer. Anal. 10, 1973): by a real FFT on
-tori, exactly, and on Dirichlet grids by X -> S_n X S_m with the
-orthonormal sine matrices, in single precision.  A preconditioner need
-not be exact: the float32 transforms are within a few 1e-6 of P^{-1},
-relative, and take half the time of float64 ones.  The Newton and Krylov
-counts of the solves in the tests and the benchmark stay those of the
-exact inverse; MINRES on a strongly indefinite system can take twice the
-iterations (1210 against 556 on the 17 x 23 rectangle of
-tests/test_pde.py).  All that the solve decides on stays float64: the
-operator, the Krylov recurrences and their stopping tests, and the
-Newton residual.  The iteration counts do not grow with the grid.  The
-operator is matrix-free (Knoll and Keyes, J. Comput. Phys. 193, 2004):
-`_System.shifted` applies the lattice stencil L_int of `geometry`.
+P = -L + c I (negated for CG, like its system) at c = mean |shift|,
+inverted in the eigenbasis of L (Concus and Golub, SIAM J. Numer. Anal.
+10, 1973): by a real FFT on tori, exactly, and on Dirichlet grids by
+X -> S_n X S_m with the orthonormal sine matrices, in single precision.
+A preconditioner need not be exact: the float32 transforms are within a
+few 1e-6 of P^{-1}, relative, and take half the time of float64 ones.
+The Newton and Krylov counts of the solves in the tests and the
+benchmark stay those of the exact inverse; MINRES on a strongly
+indefinite system can take twice the iterations (1210 against 556 on the
+17 x 23 rectangle of tests/test_pde.py).  All that the solve decides on
+stays float64: the operator, the Krylov recurrences and their stopping
+tests, and the Newton residual.  The iteration counts do not grow with
+the grid.  The operator is matrix-free (Knoll and Keyes, J. Comput.
+Phys. 193, 2004): `_System.shifted` applies the lattice stencil L_int of
+`geometry`.  The residual, the Jacobian's shift, the operator and the
+Krylov updates write their terms in place, each summed in the order its
+formula is written, so a solve allocates few grid-sized arrays and keeps
+none between Newton steps but u and what the next step reads of F.
 
 Newton is inexact (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
 19, 1982; Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996): a step
@@ -71,7 +75,7 @@ import numpy as np
 
 from .errors import InvalidSignCase, NoConstantSolution, SingularInputError
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
-                       MetricSolution, SignCase, cubic_norm_sq)
+                       MetricSolution, SignCase, cubic_norm_sq, row_blocks)
 
 NEWTON_TOL = 1e-10
 MONOTONE_TOL = 1e-8
@@ -103,45 +107,78 @@ class PdeProblem:
                                self.domain.shape)
 
     # cached: every residual and Jacobian reads them, and a problem is
-    # never changed after it is built (continuation builds one per t)
+    # never changed after it is built (continuation builds one per t).
+    # sigma and ||Q||^2 = cubic_norm_sq(Q, mu, z) are computed a block of
+    # grid rows at a time, from the z of that block alone, which keeps
+    # every bit of the whole-grid z
     @cached_property
+    def _fields(self):
+        n, m = self.domain.shape
+        sigma, qnorm2 = np.empty((2, n, m))
+        for r0, r1 in row_blocks(0, n, m):
+            z = self.domain.z_block(slice(r0, r1))
+            s = sigma[r0:r1] = self.mu.sigma(z)
+            qnorm2[r0:r1] = np.abs(self.Q(z)) ** 2 / s ** 3
+        return sigma, qnorm2
+
+    @property
     def sigma(self):
-        return self.mu.sigma(self.domain.z)
+        return self._fields[0]
 
-    @cached_property
-    def kappa(self):
-        return self.mu.curvature(self.domain.z)
-
-    @cached_property
+    @property
     def qnorm2(self):
-        return cubic_norm_sq(self.Q, self.mu, self.domain.z)
+        return self._fields[1]
+
+    @property
+    def kappa(self):
+        """The curvature of mu, a scalar: both background metrics have
+        constant curvature."""
+        return self.mu.kappa
 
 
 def _times(coeff, e):
-    """coeff * e with 0 wherever coeff is 0, so an overflowed exponential
-    under a vanishing coefficient gives 0 rather than 0 * inf = NaN."""
-    coeff = np.broadcast_to(coeff, e.shape)
-    return np.multiply(coeff, e, out=np.zeros_like(e), where=coeff != 0)
+    """e *= coeff in place, with 0 wherever coeff is 0, so an overflowed
+    exponential under a vanishing coefficient gives 0 rather than
+    0 * inf = NaN.  coeff is a scalar or an array of the shape of e."""
+    zero = np.equal(coeff, 0)
+    np.multiply(coeff, e, out=e, where=~zero)
+    e[zero] = 0.0
 
 
-def _nonlinear(p, u):
+def _exp_terms(p, u, c):
+    """_times(c eps ||Q||^2, e^{-2u}) + _times(2 lam, e^u), over the grid,
+    in one new array and one scratch array."""
     # overflow on wildly diverging iterates yields inf residuals, which the
     # line search rejects; keep that path silent
     with np.errstate(over="ignore"):
-        return (_times(16.0 * p.case.epsilon * p.qnorm2, np.exp(-2.0 * u))
-                + _times(2.0 * p.case.lam, np.exp(u)) - 2.0 * p.kappa)
+        out = np.multiply(u, -2.0)
+        np.exp(out, out=out)
+        term = np.multiply(c * p.case.epsilon, p.qnorm2)
+        _times(term, out)
+        np.exp(u, out=term)
+        _times(2.0 * p.case.lam, term)
+        out += term
+    return out
+
+
+def _nonlinear(p, u):
+    out = _exp_terms(p, u, 16.0)
+    out -= 2.0 * p.kappa
+    return out
 
 
 def _nonlinear_deriv(p, u):
-    with np.errstate(over="ignore"):
-        return (_times(-32.0 * p.case.epsilon * p.qnorm2, np.exp(-2.0 * u))
-                + _times(2.0 * p.case.lam, np.exp(u)))
+    return _exp_terms(p, u, -32.0)
 
 
 def residual_global(u, p):
-    """Nodewise residual of the global equation, Delta_mu = (4/sigma) d2/dz dzbar."""
-    lap = 4.0 / p.sigma * p.domain.dzzbar(u)
-    return lap + _nonlinear(p, u)
+    """Nodewise residual of the global equation, Delta_mu = (4/sigma)
+    d2/dz dzbar: 4/sigma * dzzbar(u) + _nonlinear(p, u), the product and
+    the sum written into the array of dzzbar(u)."""
+    F = p.domain.dzzbar(u)
+    F *= np.divide(4.0, p.sigma)
+    F += _nonlinear(p, u)
+    return F
 
 
 def residual_local(psi, Q, case, domain):
@@ -246,11 +283,14 @@ def residual_scaled(v, p, delta):
 
 def cg(A, b, *, M, rtol, maxiter, callback=None):
     """Preconditioned conjugate gradients (Hestenes and Stiefel, J. Res.
-    NBS 49, 1952) for A x = b, with A and M = P^{-1} functions of a vector
-    and A, P symmetric positive definite.  Step for step the iteration of
+    NBS 49, 1952) for A x = b, with A and M = P^{-1} functions of a vector,
+    A and P symmetric and both positive definite (or both negative
+    definite, which takes the steps of (-A) x = -b with -M, every vector
+    but x negated, exactly).  Step for step the iteration of
     scipy.sparse.linalg.cg: x_0 = 0, stop when ||r|| < rtol ||b||, one
     callback(x) per iteration.  Returns (x, info), info 0 on convergence
-    and maxiter otherwise."""
+    and maxiter otherwise.  A and M return a new array on every call,
+    which the iteration overwrites; b is not changed."""
     x = np.zeros_like(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
@@ -263,14 +303,18 @@ def cg(A, b, *, M, rtol, maxiter, callback=None):
         z = M(r)
         rho = np.dot(r, z)
         if p is None:
-            p = z.copy()
+            p = z
         else:
             p *= rho / rho_prev
             p += z
+        del z  # freed before A allocates its result
         q = A(p)
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        # r -= alpha q and x += alpha p, both products formed in q
+        q *= alpha
+        r -= q
+        x += np.multiply(p, alpha, out=q)
+        del q
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -287,7 +331,9 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
     ||r|| <= rtol ||A|| ||x|| and ||A r|| <= rtol ||A|| ||r|| loosen as the
     grid is refined, since ||A|| grows like h^-2.  One callback(x) per
     iteration.  Returns (x, info), info 0 on convergence and maxiter
-    otherwise."""
+    otherwise.  A and M return a new array on every call, which the
+    iteration overwrites (r1 and r2 are kept across iterations, so a
+    shared buffer would corrupt them); b is not changed."""
     x = np.zeros_like(b)
     y = M(b)
     beta1 = np.dot(b, y)
@@ -299,18 +345,24 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
     eps = np.finfo(float).eps
     atol = rtol * beta1
     r1 = r2 = b
+    # w_{k-2} and w_{k-1}: w_k is written over w_{k-2}, which it is the
+    # last to read; every product of a scalar and a vector is formed in
+    # `scratch`
     w = np.zeros_like(b)
     w2 = np.zeros_like(b)
+    scratch = np.empty_like(b)
     beta, oldb, dbar, epsln, phibar = beta1, 0.0, 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
     for it in range(1, maxiter + 1):
-        # Lanczos step: v_k, alfa_k, beta_{k+1} in the P-inner product
-        v = (1.0 / beta) * y
+        # Lanczos step: v_k, alfa_k, beta_{k+1} in the P-inner product;
+        # v is scaled in y, the preconditioned vector that M returned
+        v = y
+        v *= 1.0 / beta
         y = A(v)
         if it >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=scratch)
         alfa = np.dot(v, y)
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=scratch)
         r1, r2 = r2, y
         y = M(r2)
         oldb, beta = beta, np.dot(r2, y)
@@ -326,9 +378,13 @@ def minres(A, b, *, M, rtol, maxiter, callback=None):
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
+        # w = (v - oldeps w_{k-2} - delta w_{k-1}) / gamma
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x += phi * w
+        w1 *= oldeps
+        w = np.subtract(v, w1, out=w1)
+        w -= np.multiply(w2, delta, out=scratch)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=scratch)
         if callback is not None:
             callback(x)
         if phibar <= atol:  # phibar = ||r||_M
@@ -350,13 +406,16 @@ def sine_matrix(n):
         S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)):
 
     symmetric, its own inverse, and the eigenbasis of the Dirichlet
-    second difference.  j k is reduced mod 2(n+1) in integers, so the
-    matrix gathers its entries from the 2(n+1) values at the arguments
-    pi a/(n+1), a = 0..2n+1, each computed once."""
-    j = np.arange(1, n + 1)
+    second difference.  j k is reduced mod 2(n+1) in integers, in the
+    narrowest unsigned type that holds n^2, so the matrix gathers its
+    entries from the 2(n+1) values at the arguments pi a/(n+1), a =
+    0..2n+1, each computed once."""
+    j = np.arange(1, n + 1, dtype=np.min_scalar_type(n * n))
     period = 2 * (n + 1)
     table = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(period))
-    return table[np.outer(j, j) % period]
+    index = np.multiply.outer(j, j)
+    index %= period
+    return table[index]
 
 
 @dataclass
@@ -370,38 +429,50 @@ class SolveReport:
 
 class _System:
     """Shared pieces for a problem: the stencil restricted to the unknowns,
-    applied matrix-free, the interior index, the symbol of -L_int in the
-    basis of the transform that diagonalizes it, and the linear solve with
-    its count of Krylov iterations.
+    applied matrix-free, the symbol of -L_int in the basis of the
+    transform that diagonalizes it, and the linear solve with its count
+    of Krylov iterations.
+
+    The unknowns are the nodes of `inner`, a slice pair of the grid: the
+    whole grid on a torus, its (n-2) x (m-2) interior block on a planar
+    grid.  A grid field F is read at the unknowns as the view F[inner],
+    and the vectors of the Krylov solve are those values flattened, row
+    by row; `weighted` and `rinf` read a residual there, and a Newton
+    step is added to u there.
 
     L_int v is `Domain.dzzbar` of v on a torus.  On a planar grid it is
-    `Domain.dzzbar_interior` of one zero-bordered buffer, allocated here,
-    whose inner block is v: slices only, so a product gathers, scatters
-    and differences no edge node.  The transform is numpy's real FFT on a
-    torus and X -> S_n X S_m on a planar grid, with the sine matrices
-    built here once, in float32 like the symbol they diagonalize: a
-    planar `precond` casts its residual to float32 once and its result
-    back to float64 once, and makes four single-precision products.
+    `Domain.dzzbar_interior` of v, the boundary values taken as zero:
+    slices only, so a product gathers, scatters and differences no edge
+    node.  The transform is numpy's real FFT on a torus and X -> S_n X
+    S_m on a planar grid, with the sine matrices built here once, in
+    float32 like the symbol they diagonalize: a planar `precond` casts
+    its residual to float32 once and its result back to float64 once,
+    and makes four single-precision products.  Its two float32 buffers
+    are the only work arrays kept here; every other array of a solve is
+    allocated where it is formed and freed once it is read no more, so
+    that the heap stays low between the phases of a Newton step.
 
-    `maxiter` is N, the number of unknowns, within which CG and MINRES end
-    in exact arithmetic.  A Krylov solve of the tests or the benchmark
-    takes at most 64 iterations and at most 0.1 N.  A system whose shift
-    is of both signs and as large as the stencil's diagonal can need more
-    in floating point, and is reported as a stall: MINRES takes 3.8 N on
-    the 17 x 23 rectangle of tests/test_pde.py."""
+    `maxiter` is N, the number of unknowns (`size`), within which CG and
+    MINRES end in exact arithmetic.  A Krylov solve of the tests or the
+    benchmark takes at most 64 iterations and at most 0.1 N.  A system
+    whose shift is of both signs and as large as the stencil's diagonal
+    can need more in floating point, and is reported as a stall: MINRES
+    takes 3.8 N on the 17 x 23 rectangle of tests/test_pde.py."""
 
     def __init__(self, p):
         dom = p.domain
         self.p = p
-        self.interior = np.flatnonzero(dom.interior_mask.ravel())
-        self.w = (p.sigma / 4.0).ravel()[self.interior]  # symmetrizing weight
-        self.linear_iters = 0
-        self.maxiter = self.interior.size
         n, m = dom.shape
+        if dom.periodic:
+            self.inner, self.grid = np.s_[:, :], (n, m)
+        else:
+            self.inner, self.grid = np.s_[1:-1, 1:-1], (n - 2, m - 2)
+        self.size = math.prod(self.grid)
+        self.linear_iters = 0
+        self.maxiter = self.size
         if dom.periodic:
             # the stencil is circulant, cross term included: its symbol is
             # the FFT of its kernel L e_0, which sums to 0 (constants)
-            self.grid = (n, m)
             impulse = np.zeros(self.grid)
             impulse[0, 0] = 1.0
             self.symbol = -np.fft.rfftn(dom.dzzbar(impulse)).real
@@ -411,13 +482,13 @@ class _System:
         else:
             # the interior second differences, which have no cross term on
             # a planar domain, are diagonal in the sine basis
-            self.grid = (n - 2, m - 2)
-            self._bordered = np.zeros((n, m))
             a, b, _, den = dom.dzzbar_coeffs
             sj = 4.0 * np.sin(np.pi * np.arange(1, n - 1) / (2 * (n - 1))) ** 2
             sk = 4.0 * np.sin(np.pi * np.arange(1, m - 1) / (2 * (m - 1))) ** 2
-            self.symbol = ((a * sj[:, None] + b * sk[None, :]) / den
-                           ).astype(np.float32)
+            symbol = np.add.outer(a * sj, b * sk)
+            symbol /= den
+            self.symbol = symbol.astype(np.float32)
+            del symbol  # freed before the sine matrices are built
             Sn = sine_matrix(n - 2).astype(np.float32)
             Sm = Sn if m == n else sine_matrix(m - 2).astype(np.float32)
             # the products run in two float32 buffers of this system, so
@@ -436,6 +507,13 @@ class _System:
             self._fwd = fwd
             self._inv = lambda Z: sines(Z).astype(float)
 
+    def weighted(self, F):
+        """w F at the unknowns, flattened, for the symmetrizing weight
+        w = sigma/4 and a grid field F: one new array."""
+        out = np.divide(self.p.sigma[self.inner], 4.0)
+        out *= F[self.inner]
+        return out.ravel()
+
     def shifted(self, v, shift):
         """(L_int + diag(shift)) v for the unknowns v, flattened."""
         dom = self.p.domain
@@ -443,8 +521,7 @@ class _System:
             out = dom.dzzbar(v.reshape(self.grid)).ravel()
             out += shift * v
             return out
-        self._bordered[1:-1, 1:-1] = v.reshape(self.grid)
-        return dom.dzzbar_interior(self._bordered,
+        return dom.dzzbar_interior(v.reshape(self.grid),
                                    shift.reshape(self.grid)).ravel()
 
     def precond(self, c):
@@ -463,51 +540,63 @@ class _System:
 
     def solve(self, shift, rhs, rtol=LINEAR_RTOL):
         """x with (L_int + diag(shift)) x = rhs on the unknowns, to the
-        relative tolerance rtol of the Krylov method's stopping test: CG on
-        the negated system when every shift is negative, which makes it
-        SPD, MINRES otherwise, preconditioned by P^{-1} at c = mean |shift|,
-        which is SPD for either.  Newton passes its forcing term as rtol;
-        the monotone iteration keeps LINEAR_RTOL.  None, no step, if the
-        Krylov solve does not converge; adds to the count `linear_iters`."""
-        sign = -1.0 if np.all(shift < 0) else 1.0
+        relative tolerance rtol of the Krylov method's stopping test: CG
+        when every shift is negative, which makes the system negative
+        definite, preconditioned by -P^{-1}, and MINRES otherwise,
+        preconditioned by P^{-1}, at c = mean |shift|; P is SPD for
+        either.  Newton passes its forcing term as rtol; the monotone
+        iteration keeps LINEAR_RTOL.  None, no step, if the Krylov solve
+        does not converge; adds to the count `linear_iters`."""
+        P = self.precond(float(np.mean(np.abs(shift))))
+        if np.all(shift < 0):
+            # the system and P^{-1} both negative definite: CG takes the
+            # steps of CG on the negated, SPD system and the same x
+            krylov = cg
 
-        def apply(v):
-            out = self.shifted(v, shift)
-            out *= sign
-            return out
+            def M(r):
+                out = P(r)
+                return np.negative(out, out=out)
+        else:
+            krylov, M = minres, P
 
         def count(xk):
             self.linear_iters += 1
 
-        M = self.precond(float(np.mean(np.abs(shift))))
-        b = sign * rhs
-        krylov = cg if sign < 0 else minres
-        x, info = krylov(apply, b, M=M, rtol=rtol, maxiter=self.maxiter,
-                         callback=count)
+        x, info = krylov(partial(self.shifted, shift=shift), rhs, M=M,
+                         rtol=rtol, maxiter=self.maxiter, callback=count)
         return x if info == 0 else None
 
     def rinf(self, F):
-        return float(np.max(np.abs(F.ravel()[self.interior])))
+        """max |F| over the unknowns, NaN if one of them is NaN: the
+        larger of max F and -min F, which both propagate a NaN (the abs
+        only clears the sign of a zero)."""
+        inner = F[self.inner]
+        return abs(float(max(inner.max(), -inner.min())))
 
 
 def _apply_boundary(p, u):
+    """Set the Dirichlet data of p on the edges of the grid field u, in
+    place; nothing on a torus."""
     if not p.domain.periodic:
-        u = u.copy()
         mask = p.domain.boundary_mask
         u[mask] = p.boundary_field[mask]
-    return u
 
 
 def _line_search(p, sys_, u, delta, rinf):
     """(u, F, rinf, t) at the first of 40 halvings t = 1, 1/2, ... of the
     step delta whose residual is below rinf; None if there is none, and
-    False if there is no step (delta None: its Krylov solve stalled)."""
+    False if there is no step (delta None: its Krylov solve stalled).
+    Every trial is written into one copy of u, whose edges keep u's."""
     if delta is None:
         return False
+    u_try = u.copy()
+    inner = u_try[sys_.inner]
+    delta = delta.reshape(sys_.grid)
     t = 1.0
     for _ in range(40):
-        u_try = u.copy()
-        u_try.ravel()[sys_.interior] += t * delta
+        # u + t delta at the unknowns
+        np.multiply(delta, t, out=inner)
+        inner += u[sys_.inner]
         F_try = residual_global(u_try, p)
         r_try = sys_.rinf(F_try)
         if r_try < rinf:
@@ -540,7 +629,7 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     n, m = p.domain.shape
     u = np.zeros((n, m)) if u0 is None else np.broadcast_to(
         np.asarray(u0, dtype=float), (n, m)).copy()
-    u = _apply_boundary(p, u)
+    _apply_boundary(p, u)
     sys_ = _System(p)
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
@@ -548,17 +637,24 @@ def solve_newton(p, u0=None, tol=NEWTON_TOL, max_iter=100):
     reason = _no_solution_reason(p)
     it = 0
     converged = not reason and rinf <= tol
+
+    def step(rtol):
+        # the Jacobian's shift w G'(u) is built for the solve and freed
+        # with it, before the line search
+        delta = sys_.solve(sys_.weighted(_nonlinear_deriv(p, u)), rhs, rtol)
+        return _line_search(p, sys_, u, delta, rinf)
+
     while not (converged or reason) and it < max_iter:
-        gp = _nonlinear_deriv(p, u).ravel()[sys_.interior]
-        shift = sys_.w * gp
-        rhs = -(sys_.w * F.ravel()[sys_.interior])
+        # of F, only rhs = -w F is kept
+        rhs = sys_.weighted(F)
+        np.negative(rhs, out=rhs)
+        del F
         eta = min(FORCING_MAX, max(LINEAR_RTOL, FORCING_SCALE * rinf))
         iters = sys_.linear_iters
-        found = _line_search(p, sys_, u, sys_.solve(shift, rhs, rtol=eta),
-                             rinf)
+        found = step(eta)
         if found is None and eta > LINEAR_RTOL:
             eta = LINEAR_RTOL
-            found = _line_search(p, sys_, u, sys_.solve(shift, rhs), rinf)
+            found = step(eta)
         history["rinf"].append(rinf)
         history["eta"].append(eta)
         history["linear_iters"].append(sys_.linear_iters - iters)
@@ -615,26 +711,29 @@ def solve_monotone(p, tol=MONOTONE_TOL, max_iter=400):
     else:
         sub, super_ = 0.0, supersolution_bound(p)
     u = np.full((n, m), sub)
-    u = _apply_boundary(p, u)
+    _apply_boundary(p, u)
     sys_ = _System(p)
-    super_field = np.full((n, m), super_)
+    # max |G'| at the supersolution, the same on every step
+    gsuper = np.abs(_nonlinear_deriv(p, np.full((n, m), super_))).max()
     history = {"min_step": [], "max_u": []}
     F = residual_global(u, p)
     rinf = sys_.rinf(F)
     it = 0
     converged = not reason and rinf <= tol
     while not (converged or reason) and it < max_iter:
-        gmag = np.maximum(np.abs(_nonlinear_deriv(p, u)),
-                          np.abs(_nonlinear_deriv(p, super_field)))
-        shift = float(np.max(gmag)) + 1.0
+        # max |G'| over u and the supersolution, NaN if either has one
+        gmag = np.maximum(np.abs(_nonlinear_deriv(p, u)).max(), gsuper)
+        shift = float(gmag) + 1.0
         # (w shift - L_int) delta = w F
-        delta = sys_.solve(-sys_.w * shift,
-                           -(sys_.w * F.ravel()[sys_.interior]))
+        rhs = sys_.weighted(F)
+        np.negative(rhs, out=rhs)
+        delta = sys_.solve(
+            sys_.weighted(np.broadcast_to(-shift, (n, m))), rhs)
         if delta is None:
             reason = (f"linear_stall: the Krylov solve of step {it + 1} "
                       f"did not converge in {sys_.maxiter} iterations")
             break
-        u.ravel()[sys_.interior] += delta
+        u[sys_.inner] += delta.reshape(sys_.grid)
         history["min_step"].append(float(delta.min()))
         history["max_u"].append(float(u.max()))
         F = residual_global(u, p)

@@ -129,13 +129,14 @@ class SemiFlatData:
     ma_residual: np.ndarray  # det Hess_x phi - 1
 
 
-def _chain_rule(x1, x2, phi, first, second):
+def _chain_rule(x1, x2, phi, first, second=None):
     """det J, the gradient of phi with respect to (x1, x2) as two fields,
-    and det Hess_x phi on a curved grid, by the chain rule through the
-    lattice Jacobian J, written out entry by entry for the 2x2 matrices,
-    from the lattice derivatives first(f) = (f_j, f_k) and second(f) =
-    (f_jj, f_kk, f_jk).  A node with det J = 0 gets inf or nan, without a
-    warning: each caller checks det J on the nodes it keeps."""
+    and, given `second`, det Hess_x phi on a curved grid, by the chain
+    rule through the lattice Jacobian J, written out entry by entry for
+    the 2x2 matrices, from the lattice derivatives first(f) = (f_j, f_k)
+    and second(f) = (f_jj, f_kk, f_jk).  A node with det J = 0 gets inf or
+    nan, without a warning: each caller checks det J on the nodes it
+    keeps."""
     # rows d x^i of J
     x1j, x1k = first(x1)
     x2j, x2k = first(x2)
@@ -148,6 +149,8 @@ def _chain_rule(x1, x2, phi, first, second):
         g1 = -x1k / det * pj + x1j / det * pk
         # each field freed early keeps the peak RSS down
         del x1j, x1k, x2j, x2k, pj, pk
+        if second is None:
+            return det, g0, g1
         # second lattice differences of phi minus gradient-weighted
         # curvature of x: the symmetric matrix l
         l00, l11, l01 = second(phi)
@@ -162,10 +165,11 @@ def _chain_rule(x1, x2, phi, first, second):
         return det, g0, g1, (l00 * l11 - l01 * l01) / (det * det)
 
 
-def _centered(x1, x2, phi):
-    """`_chain_rule` at the nodes of rows 1..n-2 of (n, m) fields, by the
-    centered stencils of `lattice_diff` and `second_diffs`, as (n - 2, m)
-    arrays whose columns 0 and m - 1 hold junk.  The fields are copied
+def _centered(x1, x2, phi, hessian=True):
+    """`_chain_rule` at the nodes of rows 1..n-2 of (n, m) fields, det
+    Hess_x phi only with `hessian`, by the centered stencils of
+    `lattice_diff` and `second_diffs`, as (n - 2, m) arrays whose
+    columns 0 and m - 1 hold junk.  The fields are copied
     into one flat row each, padded by a zero at both ends, so that every
     stencil reads contiguous slices: the neighbours of a node are its
     flat index -+1 and -+m, and at columns 0 and m - 1 -+1 wraps around
@@ -188,7 +192,8 @@ def _centered(x1, x2, phi):
                 f[m + 2:size - m + 2] - twice + f[m:size - m],
                 (fj[2:] - fj[:-2]) / 2.0)
 
-    return [a.reshape(n - 2, m) for a in _chain_rule(*pad, first, second)]
+    return [a.reshape(n - 2, m)
+            for a in _chain_rule(*pad, first, second if hessian else None)]
 
 
 # each side of the boundary ring of a grid, and the four rows or columns
@@ -197,14 +202,16 @@ _SIDES = ((np.s_[0], np.s_[:4]), (np.s_[-1], np.s_[-4:]),
           (np.s_[:, 0], np.s_[:, :4]), (np.s_[:, -1], np.s_[:, -4:]))
 
 
-def _edge(x1, x2, phi, side, strip):
-    """`_chain_rule` on one side of the boundary ring: the stencils of
-    `lattice_diff` and `second_diffs` on the strip next to it, whose
-    values on the side are the whole grid's, bit for bit."""
+def _edge(x1, x2, phi, side, strip, hessian=True):
+    """`_chain_rule` on one side of the boundary ring, det Hess_x phi
+    only with `hessian`: the stencils of `lattice_diff` and `second_diffs`
+    on the strip next to it, whose values on the side are the whole
+    grid's, bit for bit."""
     def first(f):
         return lattice_diff(f, 0), lattice_diff(f, 1)
 
-    out = _chain_rule(x1[strip], x2[strip], phi[strip], first, second_diffs)
+    out = _chain_rule(x1[strip], x2[strip], phi[strip], first,
+                      second_diffs if hessian else None)
     return [a[side] for a in out]
 
 
@@ -213,16 +220,17 @@ def _check(det):
         raise DegenerateVertexError("degenerate affine development")
 
 
-def _centered_rows(x1, x2, phi):
+def _centered_rows(x1, x2, phi, hessian=True):
     """Yield (r0, r1, grad_x1, grad_x2, det_hess) of `_centered` for the
     rows r0..r1 - 1 of blocks (`row_blocks`) that cover rows 1..n-2 of
     (n, m) fields, each read with one halo row on each side: the whole
-    grid's values, bit for bit.  Raises DegenerateVertexError where
-    det J = 0 on their columns 1..m-2."""
+    grid's values, bit for bit; without `hessian`, (r0, r1, grad_x1,
+    grad_x2).  Raises DegenerateVertexError where det J = 0 on their
+    columns 1..m-2."""
     n, m = phi.shape
     for r0, r1 in row_blocks(1, n - 1, m):
         b = np.s_[r0 - 1:r1 + 1]
-        det, *out = _centered(x1[b], x2[b], phi[b])
+        det, *out = _centered(x1[b], x2[b], phi[b], hessian)
         _check(det[:, 1:-1])
         yield r0, r1, *out
 
@@ -285,7 +293,23 @@ def monge_ampere_gate(vertices):
 
 def semiflat_dual_roundtrip(sf):
     """Develop the mirror data back: grad_y phi_star should return x.
-    Returns the max deviation over interior nodes."""
-    grad, _ = _chain_rule_hessian(sf.y[..., 0], sf.y[..., 1], sf.phi_star)
-    dev = np.linalg.norm(grad - sf.x, axis=-1)
-    return float(dev[2:-2, 2:-2].max())
+    Returns the max of |grad_y phi_star - x| over the nodes off the two
+    outer rings, from the centered gradient alone, a block of grid rows at
+    a time (`_centered_rows` without det Hess): the whole grid's values,
+    bit for bit.  Like `semiflat_develop`, it raises DegenerateVertexError
+    where det J = 0 at any node of the grid, the ring included (`_edge`)."""
+    y1, y2, phi_star = sf.y[..., 0], sf.y[..., 1], sf.phi_star
+    n = phi_star.shape[0]
+    for side, strip in _SIDES:
+        _check(_edge(y1, y2, phi_star, side, strip, hessian=False)[0])
+    worst = 0.0
+    for r0, r1, g0, g1 in _centered_rows(y1, y2, phi_star, hessian=False):
+        # rows 2..n-3 of the block's rows, and columns 2..m-3
+        rows = np.s_[max(2 - r0, 0):n - 2 - r0, 2:-2]
+        x = sf.x[r0:r1]
+        d0 = g0[rows] - x[..., 0][rows]
+        d1 = g1[rows] - x[..., 1][rows]
+        # the sum of squares of np.linalg.norm over the last axis
+        dev = np.sqrt(d0 * d0 + d1 * d1)
+        worst = np.maximum(worst, dev.max(initial=0.0))
+    return float(worst)

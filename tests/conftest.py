@@ -112,6 +112,50 @@ def dzzbar_matrix(domain):
     return (L / den).tocsr()
 
 
+# the residual of the global equation with every term in a new array,
+# the periodic second differences by np.roll: the form that the in-place
+# terms of pde.residual_global replaced, its oracle
+def _lattice_diff2_reference(f, axis, periodic):
+    f = np.moveaxis(f, axis, 0)
+    if periodic:
+        g = np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)
+    else:
+        g = np.empty_like(f)
+        g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        g[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
+        g[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
+    return np.moveaxis(g, 0, axis)
+
+
+def residual_global_reference(u, p):
+    """4/sigma d^2/dz dzbar u + 16 eps ||Q||^2 e^{-2u} + 2 lam e^u
+    - 2 kappa, as 4.0 / p.sigma * p.domain.dzzbar(u) + _nonlinear(p, u)
+    once read, each exponential term 0 wherever its coefficient is."""
+    from titeica.geometry import cubic_norm_sq, lattice_diff
+
+    dom, mu, per = p.domain, p.mu, p.domain.periodic
+    z = dom.z
+    a, b, c, den = dom.dzzbar_coeffs
+    djj = _lattice_diff2_reference(u, 0, per)
+    dkk = _lattice_diff2_reference(u, 1, per)
+    if c == 0:
+        lap = (a * djj + b * dkk) / den
+    else:
+        djk = lattice_diff(lattice_diff(u, 0, per), 1, per)
+        lap = (a * djj + c * djk + b * dkk) / den
+
+    def times(coeff, e):
+        coeff = np.broadcast_to(coeff, e.shape)
+        return np.multiply(coeff, e, out=np.zeros_like(e), where=coeff != 0)
+
+    qnorm2 = cubic_norm_sq(p.Q, mu, z)
+    with np.errstate(over="ignore"):
+        nonlinear = (times(16.0 * p.case.epsilon * qnorm2, np.exp(-2.0 * u))
+                     + times(2.0 * p.case.lam, np.exp(u))
+                     - 2.0 * mu.curvature(z))
+    return 4.0 / mu.sigma(z) * lap + nonlinear
+
+
 def exact_precond(system, c):
     """r -> P^{-1} r for P = -L_int + c I on the unknowns of a planar
     `pde._System`, in float64, with the symbol of the Dirichlet second
@@ -209,6 +253,17 @@ def whole_grid_chain_rule_hessian(x1, x2, phi):
         l01 -= g * xjk
         l11 -= g * xkk
     return grad, (l00 * l11 - l01 * l01) / (det * det)
+
+
+def hessian_dual_roundtrip(sf):
+    """semiflat_dual_roundtrip by the gradient of the whole-grid
+    projective._chain_rule_hessian, det Hess computed and discarded: the
+    form that its gradient-only pass replaced."""
+    from titeica.projective import _chain_rule_hessian
+
+    grad, _ = _chain_rule_hessian(sf.y[..., 0], sf.y[..., 1], sf.phi_star)
+    dev = np.linalg.norm(grad - sf.x, axis=-1)
+    return float(dev[2:-2, 2:-2].max())
 
 
 def face_rows_reference(n, m):

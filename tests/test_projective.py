@@ -7,7 +7,8 @@ import titeica as tz
 from titeica import geometry, projective
 from titeica.errors import DegenerateVertexError
 from titeica.geometry import lattice_diff, second_diffs
-from tests.conftest import hyperboloid_mesh, whole_grid_chain_rule_hessian
+from tests.conftest import (hessian_dual_roundtrip, hyperboloid_mesh,
+                            whole_grid_chain_rule_hessian)
 
 HYP = tz.SignCase(1, -1)
 
@@ -180,6 +181,50 @@ def test_semiflat_from_weierstrass():
         assert vals[n] <= 40.0 * dom.hmax ** 2
         assert tz.semiflat_dual_roundtrip(sf) <= 200.0 * dom.hmax ** 2
     assert vals[24] / vals[48] > 2.5
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+def test_dual_roundtrip_is_the_hessian_paths(monkeypatch, rows):
+    # the gradient-only pass against the whole-grid chain rule with det
+    # Hess, to the bit, on an odd grid whose blocks of `rows` rows (one
+    # block, one row, and a shorter last block) end on either side of the
+    # gated rows 2..n-3
+    pair = tz.HoloPair.from_coeffs([0.0, 0.1, 0.05 + 0.02j],
+                                   [0.0, 1.0, 0.0, 0.1])
+    dom = tz.Domain.rectangle(1.0, 0.9, 33, 41)
+    if rows:
+        monkeypatch.setattr(geometry, "ROWS_BLOCK_BYTES", 16 * 41 * rows)
+    sf = tz.semiflat_develop(tz.parabolic_from_holomorphic(pair, dom))
+    got = tz.semiflat_dual_roundtrip(sf)
+    assert 0.0 < got == hessian_dual_roundtrip(sf)
+    # a spike on the outer ring of phi* moves the gradient on the ring
+    # next to it, which neither counts, and no gated node
+    spiked = sf.phi_star.copy()
+    spiked[[0, -1]] += 1e3
+    spiked[:, [0, -1]] += 1e3
+    sf.phi_star = spiked
+    assert tz.semiflat_dual_roundtrip(sf) == hessian_dual_roundtrip(sf) == got
+
+
+@pytest.mark.parametrize("node", [(5, 7), (0, 7), (23, 7), (5, 0), (5, 23)])
+def test_dual_roundtrip_raises_on_a_singular_jacobian(node):
+    # det J = 0 of the dual coordinates at a gated node or on the ring
+    # raises, as the whole-grid chain rule did; neither warns
+    sf = tz.semiflat_develop(parabolic_mesh())
+    j, k = node
+    y = sf.y.copy()
+    if 0 < k < 23:
+        y[j, k + 1] = y[j, k - 1]
+    else:
+        y[j + 1, k] = y[j - 1, k]
+    sf.y = y
+    with pytest.raises(DegenerateVertexError):
+        hessian_dual_roundtrip(sf)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateVertexError):
+            tz.semiflat_dual_roundtrip(sf)
+    assert caught == []
 
 
 def reference_chain_rule(x1, x2, phi):
