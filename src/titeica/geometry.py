@@ -19,8 +19,20 @@ quotient of the package is written in this module: `lattice_diff` and
 and from these the `Domain` stencils d/dz, d/dzbar, d^2/dz^2 and
 d^2/dz dzbar, and the interior form `Domain.dzzbar_interior` that the
 solvers apply matrix-free.  No stencil is assembled as a matrix.
+
+`lattice_diff` and `lattice_diff2` are each one pass over the array's
+contiguous memory: along an axis, a node's neighbours lie the axis's
+stride before and after it, so one expression over the flat array gives
+the centered formula at every node.  It is wrong only on the two edge
+slices of the axis, whose flat neighbours lie on other lines, and these
+are then overwritten by the one-sided or periodic formula.  Integer and
+boolean fields are differenced as float64.  A stage that streams a grid
+a block of rows at a time takes its blocks from `row_blocks`, with a
+slab of rows around each: these stencils applied to the slab have, on
+the block's rows, the bits of the whole grid's.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,18 +87,44 @@ class SignCase:
         return self.lam != 0
 
 
+def _flat(f, axis):
+    """(f, g, s, at) for a stencil along `axis`: f as a C-contiguous
+    array, integers and booleans as float64; g an empty array like it;
+    s the stride of `axis` in elements, the flat offset of a node's
+    neighbours along it; and at(a, i), the slice of a at index i of
+    `axis`, the axis kept."""
+    f = np.asarray(f)
+    f = np.ascontiguousarray(f, dtype=float if f.dtype.kind in "biu" else None)
+    axis %= f.ndim
+    lead = (slice(None),) * axis
+
+    def at(a, i):
+        return a[lead + (slice(i, i + 1 or None),)]
+
+    return f, np.empty_like(f), math.prod(f.shape[axis + 1:]), at
+
+
 def lattice_diff(f, axis, periodic=False):
     """Centered first difference of f along `axis` (per unit index step),
     second-order one-sided at non-periodic edges."""
-    f = np.moveaxis(np.asarray(f), axis, 0)
+    f, g, s, at = _flat(f, axis)
+    flat, mid = f.reshape(-1), g.reshape(-1)[s:-s]
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=mid)
+    mid /= 2.0
+    first, last = at(g, 0), at(g, -1)
     if periodic:
-        g = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / 2.0
+        np.subtract(at(f, 1), at(f, -1), out=first)
+        np.subtract(at(f, 0), at(f, -2), out=last)
     else:
-        g = np.empty_like(f)
-        g[1:-1] = (f[2:] - f[:-2]) / 2.0
-        g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / 2.0
-        g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / 2.0
-    return np.moveaxis(g, 0, axis)
+        np.multiply(at(f, 0), -3.0, out=first)
+        first += 4.0 * at(f, 1)
+        first -= at(f, 2)
+        np.multiply(at(f, -1), 3.0, out=last)
+        last -= 4.0 * at(f, -2)
+        last += at(f, -3)
+    first /= 2.0
+    last /= 2.0
+    return g
 
 
 def lattice_diff2(f, axis, periodic=False):
@@ -94,21 +132,22 @@ def lattice_diff2(f, axis, periodic=False):
     non-periodic edges.  The centered difference is f_{i+1} - 2 f_i +
     f_{i-1}, its terms in this order, written into the one array that
     it returns."""
-    f = np.moveaxis(np.asarray(f), axis, 0)
-    if periodic:
-        g = np.multiply(f, 2.0)
-        np.subtract(f[1:], g[:-1], out=g[:-1])
-        np.subtract(f[:1], g[-1:], out=g[-1:])
-        g[1:] += f[:-1]
-        g[:1] += f[-1:]
-    else:
-        g = np.empty_like(f)
-        np.multiply(f[1:-1], 2.0, out=g[1:-1])
-        np.subtract(f[2:], g[1:-1], out=g[1:-1])
-        g[1:-1] += f[:-2]
-        g[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
-        g[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
-    return np.moveaxis(g, 0, axis)
+    f, g, s, at = _flat(f, axis)
+    flat, mid = f.reshape(-1), g.reshape(-1)[s:-s]
+    np.multiply(flat[s:-s], 2.0, out=mid)
+    np.subtract(flat[2 * s:], mid, out=mid)
+    mid += flat[:-2 * s]
+    for i, d in ((0, 1), (-1, -1)):  # the first and the last edge
+        edge = at(g, i)
+        np.multiply(at(f, i), 2.0, out=edge)
+        if periodic:
+            np.subtract(at(f, i + 1), edge, out=edge)
+            edge += at(f, i - 1)
+        else:
+            edge -= 5.0 * at(f, i + d)
+            edge += 4.0 * at(f, i + 2 * d)
+            edge -= at(f, i + 3 * d)
+    return g
 
 
 def second_diffs(f, periodic=False):
@@ -127,13 +166,22 @@ def polyval(coeffs, z):
     return out
 
 
-def row_blocks(start, stop, m):
-    """Half-open ranges (r0, r1) that cover the rows start..stop - 1 of a
-    grid of m columns, in order, each of as many rows as one complex field
-    of ROWS_BLOCK_BYTES holds (at least one), but the last."""
-    rows = max(1, ROWS_BLOCK_BYTES // (16 * m))
-    bounds = list(range(start, stop, rows)) + [stop]
-    return list(zip(bounds[:-1], bounds[1:]))
+def row_blocks(n, m):
+    """Yield (rows, slab, core) for blocks of the rows of an (n, m) grid,
+    in order, each of as many rows as one complex field of
+    ROWS_BLOCK_BYTES holds (at least one) but the last: slices of the
+    block's grid rows; of the slab of grid rows that a stencil stage reads
+    for them, with one halo row on each side, clipped at the grid's edge,
+    and at least the 4 rows that a one-sided second difference reads; and
+    of the block's rows within the slab.  On the core, the stencils of
+    this module applied to a slab have the bits of the whole grid's."""
+    step = max(1, ROWS_BLOCK_BYTES // (16 * m))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        a = max(r0 - 1, 0)
+        b = min(max(r1 + 1, a + 4), n)
+        a = max(min(a, b - 4), 0)
+        yield slice(r0, r1), slice(a, b), slice(r0 - a, r1 - a)
 
 
 def _grid_shape(n, m):

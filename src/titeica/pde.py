@@ -115,10 +115,10 @@ class PdeProblem:
     def _fields(self):
         n, m = self.domain.shape
         sigma, qnorm2 = np.empty((2, n, m))
-        for r0, r1 in row_blocks(0, n, m):
-            z = self.domain.z_block(slice(r0, r1))
-            s = sigma[r0:r1] = self.mu.sigma(z)
-            qnorm2[r0:r1] = np.abs(self.Q(z)) ** 2 / s ** 3
+        for rows, _, _ in row_blocks(n, m):
+            z = self.domain.z_block(rows)
+            s = sigma[rows] = self.mu.sigma(z)
+            qnorm2[rows] = np.abs(self.Q(z)) ** 2 / s ** 3
         return sigma, qnorm2
 
     @property

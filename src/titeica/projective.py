@@ -1,6 +1,7 @@
 """Developing maps into RP^2, quadric fitting, holonomy reports, and the
 semi-flat (Hessian-potential) development of parabolic meshes with its
-Legendre-dual mirror data.
+Legendre-dual mirror data, whose lattice derivatives are `geometry`'s
+stencils, taken a block of grid rows at a time.
 """
 
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateVertexError, InvalidSignCase
 from .frames import holonomy
-from .geometry import lattice_diff, row_blocks, second_diffs
+from .geometry import lattice_diff, lattice_diff2, row_blocks
 
 
 def normalize_rp2(v):
@@ -129,90 +130,43 @@ class SemiFlatData:
     ma_residual: np.ndarray  # det Hess_x phi - 1
 
 
-def _chain_rule(x1, x2, phi, first, second=None):
+def _chain_rule(F, hessian=True):
     """det J, the gradient of phi with respect to (x1, x2) as two fields,
-    and, given `second`, det Hess_x phi on a curved grid, by the chain
-    rule through the lattice Jacobian J, written out entry by entry for
-    the 2x2 matrices, from the lattice derivatives first(f) = (f_j, f_k)
-    and second(f) = (f_jj, f_kk, f_jk).  A node with det J = 0 gets inf or
-    nan, without a warning: each caller checks det J on the nodes it
-    keeps."""
+    and, with `hessian`, det Hess_x phi on a curved grid, for the fields
+    F = (x1, x2, phi) stacked on the first axis of one array over grid
+    rows and columns.  It applies the chain rule through the lattice
+    Jacobian J, written out entry by entry for the 2x2 matrices, to the
+    lattice derivatives of the three fields, each taken by one call of
+    `lattice_diff` or `lattice_diff2` and freed once read.  A node with
+    det J = 0 gets inf or nan, without a warning: each caller checks det
+    J on the nodes it keeps."""
     # rows d x^i of J
-    x1j, x1k = first(x1)
-    x2j, x2k = first(x2)
+    Fj, Fk = lattice_diff(F, 1), lattice_diff(F, 2)
+    (x1j, x2j, pj), (x1k, x2k, pk) = Fj, Fk
     det = x1j * x2k - x1k * x2j
-    pj, pk = first(phi)
     with np.errstate(divide="ignore", invalid="ignore"):
         # d phi / d x = a^T d phi, with the closed-form 2x2 inverse
         # a = adj J / det J, indexed [lattice, x]
         g0 = x2k / det * pj + -x2j / det * pk
         g1 = -x1k / det * pj + x1j / det * pk
         # each field freed early keeps the peak RSS down
-        del x1j, x1k, x2j, x2k, pj, pk
-        if second is None:
+        del x1j, x1k, x2j, x2k, pj, pk, Fk
+        if not hessian:
             return det, g0, g1
-        # second lattice differences of phi minus gradient-weighted
-        # curvature of x: the symmetric matrix l
-        l00, l11, l01 = second(phi)
-        for g, x in ((g0, x1), (g1, x2)):
-            xjj, xkk, xjk = second(x)
-            l00 -= g * xjj
-            l01 -= g * xjk
-            l11 -= g * xkk
-        del xjj, xkk, xjk
+
+        def entry(d):
+            # an entry of the symmetric matrix l: the second lattice
+            # difference d of phi less the gradient-weighted ones of x
+            out = np.subtract(d[2], g0 * d[0])
+            out -= g1 * d[1]
+            return out
+
+        l01 = entry(lattice_diff(Fj, 2))
+        del Fj
+        l00, l11 = entry(lattice_diff2(F, 1)), entry(lattice_diff2(F, 2))
         # the lattice Jacobian maps d(lattice) -> dx, so Hess_x = a^T l a
         # and det Hess_x = det l det(a)^2 = det l / det J^2
         return det, g0, g1, (l00 * l11 - l01 * l01) / (det * det)
-
-
-def _centered(x1, x2, phi, hessian=True):
-    """`_chain_rule` at the nodes of rows 1..n-2 of (n, m) fields, det
-    Hess_x phi only with `hessian`, by the centered stencils of
-    `lattice_diff` and `second_diffs`, as (n - 2, m) arrays whose
-    columns 0 and m - 1 hold junk.  The fields are copied
-    into one flat row each, padded by a zero at both ends, so that every
-    stencil reads contiguous slices: the neighbours of a node are its
-    flat index -+1 and -+m, and at columns 0 and m - 1 -+1 wraps around
-    to the next row or the pad."""
-    n, m = phi.shape
-    size = n * m
-    pad = np.zeros((3, size + 2))
-    for row, f in zip(pad, (x1, x2, phi)):
-        row[1:-1].reshape(n, m)[...] = f
-
-    def first(f):
-        return ((f[2 * m + 1:size + 1] - f[1:size - 2 * m + 1]) / 2.0,
-                (f[m + 2:size - m + 2] - f[m:size - m]) / 2.0)
-
-    def second(f):
-        twice = 2.0 * f[m + 1:size - m + 1]
-        # f_j from one node before the first to one after the last
-        fj = (f[2 * m:] - f[:size - 2 * m + 2]) / 2.0
-        return (f[2 * m + 1:size + 1] - twice + f[1:size - 2 * m + 1],
-                f[m + 2:size - m + 2] - twice + f[m:size - m],
-                (fj[2:] - fj[:-2]) / 2.0)
-
-    return [a.reshape(n - 2, m)
-            for a in _chain_rule(*pad, first, second if hessian else None)]
-
-
-# each side of the boundary ring of a grid, and the four rows or columns
-# next to it, which hold every node its one-sided stencils read
-_SIDES = ((np.s_[0], np.s_[:4]), (np.s_[-1], np.s_[-4:]),
-          (np.s_[:, 0], np.s_[:, :4]), (np.s_[:, -1], np.s_[:, -4:]))
-
-
-def _edge(x1, x2, phi, side, strip, hessian=True):
-    """`_chain_rule` on one side of the boundary ring, det Hess_x phi
-    only with `hessian`: the stencils of `lattice_diff` and `second_diffs`
-    on the strip next to it, whose values on the side are the whole
-    grid's, bit for bit."""
-    def first(f):
-        return lattice_diff(f, 0), lattice_diff(f, 1)
-
-    out = _chain_rule(x1[strip], x2[strip], phi[strip], first,
-                      second_diffs if hessian else None)
-    return [a[side] for a in out]
 
 
 def _check(det):
@@ -220,36 +174,27 @@ def _check(det):
         raise DegenerateVertexError("degenerate affine development")
 
 
-def _centered_rows(x1, x2, phi, hessian=True):
-    """Yield (r0, r1, grad_x1, grad_x2, det_hess) of `_centered` for the
-    rows r0..r1 - 1 of blocks (`row_blocks`) that cover rows 1..n-2 of
-    (n, m) fields, each read with one halo row on each side: the whole
-    grid's values, bit for bit; without `hessian`, (r0, r1, grad_x1,
-    grad_x2).  Raises DegenerateVertexError where det J = 0 on their
-    columns 1..m-2."""
+def _blocks(x1, x2, phi, hessian=True):
+    """Yield (rows, det J, grad_x1, grad_x2, det_hess) of `_chain_rule` on
+    the rows of each block of (n, m) fields, det_hess only with
+    `hessian`: computed on the block's slab (`row_blocks`), whose values
+    on the block's rows are the whole grid's, bit for bit."""
     n, m = phi.shape
-    for r0, r1 in row_blocks(1, n - 1, m):
-        b = np.s_[r0 - 1:r1 + 1]
-        det, *out = _centered(x1[b], x2[b], phi[b], hessian)
-        _check(det[:, 1:-1])
-        yield r0, r1, *out
+    for rows, slab, core in row_blocks(n, m):
+        F = np.stack([x1[slab], x2[slab], phi[slab]])
+        yield rows, *(a[core] for a in _chain_rule(F, hessian))
 
 
 def _chain_rule_hessian(x1, x2, phi):
     """Gradient of phi and det Hess_x phi with respect to (x1, x2) over a
-    whole grid: the centered rows 1..n-2 (`_centered_rows`), then the
-    one-sided boundary ring (`_edge`) over their junk columns, by the one
-    formula of `_chain_rule`."""
+    whole grid, a block of rows at a time (`_blocks`).  Raises
+    DegenerateVertexError where det J = 0 at any node."""
     grad = np.empty(phi.shape + (2,))
     det_hess = np.empty(phi.shape)
-    parts = [(np.s_[r0:r1], out) for r0, r1, *out in _centered_rows(x1, x2, phi)]
-    for side, strip in _SIDES:
-        det, *out = _edge(x1, x2, phi, side, strip)
+    for rows, det, g0, g1, dh in _blocks(x1, x2, phi):
         _check(det)
-        parts.append((side, out))
-    for nodes, (g0, g1, dh) in parts:
-        g = grad[nodes]
-        g[..., 0], g[..., 1], det_hess[nodes] = g0, g1, dh
+        g = grad[rows]
+        g[..., 0], g[..., 1], det_hess[rows] = g0, g1, dh
     return grad, det_hess
 
 
@@ -270,19 +215,15 @@ def semiflat_develop(mesh):
 def monge_ampere_gate(vertices):
     """max |det Hess_x phi - 1| over the nodes off the two outer rings of
     a parabolic mesh's (x1, x2, phi) vertices, the `monge_ampere` gate.
-    It runs a block of grid rows at a time, each read with one halo row
-    on each side, and computes only the centered stencils of its nodes
-    (`_centered_rows`), whose values are the whole grid's, bit for bit.
-    It raises DegenerateVertexError where det J = 0 on rows 1..n-2: on
-    columns 1..m-2 from the blocks, and on columns 0 and m-1 from the
-    one-sided stencils across them (`_edge`)."""
+    It runs a block of grid rows at a time (`_blocks`), whose values are
+    the whole grid's, bit for bit, and raises DegenerateVertexError where
+    det J = 0 on rows 1..n-2."""
     v = np.asarray(vertices, dtype=float)
-    x1, x2, phi = v[..., 0], v[..., 1], v[..., 2]
-    n = phi.shape[0]
-    for side, strip in _SIDES[2:]:  # columns 0 and m - 1
-        _check(_edge(x1, x2, phi, side, strip)[0][1:-1])
+    n = v.shape[0]
     worst = 0.0
-    for r0, _, _, _, det_hess in _centered_rows(x1, x2, phi):
+    for rows, det, _, _, det_hess in _blocks(v[..., 0], v[..., 1], v[..., 2]):
+        r0 = rows.start
+        _check(det[max(1 - r0, 0):n - 1 - r0])
         # the gated rows 2..n-3 of the block's rows (none in a block of
         # row 1 or n-2 alone), and columns 2..m-3; np.maximum, unlike max,
         # keeps a nan
@@ -294,21 +235,21 @@ def monge_ampere_gate(vertices):
 def semiflat_dual_roundtrip(sf):
     """Develop the mirror data back: grad_y phi_star should return x.
     Returns the max of |grad_y phi_star - x| over the nodes off the two
-    outer rings, from the centered gradient alone, a block of grid rows at
-    a time (`_centered_rows` without det Hess): the whole grid's values,
-    bit for bit.  Like `semiflat_develop`, it raises DegenerateVertexError
-    where det J = 0 at any node of the grid, the ring included (`_edge`)."""
-    y1, y2, phi_star = sf.y[..., 0], sf.y[..., 1], sf.phi_star
+    outer rings, from the gradient alone, a block of grid rows at a time
+    (`_blocks` without det Hess): the whole grid's values, bit for bit.
+    Like `semiflat_develop`, it raises DegenerateVertexError where det J =
+    0 at any node of the grid."""
+    y, phi_star = sf.y, sf.phi_star
     n = phi_star.shape[0]
-    for side, strip in _SIDES:
-        _check(_edge(y1, y2, phi_star, side, strip, hessian=False)[0])
     worst = 0.0
-    for r0, r1, g0, g1 in _centered_rows(y1, y2, phi_star, hessian=False):
+    for rows, det, g0, g1 in _blocks(y[..., 0], y[..., 1], phi_star,
+                                     hessian=False):
+        _check(det)
         # rows 2..n-3 of the block's rows, and columns 2..m-3
-        rows = np.s_[max(2 - r0, 0):n - 2 - r0, 2:-2]
-        x = sf.x[r0:r1]
-        d0 = g0[rows] - x[..., 0][rows]
-        d1 = g1[rows] - x[..., 1][rows]
+        core = np.s_[max(2 - rows.start, 0):n - 2 - rows.start, 2:-2]
+        x = sf.x[rows]
+        d0 = g0[core] - x[..., 0][core]
+        d1 = g1[core] - x[..., 1][core]
         # the sum of squares of np.linalg.norm over the last axis
         dev = np.sqrt(d0 * d0 + d1 * d1)
         worst = np.maximum(worst, dev.max(initial=0.0))

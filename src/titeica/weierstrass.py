@@ -19,9 +19,9 @@ The Legendre-dual mirror data are `projective.semiflat_develop`'s.
 
 The mesh and its gate are computed a block of grid rows at a time
 (`geometry.row_blocks`): only the vertices and psi are full-size.  The
-gate reads each block with one halo row on each side and takes only the
-centered stencils of the nodes it gates, and every value has the bits
-of the whole-grid computation.
+gate applies `geometry`'s stencils to each block's slab of rows, a halo
+row on each side, and every value has the bits of the whole-grid
+computation.
 """
 
 from dataclasses import dataclass
@@ -98,22 +98,22 @@ def parabolic_from_holomorphic(pair, domain):
     with np.errstate(all="ignore"):
         zc = domain.z_block(cols=slice(0, 1))[:, 0]
         spine = _cumulative_simpson(pair.F(zc) * pair.dG(zc) * domain.step1)
-        for r0, r1 in row_blocks(0, n, m):
-            z = domain.z_block(slice(r0, r1))
+        for rows, _, _ in row_blocks(n, m):
+            z = domain.z_block(rows)
             Fv, Gv, dGv = pair.F(z), pair.G(z), pair.dG(z)
             abs_dF, abs_dG = np.abs(pair.dF(z)), np.abs(dGv)
             # np.minimum, unlike min, keeps a nan margin
             margin = np.minimum(margin, np.min(abs_dG - abs_dF))
-            psi[r0:r1] = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
+            psi[rows] = 0.5 * np.log((abs_dG ** 2 - abs_dF ** 2) / 8.0)
             teeth = _cumulative_simpson(Fv * dGv * domain.step2, axis=1)
             W = 0.5 * (Gv + np.conj(Fv))
-            v = vertices[r0:r1]
+            v = vertices[rows]
             v[..., 0], v[..., 1] = W.real, W.imag
             v[..., 2] = ((np.abs(Gv) ** 2 - np.abs(Fv) ** 2) / 8.0
                          + np.real(Fv * Gv) / 4.0
-                         - 0.5 * np.real(spine[r0:r1, None] + teeth))
+                         - 0.5 * np.real(spine[rows, None] + teeth))
             finite &= bool(np.isfinite(v).all()
-                           and np.isfinite(psi[r0:r1]).all())
+                           and np.isfinite(psi[rows]).all())
     margin = float(margin)
     if not margin > 0:
         raise ValueError(

@@ -112,11 +112,23 @@ def dzzbar_matrix(domain):
     return (L / den).tocsr()
 
 
-# the residual of the global equation with every term in a new array,
-# the periodic second differences by np.roll: the form that the in-place
-# terms of pde.residual_global replaced, its oracle
-def _lattice_diff2_reference(f, axis, periodic):
-    f = np.moveaxis(f, axis, 0)
+# geometry's stencils as they were written along an axis moved to the
+# front, the periodic differences by np.roll: the form that the flat
+# passes of lattice_diff and lattice_diff2 replaced, their oracles
+def lattice_diff_reference(f, axis, periodic=False):
+    f = np.moveaxis(np.asarray(f), axis, 0)
+    if periodic:
+        g = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / 2.0
+    else:
+        g = np.empty_like(f)
+        g[1:-1] = (f[2:] - f[:-2]) / 2.0
+        g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / 2.0
+        g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / 2.0
+    return np.moveaxis(g, 0, axis)
+
+
+def lattice_diff2_reference(f, axis, periodic=False):
+    f = np.moveaxis(np.asarray(f), axis, 0)
     if periodic:
         g = np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)
     else:
@@ -127,21 +139,24 @@ def _lattice_diff2_reference(f, axis, periodic):
     return np.moveaxis(g, 0, axis)
 
 
+# the residual of the global equation with every term in a new array, by
+# the reference stencils: the form that the in-place terms of
+# pde.residual_global replaced, its oracle
 def residual_global_reference(u, p):
     """4/sigma d^2/dz dzbar u + 16 eps ||Q||^2 e^{-2u} + 2 lam e^u
     - 2 kappa, as 4.0 / p.sigma * p.domain.dzzbar(u) + _nonlinear(p, u)
     once read, each exponential term 0 wherever its coefficient is."""
-    from titeica.geometry import cubic_norm_sq, lattice_diff
+    from titeica.geometry import cubic_norm_sq
 
     dom, mu, per = p.domain, p.mu, p.domain.periodic
     z = dom.z
     a, b, c, den = dom.dzzbar_coeffs
-    djj = _lattice_diff2_reference(u, 0, per)
-    dkk = _lattice_diff2_reference(u, 1, per)
+    djj = lattice_diff2_reference(u, 0, per)
+    dkk = lattice_diff2_reference(u, 1, per)
     if c == 0:
         lap = (a * djj + b * dkk) / den
     else:
-        djk = lattice_diff(lattice_diff(u, 0, per), 1, per)
+        djk = lattice_diff_reference(lattice_diff_reference(u, 0, per), 1, per)
         lap = (a * djj + c * djk + b * dkk) / den
 
     def times(coeff, e):
@@ -232,23 +247,28 @@ def chain_rule_hessian_H(x1, x2, phi):
 
 def whole_grid_chain_rule_hessian(x1, x2, phi):
     """Gradient of phi and det Hess_x phi over the whole grid, every
-    lattice derivative by `lattice_diff` and `second_diffs` (centered,
-    and one-sided at the edges): the form that the centered core and the
-    one-sided edge fill of projective._chain_rule replaced."""
-    from titeica.geometry import lattice_diff, second_diffs
+    lattice derivative of each field by the reference stencils over the
+    whole grid (centered, and one-sided at the edges): the form that the
+    blocks of rows of projective._chain_rule replaced."""
+    def first(f):
+        return lattice_diff_reference(f, 0), lattice_diff_reference(f, 1)
 
-    x1j, x1k = lattice_diff(x1, 0), lattice_diff(x1, 1)
-    x2j, x2k = lattice_diff(x2, 0), lattice_diff(x2, 1)
+    def second(f):
+        return (lattice_diff2_reference(f, 0), lattice_diff2_reference(f, 1),
+                lattice_diff_reference(lattice_diff_reference(f, 0), 1))
+
+    x1j, x1k = first(x1)
+    x2j, x2k = first(x2)
     det = x1j * x2k - x1k * x2j
     if np.any(det == 0):
         raise DegenerateVertexError("degenerate affine development")
-    pj, pk = lattice_diff(phi, 0), lattice_diff(phi, 1)
+    pj, pk = first(phi)
     grad = np.empty(phi.shape + (2,))
     grad[..., 0] = x2k / det * pj + -x2j / det * pk
     grad[..., 1] = -x1k / det * pj + x1j / det * pk
-    l00, l11, l01 = second_diffs(phi)
+    l00, l11, l01 = second(phi)
     for g, x in ((grad[..., 0], x1), (grad[..., 1], x2)):
-        xjj, xkk, xjk = second_diffs(x)
+        xjj, xkk, xjk = second(x)
         l00 -= g * xjj
         l01 -= g * xjk
         l11 -= g * xkk

@@ -7,8 +7,10 @@ import pytest
 import titeica as tz
 from titeica import geometry
 from titeica.errors import OutOfDomainError
-from titeica.geometry import polyval, row_blocks, second_diffs
-from tests.conftest import dzzbar_matrix
+from titeica.geometry import (lattice_diff, lattice_diff2, polyval,
+                              row_blocks, second_diffs)
+from tests.conftest import (dzzbar_matrix, lattice_diff2_reference,
+                            lattice_diff_reference)
 
 TAGS = {
     (1, -1): "hyperbolic_affine_sphere",
@@ -199,14 +201,72 @@ def test_z_block_keeps_the_bits_of_z():
     assert np.array_equal(dom.z_block(cols=slice(0, 1)), z[:, :1])
 
 
-def test_row_blocks_end_in_a_short_last_block():
-    # the rows of 8 columns that one complex field of the budget holds
-    rows = geometry.ROWS_BLOCK_BYTES // (16 * 8)
-    assert row_blocks(0, 2 * rows + 1, 8) == [(0, rows), (rows, 2 * rows),
-                                             (2 * rows, 2 * rows + 1)]
-    assert row_blocks(3, 3 + rows, 8) == [(3, 3 + rows)]
-    m = geometry.ROWS_BLOCK_BYTES  # wider than the budget: one row a block
-    assert row_blocks(2, 5, m) == [(2, 3), (3, 4), (4, 5)]
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 11), (37, 20)])
+def test_row_blocks_partition_the_rows_into_slabs(monkeypatch, shape, rows):
+    # a budget of `rows` rows: blocks of one row, and last blocks shorter
+    # than the others
+    n, m = shape
+    monkeypatch.setattr(geometry, "ROWS_BLOCK_BYTES", 16 * m * rows)
+    blocks = list(row_blocks(n, m))
+    assert [r for block, _, _ in blocks for r in range(n)[block]] == list(range(n))
+    assert all(block.stop - block.start == rows for block, _, _ in blocks[:-1])
+    for block, slab, core in blocks:
+        assert 0 <= slab.start and slab.stop <= n
+        # the 4 rows that a one-sided second difference reads
+        assert slab.stop - slab.start >= 4
+        # a halo row on each side, but at the grid's edge
+        assert slab.start < block.start or block.start == 0
+        assert slab.stop > block.stop or block.stop == n
+        assert range(n)[slab][core] == range(n)[block]
+
+
+def _stencil_inputs():
+    """Real and complex arrays of 1 to 4 dimensions, with axes of 4 nodes
+    and signed zeros, and non-contiguous views of them."""
+    rng = np.random.default_rng(7)
+    for shape in [(4,), (9,), (4, 7), (11, 5), (6, 4, 5), (5, 6, 4, 4)]:
+        for dtype in (float, complex):
+            f = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+            f = f.real.copy() if dtype is float else f
+            f.reshape(-1)[::5] *= 0.0
+            yield f
+    v = rng.standard_normal((9, 11, 4))
+    frame = rng.standard_normal((8, 6, 4, 4, 2)).view(complex)[..., 0]
+    yield from (v[..., 0], v[:, 1:], frame[..., 2, :], frame[:, :, 1])
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stencils_are_their_reference_expressions(periodic):
+    # every axis, to the bit, the sign of a zero included
+    for f in _stencil_inputs():
+        for axis in range(f.ndim):
+            for got, want in ((lattice_diff(f, axis, periodic),
+                               lattice_diff_reference(f, axis, periodic)),
+                              (lattice_diff2(f, axis, periodic),
+                               lattice_diff2_reference(f, axis, periodic))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stencils_promote_integer_fields(periodic):
+    # integers and booleans are differenced as float64, not truncated
+    j = np.array([0, 1, 3, 6, 10, 15])
+    if not periodic:
+        assert list(lattice_diff(j, 0)) == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+        assert list(lattice_diff2(j, 0)) == [1.0] * 6
+    f = np.add.outer(j, 2 * j[:5])
+    for d in (lattice_diff, lattice_diff2):
+        for axis in (0, 1):
+            got = d(f, axis, periodic)
+            assert got.dtype == float
+            assert np.array_equal(got, d(f.astype(float), axis, periodic))
+        assert np.array_equal(d(f > 5, 0, periodic),
+                              d((f > 5).astype(float), 0, periodic))
+    dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
+    grid = np.add.outer(np.arange(8), np.arange(8)) ** 2
+    assert np.array_equal(dom.dzzbar(grid), dom.dzzbar(grid.astype(float)))
 
 
 def test_metric_solution_psi():
