@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidSignCase, SolveError, TiteicaError
-from .frames import (build_connection, curvature_residual, reality_check,
-                     torus_generator)
+from .frames import build_connection, curvature_residual, torus_generator
 from .geometry import (BackgroundMetric, CubicDifferential, Domain,
                        SignCase, cubic_norm_induced)
 from .immersion import (affine_sphere_immersion, minlag_c2_immersion,
@@ -40,22 +39,21 @@ from .weierstrass import HoloPair, parabolic_from_holomorphic
 SCHEMA_VERSION = 1
 
 # residual tolerances scale as coeff * h^2 with h the larger grid spacing;
-# coefficients calibrated on the analytic regression surfaces and frozen
+# coefficients calibrated on the analytic regression surfaces and frozen.
+# Every gate is a discretization residual: an identity that the code makes
+# exact (the loop's reality, xi = -lam f, phi's pseudo-norm) is a tier-1
+# test of that code, not a gate
 TOL_COEFF = {
     "solve": 1.0,            # times solver.tol: the solver's own stop rule
     "curvature": 60.0,
-    "reality": 1e-10,        # absolute: analytic identity, not a stencil
     "det_identity": 20.0,
     "f_zzbar": 20.0,
     "f_zz": 20.0,
-    "xi_z": 20.0,
     "cubic_recovery": 20.0,
-    "center_normalization": 20.0,
     "conformal": 20.0,
     "lagrangian": 20.0,
     "symplectic": 20.0,
     "metric": 200.0,
-    "unit_norm": 20.0,
     "horizontality": 100.0,
     "holonomy_commutator": 50.0,
     "unitarity": 20.0,
@@ -189,10 +187,7 @@ def load_config(path):
 
 
 def _tol(name, h):
-    c = TOL_COEFF[name]
-    if name == "reality":
-        return c
-    return c * h * h
+    return TOL_COEFF[name] * h * h
 
 
 class Pipeline:
@@ -367,13 +362,12 @@ class Pipeline:
             self.report["cubic_norm_induced_max"] = float(nq.max())
         for name, value in rep.items():
             self.add_residual(name, value)
-        # zero curvature (and reality, for the Toda cases)
+        # zero curvature, for the Toda cases
         if case.is_toda:
             alpha = build_connection(sol.psi, Q, case, self.domain, zeta=1.0)
             curv = curvature_residual(alpha)
             self.add_residual("curvature",
                               float(curv[mgn:-mgn, mgn:-mgn].max()))
-            self.add_residual("reality", reality_check(alpha))
             if self.domain.periodic:
                 rep_h = holonomy_report(alpha,
                                         [torus_generator(self.domain, 0),

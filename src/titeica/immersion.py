@@ -5,7 +5,8 @@ Affine spheres integrate the first-order system on the rows
 (f_z, f_zbar, xi, f) over a spanning tree of the grid (a comb rooted at
 the central node); minimal Lagrangian surfaces in C^2 integrate
 (f_z, f_zbar, f) with C^2-valued rows; CP^2/CH^2 surfaces integrate the
-unitary column frame and read the point off as phi = F e3.  The whole
+unitary column frame and read the point off as phi = F e3; only these
+meshes keep their frame, which `verify_cpn` gates.  The whole
 comb, its spine and its teeth, is lattice lines and goes through the one
 tree kernel, `transport_lines`, one Magnus step per lattice edge; each
 mesh records in `meta` the edges that the kernel reports it ran.
@@ -39,21 +40,18 @@ def planar_ops(domain):
 
 @dataclass
 class ImmersionMesh:
+    """A reconstructed surface: its vertices, with psi and `meta` for the
+    checks.  Only a CP^2/CH^2 mesh has a `frame`, the (n, m, 3, 3) unitary
+    column frames whose third column is the vertex; the other meshes'
+    frames follow from their vertices, and no check reads them."""
+
     domain: Domain
     vertices: np.ndarray          # (n, m, d) real or complex
-    # (n, m, rows, d) complex rows of the frame, or a zero-argument
-    # builder of them, called on the first read of `frame`
-    _frame: object
     target_tag: str               # affine_sphere | minlag_c2 | minlag_cp2 | minlag_ch2
     lam: int = 0
     psi: np.ndarray | None = None
+    frame: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def frame(self):
-        if callable(self._frame):
-            self._frame = self._frame()
-        return self._frame
 
     def quads(self, start=0, stop=None):
         """Vertex indices (from 0, row-major) of the grid quads whose first
@@ -156,8 +154,8 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
                                     axis_first=axis_first)
     fvert = frames[..., 3, :]
     imag_leak = float(np.max(np.abs(fvert.imag)))
-    return ImmersionMesh(domain, fvert.real.copy(), frames[..., :3, :].copy(),
-                         "affine_sphere", lam=lam, psi=psi,
+    return ImmersionMesh(domain, fvert.real.copy(), "affine_sphere",
+                         lam=lam, psi=psi,
                          meta={"imag_leak": imag_leak, "root": root,
                                "init": (f0, xi0, a),
                                **counts})
@@ -180,13 +178,15 @@ def _dot(u, v):
 
 
 def verify_affine(mesh, sol, Q, margin=2):
-    """Residuals of the four structure identities on the reconstruction:
+    """Residuals of the structure identities on the reconstruction:
     det(f_z, f_zbar, xi) = i e^{2 psi},  f_{z zbar} = e^{2 psi} xi,
-    f_{zz} = 2 psi_z f_z + Q e^{-2 psi} f_zbar,  xi_z = -lam f_z,
-    plus the cubic differential recovered from the f_{zz} identity, the
-    center normalization (the transported xi row of the frame against the
-    affine normal -lam f, e3 when lam = 0) and, for lam != 0, the drift
-    |det / (2 e^{2 psi}) - i/2| of the Blaschke volume.
+    f_{zz} = 2 psi_z f_z + Q e^{-2 psi} f_zbar,
+    plus the cubic differential recovered from the f_{zz} identity and,
+    for lam != 0, the drift |det / (2 e^{2 psi}) - i/2| of the Blaschke
+    volume, all with the affine normal xi = -lam f (e3 when lam = 0).
+    xi_z = -lam f_z and xi = -lam f need no gate: dxi = -lam df row by
+    row, so the transported xi + lam f keeps its value at the root, 0 for
+    the default init (tests/test_immersion.py holds the tree to it).
 
     One cross product w = xi x f_z gives the determinant det = f_zbar . w
     and, by Cramer's rule, the f_zbar coefficient (f_zz - 2 psi_z f_z) . w
@@ -209,18 +209,13 @@ def verify_affine(mesh, sol, Q, margin=2):
     r_zzb = np.linalg.norm(f_zzb - e2p[..., None] * xi, axis=-1)
     rhs = 2.0 * psi_z[..., None] * f_z + (qv * em2p)[..., None] * f_zb
     r_zz = np.linalg.norm(f_zz - rhs, axis=-1)
-    xi_stored = mesh.frame[..., 2, :]
-    r_xi = np.linalg.norm(pd.dz(xi_stored) + lam * f_z, axis=-1)
     b = _dot(f_zz - 2.0 * psi_z[..., None] * f_z, w) / det
 
     out = {
         "det_identity": _entry(det - 1j * e2p, margin),
         "f_zzbar": _entry(r_zzb, margin),
         "f_zz": _entry(r_zz, margin),
-        "xi_z": _entry(r_xi, margin),
         "cubic_recovery": _entry(b * e2p - qv, margin),
-        "center_normalization": _entry(
-            np.linalg.norm(xi_stored - xi, axis=-1), margin),
     }
     if lam != 0:
         out["det_drift"] = _entry(det / (2.0 * e2p) - 0.5j, margin)
@@ -232,7 +227,7 @@ def conormal_dual(mesh):
     <N, f_z> = <N, f_zbar> = 0 at each vertex."""
     if mesh.lam == 0:
         raise InvalidSignCase("the conormal dual needs a proper affine sphere")
-    pd, f, f_z, f_zb, _ = _affine_tangents(mesh)
+    _, f, f_z, f_zb, _ = _affine_tangents(mesh)
     rows = np.stack([f_z, f_zb, f.astype(complex)], axis=-2)
     rhs = np.zeros(f.shape[:2] + (3,), dtype=complex)
     rhs[..., 2] = 1.0
@@ -241,11 +236,8 @@ def conormal_dual(mesh):
     except np.linalg.LinAlgError as exc:
         raise DegenerateVertexError("position not transverse to tangent plane") from exc
     imag_leak = float(np.max(np.abs(Nv.imag)))
-    dual_vertices = Nv.real.copy()
-    dual_frame = np.stack([pd.dz(dual_vertices), pd.dzbar(dual_vertices),
-                           (-mesh.lam * dual_vertices).astype(complex)], axis=-2)
-    return ImmersionMesh(mesh.domain, dual_vertices, dual_frame,
-                         "affine_sphere", lam=mesh.lam, psi=mesh.psi,
+    return ImmersionMesh(mesh.domain, Nv.real.copy(), "affine_sphere",
+                         lam=mesh.lam, psi=mesh.psi,
                          meta={"imag_leak": imag_leak})
 
 
@@ -278,8 +270,8 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
     F0 = np.stack([p, q, f0])
     frames, counts = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
                                     axis_first=axis_first)
-    return ImmersionMesh(domain, frames[..., 2, :].copy(), frames[..., :2, :].copy(),
-                         "minlag_c2", lam=0, psi=psi,
+    return ImmersionMesh(domain, frames[..., 2, :].copy(), "minlag_c2",
+                         lam=0, psi=psi,
                          meta={"root": root, "init": (p, q, f0),
                                **counts})
 
@@ -360,8 +352,8 @@ def minlag_cpn_immersion(sol, Q, case, root=None, axis_first=0):
                                     row=False, axis_first=axis_first)
     tag = "minlag_cp2" if case.lam == 1 else "minlag_ch2"
     phi = frames[..., :, 2]
-    return ImmersionMesh(domain, phi.copy(), frames, tag, lam=case.lam,
-                         psi=sol.psi,
+    return ImmersionMesh(domain, phi.copy(), tag, lam=case.lam,
+                         psi=sol.psi, frame=frames,
                          meta={"root": root, **counts})
 
 
@@ -372,8 +364,10 @@ def _herm_pm(u, v, sign):
 
 def verify_cpn(mesh, sol, margin=2):
     """Unitarity of the column frame (SU(3) on CP^2, SU(2,1) on CH^2) and
-    the pseudo-norm, horizontality and induced-metric residuals of the
-    tautological point field of a CP^2/CH^2 mesh."""
+    the horizontality and induced-metric residuals of the tautological
+    point field of a CP^2/CH^2 mesh.  The point phi is the frame's third
+    column, so its pseudo-norm <phi, phi> - eta_33 is an entry of
+    F^dagger eta F - eta, whose norm `unitarity` gates."""
     sign = 1.0 if mesh.target_tag == "minlag_cp2" else -1.0
     pd = planar_ops(mesh.domain)
     phi = mesh.vertices
@@ -383,7 +377,6 @@ def verify_cpn(mesh, sol, margin=2):
                             "su3" if sign > 0 else "su21")
     return {
         "unitarity": group["unitarity"],
-        "unit_norm": _entry(_herm_pm(phi, phi, sign) - sign, margin),
         "horizontality": _entry(_herm_pm(phi, phi_z, sign), margin),
         "metric": _entry(_herm_pm(phi_z, phi_z, sign).real - e2p, margin),
     }

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import polyval, row_blocks
-from .immersion import E3, ImmersionMesh
+from .immersion import ImmersionMesh
 
 
 def _polyder(coeffs):
@@ -121,13 +121,5 @@ def parabolic_from_holomorphic(pair, domain):
     if not finite:
         raise ValueError("the pair overflows float64: a vertex or psi is "
                          "not finite")
-
-    # the (n, m, 3, 3) complex frame is built on its first read: the
-    # development and the export use the vertices only
-    def frame():
-        return np.stack([domain.dz(vertices), domain.dzbar(vertices),
-                         np.broadcast_to(E3.astype(complex), vertices.shape)],
-                        axis=-2)
-
-    return ImmersionMesh(domain, vertices, frame, "affine_sphere",
-                         lam=0, psi=psi, meta={"margin": margin})
+    return ImmersionMesh(domain, vertices, "affine_sphere", lam=0, psi=psi,
+                         meta={"margin": margin})

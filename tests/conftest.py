@@ -47,8 +47,7 @@ def hyperboloid_mesh(n=24, radius=0.5):
     d = 1.0 - np.abs(z) ** 2
     f = np.stack([2 * z.real / d, 2 * z.imag / d, (1 + np.abs(z) ** 2) / d],
                  axis=-1)
-    frame = np.stack([dom.dz(f), dom.dzbar(f), f.astype(complex)], axis=-2)
-    mesh = tz.ImmersionMesh(dom, f, frame, "affine_sphere", lam=-1)
+    mesh = tz.ImmersionMesh(dom, f, "affine_sphere", lam=-1)
     mu = tz.BackgroundMetric("poincare_disk")
     sol = tz.MetricSolution(np.zeros(dom.shape), dom, mu)
     mesh.psi = sol.psi
@@ -58,7 +57,7 @@ def hyperboloid_mesh(n=24, radius=0.5):
 def graph_development(dom, x1, x2, phi):
     """Semi-flat development of the parabolic graph (x1, x2, phi) given
     node by node on the lattice of dom."""
-    mesh = tz.ImmersionMesh(dom, np.stack([x1, x2, phi], axis=-1), None,
+    mesh = tz.ImmersionMesh(dom, np.stack([x1, x2, phi], axis=-1),
                             "affine_sphere", lam=0)
     return tz.semiflat_develop(mesh)
 
@@ -290,7 +289,7 @@ def face_rows_reference(n, m):
     """The "f" rows of the one-based quads of an n x m grid, by Python's
     %d, one row each: the form that _objtext.face_rows replaced."""
     mesh = tz.ImmersionMesh(tz.Domain.rectangle(1.0, 1.0, 8, 8),
-                            np.zeros((n, m, 3)), None, "affine_sphere", lam=0)
+                            np.zeros((n, m, 3)), "affine_sphere", lam=0)
     return b"".join(b"f %d %d %d %d\n" % tuple(q) for q in (mesh.faces + 1).tolist())
 
 

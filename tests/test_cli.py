@@ -47,7 +47,7 @@ def test_run_full_pipeline(tmp_path):
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["failed_checks"] == []
     assert {r["name"] for r in on_disk["residuals"]} >= {
-        "det_identity", "curvature", "reality", "holonomy_commutator"}
+        "det_identity", "curvature", "holonomy_commutator"}
     for r in on_disk["residuals"]:
         assert {"name", "value", "tolerance", "grid", "case", "pass"} <= set(r)
 
@@ -597,8 +597,7 @@ def test_rejected_pair_leaves_out_dir_as_found(tmp_path, existing):
 def tiny_mesh():
     dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
     verts = np.arange(12, dtype=float).reshape(2, 2, 3) / 7.0
-    return tz.ImmersionMesh(dom, verts, np.zeros((2, 2, 3, 3), complex),
-                            "affine_sphere", lam=-1)
+    return tz.ImmersionMesh(dom, verts, "affine_sphere", lam=-1)
 
 
 def test_export_obj_tiny(tmp_path):
@@ -613,8 +612,7 @@ def test_export_obj_tiny(tmp_path):
 
 def test_export_obj_rejects_complex(tmp_path):
     dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
-    mesh = tz.ImmersionMesh(dom, np.zeros((2, 2, 2), complex),
-                            np.zeros((2, 2, 2, 2), complex), "minlag_c2")
+    mesh = tz.ImmersionMesh(dom, np.zeros((2, 2, 2), complex), "minlag_c2")
     with pytest.raises(TiteicaError, match="not embeddable"):
         cli.export_mesh(mesh, tmp_path / "c2.obj")
 
@@ -654,7 +652,7 @@ def complex_mesh(re, im):
     verts = np.empty(re.shape, complex)
     verts.real, verts.imag = re, im
     dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
-    return tz.ImmersionMesh(dom, verts, None, "minlag_ch2")
+    return tz.ImmersionMesh(dom, verts, "minlag_ch2")
 
 
 def test_json_roundtrip_bit_exact(tmp_path, torus_mesh):
@@ -711,7 +709,7 @@ def special_float_mesh():
 def vertex_mesh(verts):
     """Mesh without a frame: the OBJ writer reads only the vertices."""
     dom = tz.Domain.rectangle(1.0, 1.0, 8, 8)
-    return tz.ImmersionMesh(dom, verts, None, "affine_sphere", lam=0)
+    return tz.ImmersionMesh(dom, verts, "affine_sphere", lam=0)
 
 
 def random_mesh(n, m, seed=0):
@@ -796,7 +794,7 @@ def status():
     return {k: int(fields[k].split()[0]) for k in ("VmHWM", "VmRSS")}
 
 verts = np.random.default_rng(6).standard_normal((512, 512, 3))
-mesh = tz.ImmersionMesh(tz.Domain.rectangle(1.0, 1.0, 8, 8), verts, None,
+mesh = tz.ImmersionMesh(tz.Domain.rectangle(1.0, 1.0, 8, 8), verts,
                         "affine_sphere", lam=0)
 before = status()
 cli.export_mesh(mesh, sys.argv[1])
@@ -891,13 +889,14 @@ def _ch2_config(n):
     }
 
 
-AFFINE_TORUS_GATES = ["solve", "det_identity", "f_zzbar", "f_zz", "xi_z",
-                      "cubic_recovery", "center_normalization", "det_drift",
-                      "curvature", "reality", "holonomy_commutator"]
+AFFINE_TORUS_GATES = ["solve", "det_identity", "f_zzbar", "f_zz",
+                      "cubic_recovery", "det_drift", "curvature",
+                      "holonomy_commutator"]
 C2_GATES = ["solve", "angle_oscillation", "f_zzbar", "conformal",
             "lagrangian", "symplectic", "cubic_recovery", "metric"]
-CH2_GATES = ["solve", "unitarity", "unit_norm", "horizontality", "metric",
-             "curvature", "reality"]
+CH2_GATES = ["solve", "unitarity", "horizontality", "metric", "curvature"]
+PARABOLIC_GATES = ["solve", "det_identity", "f_zzbar", "f_zz",
+                   "cubic_recovery", "monge_ampere", "legendre_roundtrip"]
 
 
 def _torus_config(n):
@@ -905,20 +904,33 @@ def _torus_config(n):
                                 "shape": [n, n]})
 
 
-@pytest.mark.parametrize("cfg, stage, names", [
+def _parabolic_config(n):
+    return rectangle_config(
+        case="parabolic_affine_sphere",
+        domain={"kind": "rectangle", "shape": [n, n]},
+        cubic={"kind": "polynomial", "coeffs": [[0.3, 0.0], [0.2, 0.0]]})
+
+
+GATE_ROWS = [
     (_torus_config(16), "all", AFFINE_TORUS_GATES),
     (_c2_config(16), "all", C2_GATES),
     (_ch2_config(16), "all", CH2_GATES),
+    (_parabolic_config(16), "all", PARABOLIC_GATES),
     (weierstrass_config(16), "weierstrass", ["monge_ampere"]),
     (_ch2_config(16), "solve", ["solve"]),
-], ids=["affine_torus", "c2_rectangle", "ch2_disk_patch", "weierstrass",
-        "ch2_solve"])
+]
+
+
+@pytest.mark.parametrize("cfg, stage, names", GATE_ROWS,
+                         ids=["affine_torus", "c2_rectangle", "ch2_disk_patch",
+                              "parabolic_rectangle", "weierstrass",
+                              "ch2_solve"])
 def test_every_residual_has_a_tolerance(tmp_path, cfg, stage, names):
     # each surface reports the same gates, in the same order, each with
-    # its tolerance
+    # its tolerance, and no tolerance outlives its gate
     _, report = cli.run(cfg, stage=stage, out_dir=tmp_path)
     assert [r["name"] for r in report["residuals"]] == names
-    assert set(names) <= set(cli.TOL_COEFF)
+    assert set().union(*(row[2] for row in GATE_ROWS)) == set(cli.TOL_COEFF)
 
 
 def _mutated_failures(cfg, mutation):
@@ -938,7 +950,7 @@ def _mutated_failures(cfg, mutation):
         pipe.problem = dataclasses.replace(pipe.problem,
                                            Q=pipe.problem.Q.scaled(1j))
     else:  # swap the first and last frame columns
-        pipe.mesh._frame = pipe.mesh.frame[..., [2, 1, 0]]
+        pipe.mesh.frame = pipe.mesh.frame[..., [2, 1, 0]]
     checked = len(pipe.residuals)
     pipe.verify()
     return [r["name"] for r in pipe.residuals[checked:] if not r["pass"]]
@@ -1071,7 +1083,7 @@ def test_cli_oblique_torus(tmp_path):
     code, report = cli.run(cfg, stage="all", out_dir=tmp_path)
     assert code == 0 and report["passed"]
     assert (tmp_path / "report.json").exists()
-    assert "center_normalization" in {r["name"] for r in report["residuals"]}
+    assert AFFINE_TORUS_GATES == [r["name"] for r in report["residuals"]]
 
 
 def test_cli_parabolic_develop(tmp_path):

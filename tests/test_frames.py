@@ -192,20 +192,28 @@ def sampled_reality(psi, Q, case, dom, zetas, involution_case=None):
 
 @pytest.fixture(scope="module")
 def loops(torus32):
-    """(psi, Q, domain, zeta) of two loops with psi_z and Q not real: a
+    """(psi, Q, domain, zeta) of four loops with psi_z and Q not real: a
     perturbed 32^2 torus solution with Q rotated to c = 0.6 + 0.8i, built at
-    zeta = 1, and a 24 x 20 disk patch with polynomial Q, built at
-    zeta = 0.8 - 0.3i.  The reality conditions are algebraic, so (psi, Q)
-    need not solve the metric equation."""
+    zeta = 1 (the CLI's loop), a 24 x 20 disk patch with polynomial Q, built
+    at zeta = 0.8 - 0.3i and at zeta = 1, and a 20 x 24 oblique torus with
+    random psi, built at zeta = -1 (the CP^2 frame's gauge).  The reality
+    conditions are algebraic, so (psi, Q) need not solve the metric
+    equation."""
     p, sol = torus32
     x, y = p.domain.z.real, p.domain.z.imag
     torus = (sol.psi + 0.05 * np.sin(2 * np.pi * (x + 2 * y)),
              tz.CubicDifferential.constant(0.6 + 0.8j), p.domain, 1.0)
     dom = tz.Domain.disk_patch(0.7, 24, 20)
-    disk = (poincare_weight(dom) + 0.1 * np.sin(3.0 * dom.z.real + dom.z.imag),
-            tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3, -0.1j]), dom,
-            0.8 - 0.3j)
-    return [torus, disk]
+    disk_psi = poincare_weight(dom) + 0.1 * np.sin(3.0 * dom.z.real
+                                                   + dom.z.imag)
+    disk_q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3, -0.1j])
+    oblique = tz.Domain.torus(0.3 + 1.1j, 20, 24)
+    rng = np.random.default_rng(5)
+    return [torus, (disk_psi, disk_q, dom, 0.8 - 0.3j),
+            (disk_psi, disk_q, dom, 1.0),
+            (0.1 * rng.standard_normal(oblique.shape),
+             tz.CubicDifferential.polynomial([0.2 - 0.7j, 0.4j]), oblique,
+             -1.0)]
 
 
 @pytest.mark.parametrize("case", ALL_TODA, ids=lambda c: c.geometry_tag)
@@ -215,6 +223,11 @@ def test_reality_matched(case, loops):
         assert al.zeta == zeta
         value = tz.reality_check(al)
         assert value <= 1e-12
+        if zeta in (1.0, -1.0):
+            # each entry and its image under the involution come from one
+            # field, scaled by +/-1, and psi_zbar is conj(psi_z) to the
+            # bit: the loops that the pipeline builds are real exactly
+            assert value == 0.0
         oracle = sampled_reality(psi, Q, case, dom, ZETAS)
         assert value >= oracle - ORACLE_ROUNDING
 

@@ -1,12 +1,14 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import titeica as tz
-from titeica import cli
+from titeica import cli, immersion
 from titeica.errors import InitDataError, InvalidSignCase
+from titeica.immersion import E3, integrate_tree
 from tests.conftest import hyperboloid_mesh
 
 FLAT = tz.BackgroundMetric("flat")
@@ -70,32 +72,48 @@ def test_verify_affine_torus(torus_mesh, torus32):
     p, sol = torus32
     rep = tz.verify_affine(torus_mesh, sol, p.Q)
     tol = 20.0 * p.domain.hmax ** 2
-    for name in ("det_identity", "f_zzbar", "f_zz", "xi_z",
-                 "center_normalization"):
+    for name in ("det_identity", "f_zzbar", "f_zz", "cubic_recovery",
+                 "det_drift"):
         assert rep[name] <= tol, name
-    assert rep["cubic_recovery"] <= tol
 
 
-@pytest.mark.parametrize("lam", [-1, 0])
-def test_center_normalization_detects_scaled_xi(lam):
-    # the transported xi row must be the affine normal -lam f (e3 on the
-    # Q = 0 parabolic torus): scaled by 1.01 it fails the CLI gate, which
-    # the true mesh passes
-    dom = tz.Domain.torus(1j, 64, 64)
-    if lam:
-        Q = Q1
-        sol = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q, HYP)).solution
+def _weight(dom):
+    """A smooth weight u, periodic on a torus: the rows' identity below is
+    algebraic, so u need not solve the metric equation."""
+    if dom.periodic:
+        j, k = np.indices(dom.shape)
+        return 0.3 * np.sin(2 * np.pi * (j / dom.shape[0] + 2 * k / dom.shape[1]))
+    return 0.3 * np.sin(3.0 * dom.z.real + dom.z.imag)
+
+
+@pytest.mark.parametrize("where", ["torus", "disk"])
+@pytest.mark.parametrize("lam", [-1, 0, 1], ids=lambda lam: f"lam{lam}")
+def test_transported_xi_is_the_affine_normal(where, lam, monkeypatch):
+    # the rows (f_z, f_zbar, xi, f) carry dxi = -lam f_z dz - lam f_zbar
+    # dzbar = -lam df, so xi + lam f keeps its root value 0 along every
+    # edge: verify_affine takes xi = -lam f (e3 at lam = 0) and gates
+    # neither xi_z nor the center normalization.  A position row of 1.01
+    # in place of 1 fails it
+    if where == "torus":
+        dom, mu = tz.Domain.torus(0.3 + 1.1j, 32, 32), FLAT
     else:
-        Q = tz.CubicDifferential.constant(0.0)
-        sol = tz.MetricSolution(np.full(dom.shape, np.log(2.0)), dom, FLAT)
-    mesh = tz.affine_sphere_immersion(sol, Q, lam=lam)
-    tol = cli._tol("center_normalization", dom.hmax)
-    assert tz.verify_affine(mesh, sol, Q)["center_normalization"] <= tol
-    frame = mesh.frame.copy()
-    frame[..., 2, :] *= 1.01
-    bad = tz.ImmersionMesh(dom, mesh.vertices, frame, "affine_sphere", lam=lam,
-                           psi=mesh.psi)
-    assert tz.verify_affine(bad, sol, Q)["center_normalization"] > tol
+        dom, mu = tz.Domain.disk_patch(0.7, 32, 32), POIN
+    sol = tz.MetricSolution(_weight(dom), dom, mu)
+    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3])
+    trees = []
+
+    def tree(*args, **kwargs):
+        trees.append(integrate_tree(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(immersion, "integrate_tree", tree)
+    tz.affine_sphere_immersion(sol, Q, lam=lam)
+    [(frames, _)] = trees
+    xi, f = frames[..., 2, :], frames[..., 3, :]
+    if lam == 0:
+        assert np.all(xi == E3)
+    else:
+        assert np.abs(xi + lam * f).max() <= 1e-13
 
 
 def test_oblique_torus_mesh_checks():
@@ -278,8 +296,7 @@ def test_lagrangian_angle_rotated_plane():
     theta0 = 0.7
     z = dom.z
     verts = np.stack([np.exp(1j * theta0) * z.real, z.imag + 0j], axis=-1)
-    mesh = tz.ImmersionMesh(dom, verts, np.zeros(dom.shape + (2, 2), complex),
-                            "minlag_c2")
+    mesh = tz.ImmersionMesh(dom, verts, "minlag_c2")
     # the plane is conformal with e^{2 psi} = 1/2 (u = 0) and Q = 0
     sol = tz.MetricSolution(np.zeros(dom.shape), dom, FLAT)
     Q0 = tz.CubicDifferential.constant(0.0)
@@ -328,14 +345,48 @@ def test_shape_operator_doubles_with_cubic():
 # -- CP^2 / CH^2 frames ---------------------------------------------------------------
 
 def test_cpn_point_identity():
-    # the identity frame's point phi = F e3 = e3 has unit pseudo-norm
+    # the identity frame is in SU(3) and SU(2,1), and its point phi = F e3
+    # = e3 is constant
     dom = tz.Domain.torus(1j, 8, 8)
     sol = tz.MetricSolution(np.zeros(dom.shape), dom, FLAT)
     frame = np.broadcast_to(np.eye(3, dtype=complex), dom.shape + (3, 3))
     for tag, lam in (("minlag_cp2", 1), ("minlag_ch2", -1)):
-        mesh = tz.ImmersionMesh(dom, frame[..., :, 2], frame, tag, lam=lam)
+        mesh = tz.ImmersionMesh(dom, frame[..., :, 2], tag, lam=lam,
+                                frame=frame)
         assert np.all(mesh.vertices == np.array([0, 0, 1.0]))
-        assert tz.verify_cpn(mesh, sol)["unit_norm"] == 0.0
+        rep = tz.verify_cpn(mesh, sol)
+        assert rep["unitarity"] == rep["horizontality"] == 0.0
+
+
+@pytest.mark.parametrize("group", ["su3", "su21"])
+def test_point_norm_is_bounded_by_unitarity(group):
+    # phi = F e3, so <phi, phi>_eta - eta_33 is the (3, 3) entry of
+    # F^dagger eta F - eta, and the Frobenius norm that `unitarity` gates
+    # bounds it: verify_cpn needs no unit_norm gate.  The bound is tight on
+    # a group element with its third column scaled, loose on the others
+    rng = np.random.default_rng(11)
+    n = 256
+    if group == "su3":
+        eta = np.ones(3)
+        G = np.linalg.qr(rng.standard_normal((n, 3, 3))
+                         + 1j * rng.standard_normal((n, 3, 3)))[0]
+    else:  # a boost in the (e1, e3) plane and a phase on e2
+        eta = np.array([1.0, 1.0, -1.0])
+        t = rng.uniform(-1.0, 1.0, n)
+        G = np.zeros((n, 3, 3), complex)
+        G[:, 0, 0] = G[:, 2, 2] = np.cosh(t)
+        G[:, 0, 2] = G[:, 2, 0] = np.sinh(t)
+        G[:, 1, 1] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    noise = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    scaled = [G.copy(), G.copy()]
+    for F, scale in zip(scaled, (1e-9, 1e-4)):
+        F[..., 2] *= (1.0 + scale * rng.standard_normal(n))[:, None]
+    for F in (*scaled, G + 1e-4 * noise, noise):
+        phi = F[..., :, 2]
+        unit_norm = np.abs(np.sum(eta * np.abs(phi) ** 2, axis=-1) - eta[2])
+        assert unit_norm.max() > 0.0
+        unitarity = tz.group_residuals(F, group)["unitarity"]
+        assert unit_norm.max() <= unitarity + 1e-15
 
 
 def test_cp2_torus_checks():
@@ -346,7 +397,6 @@ def test_cp2_torus_checks():
     mesh = tz.minlag_cpn_immersion(sol, Q1, case)
     rep = tz.verify_cpn(mesh, sol)
     tol = 20.0 * dom.hmax ** 2
-    assert rep["unit_norm"] <= tol
     assert rep["horizontality"] <= tol
     assert rep["metric"] <= tol
     res = tz.group_residuals(mesh.frame[2:-2, 2:-2], "su3")
@@ -365,7 +415,6 @@ def test_ch2_patch_checks():
     Qt = Q0.scaled(0.5 * bound)
     mesh = tz.minlag_cpn_immersion(sol, Qt, case)
     rep = tz.verify_cpn(mesh, sol, margin=4)
-    assert rep["unit_norm"] <= 1e-7
     assert rep["horizontality"] <= 60.0 * dom.hmax ** 2
     assert rep["metric"] <= 200.0 * dom.hmax ** 2
     res = tz.group_residuals(mesh.frame, "su21")
@@ -387,9 +436,45 @@ def test_elliptic_sphere_is_ellipsoid():
     mesh = tz.affine_sphere_immersion(sol, Q0, lam=1)
     rep = tz.verify_affine(mesh, sol, Q0)
     tol = 20.0 * dom.hmax ** 2
-    for name in ("det_identity", "f_zzbar", "f_zz", "cubic_recovery",
-                 "center_normalization"):
+    for name in ("det_identity", "f_zzbar", "f_zz", "cubic_recovery"):
         assert rep[name] <= tol, name
     fit = tz.quadric_fit(mesh.vertices.reshape(-1, 3))
     assert fit.signature == (3, 0)
     assert fit.residual <= tol
+
+
+# -- what a mesh holds -----------------------------------------------------------------
+
+def test_affine_immerse_holds_only_the_vertices():
+    # a 128^2 hyperbolic torus: the stage keeps its 0.375 MiB of vertices
+    # and no frame, whose (n, m, 3, 3) complex rows would add 2.25 MiB
+    cfg = {"schema_version": 1, "case": "hyperbolic_affine_sphere",
+           "domain": {"kind": "torus", "tau": [0.0, 1.0],
+                      "shape": [128, 128]},
+           "cubic": {"kind": "constant", "c": [1.0, 0.0]}}
+    pipe = cli.Pipeline(cfg)
+    pipe.solve()
+    tracemalloc.start()
+    try:
+        pipe.immerse()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pipe.mesh.frame is None
+    assert held < 2 ** 20
+
+
+def test_only_cpn_meshes_keep_a_frame():
+    dom = tz.Domain.rectangle(0.5, 0.5, 16, 16)
+    sol = tz.MetricSolution(np.zeros(dom.shape), dom, FLAT)
+    Q = tz.CubicDifferential.constant(0.3)
+    affine = tz.affine_sphere_immersion(sol, Q, lam=-1)
+    pair = tz.HoloPair.from_coeffs([0.0], [0.0, 1.0])
+    for mesh in (affine, tz.conormal_dual(affine),
+                 tz.minlag_c2_immersion(sol, Q),
+                 tz.parabolic_from_holomorphic(pair, dom)):
+        assert mesh.frame is None
+    for case in (tz.SignCase(-1, 1), tz.SignCase(-1, -1)):
+        mesh = tz.minlag_cpn_immersion(sol, Q, case)
+        assert mesh.frame.shape == dom.shape + (3, 3)
+        assert np.array_equal(mesh.vertices, mesh.frame[..., :, 2])

@@ -18,14 +18,15 @@ import titeica
 PACKAGE = Path(titeica.__file__).parent
 ROOTS = [("cli", "main"), ("cli", "run"), ("cli", "Pipeline")]
 
-# kept as library functions for the acceptance suite and the tests, and
-# `spsolve` as the benchmark tracer's target; the README lists them
+# kept as library functions for the acceptance suite and the tests;
+# `spsolve` and `reality_check` (with `_star`, which only it calls) as the
+# benchmark tracer's targets too; the README lists them
 KEPT = {
     "conormal_dual", "shape_operator_norm", "ch2_continuation_bound",
     "residual_local", "residual_scaled", "scaling_shift",
     "toda_residual_complex", "SingularInputError", "gauss_curvature",
     "global_weight", "polyline_path", "cell_loop", "load_mesh_vertices",
-    "spsolve",
+    "spsolve", "reality_check", "_star",
 }
 
 DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
