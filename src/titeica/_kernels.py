@@ -1,14 +1,13 @@
 """Magnus transport kernel.
 
-Transport of a small matrix frame F along lattice lines of a grid of
-square connection coefficient matrices A, B, solving
+Transport of a small matrix frame F along lattice lines of a grid by
 
-    dF/dt = (A(z) zdot + B(z) conj(zdot)) F        (row convention)
-    dF/dt = F (A(z) zdot + B(z) conj(zdot))        (column convention)
+    dF/dt = C(z) F,
 
-with the coefficient interpolated linearly along each lattice edge.  On
-an edge the coefficient is C(t) = a + (t - 1/2) b, with a the mean and b
-the difference of its values at the two end nodes, and the edge's
+with C the real step coefficient of the system at the grid's nodes,
+interpolated linearly along each lattice edge.  On an edge the
+coefficient is C(t) = a + (t - 1/2) b, with a the mean and b the
+difference of its values at the two end nodes, and the edge's
 propagator is exp(Omega) for the sixth-order Magnus expansion
 
     Omega = a + K/12 + [b, K]/240 - [a, [a, K]]/720,   K = [b, a]
@@ -34,11 +33,13 @@ The propagators do not depend on F, so those of a block of lines are
 built in batched numpy; the only sequential work left is the chain
 F <- P F, once per edge (or sub-edge) away from a line's start node.
 
-All small-matrix products run in real arithmetic: a complex r x r
-coefficient C = X + iY acts as the real 2r x 2r block [[X, -Y], [Y, X]]
-on the stacked frame [Re F; Im F].  This map is a ring homomorphism, so
-the real chain is the complex one written out, and batched real
-products are several times cheaper than complex ones.
+All small-matrix products run in real arithmetic, on a real coefficient
+that the caller assembles a block of lines at a time from its per-node
+fields: the affine sphere's is real in the gauge (f_x, f_y, xi, f).  A
+complex system A(z) zdot + B(z) conj(zdot) goes through `complex_step`:
+C = X + iY acts as the real block [[X, -Y], [Y, X]] on the stacked frame
+[Re F; Im F], a ring homomorphism, so the real chain is the complex one
+written out.  A column system dF = F C is the row system of C^T on F^T.
 """
 
 import math
@@ -46,7 +47,7 @@ import math
 import numpy as np
 
 # bytes of one per-edge array of a block of lines in transport_lines,
-# float64 of shape (lines, m - 1, 2r, 2r); the Magnus terms and the
+# float64 of shape (lines, m - 1, N, N); the Magnus terms and the
 # exponential hold up to six such arrays at a time
 LINES_BLOCK_BYTES = 1 << 18
 
@@ -55,8 +56,10 @@ LINES_BLOCK_BYTES = 1 << 18
 _DEGREES = (4, 6, 9, 12, 16)
 
 
-def _realify(C):
-    """Real blocks [[X, -Y], [Y, X]] of complex C = X + iY, (..., r, r)."""
+def complex_step(zdot, A, B):
+    """Real blocks [[X, -Y], [Y, X]] of the complex step coefficient
+    X + iY = A zdot + B conj(zdot) at the nodes of A and B (..., r, r)."""
+    C = A * zdot + B * np.conj(zdot)
     r = C.shape[-1]
     R = np.empty(C.shape[:-2] + (2 * r, 2 * r))
     R[..., :r, :r] = R[..., r:, r:] = C.real
@@ -163,37 +166,43 @@ def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
     j, k = (nodes % shape).T
     out = np.empty((len(pts),) + np.shape(F0), dtype=np.complex128)
     out[0] = F0
+    # the column system dF = F C is the row system of C^T on F^T
+    A, B, F = (X if row else np.swapaxes(X, -1, -2) for X in (A, B, out))
     # a run starts at the first step and wherever the step changes
     steps = d.tolist()
     starts = [a for a, step in enumerate(steps)
               if a == 0 or step != steps[a - 1]]
     for a, b in zip(starts, starts[1:] + [len(steps)]):
         run = slice(a, b + 1)
-        transport_lines(A[j[run], k[run]][None], B[j[run], k[run]][None],
-                        d[a, 0] * complex(d1) + d[a, 1] * complex(d2),
-                        out[None, run], 0, row)
+        transport_lines(
+            complex_step, [X[j[run], k[run]][None] for X in (A, B)],
+            d[a, 0] * complex(d1) + d[a, 1] * complex(d2), F[None, run], 0)
     return out
 
 
-def transport_lines(A, B, zdot, frames, start, row=True):
+def transport_lines(step, fields, zdot, frames, start):
     """Transport along every lattice line frames[i, :] from its node
-    `start` outward, in place: frames ((lines, m) + frame shape) holds the
-    frame at each line's node `start` on entry and the frames at all its
-    nodes on return.  A and B ((lines, m, r, r)) are the coefficients at
-    the same nodes, and the step from node j to node j + 1 of a line is
-    zdot.  Each edge is one Magnus step of the coefficient interpolated
-    linearly between its end nodes, or 2^k where one step would not
-    converge.  Lines go a block at a time, so that each per-edge array of
-    a block stays within LINES_BLOCK_BYTES; a block refined to 2^k
-    sub-edges per edge holds 2^k times that in each per-sub-edge array.
-    Returns the number of edges it ran."""
+    `start` outward by dF/dt = C F, in place: frames ((lines, m, r, c),
+    real, or complex to run as [Re F; Im F]) holds the frame at each
+    line's node `start` on entry and the frames at all its nodes on
+    return.  The step from node j to node j + 1 of a line is zdot, and
+    step(zdot, *block) is the real coefficient C (b, m, N, N) at the
+    nodes of the block of b lines whose per-node `fields` (each
+    (lines, m, ...)) are `block`, N = r for a real frame and 2r for a
+    complex one.  Each edge is one Magnus step of the coefficient
+    interpolated linearly between its end nodes, or 2^k where one step
+    would not converge.  Lines go a block at a time, so that each
+    per-edge array of a block stays within LINES_BLOCK_BYTES; a block
+    refined to 2^k sub-edges per edge holds 2^k times that in each
+    per-sub-edge array.  Returns the number of edges it ran."""
     lines, m = frames.shape[:2]
-    r = A.shape[-1]
-    block = max(1, LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * (2 * r) ** 2))
+    r = frames.shape[-2]
+    cplx = np.iscomplexobj(frames)
+    n = 2 * r if cplx else r
+    block = max(1, LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * n * n))
     for i in range(0, lines, block):
         rows = slice(i, i + block)
-        C = A[rows] * zdot + B[rows] * np.conj(zdot)
-        R = _realify(C if row else np.swapaxes(C, -1, -2))
+        R = step(zdot, *(X[rows] for X in fields))
         W = _magnus(R)
         q, k = _scaling(W)
         if k:
@@ -214,17 +223,13 @@ def transport_lines(A, B, zdot, frames, start, row=True):
         s = start << k
         W[:, :s] *= -1.0
         P = _expm(W, None if k else (q, 0))
-        # the stacked frames [Re F; Im F], transposed in the column
-        # convention, which runs the row system on the transposes
         F = frames[rows, start]
-        F = F if row else np.swapaxes(F, -1, -2)
-        X = np.empty(F.shape[:1] + (W.shape[1] + 1, 2 * r) + F.shape[2:])
-        X[:, s, :r], X[:, s, r:] = F.real, F.imag
+        X = np.empty(F.shape[:1] + (W.shape[1] + 1, n) + F.shape[2:])
+        X[:, s] = np.concatenate([F.real, F.imag], axis=-2) if cplx else F
         for j in range(s, W.shape[1]):
             np.matmul(P[:, j], X[:, j], out=X[:, j + 1])
         for j in range(s - 1, -1, -1):
             np.matmul(P[:, j], X[:, j + 1], out=X[:, j])
         X = X[:, ::1 << k]
-        F = X[..., :r, :] + 1j * X[..., r:, :]
-        frames[rows] = F if row else np.swapaxes(F, -1, -2)
+        frames[rows] = X[..., :r, :] + 1j * X[..., r:, :] if cplx else X
     return lines * (m - 1)

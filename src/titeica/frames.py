@@ -42,6 +42,15 @@ class ConnectionForm:
     zeta: complex | None = None
 
 
+def affine_fields(psi, Q, domain):
+    """The scalar fields of the affine sphere's row system: 2 psi_z,
+    Q e^{-2 psi} and e^{2 psi}; their conjugates and the constant -lam
+    fill the rest of it."""
+    psi = np.asarray(psi, dtype=float)
+    return (2.0 * domain.dz(psi), Q(domain.z) * np.exp(-2.0 * psi),
+            np.exp(2.0 * psi))
+
+
 def _zero_fields(domain):
     n, m = domain.shape
     A = np.zeros((n, m, 3, 3), dtype=complex)
@@ -68,13 +77,21 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
     zeta = complex(zeta)
     if case.lam == 0 and zeta != 1.0:
         raise InvalidSignCase("the spectral family exists only for lam = +/-1")
+    lam = case.lam
+    if convention == "row_frame" and case.is_affine:
+        # dzbar of a real field is the conjugate of its dz, to the bit
+        p, r, e2p = affine_fields(psi, Q, domain)
+        A, B = _zero_fields(domain)
+        A[..., 0, 0], A[..., 0, 1], A[..., 1, 2] = p, r, e2p
+        B[..., 0, 2], B[..., 1, 0], B[..., 1, 1] = e2p, np.conj(r), np.conj(p)
+        A[..., 2, 0] = B[..., 2, 1] = -lam
+        return ConnectionForm(A, B, "row_frame", domain, case)
     psi = np.asarray(psi, dtype=float)
     qv = Q(domain.z)
     pz = domain.dz(psi)
     pzb = domain.dzbar(psi)
     ep = np.exp(psi)
     em2p = np.exp(-2.0 * psi)
-    lam = case.lam
 
     if convention == "column_frame":
         if case.lam == 0:
@@ -92,27 +109,17 @@ def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
 
     if convention != "row_frame":
         raise ValueError(f"unknown convention {convention!r}")
-    A, B = _zero_fields(domain)
-    if case.is_affine:
-        e2p = np.exp(2.0 * psi)
-        A[..., 0, 0] = 2.0 * pz
-        A[..., 0, 1] = qv * em2p
-        A[..., 1, 2] = e2p
-        A[..., 2, 0] = -lam
-        B[..., 0, 2] = e2p
-        B[..., 1, 0] = np.conj(qv) * em2p
-        B[..., 1, 1] = 2.0 * pzb
-        B[..., 2, 1] = -lam
-    elif case.lam == 0:  # minimal Lagrangian in C^2, rows (f_z, f_zbar, f)
-        A[..., 0, 0] = 2.0 * pz
-        A[..., 0, 1] = -qv * em2p
-        A[..., 2, 0] = 1.0
-        B[..., 1, 0] = np.conj(qv) * em2p
-        B[..., 1, 1] = 2.0 * pzb
-        B[..., 2, 1] = 1.0
-    else:
+    if case.lam != 0:
         raise InvalidSignCase(
             "row-frame structure systems exist for affine spheres and C^2 only")
+    # minimal Lagrangian in C^2, rows (f_z, f_zbar, f)
+    A, B = _zero_fields(domain)
+    A[..., 0, 0] = 2.0 * pz
+    A[..., 0, 1] = -qv * em2p
+    A[..., 2, 0] = 1.0
+    B[..., 1, 0] = np.conj(qv) * em2p
+    B[..., 1, 1] = 2.0 * pzb
+    B[..., 2, 1] = 1.0
     return ConnectionForm(A, B, "row_frame", domain, case)
 
 

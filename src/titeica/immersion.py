@@ -1,12 +1,14 @@
 """Surface reconstruction from solved metric data and pointwise
 verification of the structure equations on the reconstruction.
 
-Affine spheres integrate the first-order system on the rows
-(f_z, f_zbar, xi, f) over a spanning tree of the grid (a comb rooted at
-the central node); minimal Lagrangian surfaces in C^2 integrate
-(f_z, f_zbar, f) with C^2-valued rows; CP^2/CH^2 surfaces integrate the
-unitary column frame and read the point off as phi = F e3; only these
-meshes keep their frame, which `verify_cpn` gates.  The whole
+Affine spheres integrate the first-order system over a spanning tree of
+the grid (a comb rooted at the central node) on the real rows
+(f_x, f_y, xi, f), f_x = f_z + f_zbar and f_y = i (f_z - f_zbar), where
+its 4 x 4 coefficient is real; minimal Lagrangian surfaces in C^2
+integrate (f_z, f_zbar, f) with C^2-valued rows; CP^2/CH^2 surfaces
+integrate the transposed unitary column frame, whose third row is the
+point phi = F e3; only these meshes keep their frame, which `verify_cpn`
+gates.  The whole
 comb, its spine and its teeth, is lattice lines and goes through the one
 tree kernel, `transport_lines`, one Magnus step per lattice edge; each
 mesh records in `meta` the edges that the kernel reports it ran.
@@ -18,12 +20,13 @@ equivariant under the holonomy.
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ._kernels import transport_lines
+from ._kernels import complex_step, transport_lines
 from .errors import DegenerateVertexError, InitDataError, InvalidSignCase
-from .frames import (build_connection, group_residuals,
+from .frames import (affine_fields, build_connection, group_residuals,
                      minlag_frame_connection)
 from .geometry import Domain, SignCase, lattice_diff, lattice_diff2
 
@@ -94,15 +97,16 @@ def _tree_root(domain, root=None):
     return root
 
 
-def integrate_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
-    """Integrate the frame system over the spanning comb rooted at `root`
+def integrate_tree(domain, step, fields, F0, root=None, axis_first=0):
+    """Integrate dF = C F over the spanning comb rooted at `root`
     (`_tree_root`): the spine, the lattice line along axis_first through
     the root, then the teeth, every lattice line along the other axis, each
-    transported by `transport_lines` outward from its node on the spine.
-    Returns the (n, m, rows, d) array of frames at every node and
-    {"tree_edges"}, the comb's lattice edges as the kernel counts them."""
+    run by `transport_lines` outward from its node on the spine, C =
+    step(zdot, *block) of the (n, m, ...) `fields`.  Returns the frames at
+    every node, (n, m) + F0.shape of F0's dtype, and {"tree_edges"}, the
+    comb's lattice edges as the kernel counts them."""
     root = _tree_root(domain, root)
-    frames = np.empty(domain.shape + F0.shape, dtype=complex)
+    frames = np.empty(domain.shape + F0.shape, dtype=F0.dtype)
     frames[root] = F0
     steps = (domain.step1, domain.step2)
     edges = 0
@@ -111,11 +115,27 @@ def integrate_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
                         (b, slice(None))):
         # the lines along `axis` are the rows of the grid once `axis` is
         # made its second axis; the kernel fills frames through the view
-        A_, B_, F_ = (np.swapaxes(X, 0, 1 - axis)[lines]
-                      for X in (A, B, frames))
-        edges += transport_lines(A_, B_, complex(steps[axis]), F_,
-                                 root[axis], row=row)
+        F_, *fs = (np.swapaxes(X, 0, 1 - axis)[lines]
+                   for X in (frames, *fields))
+        edges += transport_lines(step, fs, complex(steps[axis]), F_,
+                                 root[axis])
     return frames, {"tree_edges": edges}
+
+
+def affine_step(lam, zdot, p, r, e2p):
+    """The real coefficient T (A zdot + B conj(zdot)) T^-1 at the nodes of
+    the fields p = 2 psi_z, r = Q e^{-2 psi}, e2p = e^{2 psi}: A, B the row
+    system on (f_z, f_zbar, xi, f) with the position row, T the constant
+    gauge to (f_x, f_y, xi, f).  Real, as conj(C) = sigma C sigma entry by
+    entry, sigma the swap of the first two rows."""
+    p, r = p * zdot, r * zdot
+    x, y = zdot.real, zdot.imag
+    C = np.zeros(p.shape + (4, 4))
+    C[..., 0, 0], C[..., 1, 1] = p.real + r.real, p.real - r.real
+    C[..., 0, 1], C[..., 1, 0] = p.imag - r.imag, -p.imag - r.imag
+    C[..., 0, 2], C[..., 1, 2] = 2.0 * x * e2p, 2.0 * y * e2p
+    C[..., 2:, :2] = [[-lam * x, -lam * y], [x, y]]
+    return C
 
 
 def _default_affine_init(psi0, lam):
@@ -127,8 +147,10 @@ def _default_affine_init(psi0, lam):
 
 def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     """Reconstruct an affine sphere from a solved metric.  init, when given,
-    is (f0, xi0, a) with det(a, conj(a), xi0) = i e^{2 psi(z0)}; the default
-    init satisfies this identically."""
+    is (f0, xi0, a) with det(a, conj(a), xi0) = i e^{2 psi(z0)} and xi0, f0
+    real; the default init satisfies this identically.  The tree runs on
+    the real rows (f_x, f_y, xi, f), from (2 Re a, -2 Im a, xi0, f0) at
+    the root, and the vertices are its row f."""
     domain = sol.domain
     psi = sol.psi
     root = _tree_root(domain, root)
@@ -142,22 +164,15 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     if abs(det0 - target) > 1e-12 * abs(target):
         raise InitDataError(
             f"det(a, conj a, xi0) = {det0}, expected {target}")
-    alpha = build_connection(psi, Q, SignCase(1, lam), domain,
-                             convention="row_frame")
-    # rows (f_z, f_zbar, xi, f): the structure system plus the position
-    # row df = f_z dz + f_zbar dzbar
-    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
-    A, B = np.pad(alpha.A, pad), np.pad(alpha.B, pad)
-    A[..., 3, 0] = B[..., 3, 1] = 1.0
-    F0 = np.stack([a, np.conj(a), xi0, f0])
-    frames, counts = integrate_tree(domain, A, B, F0, root=root,
-                                    axis_first=axis_first)
-    fvert = frames[..., 3, :]
-    imag_leak = float(np.max(np.abs(fvert.imag)))
-    return ImmersionMesh(domain, fvert.real.copy(), "affine_sphere",
+    if np.any(xi0.imag) or np.any(f0.imag):
+        raise InitDataError("xi0 and f0 must be real: the sphere lies in R^3")
+    F0 = np.stack([2.0 * a.real, -2.0 * a.imag, xi0.real, f0.real])
+    frames, counts = integrate_tree(domain, partial(affine_step, lam),
+                                    affine_fields(psi, Q, domain), F0,
+                                    root=root, axis_first=axis_first)
+    return ImmersionMesh(domain, frames[..., 3, :].copy(), "affine_sphere",
                          lam=lam, psi=psi,
-                         meta={"imag_leak": imag_leak, "root": root,
-                               "init": (f0, xi0, a),
+                         meta={"root": root, "init": (f0, xi0, a),
                                **counts})
 
 
@@ -268,8 +283,8 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
     alpha = build_connection(psi, Q, SignCase(-1, 0), domain,
                              convention="row_frame")
     F0 = np.stack([p, q, f0])
-    frames, counts = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
-                                    axis_first=axis_first)
+    frames, counts = integrate_tree(domain, complex_step, (alpha.A, alpha.B),
+                                    F0, root=root, axis_first=axis_first)
     return ImmersionMesh(domain, frames[..., 2, :].copy(), "minlag_c2",
                          lam=0, psi=psi,
                          meta={"root": root, "init": (p, q, f0),
@@ -347,13 +362,15 @@ def minlag_cpn_immersion(sol, Q, case, root=None, axis_first=0):
     domain = sol.domain
     alpha = minlag_frame_connection(sol.psi, Q, case, domain)
     root = _tree_root(domain, root)
-    F0 = np.eye(3, dtype=complex)
-    frames, counts = integrate_tree(domain, alpha.A, alpha.B, F0, root=root,
-                                    row=False, axis_first=axis_first)
+    # dF = F C runs as the row system of C^T on F^T: the tree holds the
+    # transposed frames, and the point is their third row
+    CT = (np.swapaxes(alpha.A, -1, -2), np.swapaxes(alpha.B, -1, -2))
+    FT, counts = integrate_tree(domain, complex_step, CT,
+                                np.eye(3, dtype=complex), root=root,
+                                axis_first=axis_first)
     tag = "minlag_cp2" if case.lam == 1 else "minlag_ch2"
-    phi = frames[..., :, 2]
-    return ImmersionMesh(domain, phi.copy(), tag, lam=case.lam,
-                         psi=sol.psi, frame=frames,
+    return ImmersionMesh(domain, FT[..., 2, :], tag, lam=case.lam,
+                         psi=sol.psi, frame=np.swapaxes(FT, -1, -2),
                          meta={"root": root, **counts})
 
 

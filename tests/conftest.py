@@ -54,6 +54,41 @@ def hyperboloid_mesh(n=24, radius=0.5):
     return mesh, sol
 
 
+# the constant gauge from the affine sphere's complex rows (f_z, f_zbar,
+# xi, f) to its real rows (f_x, f_y, xi, f): f_x = f_z + f_zbar and
+# f_y = i (f_z - f_zbar)
+AFFINE_GAUGE = np.array([[1, 1, 0, 0], [1j, -1j, 0, 0], [0, 0, 1, 0],
+                         [0, 0, 0, 1]])
+
+
+def affine_complex_system(psi, Q, lam, domain):
+    """(A, B), the complex (n, m, 4, 4) row system of the affine sphere on
+    (f_z, f_zbar, xi, f): build_connection's row form padded with the
+    position row df = f_z dz + f_zbar dzbar."""
+    alpha = tz.build_connection(psi, Q, tz.SignCase(1, lam), domain,
+                                convention="row_frame")
+    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
+    A, B = np.pad(alpha.A, pad), np.pad(alpha.B, pad)
+    A[..., 3, 0] = B[..., 3, 1] = 1.0
+    return A, B
+
+
+def complex_affine_tree(sol, Q, lam, init, root, axis_first=0):
+    """Frames (f_z, f_zbar, xi, f) of the affine sphere from init
+    (f0, xi0, a), by the complex 4 x 4 system realified to 8 x 8 on the
+    stacked frames [Re F; Im F]: the tree as it ran before the real
+    gauge, the oracle of `affine_sphere_immersion`."""
+    from titeica._kernels import complex_step
+    from titeica.immersion import integrate_tree
+
+    f0, xi0, a = (np.asarray(v, dtype=complex) for v in init)
+    A, B = affine_complex_system(sol.psi, Q, lam, sol.domain)
+    F0 = np.stack([a, np.conj(a), xi0, f0])
+    frames, _ = integrate_tree(sol.domain, complex_step, (A, B), F0,
+                               root=root, axis_first=axis_first)
+    return frames
+
+
 def graph_development(dom, x1, x2, phi):
     """Semi-flat development of the parabolic graph (x1, x2, phi) given
     node by node on the lattice of dom."""

@@ -8,8 +8,11 @@ from scipy.linalg import expm
 import titeica as tz
 from titeica import cli, immersion
 from titeica.errors import InitDataError, InvalidSignCase
-from titeica.immersion import E3, integrate_tree
-from tests.conftest import hyperboloid_mesh
+from titeica._kernels import _magnus, _scaling
+from titeica.frames import affine_fields
+from titeica.immersion import E3, affine_step, integrate_tree
+from tests.conftest import (AFFINE_GAUGE, affine_complex_system,
+                            complex_affine_tree, hyperboloid_mesh)
 
 FLAT = tz.BackgroundMetric("flat")
 POIN = tz.BackgroundMetric("poincare_disk")
@@ -19,7 +22,8 @@ Q1 = tz.CubicDifferential.constant(1.0)
 
 # -- affine sphere reconstruction ------------------------------------------------
 
-def test_affine_mesh_matrix_exponential_oracle(torus_mesh, torus32):
+def test_affine_mesh_matrix_exponential_oracle(torus_mesh, torus32,
+                                              monkeypatch):
     """With constant psi and Q the frame system has constant commuting
     coefficients, so F(z) = expm(A z + B zbar) F0 is an independent oracle."""
     p, sol = torus32
@@ -42,7 +46,18 @@ def test_affine_mesh_matrix_exponential_oracle(torus_mesh, torus32):
         oracle = (expm(A * z + B * np.conj(z)) @ F0)[3].real
         worst = max(worst, np.abs(oracle - torus_mesh.vertices[j, k]).max())
     assert worst < 1e-7
-    assert torus_mesh.meta["imag_leak"] < 1e-8
+    # the tree runs in the real gauge: its frames are real, nothing leaks
+    trees = []
+
+    def tree(*args, **kwargs):
+        trees.append(integrate_tree(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(immersion, "integrate_tree", tree)
+    mesh = tz.affine_sphere_immersion(sol, p.Q, lam=-1)
+    [(frames, _)] = trees
+    assert frames.dtype == np.float64
+    assert np.array_equal(mesh.vertices, torus_mesh.vertices)
 
 
 def test_affine_mesh_titeica_product(torus_mesh):
@@ -114,6 +129,102 @@ def test_transported_xi_is_the_affine_normal(where, lam, monkeypatch):
         assert np.all(xi == E3)
     else:
         assert np.abs(xi + lam * f).max() <= 1e-13
+
+
+def _real_tree(sol, Q, lam, monkeypatch, **kwargs):
+    """The mesh of affine_sphere_immersion and the frames of its tree."""
+    trees = []
+
+    def tree(*args, **kw):
+        trees.append(integrate_tree(*args, **kw))
+        return trees[-1]
+
+    monkeypatch.setattr(immersion, "integrate_tree", tree)
+    mesh = tz.affine_sphere_immersion(sol, Q, lam=lam, **kwargs)
+    [(frames, _)] = trees
+    return mesh, frames
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+ORACLE_DOMAINS = {
+    "oblique_torus": lambda: (tz.Domain.torus(0.3 + 1.1j, 24, 17), FLAT),
+    "disk_patch": lambda: (tz.Domain.disk_patch(0.7, 16, 16), POIN),
+    "rectangle": lambda: (tz.Domain.rectangle(1.0, 2.0, 20, 17), FLAT),
+}
+
+
+@pytest.mark.parametrize("axis_first", [0, 1])
+@pytest.mark.parametrize("where", ["centre", "corner"])
+@pytest.mark.parametrize("lam", [-1, 0, 1], ids=lambda lam: f"lam{lam}")
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_real_tree_matches_the_complex_tree(name, lam, where, axis_first,
+                                            monkeypatch):
+    # the tree on the real rows (f_x, f_y, xi, f) against the complex
+    # system on (f_z, f_zbar, xi, f), realified to 8 x 8: the same surface
+    # to rounding, every row of the frame mapped by the gauge
+    dom, mu = ORACLE_DOMAINS[name]()
+    sol = tz.MetricSolution(_weight(dom), dom, mu)
+    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3])
+    root = None if where == "centre" else (0, dom.shape[1] - 1)
+    mesh, frames = _real_tree(sol, Q, lam, monkeypatch, root=root,
+                              axis_first=axis_first)
+    assert frames.dtype == np.float64
+    ref = complex_affine_tree(sol, Q, lam, mesh.meta["init"],
+                              mesh.meta["root"], axis_first)
+    assert _rel_err(mesh.vertices, ref[..., 3, :].real) <= 1e-13
+    assert _rel_err(frames, AFFINE_GAUGE @ ref) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [-1, 0, 1], ids=lambda lam: f"lam{lam}")
+def test_real_tree_matches_the_complex_tree_when_refined(lam, monkeypatch):
+    # Q = 4 + 0.3 z on an 8 x 8 grid: the teeth's Omega is too large for
+    # one Magnus step, and the kernel refines each edge to 2^k sub-edges
+    dom = tz.Domain.rectangle(1.0, 2.0, 8, 8)
+    sol = tz.MetricSolution(_weight(dom), dom, FLAT)
+    Q = tz.CubicDifferential.polynomial([4.0, 0.3])
+    teeth = affine_step(lam, complex(dom.step2),
+                        *affine_fields(sol.psi, Q, dom))
+    assert _scaling(_magnus(teeth))[1] > 0
+    mesh, frames = _real_tree(sol, Q, lam, monkeypatch)
+    ref = complex_affine_tree(sol, Q, lam, mesh.meta["init"],
+                              mesh.meta["root"])
+    assert _rel_err(mesh.vertices, ref[..., 3, :].real) <= 1e-13
+    assert _rel_err(frames, AFFINE_GAUGE @ ref) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [-1, 0, 1], ids=lambda lam: f"lam{lam}")
+def test_affine_step_is_the_gauged_row_system(lam):
+    # T C T^-1 of build_connection's row form plus the position row is
+    # real, and it is the coefficient that affine_step assembles from the
+    # three scalar fields, to rounding, for any step
+    dom = tz.Domain.torus(0.3 + 1.1j, 24, 17)
+    psi = _weight(dom)
+    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3])
+    A, B = affine_complex_system(psi, Q, lam, dom)
+    fields = affine_fields(psi, Q, dom)
+    T = AFFINE_GAUGE
+    for zdot in (dom.step1, dom.step2, -dom.step2, 0.3 - 0.7j):
+        ref = T @ (A * zdot + B * np.conj(zdot)) @ np.linalg.inv(T)
+        scale = np.abs(ref).max()
+        got = affine_step(lam, zdot, *(X[3:9] for X in fields))
+        assert got.dtype == np.float64
+        assert np.abs(ref.imag).max() <= 1e-15 * scale
+        assert np.abs(got - ref[3:9].real).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["f0", "xi0"])
+def test_affine_init_must_be_real(torus32, row):
+    # xi0 + i e1 leaves det(a, conj a, xi0) as it is, a and conj a having
+    # no third component; an affine sphere in R^3 has real xi0 and f0
+    p, sol = torus32
+    f0, xi0, a = tz.affine_sphere_immersion(sol, p.Q, lam=-1).meta["init"]
+    init = [f0, xi0, a]
+    init[row] = init[row] + np.array([1j, 0.0, 0.0])
+    with pytest.raises(InitDataError, match="real"):
+        tz.affine_sphere_immersion(sol, p.Q, lam=-1, init=init)
 
 
 def test_oblique_torus_mesh_checks():
@@ -478,3 +589,5 @@ def test_only_cpn_meshes_keep_a_frame():
         mesh = tz.minlag_cpn_immersion(sol, Q, case)
         assert mesh.frame.shape == dom.shape + (3, 3)
         assert np.array_equal(mesh.vertices, mesh.frame[..., :, 2])
+        # the point is the frame's third column, held once
+        assert np.shares_memory(mesh.vertices, mesh.frame)

@@ -17,6 +17,7 @@ from titeica.projective import holonomy_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
 import workloads  # noqa: E402
+from tests.conftest import AFFINE_GAUGE, affine_complex_system  # noqa: E402
 
 
 def setup_transport():
@@ -325,6 +326,19 @@ def _tree_lines(domain, root, axis_first=0):
     return lines
 
 
+def complex_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
+    """integrate_tree on the complex system A zdot + B conj(zdot), the
+    column convention dF = F C run as the row system of C^T on the
+    transposed frames, as minlag_cpn_immersion runs it."""
+    if row:
+        return integrate_tree(domain, _kernels.complex_step, (A, B), F0,
+                              root=root, axis_first=axis_first)
+    A, B, F0 = (np.swapaxes(X, -1, -2) for X in (A, B, F0))
+    frames, counts = integrate_tree(domain, _kernels.complex_step, (A, B),
+                                    F0, root=root, axis_first=axis_first)
+    return np.swapaxes(frames, -1, -2), counts
+
+
 def test_tree_on_2x2_grid():
     # on a 2x2 grid the comb has one-point halves.  The coefficients reach
     # a 1-norm of about 4 on an edge, past the reach of one Magnus step:
@@ -341,7 +355,7 @@ def test_tree_on_2x2_grid():
         assert min(len(pts) for pts in lines) == 1
         assert kernel_splits(A, B, grid.step1, grid.step2, lines[2:],
                              True) >= 4
-        frames, counts = integrate_tree(grid, A, B, F0, root=root)
+        frames, counts = complex_tree(grid, A, B, F0, root=root)
         assert counts == {"tree_edges": 3}
         assert np.array_equal(frames[root], F0)
         ode = tree_by_lines(grid, A, B, F0, root, True, 0,
@@ -409,8 +423,8 @@ def test_tree_matches_per_line_oracle(name, state, where, axis_first):
     B = rng.normal(size=(n, m, r, r)) + 1j * rng.normal(size=(n, m, r, r))
     F0 = rng.normal(size=(r, 3)) + 1j * rng.normal(size=(r, 3))
     row = state != "column"
-    got, _ = integrate_tree(dom, A, B, F0, root=root, row=row,
-                            axis_first=axis_first)
+    got, _ = complex_tree(dom, A, B, F0, root=root, row=row,
+                          axis_first=axis_first)
     ref = tree_by_lines(dom, A, B, F0, root, row, axis_first)
     assert np.array_equal(got[root], F0)
     assert rel_err(got, ref) <= 1e-13
@@ -432,7 +446,7 @@ def test_tree_reports_the_kernels_counts(name, axis_first, edges):
     n, m = dom.shape
     A = np.zeros((n, m, 3, 3), dtype=complex)
     F0 = np.eye(3, dtype=complex)
-    frames, counts = integrate_tree(dom, A, A, F0, axis_first=axis_first)
+    frames, counts = complex_tree(dom, A, A, F0, axis_first=axis_first)
     assert counts == {"tree_edges": edges}
     assert np.array_equal(frames, np.broadcast_to(F0, frames.shape))
 
@@ -460,9 +474,12 @@ def test_immerse_runs_the_tree_on_two_lattice_line_calls(tmp_path,
     code, report = cli.run(cfg, "immerse", tmp_path)
     assert code == 0
     assert calls["transport_polyline"] == []
-    # the spine, one line of 16 nodes, then the 16 teeth
-    assert [args[3].shape[:2] for args in calls["transport_lines"]] == [
-        (1, 16), (16, 16)]
+    # the spine, one line of 16 nodes, then the 16 teeth, each a real
+    # frame (f_x, f_y, xi, f) of R^3
+    assert [args[3].shape for args in calls["transport_lines"]] == [
+        (1, 16, 4, 3), (16, 16, 4, 3)]
+    assert {args[3].dtype for args in calls["transport_lines"]} == {
+        np.dtype(np.float64)}
     # 16 x 16 - 1 edges, one Magnus step each
     assert report["transport"] == {"tree_edges": 255}
 
@@ -512,8 +529,15 @@ def test_tree_error_below_rk4(name, monkeypatch):
         return frames, counts
 
     immerse_tracing_the_tree(pipe, monkeypatch, record)
-    (dom, A, B, F0), kw, got = calls[0]
-    tree = (dom, A, B, F0, kw["root"], kw.get("row", True), kw["axis_first"])
+    (dom, step, (A, B, *_), F0), kw, got = calls[0]
+    if step is not _kernels.complex_step:
+        # the affine sphere's real rows (f_x, f_y, xi, f), against its
+        # complex system on (f_z, f_zbar, xi, f)
+        A, B = affine_complex_system(pipe.solution.psi, pipe.problem.Q,
+                                     pipe.case.lam, dom)
+        T_inv = np.linalg.inv(AFFINE_GAUGE)
+        F0, got = T_inv @ F0, T_inv @ got
+    tree = (dom, A, B, F0, kw["root"], True, kw["axis_first"])
     ode = tree_by_lines(*tree, lambda *a: transport_scalar(*a, fine))
     rk4 = tree_by_lines(*tree, lambda *a: transport_scalar(
         *a, rk4_rule(dom.hmin / 2.0)))
@@ -551,9 +575,9 @@ def test_ch2_frames_stay_in_the_group():
 
 
 def test_tree_memory_peak(monkeypatch):
-    # the tracemalloc peak of the 64^2 torus tree, 4x4 row frames: the
-    # kernel's blocks of 8 lines keep it under 3.6 MiB, and blocks of 32
-    # lines would not
+    # the tracemalloc peak of the 64^2 torus tree, real 4x3 frames under a
+    # real 4x4 coefficient: the kernel's blocks of 32 lines keep it under
+    # 2.6 MiB (2.54 measured), and one block of all 64 lines would not
     pipe = workload_pipeline("torus_affine", 64)
     peaks = []
 
@@ -569,4 +593,4 @@ def test_tree_memory_peak(monkeypatch):
     monkeypatch.setattr(_kernels, "LINES_BLOCK_BYTES",
                         4 * _kernels.LINES_BLOCK_BYTES)
     pipe.immerse()
-    assert peaks[0] <= 3.6 * 2 ** 20 < peaks[1]
+    assert peaks[0] <= 2.6 * 2 ** 20 < peaks[1]
