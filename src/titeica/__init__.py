@@ -10,9 +10,8 @@ from .geometry import (BackgroundMetric, CubicDifferential, Domain,
 from .pde import (ContinuationResult, PdeProblem, SolveReport,
                   ch2_continuation_bound, constant_solution,
                   continuation_family, cubic_supersolution_root,
-                  residual_global, residual_local, residual_scaled,
-                  scaling_shift, solve_monotone, solve_newton,
-                  supersolution_bound, toda_residual_complex)
+                  residual_global, residual_local, solve_monotone,
+                  solve_newton, supersolution_bound, toda_residual_complex)
 from .frames import (ConnectionForm, build_connection, cell_loop,
                      curvature_residual, group_residuals, holonomy,
                      integrate_frame, minlag_frame_connection, polyline_path,

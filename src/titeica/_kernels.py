@@ -33,13 +33,10 @@ The propagators do not depend on F, so those of a block of lines are
 built in batched numpy; the only sequential work left is the chain
 F <- P F, once per edge (or sub-edge) away from a line's start node.
 
-All small-matrix products run in real arithmetic, on a real coefficient
-that the caller assembles a block of lines at a time from its per-node
-fields: the affine sphere's is real in the gauge (f_x, f_y, xi, f).  A
-complex system A(z) zdot + B(z) conj(zdot) goes through `complex_step`:
-C = X + iY acts as the real block [[X, -Y], [Y, X]] on the stacked frame
-[Re F; Im F], a ring homomorphism, so the real chain is the complex one
-written out.  A column system dF = F C is the row system of C^T on F^T.
+All small-matrix products run in real arithmetic: a complex frame as
+[Re F; Im F] under the blocks [[X, -Y], [Y, X]] of C = X + iY, a ring
+homomorphism, a real frame under X, C for a form real in its gauge.  C is
+one product of [Re c, Im c], c = f zdot, with the form's real pattern.
 """
 
 import math
@@ -56,16 +53,32 @@ LINES_BLOCK_BYTES = 1 << 18
 _DEGREES = (4, 6, 9, 12, 16)
 
 
-def complex_step(zdot, A, B):
-    """Real blocks [[X, -Y], [Y, X]] of the complex step coefficient
-    X + iY = A zdot + B conj(zdot) at the nodes of A and B (..., r, r)."""
-    C = A * zdot + B * np.conj(zdot)
-    r = C.shape[-1]
-    R = np.empty(C.shape[:-2] + (2 * r, 2 * r))
-    R[..., :r, :r] = R[..., r:, r:] = C.real
-    R[..., r:, :r] = C.imag
-    np.negative(C.imag, out=R[..., :r, r:])
-    return R
+def real_pattern(terms, real):
+    """(fields, P): the K distinct field arrays f of the row system
+    `terms`, each (f, M, dzbar), and P (2K, N N) with C = [Re c, Im c] P,
+    c_k = f_k zdot.  A dz term adds Re c M + Im c iM to C, a dzbar term
+    Re c M - Im c iM; a part X realifies to [[Re X, -Im X], [Im X, Re X]]
+    (N = 2r), or to Re X on a real frame (N = r)."""
+    parts = {}      # id(f): (f, the parts of Re c and of Im c)
+    for f, M, dzbar in terms:
+        _, X = parts.setdefault(id(f), (f, np.zeros((2,) + M.shape, complex)))
+        X += [M, (-1j if dzbar else 1j) * M]
+    fields = [f for f, _ in parts.values()]
+    X = np.stack([p for _, p in parts.values()], axis=1).reshape(-1, *M.shape)
+    if not real:
+        X = np.block([[X.real, -X.imag], [X.imag, X.real]])
+    return fields, X.real.reshape(len(X), -1)
+
+
+def pattern_step(P, zdot, *fields):
+    """The real coefficient C (..., N, N) at the nodes of the fields (...):
+    [Re c, Im c] P, c_k = f_k zdot (`real_pattern`)."""
+    K = len(fields)
+    X = np.empty(np.shape(fields[0]) + (2 * K,))
+    for k, f in enumerate(fields):
+        c = f * zdot
+        X[..., k], X[..., K + k] = c.real, c.imag
+    return (X @ P).reshape(X.shape[:-1] + (math.isqrt(P.shape[1]),) * 2)
 
 
 def _magnus(R):
@@ -145,10 +158,11 @@ def _expm(W, scaling=None):
     return P
 
 
-def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
+def transport_polyline(step, fields, d1, d2, pts, F0, periodic=False,
                        max_step=0.5):
     """Frames at the nodes of the lattice path `pts` ((npts, 2) node
-    indices, unwrapped on a torus) transported from F0, (npts,) + F0.shape.
+    indices, unwrapped on a torus) transported from F0 by the row system
+    C = step(zdot, *block) of the (n, m) `fields`, (npts,) + F0.shape.
     Each straight run of equal steps is one line of `transport_lines`.
     ValueError unless `pts` is a non-empty (npts, 2) array, each point a
     node of the grid and each step one lattice edge or none.  `max_step`
@@ -156,7 +170,7 @@ def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
         raise ValueError("a path is a non-empty (npts, 2) array of nodes")
-    nodes, shape = np.rint(pts).astype(np.intp), np.array(A.shape[:2])
+    nodes, shape = np.rint(pts).astype(np.intp), np.array(fields[0].shape)
     inside = periodic or (nodes == nodes % shape).all()
     if (nodes != pts).any() or not inside:
         raise ValueError("path points must be nodes of the grid")
@@ -166,17 +180,15 @@ def transport_polyline(A, B, d1, d2, pts, F0, row=True, periodic=False,
     j, k = (nodes % shape).T
     out = np.empty((len(pts),) + np.shape(F0), dtype=np.complex128)
     out[0] = F0
-    # the column system dF = F C is the row system of C^T on F^T
-    A, B, F = (X if row else np.swapaxes(X, -1, -2) for X in (A, B, out))
     # a run starts at the first step and wherever the step changes
     steps = d.tolist()
-    starts = [a for a, step in enumerate(steps)
-              if a == 0 or step != steps[a - 1]]
+    starts = [a for a, d_a in enumerate(steps)
+              if a == 0 or d_a != steps[a - 1]]
     for a, b in zip(starts, starts[1:] + [len(steps)]):
         run = slice(a, b + 1)
         transport_lines(
-            complex_step, [X[j[run], k[run]][None] for X in (A, B)],
-            d[a, 0] * complex(d1) + d[a, 1] * complex(d2), F[None, run], 0)
+            step, [X[j[run], k[run]][None] for X in fields],
+            d[a, 0] * complex(d1) + d[a, 1] * complex(d2), out[None, run], 0)
     return out
 
 

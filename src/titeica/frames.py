@@ -1,13 +1,23 @@
-"""Flat connection 1-forms alpha = A dz + B dzbar, their zero-curvature and
-reality-condition checks, and frame transport along grid paths.
+"""Flat connection 1-forms alpha = A dz + B dzbar, held as scalar fields
+and a constant pattern, their zero-curvature and reality-condition
+checks, and frame transport along grid paths.
+
+A form is a list of terms f M dz or conj(f) M dzbar: an (n, m) field f,
+psi_z, e^psi (or e^{2 psi}), Q e^{-2 psi} or ones, placed by a constant
+r x r matrix M.  Each pattern is written once: `build_connection` the
+spectral loop and the C^2 rows, `affine_connection` the affine sphere's
+real rows; `minlag_frame_connection` gauges the loop's constants.  Dense
+A and B are built on demand (`ConnectionForm.dense`), for the curvature
+and reality checks; transport reads the fields (`_kernels`).
 
 Two frame conventions are kept explicit:
 
   row_frame     dF = alpha F, the frame vectors are the rows of F
-                (coordinate structure systems on (f_z, f_zbar, xi)).
+                (coordinate structure systems).
   column_frame  F^{-1} dF = alpha, the frame vectors are the columns
                 (unitary frames of minimal Lagrangian surfaces and the
-                spectral loop of connections indexed by zeta).
+                spectral loop of connections indexed by zeta); it runs as
+                the row form of its transposed constants on F^T.
 
 Zero curvature reads  dzbar(A) - dz(B) + [A, B] = 0  in the row
 convention and  dzbar(A) - dz(B) - [A, B] = 0  in the column convention.
@@ -18,10 +28,12 @@ tests them on the loop as built and samples no zeta.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import transport_polyline
+from ._kernels import pattern_step, real_pattern, transport_polyline
 from .errors import InvalidSignCase, PathError
 from .geometry import Domain, SignCase
 
@@ -29,35 +41,46 @@ _ETA = np.array([1.0, 1.0, -1.0])
 ETA_21 = np.diag(_ETA)
 
 
+class Term(NamedTuple):
+    """f M dz, or conj(f) M dzbar: f an (n, m) field, M a constant matrix."""
+    field: np.ndarray
+    M: np.ndarray
+    dzbar: bool
+
+
 @dataclass
 class ConnectionForm:
-    """alpha = A dz + B dzbar with 3x3 (or 4x4) matrix fields A, B."""
+    """alpha, the sum of its terms."""
 
-    A: np.ndarray
-    B: np.ndarray
+    terms: list
     convention: str  # "row_frame" | "column_frame"
     domain: Domain
     case: SignCase | None = None
     # the zeta a spectral-loop form was built at; None on every other form
     zeta: complex | None = None
 
+    def dense(self):
+        """(A, B), the (n, m, r, r) fields of alpha = A dz + B dzbar."""
+        r = len(self.terms[0].M)
+        A = np.zeros(self.domain.shape + (r, r), dtype=complex)
+        B = np.zeros_like(A)
+        for f, M, dzbar in self.terms:
+            X, g = (B, np.conj(f)) if dzbar else (A, f)
+            for i, j in zip(*np.nonzero(M)):
+                X[..., i, j] += M[i, j] * g
+        return A, B
 
-def affine_fields(psi, Q, domain):
-    """The scalar fields of the affine sphere's row system: 2 psi_z,
-    Q e^{-2 psi} and e^{2 psi}; their conjugates and the constant -lam
-    fill the rest of it."""
-    psi = np.asarray(psi, dtype=float)
-    return (2.0 * domain.dz(psi), Q(domain.z) * np.exp(-2.0 * psi),
-            np.exp(2.0 * psi))
+    def row_system(self, real):
+        """(step, fields) of the row system for `_kernels.transport_lines`,
+        on a real frame if `real`; a column form's constants transposed."""
+        column = self.convention == "column_frame"
+        fields, P = real_pattern([(f, M.T if column else M, dzbar)
+                                  for f, M, dzbar in self.terms], real)
+        return partial(pattern_step, P), fields
 
 
-def _zero_fields(domain):
-    n, m = domain.shape
-    A = np.zeros((n, m, 3, 3), dtype=complex)
-    B = np.zeros((n, m, 3, 3), dtype=complex)
-    return A, B
-
-
+# _E[i, j] is the 3 x 3 matrix unit E_ij
+_E = np.eye(9, dtype=complex).reshape(3, 3, 3, 3)
 # entries (1,3), (2,1), (3,2) of A and (1,2), (2,3), (3,1) of B carry the
 # loop's zeta: A = A0 + zeta A1 and B = B0 + B1 / zeta, A1 and B1 there
 _ZETA_A = (..., [0, 1, 2], [2, 0, 1])
@@ -65,62 +88,56 @@ _ZETA_B = (..., [0, 1, 2], [1, 2, 0])
 
 
 def build_connection(psi, Q, case, domain, zeta=1.0, convention="column_frame"):
-    """Connection form for the given sign case.
-
-    column_frame: the loop of flat sl(3, C) connections indexed by zeta
+    """column_frame: the loop of flat sl(3, C) connections indexed by zeta
     (the four Toda cases lam = +/-1; zeta enters linearly in the dz part
-    and as 1/zeta in the dzbar part, with eps multiplying the conj(Q)
-    entry).  row_frame: the coordinate structure system on the rows
-    (f_z, f_zbar, xi) for affine spheres, or (f_z, f_zbar, f) for
-    minimal Lagrangian surfaces in C^2; zeta must be 1 there.
-    """
-    zeta = complex(zeta)
-    if case.lam == 0 and zeta != 1.0:
+    and as 1/zeta in the dzbar part, eps multiplying the conj(Q) entry).
+    row_frame: the structure system on the rows (f_z, f_zbar, f) of
+    minimal Lagrangian surfaces in C^2.  psi_zbar = conj(psi_z) to the
+    bit, so each dzbar term holds the field of a dz term."""
+    zeta, lam = complex(zeta), case.lam
+    if lam == 0 and zeta != 1.0:
         raise InvalidSignCase("the spectral family exists only for lam = +/-1")
-    lam = case.lam
-    if convention == "row_frame" and case.is_affine:
-        # dzbar of a real field is the conjugate of its dz, to the bit
-        p, r, e2p = affine_fields(psi, Q, domain)
-        A, B = _zero_fields(domain)
-        A[..., 0, 0], A[..., 0, 1], A[..., 1, 2] = p, r, e2p
-        B[..., 0, 2], B[..., 1, 0], B[..., 1, 1] = e2p, np.conj(r), np.conj(p)
-        A[..., 2, 0] = B[..., 2, 1] = -lam
-        return ConnectionForm(A, B, "row_frame", domain, case)
-    psi = np.asarray(psi, dtype=float)
-    qv = Q(domain.z)
-    pz = domain.dz(psi)
-    pzb = domain.dzbar(psi)
-    ep = np.exp(psi)
-    em2p = np.exp(-2.0 * psi)
-
-    if convention == "column_frame":
-        if case.lam == 0:
-            raise InvalidSignCase("no column-frame form for lam = 0")
-        A, B = _zero_fields(domain)
-        A[..., 0, 0] = pz
-        A[..., 1, 1] = -pz
-        B[..., 0, 0] = -pzb
-        B[..., 1, 1] = pzb
-        A[_ZETA_A] = np.stack([-zeta * lam * ep, zeta * qv * em2p,
-                               -zeta * lam * ep], axis=-1)
-        B[_ZETA_B] = np.stack([(case.epsilon / zeta) * np.conj(qv) * em2p,
-                               ep / zeta, ep / zeta], axis=-1)
-        return ConnectionForm(A, B, "column_frame", domain, case, zeta=zeta)
-
-    if convention != "row_frame":
+    if convention not in ("row_frame", "column_frame"):
         raise ValueError(f"unknown convention {convention!r}")
-    if case.lam != 0:
-        raise InvalidSignCase(
-            "row-frame structure systems exist for affine spheres and C^2 only")
-    # minimal Lagrangian in C^2, rows (f_z, f_zbar, f)
-    A, B = _zero_fields(domain)
-    A[..., 0, 0] = 2.0 * pz
-    A[..., 0, 1] = -qv * em2p
-    A[..., 2, 0] = 1.0
-    B[..., 1, 0] = np.conj(qv) * em2p
-    B[..., 1, 1] = 2.0 * pzb
-    B[..., 2, 1] = 1.0
-    return ConnectionForm(A, B, "row_frame", domain, case)
+    row = convention == "row_frame"
+    if (lam == 0) != row or (case.epsilon, lam) == (1, 0):
+        raise InvalidSignCase(f"no {convention} form for {case.geometry_tag}")
+    psi = np.asarray(psi, dtype=float)
+    pz, q = domain.dz(psi), Q(domain.z) * np.exp(-2.0 * psi)
+    if row:
+        one = np.broadcast_to(1.0, domain.shape)    # constant terms
+        terms = [Term(pz, 2.0 * _E[0, 0], False),
+                 Term(pz, 2.0 * _E[1, 1], True),
+                 Term(q, -_E[0, 1], False), Term(q, _E[1, 0], True),
+                 Term(one, _E[2, 0], False), Term(one, _E[2, 1], True)]
+        return ConnectionForm(terms, convention, domain, case)
+    ep = np.exp(psi)
+    terms = [Term(pz, _E[0, 0] - _E[1, 1], False),
+             Term(pz, _E[1, 1] - _E[0, 0], True),
+             Term(ep, (_E[0, 2] + _E[2, 1]) * (-zeta * lam), False),
+             Term(ep, (_E[1, 2] + _E[2, 0]) / zeta, True),
+             Term(q, _E[1, 0] * zeta, False),
+             Term(q, _E[0, 1] * (case.epsilon / zeta), True)]
+    return ConnectionForm(terms, convention, domain, case, zeta=zeta)
+
+
+def affine_connection(psi, Q, lam, domain):
+    """The affine sphere's structure system on (f_z, f_zbar, xi) with the
+    position row df = f_z dz + f_zbar dzbar, in the constant gauge of the
+    real rows (f_x, f_y, xi, f), f_x = f_z + f_zbar, f_y = i (f_z - f_zbar).
+    Each field f of 2 psi_z, Q e^{-2 psi}, e^{2 psi} and ones enters as
+    f M dz + conj(f M) dzbar, so the form is real."""
+    psi = np.asarray(psi, dtype=float)
+    M = np.zeros((4, 4, 4), dtype=complex)
+    M[0, :2, :2] = [[0.5, -0.5j], [0.5j, 0.5]]
+    M[1, :2, :2] = [[0.5, 0.5j], [0.5j, -0.5]]
+    M[2, :2, 2] = [1.0, -1.0j]
+    M[3, 2:, :2] = [[-0.5 * lam, 0.5j * lam], [0.5, -0.5j]]
+    fields = (2.0 * domain.dz(psi), Q(domain.z) * np.exp(-2.0 * psi),
+              np.exp(2.0 * psi), np.broadcast_to(1.0, domain.shape))
+    terms = [Term(f, X, dzbar) for f, Mf in zip(fields, M)
+             for X, dzbar in ((Mf, False), (np.conj(Mf), True))]
+    return ConnectionForm(terms, "row_frame", domain, SignCase(1, lam))
 
 
 def minlag_frame_connection(psi, Q, case, domain):
@@ -130,21 +147,18 @@ def minlag_frame_connection(psi, Q, case, domain):
     if case.epsilon != -1 or case.lam == 0:
         raise InvalidSignCase("unitary frames exist for the CP^2/CH^2 cases")
     loop = build_connection(psi, Q, case, domain, zeta=-case.lam)
+    # D^{-1} M D with D = diag(d), d = +/-1: M_ij d_i d_j
     d = np.array([1.0, -case.lam, 1.0])
-    # D^{-1} X D with D = diag(d), d = +/-1: negate X_ij where d_i d_j = -1
-    i, j = np.nonzero(np.outer(d, d) < 0)
-    for X in (loop.A, loop.B):
-        X[..., i, j] *= -1.0
-    return ConnectionForm(loop.A, loop.B, "column_frame", domain, case)
+    terms = [Term(f, M * np.outer(d, d), dzbar) for f, M, dzbar in loop.terms]
+    return ConnectionForm(terms, "column_frame", domain, case)
 
 
 def curvature_residual(alpha):
     """Nodewise Frobenius norm of the curvature of alpha."""
-    dA = alpha.domain.dzbar(alpha.A)
-    dB = alpha.domain.dz(alpha.B)
-    comm = alpha.A @ alpha.B - alpha.B @ alpha.A
+    A, B = alpha.dense()
     sign = 1.0 if alpha.convention == "row_frame" else -1.0
-    curv = dA - dB + sign * comm
+    curv = (alpha.domain.dzbar(A) - alpha.domain.dz(B)
+            + sign * (A @ B - B @ A))
     return np.linalg.norm(curv, axis=(-2, -1))
 
 
@@ -182,7 +196,7 @@ def reality_check(alpha):
     if alpha.case.lam == 0:
         raise InvalidSignCase("no involution for lam = 0")
     s, rho = _REALITY[(alpha.case.epsilon, alpha.case.lam)]
-    A, B = alpha.A.copy(), alpha.B.copy()
+    A, B = alpha.dense()
     A[_ZETA_A] *= s / alpha.zeta    # A0 + s A1
     B[_ZETA_B] *= alpha.zeta        # B0 + B1
     # rho moves the entries of A1 onto those of B1: R1 there, R0 elsewhere
@@ -226,24 +240,23 @@ def cell_loop(domain, j=0, k=0):
 
 def integrate_frame(alpha, path, F0):
     """Transport of F0 along the lattice path (an (npts, 2) array of grid
-    nodes, unwrapped on a torus, each step one lattice edge or none) in
-    alpha's convention; returns the (npts, r, c) frames at its nodes, and
-    PathError for any other path.  A lattice edge is one sixth-order
-    Magnus step, with A and B interpolated linearly between its end
-    nodes.  The kernel ignores `max_step`; pipebench's tracer reads it to
-    count int(|edge| / max_step) + 1 substeps per edge, as the former RK4
-    kernel took."""
+    nodes, unwrapped on a torus, each step one lattice edge or none), one
+    Magnus step per edge, in alpha's convention: the (npts, r, c) frames
+    at its nodes, and PathError for any other path.  The kernel ignores
+    `max_step`; pipebench's tracer reads it to count int(|edge| /
+    max_step) + 1 substeps per edge, as the former RK4 kernel took."""
     F = np.asarray(F0, dtype=complex)
     if not np.all(np.isfinite(F)):
         raise ValueError("initial frame must be finite")
+    column, dom = alpha.convention == "column_frame", alpha.domain
     try:
-        return transport_polyline(alpha.A, alpha.B, alpha.domain.step1,
-                                  alpha.domain.step2, path, F,
-                                  row=(alpha.convention == "row_frame"),
-                                  periodic=alpha.domain.periodic,
-                                  max_step=alpha.domain.hmin / 2.0)
+        out = transport_polyline(*alpha.row_system(False), dom.step1,
+                                 dom.step2, path,
+                                 np.swapaxes(F, -1, -2) if column else F,
+                                 periodic=dom.periodic, max_step=dom.hmin / 2)
     except ValueError as exc:
         raise PathError(str(exc)) from exc
+    return np.swapaxes(out, -1, -2) if column else out
 
 
 def holonomy(alpha, loop):
@@ -251,7 +264,7 @@ def holonomy(alpha, loop):
     path that ends at its first node (on a torus, at a translate of it by
     periods): the solution of dJ = <alpha, beta'> J, J(0) = I, at the end
     of the loop."""
-    F = integrate_frame(alpha, loop, np.eye(alpha.A.shape[-1]))
+    F = integrate_frame(alpha, loop, np.eye(len(alpha.terms[0].M)))
     gap = np.subtract(loop[-1], loop[0])
     if (gap % alpha.domain.shape if alpha.domain.periodic else gap).any():
         raise PathError("holonomy requires a closed loop")
@@ -260,9 +273,8 @@ def holonomy(alpha, loop):
 
 def group_residuals(F, group_tag):
     """Residuals of membership in the frame's symmetry group: the
-    determinant drift |det F - 1| and the unitarity defect, su3:
-    ||F^dagger F - I||, su21: ||F^dagger eta F - eta|| with
-    eta = diag(1, 1, -1); each the max over the frames of F."""
+    unitarity defect, su3: ||F^dagger F - I||, su21: ||F^dagger eta F -
+    eta|| with eta = diag(1, 1, -1), the max over the frames of F."""
     F = np.asarray(F, dtype=complex)
     if group_tag == "su3":
         dev = _dagger(F) @ F - np.eye(3)
@@ -270,5 +282,4 @@ def group_residuals(F, group_tag):
         dev = (_dagger(F) * _ETA) @ F - ETA_21
     else:
         raise ValueError(f"unknown group tag {group_tag!r}")
-    return {"det_drift": float(np.max(np.abs(np.linalg.det(F) - 1.0))),
-            "unitarity": float(np.max(np.linalg.norm(dev, axis=(-2, -1))))}
+    return {"unitarity": float(np.max(np.linalg.norm(dev, axis=(-2, -1))))}

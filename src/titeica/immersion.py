@@ -1,16 +1,15 @@
 """Surface reconstruction from solved metric data and pointwise
 verification of the structure equations on the reconstruction.
 
-Affine spheres integrate the first-order system over a spanning tree of
-the grid (a comb rooted at the central node) on the real rows
-(f_x, f_y, xi, f), f_x = f_z + f_zbar and f_y = i (f_z - f_zbar), where
-its 4 x 4 coefficient is real; minimal Lagrangian surfaces in C^2
-integrate (f_z, f_zbar, f) with C^2-valued rows; CP^2/CH^2 surfaces
-integrate the transposed unitary column frame, whose third row is the
-point phi = F e3; only these meshes keep their frame, which `verify_cpn`
-gates.  The whole
-comb, its spine and its teeth, is lattice lines and goes through the one
-tree kernel, `transport_lines`, one Magnus step per lattice edge; each
+Each surface integrates its connection form (`frames`) over a spanning
+tree of the grid (a comb rooted at the central node): affine spheres on
+the real rows (f_x, f_y, xi, f), f_x = f_z + f_zbar and f_y = i (f_z -
+f_zbar), minimal Lagrangian surfaces in C^2 on (f_z, f_zbar, f), and
+CP^2/CH^2 surfaces the transposed unitary column frame, whose third row
+is the point phi = F e3; only these meshes keep their frame, which
+`verify_cpn` gates.  The comb, its spine and its teeth, is lattice lines
+and goes through the one tree kernel, `transport_lines`, which makes
+each block of lines' coefficient from the form's scalar fields; each
 mesh records in `meta` the edges that the kernel reports it ran.
 
 Mesh derivatives are always taken with non-periodic stencils: even over
@@ -20,13 +19,12 @@ equivariant under the holonomy.
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from ._kernels import complex_step, transport_lines
+from ._kernels import transport_lines
 from .errors import DegenerateVertexError, InitDataError, InvalidSignCase
-from .frames import (affine_fields, build_connection, group_residuals,
+from .frames import (affine_connection, build_connection, group_residuals,
                      minlag_frame_connection)
 from .geometry import Domain, SignCase, lattice_diff, lattice_diff2
 
@@ -122,41 +120,19 @@ def integrate_tree(domain, step, fields, F0, root=None, axis_first=0):
     return frames, {"tree_edges": edges}
 
 
-def affine_step(lam, zdot, p, r, e2p):
-    """The real coefficient T (A zdot + B conj(zdot)) T^-1 at the nodes of
-    the fields p = 2 psi_z, r = Q e^{-2 psi}, e2p = e^{2 psi}: A, B the row
-    system on (f_z, f_zbar, xi, f) with the position row, T the constant
-    gauge to (f_x, f_y, xi, f).  Real, as conj(C) = sigma C sigma entry by
-    entry, sigma the swap of the first two rows."""
-    p, r = p * zdot, r * zdot
-    x, y = zdot.real, zdot.imag
-    C = np.zeros(p.shape + (4, 4))
-    C[..., 0, 0], C[..., 1, 1] = p.real + r.real, p.real - r.real
-    C[..., 0, 1], C[..., 1, 0] = p.imag - r.imag, -p.imag - r.imag
-    C[..., 0, 2], C[..., 1, 2] = 2.0 * x * e2p, 2.0 * y * e2p
-    C[..., 2:, :2] = [[-lam * x, -lam * y], [x, y]]
-    return C
-
-
-def _default_affine_init(psi0, lam):
-    xi0 = E3.astype(complex)
-    f0 = (-lam * xi0) if lam != 0 else np.zeros(3, dtype=complex)
-    a = np.exp(psi0) / np.sqrt(2.0) * np.array([1.0, -1.0j, 0.0])
-    return f0, xi0, a
-
-
 def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     """Reconstruct an affine sphere from a solved metric.  init, when given,
     is (f0, xi0, a) with det(a, conj(a), xi0) = i e^{2 psi(z0)} and xi0, f0
     real; the default init satisfies this identically.  The tree runs on
     the real rows (f_x, f_y, xi, f), from (2 Re a, -2 Im a, xi0, f0) at
     the root, and the vertices are its row f."""
-    domain = sol.domain
-    psi = sol.psi
+    domain, psi = sol.domain, sol.psi
     root = _tree_root(domain, root)
     psi0 = psi[root]
     if init is None:
-        f0, xi0, a = _default_affine_init(psi0, lam)
+        xi0 = E3.astype(complex)
+        f0 = (-lam * xi0) if lam != 0 else np.zeros(3, dtype=complex)
+        a = np.exp(psi0) / np.sqrt(2.0) * np.array([1.0, -1.0j, 0.0])
     else:
         f0, xi0, a = (np.asarray(v, dtype=complex) for v in init)
     det0 = np.linalg.det(np.stack([a, np.conj(a), xi0], axis=-1))
@@ -167,9 +143,9 @@ def affine_sphere_immersion(sol, Q, lam, init=None, root=None, axis_first=0):
     if np.any(xi0.imag) or np.any(f0.imag):
         raise InitDataError("xi0 and f0 must be real: the sphere lies in R^3")
     F0 = np.stack([2.0 * a.real, -2.0 * a.imag, xi0.real, f0.real])
-    frames, counts = integrate_tree(domain, partial(affine_step, lam),
-                                    affine_fields(psi, Q, domain), F0,
-                                    root=root, axis_first=axis_first)
+    step, fields = affine_connection(psi, Q, lam, domain).row_system(True)
+    frames, counts = integrate_tree(domain, step, fields, F0, root=root,
+                                    axis_first=axis_first)
     return ImmersionMesh(domain, frames[..., 3, :].copy(), "affine_sphere",
                          lam=lam, psi=psi,
                          meta={"root": root, "init": (f0, xi0, a),
@@ -265,8 +241,7 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
     f_{zz} = 2 psi_z f_z - Q e^{-2 psi} f_zbar,
     f_{zbar zbar} = conj(Q) e^{-2 psi} f_z + 2 psi_zbar f_zbar,
     f_{z zbar} = 0."""
-    domain = sol.domain
-    psi = sol.psi
+    domain, psi = sol.domain, sol.psi
     root = _tree_root(domain, root)
     psi0 = psi[root]
     if init is None:
@@ -280,11 +255,11 @@ def minlag_c2_immersion(sol, Q, init=None, root=None, axis_first=0):
             or abs(_herm(p, p) - scale) > 1e-12 * scale
             or abs(_herm(q, q) - scale) > 1e-12 * scale):
         raise InitDataError("init must satisfy <p,q> = 0, <p,p> = <q,q> = e^{2 psi(z0)}")
-    alpha = build_connection(psi, Q, SignCase(-1, 0), domain,
-                             convention="row_frame")
-    F0 = np.stack([p, q, f0])
-    frames, counts = integrate_tree(domain, complex_step, (alpha.A, alpha.B),
-                                    F0, root=root, axis_first=axis_first)
+    step, fields = build_connection(psi, Q, SignCase(-1, 0), domain,
+                                    convention="row_frame").row_system(False)
+    frames, counts = integrate_tree(domain, step, fields,
+                                    np.stack([p, q, f0]), root=root,
+                                    axis_first=axis_first)
     return ImmersionMesh(domain, frames[..., 2, :].copy(), "minlag_c2",
                          lam=0, psi=psi,
                          meta={"root": root, "init": (p, q, f0),
@@ -359,18 +334,18 @@ def shape_operator_norm(mesh, Q, sol):
 def minlag_cpn_immersion(sol, Q, case, root=None, axis_first=0):
     """Unitary column frame and tautological point phi = F e3 for minimal
     Lagrangian surfaces in CP^2 (lam = +1) or CH^2 (lam = -1)."""
-    domain = sol.domain
-    alpha = minlag_frame_connection(sol.psi, Q, case, domain)
+    domain, psi = sol.domain, sol.psi
     root = _tree_root(domain, root)
     # dF = F C runs as the row system of C^T on F^T: the tree holds the
     # transposed frames, and the point is their third row
-    CT = (np.swapaxes(alpha.A, -1, -2), np.swapaxes(alpha.B, -1, -2))
-    FT, counts = integrate_tree(domain, complex_step, CT,
+    step, fields = minlag_frame_connection(psi, Q, case,
+                                           domain).row_system(False)
+    FT, counts = integrate_tree(domain, step, fields,
                                 np.eye(3, dtype=complex), root=root,
                                 axis_first=axis_first)
     tag = "minlag_cp2" if case.lam == 1 else "minlag_ch2"
-    return ImmersionMesh(domain, FT[..., 2, :], tag, lam=case.lam,
-                         psi=sol.psi, frame=np.swapaxes(FT, -1, -2),
+    return ImmersionMesh(domain, FT[..., 2, :], tag, lam=case.lam, psi=psi,
+                         frame=np.swapaxes(FT, -1, -2),
                          meta={"root": root, **counts})
 
 

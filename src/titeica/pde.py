@@ -261,24 +261,6 @@ def supersolution_bound(p):
     return np.log(m)
 
 
-def scaling_shift(u, delta):
-    """v = u - log(delta), delta > 0."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return np.asarray(u) - np.log(delta)
-
-
-def residual_scaled(v, p, delta):
-    """Residual of the delta-scaled equation
-    Delta v + 16 eps ||Q||^2 delta^{-2} e^{-2v} + 2 lam delta e^v - 2 kappa,
-    which v = u - log(delta) satisfies exactly when u solves the original."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    lap = 4.0 / p.sigma * p.domain.dzzbar(v)
-    return (lap + 16.0 * p.case.epsilon * p.qnorm2 * delta ** -2 * np.exp(-2.0 * v)
-            + 2.0 * p.case.lam * delta * np.exp(v) - 2.0 * p.kappa)
-
-
 # -- linear solves ---------------------------------------------------------
 
 def cg(A, b, *, M, rtol, maxiter, callback=None):

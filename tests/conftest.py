@@ -5,6 +5,7 @@ import pytest
 
 import titeica as tz
 from titeica.errors import DegenerateVertexError
+from titeica.frames import Term
 
 
 @pytest.fixture(scope="session")
@@ -63,14 +64,69 @@ AFFINE_GAUGE = np.array([[1, 1, 0, 0], [1j, -1j, 0, 0], [0, 0, 1, 0],
 
 def affine_complex_system(psi, Q, lam, domain):
     """(A, B), the complex (n, m, 4, 4) row system of the affine sphere on
-    (f_z, f_zbar, xi, f): build_connection's row form padded with the
-    position row df = f_z dz + f_zbar dzbar."""
-    alpha = tz.build_connection(psi, Q, tz.SignCase(1, lam), domain,
-                                convention="row_frame")
-    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
-    A, B = np.pad(alpha.A, pad), np.pad(alpha.B, pad)
+    (f_z, f_zbar, xi, f): f_zz = 2 psi_z f_z + Q e^{-2 psi} f_zbar,
+    f_{z zbar} = e^{2 psi} xi, xi_z = -lam f_z, and the position row
+    df = f_z dz + f_zbar dzbar."""
+    psi = np.asarray(psi, dtype=float)
+    p, r = 2.0 * domain.dz(psi), Q(domain.z) * np.exp(-2.0 * psi)
+    e2p = np.exp(2.0 * psi)
+    A = np.zeros(domain.shape + (4, 4), dtype=complex)
+    B = np.zeros_like(A)
+    A[..., 0, 0], A[..., 0, 1], A[..., 1, 2] = p, r, e2p
+    B[..., 0, 2], B[..., 1, 0], B[..., 1, 1] = e2p, np.conj(r), np.conj(p)
+    A[..., 2, 0] = B[..., 2, 1] = -lam
     A[..., 3, 0] = B[..., 3, 1] = 1.0
     return A, B
+
+
+# the dense steps that the kernel's pattern step replaced, the oracles of
+# its trees: the realified complex coefficient A zdot + B conj(zdot), and
+# the affine sphere's real coefficient assembled entry by entry
+def dense_step(zdot, A, B):
+    """Real blocks [[X, -Y], [Y, X]] of the complex step coefficient
+    X + iY = A zdot + B conj(zdot) at the nodes of A and B (..., r, r)."""
+    C = A * zdot + B * np.conj(zdot)
+    r = C.shape[-1]
+    R = np.empty(C.shape[:-2] + (2 * r, 2 * r))
+    R[..., :r, :r] = R[..., r:, r:] = C.real
+    R[..., r:, :r] = C.imag
+    np.negative(C.imag, out=R[..., :r, r:])
+    return R
+
+
+def affine_fields(psi, Q, domain):
+    """2 psi_z, Q e^{-2 psi} and e^{2 psi}: the fields of `affine_step`."""
+    psi = np.asarray(psi, dtype=float)
+    return (2.0 * domain.dz(psi), Q(domain.z) * np.exp(-2.0 * psi),
+            np.exp(2.0 * psi))
+
+
+def affine_step(lam, zdot, p, r, e2p):
+    """The real coefficient T (A zdot + B conj(zdot)) T^-1 of the affine
+    sphere at the nodes of the fields p = 2 psi_z, r = Q e^{-2 psi},
+    e2p = e^{2 psi}, T = AFFINE_GAUGE."""
+    p, r = p * zdot, r * zdot
+    x, y = zdot.real, zdot.imag
+    C = np.zeros(p.shape + (4, 4))
+    C[..., 0, 0], C[..., 1, 1] = p.real + r.real, p.real - r.real
+    C[..., 0, 1], C[..., 1, 0] = p.imag - r.imag, -p.imag - r.imag
+    C[..., 0, 2], C[..., 1, 2] = 2.0 * x * e2p, 2.0 * y * e2p
+    C[..., 2:, :2] = [[-lam * x, -lam * y], [x, y]]
+    return C
+
+
+def dense_form(A, B, convention, domain):
+    """The ConnectionForm A dz + B dzbar of dense (n, m, r, r) fields: one
+    term per entry of each part."""
+    r = A.shape[-1]
+    terms = []
+    for i in range(r):
+        for j in range(r):
+            E = np.zeros((r, r), dtype=complex)
+            E[i, j] = 1.0
+            terms += [Term(A[..., i, j], E, False),
+                      Term(np.conj(B[..., i, j]), E, True)]
+    return tz.ConnectionForm(terms, convention, domain)
 
 
 def complex_affine_tree(sol, Q, lam, init, root, axis_first=0):
@@ -78,13 +134,12 @@ def complex_affine_tree(sol, Q, lam, init, root, axis_first=0):
     (f0, xi0, a), by the complex 4 x 4 system realified to 8 x 8 on the
     stacked frames [Re F; Im F]: the tree as it ran before the real
     gauge, the oracle of `affine_sphere_immersion`."""
-    from titeica._kernels import complex_step
     from titeica.immersion import integrate_tree
 
     f0, xi0, a = (np.asarray(v, dtype=complex) for v in init)
     A, B = affine_complex_system(sol.psi, Q, lam, sol.domain)
     F0 = np.stack([a, np.conj(a), xi0, f0])
-    frames, _ = integrate_tree(sol.domain, complex_step, (A, B), F0,
+    frames, _ = integrate_tree(sol.domain, dense_step, (A, B), F0,
                                root=root, axis_first=axis_first)
     return frames
 

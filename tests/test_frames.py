@@ -7,10 +7,12 @@ from scipy.linalg import expm
 import titeica as tz
 from titeica import frames
 from titeica.errors import InvalidSignCase, PathError
-from titeica.frames import ETA_21, _dagger, _star
+from titeica.frames import ETA_21, _dagger, _star, affine_connection
 from titeica.immersion import planar_ops
+from tests.conftest import dense_form
 
 HYP = tz.SignCase(1, -1)
+C2 = tz.SignCase(-1, 0)
 Q0 = tz.CubicDifferential.constant(0.0)
 Q1 = tz.CubicDifferential.constant(1.0)
 
@@ -28,8 +30,8 @@ def poincare_weight(dom):
 def test_spectral_form_entries_flat():
     dom = small_torus()
     psi = np.zeros(dom.shape)
-    al = tz.build_connection(psi, Q0, HYP, dom, zeta=1.0)
-    A, B = al.A[3, 5], al.B[3, 5]
+    A, B = (X[3, 5] for X in tz.build_connection(psi, Q0, HYP, dom,
+                                                 zeta=1.0).dense())
     # -zeta lam e^psi = +1 in the (1,3) and (3,2) slots of the dz part
     expected_A = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=complex)
     expected_B = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
@@ -38,13 +40,20 @@ def test_spectral_form_entries_flat():
 
 
 def test_row_frame_entries_flat():
+    # the C^2 rows (f_z, f_zbar, f) with psi = 0 and Q = 0: the position
+    # row df = f_z dz + f_zbar dzbar alone; the affine sphere's rows are
+    # affine_connection's, not a row form of build_connection
     dom = small_torus()
     psi = np.zeros(dom.shape)
-    al = tz.build_connection(psi, Q0, HYP, dom, convention="row_frame")
-    expected_A = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-    expected_B = np.array([[0, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=complex)
-    assert np.abs(al.A[2, 2] - expected_A).max() < 1e-14
-    assert np.abs(al.B[2, 2] - expected_B).max() < 1e-14
+    al = tz.build_connection(psi, Q0, C2, dom, convention="row_frame")
+    A, B = al.dense()
+    expected_A = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex)
+    expected_B = np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex)
+    assert np.abs(A[2, 2] - expected_A).max() < 1e-14
+    assert np.abs(B[2, 2] - expected_B).max() < 1e-14
+    for case in (HYP, tz.SignCase(1, 0), tz.SignCase(-1, 1)):
+        with pytest.raises(InvalidSignCase):
+            tz.build_connection(psi, Q0, case, dom, convention="row_frame")
 
 
 @pytest.mark.parametrize("lam", [1, -1])
@@ -56,6 +65,7 @@ def test_unitary_form_entries(lam):
     psi = 0.2 + 0.3 * x - 0.4 * y ** 2 + 0.1 * x * y
     Q = tz.CubicDifferential.polynomial([0.3 + 0.1j, -0.2 + 0.25j])
     al = tz.minlag_frame_connection(psi, Q, tz.SignCase(-1, lam), dom)
+    A, B = al.dense()
     node = (7, 15)
     pz, pzb = dom.dz(psi)[node], dom.dzbar(psi)[node]
     e, q = np.exp(psi[node]), Q(dom.z[node]) * np.exp(-2 * psi[node])
@@ -65,8 +75,8 @@ def test_unitary_form_entries(lam):
     expected_B = np.array([[-pzb, -np.conj(q), 0],
                            [0, pzb, e],
                            [-lam * e, 0, 0]])
-    assert np.abs(al.A[node] - expected_A).max() <= 1e-14
-    assert np.abs(al.B[node] - expected_B).max() <= 1e-14
+    assert np.abs(A[node] - expected_A).max() <= 1e-14
+    assert np.abs(B[node] - expected_B).max() <= 1e-14
     assert al.convention == "column_frame"
     # a gauge of the loop, not the loop itself: no zeta, no reality check
     assert al.zeta is None
@@ -76,23 +86,28 @@ def test_unitary_form_entries(lam):
 
 def test_constant_data_constant_matrices(torus32):
     p, sol = torus32
-    al = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0)
-    assert np.abs(al.A - al.A[0, 0]).max() < 1e-10
-    assert np.abs(al.B - al.B[0, 0]).max() < 1e-10
+    A, B = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0).dense()
+    assert np.abs(A - A[0, 0]).max() < 1e-10
+    assert np.abs(B - B[0, 0]).max() < 1e-10
 
 
 def test_row_frame_trace_matches_structure_system(torus32):
     p, sol = torus32
     dom = p.domain
     psi = sol.psi + 0.05 * np.sin(2 * np.pi * np.arange(32) / 32)[:, None]
-    al = tz.build_connection(psi, p.Q, HYP, dom, convention="row_frame")
-    trA = np.trace(al.A, axis1=-2, axis2=-1)
-    trB = np.trace(al.B, axis1=-2, axis2=-1)
+    A, B = tz.build_connection(psi, p.Q, C2, dom,
+                               convention="row_frame").dense()
+    trA = np.trace(A, axis1=-2, axis2=-1)
+    trB = np.trace(B, axis1=-2, axis2=-1)
     assert np.abs(trA - 2.0 * dom.dz(psi)).max() < 1e-12
     assert np.abs(trB - 2.0 * dom.dzbar(psi)).max() < 1e-12
+    # so is the affine sphere's, in its real gauge
+    A, B = affine_connection(psi, p.Q, -1, dom).dense()
+    trA = np.trace(A, axis1=-2, axis2=-1)
+    assert np.abs(trA - 2.0 * dom.dz(psi)).max() < 1e-12
     # the spectral loop is trace-free
-    al2 = tz.build_connection(psi, p.Q, HYP, dom, zeta=0.7)
-    assert np.abs(np.trace(al2.A, axis1=-2, axis2=-1)).max() < 1e-12
+    A, _ = tz.build_connection(psi, p.Q, HYP, dom, zeta=0.7).dense()
+    assert np.abs(np.trace(A, axis1=-2, axis2=-1)).max() < 1e-12
 
 
 def test_spectral_family_zeta_errors():
@@ -112,7 +127,7 @@ def test_outer_involution_equivariance(torus32):
     zeta = 0.7 + 0.4j
     a1 = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=zeta)
     a2 = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=-zeta)
-    for M1, M2 in ((a1.A, a2.A), (a1.B, a2.B)):
+    for M1, M2 in zip(a1.dense(), a2.dense()):
         nu = -T @ np.swapaxes(M1, -1, -2) @ T
         assert np.abs(M2 - nu).max() < 1e-12
 
@@ -181,10 +196,10 @@ def sampled_reality(psi, Q, case, dom, zetas, involution_case=None):
     iota, rho = SAMPLED_REALITY[(inv.epsilon, inv.lam)]
     worst = 0.0
     for z in zetas:
-        a1 = tz.build_connection(psi, Q, case, dom, zeta=z)
-        a2 = tz.build_connection(psi, Q, case, dom, zeta=iota(complex(z)))
-        for X1, X2 in ((a1.A + a1.B, a2.A + a2.B),
-                       (1j * (a1.A - a1.B), 1j * (a2.A - a2.B))):
+        A1, B1 = tz.build_connection(psi, Q, case, dom, zeta=z).dense()
+        A2, B2 = tz.build_connection(psi, Q, case, dom,
+                                     zeta=iota(complex(z))).dense()
+        for X1, X2 in ((A1 + B1, A2 + B2), (1j * (A1 - B1), 1j * (A2 - B2))):
             dev = np.linalg.norm(X2 + rho(X1), axis=(-2, -1))
             worst = max(worst, float(dev.max()))
     return worst
@@ -244,23 +259,32 @@ def test_reality_mismatched(case, other, loops):
         assert value >= oracle - ORACLE_ROUNDING
 
 
+def _mutated(al, dzbar, i, j, change):
+    """al with change(term) in place of its term of the dz (or dzbar)
+    part that has entry (i, j)."""
+    al.terms = [change(t) if t.dzbar == dzbar and t.M[i, j] != 0 else t
+                for t in al.terms]
+
+
 def _flip_eps(al, psi, Q):
-    al.B[..., 0, 1] *= -1.0
+    _mutated(al, True, 0, 1, lambda t: t._replace(M=-t.M))
 
 
 def _q_for_conj_q(al, psi, Q):
-    qv = Q(al.domain.z) * np.exp(-2.0 * psi)
-    al.B[..., 0, 1] = al.case.epsilon * qv / al.zeta
+    _mutated(al, True, 0, 1, lambda t: t._replace(field=np.conj(t.field)))
 
 
 def _negate_lam(al, psi, Q):
-    al.A[..., 2, 1] *= -1.0
+    def change(t):
+        M = t.M.copy()
+        M[2, 1] *= -1.0
+        return t._replace(M=M)
+
+    _mutated(al, False, 2, 1, change)
 
 
 def _swap_psi_z(al, psi, Q):
-    pz = al.domain.dz(psi)
-    al.B[..., 0, 0] = -pz
-    al.B[..., 1, 1] = pz
+    _mutated(al, True, 0, 0, lambda t: t._replace(field=np.conj(t.field)))
 
 
 @pytest.mark.parametrize("mutate", [_flip_eps, _q_for_conj_q, _negate_lam,
@@ -280,9 +304,9 @@ def test_cp2_unit_circle_su3(torus32):
     p, sol = torus32
     psi = sol.psi
     case = tz.SignCase(-1, 1)
-    al = tz.build_connection(psi, p.Q, case, p.domain,
-                             zeta=np.exp(0.3j))
-    for X in (al.A + al.B, 1j * (al.A - al.B)):
+    A, B = tz.build_connection(psi, p.Q, case, p.domain,
+                               zeta=np.exp(0.3j)).dense()
+    for X in (A + B, 1j * (A - B)):
         assert np.abs(X + _dagger(X)).max() < 1e-12
 
 
@@ -300,10 +324,14 @@ def test_reality_check_builds_no_connection(torus32, monkeypatch):
 
 def test_reality_rejects_lambda_zero(torus32):
     p, sol = torus32
-    al = tz.build_connection(sol.psi, p.Q, tz.SignCase(1, 0), p.domain,
-                             convention="row_frame")
+    al = tz.build_connection(sol.psi, p.Q, HYP, p.domain, zeta=1.0)
+    for case in (tz.SignCase(1, 0), C2):
+        with pytest.raises(InvalidSignCase):
+            tz.reality_check(dataclasses.replace(al, case=case))
+    # the C^2 rows are no loop
     with pytest.raises(InvalidSignCase):
-        tz.reality_check(al)
+        tz.reality_check(tz.build_connection(sol.psi, p.Q, C2, p.domain,
+                                             convention="row_frame"))
 
 
 # -- frame integration -------------------------------------------------------------
@@ -311,7 +339,7 @@ def test_reality_rejects_lambda_zero(torus32):
 def test_integrate_zero_connection():
     dom = small_torus()
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
-    al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
+    al = dense_form(A, A, "row_frame", dom)
     path = tz.polyline_path(dom, [0.0, 0.5 + 0.5j])
     F0 = np.diag([1.0, 2.0, 3.0]).astype(complex)
     out = tz.integrate_frame(al, path, F0)
@@ -324,14 +352,14 @@ def test_integrate_constant_matrix_exponential_oracle():
     M = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     A = np.broadcast_to(M, dom.shape + (3, 3)).copy()
     B = np.zeros_like(A)
-    al = tz.ConnectionForm(A, B, "row_frame", dom)
+    al = dense_form(A, B, "row_frame", dom)
     L = 0.75
     path = tz.polyline_path(dom, [0.1j, 0.1j + L])   # real direction: dz = L
     out = tz.integrate_frame(al, path, np.eye(3, dtype=complex))
     oracle = expm(M * L)
     assert np.abs(out[-1] - oracle).max() < 1e-8
     # column convention integrates on the right; same exponential here
-    al_c = tz.ConnectionForm(A, B, "column_frame", dom)
+    al_c = dense_form(A, B, "column_frame", dom)
     out_c = tz.integrate_frame(al_c, path, np.eye(3, dtype=complex))
     assert np.abs(out_c[-1] - oracle).max() < 1e-8
 
@@ -358,19 +386,18 @@ def test_convention_coherence():
     B = rng.normal(size=(3, 3)) * np.cos(2 * np.pi * x)[..., None, None] + 0.0j
     path = tz.polyline_path(dom, [0.0, 0.3 + 0.2j, 0.6 + 0.1j])
     F0 = np.eye(3, dtype=complex)
-    row = tz.integrate_frame(tz.ConnectionForm(A, B, "row_frame", dom),
+    row = tz.integrate_frame(dense_form(A, B, "row_frame", dom),
                              path, F0)[-1]
     col = tz.integrate_frame(
-        tz.ConnectionForm(np.swapaxes(A, -1, -2).copy(),
-                          np.swapaxes(B, -1, -2).copy(),
-                          "column_frame", dom), path, F0)[-1]
+        dense_form(np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2),
+                   "column_frame", dom), path, F0)[-1]
     assert np.abs(row - col.T).max() < 1e-12
 
 
 def test_path_validation():
     dom = tz.Domain.rectangle(1.0, 1.0, 16, 16)
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
-    al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
+    al = dense_form(A, A, "row_frame", dom)
     bad = {
         # the points 0 and 2 (lattice coordinates (7.5, 7.5), (37.5, 7.5))
         # and -0.4 - 0.4i, 0.4 + 0.4i (1.5 and 13.5 on both axes): off node
@@ -393,7 +420,7 @@ def test_path_validation():
 def test_paths_run_on_nodes_and_lattice_edges():
     dom = small_torus()
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
-    al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
+    al = dense_form(A, A, "row_frame", dom)
     h1, h2 = dom.step1, dom.step2
     bad = {"off_node": [[0, 0], [0.5, 0]],
            "diagonal": [[0, 0], [1, 1]],
@@ -431,7 +458,7 @@ def test_torus_generator_index():
 def test_holonomy_zero_connection_identity():
     dom = small_torus()
     A = np.zeros(dom.shape + (3, 3), dtype=complex)
-    al = tz.ConnectionForm(A, A.copy(), "row_frame", dom)
+    al = dense_form(A, A, "row_frame", dom)
     H = tz.holonomy(al, tz.torus_generator(dom, 0))
     assert np.abs(H - np.eye(3)).max() == 0.0
 
@@ -450,7 +477,7 @@ def test_holonomy_generators_commute(torus32):
     h2 = tz.holonomy(al, tz.torus_generator(p.domain, 1))
     assert np.linalg.norm(h1 @ h2 - h2 @ h1) <= 1e-8
     # holonomy equals the exponential of the constant connection
-    M = al.A[0, 0] + al.B[0, 0]
+    M = sum(X[0, 0] for X in al.dense())
     assert np.abs(h1 - expm(M)).max() < 1e-7
 
 
@@ -478,7 +505,7 @@ def test_det_preservation_tracefree(torus32):
 
 def test_group_residuals_identity():
     out = tz.group_residuals(np.eye(3, dtype=complex), "su3")
-    assert out["det_drift"] == 0.0 and out["unitarity"] == 0.0
+    assert out == {"unitarity": 0.0}
 
 
 def test_group_residuals_su3_torus_period():
@@ -492,7 +519,7 @@ def test_group_residuals_su3_torus_period():
                              np.eye(3, dtype=complex))
     res = tz.group_residuals(out[-1], "su3")
     assert res["unitarity"] <= 1e-8
-    assert res["det_drift"] <= 1e-8
+    assert abs(np.linalg.det(out[-1]) - 1.0) <= 1e-8
 
 
 def test_group_residuals_su21_preserved():
@@ -507,7 +534,8 @@ def test_group_residuals_su21_preserved():
     res = tz.group_residuals(F, "su21")
     assert res["unitarity"] <= 1e-8
     # the unitary connection is eta-skew pointwise
-    for X in (al.A + al.B, 1j * (al.A - al.B)):
+    A, B = al.dense()
+    for X in (A + B, 1j * (A - B)):
         assert np.abs(ETA_21 @ _dagger(X) @ ETA_21 + X).max() < 1e-12
 
 

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ import titeica as tz
 from titeica import cli, immersion
 from titeica.errors import InitDataError, InvalidSignCase
 from titeica._kernels import _magnus, _scaling
-from titeica.frames import affine_fields
-from titeica.immersion import E3, affine_step, integrate_tree
+from titeica.frames import affine_connection
+from titeica.immersion import E3, integrate_tree
 from tests.conftest import (AFFINE_GAUGE, affine_complex_system,
-                            complex_affine_tree, hyperboloid_mesh)
+                            affine_fields, affine_step, complex_affine_tree,
+                            dense_step, hyperboloid_mesh)
 
 FLAT = tz.BackgroundMetric("flat")
 POIN = tz.BackgroundMetric("poincare_disk")
@@ -197,22 +199,103 @@ def test_real_tree_matches_the_complex_tree_when_refined(lam, monkeypatch):
 
 @pytest.mark.parametrize("lam", [-1, 0, 1], ids=lambda lam: f"lam{lam}")
 def test_affine_step_is_the_gauged_row_system(lam):
-    # T C T^-1 of build_connection's row form plus the position row is
-    # real, and it is the coefficient that affine_step assembles from the
-    # three scalar fields, to rounding, for any step
+    # affine_connection is T (A dz + B dzbar) T^-1 of the complex row
+    # system plus the position row, to rounding, and real: B = conj(A).
+    # Its pattern step is the coefficient that the dense assembly of the
+    # three scalar fields gives, to the bit, for any step
     dom = tz.Domain.torus(0.3 + 1.1j, 24, 17)
     psi = _weight(dom)
     Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3])
+    alpha = affine_connection(psi, Q, lam, dom)
     A, B = affine_complex_system(psi, Q, lam, dom)
-    fields = affine_fields(psi, Q, dom)
-    T = AFFINE_GAUGE
+    T, T_inv = AFFINE_GAUGE, np.linalg.inv(AFFINE_GAUGE)
+    got_A, got_B = alpha.dense()
+    for got, X in ((got_A, A), (got_B, B)):
+        ref = T @ X @ T_inv
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(got_B, np.conj(got_A))
+    step, fields = alpha.row_system(True)
+    oracle = affine_fields(psi, Q, dom)
     for zdot in (dom.step1, dom.step2, -dom.step2, 0.3 - 0.7j):
-        ref = T @ (A * zdot + B * np.conj(zdot)) @ np.linalg.inv(T)
-        scale = np.abs(ref).max()
-        got = affine_step(lam, zdot, *(X[3:9] for X in fields))
+        got = step(zdot, *(X[3:9] for X in fields))
         assert got.dtype == np.float64
-        assert np.abs(ref.imag).max() <= 1e-15 * scale
-        assert np.abs(got - ref[3:9].real).max() <= 1e-15 * scale
+        assert np.array_equal(got, affine_step(lam, zdot,
+                                               *(X[3:9] for X in oracle)))
+
+
+# every tree of the package against the same tree run on the dense
+# coefficient (conftest's dense_step and affine_step): the kernel's pattern
+# product must give the coefficient to the bit, so the frames are equal
+SYSTEMS = {
+    "c2": tz.SignCase(-1, 0), "cp2": tz.SignCase(-1, 1),
+    "ch2": tz.SignCase(-1, -1), "affine_lam-1": tz.SignCase(1, -1),
+    "affine_lam0": tz.SignCase(1, 0), "affine_lam1": tz.SignCase(1, 1),
+}
+
+
+def _form(name, psi, Q, dom):
+    case = SYSTEMS[name]
+    if case.is_affine:
+        return affine_connection(psi, Q, case.lam, dom)
+    if case.lam == 0:
+        return tz.build_connection(psi, Q, case, dom, convention="row_frame")
+    return tz.minlag_frame_connection(psi, Q, case, dom)
+
+
+def _pattern_and_dense_trees(name, sol, Q, axis_first=0):
+    """What the immersion of system `name` holds, its vertices and (on
+    CP^2/CH^2) its frames, and the same from the tree of its form run on
+    the dense coefficient."""
+    dom, psi, case = sol.domain, sol.psi, SYSTEMS[name]
+    if case.is_affine:
+        mesh = tz.affine_sphere_immersion(sol, Q, case.lam,
+                                          axis_first=axis_first)
+        f0, xi0, a = mesh.meta["init"]
+        F0 = np.stack([2.0 * a.real, -2.0 * a.imag, xi0.real, f0.real])
+        step, fields = (partial(affine_step, case.lam),
+                        affine_fields(psi, Q, dom))
+    elif case.lam == 0:
+        mesh = tz.minlag_c2_immersion(sol, Q, axis_first=axis_first)
+        F0 = np.stack(mesh.meta["init"])
+        step, fields = dense_step, _form(name, psi, Q, dom).dense()
+    else:
+        mesh = tz.minlag_cpn_immersion(sol, Q, case, axis_first=axis_first)
+        F0 = np.eye(3, dtype=complex)
+        step = dense_step
+        fields = [np.swapaxes(X, -1, -2)
+                  for X in _form(name, psi, Q, dom).dense()]
+    frames, _ = integrate_tree(dom, step, fields, F0, root=mesh.meta["root"],
+                               axis_first=axis_first)
+    if mesh.frame is None:
+        return [mesh.vertices], [frames[..., -1, :]]
+    return ([mesh.vertices, mesh.frame],
+            [frames[..., 2, :], np.swapaxes(frames, -1, -2)])
+
+
+@pytest.mark.parametrize("axis_first", [0, 1])
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_trees_match_the_dense_trees(name, system, axis_first):
+    dom, mu = ORACLE_DOMAINS[name]()
+    sol = tz.MetricSolution(_weight(dom), dom, mu)
+    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3])
+    got, ref = _pattern_and_dense_trees(system, sol, Q, axis_first)
+    for X, Y in zip(got, ref, strict=True):
+        assert np.array_equal(X, Y)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_trees_match_the_dense_trees_when_refined(system):
+    # Q = 4 + 0.3 z on an 8 x 8 grid: the teeth's Omega is too large for
+    # one Magnus step, and the kernel refines each edge to 2^k sub-edges
+    dom = tz.Domain.rectangle(1.0, 2.0, 8, 8)
+    sol = tz.MetricSolution(_weight(dom), dom, FLAT)
+    Q = tz.CubicDifferential.polynomial([4.0, 0.3])
+    step, fields = _form(system, sol.psi, Q, dom).row_system(
+        SYSTEMS[system].is_affine)
+    assert _scaling(_magnus(step(complex(dom.step2), *fields)))[1] > 0
+    for X, Y in zip(*_pattern_and_dense_trees(system, sol, Q), strict=True):
+        assert np.array_equal(X, Y)
 
 
 @pytest.mark.parametrize("row", [0, 1], ids=["f0", "xi0"])
@@ -512,6 +595,23 @@ def test_cp2_torus_checks():
     assert rep["metric"] <= tol
     res = tz.group_residuals(mesh.frame[2:-2, 2:-2], "su3")
     assert res["unitarity"] <= 1e-7
+
+
+def test_ch2_immersion_holds_no_dense_form():
+    # the 256^2 CH^2 disk patch: the tree's transposed frames (9 MiB) and
+    # the form's three scalar fields psi_z, e^psi and Q e^{-2 psi}, with no
+    # dense (n, m, 3, 3) A and B beside them.  tracemalloc peak 13.8 MiB;
+    # 29.5 MiB with the dense form
+    dom = tz.Domain.disk_patch(0.7, 256, 256)
+    sol = tz.MetricSolution(_weight(dom), dom, POIN)
+    Q = tz.CubicDifferential.polynomial([0.5 + 0.2j, 0.3])
+    tracemalloc.start()
+    try:
+        tz.minlag_cpn_immersion(sol, Q, tz.SignCase(-1, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_ch2_patch_checks():

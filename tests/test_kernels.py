@@ -17,7 +17,8 @@ from titeica.projective import holonomy_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
 import workloads  # noqa: E402
-from tests.conftest import AFFINE_GAUGE, affine_complex_system  # noqa: E402
+from tests.conftest import (AFFINE_GAUGE, affine_complex_system,  # noqa: E402
+                            dense_form)
 
 
 def setup_transport():
@@ -30,6 +31,20 @@ def setup_transport():
     B = (rng.normal(size=(3, 3)) * np.cos(np.pi * y)[..., None, None]).astype(complex)
     F0 = np.eye(3, dtype=complex)
     return dom, A.astype(complex), B, curved_path(), F0
+
+
+def polyline(A, B, d1, d2, pts, F0, row=True, periodic=False, max_step=0.5):
+    """_kernels.transport_polyline of the system A dz + B dzbar by the
+    pattern step of its ConnectionForm, built from terms; the column
+    convention dF = F C runs as the row form of the transposed constants
+    on F^T, as integrate_frame runs it."""
+    form = dense_form(A, B, "row_frame" if row else "column_frame", None)
+    step, fields = form.row_system(False)
+    F0 = np.asarray(F0, dtype=complex)
+    out = _kernels.transport_polyline(
+        step, fields, d1, d2, pts, F0 if row else np.swapaxes(F0, -1, -2),
+        periodic=periodic, max_step=max_step)
+    return out if row else np.swapaxes(out, -1, -2)
 
 
 def _toward(a, b):
@@ -212,8 +227,8 @@ def test_matches_scalar_rk4(path, periodic, state):
         A, B, F0 = padded_4x3(dom, A, B)
     row = state != "column"
     args = (A, B, dom.step1, dom.step2, pts, F0)
-    got = _kernels.transport_polyline(*args, row=row, periodic=periodic,
-                                      max_step=dom.hmin / 2)
+    got = polyline(*args, row=row, periodic=periodic,
+                   max_step=dom.hmin / 2)
     ref = magnus_scalar(*args, row)
     assert got.shape == ref.shape == (len(pts),) + F0.shape
     assert rel_err(got, ref) <= 1e-13
@@ -228,9 +243,9 @@ def test_matches_scalar_rk4(path, periodic, state):
 
 def test_transport_records_every_vertex():
     dom, A, B, pts, F0 = setup_transport()
-    rec = _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
-                                      row=True, periodic=True,
-                                      max_step=dom.hmin / 2)
+    rec = polyline(A, B, dom.step1, dom.step2, pts, F0,
+                   row=True, periodic=True,
+                   max_step=dom.hmin / 2)
     assert rec.shape == (pts.shape[0], 3, 3)
     assert np.array_equal(rec[0], F0)
     assert np.isfinite(rec).all()
@@ -238,14 +253,14 @@ def test_transport_records_every_vertex():
 
 def test_transport_row_vs_column_transpose():
     dom, A, B, pts, F0 = setup_transport()
-    row = _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
-                                      row=True, periodic=True,
-                                      max_step=dom.hmin / 2)
-    col = _kernels.transport_polyline(np.swapaxes(A, -1, -2).copy(),
-                                      np.swapaxes(B, -1, -2).copy(),
-                                      dom.step1, dom.step2, pts, F0,
-                                      row=False, periodic=True,
-                                      max_step=dom.hmin / 2)
+    row = polyline(A, B, dom.step1, dom.step2, pts, F0,
+                   row=True, periodic=True,
+                   max_step=dom.hmin / 2)
+    col = polyline(np.swapaxes(A, -1, -2).copy(),
+                   np.swapaxes(B, -1, -2).copy(),
+                   dom.step1, dom.step2, pts, F0,
+                   row=False, periodic=True,
+                   max_step=dom.hmin / 2)
     assert np.abs(row - np.swapaxes(col, -1, -2)).max() < 1e-12
 
 
@@ -258,9 +273,9 @@ def test_rectangular_state_supported():
     B4[..., :3, :3] = B
     F0 = np.zeros((4, 3), dtype=complex)
     F0[:3, :3] = np.eye(3)
-    rec = _kernels.transport_polyline(A4, B4, dom.step1, dom.step2, pts, F0,
-                                      row=True, periodic=True,
-                                      max_step=dom.hmin / 2)
+    rec = polyline(A4, B4, dom.step1, dom.step2, pts, F0,
+                   row=True, periodic=True,
+                   max_step=dom.hmin / 2)
     assert rec.shape == (pts.shape[0], 4, 3)
     assert np.isfinite(rec).all()
 
@@ -278,12 +293,12 @@ def test_kernel_rejects_off_lattice_paths(name):
     dom, A, B, _, F0 = setup_transport()
     pts = np.array(BAD_PATHS[name])
     with pytest.raises(ValueError):
-        _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
-                                    periodic=False, max_step=dom.hmin / 2)
+        polyline(A, B, dom.step1, dom.step2, pts, F0,
+                 periodic=False, max_step=dom.hmin / 2)
     # on a torus a node past the last one is the first one, unwrapped
     if name == "outside":
-        _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
-                                    periodic=True, max_step=dom.hmin / 2)
+        polyline(A, B, dom.step1, dom.step2, pts, F0,
+                 periodic=True, max_step=dom.hmin / 2)
 
 
 @pytest.mark.parametrize("row", [True, False])
@@ -295,9 +310,9 @@ def test_one_point_polyline_returns_F0(row):
     A4, B4, _ = padded_4x3(dom, A, B)
     if not row:
         A4, B4 = np.swapaxes(A4, -1, -2), np.swapaxes(B4, -1, -2)
-    rec = _kernels.transport_polyline(A4, B4, dom.step1, dom.step2,
-                                      np.array([[3.0, 5.0]]), F0, row=row,
-                                      max_step=dom.hmin / 2)
+    rec = polyline(A4, B4, dom.step1, dom.step2,
+                   np.array([[3.0, 5.0]]), F0, row=row,
+                   max_step=dom.hmin / 2)
     assert rec.shape == (1,) + F0.shape
     assert np.array_equal(rec[0], F0)
 
@@ -327,15 +342,18 @@ def _tree_lines(domain, root, axis_first=0):
 
 
 def complex_tree(domain, A, B, F0, root=None, row=True, axis_first=0):
-    """integrate_tree on the complex system A zdot + B conj(zdot), the
-    column convention dF = F C run as the row system of C^T on the
-    transposed frames, as minlag_cpn_immersion runs it."""
+    """integrate_tree on the complex system A zdot + B conj(zdot), built
+    from terms, the column convention dF = F C run as the row form of the
+    transposed constants on the transposed frames, as
+    minlag_cpn_immersion runs it."""
+    form = dense_form(A, B, "row_frame" if row else "column_frame", domain)
+    step, fields = form.row_system(False)
     if row:
-        return integrate_tree(domain, _kernels.complex_step, (A, B), F0,
-                              root=root, axis_first=axis_first)
-    A, B, F0 = (np.swapaxes(X, -1, -2) for X in (A, B, F0))
-    frames, counts = integrate_tree(domain, _kernels.complex_step, (A, B),
-                                    F0, root=root, axis_first=axis_first)
+        return integrate_tree(domain, step, fields, F0, root=root,
+                              axis_first=axis_first)
+    frames, counts = integrate_tree(domain, step, fields,
+                                    np.swapaxes(F0, -1, -2), root=root,
+                                    axis_first=axis_first)
     return np.swapaxes(frames, -1, -2), counts
 
 
@@ -371,9 +389,9 @@ def test_zero_length_segment_keeps_frame(row):
     F0 = F0 + 0.3j
     pts = np.array([[3.0, 4.0], [3.0, 4.0], [4.0, 4.0], [4.0, 4.0],
                     [4.0, 5.0]])
-    rec = _kernels.transport_polyline(A, B, dom.step1, dom.step2, pts, F0,
-                                      row=row, periodic=True,
-                                      max_step=dom.hmin / 2)
+    rec = polyline(A, B, dom.step1, dom.step2, pts, F0,
+                   row=row, periodic=True,
+                   max_step=dom.hmin / 2)
     assert np.array_equal(rec[1], F0)
     assert np.array_equal(rec[3], rec[2])
     assert not np.allclose(rec[2], F0)
@@ -529,14 +547,18 @@ def test_tree_error_below_rk4(name, monkeypatch):
         return frames, counts
 
     immerse_tracing_the_tree(pipe, monkeypatch, record)
-    (dom, step, (A, B, *_), F0), kw, got = calls[0]
-    if step is not _kernels.complex_step:
+    (dom, _, _, F0), kw, got = calls[0]
+    psi, Q = pipe.solution.psi, pipe.problem.Q
+    if pipe.case.is_affine:
         # the affine sphere's real rows (f_x, f_y, xi, f), against its
         # complex system on (f_z, f_zbar, xi, f)
-        A, B = affine_complex_system(pipe.solution.psi, pipe.problem.Q,
-                                     pipe.case.lam, dom)
+        A, B = affine_complex_system(psi, Q, pipe.case.lam, dom)
         T_inv = np.linalg.inv(AFFINE_GAUGE)
         F0, got = T_inv @ F0, T_inv @ got
+    else:
+        # the transposed column frames of CH^2, the row system of C^T
+        A, B = (np.swapaxes(X, -1, -2) for X in
+                tz.minlag_frame_connection(psi, Q, pipe.case, dom).dense())
     tree = (dom, A, B, F0, kw["root"], True, kw["axis_first"])
     ode = tree_by_lines(*tree, lambda *a: transport_scalar(*a, fine))
     rk4 = tree_by_lines(*tree, lambda *a: transport_scalar(
@@ -558,7 +580,8 @@ def test_torus_holonomy_closed_form(n):
     rep = holonomy_report(alpha, loops)
     for loop, entry in zip(loops, rep["loops"]):
         w = (loop[-1] - loop[0]) @ [dom.step1, dom.step2]
-        closed = expm(w * alpha.A[0, 0] + np.conj(w) * alpha.B[0, 0])
+        A, B = (X[0, 0] for X in alpha.dense())
+        closed = expm(w * A + np.conj(w) * B)
         assert rel_err(entry["matrix"], closed) <= 1e-12
         assert entry["det_drift"] <= 1e-13
 

@@ -238,27 +238,23 @@ def test_supersolution_bound_cases():
                                     POIN, dom.z)))))
 
 
-# -- scaling shift ----------------------------------------------------------
+# -- scaling invariance -----------------------------------------------------
 
-def test_scaling_shift_values():
-    u = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.all(tz.scaling_shift(u, 1.0) == u)
-    assert np.abs(tz.scaling_shift(u, np.e) - (u - 1.0)).max() < 1e-15
-    with pytest.raises(ValueError):
-        tz.scaling_shift(u, 0.0)
-
-
-def test_scaling_residual_identity():
-    rng = np.random.default_rng(3)
-    dom = tz.Domain.torus(1j, 16, 16)
-    p = tz.PdeProblem(dom, FLAT, tz.CubicDifferential.constant(0.7),
-                      tz.SignCase(1, 1))
-    u = rng.normal(size=dom.shape)
-    for delta in (0.01, 1.0, 7.5):
-        v = tz.scaling_shift(u, delta)
-        r0 = tz.residual_global(u, p)
-        r1 = tz.residual_scaled(v, p, delta)
-        assert np.abs(r0 - r1).max() < 1e-9 * max(1.0, np.abs(r0).max())
+@pytest.mark.parametrize("c", [2.0, 0.37])
+def test_scaling_invariance_of_the_solve(c):
+    # the metric e^u sigma |dz|^2 is the same for u - log c over c sigma:
+    # scaling the flat background and shifting the boundary data shifts
+    # the solution.  Newton's tolerance is absolute, so the two solves take
+    # different steps; only the converged fields are compared
+    dom = tz.Domain.rectangle(1.0, 1.0, 33, 33)
+    Q = tz.CubicDifferential.polynomial([0.5, 0.3])
+    rep = tz.solve_newton(tz.PdeProblem(dom, FLAT, Q, HYP))
+    scaled = tz.solve_newton(tz.PdeProblem(
+        dom, tz.BackgroundMetric("flat", sigma0=c), Q, HYP,
+        boundary=-np.log(c)))
+    assert rep.converged and scaled.converged
+    shifted = rep.solution.u - np.log(c)
+    assert np.abs(scaled.solution.u - shifted).max() <= 1e-12
 
 
 # -- Newton ------------------------------------------------------------------

@@ -7,8 +7,8 @@ import titeica as tz
 from titeica import geometry, projective
 from titeica.errors import DegenerateVertexError
 from titeica.geometry import lattice_diff, second_diffs
-from tests.conftest import (hessian_dual_roundtrip, hyperboloid_mesh,
-                            whole_grid_chain_rule_hessian)
+from tests.conftest import (dense_form, hessian_dual_roundtrip,
+                            hyperboloid_mesh, whole_grid_chain_rule_hessian)
 
 HYP = tz.SignCase(1, -1)
 
@@ -137,7 +137,7 @@ def test_holonomy_report_unipotent_model():
     N[0, 1] = 1.0
     A = np.broadcast_to(N, dom.shape + (3, 3)).copy()
     B = np.zeros_like(A)
-    al = tz.ConnectionForm(A, B, "row_frame", dom)
+    al = dense_form(A, B, "row_frame", dom)
     rep = tz.holonomy_report(al, [tz.torus_generator(dom, 0)])
     H = rep["loops"][0]["matrix"]
     assert np.abs(H - (np.eye(3) + N)).max() < 1e-12

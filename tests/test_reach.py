@@ -23,9 +23,9 @@ ROOTS = [("cli", "main"), ("cli", "run"), ("cli", "Pipeline")]
 # benchmark tracer's targets too; the README lists them
 KEPT = {
     "conormal_dual", "shape_operator_norm", "ch2_continuation_bound",
-    "residual_local", "residual_scaled", "scaling_shift",
-    "toda_residual_complex", "SingularInputError", "gauss_curvature",
-    "global_weight", "polyline_path", "cell_loop", "load_mesh_vertices",
+    "residual_local", "toda_residual_complex", "SingularInputError",
+    "gauss_curvature", "global_weight", "polyline_path", "cell_loop",
+    "load_mesh_vertices",
     "spsolve", "reality_check", "_star",
 }
 
