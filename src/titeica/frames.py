@@ -6,9 +6,10 @@ A form is a list of terms f M dz or conj(f) M dzbar: an (n, m) field f,
 psi_z, e^psi (or e^{2 psi}), Q e^{-2 psi} or ones, placed by a constant
 r x r matrix M.  Each pattern is written once: `build_connection` the
 spectral loop and the C^2 rows, `affine_connection` the affine sphere's
-real rows; `minlag_frame_connection` gauges the loop's constants.  Dense
-A and B are built on demand (`ConnectionForm.dense`), for the curvature
-and reality checks; transport reads the fields (`_kernels`).
+real rows; `minlag_frame_connection` gauges the loop's constants.  The
+curvature check and transport read the fields and the pattern
+(`curvature_residual`, `_kernels`); dense A and B are built on demand
+(`ConnectionForm.dense`), for the reality check.
 
 Two frame conventions are kept explicit:
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from ._kernels import pattern_step, real_pattern, transport_polyline
 from .errors import InvalidSignCase, PathError
-from .geometry import Domain, SignCase
+from .geometry import Domain, SignCase, row_blocks
 
 _ETA = np.array([1.0, 1.0, -1.0])
 ETA_21 = np.diag(_ETA)
@@ -153,13 +154,70 @@ def minlag_frame_connection(psi, Q, case, domain):
     return ConnectionForm(terms, "column_frame", domain, case)
 
 
+def _times_conj(f, g, rows):
+    """f conj(g) on the grid rows `rows`, a real array where it is real:
+    f is g or both are real."""
+    if f is g:
+        f = f[rows]
+        return f.real ** 2 + f.imag ** 2 if np.iscomplexobj(f) else f * f
+    return f[rows] * np.conj(g[rows])
+
+
 def curvature_residual(alpha):
-    """Nodewise Frobenius norm of the curvature of alpha."""
-    A, B = alpha.dense()
+    """Nodewise Frobenius norm of the curvature of alpha.
+
+    With the terms grouped by field f, A = sum f M_f and B = sum conj(f)
+    N_f, and as dz(conj f) = conj(dzbar f) the curvature is
+
+        sum_f  dzbar(f) M_f - conj(dzbar f) N_f
+          +/- sum_{f, g}  f conj(g) [M_f, N_g],
+
+    a sum of scalar columns c with constant parts c U + conj(c) V =
+    Re c (U + V) + Im c i(U - V): one per field's derivative and one per
+    unordered pair {f, g}, with U = +/-[M_f, N_g] and V = +/-[M_g, N_f]
+    (V = 0 for f conj(f), which is real).  A constant (broadcast) field
+    has no derivative and a pair whose commutators vanish no column.  The
+    curvature is the product of the real columns with the constant
+    pattern of their parts' real and imaginary entries, a block of grid
+    rows at a time; no (n, m, r, r) field is formed."""
+    dom = alpha.domain
     sign = 1.0 if alpha.convention == "row_frame" else -1.0
-    curv = (alpha.domain.dzbar(A) - alpha.domain.dz(B)
-            + sign * (A @ B - B @ A))
-    return np.linalg.norm(curv, axis=(-2, -1))
+    groups = {}     # id(f): (f, [M_f, N_f])
+    for f, M, dzbar in alpha.terms:
+        _, X = groups.setdefault(id(f), (f, np.zeros((2,) + M.shape, complex)))
+        X[int(dzbar)] += M
+    groups = list(groups.values())
+    cols = []       # (c on a block of rows, the parts of Re c [and Im c])
+
+    def add(column, real, U, V):
+        cols.append((column, [U + V] if real else [U + V, 1j * (U - V)]))
+
+    for f, (M, N) in groups:
+        if any(f.strides):
+            add(dom.dzbar(f).__getitem__, False, M, -N)
+    for a, (f, (Mf, Nf)) in enumerate(groups):
+        for g, (Mg, Ng) in groups[a:]:
+            U = sign * (Mf @ Ng - Ng @ Mf)
+            V = sign * (Mg @ Nf - Nf @ Mg) if g is not f else np.zeros_like(U)
+            if U.any() or V.any():
+                real = f is g or not (np.iscomplexobj(f) or np.iscomplexobj(g))
+                add(partial(_times_conj, f, g), real, U, V)
+    if not cols:
+        return np.zeros(dom.shape)
+    P = np.stack([W for _, parts in cols for W in parts])
+    P = np.concatenate([P.real, P.imag], axis=-1).reshape(len(P), -1)
+    out = np.empty(dom.shape)
+    for rows, _, _ in row_blocks(*dom.shape):
+        X = np.empty(out[rows].shape + (len(P),))
+        k = 0
+        for column, parts in cols:
+            c = column(rows)
+            X[..., k] = c.real
+            if len(parts) == 2:
+                X[..., k + 1] = c.imag
+            k += len(parts)
+        out[rows] = np.linalg.norm(X @ P, axis=-1)
+    return out
 
 
 def _dagger(X):

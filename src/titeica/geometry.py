@@ -470,9 +470,10 @@ def global_weight(psi, sigma):
     return 2.0 * np.asarray(psi) - np.log(sigma) + np.log(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricSolution:
-    """Scalar field u on the grid, global convention h = e^u mu."""
+    """Scalar field u on the grid, global convention h = e^u mu; its local
+    weight psi is computed once, on first read."""
 
     u: np.ndarray
     domain: Domain
@@ -482,6 +483,6 @@ class MetricSolution:
     def sigma(self):
         return self.mu.sigma(self.domain.z)
 
-    @property
+    @cached_property
     def psi(self):
         return local_weight(self.u, self.sigma)

@@ -429,3 +429,15 @@ def sine_matrix_reference(n):
     j = np.arange(1, n + 1)
     arg = np.outer(j, j) % (2 * (n + 1))
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * arg)
+
+
+# the curvature of the dense A and B, differentiated as (n, m, r, r)
+# fields: the form that frames.curvature_residual's scalar columns and
+# constant pattern replaced, its oracle
+def dense_curvature_residual(alpha):
+    """Nodewise Frobenius norm of dzbar(A) - dz(B) +/- [A, B]."""
+    A, B = alpha.dense()
+    sign = 1.0 if alpha.convention == "row_frame" else -1.0
+    curv = (alpha.domain.dzbar(A) - alpha.domain.dz(B)
+            + sign * (A @ B - B @ A))
+    return np.linalg.norm(curv, axis=(-2, -1))

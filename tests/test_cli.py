@@ -1001,6 +1001,28 @@ def test_determinism(tmp_path):
     assert v1 == v2
 
 
+@pytest.mark.parametrize("cfg", [
+    torus_config(),
+    dict(_ch2_config(16), solver={"method": "newton",
+                                  "t_grid": [0.0, 0.5, 1.0]})],
+    ids=["torus", "ch2_continuation"])
+def test_run_computes_psi_once(tmp_path, monkeypatch, cfg):
+    # immerse and verify read the solution's psi three times; the first
+    # read computes it, from sigma(z) and local_weight, and the others
+    # reuse it
+    calls = []
+    weight = tz.geometry.local_weight
+
+    def counted(*args):
+        calls.append(args)
+        return weight(*args)
+
+    monkeypatch.setattr(tz.geometry, "local_weight", counted)
+    code, _ = cli.run(cfg, stage="all", out_dir=tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_cli_continuation_stage(tmp_path):
     cfg = {
         "schema_version": 1, "case": "minlag_ch2",
