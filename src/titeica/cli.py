@@ -291,19 +291,18 @@ class Pipeline:
         if t_grid is not None:
             fam = continuation_family(self.problem, self.Q, t_grid, tol=tol,
                                       max_iter=max_iter)
-            reports, method = fam.reports, "continuation"
+            rep, method = fam.reports[-1], "continuation"
             self.report["continuation"] = {
                 "t_grid": fam.t_grid,
+                "grid": list(fam.grid),
                 "converged": [r.converged for r in fam.reports],
                 "failure_index": fam.failure_index,
             }
         elif method == "newton":
-            reports = [solve_newton(self.problem, self.u0, tol=tol,
-                                    max_iter=max_iter)]
+            rep = solve_newton(self.problem, self.u0, tol=tol,
+                               max_iter=max_iter)
         else:
-            reports = [solve_monotone(self.problem, tol=tol,
-                                      max_iter=max_iter)]
-        rep = reports[-1]
+            rep = solve_monotone(self.problem, tol=tol, max_iter=max_iter)
         u = rep.solution.u
         self.report["solver"] = {
             "method": method,
@@ -312,8 +311,10 @@ class Pipeline:
             "residual_inf": rep.residual_inf,
             "u_min": float(u.min()), "u_max": float(u.max()),
             "u_mean": float(u.mean()),
-            # summed over every solve, all continuation steps included
-            "linear_iters": sum(r.info["linear_iters"] for r in reports),
+            # summed over every solve: on continuation the coarse path's
+            # and the fine one (`ContinuationResult.linear_iters`)
+            "linear_iters": (rep.info["linear_iters"] if t_grid is None
+                             else fam.linear_iters),
             # per step of the last solve (of the last t on continuation)
             "history": rep.info["history"],
         }
@@ -321,9 +322,10 @@ class Pipeline:
             reason = self.report["solver"]["reason"] = rep.info["reason"]
             raise SolveError(f"solver did not converge: {reason}")
         if t_grid is not None:
-            self.problem = PdeProblem(self.domain, self.mu,
-                                      self.Q.scaled(fam.t_grid[-1]),
-                                      self.case, self.boundary)
+            self.problem = fam.problem
+        # the stages after the solve read the problem's Q alone: the sigma
+        # and ||Q||^2 that the solve cached are freed, 2 grid fields
+        self.problem.release()
         self.solution = rep.solution
         self.add_residual("solve", rep.residual_inf)
 

@@ -240,6 +240,19 @@ class Domain:
         side = radius * np.sqrt(2.0)
         return cls.rectangle(side, side, n, m)
 
+    def at_shape(self, n, m):
+        """The same torus or patch on an n x m grid: the lattice keeps its
+        origin, its directions and its extent, the periods n step1 and
+        m step2 of a torus or the sides (n-1) step1 and (m-1) step2 of a
+        planar grid.  self at its own shape."""
+        n, m = _grid_shape(n, m)
+        if (n, m) == self.shape:
+            return self
+        (n0, m0), e = self.shape, 0 if self.periodic else 1
+        return Domain((n, m), self.step1 * (n0 - e) / (n - e),
+                      self.step2 * (m0 - e) / (m - e), self.origin,
+                      self.periodic)
+
     # -- coordinates ---------------------------------------------------
     @property
     def z(self):

@@ -54,6 +54,11 @@ iteration keeps LINEAR_RTOL on every step: its iterates rise from the
 subsolution and stay below the supersolution only when each step is
 exact.
 
+Continuation in Q = t Q0 is nested: `continuation_family` runs its
+t-path on a coarse copy of the grid (`coarse_shape`, `Domain.at_shape`),
+and one Newton solve on the grid itself, from the path's last u
+interpolated by `prolong`, finishes it.
+
 A solve that does not converge says why in info["reason"]:
 ``linear_stall`` (a Krylov solve did not converge, and `_System.solve`
 returned no step), ``line_search_stall``, ``max_iter``, or a flat torus
@@ -68,7 +73,7 @@ replace or wrap them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -120,6 +125,10 @@ class PdeProblem:
             s = sigma[rows] = self.mu.sigma(z)
             qnorm2[rows] = np.abs(self.Q(z)) ** 2 / s ** 3
         return sigma, qnorm2
+
+    def release(self):
+        """Free sigma and ||Q||^2; a later read computes them again."""
+        vars(self).pop("_fields", None)
 
     @property
     def sigma(self):
@@ -743,11 +752,69 @@ def ch2_continuation_bound(Q0, mu, domain):
     return 1.0 / (3.0 * np.sqrt(6.0) * sup)
 
 
+# a continuation runs its t-path on the fine grid halved while both sides
+# keep at least this many nodes
+COARSE_MIN = 16
+
+
+def coarse_shape(shape):
+    """The grid of a nested continuation's t-path: (n, m) halved, in
+    integers, while both halves keep at least COARSE_MIN nodes (64^2 and
+    512^2 give 16^2); (n, m) itself if it cannot be halved."""
+    n, m = shape
+    while n // 2 >= COARSE_MIN and m // 2 >= COARSE_MIN:
+        n, m = n // 2, m // 2
+    return n, m
+
+
+def prolong(u, coarse, fine):
+    """u on the nodes of `coarse`, interpolated bilinearly at the nodes of
+    `fine`, the same torus or patch at another shape (`Domain.at_shape`).
+    A fine node's lattice coordinates (j, k) on `coarse` come from
+    `Domain.to_lattice`; the two lattices share their origin and
+    directions, so j is read off the node's row and k off its column, and
+    the interpolation is one linear interpolation along each axis.
+    Periodic on a torus; on a planar grid (j, k) is clipped to the
+    patch."""
+    j = coarse.to_lattice(fine.z_block(cols=slice(0, 1)))[0].ravel()
+    k = coarse.to_lattice(fine.z_block(rows=slice(0, 1)))[1].ravel()
+
+    def weights(x, size):
+        if coarse.periodic:
+            i0 = np.floor(x)
+            w = x - i0
+            i0 = i0.astype(int) % size
+            return i0, (i0 + 1) % size, w
+        # the last node is the far end of the last cell, at weight 1
+        x = np.clip(x, 0, size - 1)
+        i0 = np.minimum(np.floor(x), size - 2)
+        w = x - i0
+        i0 = i0.astype(int)
+        return i0, i0 + 1, w
+
+    (j0, j1, wj), (k0, k1, wk) = (weights(j, u.shape[0]),
+                                  weights(k, u.shape[1]))
+    wj = wj[:, None]
+    rows = u[j0] * (1.0 - wj) + u[j1] * wj
+    return rows[:, k0] * (1.0 - wk) + rows[:, k1] * wk
+
+
 @dataclass
 class ContinuationResult:
+    """The solves of a continuation along t_grid, up to its first failure:
+    one SolveReport per t in `reports`, and `problem`, the PdeProblem of
+    the last of them, on the family's own grid.  `grid` is the shape the
+    t-path ran on.  When it is coarser than the family's grid, reports[:-1]
+    are the path's solves on it, and reports[-1] is the one solve on the
+    family's grid at the last t.  `linear_iters` counts the Krylov
+    iterations of every solve that ran: the path's solve at the last t,
+    and a nested attempt that fell back, included."""
     t_grid: list
     reports: list
     failure_index: int | None
+    grid: tuple
+    problem: PdeProblem
+    linear_iters: int
 
     @property
     def converged_all(self):
@@ -766,20 +833,58 @@ def continuation_grid(t_grid):
     return t_grid
 
 
-def continuation_family(p0, Q0, t_grid, tol=NEWTON_TOL, max_iter=100):
-    """Solve along Q = t Q0 for increasing t, seeding each Newton solve with
-    the previous solution.  Stops at the first failure (failure is data,
-    not an exception)."""
-    t_grid = continuation_grid(t_grid)
-    reports = []
-    seed = None
-    failure = None
-    for i, t in enumerate(t_grid):
-        pt = PdeProblem(p0.domain, p0.mu, Q0.scaled(t), p0.case, p0.boundary)
+def _t_path(p0, Q0, t_grid, tol, max_iter, domain):
+    """Newton along Q = t Q0 on `domain`, each solve seeded with the last
+    solution, up to the first that does not converge: (reports, the
+    problem of the last one)."""
+    reports, seed = [], None
+    for t in t_grid:
+        pt = replace(p0, domain=domain, Q=Q0.scaled(t))
         rep = solve_newton(pt, seed, tol=tol, max_iter=max_iter)
         reports.append(rep)
         if not rep.converged:
-            failure = i
             break
         seed = rep.solution.u
-    return ContinuationResult(t_grid[:len(reports)], reports, failure)
+    return reports, pt
+
+
+def _iters(reports):
+    return sum(r.info["linear_iters"] for r in reports)
+
+
+def continuation_family(p0, Q0, t_grid, tol=NEWTON_TOL, max_iter=100):
+    """Solve along Q = t Q0 for increasing t, seeding each Newton solve with
+    the previous solution.  Stops at the first failure (failure is data,
+    not an exception).
+
+    Nested (Brandt, Math. Comp. 31, 1977): the t-path runs on the grid of
+    `coarse_shape`, and its last u, interpolated by `prolong`, starts one
+    Newton solve on p0's grid at the last t, which takes the steps it
+    would take at the end of the fine path, Newton's step count being
+    independent of the mesh (Allgower, Boehmer, Potra and Rheinboldt, SIAM
+    J. Numer. Anal. 23, 1986).  That solve's own residual and tol decide
+    its convergence.  If the coarse path stops early or the fine solve
+    does not converge, the family is the path on p0's grid from t_grid[0],
+    with its failure_index and reason.  A grid that cannot be halved, or
+    Dirichlet data given as a grid array, runs the path on p0's grid
+    alone."""
+    t_grid = continuation_grid(t_grid)
+    domain = p0.domain
+    shape = coarse_shape(domain.shape)
+    spent = 0
+    if shape != domain.shape and np.ndim(p0.boundary) == 0:
+        coarse = domain.at_shape(*shape)
+        path, _ = _t_path(p0, Q0, t_grid, tol, max_iter, coarse)
+        spent = _iters(path)
+        if path[-1].converged:
+            p = replace(p0, Q=Q0.scaled(t_grid[-1]))
+            u0 = prolong(path[-1].solution.u, coarse, domain)
+            fine = solve_newton(p, u0, tol=tol, max_iter=max_iter)
+            spent += fine.info["linear_iters"]
+            if fine.converged:
+                return ContinuationResult(t_grid, path[:-1] + [fine], None,
+                                          shape, p, spent)
+    reports, p = _t_path(p0, Q0, t_grid, tol, max_iter, domain)
+    failure = None if reports[-1].converged else len(reports) - 1
+    return ContinuationResult(t_grid[:len(reports)], reports, failure,
+                              domain.shape, p, spent + _iters(reports))

@@ -441,3 +441,24 @@ def dense_curvature_residual(alpha):
     curv = (alpha.domain.dzbar(A) - alpha.domain.dz(B)
             + sign * (A @ B - B @ A))
     return np.linalg.norm(curv, axis=(-2, -1))
+
+
+# the continuation that solves every t on the problem's own grid: the
+# form that pde.continuation_family's coarse t-path replaced, its oracle
+def fine_continuation(p0, Q0, t_grid, tol=1e-10, max_iter=100):
+    """(t_grid, reports, failure_index) of Newton along Q = t Q0 on p0's
+    grid, each solve seeded with the last solution, up to the first that
+    does not converge."""
+    from titeica import pde
+
+    reports, seed = [], None
+    for t in t_grid:
+        pt = tz.PdeProblem(p0.domain, p0.mu, Q0.scaled(t), p0.case,
+                           p0.boundary)
+        rep = pde.solve_newton(pt, seed, tol=tol, max_iter=max_iter)
+        reports.append(rep)
+        if not rep.converged:
+            break
+        seed = rep.solution.u
+    failure = None if reports[-1].converged else len(reports) - 1
+    return [float(t) for t in t_grid[:len(reports)]], reports, failure

@@ -1036,8 +1036,65 @@ def test_cli_continuation_stage(tmp_path):
     assert code == 0
     assert report["continuation"]["failure_index"] is None
     assert report["continuation"]["converged"] == [True] * 4
+    # 25 nodes cannot be halved to 16 or more: the path runs on the grid
+    assert report["continuation"]["grid"] == [25, 25]
     assert report["cubic_norm_induced_max"] <= 0.25
     assert report["failed_checks"] == []
+
+
+def test_cli_nested_continuation(tmp_path):
+    cfg = {
+        "schema_version": 1, "case": "minlag_ch2",
+        "domain": {"kind": "disk_patch", "radius": 0.7, "shape": [40, 40]},
+        "metric": {"kind": "poincare_disk"},
+        "cubic": {"kind": "constant", "c": [1.0, 0.0]},
+        "solver": {"method": "newton", "t_grid": [0.0, 0.15, 0.3, 0.45]},
+        "outputs": {"report": "report.json"},
+    }
+    code, report = cli.run(cfg, stage="all", out_dir=tmp_path)
+    assert code == 0 and report["failed_checks"] == []
+    cont = report["continuation"]
+    assert cont["grid"] == [20, 20] and cont["converged"] == [True] * 4
+    pipe = cli.Pipeline(cfg)
+    fam = tz.continuation_family(pipe.problem, pipe.Q, cfg["solver"]["t_grid"])
+    # the coarse path's solves, its last one included, and the fine one
+    assert report["solver"]["linear_iters"] == fam.linear_iters
+    assert fam.linear_iters > sum(r.info["linear_iters"] for r in fam.reports)
+    assert report["solver"]["history"] == fam.reports[-1].info["history"]
+    assert report["solver"]["iterations"] <= 2
+
+
+def test_solve_keeps_the_continuation_problem(monkeypatch):
+    # the stages after the solve read the last t's problem, the one the
+    # fine solve built, not a rebuilt one; the sigma and ||Q||^2 that the
+    # solve cached are freed
+    families = []
+    family = cli.continuation_family
+
+    def recorded(*args, **kwargs):
+        families.append(family(*args, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(cli, "continuation_family", recorded)
+    cfg = _ch2_config(40)
+    cfg["solver"] = {"method": "newton", "t_grid": [0.0, 0.2, 0.4]}
+    pipe = cli.Pipeline(cfg)
+    pipe.solve()
+    [fam] = families
+    assert pipe.problem is fam.problem
+    assert pipe.problem.Q == pipe.Q.scaled(0.4)
+    assert "_fields" not in vars(pipe.problem)
+
+
+@pytest.mark.parametrize("method", ["newton", "monotone"])
+def test_solve_frees_the_problem_fields(method):
+    cfg = dict(_ch2_config(24), case="hyperbolic_affine_sphere",
+               solver={"method": method})
+    pipe = cli.Pipeline(cfg)
+    sigma = pipe.problem.sigma.copy()
+    pipe.solve()
+    assert "_fields" not in vars(pipe.problem)
+    assert np.array_equal(pipe.problem.sigma, sigma)  # read again on demand
 
 
 def test_cli_linear_iters_summed_over_continuation(tmp_path):

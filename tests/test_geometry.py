@@ -136,6 +136,29 @@ def test_torus_lattice_coordinates():
     assert np.abs(k - kk).max() < 1e-10
 
 
+@pytest.mark.parametrize("make", [
+    lambda n, m: tz.Domain.torus(0.3 + 1.1j, n, m),
+    lambda n, m: tz.Domain.rectangle(1.0, 0.6, n, m),
+    lambda n, m: tz.Domain.disk_patch(0.7, n, m)],
+    ids=["oblique_torus", "rectangle", "disk_patch"])
+def test_at_shape_keeps_the_torus_or_patch(make):
+    dom = make(48, 40)
+    assert dom.at_shape(48, 40) is dom
+    for n, m in ((24, 20), (17, 9), (96, 81)):
+        other, ref = dom.at_shape(n, m), make(n, m)
+        assert other.shape == (n, m) and other.periodic == dom.periodic
+        assert other.origin == dom.origin
+        # the same lattice as the constructor's, to rounding
+        for a, b in ((other.step1, ref.step1), (other.step2, ref.step2)):
+            assert abs(a - b) <= 1e-15 * abs(b)
+        # the periods of a torus, the far corner of a patch
+        e = 0 if dom.periodic else 1
+        assert abs((n - e) * other.step1 - (48 - e) * dom.step1) <= 1e-15
+        assert abs((m - e) * other.step2 - (40 - e) * dom.step2) <= 1e-15
+    with pytest.raises(ValueError):
+        dom.at_shape(7, 40)
+
+
 def test_oblique_torus_dzzbar_oracle():
     # doubly periodic f = cos(2 pi (x + q y)) with q = (1 - Re tau)/Im tau has
     # d2/dz dzbar f = -(pi^2/... ) analytic value (1/4) Laplacian

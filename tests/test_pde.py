@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.sparse.linalg import LinearOperator, spsolve
 import titeica as tz
 from titeica import pde
 from titeica.errors import InvalidSignCase, NoConstantSolution, SingularInputError
-from tests.conftest import (dzzbar_matrix, exact_precond,
+from tests.conftest import (dzzbar_matrix, exact_precond, fine_continuation,
                             residual_global_reference, sine_matrix_reference)
 
 FLAT = tz.BackgroundMetric("flat")
@@ -458,6 +459,261 @@ def test_continuation_stops_at_linear_stall(monkeypatch):
     assert first.converged and first.iterations == 0
     assert not stalled.converged and stalled.iterations == 1
     assert stalled.info["reason"].startswith("linear_stall: ")
+
+
+# -- nested continuation --------------------------------------------------------
+
+@pytest.mark.parametrize("shape, coarse", [
+    ((64, 64), (16, 16)), ((512, 512), (16, 16)), ((40, 40), (20, 20)),
+    ((48, 40), (24, 20)), ((33, 33), (16, 16)), ((64, 20), (64, 20)),
+    ((31, 64), (31, 64)), ((25, 25), (25, 25)), ((16, 16), (16, 16))])
+def test_coarse_shape(shape, coarse):
+    assert pde.coarse_shape(shape) == coarse
+
+
+@pytest.mark.parametrize("fine", [
+    tz.Domain.rectangle(1.0, 0.6, 48, 40), tz.Domain.disk_patch(0.7, 37, 64)],
+    ids=["rectangle", "disk_patch"])
+def test_prolong_is_exact_on_bilinear_fields(fine):
+    # a + b x + c y + d x y is bilinear in the lattice coordinates of any
+    # planar grid of the patch, so interpolation reproduces it, the edge
+    # nodes included
+    coarse = fine.at_shape(*pde.coarse_shape(fine.shape))
+    assert coarse.shape != fine.shape
+
+    def field(dom):
+        x, y = dom.z.real, dom.z.imag
+        return 0.3 - 1.2 * x + 0.7 * y + 2.5 * x * y
+
+    got = pde.prolong(field(coarse), coarse, fine)
+    assert got.shape == fine.shape
+    assert np.abs(got - field(fine)).max() <= 1e-14
+
+
+def test_prolong_wraps_on_a_torus():
+    # a 2:1 torus: every other fine node is a coarse node, and the others
+    # are the means of their two or four coarse neighbours, those past the
+    # last row and column wrapped to the first
+    fine = tz.Domain.torus(0.3 + 1.1j, 48, 40)
+    coarse = fine.at_shape(24, 20)
+    U = np.random.default_rng(0).normal(size=coarse.shape)
+    got = pde.prolong(U, coarse, fine)
+    # to the rounding of the lattice coordinates, which puts a node on a
+    # coarse node at weight 1e-15 from the far end of its cell
+    tol = 1e-13 * np.abs(U).max()
+    Uj = 0.5 * (U + np.roll(U, -1, axis=0))
+    Uk = 0.5 * (U + np.roll(U, -1, axis=1))
+    Ujk = 0.5 * (Uj + np.roll(Uj, -1, axis=1))
+    for part, want in (((0, 0), U), ((1, 0), Uj), ((0, 1), Uk), ((1, 1), Ujk)):
+        assert np.abs(got[part[0]::2, part[1]::2] - want).max() <= tol
+    # and a smooth periodic field is interpolated to second order
+    def wave(dom):
+        j, k = dom.to_lattice(dom.z)
+        return np.sin(2 * np.pi * (j / dom.shape[0] + 2 * k / dom.shape[1]))
+
+    errs = []
+    for n in (48, 96):
+        fine = tz.Domain.torus(0.3 + 1.1j, n, n)
+        coarse = fine.at_shape(n // 2 + 1, n // 2 - 1)
+        errs.append(np.abs(pde.prolong(wave(coarse), coarse, fine)
+                           - wave(fine)).max())
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+def _workload_problem(seed):
+    """(p0, Q0, t_grid) of the benchmark's 64^2 CH^2 continuation: Q =
+    1, or at seed 1 the benchmark's jittered 0.99328..."""
+    c = [1.0, 0.9932817877943799][seed]
+    dom = tz.Domain.disk_patch(0.7, 64, 64)
+    Q0 = tz.CubicDifferential.constant(c)
+    p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), tz.SignCase(-1, -1))
+    return p0, Q0, [0.0, 0.1, 0.2, 0.3, 0.4, 0.45]
+
+
+def _cp2_torus():
+    # a constant Q, whose solution is a constant: the periodic path end to
+    # end (test_prolong_wraps_on_a_torus checks the wrap itself)
+    dom = tz.Domain.torus(0.3 + 1.1j, 48, 40)
+    Q0 = tz.CubicDifferential.constant(0.5)
+    p0 = tz.PdeProblem(dom, FLAT, Q0, tz.SignCase(-1, 1))
+    return p0, Q0, [0.5, 0.75, 1.0]
+
+
+def _cp2_rectangle():
+    dom = tz.Domain.rectangle(1.0, 0.8, 48, 40)
+    Q0 = tz.CubicDifferential.polynomial([0.25, 0.15])
+    p0 = tz.PdeProblem(dom, FLAT, Q0.scaled(0.0), tz.SignCase(-1, 1))
+    return p0, Q0, [0.0, 0.5, 1.0]
+
+
+def _count_krylov(monkeypatch):
+    """A list that gets one entry per Krylov iteration of every solve."""
+    iters = []
+
+    def counted(krylov):
+        def run(A, b, callback=None, **kwargs):
+            def count(x):
+                iters.append(1)
+                callback(x)
+            return krylov(A, b, callback=count, **kwargs)
+        return run
+
+    monkeypatch.setattr(pde, "cg", counted(pde.cg))
+    monkeypatch.setattr(pde, "minres", counted(pde.minres))
+    return iters
+
+
+@pytest.mark.parametrize("make, coarse", [
+    (partial(_workload_problem, 0), (16, 16)),
+    (partial(_workload_problem, 1), (16, 16)),
+    (_cp2_torus, (24, 20)), (_cp2_rectangle, (24, 20))],
+    ids=["ch2_seed0", "ch2_seed1", "cp2_torus", "cp2_rectangle"])
+def test_nested_continuation_matches_the_fine_path(make, coarse, monkeypatch):
+    p0, Q0, t_grid = make()
+    ref_t, ref, _ = fine_continuation(p0, Q0, t_grid)
+    assert all(r.converged for r in ref)
+    iters = _count_krylov(monkeypatch)
+    res = tz.continuation_family(p0, Q0, t_grid)
+    assert res.failure_index is None and res.t_grid == ref_t
+    assert res.grid == coarse
+    assert [r.converged for r in res.reports] == [True] * len(t_grid)
+    assert [r.solution.u.shape for r in res.reports] == (
+        [coarse] * (len(t_grid) - 1) + [p0.domain.shape])
+    fine = res.reports[-1]
+    assert np.abs(fine.solution.u - ref[-1].solution.u).max() <= 1e-12
+    assert fine.residual_inf <= pde.NEWTON_TOL
+    assert fine.iterations <= 2
+    # every Krylov iteration, the coarse path's at the last t included
+    assert res.linear_iters == len(iters)
+    assert res.linear_iters > sum(r.info["linear_iters"] for r in res.reports)
+    # the problem of the fine solve, its fields computed by that solve
+    assert res.problem.domain == p0.domain
+    assert res.problem.Q == Q0.scaled(t_grid[-1])
+    assert "_fields" in vars(res.problem)
+
+
+def _failing_solve(shape, call):
+    """pde.solve_newton, but its `call`-th solve on a grid of `shape` (from
+    0) is reported as not converged."""
+    calls = []
+    solve = pde.solve_newton
+
+    def run(p, u0=None, **kwargs):
+        rep = solve(p, u0, **kwargs)
+        if p.domain.shape == shape:
+            calls.append(p)
+            if len(calls) == call + 1:
+                return pde.SolveReport(False, rep.iterations, rep.residual_inf,
+                                       rep.solution,
+                                       dict(rep.info, reason="forced"))
+        return rep
+
+    return run
+
+
+@pytest.mark.parametrize("where", ["coarse", "fine"])
+def test_nested_continuation_falls_back_to_the_fine_path(where, monkeypatch):
+    # a coarse path that stops at its third t, or a fine solve that does
+    # not converge: the family is the fine path, every bit of it
+    p0, Q0, t_grid = _workload_problem(0)
+    _, ref, _ = fine_continuation(p0, Q0, t_grid)
+    shape, call = ((16, 16), 2) if where == "coarse" else ((64, 64), 0)
+    monkeypatch.setattr(pde, "solve_newton", _failing_solve(shape, call))
+    res = tz.continuation_family(p0, Q0, t_grid)
+    assert res.failure_index is None and res.grid == (64, 64)
+    assert len(res.reports) == len(ref)
+    for got, want in zip(res.reports, ref):
+        assert np.array_equal(got.solution.u, want.solution.u)
+        assert got.info["history"] == want.info["history"]
+    # the attempt's Krylov iterations are counted too
+    assert res.linear_iters > sum(r.info["linear_iters"] for r in ref)
+
+
+def _linear_stall(monkeypatch):
+    monkeypatch.setattr(pde, "cg", _failing_cg)
+    monkeypatch.setattr(pde, "minres", _failing_cg)
+    p0, Q0, t_grid = _workload_problem(0)
+    return p0, Q0, t_grid, {}
+
+
+def _obstructed_torus(monkeypatch):
+    dom = tz.Domain.torus(1j, 40, 40)
+    Q0 = tz.CubicDifferential.constant(1.0)
+    p0 = tz.PdeProblem(dom, FLAT, Q0.scaled(0.0), tz.SignCase(-1, -1))
+    return p0, Q0, [0.0, 0.5], {}
+
+
+def _out_of_steps(monkeypatch):
+    p0, Q0, t_grid = _workload_problem(0)
+    return p0, Q0, t_grid, {"max_iter": 1}
+
+
+def _past_the_fold(monkeypatch):
+    # the CP^2 rectangle folds between t = 0.97 and 0.975 (ROADMAP item 9)
+    dom = tz.Domain.rectangle(1.0, 1.0, 32, 32)
+    Q0 = tz.CubicDifferential.polynomial([0.5, 0.3])
+    p0 = tz.PdeProblem(dom, FLAT, Q0.scaled(0.0), tz.SignCase(-1, 1))
+    return p0, Q0, [0.0, 0.3, 0.6, 0.8, 0.9, 0.975], {}
+
+
+@pytest.mark.parametrize("make", [_linear_stall, _obstructed_torus,
+                                  _out_of_steps, _past_the_fold],
+                         ids=["linear_stall", "obstructed_torus", "max_iter",
+                              "past_the_fold"])
+def test_nested_continuation_fails_as_the_fine_path(make, monkeypatch):
+    # a failure is the fine path's: its index, its reason, its reports
+    p0, Q0, t_grid, kwargs = make(monkeypatch)
+    ref_t, ref, failure = fine_continuation(p0, Q0, t_grid, **kwargs)
+    assert failure is not None
+    res = tz.continuation_family(p0, Q0, t_grid, **kwargs)
+    assert res.failure_index == failure and res.t_grid == ref_t
+    assert res.grid == p0.domain.shape
+    assert res.reports[-1].info["reason"] == ref[-1].info["reason"]
+    for got, want in zip(res.reports, ref):
+        assert got.converged == want.converged
+        assert np.array_equal(got.solution.u, want.solution.u)
+
+
+@pytest.mark.parametrize("dom", [
+    tz.Domain.disk_patch(0.7, 16, 16), tz.Domain.disk_patch(0.7, 31, 40),
+    tz.Domain.torus(0.3 + 1.1j, 24, 30)], ids=["16", "31x40", "torus_24x30"])
+def test_small_grid_runs_the_fine_path(dom, monkeypatch):
+    # no side can be halved to 16 nodes or more: every solve is on the
+    # grid itself, and every bit is the fine path's
+    case = tz.SignCase(-1, -1) if not dom.periodic else tz.SignCase(-1, 1)
+    mu = FLAT if dom.periodic else POIN
+    Q0 = tz.CubicDifferential.constant(0.5)
+    p0 = tz.PdeProblem(dom, mu, Q0, case)
+    t_grid = [0.5, 0.75, 1.0]
+    _, ref, _ = fine_continuation(p0, Q0, t_grid)
+    shapes = []
+    solve = pde.solve_newton
+
+    def recorded(p, *args, **kwargs):
+        shapes.append(p.domain.shape)
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_newton", recorded)
+    res = tz.continuation_family(p0, Q0, t_grid)
+    assert shapes == [dom.shape] * len(t_grid)
+    assert res.grid == dom.shape and res.failure_index is None
+    for got, want in zip(res.reports, ref):
+        assert np.array_equal(got.solution.u, want.solution.u)
+    assert res.linear_iters == sum(r.info["linear_iters"] for r in ref)
+
+
+def test_boundary_array_runs_the_fine_path():
+    # Dirichlet data given on the grid have no coarse copy
+    dom = tz.Domain.disk_patch(0.7, 40, 40)
+    Q0 = tz.CubicDifferential.constant(1.0)
+    p0 = tz.PdeProblem(dom, POIN, Q0.scaled(0.0), tz.SignCase(-1, -1),
+                       boundary=0.1 * dom.z.real)
+    t_grid = [0.0, 0.2]
+    _, ref, _ = fine_continuation(p0, Q0, t_grid)
+    res = tz.continuation_family(p0, Q0, t_grid)
+    assert res.grid == dom.shape
+    for got, want in zip(res.reports, ref):
+        assert np.array_equal(got.solution.u, want.solution.u)
 
 
 # -- stencil matrix and fast-Poisson preconditioner -----------------------------
