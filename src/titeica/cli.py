@@ -31,9 +31,8 @@ from .immersion import (affine_sphere_immersion, minlag_c2_immersion,
                         verify_minlag_c2)
 from .pde import (PdeProblem, check_monotone, continuation_family,
                   continuation_grid, solve_monotone, solve_newton)
-from .projective import (develop_rp2, holonomy_report, monge_ampere_gate,
-                         quadric_fit, semiflat_develop,
-                         semiflat_dual_roundtrip)
+from .projective import (holonomy_report, monge_ampere_gate, quadric_fit,
+                         semiflat_develop, semiflat_dual_roundtrip)
 from .weierstrass import HoloPair, parabolic_from_holomorphic
 
 SCHEMA_VERSION = 1
@@ -394,10 +393,8 @@ class Pipeline:
                 "phi_range": [float(sf.phi.min()), float(sf.phi.max())],
             }
             return
-        pts = develop_rp2(self.mesh)
         fit = quadric_fit(self.mesh.vertices.reshape(-1, 3))
         self.report["develop"] = {
-            "chart_extent": float(np.abs(pts).max()),
             "quadric_residual": fit.residual,
             "quadric_signature": list(fit.signature),
         }

@@ -38,11 +38,36 @@ def develop_rp2(mesh):
     return normalize_rp2(f)
 
 
+# the (i, j) entries of a symmetric 4x4 S, one per coefficient of the fit
+_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
+_OFF = [c for c, (i, j) in enumerate(_PAIRS) if i != j]
+
+# points per block of design rows in `quadric_fit`: 640 KiB of rows
+FIT_ROWS = 2 ** 13
+
+
 @dataclass
 class QuadricFit:
     S: np.ndarray
     residual: float
     signature: tuple
+
+
+def _design_rows(pts):
+    """The fit's design rows of a block of (k, 3) finite points: the
+    products p_i p_j (i <= j, doubled off the diagonal) of each
+    homogenized point p = (x, 1), each row scaled to unit norm.  The
+    homogeneous coordinate makes every row norm at least 1.  The rows
+    are the transpose of a (10, k) array, so that each product is written
+    to contiguous memory."""
+    p = np.empty((4, pts.shape[0]))
+    p[:3], p[3] = pts.T, 1.0
+    Dt = np.empty((len(_PAIRS), pts.shape[0]))
+    for c, (i, j) in enumerate(_PAIRS):
+        np.multiply(p[i], p[j], out=Dt[c])
+    Dt[_OFF] *= 2.0
+    Dt /= np.sqrt(np.einsum("ij,ij->j", Dt, Dt))
+    return Dt.T
 
 
 def quadric_fit(points):
@@ -53,34 +78,38 @@ def quadric_fit(points):
     position).  Rows of the design matrix are normalized,
     so the reported residual (smallest singular value / sqrt(#points)) is
     scale-free.  The signature is that of the quadratic 3x3 block.
+
+    The design matrix is never formed whole: its rows are made `FIT_ROWS`
+    points at a time, and each block is folded into the 10x10 triangular
+    factor R of the rows so far by one QR of [R; block] (TSQR: Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012).  The rows
+    and R have the same singular values and right singular vectors, so
+    the fit is the SVD of R alone.  Raises DegenerateVertexError on a
+    non-finite point, before any of its rows enter the fit.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    d = pts.shape[1]
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    if pts.shape[0] < len(pairs) - 1:
-        raise ValueError(f"need at least {len(pairs) - 1} points")
-    cols = []
-    for i, j in pairs:
-        col = pts[:, i] * pts[:, j]
-        cols.append(col if i == j else 2.0 * col)
-    D = np.stack(cols, axis=-1)
-    rn = np.linalg.norm(D, axis=1)
-    if np.any(rn == 0):
-        raise DegenerateVertexError("degenerate design row")
-    D = D / rn[:, None]
-    _, svals, vt = np.linalg.svd(D, full_matrices=False)
+    npts = pts.shape[0]
+    if npts < len(_PAIRS) - 1:
+        raise ValueError(f"need at least {len(_PAIRS) - 1} points")
+    R = None
+    for start in range(0, npts, FIT_ROWS):
+        block = pts[start:start + FIT_ROWS]
+        if not np.isfinite(block).all():
+            raise DegenerateVertexError("non-finite point")
+        D = _design_rows(block)
+        R = np.linalg.qr(D if R is None else np.vstack([R, D]), mode="r")
+    # with 9 points R has 9 rows: its null vector is the tenth right
+    # singular vector, which only the full V holds
+    _, svals, vt = np.linalg.svd(R)
+    svals = np.concatenate([svals, np.zeros(len(_PAIRS) - len(svals))])
     if svals[-2] < 1e-10 * svals[0]:
         raise DegenerateVertexError("points are not in general position")
-    coef = vt[-1]
-    S = np.zeros((d, d))
-    for c, (i, j) in zip(coef, pairs):
+    S = np.zeros((4, 4))
+    for c, (i, j) in zip(vt[-1], _PAIRS):
         S[i, j] = S[j, i] = c
-    nrm = np.linalg.norm(S)
-    S = S / nrm
-    residual = float(svals[-1] / np.sqrt(pts.shape[0]))
-    block = S[:3, :3]
-    eig = np.linalg.eigvalsh(block)
+    S /= np.linalg.norm(S)
+    residual = float(svals[-1] / np.sqrt(npts))
+    eig = np.linalg.eigvalsh(S[:3, :3])
     thresh = 1e-8 * max(np.abs(eig).max(), 1e-300)
     pos = int(np.sum(eig > thresh))
     neg = int(np.sum(eig < -thresh))

@@ -462,3 +462,45 @@ def fine_continuation(p0, Q0, t_grid, tol=1e-10, max_iter=100):
         seed = rep.solution.u
     failure = None if reports[-1].converged else len(reports) - 1
     return [float(t) for t in t_grid[:len(reports)]], reports, failure
+
+
+# the fit that takes the SVD of the whole (npts, 10) design matrix: the
+# form that projective.quadric_fit's blockwise QR replaced, its oracle
+def dense_quadric_fit(points):
+    """QuadricFit of the least-squares quadric p^T S p = 0 through the
+    homogenized points p = (x, 1), from the SVD of every normalized
+    design row at once."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    d = pts.shape[1]
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    if pts.shape[0] < len(pairs) - 1:
+        raise ValueError(f"need at least {len(pairs) - 1} points")
+    cols = []
+    for i, j in pairs:
+        col = pts[:, i] * pts[:, j]
+        cols.append(col if i == j else 2.0 * col)
+    D = np.stack(cols, axis=-1)
+    rn = np.linalg.norm(D, axis=1)
+    if np.any(rn == 0):
+        raise DegenerateVertexError("degenerate design row")
+    D = D / rn[:, None]
+    _, svals, vt = np.linalg.svd(D, full_matrices=False)
+    if svals[-2] < 1e-10 * svals[0]:
+        raise DegenerateVertexError("points are not in general position")
+    coef = vt[-1]
+    S = np.zeros((d, d))
+    for c, (i, j) in zip(coef, pairs):
+        S[i, j] = S[j, i] = c
+    nrm = np.linalg.norm(S)
+    S = S / nrm
+    residual = float(svals[-1] / np.sqrt(pts.shape[0]))
+    block = S[:3, :3]
+    eig = np.linalg.eigvalsh(block)
+    thresh = 1e-8 * max(np.abs(eig).max(), 1e-300)
+    pos = int(np.sum(eig > thresh))
+    neg = int(np.sum(eig < -thresh))
+    if neg > pos or (neg == pos and eig.sum() < 0):
+        S = -S
+        pos, neg = neg, pos
+    return tz.QuadricFit(S, residual, (pos, neg))

@@ -1233,3 +1233,31 @@ def test_legendre_sign_error_fails_develop(tmp_path, monkeypatch):
     assert code == 1 and not report["passed"]
     failed = [r["name"] for r in report["residuals"] if not r["pass"]]
     assert failed == ["legendre_roundtrip"]
+
+
+def test_develop_reports_the_quadric_fit(tmp_path):
+    code, report = cli.run(torus_config(), stage="develop", out_dir=tmp_path)
+    assert code == 0
+    dev = json.loads((tmp_path / "report.json").read_text())["develop"]
+    assert set(dev) == {"quadric_residual", "quadric_signature"}
+    assert dev["quadric_signature"] == [2, 1]
+    assert 1e-4 < dev["quadric_residual"] < 1e-2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_fails_develop(tmp_path, monkeypatch, bad):
+    # a vertex set after verify, so that only the quadric fit reads it
+    develop = cli.Pipeline.develop
+
+    def spoiled(self):
+        self.mesh.vertices[3, 4, 1] = bad
+        develop(self)
+
+    monkeypatch.setattr(cli.Pipeline, "develop", spoiled)
+    code, report = cli.run(torus_config(), stage="all", out_dir=tmp_path)
+    assert code == 1 and not report["passed"]
+    assert "DegenerateVertexError: non-finite point" in report["warnings"]
+    assert "develop" not in report
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["warnings"] == report["warnings"]
+    assert on_disk["failed_checks"] == []

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import titeica as tz
 from titeica import geometry, projective
 from titeica.errors import DegenerateVertexError
 from titeica.geometry import lattice_diff, second_diffs
-from tests.conftest import (dense_form, hessian_dual_roundtrip,
-                            hyperboloid_mesh, whole_grid_chain_rule_hessian)
+from tests.conftest import (dense_form, dense_quadric_fit,
+                            hessian_dual_roundtrip, hyperboloid_mesh,
+                            whole_grid_chain_rule_hessian)
 
 HYP = tz.SignCase(1, -1)
 
@@ -59,13 +61,16 @@ def test_develop_equivariance(torus32, torus_mesh):
 
 # -- quadric fitting -----------------------------------------------------------
 
+def hyperboloid_points(n, seed=2):
+    """n points of the hyperboloid x1^2 + x2^2 - x3^2 = -1."""
+    t = np.random.default_rng(seed).uniform(-1, 1, size=(n, 2))
+    return np.stack([np.sinh(t[:, 0]) * np.cos(3 * t[:, 1]),
+                     np.sinh(t[:, 0]) * np.sin(3 * t[:, 1]),
+                     np.cosh(t[:, 0])], axis=-1)
+
+
 def test_quadric_fit_exact_hyperboloid():
-    rng = np.random.default_rng(2)
-    t = rng.uniform(-1, 1, size=(60, 2))
-    pts = np.stack([np.sinh(t[:, 0]) * np.cos(3 * t[:, 1]),
-                    np.sinh(t[:, 0]) * np.sin(3 * t[:, 1]),
-                    np.cosh(t[:, 0])], axis=-1)
-    fit = tz.quadric_fit(pts)
+    fit = tz.quadric_fit(hyperboloid_points(60))
     assert fit.residual <= 1e-12
     assert fit.signature == (2, 1)
 
@@ -102,6 +107,89 @@ def test_quadric_fit_unimodular_invariance():
     r0 = tz.quadric_fit(pts).residual
     r1 = tz.quadric_fit(pts @ L.T).residual
     assert r1 / r0 < 10.0 and r0 / r1 < 10.0
+
+
+def test_quadric_fit_through_nine_points():
+    # nine points in general position lie on one quadric: the fit is the
+    # null vector of the 9 design rows, with residual 0
+    fit = tz.quadric_fit(hyperboloid_points(9))
+    assert fit.residual == 0.0
+    assert fit.signature == (2, 1)
+    fit20 = tz.quadric_fit(hyperboloid_points(20))
+    assert np.abs(np.abs(fit.S) - np.abs(fit20.S)).max() < 1e-9
+
+
+@pytest.fixture(scope="module")
+def disk_mesh():
+    """Hyperbolic affine sphere over a 32^2 Poincare patch, Q = 0.5 + 0.3z."""
+    dom = tz.Domain.disk_patch(0.7, 32, 32)
+    p = tz.PdeProblem(dom, tz.BackgroundMetric("poincare_disk"),
+                      tz.CubicDifferential.polynomial([0.5, 0.3]), HYP)
+    rep = tz.solve_newton(p)
+    assert rep.converged
+    return tz.affine_sphere_immersion(rep.solution, p.Q, lam=-1)
+
+
+def fit_clouds(torus_mesh, disk_mesh):
+    """Named (k, 3) point sets: two meshes, two exact quadrics and a
+    random cloud."""
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(300, 3))
+    ellipsoid = u / np.linalg.norm(u, axis=1, keepdims=True) * [1.0, 2.0, 0.5]
+    return {"torus": torus_mesh.vertices.reshape(-1, 3),
+            "disk": disk_mesh.vertices.reshape(-1, 3),
+            "hyperboloid": hyperboloid_points(300),
+            "ellipsoid": ellipsoid + [0.3, -0.2, 1.0],
+            "cloud": rng.normal(size=(500, 3))}
+
+
+# blocks of fewer rows than R's 10 (7, 9), of 10 and of 11, with a partial
+# last block, and one block for every cloud (4096)
+@pytest.mark.parametrize("rows", [7, 9, 10, 11, 4096])
+def test_quadric_fit_matches_dense_oracle(monkeypatch, torus_mesh, disk_mesh,
+                                          rows):
+    monkeypatch.setattr(projective, "FIT_ROWS", rows)
+    for name, pts in fit_clouds(torus_mesh, disk_mesh).items():
+        got, want = tz.quadric_fit(pts), dense_quadric_fit(pts)
+        # relative, or absolute where the oracle's residual is rounding
+        assert abs(got.residual - want.residual) <= max(
+            1e-11 * want.residual, 1e-14), name
+        assert got.signature == want.signature, name
+        err = min(np.abs(got.S - want.S).max(), np.abs(got.S + want.S).max())
+        assert err <= 1e-9, name
+    rng = np.random.default_rng(0)
+    flat = np.zeros((40, 3))
+    flat[:, :2] = rng.normal(size=(40, 2))
+    for fit in (tz.quadric_fit, dense_quadric_fit):
+        with pytest.raises(DegenerateVertexError):
+            fit(flat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", [7, 4096])
+def test_quadric_fit_rejects_non_finite_points(monkeypatch, bad, rows):
+    monkeypatch.setattr(projective, "FIT_ROWS", rows)
+    pts = hyperboloid_points(60)
+    pts[41, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateVertexError, match="non-finite"):
+            tz.quadric_fit(pts)
+
+
+def test_quadric_fit_memory_peak():
+    # the design rows are made a block at a time: a whole-cloud design
+    # matrix of 2^20 points would take 80 MiB, and with the SVD's copies
+    # the fit peaked at about 300 MiB
+    pts = hyperboloid_points(2 ** 20)
+    tracemalloc.start()
+    try:
+        fit = tz.quadric_fit(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.signature == (2, 1)
+    assert peak < 4 * 2 ** 20
 
 
 # -- holonomy report ----------------------------------------------------------

@@ -19,14 +19,15 @@ PACKAGE = Path(titeica.__file__).parent
 ROOTS = [("cli", "main"), ("cli", "run"), ("cli", "Pipeline")]
 
 # kept as library functions for the acceptance suite and the tests;
-# `spsolve` and `reality_check` (with `_star`, which only it calls) as the
-# benchmark tracer's targets too; the README lists them
+# `spsolve`, `reality_check` (with `_star`, which only it calls) and
+# `develop_rp2` (with `normalize_rp2`) as the benchmark tracer's targets
+# too; the README lists them
 KEPT = {
     "conormal_dual", "shape_operator_norm", "ch2_continuation_bound",
     "residual_local", "toda_residual_complex", "SingularInputError",
     "gauss_curvature", "global_weight", "polyline_path", "cell_loop",
     "load_mesh_vertices",
-    "spsolve", "reality_check", "_star",
+    "spsolve", "reality_check", "_star", "develop_rp2", "normalize_rp2",
 }
 
 DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
