@@ -40,7 +40,6 @@ def develop_rp2(mesh):
 
 # the (i, j) entries of a symmetric 4x4 S, one per coefficient of the fit
 _PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
-_OFF = [c for c, (i, j) in enumerate(_PAIRS) if i != j]
 
 # points per block of design rows in `quadric_fit`: 640 KiB of rows
 FIT_ROWS = 2 ** 13
@@ -65,7 +64,8 @@ def _design_rows(pts):
     Dt = np.empty((len(_PAIRS), pts.shape[0]))
     for c, (i, j) in enumerate(_PAIRS):
         np.multiply(p[i], p[j], out=Dt[c])
-    Dt[_OFF] *= 2.0
+        if i != j:
+            Dt[c] *= 2.0
     Dt /= np.sqrt(np.einsum("ij,ij->j", Dt, Dt))
     return Dt.T
 
