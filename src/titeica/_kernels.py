@@ -29,6 +29,18 @@ straight run of equal steps is one line, and the runs are chained.  For
 a flat connection transport depends only on the homotopy class of the
 path, so a path through grid nodes loses nothing.
 
+Where every field takes one value on all the given lines, as on a torus,
+where the cubic differential is c dz^3 and the metric the constant
+(1/3) log(8 |c|^2), the coefficient C is one constant matrix: b = 0, so
+Omega = a = C on every edge, and each edge's propagator is exp(C), or
+exp(-C) toward the start node.  Unless `_expm` would need squarings for
+C, `transport_lines` then makes the two exponentials once and chains
+every line at once from its start node outward, a frontier of all the
+lines' frames advanced by one product per node; no per-edge array or
+bracket is formed.  The frames are those of the block path to the bit: a batch
+of equal matrices has the scaling, and each matrix the products, of a
+batch of one.
+
 The propagators do not depend on F, so those of a block of lines are
 built in batched numpy; the only sequential work left is the chain
 F <- P F, once per edge (or sub-edge) away from a line's start node.
@@ -192,6 +204,36 @@ def transport_polyline(step, fields, d1, d2, pts, F0, periodic=False,
     return out
 
 
+def _constant(X):
+    """Whether every entry of X equals every other (NaN equals none), by
+    reductions that allocate no array of X's size."""
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    return all(Y.min() == Y.max() for Y in parts)
+
+
+def _chain_constant(E, frames, start):
+    """The frames of every line frames[i, :] from its node `start`
+    outward, each edge's propagator E[0] away from `start` toward higher
+    nodes and E[1] toward lower ones (`transport_lines`).  The chain
+    carries all the lines' frames at one node, (lines, N, c), and writes
+    each node's frames into `frames` as it reaches them."""
+    r = frames.shape[-2]
+    cplx = np.iscomplexobj(frames)
+
+    def store(j, X):
+        frames[:, j] = X[..., :r, :] + 1j * X[..., r:, :] if cplx else X
+
+    F = frames[:, start]
+    X0 = np.concatenate([F.real, F.imag], axis=-2) if cplx else F.copy()
+    store(start, X0)
+    for P, nodes in ((E[0], range(start + 1, frames.shape[1])),
+                     (E[1], range(start - 1, -1, -1))):
+        X, Y = X0.copy(), np.empty_like(X0)
+        for j in nodes:
+            X, Y = np.matmul(P, X, out=Y), X
+            store(j, X)
+
+
 def transport_lines(step, fields, zdot, frames, start):
     """Transport along every lattice line frames[i, :] from its node
     `start` outward by dF/dt = C F, in place: frames ((lines, m, r, c),
@@ -203,14 +245,28 @@ def transport_lines(step, fields, zdot, frames, start):
     (lines, m, ...)) are `block`, N = r for a real frame and 2r for a
     complex one.  Each edge is one Magnus step of the coefficient
     interpolated linearly between its end nodes, or 2^k where one step
-    would not converge.  Lines go a block at a time, so that each
-    per-edge array of a block stays within LINES_BLOCK_BYTES; a block
-    refined to 2^k sub-edges per edge holds 2^k times that in each
-    per-sub-edge array.  Returns the number of edges it ran."""
+    would not converge.  Where every field equals its first entry on
+    all the lines (NaN never does), C is built once from that node, and
+    unless exp(C) would need squarings, every line is chained at once by
+    exp(C) and exp(-C) (`_chain_constant`).  Otherwise lines go a block
+    at a time, so that each per-edge array of a block stays within
+    LINES_BLOCK_BYTES; a block refined to 2^k sub-edges per edge holds
+    2^k times that in each per-sub-edge array.  Returns the number of
+    edges it ran."""
     lines, m = frames.shape[:2]
     r = frames.shape[-2]
     cplx = np.iscomplexobj(frames)
     n = 2 * r if cplx else r
+    if lines and all(map(_constant, fields)):
+        # every edge's Omega as _magnus sums it where b = 0: +0 + a, so
+        # that a -0 entry of C reads +0
+        W = step(zdot, *(X[:1, :1] for X in fields))[0, 0] + 0.0
+        q, k = _scaling(W)
+        # a C of infinite norm, for which _scaling also gives k = 0, takes
+        # the block path
+        if not k and math.isfinite(np.abs(W).sum()):
+            _chain_constant(_expm(np.stack([W, -W]), (q, 0)), frames, start)
+            return lines * (m - 1)
     block = max(1, LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * n * n))
     for i in range(0, lines, block):
         rows = slice(i, i + block)

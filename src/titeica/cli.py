@@ -276,12 +276,17 @@ class Pipeline:
 
     # -- helpers ------------------------------------------------------
     def add_residual(self, name, value):
+        # a non-finite value is stored as null, which strict JSON reads,
+        # and fails
         tol = (TOL_COEFF[name] * self.tol if name == "solve"
                else _tol(name, self.domain.hmax))
+        value = float(value)
+        finite = math.isfinite(value)
         self.residuals.append({
-            "name": name, "value": float(value), "tolerance": float(tol),
-            "grid": list(self.domain.shape), "case": self.case.geometry_tag,
-            "pass": bool(value <= tol)})
+            "name": name, "value": value if finite else None,
+            "tolerance": float(tol), "grid": list(self.domain.shape),
+            "case": self.case.geometry_tag,
+            "pass": bool(finite and value <= tol)})
 
     # -- stages ---------------------------------------------------------
     def solve(self):
@@ -580,7 +585,8 @@ def main(argv=None):
         return 2
     for r in report["residuals"]:
         status = "PASS" if r["pass"] else "FAIL"
-        print(f"[{status}] {r['name']}: {r['value']:.3e} (tol {r['tolerance']:.3e})")
+        value = "non-finite" if r["value"] is None else f"{r['value']:.3e}"
+        print(f"[{status}] {r['name']}: {value} (tol {r['tolerance']:.3e})")
     if report.get("solver"):
         s = report["solver"]
         print(f"solver: converged={s['converged']} iterations={s['iterations']} "

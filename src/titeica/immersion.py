@@ -175,6 +175,8 @@ def verify_affine(mesh, sol, Q, margin=2):
     plus the cubic differential recovered from the f_{zz} identity and,
     for lam != 0, the drift |det / (2 e^{2 psi}) - i/2| of the Blaschke
     volume, all with the affine normal xi = -lam f (e3 when lam = 0).
+    Raises DegenerateVertexError at a non-finite vertex, and where det is
+    zero or not finite.
     xi_z = -lam f_z and xi = -lam f need no gate: dxi = -lam df row by
     row, so the transported xi + lam f keeps its value at the root, 0 for
     the default init (tests/test_immersion.py holds the tree to it).
@@ -184,6 +186,8 @@ def verify_affine(mesh, sol, Q, margin=2):
     / det = Q e^{-2 psi} of f_zz - 2 psi_z f_z in the frame
     (f_z, f_zbar, xi)."""
     lam = mesh.lam
+    if not np.isfinite(mesh.vertices).all():
+        raise DegenerateVertexError("non-finite vertex")
     pd, f, f_z, f_zb, xi = _affine_tangents(mesh)
     psi = sol.psi
     f_zz = pd.dzz(f)
@@ -195,6 +199,8 @@ def verify_affine(mesh, sol, Q, margin=2):
 
     w = np.cross(xi, f_z)
     det = _dot(f_zb, w)
+    if not np.isfinite(det).all():
+        raise DegenerateVertexError("non-finite tangent frame")
     if np.any(det == 0):
         raise DegenerateVertexError("tangent frame is singular")
     r_zzb = np.linalg.norm(f_zzb - e2p[..., None] * xi, axis=-1)

@@ -55,12 +55,16 @@ class QuadricFit:
 def _design_rows(pts):
     """The fit's design rows of a block of (k, 3) finite points: the
     products p_i p_j (i <= j, doubled off the diagonal) of each
-    homogenized point p = (x, 1), each row scaled to unit norm.  The
-    homogeneous coordinate makes every row norm at least 1.  The rows
-    are the transpose of a (10, k) array, so that each product is written
-    to contiguous memory."""
+    homogenized point p = (x, 1), each row scaled to unit norm.  p is
+    first divided by its largest |entry|, which scales the row by a
+    positive factor: every product of a finite point is then at most 2
+    in size and no square in the norm overflows or underflows, and the
+    entry 1 makes the row norm at least 1.  The rows are the transpose of
+    a (10, k) array, so that each product is written to contiguous
+    memory."""
     p = np.empty((4, pts.shape[0]))
     p[:3], p[3] = pts.T, 1.0
+    p /= np.abs(p).max(axis=0)
     Dt = np.empty((len(_PAIRS), pts.shape[0]))
     for c, (i, j) in enumerate(_PAIRS):
         np.multiply(p[i], p[j], out=Dt[c])

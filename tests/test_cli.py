@@ -1261,3 +1261,52 @@ def test_non_finite_vertex_fails_develop(tmp_path, monkeypatch, bad):
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["warnings"] == report["warnings"]
     assert on_disk["failed_checks"] == []
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict parsers do."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_fails_verify_with_strict_json(tmp_path,
+                                                         monkeypatch, bad):
+    # one vertex of the 32^2 torus spoiled after the tree: verify raises
+    # where it would have gated NaN, and the report stays strict JSON
+    immerse = cli.Pipeline.immerse
+
+    def spoiled(self):
+        immerse(self)
+        self.mesh.vertices[3, 4, 1] = bad
+
+    monkeypatch.setattr(cli.Pipeline, "immerse", spoiled)
+    cfg = torus_config(outputs={"report": "report.json"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = cli.run(cfg, stage="all", out_dir=tmp_path)
+    assert code == 1 and not report["passed"]
+    assert report["warnings"] == ["DegenerateVertexError: non-finite vertex"]
+    on_disk = _strict_json((tmp_path / "report.json").read_text())
+    assert [r["name"] for r in on_disk["residuals"]] == ["solve"]
+    assert on_disk["failed_checks"] == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_residual_is_null_and_fails(tmp_path, monkeypatch, bad):
+    verify = cli.Pipeline.verify
+
+    def spoiled(self):
+        verify(self)
+        self.add_residual("curvature", bad)
+
+    monkeypatch.setattr(cli.Pipeline, "verify", spoiled)
+    cfg = torus_config(outputs={"report": "report.json"})
+    code, report = cli.run(cfg, stage="verify", out_dir=tmp_path)
+    assert code == 1 and not report["passed"]
+    entry = report["residuals"][-1]
+    assert entry["name"] == "curvature"
+    assert entry["value"] is None and entry["pass"] is False
+    assert report["failed_checks"] == ["curvature"]
+    assert _strict_json((tmp_path / "report.json").read_text()) == report

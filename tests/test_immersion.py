@@ -8,7 +8,8 @@ from scipy.linalg import expm
 
 import titeica as tz
 from titeica import cli, immersion
-from titeica.errors import InitDataError, InvalidSignCase
+from titeica.errors import (DegenerateVertexError, InitDataError,
+                            InvalidSignCase)
 from titeica._kernels import _magnus, _scaling
 from titeica.frames import affine_connection
 from titeica.immersion import E3, integrate_tree
@@ -330,6 +331,22 @@ def test_verify_affine_detects_noise(torus_mesh, torus32):
     noisy.vertices[16, 16] += 1e-3
     bumped = tz.verify_affine(noisy, sol, p.Q)["det_identity"]
     assert bumped >= 10.0 * base
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda v: v.__setitem__((5, 9, 1), np.nan), "non-finite vertex"),
+    (lambda v: v.__imul__(1e160), "non-finite tangent frame")],
+    ids=["nan_vertex", "det_overflow"])
+def test_verify_affine_raises_on_non_finite_data(torus_mesh, torus32, spoil,
+                                                 message):
+    # a NaN vertex, and finite vertices whose Blaschke volume overflows:
+    # no gate would read a number, so verify raises
+    p, sol = torus32
+    bad = copy.deepcopy(torus_mesh)
+    spoil(bad.vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateVertexError, match=message):
+            tz.verify_affine(bad, sol, p.Q)
 
 
 def test_spanning_tree_independence(torus32):

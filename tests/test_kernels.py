@@ -11,7 +11,8 @@ from scipy.linalg import expm
 
 import titeica as tz
 from titeica import _kernels, cli, immersion
-from titeica.frames import build_connection, torus_generator
+from titeica.frames import (affine_connection, build_connection,
+                            torus_generator)
 from titeica.immersion import integrate_tree
 from titeica.projective import holonomy_report
 
@@ -597,11 +598,10 @@ def test_ch2_frames_stay_in_the_group():
     assert np.array_equal(pipe.mesh.vertices, pipe.mesh.frame[..., :, 2])
 
 
-def test_tree_memory_peak(monkeypatch):
-    # the tracemalloc peak of the 64^2 torus tree, real 4x3 frames under a
-    # real 4x4 coefficient: the kernel's blocks of 32 lines keep it under
-    # 2.6 MiB (2.54 measured), and one block of all 64 lines would not
-    pipe = workload_pipeline("torus_affine", 64)
+def tree_peaks(name, monkeypatch, scales):
+    """The tracemalloc peaks of the workload's 64^2 tree, one per factor
+    of LINES_BLOCK_BYTES in `scales`."""
+    pipe = workload_pipeline(name, 64)
     peaks = []
 
     def traced(tree, args, kwargs):
@@ -612,8 +612,198 @@ def test_tree_memory_peak(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    immerse_tracing_the_tree(pipe, monkeypatch, traced)
-    monkeypatch.setattr(_kernels, "LINES_BLOCK_BYTES",
-                        4 * _kernels.LINES_BLOCK_BYTES)
-    pipe.immerse()
-    assert peaks[0] <= 2.6 * 2 ** 20 < peaks[1]
+    with monkeypatch.context() as patch:
+        block = _kernels.LINES_BLOCK_BYTES
+        for scale in scales:
+            patch.setattr(_kernels, "LINES_BLOCK_BYTES", int(scale * block))
+            immerse_tracing_the_tree(pipe, patch, traced)
+    return peaks
+
+
+def test_tree_memory_peak(monkeypatch):
+    # the 64^2 torus tree, real 4x3 frames under a constant real 4x4
+    # coefficient, is chained without blocks: its peak is the 0.375 MiB of
+    # frames and the frontier (0.41 MiB measured), with any block size
+    assert max(tree_peaks("torus_affine", monkeypatch, [1, 4])) <= (
+        0.42 * 2 ** 20)
+    # the 64^2 CH^2 tree's coefficient varies, so it goes a block of lines
+    # at a time: a quarter of the blocks keeps it at 1.01 MiB measured,
+    # and the default blocks take it to 2.63 MiB
+    quarter, default = tree_peaks("ch2_continuation", monkeypatch, [0.25, 1])
+    assert quarter <= 1.1 * 2 ** 20 < 2.5 * 2 ** 20 < default <= 2.7 * 2 ** 20
+
+
+def block_transport_lines(step, fields, zdot, frames, start):
+    """The kernel's block path alone, each block of lines under
+    LINES_BLOCK_BYTES one Magnus step per edge (or 2^k where one step
+    would not converge) and chained edge by edge: the oracle of its
+    constant path.  Returns the edges it ran."""
+    lines, m = frames.shape[:2]
+    r = frames.shape[-2]
+    cplx = np.iscomplexobj(frames)
+    n = 2 * r if cplx else r
+    block = max(1, _kernels.LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * n * n))
+    for i in range(0, lines, block):
+        rows = slice(i, i + block)
+        R = step(zdot, *(X[rows] for X in fields))
+        W = _kernels._magnus(R)
+        q, k = _kernels._scaling(W)
+        if k:
+            N = 1 << k
+            t = (np.arange(N) / N)[:, None, None]
+            R0, R1 = R[:, :-1, None], R[:, 1:, None]
+            fine = np.empty((R.shape[0], (m - 1) * N + 1) + R.shape[2:])
+            fine[:, :-1] = (R0 + t * (R1 - R0)).reshape(fine[:, :-1].shape)
+            fine[:, -1] = R[:, -1]
+            fine *= 1.0 / N
+            W = _kernels._magnus(fine)
+        s = start << k
+        W[:, :s] *= -1.0
+        P = _kernels._expm(W, None if k else (q, 0))
+        F = frames[rows, start]
+        X = np.empty(F.shape[:1] + (W.shape[1] + 1, n) + F.shape[2:])
+        X[:, s] = np.concatenate([F.real, F.imag], axis=-2) if cplx else F
+        for j in range(s, W.shape[1]):
+            np.matmul(P[:, j], X[:, j], out=X[:, j + 1])
+        for j in range(s - 1, -1, -1):
+            np.matmul(P[:, j], X[:, j + 1], out=X[:, j])
+        X = X[:, ::1 << k]
+        frames[rows] = X[..., :r, :] + 1j * X[..., r:, :] if cplx else X
+    return lines * (m - 1)
+
+
+def counting_magnus(monkeypatch):
+    """A list that gains one entry per call of the kernel's `_magnus`."""
+    calls = []
+    magnus = _kernels._magnus
+
+    def counted(R):
+        calls.append(R.shape)
+        return magnus(R)
+
+    monkeypatch.setattr(_kernels, "_magnus", counted)
+    return calls
+
+
+def torus_pipeline(case, shape, tau=(0.0, 1.0), c=1.0):
+    """A solved pipeline of `case` on the flat torus of `tau` and `shape`
+    with the constant cubic differential c dz^3."""
+    pipe = cli.Pipeline({"schema_version": 1, "case": case,
+                         "domain": {"kind": "torus", "tau": list(tau),
+                                    "shape": list(shape)},
+                         "cubic": {"kind": "constant", "c": [c, 0.0]}})
+    pipe.solve()
+    return pipe
+
+
+@pytest.mark.parametrize("axis_first", [0, 1])
+@pytest.mark.parametrize("shape, tau", [((64, 64), (0.0, 1.0)),
+                                        ((48, 80), (0.3, 0.9))])
+def test_torus_tree_is_two_exponentials(shape, tau, axis_first):
+    # on a torus the step coefficient is a constant C1 along the first
+    # axis and C2 along the second, so the comb's frame at node (j, k) is
+    # exp((k - k0) C2) exp((j - j0) C1) F0 with the spine along the first
+    # axis, the factors swapped with the spine along the second; C from
+    # the affine sphere's complex system on (f_z, f_zbar, xi, f), whose
+    # last row f is also the last of the tree's real rows
+    pipe = torus_pipeline("hyperbolic_affine_sphere", shape, tau)
+    dom = pipe.domain
+    mesh = immersion.affine_sphere_immersion(
+        pipe.solution, pipe.problem.Q, pipe.case.lam, axis_first=axis_first)
+    A, B = (X[0, 0] for X in affine_complex_system(
+        pipe.solution.psi, pipe.problem.Q, pipe.case.lam, dom))
+    C = [A * d + B * np.conj(d) for d in (dom.step1, dom.step2)]
+    f0, xi0, a = mesh.meta["init"]
+    F0 = np.stack([a, np.conj(a), xi0, f0])
+    (j0, k0), (n, m) = mesh.meta["root"], dom.shape
+    E1 = np.array([expm((j - j0) * C[0]) for j in range(n)])[:, None]
+    E2 = np.array([expm((k - k0) * C[1]) for k in range(m)])[None, :]
+    F = (E2 @ E1 if axis_first == 0 else E1 @ E2) @ F0
+    assert rel_err(mesh.vertices, F[..., 3, :]) <= 1e-13
+
+
+def _torus_system(kind, shape=(32, 32)):
+    """(domain, step, fields, F0) of a torus tree: the affine sphere's
+    real rows, or the CP^2 unitary frame's complex rows."""
+    if kind == "affine_real":
+        pipe = torus_pipeline("hyperbolic_affine_sphere", shape, (0.3, 0.9))
+        form = affine_connection(pipe.solution.psi, pipe.problem.Q,
+                                 pipe.case.lam, pipe.domain)
+        step, fields = form.row_system(True)
+        F0 = np.random.default_rng(5).normal(size=(4, 3))
+    else:
+        pipe = torus_pipeline("minlag_cp2", shape, c=0.5)
+        form = tz.minlag_frame_connection(pipe.solution.psi, pipe.problem.Q,
+                                          pipe.case, pipe.domain)
+        step, fields = form.row_system(False)
+        rng = np.random.default_rng(5)
+        F0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return pipe.domain, step, fields, F0
+
+
+def _lines(fields, F0, start, axis=1):
+    """The frames (lines, m) + F0.shape of every lattice line along
+    `axis`, F0 at node `start` of each, and the fields as the kernel
+    takes them."""
+    fs = [np.swapaxes(X, 0, 1 - axis) for X in fields]
+    frames = np.zeros(fs[0].shape[:2] + F0.shape, dtype=F0.dtype)
+    frames[:, start] = F0
+    return fs, frames
+
+
+@pytest.mark.parametrize("start", [0, 13, 31])
+@pytest.mark.parametrize("kind", ["affine_real", "cp2_complex"])
+def test_constant_lines_match_the_block_path_to_the_bit(kind, start,
+                                                        monkeypatch):
+    # a constant coefficient: every edge's Omega is C, so the two
+    # exponentials chained over all lines give the block path's frames
+    # bit for bit, with no Magnus step formed
+    dom, step, fields, F0 = _torus_system(kind)
+    for axis, zdot in ((0, dom.step1), (1, dom.step2)):
+        fs, want = _lines(fields, F0, start, axis)
+        got = want.copy()
+        edges = block_transport_lines(step, fs, complex(zdot), want, start)
+        calls = counting_magnus(monkeypatch)
+        assert _kernels.transport_lines(step, fs, complex(zdot), got,
+                                        start) == edges
+        monkeypatch.undo()
+        assert calls == []
+        assert got.tobytes() == want.tobytes()
+        assert (got[:, start] == F0).all()
+
+
+def _perturbed(fields, how):
+    """The torus fields made non-constant at one node, made to need
+    k > 0 squarings, or made NaN."""
+    fields = [np.array(X) for X in fields]
+    X = fields[0]
+    if how == "one_node":
+        X[5, 7] += 2.0 ** -40
+    elif how == "large":
+        fields = [X * 40.0 for X in fields]
+    else:
+        X[...] = np.nan
+    return fields
+
+
+@pytest.mark.parametrize("how", ["one_node", "large", "nan"])
+@pytest.mark.parametrize("kind", ["affine_real", "cp2_complex"])
+def test_non_constant_lines_take_the_block_path(kind, how, monkeypatch):
+    # fields constant but for one node, a constant C too large for exp(C)
+    # without squarings, and a NaN field (NaN equals nothing) each run
+    # the block path's Magnus steps and give its frames
+    dom, step, fields, F0 = _torus_system(kind, (16, 16))
+    fields = _perturbed(fields, how)
+    if how == "large":
+        C = step(complex(dom.step2), *(X[:1, :1] for X in fields))
+        assert _kernels._scaling(C)[1] > 0
+    else:
+        assert any((X != X[:1, :1]).any() for X in fields)
+    fs, want = _lines(fields, F0, 6)
+    got = want.copy()
+    block_transport_lines(step, fs, complex(dom.step2), want, 6)
+    calls = counting_magnus(monkeypatch)
+    _kernels.transport_lines(step, fs, complex(dom.step2), got, 6)
+    assert calls
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).any() == (how == "nan")

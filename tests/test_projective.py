@@ -177,6 +177,24 @@ def test_quadric_fit_rejects_non_finite_points(monkeypatch, bad, rows):
             tz.quadric_fit(pts)
 
 
+@pytest.mark.parametrize("big", [1e100, 1e200, 1e300])
+def test_design_rows_of_far_points(big):
+    # a point is scaled by its largest coordinate before its products: a
+    # finite point far out keeps a unit row, which is its direction's,
+    # and the fit runs without a warning or an error
+    pts = hyperboloid_points(40)
+    pts[5] = [big, -0.5 * big, 2.0]
+    pts[17, 2] = -big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D = projective._design_rows(pts)
+        tz.quadric_fit(pts)
+    assert np.abs(np.linalg.norm(D, axis=1) - 1.0).max() <= 1e-15
+    direction = projective._design_rows(np.array([[1.0, -0.5, 0.0]]))[0]
+    direction[[3, 6, 8, 9]] = 0.0   # the homogeneous coordinate's products
+    assert np.abs(D[5] - direction / np.linalg.norm(direction)).max() <= 1e-15
+
+
 def test_quadric_fit_memory_peak():
     # the design rows are made a block at a time: a whole-cloud design
     # matrix of 2^20 points would take 80 MiB, and with the SVD's copies
