@@ -16,34 +16,30 @@ propagator is exp(Omega) for the sixth-order Magnus expansion
 Casas, Oteo & Ros, Phys. Rep. 470, 2009): one step per edge, exact where
 the coefficient is constant, as on every torus.  Omega is built from a, b
 and their brackets, so it lies in the Lie algebra of the connection and
-exp(Omega) in its group to rounding.  The series converges only for small
-Omega, so where `_expm` would need k > 0 squarings for a block of lines,
-the block's lines are refined instead to 2^k sub-edges per edge, each one
-Magnus step of the linear coefficient between its ends, and stepped by
-the same loop.  `transport_lines` runs a block of lattice lines, each
-from one node outward: the whole reconstruction tree is two calls, the
-spine and then every tooth along the other axis.  `transport_polyline`
-adapts it to a path of grid nodes, each step one lattice edge or none
-(paths and holonomy loops), and is the one check of such a path: each
-straight run of equal steps is one line, and the runs are chained.  For
-a flat connection transport depends only on the homotopy class of the
-path, so a path through grid nodes loses nothing.
+exp(Omega) in its group to rounding.
 
-Where every field takes one value on all the given lines, as on a torus,
-where the cubic differential is c dz^3 and the metric the constant
-(1/3) log(8 |c|^2), the coefficient C is one constant matrix: b = 0, so
-Omega = a = C on every edge, and each edge's propagator is exp(C), or
-exp(-C) toward the start node.  Unless `_expm` would need squarings for
-C, `transport_lines` then makes the two exponentials once and chains
-every line at once from its start node outward, a frontier of all the
-lines' frames advanced by one product per node; no per-edge array or
-bracket is formed.  The frames are those of the block path to the bit: a batch
-of equal matrices has the scaling, and each matrix the products, of a
-batch of one.
+`transport_lines` runs every lattice line of a batch from one node
+outward: the whole reconstruction tree is two calls, the spine and then
+every tooth along the other axis.  It sweeps tiles of edges that span
+every line, each tile's propagators built in batched numpy from its slab
+of the fields; the only sequential work is the chain F <- P F of a
+frontier of all the lines' frames, one product per edge.  The tile that
+holds the edges next to the start node runs first and carries both
+frontiers, the one up and the one down; then the tiles above and below
+run outward.  The series converges only for small Omega, so where
+`_expm` would need k > 0 squarings for a tile, that tile is refined
+instead to 2^k sub-edges per edge, each one Magnus step of the linear
+coefficient between its ends.  Where every field takes one value on all
+the lines, as on a torus, where the cubic differential is c dz^3 and
+the metric the constant (1/3) log(8 |c|^2), C is one matrix, each edge's
+Omega is C itself, and the same loop chains exp(C) and exp(-C), made
+once, in one tile of all the edges, with no per-edge array or bracket.
 
-The propagators do not depend on F, so those of a block of lines are
-built in batched numpy; the only sequential work left is the chain
-F <- P F, once per edge (or sub-edge) away from a line's start node.
+`transport_polyline` adapts it to a path of grid nodes, each step one
+lattice edge or none (paths and holonomy loops), and is the one check of
+such a path: each straight run of equal steps is one line, and the runs
+are chained.  For a flat connection transport depends only on the
+homotopy class of the path, so a path through grid nodes loses nothing.
 
 All small-matrix products run in real arithmetic: a complex frame as
 [Re F; Im F] under the blocks [[X, -Y], [Y, X]] of C = X + iY, a ring
@@ -55,10 +51,10 @@ import math
 
 import numpy as np
 
-# bytes of one per-edge array of a block of lines in transport_lines,
-# float64 of shape (lines, m - 1, N, N); the Magnus terms and the
-# exponential hold up to six such arrays at a time
-LINES_BLOCK_BYTES = 1 << 18
+# bytes of one per-edge array of a tile of edges in transport_lines,
+# float64 of shape (lines, T, N, N); the Magnus terms and the exponential
+# hold up to six such arrays at a time
+TILE_BYTES = 1 << 18
 
 # Taylor degrees of _expm, cheapest first; each is a multiple of
 # s = ceil(sqrt(q)), and costs s - 1 + q / s - 1 products
@@ -211,93 +207,93 @@ def _constant(X):
     return all(Y.min() == Y.max() for Y in parts)
 
 
-def _chain_constant(E, frames, start):
-    """The frames of every line frames[i, :] from its node `start`
-    outward, each edge's propagator E[0] away from `start` toward higher
-    nodes and E[1] toward lower ones (`transport_lines`).  The chain
-    carries all the lines' frames at one node, (lines, N, c), and writes
-    each node's frames into `frames` as it reaches them."""
-    r = frames.shape[-2]
-    cplx = np.iscomplexobj(frames)
-
-    def store(j, X):
-        frames[:, j] = X[..., :r, :] + 1j * X[..., r:, :] if cplx else X
-
-    F = frames[:, start]
-    X0 = np.concatenate([F.real, F.imag], axis=-2) if cplx else F.copy()
-    store(start, X0)
-    for P, nodes in ((E[0], range(start + 1, frames.shape[1])),
-                     (E[1], range(start - 1, -1, -1))):
-        X, Y = X0.copy(), np.empty_like(X0)
-        for j in nodes:
-            X, Y = np.matmul(P, X, out=Y), X
-            store(j, X)
-
-
 def transport_lines(step, fields, zdot, frames, start):
     """Transport along every lattice line frames[i, :] from its node
     `start` outward by dF/dt = C F, in place: frames ((lines, m, r, c),
     real, or complex to run as [Re F; Im F]) holds the frame at each
     line's node `start` on entry and the frames at all its nodes on
-    return.  The step from node j to node j + 1 of a line is zdot, and
-    step(zdot, *block) is the real coefficient C (b, m, N, N) at the
-    nodes of the block of b lines whose per-node `fields` (each
-    (lines, m, ...)) are `block`, N = r for a real frame and 2r for a
-    complex one.  Each edge is one Magnus step of the coefficient
-    interpolated linearly between its end nodes, or 2^k where one step
-    would not converge.  Where every field equals its first entry on
-    all the lines (NaN never does), C is built once from that node, and
-    unless exp(C) would need squarings, every line is chained at once by
-    exp(C) and exp(-C) (`_chain_constant`).  Otherwise lines go a block
-    at a time, so that each per-edge array of a block stays within
-    LINES_BLOCK_BYTES; a block refined to 2^k sub-edges per edge holds
-    2^k times that in each per-sub-edge array.  Returns the number of
-    edges it ran."""
+    return.  The step from node j to node j + 1 is zdot, and
+    step(zdot, *slab) is the real coefficient C (lines, m', N, N) at the
+    m' nodes whose `fields` (each (lines, m, ...)) are `slab`, N = r for
+    a real frame and 2r for a complex one.  The edges 0..m-2 go in tiles
+    [a, a + T) of every line, T >= 1 the most edges whose per-edge
+    array (lines, T, N, N) stays within TILE_BYTES.  The tile that holds the
+    edges next to `start` runs first, advancing a frontier (lines, N, c)
+    up through its edges at and above `start` and one down through the
+    rest, whose Omega are negated; then the tiles above run upward and
+    those below downward.  A tile for which `_expm` would need k > 0
+    squarings is refined to 2^k sub-edges per edge.  Where every field
+    equals its first entry on all the lines (NaN never does) and exp(C)
+    needs no squarings, exp(C) and exp(-C) are the propagators of one
+    tile of all the edges.  Returns the number of edges it ran: 0 for
+    no lines or one-node lines, whose frames stay as they are."""
     lines, m = frames.shape[:2]
+    if not lines or m < 2:
+        return 0
     r = frames.shape[-2]
     cplx = np.iscomplexobj(frames)
     n = 2 * r if cplx else r
-    if lines and all(map(_constant, fields)):
+    E = None
+    if all(map(_constant, fields)):
         # every edge's Omega as _magnus sums it where b = 0: +0 + a, so
         # that a -0 entry of C reads +0
         W = step(zdot, *(X[:1, :1] for X in fields))[0, 0] + 0.0
         q, k = _scaling(W)
         # a C of infinite norm, for which _scaling also gives k = 0, takes
-        # the block path
+        # the tiles' Magnus steps
         if not k and math.isfinite(np.abs(W).sum()):
-            _chain_constant(_expm(np.stack([W, -W]), (q, 0)), frames, start)
-            return lines * (m - 1)
-    block = max(1, LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * n * n))
-    for i in range(0, lines, block):
-        rows = slice(i, i + block)
-        R = step(zdot, *(X[rows] for X in fields))
-        W = _magnus(R)
-        q, k = _scaling(W)
-        if k:
-            # too large for one step: the line refined to 2^k sub-edges
-            # per edge, the coefficient interpolated linearly at the
-            # sub-nodes and scaled by the sub-edge's length 2^-k
-            N = 1 << k
-            t = (np.arange(N) / N)[:, None, None]
-            R0, R1 = R[:, :-1, None], R[:, 1:, None]
-            fine = np.empty((R.shape[0], (m - 1) * N + 1) + R.shape[2:])
-            fine[:, :-1] = (R0 + t * (R1 - R0)).reshape(fine[:, :-1].shape)
-            fine[:, -1] = R[:, -1]
-            fine *= 1.0 / N
-            W = _magnus(fine)
-        # edge j joins nodes j and j + 1 and runs away from `start`: from j
-        # to j + 1 at and above it, from j + 1 to j below it, which negates
-        # Omega; on the refined line `start` is node start 2^k
-        s = start << k
-        W[:, :s] *= -1.0
-        P = _expm(W, None if k else (q, 0))
-        F = frames[rows, start]
-        X = np.empty(F.shape[:1] + (W.shape[1] + 1, n) + F.shape[2:])
-        X[:, s] = np.concatenate([F.real, F.imag], axis=-2) if cplx else F
-        for j in range(s, W.shape[1]):
-            np.matmul(P[:, j], X[:, j], out=X[:, j + 1])
-        for j in range(s - 1, -1, -1):
-            np.matmul(P[:, j], X[:, j + 1], out=X[:, j])
-        X = X[:, ::1 << k]
-        frames[rows] = X[..., :r, :] + 1j * X[..., r:, :] if cplx else X
+            E = _expm(np.stack([W, -W]), (q, 0))
+    T = m - 1 if E is not None else max(
+        1, TILE_BYTES // (lines * 8 * n * n))
+
+    # the parts of the frames that the frontier's rows [Re F; Im F] fill
+    re, im = (frames.real, frames.imag) if cplx else (frames, None)
+
+    def chain(P, X, j, dj, N):
+        """The frontier X carried through the sub-edges P (lines or 1, ...,
+        N, N) in turn from node j, a node each N sub-edges in the direction
+        dj, each node's frames stored as it is reached."""
+        Y = np.empty_like(X)
+        for i in range(P.shape[1]):
+            X, Y = np.matmul(P[:, i], X, out=Y), X
+            if (i + 1) % N == 0:
+                j += dj
+                re[:, j] = X[..., :r, :]
+                if cplx:
+                    im[:, j] = X[..., r:, :]
+        return X
+
+    F = frames[:, start]
+    up = np.concatenate([F.real, F.imag], axis=-2) if cplx else F.copy()
+    down = up.copy()
+    # the tile of the edges next to `start`, then those above and below it
+    a0 = min(start, m - 2) // T * T
+    for a in [a0, *range(a0 + T, m - 1, T), *range(a0 - T, -1, -T)]:
+        # the tile's edges from node a + s up run from their lower node,
+        # its first s edges, below `start`, from their upper node, which
+        # negates their Omega
+        b = min(a + T, m - 1)
+        s = min(max(start - a, 0), b - a)
+        if E is not None:
+            k, P = 0, [np.broadcast_to(X, (1, e, n, n))
+                       for X, e in ((E[0], b - a - s), (E[1], s))]
+        else:
+            R = step(zdot, *(X[:, a:b + 1] for X in fields))
+            W = _magnus(R)
+            q, k = _scaling(W)
+            if k:
+                # too large for one step: the tile refined to 2^k sub-edges
+                # per edge, the coefficient interpolated linearly at the
+                # sub-nodes and scaled by the sub-edge's length 2^-k
+                t = (np.arange(1 << k) / (1 << k))[:, None, None]
+                R0, R1 = R[:, :-1, None], R[:, 1:, None]
+                fine = (R0 + t * (R1 - R0)).reshape((lines, -1) + R.shape[2:])
+                fine = np.concatenate([fine, R[:, -1:]], axis=1)
+                fine *= 2.0 ** -k
+                W = _magnus(fine)
+            W[:, :s << k] *= -1.0
+            P = _expm(W, None if k else (q, 0))
+            P = [P[:, s << k:], P[:, :s << k][:, ::-1]]
+        up = chain(P[0], up, a + s, 1, 1 << k)
+        down = chain(P[1], down, a + s, -1, 1 << k)
     return lines * (m - 1)

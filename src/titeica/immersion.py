@@ -8,9 +8,10 @@ f_zbar), minimal Lagrangian surfaces in C^2 on (f_z, f_zbar, f), and
 CP^2/CH^2 surfaces the transposed unitary column frame, whose third row
 is the point phi = F e3; only these meshes keep their frame, which
 `verify_cpn` gates.  The comb, its spine and its teeth, is lattice lines
-and goes through the one tree kernel, `transport_lines`, which makes
-each block of lines' coefficient from the form's scalar fields; each
-mesh records in `meta` the edges that the kernel reports it ran.
+and goes through the one tree kernel, `transport_lines`, which sweeps
+tiles of edges across all the lines and makes each tile's coefficient
+from the form's scalar fields; each mesh records in `meta` the edges
+that the kernel reports it ran.
 
 Mesh derivatives are always taken with non-periodic stencils: even over
 a torus domain the reconstructed immersion is not doubly periodic, only

@@ -162,7 +162,7 @@ THETA_16 = (2.0 ** -53 * math.factorial(17)) ** (1.0 / 17.0)
 
 def kernel_splits(A, B, d1, d2, paths, row):
     """Sub-steps per edge of the lattice paths, run by the kernel as one
-    block of lines: 2^k, with k the squarings that _expm would need for
+    tile of edges: 2^k, with k the squarings that _expm would need for
     the largest 1-norm of an edge's Omega, [[X, -Y], [Y, X]] for
     Omega = X + iY."""
     norms = [np.abs(W.real) + np.abs(W.imag)
@@ -402,7 +402,7 @@ def tree_by_lines(domain, A, B, F0, root, row, axis_first, transport=None):
     """The tree as scalar transports along the half lines of the comb
     (`_tree_lines`), by default Magnus with the kernel's sub-steps per
     edge (`kernel_splits`) of the spine and of the teeth, which the
-    kernel runs in one block of lines each on these grids: an oracle
+    kernel runs in one tile of edges each on these grids: an oracle
     that shares no code with the kernel.  The teeth's halves on each side
     of the spine take the same steps and run together."""
     frames = np.empty(domain.shape + F0.shape, dtype=complex)
@@ -600,7 +600,7 @@ def test_ch2_frames_stay_in_the_group():
 
 def tree_peaks(name, monkeypatch, scales):
     """The tracemalloc peaks of the workload's 64^2 tree, one per factor
-    of LINES_BLOCK_BYTES in `scales`."""
+    of _kernels.TILE_BYTES in `scales`."""
     pipe = workload_pipeline(name, 64)
     peaks = []
 
@@ -613,36 +613,40 @@ def tree_peaks(name, monkeypatch, scales):
             tracemalloc.stop()
 
     with monkeypatch.context() as patch:
-        block = _kernels.LINES_BLOCK_BYTES
+        tile = _kernels.TILE_BYTES
         for scale in scales:
-            patch.setattr(_kernels, "LINES_BLOCK_BYTES", int(scale * block))
+            patch.setattr(_kernels, "TILE_BYTES", int(scale * tile))
             immerse_tracing_the_tree(pipe, patch, traced)
     return peaks
 
 
 def test_tree_memory_peak(monkeypatch):
     # the 64^2 torus tree, real 4x3 frames under a constant real 4x4
-    # coefficient, is chained without blocks: its peak is the 0.375 MiB of
-    # frames and the frontier (0.41 MiB measured), with any block size
+    # coefficient, is chained in one tile with no per-edge array: its peak
+    # is the 0.375 MiB of frames and the frontiers (0.40 MiB measured),
+    # with any tile size
     assert max(tree_peaks("torus_affine", monkeypatch, [1, 4])) <= (
         0.42 * 2 ** 20)
-    # the 64^2 CH^2 tree's coefficient varies, so it goes a block of lines
-    # at a time: a quarter of the blocks keeps it at 1.01 MiB measured,
-    # and the default blocks take it to 2.63 MiB
+    # the 64^2 CH^2 tree's coefficient varies, so its per-edge arrays go a
+    # tile of edges across every line at a time: quarter tiles keep it at
+    # 1.02 MiB measured, and the default tiles take it to 2.57 MiB
     quarter, default = tree_peaks("ch2_continuation", monkeypatch, [0.25, 1])
     assert quarter <= 1.1 * 2 ** 20 < 2.5 * 2 ** 20 < default <= 2.7 * 2 ** 20
 
 
 def block_transport_lines(step, fields, zdot, frames, start):
-    """The kernel's block path alone, each block of lines under
-    LINES_BLOCK_BYTES one Magnus step per edge (or 2^k where one step
-    would not converge) and chained edge by edge: the oracle of its
-    constant path.  Returns the edges it ran."""
+    """The line-block path that the tile sweep of `transport_lines`
+    replaced, kept as its oracle: each block of whole lines, its per-edge
+    arrays under _kernels.TILE_BYTES, one Magnus step per edge (or 2^k
+    where one step would not converge for the block) and chained edge by
+    edge in a (block, m', N, c) buffer.  Where one tile holds every edge,
+    one block holds every line, with the same scaling for every edge.
+    Returns the edges it ran."""
     lines, m = frames.shape[:2]
     r = frames.shape[-2]
     cplx = np.iscomplexobj(frames)
     n = 2 * r if cplx else r
-    block = max(1, _kernels.LINES_BLOCK_BYTES // (max(m - 1, 1) * 8 * n * n))
+    block = max(1, _kernels.TILE_BYTES // (max(m - 1, 1) * 8 * n * n))
     for i in range(0, lines, block):
         rows = slice(i, i + block)
         R = step(zdot, *(X[rows] for X in fields))
@@ -756,8 +760,8 @@ def _lines(fields, F0, start, axis=1):
 def test_constant_lines_match_the_block_path_to_the_bit(kind, start,
                                                         monkeypatch):
     # a constant coefficient: every edge's Omega is C, so the two
-    # exponentials chained over all lines give the block path's frames
-    # bit for bit, with no Magnus step formed
+    # exponentials chained over all lines in one tile give the block
+    # path's frames bit for bit, with no Magnus step formed
     dom, step, fields, F0 = _torus_system(kind)
     for axis, zdot in ((0, dom.step1), (1, dom.step2)):
         fs, want = _lines(fields, F0, start, axis)
@@ -791,7 +795,8 @@ def _perturbed(fields, how):
 def test_non_constant_lines_take_the_block_path(kind, how, monkeypatch):
     # fields constant but for one node, a constant C too large for exp(C)
     # without squarings, and a NaN field (NaN equals nothing) each run
-    # the block path's Magnus steps and give its frames
+    # Magnus steps in tiles; one tile holds the 15 edges of these 16 lines,
+    # so they give the block path's frames bit for bit
     dom, step, fields, F0 = _torus_system(kind, (16, 16))
     fields = _perturbed(fields, how)
     if how == "large":
@@ -807,3 +812,133 @@ def test_non_constant_lines_take_the_block_path(kind, how, monkeypatch):
     assert calls
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got).any() == (how == "nan")
+
+
+@pytest.mark.parametrize("name, n", [("ch2_continuation", 64),
+                                     ("ch2_continuation", 256),
+                                     ("disk_solve", 64)])
+def test_tree_is_tile_invariant(name, n, monkeypatch):
+    # the workload's tree, whose coefficient varies, in tiles of one edge,
+    # in the default tiles and in one tile of every edge, against the
+    # line-block path: one tile of every edge is one block of every line,
+    # with the same scaling for every edge, and gives its frames bit for
+    # bit
+    pipe = workload_pipeline(name, n)
+    calls = []
+
+    def record(tree, args, kwargs):
+        calls.append((args, kwargs))
+        return tree(*args, **kwargs)
+
+    immerse_tracing_the_tree(pipe, monkeypatch, record)
+    args, kwargs = calls[0]
+    # 8 N^2 bytes per edge of every line, N <= 6
+    for tile, bitwise in ((1, False), (_kernels.TILE_BYTES, False),
+                          (n * n * 8 * 36, True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "TILE_BYTES", tile)
+            got, counts = integrate_tree(*args, **kwargs)
+            patch.setattr(immersion, "transport_lines", block_transport_lines)
+            want, _ = integrate_tree(*args, **kwargs)
+        assert counts == {"tree_edges": n * n - 1}
+        if bitwise:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert rel_err(got, want) <= 1e-13
+
+
+def _varying_lines(lines, m, large=1.0, seed=3):
+    """(A, B, step, fields, F0) of the complex row system A zdot +
+    B conj(zdot) of random (lines, m, 3, 3) coefficients, built from
+    terms, and a frame (lines, 3, 3) for node `start` of each line; A and
+    B are `large` times larger from node 20 of each line up."""
+    rng = np.random.default_rng(seed)
+    A, B = (0.3 * (rng.normal(size=(lines, m, 3, 3))
+                   + 1j * rng.normal(size=(lines, m, 3, 3)))
+            for _ in range(2))
+    A[:, 20:] *= large
+    B[:, 20:] *= large
+    step, fields = dense_form(A, B, "row_frame", None).row_system(False)
+    F0 = rng.normal(size=(lines, 3, 3)) + 1j * rng.normal(size=(lines, 3, 3))
+    return A, B, step, fields, F0
+
+
+# the step along every line of _varying_lines
+ZDOT = 0.1 + 0.05j
+
+
+@pytest.mark.parametrize("start", [0, 10, 13, 23])
+def test_tiles_match_the_block_path_from_any_start(start, monkeypatch):
+    # 16 lines of 24 nodes in tiles of 5 edges, [0, 5) ... [20, 23):
+    # `start` at either end of the lines, on the tile boundary 10 and
+    # inside the tile [10, 15); the block path runs them in one block
+    _, _, step, fs, F0 = _varying_lines(16, 24)
+    frames = np.zeros((16, 24, 3, 3), dtype=complex)
+    frames[:, start] = F0
+    want, got = frames.copy(), frames.copy()
+    assert block_transport_lines(step, fs, ZDOT, want, start) == 16 * 23
+    monkeypatch.setattr(_kernels, "TILE_BYTES", 16 * 5 * 8 * 36)
+    calls = counting_magnus(monkeypatch)
+    assert _kernels.transport_lines(step, fs, ZDOT, got, start) == 16 * 23
+    assert len(calls) == 5
+    assert got[:, start].tobytes() == frames[:, start].tobytes()
+    assert rel_err(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(0, 24), (16, 1)])
+@pytest.mark.parametrize("kind", ["constant", "varying"])
+def test_no_lines_and_one_node_lines_run_no_edge(kind, shape, monkeypatch):
+    # no lines, and lines of one node: no edge runs, no Magnus step is
+    # formed, and the frames stay as they are
+    if kind == "constant":
+        _, step, fields, F0 = _torus_system("cp2_complex", (16, 24))
+    else:
+        _, _, step, fields, F0 = _varying_lines(16, 24)
+    fs = [X[:shape[0], :shape[1]] for X in fields]
+    frames = np.random.default_rng(1).normal(size=shape + (3, 3)) + 0.5j
+    before = frames.copy()
+    calls = counting_magnus(monkeypatch)
+    assert _kernels.transport_lines(step, fs, ZDOT, frames, 0) == 0
+    assert calls == []
+    assert frames.tobytes() == before.tobytes()
+
+
+def _line_path(i, nodes):
+    """The lattice path through the nodes of line i of _varying_lines."""
+    return np.stack([np.full(len(nodes), i), nodes], axis=-1).astype(float)
+
+
+def test_only_the_tiles_that_need_it_refine(monkeypatch):
+    # 2 lines of 30 nodes in tiles of 6 edges from node 8, run in the
+    # order [6, 12), [12, 18), [18, 24), [24, 29), [0, 6).  The
+    # coefficient is 8 times larger from node 20 up, so only the tiles
+    # [18, 24) and [24, 29) need squarings: each is refined to its own
+    # 2^k sub-edges per edge and takes a second Magnus call, and the
+    # frames are those of scalar Magnus steps split as the kernel splits
+    # each tile
+    start, tiles = 8, [(6, 12), (12, 18), (18, 24), (24, 29), (0, 6)]
+    A, B, step, fs, F0 = _varying_lines(2, 30, large=8.0)
+    frames = np.zeros((2, 30, 3, 3), dtype=complex)
+    frames[:, start] = F0
+    monkeypatch.setattr(_kernels, "TILE_BYTES", 2 * 6 * 8 * 36)
+    calls = counting_magnus(monkeypatch)
+    assert _kernels.transport_lines(step, fs, ZDOT, frames, start) == 58
+    want = np.empty_like(frames)
+    want[:, start] = F0
+    splits = []
+    for a, b in tiles:
+        nodes = np.arange(a, b + 1)
+        splits.append(kernel_splits(A, B, 0.0, ZDOT,
+                                    [_line_path(i, nodes) for i in (0, 1)],
+                                    True))
+        # up from the tile's lowest node at or above `start`, and down
+        # from its highest at or below it
+        for js in (range(max(start, a), b + 1),
+                   range(min(start, b), a - 1, -1)):
+            for i in (0, 1) if len(js) else ():
+                want[i, js] = magnus_scalar(
+                    A, B, 0.0, ZDOT, _line_path(i, js), want[i, js[0]],
+                    True, splits[-1])
+    assert [s > 1 for s in splits] == [False, False, True, True, False]
+    assert len(calls) == len(tiles) + 2
+    assert rel_err(frames, want) <= 1e-13
